@@ -162,6 +162,19 @@ let compare (p : t) (q : t) : int =
   in
   go p q
 
+(* Folds in every coefficient, variable and exponent of the normal form.
+   The polymorphic [Hashtbl.hash] reads at most ten meaningful words, so
+   on a monomial list it sees little beyond the leading monomial. *)
+let hash (p : t) =
+  let mix h x = (h * 65599) + x in
+  Hashtbl.hash
+    (List.fold_left
+       (fun h m ->
+         List.fold_left
+           (fun h (v, e) -> mix (mix h (Hashtbl.hash v)) e)
+           (mix h m.coeff) m.pows)
+       0 p)
+
 let to_const_opt = function
   | [] -> Some 0
   | [ { coeff; pows = [] } ] -> Some coeff

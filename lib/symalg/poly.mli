@@ -69,6 +69,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** A total order compatible with {!equal} (graded-lexicographic). *)
 
+val hash : t -> int
+(** A hash of every monomial of the normal form, compatible with
+    {!equal}. *)
+
 val to_const_opt : t -> int option
 (** [Some c] iff the polynomial is the constant [c]. *)
 

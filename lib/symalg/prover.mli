@@ -25,6 +25,14 @@ type t
 
 val empty : t
 
+val equal : t -> t -> bool
+(** Equality of the recorded bindings, whatever the insertion order
+    that built either context. *)
+
+val hash : t -> int
+(** A hash of the bindings, compatible with {!equal}; computed once when
+    the context is built. *)
+
 val add_eq : t -> string -> Poly.t -> t
 (** [add_eq ctx v p] records the rewrite [v := p]; e.g. the NW proof of
     Fig. 9 records [n := q*b + 1].  Existing facts are normalized with
@@ -106,9 +114,10 @@ val pp : Format.formatter -> t -> unit
 (** {1 Memoization limits and statistics}
 
     The prover keeps two memo tables: saturated contexts and decided
-    nonnegativity obligations.  Each is flushed wholesale when it
-    outgrows its cap (bounded residency beats an eviction policy for
-    the bursty obligation streams the pipeline produces). *)
+    nonnegativity obligations, both keyed by {!hash} and {!equal}.
+    Each is flushed wholesale when it outgrows its cap (bounded
+    residency beats an eviction policy for the bursty obligation
+    streams the pipeline produces). *)
 
 type limits = { sat_cap : int; nonneg_cap : int }
 

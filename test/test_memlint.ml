@@ -189,21 +189,30 @@ let test_overlapping_threads () =
 (* Seeds: the benchmark programs lint clean at every stage           *)
 (* ---------------------------------------------------------------- *)
 
-(* The cheap-to-compile benchmarks; nw and lud are covered by
-   `repro lint all` (their non-overlap proofs dominate the runtime). *)
+(* Every stage was linted, and no lint verdict rests on a prover query
+   cut short by a budget or by the non-overlap deadline: a cut query
+   answers "not proved", which on NW used to surface as write-race
+   warnings that varied with host load. *)
+let check_linted name compiled =
+  Alcotest.(check int)
+    (name ^ " lints at every stage") 7
+    (List.length compiled.Core.Pipeline.lint);
+  Alcotest.(check int)
+    (name ^ ": no prover query cut short") 0
+    compiled.Core.Pipeline.prover_exhausted
+
 let test_benchmarks_clean () =
   List.iter
     (fun (name, prog) ->
       let compiled = Core.Pipeline.compile ~lint:true prog in
-      Alcotest.(check int)
-        (name ^ " lints at every stage") 7
-        (List.length compiled.Core.Pipeline.lint);
+      check_linted name compiled;
       match Core.Pipeline.first_lint_error compiled.Core.Pipeline.lint with
       | None -> ()
       | Some (stage, v) ->
           Alcotest.failf "%s: %s introduced %s" name stage
             (Fmt.str "%a" ML.pp_violation v))
     [
+      ("nw", Benchsuite.Nw.prog);
       ("hotspot", Benchsuite.Hotspot.prog);
       ("lbm", Benchsuite.Lbm.prog);
       ("optionpricing", Benchsuite.Option_pricing.prog);
@@ -214,22 +223,25 @@ let test_benchmarks_clean () =
 (* Regression: LUD's interior write-race obligations need the prover's
    triangular-bound saturation (from 0 <= jv <= bi - 1 and
    bi <= m - 1 it must derive m >= 2 for the per-thread disjointness
-   proof); pin the benchmark to zero warnings at every stage so a
-   prover regression cannot silently reintroduce them. *)
+   proof), and NW's race obligations must finish well inside the
+   non-overlap deadline; pin both benchmarks to zero warnings at every
+   stage so a prover regression cannot silently reintroduce them. *)
 let test_lud_no_warnings () =
-  let compiled = Core.Pipeline.compile ~lint:true Benchsuite.Lud.prog in
-  Alcotest.(check int) "lud lints at every stage" 7
-    (List.length compiled.Core.Pipeline.lint);
   List.iter
-    (fun (stage, r) ->
-      let pp vs = List.map (fun v -> Fmt.str "%a" ML.pp_violation v) vs in
-      Alcotest.(check (list string))
-        (Printf.sprintf "lud %s: no errors" stage)
-        [] (pp (ML.errors r));
-      Alcotest.(check (list string))
-        (Printf.sprintf "lud %s: no warnings" stage)
-        [] (pp (ML.warnings r)))
-    compiled.Core.Pipeline.lint
+    (fun (name, prog) ->
+      let compiled = Core.Pipeline.compile ~lint:true prog in
+      check_linted name compiled;
+      List.iter
+        (fun (stage, r) ->
+          let pp vs = List.map (fun v -> Fmt.str "%a" ML.pp_violation v) vs in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s: no errors" name stage)
+            [] (pp (ML.errors r));
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s: no warnings" name stage)
+            [] (pp (ML.warnings r)))
+        compiled.Core.Pipeline.lint)
+    [ ("lud", Benchsuite.Lud.prog); ("nw", Benchsuite.Nw.prog) ]
 
 (* A pre-memory program is vacuously clean. *)
 let test_unannotated_clean () =

@@ -126,6 +126,29 @@ let test_prover_symbolic_upper () =
   let ctx = Pr.add_range ctx "k" ~lo:(c 1) () in
   Alcotest.(check bool) "j < k" true (Pr.prove_lt ctx (v "j") (v "k"))
 
+(* The same bounds recorded in another order give a map of another tree
+   shape (a, b, c: root a with a right spine; b, a, c: root b with two
+   leaves).  The memo tables must still share the facts proved under
+   either. *)
+let test_prover_memo_sharing () =
+  let bound ctx (x, lo) = Pr.add_range ctx x ~lo:(c lo) () in
+  let in_order = List.fold_left bound Pr.empty in
+  let ma = ("memo_a", 1) and mb = ("memo_b", 1) and mc = ("memo_c", 0) in
+  let ctx1 = in_order [ ma; mb; mc ] and ctx2 = in_order [ mb; ma; mc ] in
+  Alcotest.(check bool) "equal by bindings" true (Pr.equal ctx1 ctx2);
+  Alcotest.(check int) "same hash" (Pr.hash ctx1) (Pr.hash ctx2);
+  (* a*b + c - a >= 0: interval evaluation gives -inf as lower bound, so
+     only the elimination search decides it *)
+  let a = v "memo_a" and b = v "memo_b" in
+  let goal = P.sub (P.add (P.mul a b) (v "memo_c")) a in
+  let misses () = (Pr.stats ()).Pr.nonneg_misses in
+  let m0 = misses () in
+  Alcotest.(check bool) "proved under a, b, c" true (Pr.prove_nonneg ctx1 goal);
+  let m1 = misses () in
+  Alcotest.(check bool) "the search ran" true (m1 > m0);
+  Alcotest.(check bool) "proved under b, a, c" true (Pr.prove_nonneg ctx2 goal);
+  Alcotest.(check int) "no new elimination search" m1 (misses ())
+
 let test_interval () =
   let ctx = Pr.add_range Pr.empty "x" ~lo:(c 2) ~hi:(c 5) () in
   let lo, hi = Pr.interval ctx (P.mul (v "x") (v "x")) in
@@ -234,6 +257,8 @@ let tests =
     Alcotest.test_case "prover NW facts" `Quick test_prover_nw_facts;
     Alcotest.test_case "prover negatives" `Quick test_prover_soundness_negative;
     Alcotest.test_case "prover symbolic upper" `Quick test_prover_symbolic_upper;
+    Alcotest.test_case "prover memo shared across insertion orders" `Quick
+      test_prover_memo_sharing;
     Alcotest.test_case "interval" `Quick test_interval;
     Alcotest.test_case "prover random soundness" `Quick
       test_prover_random_soundness;
