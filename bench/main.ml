@@ -1,106 +1,19 @@
-(* The experiment harness: regenerates every table of the paper's
-   evaluation (Tables I-VII) on the simulated A100/MI100 devices, the
-   compile-time overhead observation of section V-D, and a set of
-   Bechamel micro-benchmarks of the compiler itself (the non-overlap
-   test, the short-circuiting pass, the polynomial prover).
+(* The compiler's own experiments: an ablation of the short-circuiting
+   analysis features, and a set of Bechamel micro-benchmarks of the
+   compiler itself (the non-overlap test, the short-circuiting pass,
+   the polynomial prover).  The paper's tables (I-VII), the footprint
+   summary and the section V-D compile-overhead table come from
+   `repro table all`.  Run with
 
-   Absolute milliseconds come from the GPU cost model (see DESIGN.md,
-   substitution 1); the paper's published numbers are printed alongside
-   for shape comparison.  Run with
-
-     dune exec bench/main.exe              # all tables + microbenches
-     dune exec bench/main.exe -- tables    # tables only
-     dune exec bench/main.exe -- micro     # microbenchmarks only
+     dune exec bench/main.exe                # ablation + microbenches
+     dune exec bench/main.exe -- ablation    # ablation only
+     dune exec bench/main.exe -- micro       # microbenchmarks only
 *)
 
 module P = Symalg.Poly
 module Pr = Symalg.Prover
 
 let hr = String.make 100 '='
-
-let sc_summary name (c : Core.Pipeline.compiled) =
-  let st = c.Core.Pipeline.stats in
-  Printf.printf
-    "  [%s] short-circuiting: %d/%d candidates rebased (%d vars, %d \
-     non-overlap checks)\n"
-    name st.Core.Shortcircuit.succeeded st.Core.Shortcircuit.candidates
-    st.Core.Shortcircuit.rebased_vars st.Core.Shortcircuit.overlap_checks
-
-let run_tables () =
-  let benches =
-    [
-      ("NW", fun () -> Benchsuite.Nw.table ());
-      ("LUD", fun () -> Benchsuite.Lud.table ());
-      ("Hotspot", fun () -> Benchsuite.Hotspot.table ());
-      ("LBM", fun () -> Benchsuite.Lbm.table ());
-      ("OptionPricing", fun () -> Benchsuite.Option_pricing.table ());
-      ("LocVolCalib", fun () -> Benchsuite.Locvolcalib.table ());
-      ("NN", fun () -> Benchsuite.Nn.table ());
-    ]
-  in
-  let overheads = ref [] in
-  let footprints = ref [] in
-  List.iter
-    (fun (name, f) ->
-      Printf.printf "%s\n" hr;
-      let t0 = Unix.gettimeofday () in
-      let o = f () in
-      let compiled = o.Benchsuite.Runner.compiled in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      print_string (Benchsuite.Table.to_string o.Benchsuite.Runner.table);
-      sc_summary name compiled;
-      Printf.printf "  (table regenerated in %.1fs)\n\n" elapsed;
-      footprints :=
-        ( name,
-          compiled.Core.Pipeline.dead_allocs,
-          compiled.Core.Pipeline.reuse_dead_allocs,
-          compiled.Core.Pipeline.pack_dead_allocs,
-          o.Benchsuite.Runner.footprints )
-        :: !footprints;
-      overheads :=
-        (name, compiled.Core.Pipeline.time_base, compiled.Core.Pipeline.time_sc)
-        :: !overheads)
-    benches;
-  (* Memory footprint: the paper's second motivation (section I). *)
-  Printf.printf "%s\n" hr;
-  Printf.printf
-    "Memory footprint: peak live bytes, unoptimized / short-circuited / \
-     reused / packed\n";
-  Printf.printf "%-15s %-10s %12s %12s %12s %12s %9s %s\n" "Benchmark"
-    "dataset" "unopt (MB)" "opt (MB)" "reuse (MB)" "pack (MB)" "saved"
-    "dead allocs (sc+reuse+pack)";
-  List.iter
-    (fun (name, dead, rdead, pdead, fps) ->
-      List.iter
-        (fun (ds, u, o, r, p) ->
-          let open Benchsuite.Runner in
-          Printf.printf
-            "%-15s %-10s %12.1f %12.1f %12.1f %12.1f %8.0f%% %5d+%d+%d\n"
-            name ds (u.f_peak_bytes /. 1e6) (o.f_peak_bytes /. 1e6)
-            (r.f_peak_bytes /. 1e6) (p.f_peak_bytes /. 1e6)
-            (100.
-            *. (u.f_peak_bytes -. p.f_peak_bytes)
-            /. Float.max 1.0 u.f_peak_bytes)
-            dead rdead pdead)
-        fps)
-    (List.rev !footprints);
-  Printf.printf "\n";
-  (* Section V-D: compile-time overhead of short-circuiting. *)
-  Printf.printf "%s\n" hr;
-  Printf.printf
-    "Section V-D: compile-time overhead of the short-circuiting pass\n";
-  Printf.printf "%-15s %12s %14s %10s\n" "Benchmark" "base (ms)"
-    "+short-circ." "overhead";
-  List.iter
-    (fun (name, base, sc) ->
-      Printf.printf "%-15s %10.2fms %12.2fms %9.0f%%\n" name (base *. 1e3)
-        ((base +. sc) *. 1e3)
-        (100. *. sc /. Float.max 1e-9 base))
-    (List.rev !overheads);
-  Printf.printf
-    "(paper: ~10%% for most benchmarks; NW/LUD larger because of the\n\
-    \ non-overlap proofs - NW took 17s with the external SMT solver,\n\
-    \ which our built-in algebraic prover replaces)\n\n"
 
 (* ---------------------------------------------------------------- *)
 (* Ablation study: which design choices earn the circuits            *)
@@ -249,6 +162,5 @@ let run_micro () =
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  if what = "tables" || what = "all" then run_tables ();
   if what = "ablation" || what = "all" then run_ablation ();
   if what = "micro" || what = "all" then run_micro ()

@@ -172,12 +172,18 @@ let pp_footprints ?(verbose = false) (o : Benchsuite.Runner.outcome) =
       | _ -> ())
     o.Benchsuite.Runner.footprints
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error e -> Error e
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+(* A JSON document as printed or written: one line. *)
+let json_line v = Core.Json.to_string v ^ "\n"
+
+(* A ratio BENCH.json records to four decimals. *)
+let round4 x = float_of_string (Printf.sprintf "%.4f" x)
 
 (* The prover's memoization effectiveness and budget pressure, shared
    by BENCH.json and the combined certificate document.  A nonzero
@@ -185,123 +191,207 @@ let json_escape s =
    by the step/memo budget or deadline - sound (the affected rewrites
    were skipped) but a signal the budget is too tight for the suite. *)
 let prover_json (p : Symalg.Prover.stats) =
+  let open Core.Json in
   let rate h m =
-    if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
+    if h + m = 0 then 0. else round4 (float_of_int h /. float_of_int (h + m))
   in
-  Printf.sprintf
-    "\"prover\":{\"sat_hits\":%d,\"sat_misses\":%d,\"sat_resets\":%d,\"sat_hit_rate\":%.4f,\"nonneg_hits\":%d,\"nonneg_misses\":%d,\"nonneg_resets\":%d,\"nonneg_hit_rate\":%.4f,\"budget_exhausted\":%d}"
-    p.Symalg.Prover.sat_hits p.Symalg.Prover.sat_misses
-    p.Symalg.Prover.sat_resets
-    (rate p.Symalg.Prover.sat_hits p.Symalg.Prover.sat_misses)
-    p.Symalg.Prover.nonneg_hits p.Symalg.Prover.nonneg_misses
-    p.Symalg.Prover.nonneg_resets
-    (rate p.Symalg.Prover.nonneg_hits p.Symalg.Prover.nonneg_misses)
-    p.Symalg.Prover.budget_exhausted
+  ( "prover",
+    Obj
+      [
+        ("sat_hits", int p.Symalg.Prover.sat_hits);
+        ("sat_misses", int p.sat_misses);
+        ("sat_resets", int p.sat_resets);
+        ("sat_hit_rate", Num (rate p.sat_hits p.sat_misses));
+        ("nonneg_hits", int p.nonneg_hits);
+        ("nonneg_misses", int p.nonneg_misses);
+        ("nonneg_resets", int p.nonneg_resets);
+        ("nonneg_hit_rate", Num (rate p.nonneg_hits p.nonneg_misses));
+        ("budget_exhausted", int p.budget_exhausted);
+      ] )
 
 (* One machine-readable performance record for the whole suite:
    per-benchmark modeled times and impacts per (device, dataset),
-   memory footprints of the three variants, compile times, reuse-pass
-   statistics, and the prover's memoization effectiveness. *)
+   memory footprints of the four variants, compile times, reuse- and
+   pack-pass statistics, and the prover's memoization effectiveness. *)
 let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
-    (pstats : Symalg.Prover.stats) : string =
-  let buf = Buffer.create 8192 in
+    (pstats : Symalg.Prover.stats) : Core.Json.t =
+  let open Core.Json in
+  let row (r : Benchsuite.Table.row) =
+    Obj
+      [
+        ("device", Str r.Benchsuite.Table.device);
+        ("dataset", Str r.dataset);
+        ("ref_ms", Num r.ref_ms);
+        ("unopt_ms", Num r.unopt_ms);
+        ("opt_ms", Num r.opt_ms);
+        ("reuse_ms", Num r.reuse_ms);
+        ("pack_ms", Num r.pack_ms);
+        ("impact", Num r.impact);
+        ("reuse_impact", Num r.reuse_impact);
+        ("pack_impact", Num r.pack_impact);
+      ]
+  in
+  let footprint (f : Benchsuite.Runner.footprint) =
+    let pool (ps : Gpu.Device.Pool.stats) =
+      ( "pool",
+        Obj
+          ([
+             ("hits", int f.Benchsuite.Runner.f_pool_hits);
+             ("misses", int f.f_pool_misses);
+             ("device_bytes", Num ps.Gpu.Device.Pool.p_device_bytes);
+             ("high_water_bytes", Num ps.p_high_water);
+             ("fragmentation", Num (round4 ps.p_fragmentation));
+           ]
+          @
+          match ps.p_cap with
+          | Some c -> [ ("cap", Num c); ("evictions", int ps.p_evictions) ]
+          | None -> []) )
+    in
+    Obj
+      ([
+         ("allocs", int f.Benchsuite.Runner.f_allocs);
+         ("arena_allocs", int f.f_arena_allocs);
+         ("arena_bytes", Num f.f_arena_bytes);
+         ("scratch", int f.f_scratch);
+         ("alloc_bytes", Num f.f_alloc_bytes);
+         ("peak_bytes", Num f.f_peak_bytes);
+         ("traffic_bytes", Num f.f_traffic_bytes);
+       ]
+      @ Option.to_list (Option.map pool f.f_pool))
+  in
   let bench_obj (b, (o : Benchsuite.Runner.outcome)) =
     let c = o.Benchsuite.Runner.compiled in
-    let rows =
-      String.concat ","
-        (List.map
-           (fun (r : Benchsuite.Table.row) ->
-             Printf.sprintf
-               "{\"device\":\"%s\",\"dataset\":\"%s\",\"ref_ms\":%g,\"unopt_ms\":%g,\"opt_ms\":%g,\"reuse_ms\":%g,\"pack_ms\":%g,\"impact\":%g,\"reuse_impact\":%g,\"pack_impact\":%g}"
-               (json_escape r.Benchsuite.Table.device)
-               (json_escape r.Benchsuite.Table.dataset)
-               r.Benchsuite.Table.ref_ms r.Benchsuite.Table.unopt_ms
-               r.Benchsuite.Table.opt_ms r.Benchsuite.Table.reuse_ms
-               r.Benchsuite.Table.pack_ms r.Benchsuite.Table.impact
-               r.Benchsuite.Table.reuse_impact
-               r.Benchsuite.Table.pack_impact)
-           o.Benchsuite.Runner.table.Benchsuite.Table.rows)
-    in
-    let fp (f : Benchsuite.Runner.footprint) =
-      let pool =
-        match f.Benchsuite.Runner.f_pool with
-        | Some ps ->
-            let cap =
-              match ps.Gpu.Device.Pool.p_cap with
-              | Some c ->
-                  Printf.sprintf ",\"cap\":%g,\"evictions\":%d" c
-                    ps.Gpu.Device.Pool.p_evictions
-              | None -> ""
-            in
-            Printf.sprintf
-              ",\"pool\":{\"hits\":%d,\"misses\":%d,\"device_bytes\":%g,\"high_water_bytes\":%g,\"fragmentation\":%.4f%s}"
-              f.Benchsuite.Runner.f_pool_hits
-              f.Benchsuite.Runner.f_pool_misses
-              ps.Gpu.Device.Pool.p_device_bytes
-              ps.Gpu.Device.Pool.p_high_water
-              ps.Gpu.Device.Pool.p_fragmentation cap
-        | None -> ""
-      in
-      Printf.sprintf
-        "{\"allocs\":%d,\"arena_allocs\":%d,\"arena_bytes\":%g,\"scratch\":%d,\"alloc_bytes\":%g,\"peak_bytes\":%g,\"traffic_bytes\":%g%s}"
-        f.Benchsuite.Runner.f_allocs f.Benchsuite.Runner.f_arena_allocs
-        f.Benchsuite.Runner.f_arena_bytes f.Benchsuite.Runner.f_scratch
-        f.Benchsuite.Runner.f_alloc_bytes f.Benchsuite.Runner.f_peak_bytes
-        f.Benchsuite.Runner.f_traffic_bytes pool
-    in
-    let fps =
-      String.concat ","
-        (List.map
-           (fun (label, u, p, r, pk) ->
-             Printf.sprintf
-               "{\"dataset\":\"%s\",\"unopt\":%s,\"opt\":%s,\"reuse\":%s,\"pack\":%s}"
-               (json_escape label) (fp u) (fp p) (fp r) (fp pk))
-           o.Benchsuite.Runner.footprints)
-    in
     let rst = c.Core.Pipeline.reuse_stats in
-    let pst = c.Core.Pipeline.pack_stats in
-    (* per-pass obligation counts of the translation-validation run that
-       rides along with every table compile *)
-    let certify =
-      String.concat ","
-        (List.map
-           (fun (pass, (r : Core.Certify.report)) ->
-             Printf.sprintf
-               "\"%s\":{\"emitted\":%d,\"proved\":%d,\"concretized\":%d,\"failed\":%d}"
-               (json_escape pass) r.Core.Certify.emitted
-               r.Core.Certify.proved r.Core.Certify.concretized
-               r.Core.Certify.failed)
-           c.Core.Pipeline.certs)
-    in
-    Printf.sprintf
-      "{\"name\":\"%s\",\"table\":%d,\"rows\":[%s],\"footprints\":[%s],\"compile_s\":{\"base\":%g,\"shortcircuit\":%g,\"reuse\":%g,\"pack\":%g},\"dead_allocs\":%d,\"reuse_dead_allocs\":%d,\"pack_dead_allocs\":%d,\"reuse_stats\":{\"candidates\":%d,\"coalesced\":%d,\"size_proofs\":%d,\"chain_links\":%d,\"rotated\":%d,\"hoisted\":%d},\"pack_stats\":{\"arenas\":%d,\"packed\":%d,\"unpacked\":%d,\"offset_proofs\":%d,\"holes\":%d,\"promoted\":%d},\"certify\":{%s}}"
-      (json_escape b.name) b.table_no rows fps c.Core.Pipeline.time_base
-      c.Core.Pipeline.time_sc c.Core.Pipeline.time_reuse
-      c.Core.Pipeline.time_pack c.Core.Pipeline.dead_allocs
-      c.Core.Pipeline.reuse_dead_allocs c.Core.Pipeline.pack_dead_allocs
-      rst.Core.Reuse.candidates rst.Core.Reuse.coalesced
-      rst.Core.Reuse.size_proofs rst.Core.Reuse.chain_links
-      rst.Core.Reuse.rotated rst.Core.Reuse.hoisted pst.Core.Pack.arenas
-      pst.Core.Pack.packed pst.Core.Pack.unpacked
-      pst.Core.Pack.offset_proofs pst.Core.Pack.holes
-      pst.Core.Pack.promoted certify
+    let pst = c.pack_stats in
+    Obj
+      [
+        ("name", Str b.name);
+        ("table", int b.table_no);
+        ("rows", Arr (List.map row o.table.Benchsuite.Table.rows));
+        ( "footprints",
+          Arr
+            (List.map
+               (fun (label, u, p, r, pk) ->
+                 Obj
+                   [
+                     ("dataset", Str label);
+                     ("unopt", footprint u);
+                     ("opt", footprint p);
+                     ("reuse", footprint r);
+                     ("pack", footprint pk);
+                   ])
+               o.footprints) );
+        ( "compile_s",
+          Obj
+            [
+              ("base", Num c.time_base);
+              ("shortcircuit", Num c.time_sc);
+              ("reuse", Num c.time_reuse);
+              ("pack", Num c.time_pack);
+            ] );
+        ("dead_allocs", int c.dead_allocs);
+        ("reuse_dead_allocs", int c.reuse_dead_allocs);
+        ("pack_dead_allocs", int c.pack_dead_allocs);
+        ( "reuse_stats",
+          Obj
+            [
+              ("candidates", int rst.Core.Reuse.candidates);
+              ("coalesced", int rst.coalesced);
+              ("size_proofs", int rst.size_proofs);
+              ("chain_links", int rst.chain_links);
+              ("rotated", int rst.rotated);
+              ("hoisted", int rst.hoisted);
+            ] );
+        ( "pack_stats",
+          Obj
+            [
+              ("arenas", int pst.Core.Pack.arenas);
+              ("packed", int pst.packed);
+              ("unpacked", int pst.unpacked);
+              ("offset_proofs", int pst.offset_proofs);
+              ("holes", int pst.holes);
+              ("promoted", int pst.promoted);
+            ] );
+        (* per-pass obligation counts of the translation-validation
+           run that rides along with every table compile *)
+        ( "certify",
+          Obj
+            (List.map
+               (fun (pass, (r : Core.Certify.report)) ->
+                 ( pass,
+                   Obj
+                     [
+                       ("emitted", int r.Core.Certify.emitted);
+                       ("proved", int r.proved);
+                       ("concretized", int r.concretized);
+                       ("failed", int r.failed);
+                     ] ))
+               c.certs) );
+      ]
   in
   let date =
     let t = Unix.localtime (Unix.time ()) in
     Printf.sprintf "%04d-%02d-%02d" (t.Unix.tm_year + 1900)
       (t.Unix.tm_mon + 1) t.Unix.tm_mday
   in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"date\":\"%s\",\"benchmarks\":[%s],"
-       date
-       (String.concat "," (List.map bench_obj outcomes)));
-  Buffer.add_string buf (prover_json pstats ^ "}");
-  Buffer.contents buf
+  Obj
+    [
+      ("date", Str date);
+      ("benchmarks", Arr (List.map bench_obj outcomes));
+      prover_json pstats;
+    ]
 
 let default_bench_json_name () =
   let t = Unix.localtime (Unix.time ()) in
   Printf.sprintf "BENCH_%04d-%02d-%02d.json" (t.Unix.tm_year + 1900)
     (t.Unix.tm_mon + 1) t.Unix.tm_mday
+
+(* The cross-benchmark summaries closing [repro table all]: peak
+   footprints, the paper's second motivation (section I), and the
+   compile-time overhead of short-circuiting (section V-D). *)
+let print_summaries outcomes =
+  let hr = String.make 100 '=' in
+  Printf.printf
+    "%s\nMemory footprint: peak live bytes, unoptimized / short-circuited / \
+     reused / packed\n"
+    hr;
+  Printf.printf "%-15s %-10s %12s %12s %12s %12s %9s %s\n" "Benchmark"
+    "dataset" "unopt (MB)" "opt (MB)" "reuse (MB)" "pack (MB)" "saved"
+    "dead allocs (sc+reuse+pack)";
+  List.iter
+    (fun (b, (o : Benchsuite.Runner.outcome)) ->
+      let c = o.Benchsuite.Runner.compiled in
+      List.iter
+        (fun (ds, u, p, r, pk) ->
+          let peak (f : Benchsuite.Runner.footprint) =
+            f.Benchsuite.Runner.f_peak_bytes
+          in
+          Printf.printf
+            "%-15s %-10s %12.1f %12.1f %12.1f %12.1f %8.0f%% %5d+%d+%d\n"
+            b.name ds (peak u /. 1e6) (peak p /. 1e6) (peak r /. 1e6)
+            (peak pk /. 1e6)
+            (100. *. (peak u -. peak pk) /. Float.max 1.0 (peak u))
+            c.Core.Pipeline.dead_allocs c.reuse_dead_allocs
+            c.pack_dead_allocs)
+        o.footprints)
+    outcomes;
+  Printf.printf
+    "\n%s\nSection V-D: compile-time overhead of the short-circuiting pass\n"
+    hr;
+  Printf.printf "%-15s %12s %14s %10s\n" "Benchmark" "base (ms)"
+    "+short-circ." "overhead";
+  List.iter
+    (fun (b, (o : Benchsuite.Runner.outcome)) ->
+      let c = o.Benchsuite.Runner.compiled in
+      let base = c.Core.Pipeline.time_base and sc = c.time_sc in
+      Printf.printf "%-15s %10.2fms %12.2fms %9.0f%%\n" b.name (base *. 1e3)
+        ((base +. sc) *. 1e3)
+        (100. *. sc /. Float.max 1e-9 base))
+    outcomes;
+  print_string
+    "(paper: ~10% for most benchmarks; NW/LUD larger because of the\n\
+    \ non-overlap proofs - NW took 17s with the external SMT solver,\n\
+    \ which our built-in algebraic prover replaces)\n\n"
 
 let run_table which options reuse pack pool pool_cap fail_safe budget
     bench_json out =
@@ -367,11 +457,8 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
   let finish outcomes =
     if bench_json then begin
       let path = Option.value out ~default:(default_bench_json_name ()) in
-      let json = bench_json_of outcomes (Symalg.Prover.stats ()) in
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
+      write_file path
+        (json_line (bench_json_of outcomes (Symalg.Prover.stats ())));
       Printf.printf "wrote %s\n" path
     end
   in
@@ -404,6 +491,7 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
           (function b, Ok o -> Some (b, o) | _, Error _ -> None)
           results
       in
+      print_summaries outcomes;
       finish outcomes;
       let faulted =
         List.filter_map
@@ -503,21 +591,18 @@ let print_histogram t =
     (tr.Core.Trace.t_copy_bytes /. 1e6)
     (tr.Core.Trace.t_elided_bytes /. 1e6)
 
-let bench_json (u : Benchsuite.Runner.traced) (o : Benchsuite.Runner.traced)
-    (r : Benchsuite.Runner.traced) (p : Benchsuite.Runner.traced) =
-  let clean =
-    Core.Memtrace.ok u.Benchsuite.Runner.check
-    && Core.Memtrace.ok o.Benchsuite.Runner.check
-    && Core.Memtrace.ok r.Benchsuite.Runner.check
-    && Core.Memtrace.ok p.Benchsuite.Runner.check
+let trace_json clean u o r p =
+  let trace (t : Benchsuite.Runner.traced) =
+    Core.Trace.to_json t.Benchsuite.Runner.trace
   in
-  Printf.sprintf
-    "{\"clean\": %b, \"unopt\": %s, \"opt\": %s, \"reuse\": %s, \"pack\": %s}"
-    clean
-    (Core.Trace.to_json u.Benchsuite.Runner.trace)
-    (Core.Trace.to_json o.Benchsuite.Runner.trace)
-    (Core.Trace.to_json r.Benchsuite.Runner.trace)
-    (Core.Trace.to_json p.Benchsuite.Runner.trace)
+  Core.Json.Obj
+    [
+      ("clean", Core.Json.Bool clean);
+      ("unopt", trace u);
+      ("opt", trace o);
+      ("reuse", trace r);
+      ("pack", trace p);
+    ]
 
 (* --diff: the optimizations may move and elide storage but must not
    change the logical event sequence.  Compare the variants' trace
@@ -559,16 +644,13 @@ let run_trace which json diff out =
     if diff then diff_traces b u o r p && clean
     else begin
       if json then (
-        let s = bench_json u o r p in
+        let s = json_line (trace_json clean u o r p) in
         match out with
-        | None -> print_endline s
+        | None -> print_string s
         | Some dir ->
             if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
             let path = Filename.concat dir (b.name ^ ".json") in
-            let oc = open_out path in
-            output_string oc s;
-            output_char oc '\n';
-            close_out oc;
+            write_file path s;
             Printf.printf "%-14s wrote %s (%s)\n" b.name path
               (if clean then "clean" else "VIOLATIONS"))
       else begin
@@ -607,6 +689,38 @@ let run_dump which opt reuse pack =
 
 (* ---- bench ------------------------------------------------------- *)
 
+(* One gate run: parse the record at [path] (the [tag] side: a baseline,
+   or the first-fit run) and the current record, compare them with
+   [gate], print the report - followed by [hint] when it carries notes -
+   and write it to [report] if given; fail on any regression. *)
+let run_gate ~label ~base:(tag, path) ?(file_tag = tag) ?(hint = "") ~report
+    gate cur_s =
+  let ( let* ) = Result.bind in
+  let parse what s =
+    Result.map_error (fun e -> what ^ " parse error: " ^ e) (Core.Json.parse s)
+  in
+  let* base_s =
+    Result.map_error
+      (fun e -> Printf.sprintf "%s %s: %s" file_tag path e)
+      (read_file path)
+  in
+  let* base = parse tag base_s in
+  let* cur = parse "current" cur_s in
+  let g = gate base cur in
+  let rep = Benchsuite.Benchjson.report ~label g in
+  print_string rep;
+  if g.Benchsuite.Benchjson.notes <> [] then print_string hint;
+  Option.iter
+    (fun path ->
+      write_file path rep;
+      Printf.printf "wrote %s\n" path)
+    report;
+  if Benchsuite.Benchjson.ok g then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s failed: %d regression(s)" label
+         (List.length g.Benchsuite.Benchjson.regressions))
+
 (* The bench-trajectory gate: emit a fresh BENCH.json (or reuse one via
    [--current]) and, with [--check], compare it against the committed
    baseline.  Regressions - modeled times above tolerance, growing
@@ -614,15 +728,6 @@ let run_dump which opt reuse pack =
    diff report goes to stdout and, with [--report], to a file CI can
    upload as an artifact.  Refresh the baseline with
    `repro bench -o bench/baseline.json`. *)
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Ok s
-  with Sys_error e -> Error e
 
 let run_bench options reuse pack pool pool_cap fail_safe budget check
     baseline tolerance out current report order_check =
@@ -639,127 +744,64 @@ let run_bench options reuse pack pool pool_cap fail_safe budget check
               (b, b.table ~options ~reuse ~pack ~pool ?pool_cap ~fail_safe ()))
             benches
         in
-        let json = bench_json_of outcomes (Symalg.Prover.stats ()) in
+        let json =
+          json_line (bench_json_of outcomes (Symalg.Prover.stats ()))
+        in
+        let save path =
+          write_file path json;
+          Printf.printf "wrote %s\n" path
+        in
         (match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc json;
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        | None ->
-            if not check then begin
-              let path = default_bench_json_name () in
-              let oc = open_out path in
-              output_string oc json;
-              output_char oc '\n';
-              close_out oc;
-              Printf.printf "wrote %s\n" path
-            end);
+        | Some path -> save path
+        | None -> if not check then save (default_bench_json_name ()));
         Ok json
   in
-  (* the pack-order A/B: the record at hand is the colour run; the
-     [--order-check] file is the first-fit run of the same tree *)
-  let order_gate cur_s =
-    match order_check with
-    | None -> Ok ()
-    | Some ff_path ->
-        Result.bind
-          (Result.map_error
-             (fun e -> Printf.sprintf "firstfit record %s: %s" ff_path e)
-             (read_file ff_path))
-          (fun ff_s ->
-            Result.bind
-              (Result.map_error
-                 (fun e -> "firstfit parse error: " ^ e)
-                 (Benchsuite.Benchjson.parse ff_s))
-              (fun ff ->
-                Result.bind
-                  (Result.map_error
-                     (fun e -> "current parse error: " ^ e)
-                     (Benchsuite.Benchjson.parse cur_s))
-                  (fun cur ->
-                    let g =
-                      Benchsuite.Benchjson.pack_order_gate ~firstfit:ff
-                        ~colour:cur ()
-                    in
-                    let rep =
-                      Benchsuite.Benchjson.report ~label:"pack-order gate" g
-                    in
-                    print_string rep;
-                    (match report with
-                    | Some path ->
-                        let oc = open_out path in
-                        output_string oc rep;
-                        close_out oc;
-                        Printf.printf "wrote %s\n" path
-                    | None -> ());
-                    if Benchsuite.Benchjson.ok g then Ok ()
-                    else
-                      Error
-                        (Printf.sprintf
-                           "pack-order gate failed: %d regression(s)"
-                           (List.length g.Benchsuite.Benchjson.regressions)))))
-  in
   Result.bind (obtain_current ()) (fun cur_s ->
-      if order_check <> None then order_gate cur_s
-      else if not check then Ok ()
-      else
-        Result.bind
-          (Result.map_error
-             (fun e -> Printf.sprintf "baseline %s: %s" baseline e)
-             (read_file baseline))
-          (fun base_s ->
-            Result.bind
-              (Result.map_error
-                 (fun e -> "baseline parse error: " ^ e)
-                 (Benchsuite.Benchjson.parse base_s))
-              (fun base ->
-                Result.bind
-                  (Result.map_error
-                     (fun e -> "current parse error: " ^ e)
-                     (Benchsuite.Benchjson.parse cur_s))
-                  (fun cur ->
-                    let g =
-                      Benchsuite.Benchjson.gate ~tolerance ~baseline:base
-                        ~current:cur ()
-                    in
-                    let rep = Benchsuite.Benchjson.report g in
-                    print_string rep;
-                    (match report with
-                    | Some path ->
-                        let oc = open_out path in
-                        output_string oc rep;
-                        close_out oc;
-                        Printf.printf "wrote %s\n" path
-                    | None -> ());
-                    if Benchsuite.Benchjson.ok g then Ok ()
-                    else
-                      Error
-                        (Printf.sprintf "bench gate failed: %d regression(s)"
-                           (List.length g.Benchsuite.Benchjson.regressions))))))
+      match order_check with
+      (* the pack-order A/B: the record at hand is the colour run; the
+         [--order-check] file is the first-fit run of the same tree *)
+      | Some ff_path ->
+          run_gate ~label:"pack-order gate" ~base:("firstfit", ff_path)
+            ~file_tag:"firstfit record" ~report
+            (fun ff cur ->
+              Benchsuite.Benchjson.pack_order_gate ~firstfit:ff ~colour:cur ())
+            cur_s
+      | None when check ->
+          run_gate ~label:"bench gate" ~base:("baseline", baseline) ~report
+            (fun base cur ->
+              Benchsuite.Benchjson.gate ~tolerance ~baseline:base ~current:cur
+                ())
+            cur_s
+      | None -> Ok ())
 
 (* ---- certify ----------------------------------------------------- *)
 
 (* Translation validation of the optimization pipeline: compile with
-   ~certify:true so both rewriting passes emit per-rewrite proof
-   obligations, then report what the independent checker re-derived.
-   Any refuted obligation exits nonzero, attributed to its pass and
-   rewrite like a lint error. *)
+   ~certify:true so every pass emits per-rewrite proof obligations,
+   then report what the independent checker re-derived.  Any refuted
+   obligation exits nonzero, attributed to its pass and rewrite like a
+   lint error. *)
 
-let cert_json_of name (certs : (string * Core.Certify.report) list) =
-  Printf.sprintf "{\"name\":\"%s\",\"passes\":[%s]}" (json_escape name)
-    (String.concat ","
-       (List.map (fun (_, r) -> Core.Certify.json_of_report r) certs))
+let cert_json_of name certs =
+  Core.Json.Obj
+    [
+      ("name", Core.Json.Str name);
+      ( "passes",
+        Core.Json.Arr
+          (List.map (fun (_, r) -> Core.Certify.json_of_report r) certs) );
+    ]
 
 (* The combined certificate document carries the prover's memo-cache
    effectiveness over the whole certification run, mirroring the
    "prover" object of BENCH.json: the checker leans on the same
    memoized satisfiability/nonnegativity queries, so a cache collapse
    shows up here first. *)
-let cert_doc_of (docs : string list) =
-  Printf.sprintf "{\"benchmarks\":[%s],%s}" (String.concat "," docs)
-    (prover_json (Symalg.Prover.stats ()))
+let cert_doc_of docs =
+  Core.Json.Obj
+    [
+      ("benchmarks", Core.Json.Arr docs);
+      prover_json (Symalg.Prover.stats ());
+    ]
 
 let run_certify which options reuse pack verbose_reports json out check
     baseline current report_path =
@@ -827,55 +869,23 @@ let run_certify which options reuse pack verbose_reports json out check
         let obtain_current () =
           match current with
           | Some path -> read_file path
-          | None -> Result.map cert_doc_of (certify_docs ~strict:false ())
+          | None ->
+              Result.map
+                (fun docs -> Core.Json.to_string (cert_doc_of docs))
+                (certify_docs ~strict:false ())
         in
-        Result.bind (obtain_current ()) (fun cur_s ->
-            Result.bind
-              (Result.map_error
-                 (fun e -> Printf.sprintf "baseline %s: %s" baseline e)
-                 (read_file baseline))
-              (fun base_s ->
-                Result.bind
-                  (Result.map_error
-                     (fun e -> "baseline parse error: " ^ e)
-                     (Benchsuite.Benchjson.parse base_s))
-                  (fun base ->
-                    Result.bind
-                      (Result.map_error
-                         (fun e -> "current parse error: " ^ e)
-                         (Benchsuite.Benchjson.parse cur_s))
-                      (fun cur ->
-                        let g =
-                          Benchsuite.Benchjson.cert_gate ~baseline:base
-                            ~current:cur ()
-                        in
-                        let rep =
-                          Benchsuite.Benchjson.report ~label:"cert gate" g
-                        in
-                        print_string rep;
-                        if g.Benchsuite.Benchjson.notes <> [] then
-                          print_string
-                            "refresh with: dune exec bin/repro.exe -- \
-                             certify all --json > bench/certs-baseline.json\n";
-                        (match report_path with
-                        | Some path ->
-                            let oc = open_out path in
-                            output_string oc rep;
-                            close_out oc;
-                            Printf.printf "wrote %s\n" path
-                        | None -> ());
-                        if Benchsuite.Benchjson.ok g then Ok ()
-                        else
-                          Error
-                            (Printf.sprintf
-                               "cert gate failed: %d regression(s)"
-                               (List.length
-                                  g.Benchsuite.Benchjson.regressions))))))
+        Result.bind (obtain_current ())
+          (run_gate ~label:"cert gate" ~base:("baseline", baseline)
+             ~hint:
+               "refresh with: dune exec bin/repro.exe -- certify all --json \
+                > bench/certs-baseline.json\n"
+             ~report:report_path (fun base cur ->
+               Benchsuite.Benchjson.cert_gate ~baseline:base ~current:cur ()))
       else
         Result.bind (certify_docs ~strict:true ()) (fun docs ->
             (if json then
                match out with
-               | None -> print_endline (cert_doc_of docs)
+               | None -> print_string (json_line (cert_doc_of docs))
                | Some dir ->
                    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
                    List.iter2
@@ -883,10 +893,7 @@ let run_certify which options reuse pack verbose_reports json out check
                        let path =
                          Filename.concat dir (b.name ^ ".cert.json")
                        in
-                       let oc = open_out path in
-                       output_string oc doc;
-                       output_char oc '\n';
-                       close_out oc;
+                       write_file path (json_line doc);
                        Printf.eprintf "%-14s wrote %s\n" b.name path)
                      bs docs);
             Ok ()))
@@ -915,14 +922,13 @@ let run_chaos which seed rounds json out =
       let human = if json && out = None then prerr_string else print_string in
       human (Benchsuite.Chaosdrive.report c);
       (if json then
+         let doc = json_line (Benchsuite.Chaosdrive.json c) in
          match out with
-         | None -> print_string (Benchsuite.Chaosdrive.json c)
+         | None -> print_string doc
          | Some dir ->
              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
              let path = Filename.concat dir "campaign.json" in
-             let oc = open_out path in
-             output_string oc (Benchsuite.Chaosdrive.json c);
-             close_out oc;
+             write_file path doc;
              Printf.printf "wrote %s\n" path);
       if Benchsuite.Chaosdrive.ok c then Ok ()
       else

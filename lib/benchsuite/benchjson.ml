@@ -1,13 +1,9 @@
-(* Minimal JSON parsing and the bench-trajectory gate.
+(* The CI gates over the suite's JSON records, and the JSON reader
+   they use, re-exported from Core.Json (the one JSON value the suite
+   prints and parses).
 
-   The repo deliberately carries no JSON dependency (the emitters in
-   bin/repro.ml and lib/core/trace.ml are hand-rolled prints), so the
-   gate's reader side is hand-rolled too: a small recursive-descent
-   parser covering exactly the JSON the suite emits - objects, arrays,
-   strings with backslash escapes, numbers, booleans, null.
-
-   The gate compares a freshly emitted BENCH.json against a committed
-   baseline (bench/baseline.json):
+   The bench-trajectory gate compares a freshly emitted BENCH.json
+   against a committed baseline (bench/baseline.json):
 
    - per (benchmark, device, dataset) row, each modeled time
      (unopt/opt/reuse) may not exceed the baseline by more than the
@@ -25,175 +21,7 @@
    Improvements beyond tolerance and new benchmarks are reported as
    notes (a prompt to refresh the baseline), never as failures. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-(* ---------------------------------------------------------------- *)
-(* Parser                                                            *)
-(* ---------------------------------------------------------------- *)
-
-exception Bad of string
-
-let parse (s : string) : (t, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail fmt =
-    Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "%s at offset %d" m !pos))) fmt
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail "expected %c" c
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'u' ->
-              (* the suite never emits \u escapes; accept and drop *)
-              advance ();
-              for _ = 1 to 4 do
-                if !pos < n then advance ()
-              done;
-              Buffer.add_char buf '?';
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number"
-    else
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elems []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos < n then Error (Printf.sprintf "trailing input at offset %d" !pos)
-    else Ok v
-  with Bad m -> Error m
-
-(* ---------------------------------------------------------------- *)
-(* Accessors                                                         *)
-(* ---------------------------------------------------------------- *)
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-let arr = function Arr l -> Some l | _ -> None
-let num = function Num f -> Some f | _ -> None
-let str = function Str s -> Some s | _ -> None
-
-let num_at path v =
-  let rec go v = function
-    | [] -> num v
-    | k :: rest -> Option.bind (member k v) (fun v -> go v rest)
-  in
-  go v path
+include Core.Json
 
 (* ---------------------------------------------------------------- *)
 (* The gate                                                          *)
@@ -302,13 +130,13 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
                           | Some b, Some c ->
                               incr checked;
                               if c > b then
-                                reg "%s [%s] %s: %s grew %g -> %g" bname ds
-                                  variant field b c
+                                reg "%s [%s] %s: %s grew %s -> %s" bname ds
+                                  variant field (number b) (number c)
                               else if c < b then
                                 note
-                                  "%s [%s] %s: %s shrank %g -> %g - consider \
+                                  "%s [%s] %s: %s shrank %s -> %s - consider \
                                    refreshing the baseline"
-                                  bname ds variant field b c
+                                  bname ds variant field (number b) (number c)
                           | _ -> ())
                         fp_monotone;
                       (* a capped pool's high-water mark must respect
@@ -323,8 +151,8 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
                           incr checked;
                           if hw > cap then
                             reg
-                              "%s [%s] %s: pool high-water %g exceeds cap %g"
-                              bname ds variant hw cap
+                              "%s [%s] %s: pool high-water %s exceeds cap %s"
+                              bname ds variant (number hw) (number cap)
                       | _ -> ())
                     fp_variants)
             (fps bb);
@@ -427,12 +255,12 @@ let pack_order_gate ~(firstfit : t) ~(colour : t) () : gate =
                       incr checked;
                       if c > f then
                         reg
-                          "%s [%s]: colour arena extent %g B exceeds \
-                           first-fit's %g B"
-                          bname ds c f
+                          "%s [%s]: colour arena extent %s B exceeds \
+                           first-fit's %s B"
+                          bname ds (number c) (number f)
                       else if c < f then
-                        note "%s [%s]: colour arena extent %g B < first-fit \
-                              %g B" bname ds c f
+                        note "%s [%s]: colour arena extent %s B < first-fit \
+                              %s B" bname ds (number c) (number f)
                   | _ -> ()))
             (fps fb);
           List.iter

@@ -1,51 +1,14 @@
-(** Minimal JSON parsing plus the two CI gates: the bench-trajectory
-    gate over [BENCH.json] and the certificate gate over the combined
-    [repro certify all --json] document.
+(** The CI gates over the suite's JSON records: the bench-trajectory
+    gate over [BENCH.json], the pack-order gate over a colour/first-fit
+    pair of them, and the certificate gate over the combined [repro
+    certify all --json] document.
 
-    The repo deliberately carries no JSON dependency - the emitters in
-    [bin/repro.ml] and {!Core.Trace} are hand-rolled prints - so the
-    reader side is hand-rolled too: a small recursive-descent parser
-    covering exactly the JSON the suite emits (objects, arrays,
-    strings with backslash escapes, numbers, booleans, null). *)
+    The gates read their documents with the one JSON reader,
+    {!Core.Json}, re-exported here in full. *)
 
-(** {1 JSON values} *)
-
-(** A parsed JSON value.  Numbers are uniformly [float] - the suite's
-    integral counters are small enough to round-trip exactly. *)
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list  (** members in source order *)
-
-val parse : string -> (t, string) result
-(** Parse one complete JSON document.  Trailing input (beyond
-    whitespace) is an error, as is any malformed construct; the error
-    string names the byte offset. *)
-
-(** {1 Accessors}
-
-    All accessors are total: a shape mismatch yields [None], never an
-    exception, so gate code can probe optional fields freely. *)
-
-val member : string -> t -> t option
-(** [member k v] is the value of key [k] when [v] is an object that
-    has it. *)
-
-val arr : t -> t list option
-(** The elements, when the value is an array. *)
-
-val num : t -> float option
-(** The number, when the value is one. *)
-
-val str : t -> string option
-(** The string, when the value is one. *)
-
-val num_at : string list -> t -> float option
-(** [num_at path v] descends through nested objects along [path] and
-    returns the number at the end, if every step exists. *)
+include module type of struct
+  include Core.Json
+end
 
 (** {1 Gate results} *)
 

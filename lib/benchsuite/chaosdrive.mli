@@ -61,7 +61,7 @@ val violations : campaign -> (string * injection) list
 
 val ok : campaign -> bool
 
-val json : campaign -> string
+val json : campaign -> Core.Json.t
 (** The campaign summary schema consumed by CI (see
     docs/ROBUSTNESS.md): seed, rounds, per-bench injection records,
     and the violation count. *)

@@ -246,6 +246,6 @@ val pp_verdict : Format.formatter -> verdict -> unit
 val pp_checked : Format.formatter -> checked -> unit
 val pp_report : Format.formatter -> report -> unit
 
-val json_of_report : report -> string
+val json_of_report : report -> Json.t
 (** A self-contained JSON object (counts plus one record per
     obligation), consumed by [repro certify --json] and CI. *)

@@ -7,9 +7,10 @@
        -> last-use analysis (footnote 18)
        -> array short-circuiting (section V)
 
-   [compile] produces both the unoptimized (memory-introduced, hoisted)
-   and the optimized (short-circuited) variants of a program, plus pass
-   statistics and compile times, so benchmarks can compare the two and
+   followed by memory-block reuse and arena packing.  [compile] builds
+   the unoptimized (memory-introduced, hoisted) variant once and each
+   further variant on a clone of the one below, plus pass statistics
+   and compile times, so benchmarks can compare the variants and
    reproduce the compile-time-overhead observation of section V-D. *)
 
 open Ir.Ast
@@ -49,12 +50,7 @@ type compiled = {
       (* prover queries truncated by the budget during this compile *)
 }
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Memory introduction + hoisting, no short-circuiting. *)
+(* Memory introduction + hoisting + last-use, unchecked. *)
 let to_memory_ir (p : prog) : prog =
   let p = Memintro.introduce (Ir.Clone.clone_prog p) in
   let p = Hoist.hoist p in
@@ -65,215 +61,151 @@ let compile ?(options = Shortcircuit.default_options)
     ?(reuse = Reuse.default_options) ?(pack = Pack.default_options)
     ?(rounds = 2) ?(lint = false) ?(certify = false) ?(fail_safe = false)
     (p : prog) : compiled =
-  (* With ~lint:true the memory linter runs after every pass of the
-     optimized build; the first stage whose report errors is the pass
-     that introduced the violation (earlier stages were clean). *)
-  let reports = ref [] in
-  let lint_after stage q =
-    if lint then reports := (stage, Memlint.check ~stage q) :: !reports
-  in
-  (* With ~certify:true each rewriting pass records its proof
-     obligations, which the independent checker re-derives against the
-     pass's own before/after pair - before cleanup, so the claims refer
-     to programs in which orphaned allocations still exist. *)
-  let certs = ref [] in
-  let recorder pass = if certify then Some (Certify.recorder ~pass) else None in
-  let check_cert pass cert ~pre ~post =
-    match cert with
-    | None -> None
-    | Some r ->
-        if Chaos.forging pass then Chaos.forge r;
-        let report = Certify.check ~pass ~pre ~post (Certify.obligations r) in
-        certs := (pass, report) :: !certs;
-        Some report
-  in
-  (* The degradation ladder (~fail_safe:true).  Each variant beyond
-     [unopt] is built as one containment unit running on a private
-     clone of the previous rung: a crashing pass, an erroring lint
-     report, or a refuted certificate discards the unit's output,
-     records the fault and the rung fallen back to, and the compile
-     continues - pack -> reuse -> opt -> unopt, so every variant in
-     [compiled] is populated even when its pass failed. *)
-  let recov = ref [] in
+  let reports = ref [] and certs = ref [] and recov = ref [] in
+  let times = ref [] in
   let prover0 = (Symalg.Prover.stats ()).budget_exhausted in
-  let crash_guard pass f =
-    if not fail_safe then f ()
-    else
-      try f () with
-      | Fault.Fault _ as e -> raise e
-      | e -> Fault.fail (Fault.Pass_crash { pass; exn = Printexc.to_string e })
-  in
-  let contain ~fb_name ~fallback f =
-    if not fail_safe then f ()
-    else
-      try f ()
-      with Fault.Fault fl ->
-        recov :=
-          { r_fault = fl; r_pass = Fault.blame fl; r_fallback = fb_name }
-          :: !recov;
-        fallback ()
-  in
-  let lint_guard pass =
-    if fail_safe && lint then
-      match !reports with
-      | (stage, r) :: _ when stage = pass -> (
-          match Memlint.errors r with
-          | v :: _ ->
-              Fault.fail
-                (Fault.Lint_reject
-                   { pass; violation = Fmt.str "%a" Memlint.pp_violation v })
-          | [] -> ())
-      | _ -> ()
-  in
-  let cert_guard pass = function
-    | Some report when fail_safe -> (
+  (* One pass, checked the same way for every pass.  [run] gets the
+     pass's certificate recorder (with ~certify:true) and the program;
+     its time is recorded under [pass].  With ~lint:true the memory
+     linter then checks the stage [lint] names, if any: the first
+     stage whose report errors is the pass that introduced the
+     violation.  With ~certify:true the independent checker re-derives
+     the recorded obligations against a snapshot of the pass's input
+     and its output - before any cleanup round, so the claims refer to
+     programs in which orphaned allocations still exist.  Under
+     ~fail_safe:true a crash, an erroring lint report or a refuted
+     obligation raises a blamed [Fault.Fault] for [rung] to contain. *)
+  let step ?lint:stage ?(certified = true) pass run q =
+    let cert =
+      if certify && certified then Some (Certify.recorder ~pass) else None
+    in
+    let pre = Option.map (fun _ -> Ir.Clone.clone_prog q) cert in
+    let t0 = Unix.gettimeofday () in
+    let q, x =
+      if not fail_safe then run cert q
+      else
+        try run cert q with
+        | Fault.Fault _ as e -> raise e
+        | e ->
+            Fault.fail (Fault.Pass_crash { pass; exn = Printexc.to_string e })
+    in
+    times := (pass, Unix.gettimeofday () -. t0) :: !times;
+    (match stage with
+    | Some stage when lint -> (
+        let r = Memlint.check ~stage q in
+        reports := (stage, r) :: !reports;
+        match Memlint.errors r with
+        | v :: _ when fail_safe ->
+            Fault.fail
+              (Fault.Lint_reject
+                 {
+                   pass = stage;
+                   violation = Fmt.str "%a" Memlint.pp_violation v;
+                 })
+        | _ -> ())
+    | _ -> ());
+    (match (cert, pre) with
+    | Some r, Some pre -> (
+        if Chaos.forging pass then Chaos.forge r;
+        let report = Certify.check ~pass ~pre ~post:q (Certify.obligations r) in
+        certs := (pass, report) :: !certs;
         match Certify.failures report with
-        | c :: _ ->
+        | c :: _ when fail_safe ->
             Fault.fail
               (Fault.Cert_refuted
                  { pass; obligation = Fmt.str "%a" Certify.pp_checked c })
-        | [] -> ())
-    | _ -> ()
+        | _ -> ())
+    | _ -> ());
+    (q, x)
   in
-  let unopt, time_base = timed (fun () -> to_memory_ir p) in
-  let opt_base =
-    contain ~fb_name:"unopt"
-      ~fallback:(fun () -> Ir.Clone.clone_prog unopt)
-      (fun () ->
-        let q0 = Ir.Clone.clone_prog p in
-        let mi_cert = recorder "memintro" in
-        let mi_pre = if certify then Some (Ir.Clone.clone_prog q0) else None in
-        let q =
-          crash_guard "memintro" (fun () -> Memintro.introduce ?cert:mi_cert q0)
-        in
-        lint_after "memintro" q;
-        lint_guard "memintro";
-        (match mi_pre with
-        | Some pre ->
-            cert_guard "memintro" (check_cert "memintro" mi_cert ~pre ~post:q)
-        | None -> ());
-        let h_cert = recorder "hoist" in
-        let h_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q = crash_guard "hoist" (fun () -> Hoist.hoist ?cert:h_cert q) in
-        lint_after "hoist" q;
-        lint_guard "hoist";
-        (match h_pre with
-        | Some pre -> cert_guard "hoist" (check_cert "hoist" h_cert ~pre ~post:q)
-        | None -> ());
-        ignore (Lastuse.annotate q);
-        lint_after "lastuse" q;
-        lint_guard "lastuse";
-        q)
+  (* [run], then a liveness refresh *)
+  let relive run cert q =
+    let q, x = run cert q in
+    ignore (Lastuse.annotate q);
+    (q, x)
   in
-  let time_sc = ref 0. and time_reuse = ref 0. and time_pack = ref 0. in
+  let cleanup cert q = Cleanup.run ?cert q in
+  (* The unoptimized variant and floor of the degradation ladder:
+     memory introduction, hoisting and last-use, each checked.  Built
+     once; every rung above clones it.  There is no less-optimized
+     memory IR to fall back to, so a fault here propagates even under
+     ~fail_safe:true. *)
+  let unopt =
+    let q = Ir.Clone.clone_prog p in
+    let q, () =
+      step ~lint:"memintro" "memintro"
+        (fun cert q -> (Memintro.introduce ?cert q, ()))
+        q
+    in
+    let q, () =
+      step ~lint:"hoist" "hoist" (fun cert q -> (Hoist.hoist ?cert q, ())) q
+    in
+    fst
+      (step ~lint:"lastuse" ~certified:false "lastuse"
+         (relive (fun _ q -> (q, ())))
+         q)
+  in
+  (* One rung of the degradation ladder: [build] runs on a private
+     clone of the rung [below].  Under ~fail_safe:true a fault discards
+     its output, records the fault and the rung fallen back to, and the
+     compile continues on a fresh clone of [below] with empty stats -
+     pack -> reuse -> opt -> unopt, so every variant in [compiled] is
+     populated even when its pass failed. *)
+  let rung (fallback, below) fresh_stats build =
+    let q = Ir.Clone.clone_prog below in
+    if not fail_safe then build q
+    else
+      try build q
+      with Fault.Fault fl ->
+        recov :=
+          { r_fault = fl; r_pass = Fault.blame fl; r_fallback = fallback }
+          :: !recov;
+        (Ir.Clone.clone_prog below, fresh_stats (), 0)
+  in
   (* second variant: short-circuiting plus a cleanup round removing the
      allocations it orphaned *)
   let opt, stats, dead_allocs =
-    contain ~fb_name:"unopt"
-      ~fallback:(fun () ->
-        (Ir.Clone.clone_prog opt_base, Shortcircuit.fresh_stats (), 0))
-      (fun () ->
-        let q = if fail_safe then Ir.Clone.clone_prog opt_base else opt_base in
-        let sc_cert = recorder "shortcircuit" in
-        let sc_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let (q, st), dt =
-          timed (fun () ->
-              crash_guard "shortcircuit" (fun () ->
-                  Shortcircuit.optimize ~options ~rounds ?cert:sc_cert q))
+    rung ("unopt", unopt) Shortcircuit.fresh_stats (fun q ->
+        let q, st =
+          step ~lint:"shortcircuit" "shortcircuit"
+            (fun cert q -> Shortcircuit.optimize ~options ~rounds ?cert q)
+            q
         in
-        time_sc := dt;
-        lint_after "shortcircuit" q;
-        lint_guard "shortcircuit";
-        (match sc_pre with
-        | Some pre ->
-            cert_guard "shortcircuit"
-              (check_cert "shortcircuit" sc_cert ~pre ~post:q)
-        | None -> ());
-        let cl_cert = recorder "cleanup" in
-        let cl_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q, n =
-          crash_guard "cleanup" (fun () -> Cleanup.run ?cert:cl_cert q)
-        in
-        lint_after "cleanup" q;
-        lint_guard "cleanup";
-        (match cl_pre with
-        | Some pre ->
-            cert_guard "cleanup" (check_cert "cleanup" cl_cert ~pre ~post:q)
-        | None -> ());
+        let q, n = step ~lint:"cleanup" "cleanup" cleanup q in
         (q, st, n))
   in
-  (* third variant: memory-block reuse on a private clone of the
-     short-circuited program, followed by a liveness refresh and a
-     cleanup round to collect the allocations the pass orphaned; the
-     second cleanup round gets its own pass name so the two rounds
-     stay distinguishable in reports and the certificate baseline *)
+  (* third variant: memory-block reuse, followed by a liveness refresh
+     and a cleanup round to collect the allocations the pass orphaned;
+     the second cleanup round gets its own pass name so the two rounds
+     stay distinguishable in reports and the certificate baseline, and
+     the stage is linted after it *)
   let reuse_p, reuse_stats, reuse_dead_allocs =
-    contain ~fb_name:"opt"
-      ~fallback:(fun () -> (Ir.Clone.clone_prog opt, Reuse.fresh_stats (), 0))
-      (fun () ->
-        let q = Ir.Clone.clone_prog opt in
-        let re_cert = recorder "reuse" in
-        let re_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let (q, rst), dt =
-          timed (fun () ->
-              crash_guard "reuse" (fun () ->
-                  let q, rst = Reuse.optimize ~options:reuse ?cert:re_cert q in
-                  ignore (Lastuse.annotate q);
-                  (q, rst)))
+    rung ("opt", opt) Reuse.fresh_stats (fun q ->
+        let q, rst =
+          step "reuse"
+            (relive (fun cert q -> Reuse.optimize ~options:reuse ?cert q))
+            q
         in
-        time_reuse := dt;
-        (match re_pre with
-        | Some pre -> cert_guard "reuse" (check_cert "reuse" re_cert ~pre ~post:q)
-        | None -> ());
-        let clr_cert = recorder "cleanup-reuse" in
-        let clr_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q, n =
-          crash_guard "cleanup-reuse" (fun () -> Cleanup.run ?cert:clr_cert q)
-        in
-        lint_after "reuse" q;
-        lint_guard "reuse";
-        (match clr_pre with
-        | Some pre ->
-            cert_guard "cleanup-reuse"
-              (check_cert "cleanup-reuse" clr_cert ~pre ~post:q)
-        | None -> ());
+        let q, n = step ~lint:"reuse" "cleanup-reuse" cleanup q in
         (q, rst, n))
   in
   (* fourth variant: offset-based packing of the blocks surviving
-     reuse, on a private clone, again followed by a liveness refresh
-     and a cleanup round collecting the member allocations the arenas
-     absorbed *)
+     reuse, again followed by a liveness refresh and a cleanup round
+     collecting the member allocations the arenas absorbed *)
   let pack_p, pack_stats, pack_dead_allocs =
-    contain ~fb_name:"reuse"
-      ~fallback:(fun () -> (Ir.Clone.clone_prog reuse_p, Pack.fresh_stats (), 0))
-      (fun () ->
-        let q = Ir.Clone.clone_prog reuse_p in
-        let pk_cert = recorder "pack" in
-        let pk_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let (q, pst), dt =
-          timed (fun () ->
-              crash_guard "pack" (fun () ->
-                  let q, pst = Pack.optimize ~options:pack ?cert:pk_cert q in
-                  ignore (Lastuse.annotate q);
-                  (q, pst)))
+    rung ("reuse", reuse_p) Pack.fresh_stats (fun q ->
+        let q, pst =
+          step "pack"
+            (relive (fun cert q -> Pack.optimize ~options:pack ?cert q))
+            q
         in
-        time_pack := dt;
-        (match pk_pre with
-        | Some pre -> cert_guard "pack" (check_cert "pack" pk_cert ~pre ~post:q)
-        | None -> ());
-        let clp_cert = recorder "cleanup-pack" in
-        let clp_pre = if certify then Some (Ir.Clone.clone_prog q) else None in
-        let q, n =
-          crash_guard "cleanup-pack" (fun () -> Cleanup.run ?cert:clp_cert q)
-        in
-        lint_after "pack" q;
-        lint_guard "pack";
-        (match clp_pre with
-        | Some pre ->
-            cert_guard "cleanup-pack"
-              (check_cert "cleanup-pack" clp_cert ~pre ~post:q)
-        | None -> ());
+        let q, n = step ~lint:"pack" "cleanup-pack" cleanup q in
         (q, pst, n))
+  in
+  let time passes =
+    List.fold_left
+      (fun t (pass, dt) -> if List.mem pass passes then t +. dt else t)
+      0. !times
   in
   let prover_exhausted =
     (Symalg.Prover.stats ()).budget_exhausted - prover0
@@ -298,10 +230,10 @@ let compile ?(options = Shortcircuit.default_options)
     dead_allocs;
     reuse_dead_allocs;
     pack_dead_allocs;
-    time_base;
-    time_sc = !time_sc;
-    time_reuse = !time_reuse;
-    time_pack = !time_pack;
+    time_base = time [ "memintro"; "hoist"; "lastuse" ];
+    time_sc = time [ "shortcircuit" ];
+    time_reuse = time [ "reuse" ];
+    time_pack = time [ "pack" ];
     lint = List.rev !reports;
     certs = List.rev !certs;
     recovery = List.rev !recov;

@@ -59,7 +59,9 @@ type compiled = {
 
 val to_memory_ir : Ir.Ast.prog -> Ir.Ast.prog
 (** Memory introduction + hoisting + last-use only (the "unoptimized"
-    configuration of the paper's tables). *)
+    configuration of the paper's tables), unchecked: {!compile} builds
+    the same program as {!compiled.unopt}, linting and certifying each
+    pass when asked to. *)
 
 val compile :
   ?options:Shortcircuit.options ->
@@ -94,8 +96,11 @@ val compile :
     linting), or a refuted certificate (when certifying) discards that
     unit's output and falls back - pack -> reuse -> opt -> unopt -
     recording the fault and fallback in {!compiled.recovery} instead
-    of aborting the compile.  Prover-budget exhaustion (a skipped
-    rewrite, never an abort) is likewise summarized as a
+    of aborting the compile.  [unopt] is the floor: there is no
+    less-optimized memory IR to fall back to, so a fault while building
+    it (memory introduction, hoisting, last-use) raises
+    {!Fault.exception-Fault} in both modes.  Prover-budget exhaustion (a
+    skipped rewrite, never an abort) is likewise summarized as a
     {!Fault.Prover_budget} recovery entry. *)
 
 val first_lint_error :

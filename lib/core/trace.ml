@@ -324,96 +324,112 @@ let pp ppf t =
 (* JSON                                                              *)
 (* ---------------------------------------------------------------- *)
 
-(* Hand-rolled: the schema is small and we avoid a json dependency. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_clmad (c : clmad) =
-  Printf.sprintf "{\"off\":%d,\"dims\":[%s]}" c.Lmad.coff
-    (String.concat ","
-       (List.map
-          (fun (n, s) -> Printf.sprintf "[%d,%d]" n s)
-          c.Lmad.cdims))
+  Json.Obj
+    [
+      ("off", Json.int c.Lmad.coff);
+      ( "dims",
+        Json.Arr
+          (List.map
+             (fun (n, s) -> Json.Arr [ Json.int n; Json.int s ])
+             c.Lmad.cdims) );
+    ]
 
-let json_region = function
-  | None -> "null"
-  | Some ls -> "[" ^ String.concat "," (List.map json_clmad ls) ^ "]"
+let json_region ls = Json.Arr (List.map json_clmad ls)
+let json_ints l = Json.Arr (List.map Json.int l)
 
 let json_footprint f =
-  Printf.sprintf "{\"var\":\"%s\",\"block\":%d,\"region\":%s}"
-    (json_escape f.fvar) f.fbid (json_region f.fregion)
+  Json.Obj
+    [
+      ("var", Json.Str f.fvar);
+      ("block", Json.int f.fbid);
+      ("region", Option.fold ~none:Json.Null ~some:json_region f.fregion);
+    ]
 
 let json_offsets l =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun (bid, offs) ->
-           Printf.sprintf "{\"block\":%d,\"offsets\":[%s]}" bid
-             (String.concat "," (List.map string_of_int offs)))
-         l)
-  ^ "]"
-
-let json_ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+  Json.Arr
+    (List.map
+       (fun (bid, offs) ->
+         Json.Obj [ ("block", Json.int bid); ("offsets", json_ints offs) ])
+       l)
 
 let json_event = function
   | Alloc { bid; name; elems; in_kernel } ->
-      Printf.sprintf
-        "{\"event\":\"alloc\",\"block\":%d,\"name\":\"%s\",\"elems\":%d,\"in_kernel\":%b}"
-        bid (json_escape name) elems in_kernel
+      Json.Obj
+        [
+          ("event", Json.Str "alloc");
+          ("block", Json.int bid);
+          ("name", Json.Str name);
+          ("elems", Json.int elems);
+          ("in_kernel", Json.Bool in_kernel);
+        ]
   | Kernel k ->
-      Printf.sprintf
-        "{\"event\":\"kernel\",\"id\":%d,\"label\":\"%s\",\"threads\":%d,\"declared_writes\":[%s],\"declared_reads\":[%s],\"fresh\":%s,\"writes\":%s,\"reads\":%s,\"read_bytes\":%.0f,\"write_bytes\":%.0f}"
-        k.kid (json_escape k.klabel) k.kthreads
-        (String.concat "," (List.map json_footprint k.declared_writes))
-        (String.concat "," (List.map json_footprint k.declared_reads))
-        (json_ints k.fresh) (json_offsets k.writes) (json_offsets k.reads)
-        k.read_bytes k.write_bytes
+      Json.Obj
+        [
+          ("event", Json.Str "kernel");
+          ("id", Json.int k.kid);
+          ("label", Json.Str k.klabel);
+          ("threads", Json.int k.kthreads);
+          ( "declared_writes",
+            Json.Arr (List.map json_footprint k.declared_writes) );
+          ( "declared_reads",
+            Json.Arr (List.map json_footprint k.declared_reads) );
+          ("fresh", json_ints k.fresh);
+          ("writes", json_offsets k.writes);
+          ("reads", json_offsets k.reads);
+          ("read_bytes", Json.Num k.read_bytes);
+          ("write_bytes", Json.Num k.write_bytes);
+        ]
   | Copy c ->
-      Printf.sprintf
-        "{\"event\":\"copy\",\"src\":%d,\"dst\":%d,\"shape\":%s,\"src_ix\":%s,\"dst_ix\":%s,\"bytes\":%.0f,\"elided\":%b,\"in_kernel\":%b}"
-        c.csrc c.cdst (json_ints c.cshape)
-        (json_region (Some c.csix))
-        (json_region (Some c.cdix))
-        c.cbytes c.celided c.cin_kernel
+      Json.Obj
+        [
+          ("event", Json.Str "copy");
+          ("src", Json.int c.csrc);
+          ("dst", Json.int c.cdst);
+          ("shape", json_ints c.cshape);
+          ("src_ix", json_region c.csix);
+          ("dst_ix", json_region c.cdix);
+          ("bytes", Json.Num c.cbytes);
+          ("elided", Json.Bool c.celided);
+          ("in_kernel", Json.Bool c.cin_kernel);
+        ]
   | Last_use { var; bid } ->
-      Printf.sprintf "{\"event\":\"last_use\",\"var\":\"%s\",\"block\":%d}"
-        (json_escape var) bid
+      Json.Obj
+        [
+          ("event", Json.Str "last_use");
+          ("var", Json.Str var);
+          ("block", Json.int bid);
+        ]
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"program\":\"%s\",\"variant\":\"%s\",\"exact\":%b,"
-       (json_escape t.program) (json_escape t.variant) t.exact);
   let tr = traffic t in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"traffic\":{\"kernel_reads\":%.0f,\"kernel_writes\":%.0f,\"copy_bytes\":%.0f,\"elided_bytes\":%.0f},"
-       tr.t_kernel_reads tr.t_kernel_writes tr.t_copy_bytes tr.t_elided_bytes);
-  Buffer.add_string b "\"histogram\":[";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun (l, n, r, w) ->
-            Printf.sprintf
-              "{\"label\":\"%s\",\"launches\":%d,\"read_bytes\":%.0f,\"write_bytes\":%.0f}"
-              (json_escape l) n r w)
-          (histogram t)));
-  Buffer.add_string b "],\"events\":[";
-  Buffer.add_string b (String.concat "," (List.map json_event (events t)));
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.Obj
+    [
+      ("program", Json.Str t.program);
+      ("variant", Json.Str t.variant);
+      ("exact", Json.Bool t.exact);
+      ( "traffic",
+        Json.Obj
+          [
+            ("kernel_reads", Json.Num tr.t_kernel_reads);
+            ("kernel_writes", Json.Num tr.t_kernel_writes);
+            ("copy_bytes", Json.Num tr.t_copy_bytes);
+            ("elided_bytes", Json.Num tr.t_elided_bytes);
+          ] );
+      ( "histogram",
+        Json.Arr
+          (List.map
+             (fun (l, n, r, w) ->
+               Json.Obj
+                 [
+                   ("label", Json.Str l);
+                   ("launches", Json.int n);
+                   ("read_bytes", Json.Num r);
+                   ("write_bytes", Json.Num w);
+                 ])
+             (histogram t)) );
+      ("events", Json.Arr (List.map json_event (events t)));
+    ]
 
 (* ---------------------------------------------------------------- *)
 (* Skeletons: variant-invariant logical event sequences              *)

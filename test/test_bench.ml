@@ -197,6 +197,60 @@ let test_gate_json_roundtrip () =
   Alcotest.(check bool) "truncated input rejected" true
     (match BJ.parse "{\"a\": [1, 2" with Error _ -> true | Ok _ -> false)
 
+(* The one JSON printer and reader: printing a value, parsing the text
+   and printing it again gives the same text and the same value, for
+   strings with control characters (printed as \u escapes) and for
+   integers up to 2^53 (printed exactly). *)
+let prop_json_round_trip =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:(oneof [ char_range '\000' '\031'; printable; char ])
+      (0 -- 8)
+  in
+  let num =
+    oneof
+      [
+        map float_of_int small_signed_int;
+        map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53));
+        map (fun k -> float_of_int k /. 8.) (int_range (-8000) 8000);
+      ]
+  in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return BJ.Null;
+                 map (fun b -> BJ.Bool b) bool;
+                 map (fun f -> BJ.Num f) num;
+                 map (fun s -> BJ.Str s) str;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map (fun l -> BJ.Arr l) (list_size (0 -- 4) (self (n / 4)))
+                 );
+                 ( 1,
+                   map
+                     (fun l -> BJ.Obj l)
+                     (list_size (0 -- 4) (pair str (self (n / 4)))) );
+               ])
+  in
+  QCheck.Test.make ~name:"json: print-parse-print is the identity"
+    ~count:(Qcount.count 500)
+    (QCheck.make ~print:BJ.to_string value)
+    (fun v ->
+      let text = BJ.to_string v in
+      match BJ.parse text with
+      | Ok v' -> BJ.to_string v' = text && v' = v
+      | Error e -> QCheck.Test.fail_reportf "%s: %s" text e)
+
 let test_gate_identity_passes () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
   let g = BJ.gate ~baseline:b ~current:b () in
@@ -272,6 +326,7 @@ let tests =
     Alcotest.test_case "NN end-to-end" `Quick test_nn;
     Alcotest.test_case "Table shape (Hotspot)" `Quick test_table_shape;
     Alcotest.test_case "gate: JSON round-trip" `Quick test_gate_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_round_trip;
     Alcotest.test_case "gate: identity passes" `Quick
       test_gate_identity_passes;
     Alcotest.test_case "gate: time regression fails" `Quick

@@ -172,6 +172,20 @@ let test_forge_contained () =
         "degraded results bit-equal to the interpreter" true
         (pack_matches_interp cpl prog (args_n 4)))
 
+(* The unoptimized variant is the floor of the ladder: a fault while
+   building it has no less-optimized memory IR to fall back to, so it
+   propagates even under ~fail_safe:true. *)
+let test_unopt_floor_propagates () =
+  Chaos.arm_forge ~pass:"hoist";
+  Fun.protect ~finally:Chaos.disarm (fun () ->
+      match
+        Pipeline.compile ~certify:true ~fail_safe:true Benchsuite.Hotspot.prog
+      with
+      | exception Fault.Fault (Fault.Cert_refuted { pass = "hoist"; _ }) -> ()
+      | cpl ->
+          Alcotest.failf "refuted hoist certificate contained (%d recoveries)"
+            (List.length cpl.Pipeline.recovery))
+
 let test_fail_fast_propagates () =
   Chaos.arm_crash ~pass:"shortcircuit" ~at:1;
   Fun.protect ~finally:Chaos.disarm (fun () ->
@@ -355,6 +369,8 @@ let tests =
       test_forge_contained;
     Alcotest.test_case "fail-fast propagates the pass bug" `Quick
       test_fail_fast_propagates;
+    Alcotest.test_case "unopt floor: a hoist fault propagates" `Quick
+      test_unopt_floor_propagates;
     Alcotest.test_case "executor OOM degrades to unpooled" `Quick
       test_exec_oom_degrades;
     Alcotest.test_case "strict pool cap degrades to unpooled" `Quick
