@@ -51,11 +51,11 @@ let find_recovery cls pass (c : Pipeline.compiled) =
       && (pass = "" || r.Pipeline.r_pass = pass))
     c.Pipeline.recovery
 
-(* Fail-safe compile + Full-mode execution of the pack variant (the
-   most degraded rung still standing), checked against the reference
-   results. *)
-let compile_and_check ?(certify = false) prog args expect =
-  let c = Pipeline.compile ~certify ~fail_safe:true prog in
+(* Fail-safe compile (resumed when [from] is given) + Full-mode
+   execution of the pack variant (the most degraded rung still
+   standing), checked against the reference results. *)
+let compile_and_check ?(certify = false) ?from prog args expect =
+  let c = Pipeline.compile ~certify ~fail_safe:true ?from prog in
   let r = Exec.run ~mode:Exec.Full c.Pipeline.pack args in
   (c, bit_equal r.Exec.results expect)
 
@@ -105,7 +105,7 @@ let inject_budget ~steps prog args expect =
                 c.Pipeline.prover_exhausted;
           }))
 
-let inject_crash rng pass count prog args expect =
+let inject_crash rng ?from pass count prog args expect =
   (* The site is drawn within the probe count observed on the clean
      compile, so the injection always fires when the pass visits any
      statements at all. *)
@@ -113,7 +113,7 @@ let inject_crash rng pass count prog args expect =
   guarded ~cls:"pass-crash" ~pass ~site (fun () ->
       Chaos.arm_crash ~pass ~at:site;
       Fun.protect ~finally:Chaos.disarm (fun () ->
-          let c, eq = compile_and_check prog args expect in
+          let c, eq = compile_and_check ?from prog args expect in
           let fired = site <= count in
           let rcv = find_recovery "pass-crash" pass c in
           {
@@ -131,11 +131,11 @@ let inject_crash rng pass count prog args expect =
             i_detail = Printf.sprintf "statement %d of %d" site count;
           }))
 
-let inject_forge pass prog args expect =
+let inject_forge ?from pass prog args expect =
   guarded ~cls:"cert-refuted" ~pass ~site:0 (fun () ->
       Chaos.arm_forge ~pass;
       Fun.protect ~finally:Chaos.disarm (fun () ->
-          let c, eq = compile_and_check ~certify:true prog args expect in
+          let c, eq = compile_and_check ~certify:true ?from prog args expect in
           let rcv = find_recovery "cert-refuted" pass c in
           {
             i_class = "cert-refuted";
@@ -200,11 +200,24 @@ let inject_cap rng high_water target args expect =
 let run_bench rng ~rounds name prog args =
   let expect = Ir.Interp.run prog args in
   (* Learn each pass's probe count on a clean fail-safe compile so the
-     crash sites drawn below always land inside the pass. *)
-  Chaos.arm_count ();
-  let clean = Pipeline.compile ~fail_safe:true prog in
-  let counts = List.map (fun p -> (p, Chaos.counted p)) passes in
-  Chaos.disarm ();
+     crash sites drawn below always land inside the pass.  It is
+     certified so the forge injections can resume from it too. *)
+  let clean, counts =
+    Chaos.arm_count ();
+    Fun.protect ~finally:Chaos.disarm (fun () ->
+        let c = Pipeline.compile ~certify:true ~fail_safe:true prog in
+        (c, List.map (fun p -> (p, Chaos.counted p)) passes))
+  in
+  (* A pass-crash or cert-refuted injection reaches only its own pass,
+     so it resumes from the clean compile's rungs below that pass -
+     unless the clean compile itself degraded and cannot be split by
+     rung.  The prover budget reaches every pass: that injection
+     compiles from scratch. *)
+  let from pass =
+    if clean.Pipeline.recovery = [] && clean.Pipeline.prover_exhausted = 0
+    then Some (clean, pass)
+    else None
+  in
   (* Executor-side injections need a variant that still allocates: the
      fully optimized one can be allocation-free (nw's pack variant
      eliminates every device allocation), so fall down the ladder to
@@ -255,9 +268,12 @@ let run_bench rng ~rounds name prog args =
     in
     push (inject_budget ~steps prog args expect);
     List.iter
-      (fun (p, count) -> push (inject_crash rng p count prog args expect))
+      (fun (p, count) ->
+        push (inject_crash rng ?from:(from p) p count prog args expect))
       counts;
-    List.iter (fun p -> push (inject_forge p prog args expect)) passes;
+    List.iter
+      (fun p -> push (inject_forge ?from:(from p) p prog args expect))
+      passes;
     push (inject_oom rng total_allocs oom_target args expect);
     push (inject_cap rng high_water cap_target args expect)
   done;

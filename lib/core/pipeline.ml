@@ -11,7 +11,9 @@
    the unoptimized (memory-introduced, hoisted) variant once and each
    further variant on a clone of the one below, plus pass statistics
    and compile times, so benchmarks can compare the variants and
-   reproduce the compile-time-overhead observation of section V-D. *)
+   reproduce the compile-time-overhead observation of section V-D.
+   [compile ~from] resumes an earlier compile of the same program at
+   one rung, rebuilding only that rung and the ones above it. *)
 
 open Ir.Ast
 
@@ -57,11 +59,56 @@ let to_memory_ir (p : prog) : prog =
   ignore (Lastuse.annotate p);
   p
 
+(* The rungs above [unopt], in ladder order, each named by the pass
+   that opens it: that pass's lint stage and certificate are the
+   rung's first. *)
+let rungs = [ "shortcircuit"; "reuse"; "pack" ]
+
 let compile ?(options = Shortcircuit.default_options)
     ?(reuse = Reuse.default_options) ?(pack = Pack.default_options)
     ?(rounds = 2) ?(lint = false) ?(certify = false) ?(fail_safe = false)
-    (p : prog) : compiled =
-  let reports = ref [] and certs = ref [] and recov = ref [] in
+    ?from (p : prog) : compiled =
+  (* Resuming [~from:(base, pass)]: rung [i] (0 is [unopt], then
+     [rungs]) is [base]'s for [i < resume], i.e. every rung below
+     [pass]'s.  Only an undegraded base splits by rung: a contained
+     fault or an exhausted prover query belongs to no one rung. *)
+  let resume =
+    match from with
+    | None -> 0
+    | Some (base, pass) ->
+        let fail why = invalid_arg ("Pipeline.compile ~from: " ^ why) in
+        let i =
+          match List.find_index (String.equal pass) rungs with
+          | Some i -> i + 1
+          | None -> fail ("unknown pass " ^ pass)
+        in
+        if base.recovery <> [] || base.prover_exhausted > 0 then
+          fail "the base compile degraded";
+        if (lint && base.lint = []) || (certify && base.certs = []) then
+          fail "the base compile lacks lint reports or certificates";
+        i
+  in
+  let from_base i of_base build =
+    match from with
+    | Some (base, _) when i < resume -> of_base base
+    | _ -> build ()
+  in
+  (* The kept rungs' lint reports or certificates, reversed like the
+     accumulators: the base's entries before the resumed pass's own. *)
+  let carried entries =
+    match from with
+    | None -> []
+    | Some (base, pass) ->
+        let rec below = function
+          | (name, _) :: _ when name = pass -> []
+          | e :: rest -> e :: below rest
+          | [] -> []
+        in
+        List.rev (below (entries base))
+  in
+  let reports = ref (if lint then carried (fun b -> b.lint) else [])
+  and certs = ref (if certify then carried (fun b -> b.certs) else [])
+  and recov = ref [] in
   let times = ref [] in
   let prover0 = (Symalg.Prover.stats ()).budget_exhausted in
   (* One pass, checked the same way for every pass.  [run] gets the
@@ -127,45 +174,54 @@ let compile ?(options = Shortcircuit.default_options)
   let cleanup cert q = Cleanup.run ?cert q in
   (* The unoptimized variant and floor of the degradation ladder:
      memory introduction, hoisting and last-use, each checked.  Built
-     once; every rung above clones it.  There is no less-optimized
-     memory IR to fall back to, so a fault here propagates even under
-     ~fail_safe:true. *)
+     once (or the base's when resuming); every rung above clones it.
+     There is no less-optimized memory IR to fall back to, so a fault
+     here propagates even under ~fail_safe:true. *)
   let unopt =
-    let q = Ir.Clone.clone_prog p in
-    let q, () =
-      step ~lint:"memintro" "memintro"
-        (fun cert q -> (Memintro.introduce ?cert q, ()))
-        q
-    in
-    let q, () =
-      step ~lint:"hoist" "hoist" (fun cert q -> (Hoist.hoist ?cert q, ())) q
-    in
-    fst
-      (step ~lint:"lastuse" ~certified:false "lastuse"
-         (relive (fun _ q -> (q, ())))
-         q)
+    from_base 0
+      (fun b -> b.unopt)
+      (fun () ->
+        let q = Ir.Clone.clone_prog p in
+        let q, () =
+          step ~lint:"memintro" "memintro"
+            (fun cert q -> (Memintro.introduce ?cert q, ()))
+            q
+        in
+        let q, () =
+          step ~lint:"hoist" "hoist"
+            (fun cert q -> (Hoist.hoist ?cert q, ()))
+            q
+        in
+        fst
+          (step ~lint:"lastuse" ~certified:false "lastuse"
+             (relive (fun _ q -> (q, ())))
+             q))
   in
-  (* One rung of the degradation ladder: [build] runs on a private
-     clone of the rung [below].  Under ~fail_safe:true a fault discards
-     its output, records the fault and the rung fallen back to, and the
+  (* Rung [i] of the degradation ladder: the base's, read by [kept],
+     when resuming above it; otherwise [build] runs on a private clone
+     of the rung [below].  Under ~fail_safe:true a fault discards its
+     output, records the fault and the rung fallen back to, and the
      compile continues on a fresh clone of [below] with empty stats -
      pack -> reuse -> opt -> unopt, so every variant in [compiled] is
      populated even when its pass failed. *)
-  let rung (fallback, below) fresh_stats build =
-    let q = Ir.Clone.clone_prog below in
-    if not fail_safe then build q
-    else
-      try build q
-      with Fault.Fault fl ->
-        recov :=
-          { r_fault = fl; r_pass = Fault.blame fl; r_fallback = fallback }
-          :: !recov;
-        (Ir.Clone.clone_prog below, fresh_stats (), 0)
+  let rung i (fallback, below) fresh_stats ~kept build =
+    from_base i kept (fun () ->
+        let q = Ir.Clone.clone_prog below in
+        if not fail_safe then build q
+        else
+          try build q
+          with Fault.Fault fl ->
+            recov :=
+              { r_fault = fl; r_pass = Fault.blame fl; r_fallback = fallback }
+              :: !recov;
+            (Ir.Clone.clone_prog below, fresh_stats (), 0))
   in
   (* second variant: short-circuiting plus a cleanup round removing the
      allocations it orphaned *)
   let opt, stats, dead_allocs =
-    rung ("unopt", unopt) Shortcircuit.fresh_stats (fun q ->
+    rung 1 ("unopt", unopt) Shortcircuit.fresh_stats
+      ~kept:(fun b -> (b.opt, b.stats, b.dead_allocs))
+      (fun q ->
         let q, st =
           step ~lint:"shortcircuit" "shortcircuit"
             (fun cert q -> Shortcircuit.optimize ~options ~rounds ?cert q)
@@ -180,7 +236,9 @@ let compile ?(options = Shortcircuit.default_options)
      stay distinguishable in reports and the certificate baseline, and
      the stage is linted after it *)
   let reuse_p, reuse_stats, reuse_dead_allocs =
-    rung ("opt", opt) Reuse.fresh_stats (fun q ->
+    rung 2 ("opt", opt) Reuse.fresh_stats
+      ~kept:(fun b -> (b.reuse, b.reuse_stats, b.reuse_dead_allocs))
+      (fun q ->
         let q, rst =
           step "reuse"
             (relive (fun cert q -> Reuse.optimize ~options:reuse ?cert q))
@@ -193,7 +251,9 @@ let compile ?(options = Shortcircuit.default_options)
      reuse, again followed by a liveness refresh and a cleanup round
      collecting the member allocations the arenas absorbed *)
   let pack_p, pack_stats, pack_dead_allocs =
-    rung ("reuse", reuse_p) Pack.fresh_stats (fun q ->
+    rung 3 ("reuse", reuse_p) Pack.fresh_stats
+      ~kept:(fun b -> (b.pack, b.pack_stats, b.pack_dead_allocs))
+      (fun q ->
         let q, pst =
           step "pack"
             (relive (fun cert q -> Pack.optimize ~options:pack ?cert q))
@@ -202,10 +262,12 @@ let compile ?(options = Shortcircuit.default_options)
         let q, n = step ~lint:"pack" "cleanup-pack" cleanup q in
         (q, pst, n))
   in
-  let time passes =
-    List.fold_left
-      (fun t (pass, dt) -> if List.mem pass passes then t +. dt else t)
-      0. !times
+  (* rung [i]'s pass times: the base's when kept *)
+  let time i kept passes =
+    from_base i kept (fun () ->
+        List.fold_left
+          (fun t (pass, dt) -> if List.mem pass passes then t +. dt else t)
+          0. !times)
   in
   let prover_exhausted =
     (Symalg.Prover.stats ()).budget_exhausted - prover0
@@ -230,10 +292,11 @@ let compile ?(options = Shortcircuit.default_options)
     dead_allocs;
     reuse_dead_allocs;
     pack_dead_allocs;
-    time_base = time [ "memintro"; "hoist"; "lastuse" ];
-    time_sc = time [ "shortcircuit" ];
-    time_reuse = time [ "reuse" ];
-    time_pack = time [ "pack" ];
+    time_base =
+      time 0 (fun b -> b.time_base) [ "memintro"; "hoist"; "lastuse" ];
+    time_sc = time 1 (fun b -> b.time_sc) [ "shortcircuit" ];
+    time_reuse = time 2 (fun b -> b.time_reuse) [ "reuse" ];
+    time_pack = time 3 (fun b -> b.time_pack) [ "pack" ];
     lint = List.rev !reports;
     certs = List.rev !certs;
     recovery = List.rev !recov;

@@ -71,6 +71,7 @@ val compile :
   ?lint:bool ->
   ?certify:bool ->
   ?fail_safe:bool ->
+  ?from:compiled * string ->
   Ir.Ast.prog ->
   compiled
 (** Produce all four configurations from a source program (which is
@@ -101,7 +102,21 @@ val compile :
     it (memory introduction, hoisting, last-use) raises
     {!Fault.exception-Fault} in both modes.  Prover-budget exhaustion (a
     skipped rewrite, never an abort) is likewise summarized as a
-    {!Fault.Prover_budget} recovery entry. *)
+    {!Fault.Prover_budget} recovery entry.
+
+    [~from:(base, pass)] resumes [base], an earlier compile of the same
+    program with the same pass options, at the rung [pass] opens
+    (["shortcircuit"] builds [opt], ["reuse"] builds [reuse],
+    ["pack"] builds [pack]).  [unopt] and every rung below [pass]'s
+    are [base]'s programs (shared, not copied), with their statistics,
+    dead-allocation counts and times, and with their lint reports and
+    certificates when this compile asks for them; [pass]'s rung and
+    the rungs above it are built as in a fresh compile, on clones, so
+    [base] is never mutated.  [recovery] and [prover_exhausted] count
+    the rebuilt rungs only.  Raises [Invalid_argument] when [pass] is
+    not one of those three, when [base] is degraded ([recovery <> []]
+    or [prover_exhausted > 0]: its counts cannot be split by rung), or
+    when this compile lints or certifies and [base] did not. *)
 
 val first_lint_error :
   (string * Memlint.report) list -> (string * Memlint.violation) option

@@ -18,7 +18,12 @@
    - a qcheck property: random programs with a random fault point in a
      random pass never raise under ~fail_safe:true, compute results
      bit-equal to the reference interpreter, and blame the injected
-     layer in the recovery report. *)
+     layer in the recovery report;
+
+   - resumed compiles: [Pipeline.compile ~from] agrees with a fresh
+     compile under every arming the campaign uses, leaves its base
+     untouched, and refuses what it cannot resume; the campaign's
+     resumed injections agree with fresh re-runs. *)
 
 open Ir.Ast
 module P = Symalg.Poly
@@ -323,6 +328,101 @@ let prop_fail_safe_never_raises =
           true))
 
 (* ---------------------------------------------------------------- *)
+(* Resumed compiles                                                  *)
+(* ---------------------------------------------------------------- *)
+
+(* Everything a compile resumed with [~from] must share with a fresh
+   one, checked field by field: all but fresh names and times. *)
+let check_same what args (fresh : Pipeline.compiled)
+    (resumed : Pipeline.compiled) =
+  let check name f =
+    Alcotest.(check bool) (what ^ ": " ^ name) true (f fresh = f resumed)
+  in
+  check "stats" (fun c ->
+      (c.Pipeline.stats, c.Pipeline.reuse_stats, c.Pipeline.pack_stats));
+  check "dead allocs" (fun c ->
+      ( c.Pipeline.dead_allocs,
+        c.Pipeline.reuse_dead_allocs,
+        c.Pipeline.pack_dead_allocs ));
+  check "recovery" (fun c ->
+      List.map
+        (fun (r : Pipeline.recovery) ->
+          ( Fault.layer r.Pipeline.r_fault,
+            r.Pipeline.r_pass,
+            r.Pipeline.r_fallback ))
+        c.Pipeline.recovery);
+  check "lint stages" (fun c -> List.map fst c.Pipeline.lint);
+  check "certificate passes" (fun c -> List.map fst c.Pipeline.certs);
+  check "Full-mode results and device counters" (fun c ->
+      List.map
+        (fun v ->
+          let r = Exec.run ~mode:Exec.Full v args in
+          (r.Exec.results, r.Exec.counters))
+        [ c.Pipeline.unopt; c.Pipeline.opt; c.Pipeline.reuse; c.Pipeline.pack ])
+
+(* For every injectable pass, resuming the clean compile at that pass
+   equals compiling afresh: unarmed (linted and certified, so the
+   carried reports are checked too), with a crash at the pass's first
+   statement, and with a forged certificate. *)
+let test_resume_equals_fresh name prog args () =
+  let base = Pipeline.compile ~lint:true ~certify:true ~fail_safe:true prog in
+  let printed () =
+    List.map Ir.Pretty.prog_to_string
+      [
+        base.Pipeline.unopt; base.Pipeline.opt; base.Pipeline.reuse;
+        base.Pipeline.pack;
+      ]
+  in
+  let before = printed () in
+  List.iter
+    (fun pass ->
+      let what how = Printf.sprintf "%s from %s, %s" name pass how in
+      (* unarmed: the base is itself the fresh compile *)
+      check_same (what "unarmed") args base
+        (Pipeline.compile ~lint:true ~certify:true ~fail_safe:true
+           ~from:(base, pass) prog);
+      let armed how ~certify arm =
+        let compile ?from () =
+          arm ();
+          Fun.protect ~finally:Chaos.disarm (fun () ->
+              Pipeline.compile ~certify ~fail_safe:true ?from prog)
+        in
+        check_same (what how) args (compile ()) (compile ~from:(base, pass) ())
+      in
+      armed "crash at 1" ~certify:false (fun () -> Chaos.arm_crash ~pass ~at:1);
+      armed "forged" ~certify:true (fun () -> Chaos.arm_forge ~pass))
+    injectable_passes;
+  Alcotest.(check (list string))
+    "the base's programs are unchanged" before (printed ())
+
+let test_resume_rejects () =
+  let prog = gen_chain 2 in
+  let base = Pipeline.compile ~fail_safe:true prog in
+  let rejects what ?lint ?certify from =
+    match Pipeline.compile ?lint ?certify ~fail_safe:true ~from prog with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: resumed without Invalid_argument" what
+  in
+  rejects "unknown pass" (base, "hoist");
+  rejects "unlinted base" ~lint:true (base, "reuse");
+  rejects "uncertified base" ~certify:true (base, "pack");
+  let crashed =
+    Chaos.arm_crash ~pass:"reuse" ~at:1;
+    Fun.protect ~finally:Chaos.disarm (fun () ->
+        Pipeline.compile ~fail_safe:true prog)
+  in
+  Alcotest.(check int) "the crash was contained" 1
+    (List.length crashed.Pipeline.recovery);
+  rejects "base with a recovery" (crashed, "pack");
+  let exhausted =
+    with_budget { Pr.unlimited with Pr.b_steps = 0 } (fun () ->
+        Pipeline.compile prog)
+  in
+  Alcotest.(check bool) "the budget was exhausted" true
+    (exhausted.Pipeline.prover_exhausted > 0);
+  rejects "base with exhausted queries" (exhausted, "pack")
+
+(* ---------------------------------------------------------------- *)
 (* The campaign driver                                               *)
 (* ---------------------------------------------------------------- *)
 
@@ -355,6 +455,66 @@ let test_chaosdrive_campaign () =
         (Benchsuite.Chaosdrive.run ~seed:7 ~rounds:1
            [ ("chain", prog, args_n 5) ]))
 
+(* Every pass-crash and cert-refuted injection of a campaign - the
+   ones the campaign resumes from its clean compile - re-run as a fresh
+   compile with the same arming must come out the same. *)
+let test_campaign_matches_fresh () =
+  let open Benchsuite.Chaosdrive in
+  List.iter
+    (fun (name, prog, args) ->
+      let camp = run ~seed:7 ~rounds:2 [ (name, prog, args) ] in
+      let resumed =
+        List.concat_map
+          (fun b ->
+            List.filter
+              (fun i -> List.mem i.i_class [ "pass-crash"; "cert-refuted" ])
+              b.c_injections)
+          camp.benches
+      in
+      Alcotest.(check int) (name ^ ": six per round") 12 (List.length resumed);
+      List.iter
+        (fun i ->
+          let certify = i.i_class = "cert-refuted" in
+          if certify then Chaos.arm_forge ~pass:i.i_pass
+          else Chaos.arm_crash ~pass:i.i_pass ~at:i.i_site;
+          let cpl =
+            Fun.protect ~finally:Chaos.disarm (fun () ->
+                Pipeline.compile ~certify ~fail_safe:true prog)
+          in
+          let rcv =
+            List.find_opt
+              (fun (r : Pipeline.recovery) ->
+                Fault.layer r.Pipeline.r_fault = i.i_class
+                && r.Pipeline.r_pass = i.i_pass)
+              cpl.Pipeline.recovery
+          in
+          (* a forged obligation always fires; a crash fired iff the
+             fail-safe compile contained it *)
+          let fired = certify || rcv <> None in
+          let what =
+            Printf.sprintf "%s %s/%s@%d" name i.i_class i.i_pass i.i_site
+          in
+          Alcotest.(check bool) (what ^ ": fired") fired i.i_fired;
+          Alcotest.(check bool)
+            (what ^ ": recovered")
+            ((not fired) || rcv <> None)
+            i.i_recovered;
+          Alcotest.(check string)
+            (what ^ ": fallback")
+            (match rcv with Some r -> r.Pipeline.r_fallback | None -> "")
+            i.i_fallback;
+          Alcotest.(check bool)
+            (what ^ ": bit-equal")
+            (pack_matches_interp cpl prog args)
+            i.i_bit_equal)
+        resumed)
+    [
+      ("chain", gen_chain 2, args_n 5);
+      ( "hotspot",
+        Benchsuite.Hotspot.prog,
+        Benchsuite.Hotspot.small_args ~n:16 ~steps:3 );
+    ]
+
 let tests =
   [
     Alcotest.test_case "budget 0: every obligation Undecided" `Quick
@@ -384,4 +544,17 @@ let tests =
     QCheck_alcotest.to_alcotest prop_fail_safe_never_raises;
     Alcotest.test_case "chaosdrive campaign on a generated program" `Quick
       test_chaosdrive_campaign;
+    Alcotest.test_case "resumed compile equals fresh: hotspot" `Quick
+      (test_resume_equals_fresh "hotspot" Benchsuite.Hotspot.prog
+         (Benchsuite.Hotspot.small_args ~n:16 ~steps:3));
+    Alcotest.test_case "resumed compile equals fresh: nw" `Quick
+      (test_resume_equals_fresh "nw" Benchsuite.Nw.prog
+         (Benchsuite.Nw.small_args ~q:3 ~b:4));
+    Alcotest.test_case "resumed compile equals fresh: lud" `Quick
+      (test_resume_equals_fresh "lud" Benchsuite.Lud.prog
+         (Benchsuite.Lud.small_args ~q:3 ~b:4));
+    Alcotest.test_case "resume rejects bad bases and passes" `Quick
+      test_resume_rejects;
+    Alcotest.test_case "campaign injections equal fresh compiles" `Quick
+      test_campaign_matches_fresh;
   ]
