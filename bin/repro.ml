@@ -185,11 +185,12 @@ let json_line v = Core.Json.to_string v ^ "\n"
 (* A ratio BENCH.json records to four decimals. *)
 let round4 x = float_of_string (Printf.sprintf "%.4f" x)
 
-(* The prover's memoization effectiveness and budget pressure, shared
-   by BENCH.json and the combined certificate document.  A nonzero
-   [budget_exhausted] means some nonnegativity queries were truncated
-   by the step/memo budget or deadline - sound (the affected rewrites
-   were skipped) but a signal the budget is too tight for the suite. *)
+(* The prover's memoization effectiveness, its refutations by a
+   concrete witness and its budget pressure, shared by BENCH.json and
+   the combined certificate document.  A nonzero [budget_exhausted]
+   means some nonnegativity queries were truncated by the step/memo
+   budget or deadline - sound (the affected rewrites were skipped) but
+   a signal the budget is too tight for the suite. *)
 let prover_json (p : Symalg.Prover.stats) =
   let open Core.Json in
   let rate h m =
@@ -206,6 +207,7 @@ let prover_json (p : Symalg.Prover.stats) =
         ("nonneg_misses", int p.nonneg_misses);
         ("nonneg_resets", int p.nonneg_resets);
         ("nonneg_hit_rate", Num (rate p.nonneg_hits p.nonneg_misses));
+        ("nonneg_refuted", int p.refuted);
         ("budget_exhausted", int p.budget_exhausted);
       ] )
 

@@ -16,10 +16,13 @@
      regression by definition;
    - a capped pool's high-water mark must not exceed its cap (checked
      on the current record alone - the cap is a costed constraint);
+   - the prover's nonnegativity and saturation memo misses (its
+     searches) may not exceed the baseline by more than the tolerance;
    - a benchmark present in the baseline must stay present.
 
-   Improvements beyond tolerance and new benchmarks are reported as
-   notes (a prompt to refresh the baseline), never as failures. *)
+   Improvements beyond tolerance, fewer prover misses and new
+   benchmarks are reported as notes (a prompt to refresh the
+   baseline), never as failures. *)
 
 include Core.Json
 
@@ -52,6 +55,12 @@ let fp_monotone = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
    only shrink - the planner must not silently lose coverage *)
 let pack_grow = [ "arenas"; "packed"; "holes" ]
 let pack_shrink = [ "unpacked" ]
+
+(* the prover's work over the whole suite: a miss is a goal decided
+   afresh, and the counts repeat exactly from run to run, so a rise
+   beyond the tolerance means searches the prover used to avoid are
+   back - a regression no timing noise can hide *)
+let prover_work = [ "nonneg_misses"; "sat_misses" ]
 
 let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
     gate =
@@ -201,6 +210,23 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
         note "%s: new benchmark not in baseline - refresh to start gating it"
           cname)
     cur_b;
+  List.iter
+    (fun field ->
+      match
+        (num_at [ "prover"; field ] baseline, num_at [ "prover"; field ] current)
+      with
+      | Some b, Some c ->
+          incr checked;
+          if c > b *. (1. +. tolerance) then
+            reg "prover.%s %s -> %s (%+.1f%%, tolerance %.1f%%)" field
+              (number b) (number c)
+              (100. *. (c -. b) /. b)
+              (100. *. tolerance)
+          else if c < b then
+            note "prover.%s fell %s -> %s - consider refreshing the baseline"
+              field (number b) (number c)
+      | _ -> ())
+    prover_work;
   {
     regressions = List.rev !regressions;
     notes = List.rev !notes;

@@ -486,46 +486,6 @@ let exp_occurrence_in (b : block) name : bool =
    aliasing accidents at one size rarely repeat at the next. *)
 let seeds = [ 2; 3; 5; 7 ]
 
-(* Build a total assignment consistent with the recorded context: a
-   variable with a recorded equality takes its right-hand side's value;
-   a ranged variable is the seed clamped into its (evaluated) bounds;
-   anything else is the seed itself.  The [admissible] flag is cleared
-   when a range is discovered empty, in which case nothing may be
-   concluded from this assignment. *)
-let valuation (ctx : Pr.t) (seed : int) : (string -> int) * bool ref =
-  let eqs = Hashtbl.create 16 and bnds = Hashtbl.create 16 in
-  List.iter (fun (v, p) -> Hashtbl.replace eqs v p) (Pr.equalities ctx);
-  List.iter (fun (v, lo, hi) -> Hashtbl.replace bnds v (lo, hi))
-    (Pr.var_bounds ctx);
-  let memo = Hashtbl.create 16 in
-  let admissible = ref true in
-  let rec env v =
-    match Hashtbl.find_opt memo v with
-    | Some x -> x
-    | None ->
-        Hashtbl.replace memo v seed (* provisional: breaks cycles *);
-        let x =
-          match Hashtbl.find_opt eqs v with
-          | Some rhs -> P.eval env rhs
-          | None -> (
-              match Hashtbl.find_opt bnds v with
-              | None -> seed
-              | Some (lo, hi) ->
-                  let lo_v = Option.map (P.eval env) lo in
-                  let hi_v = Option.map (P.eval env) hi in
-                  (match (lo_v, hi_v) with
-                  | Some l, Some h when l > h -> admissible := false
-                  | _ -> ());
-                  let x = seed in
-                  let x = match lo_v with Some l -> max l x | None -> x in
-                  let x = match hi_v with Some h -> min h x | None -> x in
-                  x)
-        in
-        Hashtbl.replace memo v x;
-        x
-  in
-  (env, admissible)
-
 (* Enumeration guard: refsets whose concrete point count exceeds this
    are not enumerated (the seed is skipped, not failed). *)
 let max_points = 20_000
@@ -533,19 +493,21 @@ let max_points = 20_000
 type concrete_outcome = CViolated of int * string | CValidated of int list
 
 (* Run [eval] (true = claim holds, false = violated with the given
-   witness) under every admissible seed assignment. *)
+   witness) under every seed's assignment that satisfies the context
+   ({!Pr.valuation}). *)
 let concretely (ctx : Pr.t)
     (eval : (string -> int) -> [ `Holds | `Violated of string | `Skip ]) :
     concrete_outcome =
   let rec go validated = function
     | [] -> CValidated (List.rev validated)
     | seed :: rest -> (
-        let env, admissible = valuation ctx seed in
-        match (try eval env with _ -> `Skip) with
-        | _ when not !admissible -> go validated rest
-        | `Holds -> go (seed :: validated) rest
-        | `Violated w -> CViolated (seed, w)
-        | `Skip -> go validated rest)
+        match Pr.valuation ctx seed with
+        | None -> go validated rest
+        | Some env -> (
+            match (try eval env with _ -> `Skip) with
+            | `Holds -> go (seed :: validated) rest
+            | `Violated w -> CViolated (seed, w)
+            | `Skip -> go validated rest))
   in
   go [] seeds
 
@@ -755,16 +717,16 @@ let check_rebased post post_scal ctx ~final var (mem : mem_info) =
                   let sizes =
                     List.filter
                       (fun seed ->
-                        let env, admissible = valuation ctx seed in
-                        try
-                          let c = Lmad.concretize env l in
-                          let sz = P.eval env size in
-                          !admissible
-                          &&
-                          match Lmad.concrete_extrema c with
-                          | None -> true
-                          | Some (mn, mx) -> mn >= 0 && mx < sz
-                        with _ -> false)
+                        match Pr.valuation ctx seed with
+                        | None -> false
+                        | Some env -> (
+                            try
+                              let c = Lmad.concretize env l in
+                              let sz = P.eval env size in
+                              match Lmad.concrete_extrema c with
+                              | None -> true
+                              | Some (mn, mx) -> mn >= 0 && mx < sz
+                            with _ -> false))
                       seeds
                   in
                   if sizes = [] then

@@ -11,7 +11,10 @@
    The proof strategy is:
    1. rewrite with the recorded equalities (e.g. n := q*b + 1 for NW);
    2. interval-evaluate the polynomial using variable ranges;
-   3. otherwise eliminate a variable by substituting its lower (resp.
+   3. refute: evaluate the polynomial at a few small assignments that
+      satisfy the context ([valuation]); a negative value is a concrete
+      counterexample, so the goal is false and no search is spent on it;
+   4. otherwise eliminate a variable by substituting its lower (resp.
       upper) bound when the polynomial is provably monotone increasing
       (resp. decreasing) in that variable - a Fourier-style step - and
       recurse on the smaller polynomial. *)
@@ -197,6 +200,67 @@ and poly_interval ctx depth visited p : interval =
 let interval ctx p = poly_interval ctx 4 [] (rewrite ctx p)
 
 (* ---------------------------------------------------------------- *)
+(* Concrete assignments                                              *)
+(* ---------------------------------------------------------------- *)
+
+(* A variable with a recorded equality takes its right-hand side's
+   value, a ranged variable the seed clamped into its evaluated bounds,
+   any other variable the seed itself.  A cycle of symbolic bounds is
+   broken by a provisional seed value and a range may be empty, so the
+   assignment is checked against every recorded bound and equality
+   before it is returned.  The check visits the bounds first, in
+   variable order, which decides the variable of a cycle that takes
+   the provisional value: starting from an equality instead (LUD's
+   n := b*q) clamps q onto its lower bound bi + k + 3 through the
+   bounds of bi and k, which refer back to q, and no seed passes. *)
+let valuation ctx seed =
+  let memo = Hashtbl.create 16 in
+  let rec env v =
+    match Hashtbl.find_opt memo v with
+    | Some x -> x
+    | None ->
+        Hashtbl.replace memo v seed (* provisional: breaks cycles *);
+        let x =
+          match SM.find_opt v ctx.eqs with
+          | Some rhs -> Poly.eval env rhs
+          | None -> (
+              let b = lookup_bound ctx v in
+              let lo = Option.map (Poly.eval env) b.lo in
+              let hi = Option.map (Poly.eval env) b.hi in
+              let x = match lo with Some l -> max l seed | None -> seed in
+              match hi with Some h -> min h x | None -> x)
+        in
+        Hashtbl.replace memo v x;
+        x
+  in
+  let within v b =
+    let x = env v in
+    Option.fold ~none:true ~some:(fun l -> Poly.eval env l <= x) b.lo
+    && Option.fold ~none:true ~some:(fun h -> x <= Poly.eval env h) b.hi
+  in
+  if
+    SM.for_all within ctx.bounds
+    && SM.for_all (fun v p -> env v = Poly.eval env p) ctx.eqs
+  then Some env
+  else None
+
+(* Seeds of the assignments that try to refute a goal before it is
+   searched: small, so that [Poly.eval] stays far from overflow.  On the
+   benchmark corpus the larger seeds 8, 13 and 1000 would be the first
+   to refute no goal of a certified compile or a chaos campaign, and 1%
+   of the goals memlint refutes (saving 2% of its misses). *)
+let witness_seeds = [ 0; 1; 2; 3; 5 ]
+
+(* Does some admissible assignment make [p] negative? *)
+let refutable ctx p =
+  List.exists
+    (fun seed ->
+      match valuation ctx seed with
+      | Some env -> Poly.eval env p < 0
+      | None -> false)
+    witness_seeds
+
+(* ---------------------------------------------------------------- *)
 (* Triangular-bound saturation                                       *)
 (* ---------------------------------------------------------------- *)
 
@@ -296,8 +360,9 @@ let nonneg_cap () =
   else !limits.nonneg_cap
 
 (* Cache effectiveness counters, surfaced by [--verbose] reports and
-   the bench JSON: a miss is a full saturation / elimination search, a
-   reset throws the accumulated table away. *)
+   the bench JSON: a miss is a full saturation / a goal decided afresh
+   (refuted by a witness, counted in [refuted], or searched), a reset
+   throws the accumulated table away. *)
 type stats = {
   mutable sat_hits : int;
   mutable sat_misses : int;
@@ -305,6 +370,7 @@ type stats = {
   mutable nonneg_hits : int;
   mutable nonneg_misses : int;
   mutable nonneg_resets : int;
+  mutable refuted : int;
   mutable budget_exhausted : int;
 }
 
@@ -316,6 +382,7 @@ let the_stats =
     nonneg_hits = 0;
     nonneg_misses = 0;
     nonneg_resets = 0;
+    refuted = 0;
     budget_exhausted = 0;
   }
 
@@ -327,6 +394,7 @@ let stats () =
     nonneg_hits = the_stats.nonneg_hits;
     nonneg_misses = the_stats.nonneg_misses;
     nonneg_resets = the_stats.nonneg_resets;
+    refuted = the_stats.refuted;
     budget_exhausted = the_stats.budget_exhausted;
   }
 
@@ -337,19 +405,20 @@ let reset_stats () =
   the_stats.nonneg_hits <- 0;
   the_stats.nonneg_misses <- 0;
   the_stats.nonneg_resets <- 0;
+  the_stats.refuted <- 0;
   the_stats.budget_exhausted <- 0
 
 let pp_stats ppf (s : stats) =
   let rate h m = if h + m = 0 then 0. else 100. *. float_of_int h /. float_of_int (h + m) in
   Fmt.pf ppf
     "@[<v>saturation memo: %d hits / %d misses (%.1f%%), %d resets@,\
-     nonneg memo: %d hits / %d misses (%.1f%%), %d resets@,\
+     nonneg memo: %d hits / %d misses (%.1f%%), %d resets, %d refuted@,\
      budget: %d queries exhausted@]"
     s.sat_hits s.sat_misses
     (rate s.sat_hits s.sat_misses)
     s.sat_resets s.nonneg_hits s.nonneg_misses
     (rate s.nonneg_hits s.nonneg_misses)
-    s.nonneg_resets s.budget_exhausted
+    s.nonneg_resets s.refuted s.budget_exhausted
 
 module Ctx_tbl = Hashtbl.Make (struct
   type nonrec t = t
@@ -483,7 +552,8 @@ and nonneg ctx depth shifted (p : Poly.t) : bool =
            and the elimination search reaches equal states along
            different variable orders.  A [false] computed under an
            expired deadline or an exhausted step budget is not cached
-           (it may be a budget artifact, not a refusal). *)
+           (it may be a budget artifact, not a refusal); a [false]
+           backed by a counterexample always is. *)
         let key = (ctx, depth, SS.elements shifted, p) in
         (match Goal_tbl.find_opt memo key with
         | Some r ->
@@ -496,10 +566,16 @@ and nonneg ctx depth shifted (p : Poly.t) : bool =
               Goal_tbl.reset memo
             end;
             charge_step ();
-            let r = eliminate ctx depth shifted p in
-            if r || not (out_of_time () || !steps_left = 0) then
-              Goal_tbl.replace memo key r;
-            r)
+            if refutable ctx p then begin
+              the_stats.refuted <- the_stats.refuted + 1;
+              Goal_tbl.replace memo key false;
+              false
+            end
+            else
+              let r = eliminate ctx depth shifted p in
+              if r || not (out_of_time () || !steps_left = 0) then
+                Goal_tbl.replace memo key r;
+              r)
 
 (* Try to remove or rebase one variable of [p]. *)
 and eliminate ctx depth shifted p =

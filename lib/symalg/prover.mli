@@ -46,13 +46,25 @@ val add_lo : t -> string -> Poly.t -> t
 val add_hi : t -> string -> Poly.t -> t
 
 val equalities : t -> (string * Poly.t) list
-(** The recorded rewrite rules [v := p], in variable order.  Used by the
-    certificate checker's concretizer to build admissible assignments
-    without re-deriving the context. *)
+(** The recorded rewrite rules [v := p], in variable order. *)
 
 val var_bounds : t -> (string * Poly.t option * Poly.t option) list
 (** The recorded inclusive per-variable bounds [(v, lo, hi)], in
     variable order; [None] for an unconstrained end. *)
+
+val valuation : t -> int -> (string -> int) option
+(** [valuation ctx seed] is a concrete assignment built from [seed] that
+    satisfies every recorded bound and equality of [ctx], or [None].  A
+    variable with an equality takes its right-hand side's value, a
+    ranged variable [seed] clamped into its evaluated bounds, and any
+    other variable [seed] itself.  The assignment is checked against
+    the whole context before it is returned, so [None] means this seed
+    gave a point outside the context (an empty range, or a cycle of
+    symbolic bounds the clamping could not close).  A goal negative at
+    [Some env] is false under [ctx]:
+    the nonnegativity search refutes goals this way before searching
+    them, and the certificate checker concretizes undecided claims
+    with it. *)
 
 val rewrite : t -> Poly.t -> Poly.t
 (** Normalize a polynomial with the context's equality rules. *)
@@ -67,7 +79,10 @@ val with_deadline : float -> (unit -> 'a) -> 'a
     the outermost deadline. *)
 
 val prove_nonneg : t -> Poly.t -> bool
-(** Entry point of the elimination search.  Before searching, the
+(** Entry point of the elimination search.  Every goal the search has
+    not decided before (a memo miss) is first evaluated at a few
+    {!valuation}s of its own context; a negative value answers
+    [false] at once, since no search could prove it.  Before searching, the
     context is {e saturated} with triangular-bound consequences: a
     recorded pair [lo <= v <= hi] implies [hi - lo >= 0], and when
     another variable occurs with a unit coefficient in that gap the
@@ -133,7 +148,8 @@ val get_limits : unit -> limits
     A process-wide, per-query prover budget (CLI [--prover-budget]):
     [b_steps] caps the elimination searches (memo misses) any one
     [prove_*] query may spend ([-1] = unlimited; [0] refuses every
-    query outright, so {e every} obligation comes back unproved);
+    query outright, so {e every} obligation comes back unproved); a
+    miss refuted by a concrete witness costs one step like any other;
     [b_memo] overrides the nonneg memo cap when nonnegative; a
     positive [b_deadline] installs a per-query CPU deadline via
     {!with_deadline}.  Exhaustion is sound - the query answers "not
@@ -146,8 +162,9 @@ val set_budget : budget -> unit
 val get_budget : unit -> budget
 
 (** Cache effectiveness counters (process-wide, monotone until
-    {!reset_stats}): a miss is a full saturation / elimination search,
-    a reset discards the accumulated table. *)
+    {!reset_stats}): a miss is a full saturation / a nonnegativity goal
+    decided afresh, by a concrete witness ([refuted]) or by an
+    elimination search; a reset discards the accumulated table. *)
 type stats = {
   mutable sat_hits : int;
   mutable sat_misses : int;
@@ -155,6 +172,9 @@ type stats = {
   mutable nonneg_hits : int;
   mutable nonneg_misses : int;
   mutable nonneg_resets : int;
+  mutable refuted : int;
+      (** Nonneg memo misses closed by a concrete counterexample
+          instead of an elimination search. *)
   mutable budget_exhausted : int;
       (** Queries truncated by the step or deadline budget. *)
 }

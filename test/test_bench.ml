@@ -315,6 +315,30 @@ let test_gate_missing_benchmark_fails () =
   Alcotest.(check bool) "new benchmark passes" true
     (BJ.ok (BJ.gate ~baseline:empty ~current:b ()))
 
+(* The prover's misses count its searches and repeat exactly, so they
+   are gated like a modeled time: a 10% rise in nonneg_misses is one
+   regression, a rise within the tolerance passes, and a fall is a
+   note. *)
+let test_gate_prover_work () =
+  let record ~nonneg ~sat =
+    parse_exn
+      (Printf.sprintf
+         {|{"date":"x","benchmarks":[],"prover":{"nonneg_misses":%d,"sat_misses":%d}}|}
+         nonneg sat)
+  in
+  let b = record ~nonneg:3541 ~sat:54 in
+  let same = BJ.gate ~baseline:b ~current:b () in
+  Alcotest.(check int) "both counts compared" 2 same.BJ.checked;
+  Alcotest.(check bool) "identity passes" true (BJ.ok same);
+  let inflated = BJ.gate ~baseline:b ~current:(record ~nonneg:3896 ~sat:54) () in
+  Alcotest.(check int) "misses +10% is one regression" 1
+    (List.length inflated.BJ.regressions);
+  Alcotest.(check bool) "a rise within tolerance passes" true
+    (BJ.ok (BJ.gate ~baseline:b ~current:(record ~nonneg:3600 ~sat:54) ()));
+  let fell = BJ.gate ~baseline:b ~current:(record ~nonneg:3541 ~sat:50) () in
+  Alcotest.(check bool) "a fall passes" true (BJ.ok fell);
+  Alcotest.(check int) "a fall is a note" 1 (List.length fell.BJ.notes)
+
 let tests =
   [
     Alcotest.test_case "NW end-to-end" `Quick test_nw;
@@ -337,6 +361,8 @@ let tests =
       test_gate_catches_traffic_regression;
     Alcotest.test_case "gate: pool cap breach fails" `Quick
       test_gate_catches_cap_breach;
+    Alcotest.test_case "gate: prover misses are gated" `Quick
+      test_gate_prover_work;
     Alcotest.test_case "gate: improvement is a note" `Quick
       test_gate_improvement_is_note;
     Alcotest.test_case "gate: missing benchmark fails" `Quick

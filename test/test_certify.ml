@@ -82,6 +82,23 @@ let test_benchmarks_certify () =
         true (emitted > 0))
     bench_progs
 
+(* The prover's work on LUD, the costliest compile of the corpus: false
+   goals are refuted by a concrete witness instead of exhausting their
+   elimination trees, so a certified compile decides at most 10,000
+   goals afresh (53,454 memo misses, each a search, before refutation).
+   Fresh names make a repeated compile miss almost as often as a cold
+   one, so the bound holds in any test order. *)
+let test_lud_prover_work () =
+  let before = Pr.stats () in
+  ignore
+    (Core.Pipeline.compile ~certify:true ~fail_safe:true Benchsuite.Lud.prog);
+  let after = Pr.stats () in
+  let misses = after.Pr.nonneg_misses - before.Pr.nonneg_misses in
+  if misses > 10_000 then
+    Alcotest.failf "lud: %d prover memo misses, bound 10,000" misses;
+  Alcotest.(check bool) "lud: some goals refuted by a witness" true
+    (after.Pr.refuted > before.Pr.refuted)
+
 (* Without ~certify:true no certificates are collected - the recording
    must be strictly opt-in (zero cost on the normal path). *)
 let test_certify_opt_in () =
@@ -560,6 +577,8 @@ let tests =
   [
     Alcotest.test_case "all benchmarks certify (zero failed)" `Quick
       test_benchmarks_certify;
+    Alcotest.test_case "lud: prover work bounded by refutation" `Quick
+      test_lud_prover_work;
     Alcotest.test_case "certification is opt-in" `Quick test_certify_opt_in;
     Alcotest.test_case "mutation: overlapping-live coalesce refuted" `Quick
       test_mutation_overlapping_coalesce;

@@ -149,6 +149,32 @@ let test_prover_memo_sharing () =
   Alcotest.(check bool) "proved under b, a, c" true (Pr.prove_nonneg ctx2 goal);
   Alcotest.(check int) "no new elimination search" m1 (misses ())
 
+(* A false goal is refuted by a concrete witness at its one memo miss,
+   and the refusal is memoized; a true goal is still searched and
+   proved.  That search first substitutes i's lower bound, and the
+   false subgoal it gives, -j >= 0, is refuted before and after i is
+   rebased to zero: a witness only ever closes false goals. *)
+let test_prover_refutation () =
+  let i = v "rf_i" and j = v "rf_j" and n = v "rf_n" in
+  let ctx = Pr.add_range Pr.empty "rf_j" ~lo:(c 0) ~hi:(P.sub i P.one) () in
+  let ctx = Pr.add_range ctx "rf_i" ~lo:P.one ~hi:(P.sub n P.one) () in
+  let counts () =
+    let s = Pr.stats () in
+    (s.Pr.nonneg_misses, s.Pr.refuted)
+  in
+  let m0, r0 = counts () in
+  let goal = P.sub (P.sub i j) (c 2) in
+  Alcotest.(check bool) "i - j - 2 >= 0 refused" false
+    (Pr.prove_nonneg ctx goal);
+  Alcotest.(check (pair int int)) "one miss, refuted" (m0 + 1, r0 + 1)
+    (counts ());
+  Alcotest.(check bool) "refused again" false (Pr.prove_nonneg ctx goal);
+  Alcotest.(check (pair int int)) "no new miss" (m0 + 1, r0 + 1) (counts ());
+  Alcotest.(check bool) "i - j - 1 >= 0 proved" true
+    (Pr.prove_nonneg ctx (P.sub (P.sub i j) P.one));
+  Alcotest.(check int) "only the false subgoals refuted" (r0 + 3)
+    (snd (counts ()))
+
 let test_interval () =
   let ctx = Pr.add_range Pr.empty "x" ~lo:(c 2) ~hi:(c 5) () in
   let lo, hi = Pr.interval ctx (P.mul (v "x") (v "x")) in
@@ -186,6 +212,135 @@ let test_prover_random_soundness () =
         done
       done
   done
+
+(* Triangular contexts: n >= cn, a <= i <= n - b, 0 <= j <= i - cj,
+   optionally with an equality s := i + k*j whose variable is bounded
+   too, s <= n + d (a bound [valuation] must check, not construct). *)
+type tri = { cn : int; a : int; b : int; cj : int; s : (int * int) option }
+
+let tri_ctx t =
+  let ctx = Pr.add_range Pr.empty "n" ~lo:(c t.cn) () in
+  let ctx = Pr.add_range ctx "i" ~lo:(c t.a) ~hi:(P.sub (v "n") (c t.b)) () in
+  let ctx = Pr.add_range ctx "j" ~lo:P.zero ~hi:(P.sub (v "i") (c t.cj)) () in
+  match t.s with
+  | None -> ctx
+  | Some (k, d) ->
+      let ctx = Pr.add_eq ctx "s" (P.add (v "i") (P.scale k (v "j"))) in
+      Pr.add_hi ctx "s" (P.add (v "n") (c d))
+
+(* Does the point (i, j, n) satisfy the context [t] describes? *)
+let tri_holds t i j n =
+  n >= t.cn && t.a <= i && i <= n - t.b && 0 <= j && j <= i - t.cj
+  && match t.s with None -> true | Some (k, d) -> i + (k * j) <= n + d
+
+let gen_tri =
+  QCheck.Gen.(
+    let* cn = int_range 0 3 and* a = int_range 0 2 and* b = int_range 0 2 in
+    let* cj = int_range 0 2 in
+    let* s = opt (pair (int_range 0 2) (int_range (-1) 3)) in
+    return { cn; a; b; cj; s })
+
+(* A polynomial over i, j and n of degree <= 2: either with small,
+   often zero, coefficients, or a nonnegative combination of the
+   context's gaps (i - a, n - b - i, j, i - cj - j, n - cn) and their
+   products, shifted by a small constant - goals on the edge of truth,
+   where an unsound step shows. *)
+let gen_tri_poly t =
+  QCheck.Gen.(
+    let coeffs lo hi xs =
+      let coeff = frequency [ (3, return 0); (2, int_range lo hi) ] in
+      flatten_l (List.map (fun _ -> coeff) xs)
+    in
+    let combine cs xs = P.sum (List.map2 P.scale cs xs) in
+    let random =
+      let monos =
+        [ P.one; v "i"; v "j"; v "n" ]
+        @ List.map
+            (fun (x, y) -> P.mul (v x) (v y))
+            [ ("i", "i"); ("i", "j"); ("i", "n"); ("j", "j"); ("j", "n");
+              ("n", "n") ]
+      in
+      map (fun cs -> combine cs monos) (coeffs (-3) 3 monos)
+    in
+    let near_true =
+      let gaps =
+        [
+          P.sub (v "i") (c t.a);
+          P.sub (P.sub (v "n") (c t.b)) (v "i");
+          v "j";
+          P.sub (P.sub (v "i") (c t.cj)) (v "j");
+          P.sub (v "n") (c t.cn);
+        ]
+      in
+      let products =
+        List.concat_map (fun g -> List.map (P.mul g) gaps) gaps
+      in
+      let* linear = coeffs 0 2 gaps and* square = coeffs 0 1 products in
+      let* k = int_range (-2) 1 in
+      return
+        (P.sum [ combine linear gaps; combine square products; c k ])
+    in
+    frequency [ (1, random); (2, near_true) ])
+
+let print_tri (t, p) =
+  Fmt.str "@[<v>%a@,goal: %a >= 0@]" Pr.pp (tri_ctx t) P.pp p
+
+let arb_tri_goal =
+  QCheck.make ~print:print_tri
+    QCheck.Gen.(gen_tri >>= fun t -> map (fun p -> (t, p)) (gen_tri_poly t))
+
+(* Every assignment [valuation] returns for the seeds -3..10 satisfies
+   each recorded bound and equality, evaluated here; without the
+   equality, some seed gives one. *)
+let prop_valuation_admissible =
+  QCheck.Test.make ~name:"valuation stays inside triangular contexts"
+    ~count:(Qcount.count 300) arb_tri_goal (fun (t, _) ->
+      let ctx = tri_ctx t in
+      let inside env =
+        List.for_all
+          (fun (x, lo, hi) ->
+            let le a b = P.eval env a <= P.eval env b in
+            Option.fold ~none:true ~some:(fun l -> le l (v x)) lo
+            && Option.fold ~none:true ~some:(fun h -> le (v x) h) hi)
+          (Pr.var_bounds ctx)
+        && List.for_all
+             (fun (x, e) -> env x = P.eval env e)
+             (Pr.equalities ctx)
+      in
+      let seeds = List.init 14 (fun k -> k - 3) in
+      let envs = List.filter_map (Pr.valuation ctx) seeds in
+      List.for_all inside envs && (t.s <> None || envs <> []))
+
+(* Every goal the prover accepts over a triangular context is
+   nonnegative at every point of the box -2..8 that satisfies the
+   context: soundness with symbolic bounds, where refutation and the
+   elimination search both run on shifted contexts. *)
+let prop_prover_sound_triangular =
+  QCheck.Test.make ~name:"prover sound on triangular contexts"
+    ~count:(Qcount.count 1000) arb_tri_goal (fun (t, p) ->
+      (not (Pr.prove_nonneg (tri_ctx t) p))
+      ||
+      let box = List.init 11 (fun k -> k - 2) in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j ->
+              List.for_all
+                (fun n ->
+                  (not (tri_holds t i j n))
+                  ||
+                  let env = function
+                    | "i" -> i
+                    | "j" -> j
+                    | "n" -> n
+                    | x -> Alcotest.failf "unexpected variable %s" x
+                  in
+                  P.eval env p >= 0
+                  || QCheck.Test.fail_reportf "%a < 0 at i=%d j=%d n=%d" P.pp
+                       p i j n)
+                box)
+            box)
+        box)
 
 (* qcheck: algebraic laws of the polynomial ring *)
 let gen_poly =
@@ -244,6 +399,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_div_rem;
     QCheck_alcotest.to_alcotest prop_subst_homomorphism;
     QCheck_alcotest.to_alcotest prop_linear_in_reconstructs;
+    QCheck_alcotest.to_alcotest prop_valuation_admissible;
+    QCheck_alcotest.to_alcotest prop_prover_sound_triangular;
     Alcotest.test_case "normal form" `Quick test_normal_form;
     Alcotest.test_case "eval" `Quick test_eval;
     Alcotest.test_case "subst" `Quick test_subst;
@@ -259,6 +416,8 @@ let tests =
     Alcotest.test_case "prover symbolic upper" `Quick test_prover_symbolic_upper;
     Alcotest.test_case "prover memo shared across insertion orders" `Quick
       test_prover_memo_sharing;
+    Alcotest.test_case "prover refutes false goals by a witness" `Quick
+      test_prover_refutation;
     Alcotest.test_case "interval" `Quick test_interval;
     Alcotest.test_case "prover random soundness" `Quick
       test_prover_random_soundness;
