@@ -1153,8 +1153,9 @@ let prover_budget_term =
       & opt float 0.
       & info [ "prover-deadline" ] ~docv:"SECONDS"
           ~doc:
-            "Wall-clock deadline per prover query (0 = none); expiring \
-             counts as budget exhaustion.")
+            "CPU-time deadline per prover query, in seconds (0 = none, \
+             the default); expiring counts as budget exhaustion.  Opt-in \
+             only: with a deadline, host load can change verdicts.")
   in
   Term.(
     const (fun s d ->

@@ -85,7 +85,12 @@ let inject_budget ~steps prog args expect =
         ~finally:(fun () -> Prover.set_budget saved)
         (fun () ->
           Prover.set_budget { Prover.unlimited with Prover.b_steps = steps };
-          let c, eq = compile_and_check prog args expect in
+          (* from a cold memo, so whether the budget cuts a query does
+             not depend on what the campaign proved before *)
+          let c, eq =
+            Prover.with_cold_memo (fun () ->
+                compile_and_check prog args expect)
+          in
           let fired = c.Pipeline.prover_exhausted > 0 in
           let rcv = find_recovery "prover-budget" "" c in
           {

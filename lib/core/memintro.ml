@@ -216,7 +216,10 @@ and transform_loop cert ctx env s params var bound body =
             | Var rv ->
                 let rm = lookup_mem env_after rv in
                 let au =
-                  match Lmads.Antiunify.ixfns im.ixfn rm.ixfn with
+                  match
+                    Lmads.Antiunify.ixfns ~fresh:Ir.Names.fresh im.ixfn
+                      rm.ixfn
+                  with
                   | Some r -> r
                   | None ->
                       err
@@ -361,7 +364,9 @@ and transform_if cert ctx env s cond tb fb =
         | Var vt, Var vf ->
             let mt = lookup_mem env_t vt and mf = lookup_mem env_f vf in
             let au =
-              match Lmads.Antiunify.ixfns mt.ixfn mf.ixfn with
+              match
+                Lmads.Antiunify.ixfns ~fresh:Ir.Names.fresh mt.ixfn mf.ixfn
+              with
               | Some r -> r
               | None -> err "memintro: if %s: anti-unification failed" pe.pv
             in
@@ -408,6 +413,7 @@ and transform_if cert ctx env s cond tb fb =
 (* ---------------------------------------------------------------- *)
 
 let introduce ?cert (p : prog) : prog =
+  Ir.Names.within p @@ fun () ->
   let env =
     List.fold_left
       (fun env pe ->

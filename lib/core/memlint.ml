@@ -543,7 +543,7 @@ let pairwise_threads_disjoint ctx (nest : (string * P.t) list) w : bool =
   let rec cases = function
     | [] -> true
     | (v, cnt) :: rest ->
-        let jv = Ir.Names.fresh "lint_othr" in
+        let jv = Binder.name ~where:"memlint" "lint_othr" v ctx [ w ] in
         let w_self = expand_rest w rest in
         let w_other = expand_rest (Refset.subst v (P.var jv) w) rest in
         let ctx_lt =

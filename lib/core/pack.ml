@@ -1023,6 +1023,7 @@ let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let st = fresh_stats () in
   if not options.pack then (p, st)
   else
+    Ir.Names.within p @@ fun () ->
     let mems0 =
       List.fold_left
         (fun m (pe : pat_elem) ->

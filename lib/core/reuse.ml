@@ -1465,6 +1465,7 @@ let rec walk st opts cert ctx scalars allocs mems (b : block) : block =
   { b with stms }
 
 let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
+  Ir.Names.within p @@ fun () ->
   let st = fresh_stats () in
   let p = if options.chains then remove_dead_chains st options cert p else p in
   let p = if options.cross_scope then hoist_allocs st options cert p else p in

@@ -734,7 +734,7 @@ and pairwise_thread_ok st ctx (nest : (string * P.t) list) ~w ~u : bool =
   let rec cases = function
     | [] -> true
     | (v, cnt) :: rest ->
-        let jv = Ir.Names.fresh "othr" in
+        let jv = Binder.name ~where:"shortcircuit" "othr" v ctx [ w; u ] in
         let w' = expand_rest ctx w rest in
         let u' = expand_rest ctx (Refset.subst v (P.var jv) u) rest in
         let ctx_lt =
@@ -818,7 +818,10 @@ and circuit_loop st ctx info ~ymem ~j ~active ~ixfn ~u_xss ~w_total
                 let refined () =
                   st.opts.enable_refinement
                   &&
-                  let jv = Ir.Names.fresh "iter" in
+                  let jv =
+                    Binder.name ~where:"shortcircuit" "iter" var ctx'
+                      [ w_body; u_body ]
+                  in
                   let u_j = Refset.subst var (P.var jv) u_body in
                   let ctx_gt =
                     Pr.add_range ctx' jv

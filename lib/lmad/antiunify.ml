@@ -23,17 +23,11 @@ type binding = {
 
 type result = { ixfn : Ixfn.t; bindings : binding list }
 
-let counter = ref 0
-
-let fresh_name prefix =
-  incr counter;
-  Printf.sprintf "%s%d" prefix !counter
-
 (* Anti-unify two polynomials: equal ones generalize to themselves,
    different ones to a fresh variable.  Reuses an existing binding when
    the same (left, right) pair was seen before, so e.g. two dimensions
    that differ in the same way share one existential. *)
-let au_poly ~prefix bindings (p1 : P.t) (p2 : P.t) =
+let au_poly ~fresh bindings (p1 : P.t) (p2 : P.t) =
   if P.equal p1 p2 then (p1, bindings)
   else
     match
@@ -43,21 +37,21 @@ let au_poly ~prefix bindings (p1 : P.t) (p2 : P.t) =
     with
     | Some b -> (P.var b.exist, bindings)
     | None ->
-        let v = fresh_name prefix in
+        let v = fresh "ext" in
         (P.var v, { exist = v; left = p1; right = p2 } :: bindings)
 
-let au_lmad ~prefix bindings (l1 : Lmad.t) (l2 : Lmad.t) :
+let au_lmad ~fresh bindings (l1 : Lmad.t) (l2 : Lmad.t) :
     (Lmad.t * binding list) option =
   if Lmad.rank l1 <> Lmad.rank l2 then None
   else
     let off, bindings =
-      au_poly ~prefix bindings (Lmad.offset l1) (Lmad.offset l2)
+      au_poly ~fresh bindings (Lmad.offset l1) (Lmad.offset l2)
     in
     let dims, bindings =
       List.fold_left2
         (fun (acc, bindings) d1 d2 ->
-          let n, bindings = au_poly ~prefix bindings d1.Lmad.n d2.Lmad.n in
-          let s, bindings = au_poly ~prefix bindings d1.Lmad.s d2.Lmad.s in
+          let n, bindings = au_poly ~fresh bindings d1.Lmad.n d2.Lmad.n in
+          let s, bindings = au_poly ~fresh bindings d1.Lmad.s d2.Lmad.s in
           (Lmad.dim n s :: acc, bindings))
         ([], bindings) (Lmad.dims l1) (Lmad.dims l2)
     in
@@ -66,14 +60,14 @@ let au_lmad ~prefix bindings (l1 : Lmad.t) (l2 : Lmad.t) :
 (* Anti-unify two index functions.  Fails (None) when the chains have
    different lengths (the paper inserts copies to normalize in that
    case) or ranks disagree. *)
-let ixfns ?(prefix = "ext_") (t1 : Ixfn.t) (t2 : Ixfn.t) : result option =
+let ixfns ~fresh (t1 : Ixfn.t) (t2 : Ixfn.t) : result option =
   let c1 = Ixfn.chain t1 and c2 = Ixfn.chain t2 in
   if List.length c1 <> List.length c2 then None
   else
     let rec go bindings acc = function
       | [] -> Some (List.rev acc, bindings)
       | (l1, l2) :: rest -> (
-          match au_lmad ~prefix bindings l1 l2 with
+          match au_lmad ~fresh bindings l1 l2 with
           | Some (l, bindings) -> go bindings (l :: acc) rest
           | None -> None)
     in

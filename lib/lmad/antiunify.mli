@@ -21,8 +21,9 @@ type binding = {
 
 type result = { ixfn : Ixfn.t; bindings : binding list }
 
-val ixfns : ?prefix:string -> Ixfn.t -> Ixfn.t -> result option
+val ixfns :
+  fresh:(string -> string) -> Ixfn.t -> Ixfn.t -> result option
 (** The lgg of two index functions; [None] when their chains have
     different lengths or ranks disagree (the caller then normalizes
-    with copies, as the paper does).  Equal (left, right) disagreement
-    pairs share one existential. *)
+    with copies, as the paper does).  Each existential is named
+    [fresh "ext"]; equal (left, right) disagreement pairs share one. *)

@@ -286,9 +286,7 @@ let rec disjoint_sums ctx depth (i1 : sum_of_intervals)
 
 (* [disjoint ctx l1 l2] - sufficient test that the point sets of the two
    LMADs do not intersect, under the context's assumptions. *)
-let disjoint ?(depth = 3) ?(budget = 4.0) ctx (l1 : Lmad.t) (l2 : Lmad.t) :
-    bool =
-  Pr.with_deadline budget @@ fun () ->
+let disjoint ?(depth = 3) ctx (l1 : Lmad.t) (l2 : Lmad.t) : bool =
   let l1 = Lmad.map_polys (Pr.rewrite ctx) l1 in
   let l2 = Lmad.map_polys (Pr.rewrite ctx) l2 in
   if Lmad.is_empty_set ctx l1 || Lmad.is_empty_set ctx l2 then true

@@ -21,12 +21,13 @@ type interval = { lo : P.t; hi : P.t; stride : P.t }
 
 type sum_of_intervals = interval list
 
-val disjoint : ?depth:int -> ?budget:float -> Pr.t -> Lmad.t -> Lmad.t -> bool
+val disjoint : ?depth:int -> Pr.t -> Lmad.t -> Lmad.t -> bool
 (** [disjoint ctx l1 l2] - the sufficient non-overlap test.  [depth]
     bounds the Fig. 8 splitting recursion (default 3; 0 disables
-    splitting, leaving the plain per-set condition); [budget] is the
-    proof deadline in CPU seconds handed to {!Symalg.Prover} (timeouts
-    answer [false], conservatively). *)
+    splitting, leaving the plain per-set condition).  The search is
+    bounded by that depth and the prover's own depth, never by a
+    clock, so the verdict is a function of the query alone unless the
+    caller installs a {!Symalg.Prover.budget}. *)
 
 (**/**)
 

@@ -134,6 +134,12 @@ val pp : Format.formatter -> t -> unit
     residency beats an eviction policy for the bursty obligation
     streams the pipeline produces). *)
 
+val with_cold_memo : (unit -> 'a) -> 'a
+(** [with_cold_memo f] runs [f] against empty memo tables and then
+    puts the previous tables back: [f]'s prover work, as {!stats}
+    counts it, is what [f] needs on its own, not what earlier proofs
+    left for it to look up.  Statistics and budgets are untouched. *)
+
 type limits = { sat_cap : int; nonneg_cap : int }
 
 val default_limits : limits

@@ -86,18 +86,63 @@ let test_benchmarks_certify () =
    goals are refuted by a concrete witness instead of exhausting their
    elimination trees, so a certified compile decides at most 10,000
    goals afresh (53,454 memo misses, each a search, before refutation).
-   Fresh names make a repeated compile miss almost as often as a cold
-   one, so the bound holds in any test order. *)
+   Measured from a cold memo, so the bound holds in any test order.
+   Proof-local binders are named after their variable, so a repeated
+   compile asks only goals the first one decided. *)
 let test_lud_prover_work () =
-  let before = Pr.stats () in
-  ignore
-    (Core.Pipeline.compile ~certify:true ~fail_safe:true Benchsuite.Lud.prog);
-  let after = Pr.stats () in
-  let misses = after.Pr.nonneg_misses - before.Pr.nonneg_misses in
-  if misses > 10_000 then
-    Alcotest.failf "lud: %d prover memo misses, bound 10,000" misses;
-  Alcotest.(check bool) "lud: some goals refuted by a witness" true
-    (after.Pr.refuted > before.Pr.refuted)
+  let work () =
+    let before = Pr.stats () in
+    ignore
+      (Core.Pipeline.compile ~certify:true ~fail_safe:true Benchsuite.Lud.prog);
+    let after = Pr.stats () in
+    ( after.Pr.nonneg_misses - before.Pr.nonneg_misses,
+      after.Pr.refuted - before.Pr.refuted )
+  in
+  Pr.with_cold_memo (fun () ->
+      let misses, refuted = work () in
+      if misses > 10_000 then
+        Alcotest.failf "lud: %d prover memo misses, bound 10,000" misses;
+      Alcotest.(check bool) "lud: some goals refuted by a witness" true
+        (refuted >= 1);
+      Alcotest.(check int) "lud: a warm repeat decides nothing afresh" 0
+        (fst (work ())))
+
+(* A compile is a pure function of its program: the passes draw names
+   from a supply seeded by their own input, proof-local binders are
+   named after their variable, and no clock bounds a proof.  So neither
+   linting, nor certifying, nor what the process compiled before
+   changes a printed variant or a certificate. *)
+let test_compile_pure () =
+  let settings =
+    [ (false, false); (true, false); (false, true); (true, true) ]
+  in
+  List.iter
+    (fun (name, prog) ->
+      let variants = ref None and certs = ref None in
+      let same what first now =
+        match !first with
+        | None -> first := Some now
+        | Some f ->
+            if f <> now then
+              Alcotest.failf "%s: %s differ between compiles" name what
+      in
+      for _ = 1 to 2 do
+        List.iter
+          (fun (lint, certify) ->
+            let c =
+              Core.Pipeline.compile ~lint ~certify ~fail_safe:true prog
+            in
+            same "printed variants" variants
+              (List.map Pretty.prog_to_string
+                 Core.Pipeline.[ c.unopt; c.opt; c.reuse; c.pack ]);
+            if certify then
+              same "certificates" certs
+                (List.map
+                   (fun (_, r) -> Core.Json.to_string (C.json_of_report r))
+                   c.Core.Pipeline.certs))
+          settings
+      done)
+    (("nw-src", Benchsuite.Nw_source.prog ()) :: bench_progs)
 
 (* Without ~certify:true no certificates are collected - the recording
    must be strictly opt-in (zero cost on the normal path). *)
@@ -580,6 +625,8 @@ let tests =
     Alcotest.test_case "lud: prover work bounded by refutation" `Quick
       test_lud_prover_work;
     Alcotest.test_case "certification is opt-in" `Quick test_certify_opt_in;
+    Alcotest.test_case "compiles are pure functions of the program" `Quick
+      test_compile_pure;
     Alcotest.test_case "mutation: overlapping-live coalesce refuted" `Quick
       test_mutation_overlapping_coalesce;
     Alcotest.test_case "honest size claim proved" `Quick

@@ -462,23 +462,24 @@ let test_lastuse_annotations () =
 (* Memory introduction: anti-unified if                               *)
 (* ---------------------------------------------------------------- *)
 
+let mi_if_prog () =
+  B.prog "mi" ~ctx:ctx_n
+    ~params:[ pat_elem "n" i64; pat_elem "c" boolt ]
+    ~ret:[ arr F64 [ n; n ] ]
+    (fun b ->
+      let iv = Ir.Names.fresh "i" and jv = Ir.Names.fresh "j" in
+      let xs =
+        B.mapnest b "xs" [ (iv, n); (jv, n) ] (fun _bb -> [ Float 1.0 ])
+      in
+      let r =
+        B.if_ b "r" (Var "c")
+          (fun tb -> [ Var (B.bind tb "t" (ETranspose (xs, [ 1; 0 ]))) ])
+          (fun fb -> [ Var (B.bind fb "f" (EAtom (Var xs))) ])
+      in
+      [ Var (List.hd r) ])
+
 let test_memintro_if_existential () =
-  let prog =
-    B.prog "mi" ~ctx:ctx_n
-      ~params:[ pat_elem "n" i64; pat_elem "c" boolt ]
-      ~ret:[ arr F64 [ n; n ] ]
-      (fun b ->
-        let iv = Ir.Names.fresh "i" and jv = Ir.Names.fresh "j" in
-        let xs =
-          B.mapnest b "xs" [ (iv, n); (jv, n) ] (fun _bb -> [ Float 1.0 ])
-        in
-        let r =
-          B.if_ b "r" (Var "c")
-            (fun tb -> [ Var (B.bind tb "t" (ETranspose (xs, [ 1; 0 ]))) ])
-            (fun fb -> [ Var (B.bind fb "f" (EAtom (Var xs))) ])
-        in
-        [ Var (List.hd r) ])
-  in
+  let prog = mi_if_prog () in
   let m = Core.Memintro.introduce (Clone.clone_prog prog) in
   (* the if statement's pattern must follow the [mem, witness...,
      array] grouping: a TMem binder, i64 witnesses, then the array
@@ -522,6 +523,48 @@ let test_memintro_if_existential () =
     [ true; false ]
 
 (* ---------------------------------------------------------------- *)
+(* Names: pass supplies and proof-local binders                       *)
+(* ---------------------------------------------------------------- *)
+
+(* A pass draws names from a supply seeded by its input, so the names
+   it adds (here memory blocks and anti-unification existentials) do
+   not depend on what the process drew before. *)
+let test_pass_names_pure () =
+  let prog = mi_if_prog () in
+  let intro () =
+    Pretty.prog_to_string (Core.Memintro.introduce (Clone.clone_prog prog))
+  in
+  let first = intro () in
+  ignore (Names.fresh "unrelated");
+  Alcotest.(check string) "memintro prints the same program" first (intro ())
+
+(* A proof-local binder is named after the variable it stands for and
+   refused when the query already mentions that name. *)
+let test_binder_names () =
+  let module Refset = Lmads.Refset in
+  let i = P.var "i" in
+  let ctx = Pr.add_range ctx_n "i" ~lo:P.zero ~hi:(P.sub n P.one) () in
+  let w = Refset.of_lmad (Lmads.Lmad.make i [ Lmads.Lmad.dim n P.one ]) in
+  let name ctx sets = Core.Binder.name ~where:"test" "othr" "i" ctx sets in
+  Alcotest.(check string) "named after its variable" "othr#i" (name ctx [ w ]);
+  let refused what ctx sets =
+    match name ctx sets with
+    | b -> Alcotest.failf "%s: %s accepted" what b
+    | exception Core.Fault.Fault (Core.Fault.Internal { where = "test"; _ })
+      ->
+        ()
+  in
+  let other = P.var "othr#i" in
+  refused "bound in the context"
+    (Pr.add_range ctx "othr#i" ~lo:P.zero ())
+    [ w ];
+  refused "in another variable's bound"
+    (Pr.add_range ctx "j" ~hi:other ())
+    [ w ];
+  refused "free in a reference set" ctx
+    [ Refset.empty; Refset.subst "i" other w ]
+
+(* ---------------------------------------------------------------- *)
 (* Randomized: NW over random shapes stays correct & short-circuits  *)
 (* ---------------------------------------------------------------- *)
 
@@ -558,5 +601,8 @@ let tests =
     Alcotest.test_case "last-use annotations" `Quick test_lastuse_annotations;
     Alcotest.test_case "memintro if existentials" `Quick
       test_memintro_if_existential;
+    Alcotest.test_case "pass names depend on the input alone" `Quick
+      test_pass_names_pure;
+    Alcotest.test_case "proof-local binders" `Quick test_binder_names;
     QCheck_alcotest.to_alcotest prop_nw_random_sizes;
   ]

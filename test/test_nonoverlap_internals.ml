@@ -1,7 +1,7 @@
 (* White-box tests of the non-overlap machinery: the sum-of-intervals
    conversion, offset distribution (footnote 27), the per-set dimension
    condition, the splitting heuristic (Fig. 8), the residue rule, and
-   the prover's proof deadline. *)
+   the prover's budgets. *)
 
 module P = Symalg.Poly
 module Pr = Symalg.Prover
@@ -156,12 +156,13 @@ let test_split_depth_zero () =
     (Nonoverlap.disjoint ctx w rv)
 
 (* ---------------------------------------------------------------- *)
-(* Prover deadline                                                   *)
+(* Prover budgets                                                    *)
 (* ---------------------------------------------------------------- *)
 
-let test_deadline_soundness () =
-  (* under an absurdly small budget the test gives up (false), never
-     claims disjointness it cannot prove *)
+let test_budget_soundness () =
+  (* The Fig. 9 pair needs the prover.  No clock bounds the test by
+     default; only an explicit budget does, and a cut budget gives up
+     (false), never claiming disjointness it cannot prove. *)
   let ctx = nw_ctx () in
   let n = v "n" and b = v "b" and i = v "i" in
   let nb_b = P.sub (P.mul n b) b in
@@ -174,14 +175,20 @@ let test_deadline_soundness () =
     Lmad.make (P.mul i b)
       [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim (P.add b P.one) n ]
   in
-  (* cannot assert failure deterministically (fast machines might finish)
-     but the call must return a bool without raising *)
-  let r = Nonoverlap.disjoint ~budget:1e-9 ctx w rv in
-  Alcotest.(check bool) "returns a boolean" true (r = true || r = false);
-  (* and a nested budget does not clobber an outer one *)
-  Pr.with_deadline 10.0 (fun () ->
-      Alcotest.(check bool) "nested budget still proves" true
-        (Nonoverlap.disjoint ctx w rv))
+  let under budget f =
+    let saved = Pr.get_budget () in
+    Pr.set_budget budget;
+    Fun.protect ~finally:(fun () -> Pr.set_budget saved) f
+  in
+  under { Pr.unlimited with b_steps = 0 } (fun () ->
+      Alcotest.(check bool) "b_steps = 0: not proved" false
+        (Nonoverlap.disjoint ctx w rv));
+  under Pr.unlimited (fun () ->
+      Alcotest.(check bool) "unlimited: proved" true
+        (Nonoverlap.disjoint ctx w rv);
+      Pr.with_deadline 10.0 (fun () ->
+          Alcotest.(check bool) "nested deadline: proved" true
+            (Nonoverlap.disjoint ctx w rv)))
 
 let tests =
   [
@@ -195,5 +202,5 @@ let tests =
     Alcotest.test_case "splitting heuristic (Fig. 8)" `Quick
       test_split_overlapping;
     Alcotest.test_case "Fig. 9 needs splitting" `Quick test_split_depth_zero;
-    Alcotest.test_case "proof deadline" `Quick test_deadline_soundness;
+    Alcotest.test_case "proof deadline" `Quick test_budget_soundness;
   ]
