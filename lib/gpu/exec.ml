@@ -19,15 +19,32 @@
    counts for copies and slices are exact since they derive from
    shapes.  This is accurate for thread-uniform bodies and for bodies
    whose cost is linear in the thread index (wavefront/triangular
-   workloads), which covers the benchmark suite. *)
+   workloads), which covers the benchmark suite.
+
+   Variables live in one frame per run.  Before executing, [run] walks
+   the program once with a lexical scope and gives every binder
+   occurrence - parameters and their memory blocks, pattern elements,
+   loop parameters and counters, mapnest indices - its own slot of an
+   [aval array].  It rewrites every use to its slot: atoms, array and
+   block operands, last-use markers, and every variable of every index
+   polynomial, which is compiled to a slot-indexed sum of products.  The
+   same walk records once the facts a run would otherwise re-derive
+   at every execution: a mapnest's declared reads and destinations in
+   its launch scope, the blocks a lexical block's results live in, and
+   which loops carry an integer.  Scoping is lexical ([exec_block]
+   returns values, never bindings), so a slot is always written before
+   it is read.  A name no binder in scope defines resolves to an
+   unbound reference, which raises [Exec_error] only if the run
+   evaluates it.  Block ids are numbered per run, from 1, so a run is a
+   pure function of (program, arguments): running a program twice in
+   one process gives equal counters and byte-identical traces. *)
 
 open Ir.Ast
 module P = Symalg.Poly
 module Ixfn = Lmads.Ixfn
 module Lmad = Lmads.Lmad
-module Refset = Lmads.Refset
 module Trace = Core.Trace
-module SM = Map.Make (String)
+module Scope = Map.Make (String)
 module Value = Ir.Value
 
 exception Exec_error of string
@@ -78,11 +95,101 @@ type aval =
   | AMem of blockv
   | AArr of arrv
 
-type env = aval SM.t
+(* ---------------------------------------------------------------- *)
+(* Resolved programs                                                 *)
+(* ---------------------------------------------------------------- *)
+
+(* A variable reference resolved to its binder's frame slot.  A
+   negative reference stands for a name no binder in scope defines
+   (entry [-1 - r] of the run's unbound names). *)
+type slot = int
+
+(* An index polynomial over frame slots: a sum of monomials, each a
+   coefficient times one factor per unit of exponent. *)
+type cmono = { coeff : int; factors : slot array }
+type cpoly = cmono array
+type rlmad = { roff : cpoly; rdims : (cpoly * cpoly) list }
+type ratom = Slot of slot | Const of aval
+
+(* One dimension of a triplet slice: over polynomials when resolved,
+   over integers when concrete. *)
+type 'i sdim = DFix of 'i | DRange of 'i * 'i * 'i (* start, len, step *)
+
+type rslice = RTriplet of cpoly sdim list | RLmad of rlmad
+
+(* A pattern element: where the statement binds it, and its array type
+   and annotation, resolved where the statement starts (before it
+   binds). *)
+type rpat = {
+  rv : string; (* source name: labels, trace events, messages *)
+  rslot : slot;
+  rarr : (sct * cpoly list) option; (* element type and shape *)
+  rmem : (slot * rlmad list) option; (* block and index function *)
+}
+
+type rexp =
+  | RAtom of ratom
+  | RBin of binop * ratom * ratom
+  | RCmp of cmpop * ratom * ratom
+  | RUn of unop * ratom
+  | RIdx of cpoly
+  | RIndex of slot * cpoly list
+  | RView of slot (* slice, transpose, reshape, reverse *)
+  | RIota of cpoly
+  | RReplicate of ratom
+  | RScratch
+  | RCopy of slot
+  | RConcat of slot list
+  | RUpdate of slot * rslice * rsrc
+  | RMap of rmap
+  | RReduce of binop * ratom * slot
+  | RArgmin of slot
+  | RLoop of rloop
+  | RIf of ratom * rblock * rblock
+  | RAlloc of cpoly * bool (* size; binds a packing arena *)
+
+and rsrc = RSrcArr of slot | RSrcScalar of ratom
+
+and rmap = {
+  mdims : cpoly list;
+  mindices : slot list;
+  mbody : rblock;
+  mdests : (string * slot) list;
+      (* annotated destinations anywhere in the body whose block name
+         the launch scope binds, with that launch-scope slot *)
+  mreads : slot list;
+      (* launch-scope slots of the operands the body mentions, sorted
+         by source name *)
+}
+
+and rloop = {
+  lparams : slot list;
+  linits : ratom list;
+  lcounter : slot;
+  lbound : cpoly;
+  lbody : rblock;
+  scalar_carry : bool; (* some loop parameter is an i64 *)
+}
+
+and rstm = {
+  rpats : rpat list;
+  rexp : rexp;
+  dying : slot list; (* the statement's [last_uses] bound after it *)
+  kept : (slot option * slot option) list;
+      (* per result variable of the enclosing block, as seen right after
+         the statement: its own slot, and the slot of the block its
+         annotation names (empty when [dying] is) *)
+}
+
+and rblock = { rstms : rstm list; rres : ratom list }
 
 type state = {
   mode : mode;
   counters : Device.counters;
+  frame : aval array; (* one slot per binder occurrence *)
+  names : string array; (* source name of each slot *)
+  unbound : string array; (* names of the negative references *)
+  mutable last_bid : int; (* block ids are numbered per run, from 1 *)
   mutable pool : Device.Pool.t option;
       (* pooled allocator serving top-level [EAlloc]s; None = every
          allocation is a fresh device allocation (the --no-pool model).
@@ -177,44 +284,316 @@ let device_fault st (f : Core.Fault.t) =
   end
 
 (* ---------------------------------------------------------------- *)
-(* Environment and polynomial evaluation                             *)
+(* Resolution: binder occurrences to frame slots                     *)
 (* ---------------------------------------------------------------- *)
 
-let lookup env v =
-  match SM.find_opt v env with
-  | Some x -> x
-  | None -> err "exec: unbound %s" v
+type resolver = {
+  mutable nslots : int;
+  mutable slots : string list; (* source name of each slot, newest first *)
+  mutable nfree : int;
+  mutable free : string list; (* unbound names, newest first *)
+  mutable mentioned : string list option;
+      (* operand names met in the innermost enclosing mapnest body;
+         None outside every kernel *)
+}
 
-let lookup_arr env v =
-  match lookup env v with
+let bind r scope v =
+  let s = r.nslots in
+  r.nslots <- s + 1;
+  r.slots <- v :: r.slots;
+  (s, Scope.add v s scope)
+
+let bind_all r scope vs =
+  let slots, scope =
+    List.fold_left
+      (fun (acc, scope) v ->
+        let s, scope = bind r scope v in
+        (s :: acc, scope))
+      ([], scope) vs
+  in
+  (List.rev slots, scope)
+
+let use r scope v : slot =
+  match Scope.find_opt v scope with
+  | Some s -> s
+  | None ->
+      r.nfree <- r.nfree + 1;
+      r.free <- v :: r.free;
+      -r.nfree
+
+(* A value operand: also what a kernel's declared reads are made of. *)
+let operand r scope v =
+  Option.iter (fun l -> r.mentioned <- Some (v :: l)) r.mentioned;
+  use r scope v
+
+let atom r scope = function
+  | Var v -> Slot (operand r scope v)
+  | Int i -> Const (AInt i)
+  | Float f -> Const (AFloat f)
+  | Bool b -> Const (ABool b)
+
+let poly r scope (p : P.t) : cpoly =
+  Array.of_list
+    (List.map
+       (fun (m : P.mono) ->
+         {
+           coeff = m.coeff;
+           factors =
+             Array.of_list
+               (List.concat_map
+                  (fun (x, e) ->
+                    let s = use r scope x in
+                    List.init e (fun _ -> s))
+                  m.pows);
+         })
+       (P.monos p))
+
+let lmad r scope (l : Lmad.t) : rlmad =
+  {
+    roff = poly r scope (Lmad.offset l);
+    rdims =
+      List.map
+        (fun (d : Lmad.dim) -> (poly r scope d.n, poly r scope d.s))
+        (Lmad.dims l);
+  }
+
+let slice r scope = function
+  | STriplet sds ->
+      RTriplet
+        (List.map
+           (function
+             | SFix i -> DFix (poly r scope i)
+             | SRange { start; len; step } ->
+                 DRange
+                   (poly r scope start, poly r scope len, poly r scope step))
+           sds)
+  | SLmad l -> RLmad (lmad r scope l)
+
+(* A pattern element's array type and annotation, resolved in the
+   scope where its statement starts. *)
+let dest r scope (pe : pat_elem) =
+  ( (match pe.pt with
+    | TArr (elt, shape) -> Some (elt, List.map (poly r scope) shape)
+    | _ -> None),
+    Option.map
+      (fun (m : mem_info) ->
+        (use r scope m.block, List.map (lmad r scope) (Ixfn.chain m.ixfn)))
+      pe.pmem )
+
+(* Memory destinations annotated anywhere inside a kernel body whose
+   block name the launch scope binds (hoisted scratch): the kernel is
+   declared to write - and therefore also read - them.  The name is
+   looked up in the launch scope even where a body-local binder
+   shadows it. *)
+let rec body_dests scope (blk : block) acc =
+  List.fold_left
+    (fun acc (s : stm) ->
+      let acc =
+        List.fold_left
+          (fun acc (pe : pat_elem) ->
+            match pe.pmem with
+            | Some m -> (
+                match Scope.find_opt m.block scope with
+                | Some slot -> (pe.pv, slot) :: acc
+                | None -> acc)
+            | None -> acc)
+          acc s.pat
+      in
+      match s.exp with
+      | EMap { body; _ } | ELoop { body; _ } -> body_dests scope body acc
+      | EIf { tb; fb; _ } -> body_dests scope tb (body_dests scope fb acc)
+      | _ -> acc)
+    acc blk.stms
+
+let rec resolve_exp r scope (s : stm) : rexp =
+  let atom = atom r scope and operand = operand r scope in
+  let poly = poly r scope in
+  match s.exp with
+  | EAtom a -> RAtom (atom a)
+  | EBin (op, a, b) -> RBin (op, atom a, atom b)
+  | ECmp (op, a, b) -> RCmp (op, atom a, atom b)
+  | EUn (op, a) -> RUn (op, atom a)
+  | EIdx p -> RIdx (poly p)
+  | EIndex (v, idxs) -> RIndex (operand v, List.map poly idxs)
+  | ESlice (v, _) | ETranspose (v, _) | EReshape (v, _) | EReverse (v, _) ->
+      RView (operand v)
+  | EIota n -> RIota (poly n)
+  | EReplicate (_, a) -> RReplicate (atom a)
+  | EScratch _ -> RScratch
+  | ECopy v -> RCopy (operand v)
+  | EConcat vs -> RConcat (List.map operand vs)
+  | EUpdate { dst; slc; src } ->
+      let src =
+        match src with
+        | SrcArr v -> RSrcArr (operand v)
+        | SrcScalar a -> RSrcScalar (atom a)
+      in
+      RUpdate (operand dst, slice r scope slc, src)
+  | EMap { nest; body } ->
+      let mdims = List.map (fun (_, n) -> poly n) nest in
+      let mindices, inner = bind_all r scope (List.map fst nest) in
+      let outer = r.mentioned in
+      r.mentioned <- Some [];
+      let mbody = resolve_block r inner body in
+      let mentioned = Option.value r.mentioned ~default:[] in
+      r.mentioned <- Option.map (List.rev_append mentioned) outer;
+      RMap
+        {
+          mdims;
+          mindices;
+          mbody;
+          mdests = body_dests scope body [];
+          mreads =
+            List.filter_map
+              (fun v -> Scope.find_opt v scope)
+              (List.sort_uniq compare mentioned);
+        }
+  | EReduce { op; ne; arr } -> RReduce (op, atom ne, operand arr)
+  | EArgmin v -> RArgmin (operand v)
+  | ELoop { params; var; bound; body } ->
+      let linits = List.map (fun (_, init) -> atom init) params in
+      let lbound = poly bound in
+      let lparams, inner =
+        bind_all r scope (List.map (fun ((pe : pat_elem), _) -> pe.pv) params)
+      in
+      let lcounter, inner = bind r inner var in
+      RLoop
+        {
+          lparams;
+          linits;
+          lcounter;
+          lbound;
+          lbody = resolve_block r inner body;
+          scalar_carry =
+            List.exists
+              (fun ((pe : pat_elem), _) -> pe.pt = TScalar I64)
+              params;
+        }
+  | EIf { cond; tb; fb } ->
+      RIf (atom cond, resolve_block r scope tb, resolve_block r scope fb)
+  | EAlloc size ->
+      RAlloc
+        ( poly size,
+          match s.pat with [ pe ] -> Core.Pack.is_arena pe.pv | _ -> false )
+
+and resolve_block r scope (b : block) : rblock =
+  let res_vars = List.filter_map atom_var b.res in
+  (* Annotated block names of result variables this block binds.  A
+     result bound by a LATER statement has no value yet while earlier
+     statements execute, so its block is found through the annotation
+     name instead (the [EAlloc] precedes any use of the block) -
+     otherwise a last-use marker for a co-resident variable would date
+     the block's death before a later in-block write (the rotated-loop
+     pattern). *)
+  let res_blocks =
+    lazy
+      (List.fold_left
+         (fun m (s : stm) ->
+           List.fold_left
+             (fun m (pe : pat_elem) ->
+               match pe.pmem with
+               | Some mi when List.mem pe.pv res_vars ->
+                   Scope.add pe.pv mi.block m
+               | _ -> m)
+             m s.pat)
+         Scope.empty b.stms)
+  in
+  let scope, stms =
+    List.fold_left
+      (fun (scope, acc) (s : stm) ->
+        let rexp = resolve_exp r scope s in
+        let rpats, post =
+          List.fold_left
+            (fun (acc, post) (pe : pat_elem) ->
+              let rarr, rmem = dest r scope pe in
+              let rslot, post = bind r post pe.pv in
+              ({ rv = pe.pv; rslot; rarr; rmem } :: acc, post))
+            ([], scope) s.pat
+        in
+        let rpats = List.rev rpats and scope = post in
+        let dying =
+          List.filter_map (fun v -> Scope.find_opt v scope) s.last_uses
+        in
+        let kept =
+          if dying = [] then []
+          else
+            List.map
+              (fun v ->
+                ( Scope.find_opt v scope,
+                  Option.bind
+                    (Scope.find_opt v (Lazy.force res_blocks))
+                    (fun bname -> Scope.find_opt bname scope) ))
+              res_vars
+        in
+        (scope, { rpats; rexp; dying; kept } :: acc))
+      (scope, []) b.stms
+  in
+  { rstms = List.rev stms; rres = List.map (atom r scope) b.res }
+
+(* Resolve a whole program: its parameters (each array parameter's
+   memory block first, then the parameter), then its body. *)
+let resolve (p : prog) =
+  let r = { nslots = 0; slots = []; nfree = 0; free = []; mentioned = None } in
+  let scope, params =
+    List.fold_left
+      (fun (scope, acc) (pe : pat_elem) ->
+        let blk, scope =
+          match (pe.pt, pe.pmem) with
+          | TArr _, Some m ->
+              let s, scope = bind r scope m.block in
+              (Some s, scope)
+          | _ -> (None, scope)
+        in
+        let s, scope = bind r scope pe.pv in
+        (scope, (pe, s, blk) :: acc))
+      (Scope.empty, []) p.params
+  in
+  let body = resolve_block r scope p.body in
+  (List.rev params, body, r)
+
+(* ---------------------------------------------------------------- *)
+(* Frame access and polynomial evaluation                            *)
+(* ---------------------------------------------------------------- *)
+
+let var st (s : slot) =
+  if s >= 0 then st.frame.(s) else err "exec: unbound %s" st.unbound.(-1 - s)
+
+let arr_var st s =
+  match var st s with
   | AArr a -> a
-  | _ -> err "exec: %s is not an array" v
+  | _ -> err "exec: %s is not an array" st.names.(s)
 
-let lookup_block env v =
-  match lookup env v with
+let block_var st s =
+  match var st s with
   | AMem b -> b
-  | _ -> err "exec: %s is not a memory block" v
+  | _ -> err "exec: %s is not a memory block" st.names.(s)
 
-let eval_poly env (p : P.t) : int =
-  P.eval
-    (fun v ->
-      match lookup env v with
-      | AInt i -> i
-      | _ -> err "exec: %s is not an integer (in index expression)" v)
-    p
+let int_var st s =
+  match var st s with
+  | AInt i -> i
+  | _ -> err "exec: %s is not an integer (in index expression)" st.names.(s)
 
-let concretize env (ix : Ixfn.t) : cixfn =
-  List.map
-    (fun l ->
-      {
-        coff = eval_poly env (Lmad.offset l);
-        cdims =
-          List.map
-            (fun d -> (eval_poly env d.Lmad.n, eval_poly env d.Lmad.s))
-            (Lmad.dims l);
-      })
-    (Ixfn.chain ix)
+let eval st (p : cpoly) : int =
+  let acc = ref 0 in
+  for m = 0 to Array.length p - 1 do
+    let { coeff; factors } = p.(m) in
+    let v = ref coeff in
+    for f = 0 to Array.length factors - 1 do
+      v := !v * int_var st factors.(f)
+    done;
+    acc := !acc + !v
+  done;
+  !acc
 
+let eval_atom st = function Slot s -> var st s | Const v -> v
+
+let eval_lmad st (l : rlmad) : clmad =
+  {
+    coff = eval st l.roff;
+    cdims = List.map (fun (n, s) -> (eval st n, eval st s)) l.rdims;
+  }
+
+let concretize st (ix : rlmad list) : cixfn = List.map (eval_lmad st) ix
 
 (* Apply a concrete index function to a concrete index. *)
 let capply (ix : cixfn) (idxs : int list) : int =
@@ -246,128 +625,55 @@ let capply (ix : cixfn) (idxs : int list) : int =
 (* ---------------------------------------------------------------- *)
 
 (* The declared region of a static index function at launch time: its
-   memory-side LMAD concretized under the environment, via the Refset
-   machinery the static analyses reason with.  Annotations mentioning
+   memory-side LMAD concretized in the frame.  Annotations mentioning
    variables with no launch-time value (per-thread indices, inner loop
    counters) have no single enumerable region and degrade to None -
    "anywhere in the block", which is still bounded by the block size. *)
-let int_env env v =
-  match lookup env v with
-  | AInt i -> i
-  | _ -> err "exec: %s is not an integer (in footprint)" v
-
-let try_region env (ix : Ixfn.t) : clmad list option =
-  match List.rev (Ixfn.chain ix) with
+let try_region st (ix : rlmad list) : clmad list option =
+  match List.rev ix with
   | [] -> None
-  | mem :: _ -> (
-      try Refset.concretize (int_env env) (Refset.of_lmad mem)
-      with Exec_error _ -> None)
+  | mem :: _ -> ( try Some [ eval_lmad st mem ] with Exec_error _ -> None)
 
 (* An already-concrete array view's memory-side region. *)
 let region_of_cixfn (ix : cixfn) : clmad list option =
   match List.rev ix with [] -> None | mem :: _ -> Some [ mem ]
 
-(* Declared write footprints of a kernel statement: the memory
-   annotations of its array-typed bindings. *)
-let pat_footprints env (s : stm) : Trace.footprint list =
-  List.filter_map
-    (fun pe ->
-      match (pe.pt, pe.pmem) with
-      | TArr _, Some m -> (
-          match lookup env m.block with
-          | AMem b ->
-              Some
-                {
-                  Trace.fvar = pe.pv;
-                  fbid = b.bid;
-                  fregion = try_region env m.ixfn;
-                }
-          | _ -> None)
-      | _ -> None)
-    s.pat
-
-(* Every variable name occurring in a block (conservative: includes
-   locally bound names, which simply fail the environment lookup). *)
-let rec names_in_block (blk : block) acc =
-  let acc = List.fold_left (fun acc s -> names_in_stm s acc) acc blk.stms in
-  List.fold_left (fun acc a -> name_of_atom a acc) acc blk.res
-
-and name_of_atom a acc = match a with Var v -> v :: acc | _ -> acc
-
-and names_in_stm (s : stm) acc =
-  match s.exp with
-  | EAtom a | EUn (_, a) -> name_of_atom a acc
-  | EBin (_, a, b) | ECmp (_, a, b) -> name_of_atom a (name_of_atom b acc)
-  | EIdx _ | EIota _ | EScratch _ | EAlloc _ -> acc
-  | EIndex (v, _)
-  | ESlice (v, _)
-  | ETranspose (v, _)
-  | EReshape (v, _)
-  | EReverse (v, _)
-  | ECopy v
-  | EArgmin v ->
-      v :: acc
-  | EConcat vs -> vs @ acc
-  | EReplicate (_, a) -> name_of_atom a acc
-  | EUpdate { dst; src; _ } -> (
-      let acc = dst :: acc in
-      match src with
-      | SrcScalar a -> name_of_atom a acc
-      | SrcArr v -> v :: acc)
-  | EMap { body; _ } -> names_in_block body acc
-  | EReduce { ne; arr; _ } -> name_of_atom ne (arr :: acc)
-  | ELoop { params; body; _ } ->
-      let acc =
-        List.fold_left (fun acc (_, init) -> name_of_atom init acc) acc params
-      in
-      names_in_block body acc
-  | EIf { cond; tb; fb } ->
-      name_of_atom cond (names_in_block tb (names_in_block fb acc))
-
-(* Memory destinations annotated anywhere inside a kernel body whose
-   block already exists at launch (hoisted scratch): the kernel is
-   declared to write - and therefore also read - them. *)
-let rec body_dest_footprints env (blk : block) acc =
-  List.fold_left
-    (fun acc s ->
-      let acc =
-        List.fold_left
-          (fun acc pe ->
-            match pe.pmem with
-            | Some m -> (
-                match SM.find_opt m.block env with
-                | Some (AMem b) ->
-                    { Trace.fvar = pe.pv; fbid = b.bid; fregion = None } :: acc
-                | _ -> acc)
-            | None -> acc)
-          acc s.pat
-      in
-      match s.exp with
-      | EMap { body; _ } | ELoop { body; _ } -> body_dest_footprints env body acc
-      | EIf { tb; fb; _ } ->
-          body_dest_footprints env tb (body_dest_footprints env fb acc)
-      | _ -> acc)
-    acc blk.stms
-
-(* Declared read footprints of a kernel body: the full (concrete) view
-   of every outer array the body mentions by name. *)
-let read_footprints env (blk : block) : Trace.footprint list =
-  let names = List.sort_uniq compare (names_in_block blk []) in
-  List.filter_map
-    (fun v ->
-      match SM.find_opt v env with
-      | Some (AArr a) ->
-          Some
-            {
-              Trace.fvar = v;
-              fbid = a.block.bid;
-              fregion = region_of_cixfn a.ix;
-            }
-      | _ -> None)
-    names
-
 let arr_footprint v (a : arrv) : Trace.footprint =
   { Trace.fvar = v; fbid = a.block.bid; fregion = region_of_cixfn a.ix }
+
+(* Declared write footprints of a kernel statement: the memory
+   annotations of its array-typed bindings. *)
+let pat_footprints st (s : rstm) : Trace.footprint list =
+  List.filter_map
+    (fun p ->
+      match (p.rarr, p.rmem) with
+      | Some _, Some (blk, ix) -> (
+          match var st blk with
+          | AMem b ->
+              Some
+                { Trace.fvar = p.rv; fbid = b.bid; fregion = try_region st ix }
+          | _ -> None)
+      | _ -> None)
+    s.rpats
+
+(* Hoisted destinations inside a mapnest body, as declared writes. *)
+let dest_footprints st (m : rmap) : Trace.footprint list =
+  List.filter_map
+    (fun (v, slot) ->
+      match st.frame.(slot) with
+      | AMem b -> Some { Trace.fvar = v; fbid = b.bid; fregion = None }
+      | _ -> None)
+    m.mdests
+
+(* Declared read footprints of a mapnest body: the full (concrete) view
+   of every outer array the body mentions by name. *)
+let read_footprints st (m : rmap) : Trace.footprint list =
+  List.filter_map
+    (fun slot ->
+      match st.frame.(slot) with
+      | AArr a -> Some (arr_footprint st.names.(slot) a)
+      | _ -> None)
+    m.mreads
 
 (* Element-wise location equality (same block, same mapping): used to
    elide copies arranged by short-circuiting.  Cardinal-1 dimensions do
@@ -516,7 +822,7 @@ let copy_logical st elt shape (sb : blockv) (six : cixfn) (db : blockv)
 (* Concrete slicing of index functions                               *)
 (* ---------------------------------------------------------------- *)
 
-let cslice_triplet env (sds : slice_dim list) (ix : cixfn) : cixfn =
+let cslice_triplet (sds : int sdim list) (ix : cixfn) : cixfn =
   match ix with
   | [] -> err "exec: slicing empty ixfn"
   | l :: rest ->
@@ -528,12 +834,12 @@ let cslice_triplet env (sds : slice_dim list) (ix : cixfn) : cixfn =
           (List.map2
              (fun sd (_, s) ->
                match sd with
-               | SFix i ->
-                   off := !off + (eval_poly env i * s);
+               | DFix i ->
+                   off := !off + (i * s);
                    []
-               | SRange { start; len; step } ->
-                   off := !off + (eval_poly env start * s);
-                   [ (eval_poly env len, eval_poly env step * s) ])
+               | DRange (start, len, step) ->
+                   off := !off + (start * s);
+                   [ (len, step * s) ])
              sds l.cdims)
       in
       { coff = !off; cdims = dims } :: rest
@@ -554,7 +860,7 @@ let cflatten (l : clmad) : clmad option =
   | Some [] -> Some { coff = l.coff; cdims = [ (1, 1) ] }
   | _ -> None
 
-let cslice_lmad env (slc : Lmad.t) (ix : cixfn) : cixfn =
+let cslice_lmad (slc : clmad) (ix : cixfn) : cixfn =
   match ix with
   | [] -> err "exec: slicing empty ixfn"
   | l :: rest -> (
@@ -562,20 +868,22 @@ let cslice_lmad env (slc : Lmad.t) (ix : cixfn) : cixfn =
       | None -> err "exec: LMAD slice of non-flattenable layout"
       | Some flat ->
           let base_s = match flat.cdims with [ (_, s) ] -> s | _ -> 1 in
-          let coff = flat.coff + (eval_poly env (Lmad.offset slc) * base_s) in
-          let cdims =
-            List.map
-              (fun d ->
-                ( eval_poly env d.Lmad.n,
-                  eval_poly env d.Lmad.s * base_s ))
-              (Lmad.dims slc)
-          in
+          let coff = flat.coff + (slc.coff * base_s) in
+          let cdims = List.map (fun (n, s) -> (n, s * base_s)) slc.cdims in
           { coff; cdims } :: rest)
 
-let cslice env (slc : slice) (ix : cixfn) : cixfn =
+let cslice st (slc : rslice) (ix : cixfn) : cixfn =
   match slc with
-  | STriplet sds -> cslice_triplet env sds ix
-  | SLmad l -> cslice_lmad env l ix
+  | RTriplet sds ->
+      cslice_triplet
+        (List.map
+           (function
+             | DFix i -> DFix (eval st i)
+             | DRange (start, len, step) ->
+                 DRange (eval st start, eval st len, eval st step))
+           sds)
+        ix
+  | RLmad l -> cslice_lmad (eval_lmad st l) ix
 
 (* ---------------------------------------------------------------- *)
 (* Scalar operations (tolerant in cost-only mode)                    *)
@@ -631,80 +939,78 @@ let un st op a =
   | ToI64, AFloat x -> AInt (int_of_float x)
   | _ -> err "exec: ill-typed unop"
 
-let eval_atom env = function
-  | Var v -> lookup env v
-  | Int i -> AInt i
-  | Float f -> AFloat f
-  | Bool b -> ABool b
-
 (* ---------------------------------------------------------------- *)
 (* Memory info of a pattern element                                   *)
 (* ---------------------------------------------------------------- *)
 
-let mem_info_of pe =
-  match pe.pmem with
-  | Some m -> m
-  | None -> err "exec: %s has no memory annotation" pe.pv
-
-let bind_result env pe (v : aval) = SM.add pe.pv v env
-
 (* The destination (block, ixfn) a pattern element is annotated with.
    Binding a fresh occupant into a freed block (a scratch declaration
    ahead of the kernel that fills it) reclaims it from the pool. *)
-let dest_of st env pe =
-  let m = mem_info_of pe in
-  let b = lookup_block env m.block in
-  if b.freed then pool_revive st b;
-  (b, concretize env m.ixfn)
+let dest_of st (p : rpat) =
+  match p.rmem with
+  | None -> err "exec: %s has no memory annotation" p.rv
+  | Some (blk, ix) ->
+      let b = block_var st blk in
+      if b.freed then pool_revive st b;
+      (b, concretize st ix)
 
-let arr_of_pat st env pe =
-  match pe.pt with
-  | TArr (elt, shape) ->
-      let block, ix = dest_of st env pe in
-      AArr { elt; shape = List.map (eval_poly env) shape; block; ix }
-  | _ -> err "exec: %s is not an array pattern" pe.pv
+let arr_of_pat st (p : rpat) =
+  match p.rarr with
+  | Some (elt, shape) ->
+      let block, ix = dest_of st p in
+      AArr { elt; shape = List.map (eval st) shape; block; ix }
+  | None -> err "exec: %s is not an array pattern" p.rv
+
+(* The block a result of the enclosing lexical block lives in, as seen
+   right after a statement: the result's own array or block when bound,
+   else the block its annotation names. *)
+let result_bid st (v, blk) =
+  match Option.map (Array.get st.frame) v with
+  | Some (AArr a) -> Some a.block.bid
+  | Some (AMem b) -> Some b.bid
+  | _ -> (
+      match Option.map (Array.get st.frame) blk with
+      | Some (AMem b) -> Some b.bid
+      | _ -> None)
 
 (* ---------------------------------------------------------------- *)
 (* Expression execution                                              *)
 (* ---------------------------------------------------------------- *)
 
-let block_counter = ref 0
-
-let rec exec_exp st env (s : stm) : aval list =
-  let e = s.exp in
-  match e with
-  | EAtom a -> [ eval_atom env a ]
-  | EBin (op, a, b) -> [ bin st op (eval_atom env a) (eval_atom env b) ]
-  | ECmp (op, a, b) -> [ cmp st op (eval_atom env a) (eval_atom env b) ]
-  | EUn (op, a) -> [ un st op (eval_atom env a) ]
-  | EIdx p -> [ AInt (eval_poly env p) ]
-  | EIndex (v, idxs) ->
-      let a = lookup_arr env v in
-      let is = List.map (eval_poly env) idxs in
+let rec exec_exp st (s : rstm) : aval list =
+  match s.rexp with
+  | RAtom a -> [ eval_atom st a ]
+  | RBin (op, a, b) -> [ bin st op (eval_atom st a) (eval_atom st b) ]
+  | RCmp (op, a, b) -> [ cmp st op (eval_atom st a) (eval_atom st b) ]
+  | RUn (op, a) -> [ un st op (eval_atom st a) ]
+  | RIdx p -> [ AInt (eval st p) ]
+  | RIndex (v, idxs) ->
+      let a = arr_var st v in
+      let is = List.map (eval st) idxs in
       [ read_cell st a.block a.elt (capply a.ix is) ]
-  | ESlice (v, _) | ETranspose (v, _) | EReshape (v, _) | EReverse (v, _) ->
+  | RView v ->
       (* O(1): the result's annotation holds the transformed ixfn *)
-      let a = lookup_arr env v in
-      let pe = List.hd s.pat in
-      let _, ix = dest_of st env pe in
+      let a = arr_var st v in
+      let p = List.hd s.rpats in
+      let _, ix = dest_of st p in
       [
         AArr
           {
             elt = a.elt;
             shape =
-              (match pe.pt with
-              | TArr (_, shape) -> List.map (eval_poly env) shape
-              | _ -> err "exec: view with non-array pattern");
+              (match p.rarr with
+              | Some (_, shape) -> List.map (eval st) shape
+              | None -> err "exec: view with non-array pattern");
             block = a.block;
             ix;
           };
       ]
-  | EIota n ->
-      let pe = List.hd s.pat in
-      let out = arr_of_pat st env pe in
-      let n = eval_poly env n in
-      launch_kernel st ~label:pe.pv
-        ~declared:(fun () -> (pat_footprints env s, [], n))
+  | RIota n ->
+      let p = List.hd s.rpats in
+      let out = arr_of_pat st p in
+      let n = eval st n in
+      launch_kernel st ~label:p.rv
+        ~declared:(fun () -> (pat_footprints st s, [], n))
         (fun () ->
           match out with
           | AArr o ->
@@ -718,13 +1024,13 @@ let rec exec_exp st env (s : stm) : aval list =
                     st.counters.kernel_writes +. (float_of_int n *. elem_bytes));
               [ out ]
           | _ -> Core.Fault.internal ~where:"Exec.iota" "scalar destination")
-  | EReplicate (_, a) ->
-      let pe = List.hd s.pat in
-      let out = arr_of_pat st env pe in
-      let v = eval_atom env a in
-      launch_kernel st ~label:pe.pv
+  | RReplicate a ->
+      let p = List.hd s.rpats in
+      let out = arr_of_pat st p in
+      let v = eval_atom st a in
+      launch_kernel st ~label:p.rv
         ~declared:(fun () ->
-          ( pat_footprints env s,
+          ( pat_footprints st s,
             [],
             match out with AArr o -> count o.shape | _ -> 0 ))
         (fun () ->
@@ -742,62 +1048,58 @@ let rec exec_exp st env (s : stm) : aval list =
               [ out ]
           | _ ->
               Core.Fault.internal ~where:"Exec.replicate" "scalar destination")
-  | EScratch _ ->
+  | RScratch ->
       (* no writes: just bind the destination *)
-      [ arr_of_pat st env (List.hd s.pat) ]
-  | ECopy v ->
-      let a = lookup_arr env v in
-      let pe = List.hd s.pat in
-      let db, dix = dest_of st env pe in
+      [ arr_of_pat st (List.hd s.rpats) ]
+  | RCopy v ->
+      let a = arr_var st v in
+      let db, dix = dest_of st (List.hd s.rpats) in
       copy_logical st a.elt a.shape a.block a.ix db dix;
       [ AArr { a with block = db; ix = dix } ]
-  | EConcat vs ->
-      let pe = List.hd s.pat in
-      let out = arr_of_pat st env pe in
+  | RConcat vs ->
+      let out = arr_of_pat st (List.hd s.rpats) in
       (match out with
       | AArr o ->
           let row = ref 0 in
           List.iter
             (fun v ->
-              let a = lookup_arr env v in
+              let a = arr_var st v in
               let d0 = List.hd a.shape in
-              let slc =
-                SRange
-                  { start = P.const !row; len = P.const d0; step = P.one }
-                :: List.map
-                     (fun d -> SRange { start = P.zero; len = P.const d; step = P.one })
-                     (List.tl a.shape)
+              let dix =
+                cslice_triplet
+                  (DRange (!row, d0, 1)
+                  :: List.map (fun d -> DRange (0, d, 1)) (List.tl a.shape))
+                  o.ix
               in
-              let dix = cslice_triplet env slc o.ix in
               copy_logical st a.elt a.shape a.block a.ix o.block dix;
               row := !row + d0)
             vs
       | _ ->
           Core.Fault.internal ~where:"Exec.concat" "scalar destination");
       [ out ]
-  | EUpdate { dst; slc; src } -> (
-      let d = lookup_arr env dst in
-      let tix = cslice env slc d.ix in
+  | RUpdate (dst, slc, src) -> (
+      let d = arr_var st dst in
+      let tix = cslice st slc d.ix in
       match src with
-      | SrcScalar a ->
-          let v = eval_atom env a in
+      | RSrcScalar a ->
+          let v = eval_atom st a in
           write_cell st d.block d.elt (capply tix []) v;
           [ AArr d ]
-      | SrcArr sv ->
-          let sa = lookup_arr env sv in
+      | RSrcArr sv ->
+          let sa = arr_var st sv in
           copy_logical st sa.elt sa.shape sa.block sa.ix d.block tix;
           [ AArr d ])
-  | EMap { nest; body } -> exec_map st env s nest body
-  | EReduce { op; ne; arr } ->
-      let a = lookup_arr env arr in
+  | RMap m -> exec_map st s m
+  | RReduce (op, ne, arr) ->
+      let a = arr_var st arr in
       let n = count a.shape in
       launch_kernel st
-        ~label:(match s.pat with pe :: _ -> pe.pv | [] -> "reduce")
-        ~declared:(fun () -> ([], [ arr_footprint arr a ], n))
+        ~label:(match s.rpats with p :: _ -> p.rv | [] -> "reduce")
+        ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
         (fun () ->
           match st.mode with
           | Full ->
-              let acc = ref (eval_atom env ne) in
+              let acc = ref (eval_atom st ne) in
               for i = 0 to n - 1 do
                 acc := bin st op !acc (read_cell st a.block a.elt (capply a.ix [ i ]))
               done;
@@ -805,13 +1107,13 @@ let rec exec_exp st env (s : stm) : aval list =
           | Cost_only ->
               tally_reads st a.block (float_of_int n *. elem_bytes);
               st.counters.flops <- st.counters.flops +. float_of_int n;
-              [ eval_atom env ne ])
-  | EArgmin arr ->
-      let a = lookup_arr env arr in
+              [ eval_atom st ne ])
+  | RArgmin arr ->
+      let a = arr_var st arr in
       let n = count a.shape in
       launch_kernel st
-        ~label:(match s.pat with pe :: _ -> pe.pv | [] -> "argmin")
-        ~declared:(fun () -> ([], [ arr_footprint arr a ], n))
+        ~label:(match s.rpats with p :: _ -> p.rv | [] -> "argmin")
+        ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
         (fun () ->
           match st.mode with
           | Full ->
@@ -829,26 +1131,19 @@ let rec exec_exp st env (s : stm) : aval list =
               tally_reads st a.block (float_of_int n *. elem_bytes);
               st.counters.flops <- st.counters.flops +. float_of_int n;
               [ AFloat 0.5; AInt 0 ])
-  | ELoop { params; var; bound; body } ->
-      let n = eval_poly env bound in
+  | RLoop l ->
+      let n = eval st l.lbound in
       let run_iter vals i =
-        let env' =
-          List.fold_left2
-            (fun acc (pe, _) v -> SM.add pe.pv v acc)
-            env params vals
-        in
-        let env' = SM.add var (AInt i) env' in
-        exec_block st env' body
+        List.iter2 (fun slot v -> st.frame.(slot) <- v) l.lparams vals;
+        st.frame.(l.lcounter) <- AInt i;
+        exec_block st l.lbody
       in
-      let scalar_carry =
-        List.exists (fun (pe, _) -> pe.pt = TScalar I64) params
-      in
-      if st.mode = Cost_only && n >= 24 && not scalar_carry then begin
+      if st.mode = Cost_only && n >= 24 && not l.scalar_carry then begin
         (* Simpson-sampled loop: run iterations 0, n/2 and n-1 from the
            initial state and charge n * (d0 + 4*dmid + dlast)/6 - exact
            for per-iteration costs up to quadratic in the index (NW's
            wavefront, LUD's shrinking interior). *)
-        let init = List.map (fun (_, init) -> eval_atom env init) params in
+        let init = List.map (eval_atom st) l.linits in
         let base = Device.clone st.counters in
         (* The per-kernel read tallies are part of the sampled state:
            when the loop itself runs inside a kernel (NN's per-thread
@@ -956,7 +1251,7 @@ let rec exec_exp st env (s : stm) : aval list =
         vals
       end
       else begin
-        let vals = ref (List.map (fun (_, init) -> eval_atom env init) params) in
+        let vals = ref (List.map (eval_atom st) l.linits) in
         for i = 0 to n - 1 do
           let prev = !vals in
           vals := run_iter prev i;
@@ -974,31 +1269,33 @@ let rec exec_exp st env (s : stm) : aval list =
                 !vals
             in
             List.iter2
-              (fun (pe, _) v ->
+              (fun slot v ->
                 match v with
                 | AArr a when not (List.mem a.block.bid new_bids) ->
                     (match st.tracer with
-                    | Some tr -> Trace.last_use tr ~var:pe.pv ~bid:a.block.bid
+                    | Some tr ->
+                        Trace.last_use tr ~var:st.names.(slot)
+                          ~bid:a.block.bid
                     | None -> ());
                     pool_free st a.block
                 | _ -> ())
-              params prev
+              l.lparams prev
           end
         done;
         !vals
       end
-  | EIf { cond; tb; fb } -> (
-      match eval_atom env cond with
-      | ABool true -> exec_block st env tb
-      | ABool false -> exec_block st env fb
+  | RIf (cond, tb, fb) -> (
+      match eval_atom st cond with
+      | ABool true -> exec_block st tb
+      | ABool false -> exec_block st fb
       | _ -> err "exec: non-boolean condition")
-  | EAlloc size ->
-      incr block_counter;
-      let n = eval_poly env size in
+  | RAlloc (size, arena) ->
+      st.last_bid <- st.last_bid + 1;
+      let n = eval st size in
       let b =
         {
-          bid = !block_counter;
-          bname = Printf.sprintf "blk%d" !block_counter;
+          bid = st.last_bid;
+          bname = Printf.sprintf "blk%d" st.last_bid;
           bsize = n;
           payload = None;
           devbytes = 0.;
@@ -1012,11 +1309,10 @@ let rec exec_exp st env (s : stm) : aval list =
            device allocations - one pool transaction each - but counted
            separately so the bench surface can report suballocation *)
         let bytes = float_of_int n *. elem_bytes in
-        (match s.pat with
-        | [ pe ] when Core.Pack.is_arena pe.pv ->
-            st.counters.arena_allocs <- st.counters.arena_allocs + 1;
-            st.counters.arena_bytes <- st.counters.arena_bytes +. bytes
-        | _ -> ());
+        if arena then begin
+          st.counters.arena_allocs <- st.counters.arena_allocs + 1;
+          st.counters.arena_bytes <- st.counters.arena_bytes +. bytes
+        end;
         st.counters.alloc_bytes <- st.counters.alloc_bytes +. bytes;
         st.counters.live_bytes <- st.counters.live_bytes +. bytes;
         if st.counters.live_bytes > st.counters.peak_bytes then
@@ -1126,31 +1422,25 @@ and launch_kernel st ~label ~declared f =
 
 (* Mapnest execution: one kernel; full mode iterates every thread,
    cost-only samples the midpoint thread and scales. *)
-and exec_map st env (s : stm) nest body : aval list =
-  let dims = List.map (fun (_, n) -> eval_poly env n) nest in
+and exec_map st (s : rstm) (m : rmap) : aval list =
+  let dims = List.map (eval st) m.mdims in
   let points = count dims in
-  let outs = List.map (fun pe -> arr_of_pat st env pe) s.pat in
-  let run_thread env idx =
+  let outs = List.map (arr_of_pat st) s.rpats in
+  let run_thread idx =
     Hashtbl.reset st.thread_writes;
-    let env' =
-      List.fold_left2
-        (fun acc (v, _) i -> SM.add v (AInt i) acc)
-        env nest idx
-    in
-    let results = exec_block st env' body in
+    List.iter2 (fun slot i -> st.frame.(slot) <- AInt i) m.mindices idx;
+    let results = exec_block st m.mbody in
     (* implicit write of each per-thread result into its slot *)
     List.iter2
       (fun out r ->
         match (out, r) with
         | AArr o, AArr ra ->
-            let slc =
-              List.map (fun i -> SFix (P.const i)) idx
-              @ List.map
-                  (fun d ->
-                    SRange { start = P.zero; len = P.const d; step = P.one })
-                  ra.shape
+            let slot =
+              cslice_triplet
+                (List.map (fun i -> DFix i) idx
+                @ List.map (fun d -> DRange (0, d, 1)) ra.shape)
+                o.ix
             in
-            let slot = cslice_triplet env' slc o.ix in
             copy_logical st ra.elt ra.shape ra.block ra.ix o.block slot
         | AArr o, (AFloat _ | AInt _ | ABool _) ->
             write_cell st o.block o.elt (capply o.ix idx) r
@@ -1158,20 +1448,20 @@ and exec_map st env (s : stm) nest body : aval list =
       outs results
   in
   launch_kernel st
-    ~label:(match s.pat with pe :: _ -> pe.pv | [] -> "map")
+    ~label:(match s.rpats with p :: _ -> p.rv | [] -> "map")
     ~declared:(fun () ->
-      ( pat_footprints env s @ body_dest_footprints env body [],
-        read_footprints env body,
+      ( pat_footprints st s @ dest_footprints st m,
+        read_footprints st m,
         points ))
     (fun () ->
       (match st.mode with
-      | Full -> List.iter (fun idx -> run_thread env idx) (indices dims)
+      | Full -> List.iter run_thread (indices dims)
       | Cost_only ->
           if points > 0 then begin
             let mid = List.map (fun d -> d / 2) dims in
             let snap = snapshot st.counters in
             let ks0 = st.kernel_scratch in
-            run_thread env mid;
+            run_thread mid;
             scale_delta st.counters snap (float_of_int points);
             (* every thread holds its own scratch while the kernel is
                in flight *)
@@ -1228,98 +1518,64 @@ and scale_delta (c : Device.counters) snap factor =
         (Float.round (float_of_int (c.scratch_allocs - sa0) *. factor));
   c.scratch_bytes <- sb0 +. ((c.scratch_bytes -. sb0) *. factor)
 
-and exec_block st env (b : block) : aval list =
-  let res_vars =
-    List.filter_map (function Var v -> Some v | _ -> None) b.res
-  in
-  (* Annotated block names of result variables bound by this block's
-     own statements.  A result variable bound by a LATER statement is
-     not yet in [env] while earlier statements execute, so its block
-     id must be resolved through the annotation name (the [EAlloc]
-     precedes any use of the block) - otherwise a last-use marker for
-     a co-resident variable would date the block's death before a
-     later in-block write (the rotated-loop pattern). *)
-  let res_blocks =
-    List.fold_left
-      (fun m (s : Ir.Ast.stm) ->
-        List.fold_left
-          (fun m (pe : Ir.Ast.pat_elem) ->
-            match pe.pmem with
-            | Some mi when List.mem pe.pv res_vars -> SM.add pe.pv mi.block m
-            | _ -> m)
-          m s.pat)
-      SM.empty b.stms
-  in
-  let env =
-    List.fold_left
-      (fun env s ->
-        let vals = exec_exp st env s in
-        if List.length vals <> List.length s.pat then
-          err "exec: arity mismatch";
-        let env = List.fold_left2 bind_result env s.pat vals in
-        (* Liveness markers are only meaningful at top level: inside a
-           kernel the same body runs once per thread, and per-thread
-           "deaths" say nothing about the cross-kernel liveness the
-           short-circuiting pass consumed. *)
-        (if st.kernel_depth = 0 then
-           (* A block aliased by a value this lexical block returns
-              provably flows past every statement here (a rotated
-              loop re-reads the carried buffer next iteration; a
-              result block is read by the enclosing code), so a
-              last-use marker for a variable living in it would date
-              the block's death too early. *)
-           let res_bids =
-             List.filter_map
-               (fun v ->
-                 match SM.find_opt v env with
-                 | Some (AArr a) -> Some a.block.bid
-                 | Some (AMem blk) -> Some blk.bid
-                 | _ -> (
-                     (* not bound yet: a later statement in this
-                        block binds it - resolve the annotated block
-                        name instead *)
-                     match SM.find_opt v res_blocks with
-                     | Some bname -> (
-                         match SM.find_opt bname env with
-                         | Some (AMem blk) -> Some blk.bid
-                         | _ -> None)
-                     | None -> None))
-               res_vars
-           in
-           List.iter
-             (fun v ->
-               match SM.find_opt v env with
-               | Some (AArr a) when not (List.mem a.block.bid res_bids) ->
-                   (match st.tracer with
-                   | Some tr -> Trace.last_use tr ~var:v ~bid:a.block.bid
-                   | None -> ());
-                   pool_free st a.block
-               | _ -> ())
-             s.last_uses);
-        env)
-      env b.stms
-  in
-  List.map (eval_atom env) b.res
+and exec_block st (b : rblock) : aval list =
+  List.iter
+    (fun s ->
+      let vals = exec_exp st s in
+      if List.length vals <> List.length s.rpats then
+        err "exec: arity mismatch";
+      List.iter2 (fun p v -> st.frame.(p.rslot) <- v) s.rpats vals;
+      (* Liveness markers are only meaningful at top level: inside a
+         kernel the same body runs once per thread, and per-thread
+         "deaths" say nothing about the cross-kernel liveness the
+         short-circuiting pass consumed. *)
+      if st.kernel_depth = 0 && s.dying <> [] then begin
+        (* A block aliased by a value this lexical block returns
+           provably flows past every statement here (a rotated loop
+           re-reads the carried buffer next iteration; a result block
+           is read by the enclosing code), so a last-use marker for a
+           variable living in it would date the block's death too
+           early. *)
+        let res_bids = List.filter_map (result_bid st) s.kept in
+        List.iter
+          (fun v ->
+            match st.frame.(v) with
+            | AArr a when not (List.mem a.block.bid res_bids) ->
+                (match st.tracer with
+                | Some tr ->
+                    Trace.last_use tr ~var:st.names.(v) ~bid:a.block.bid
+                | None -> ());
+                pool_free st a.block
+            | _ -> ())
+          s.dying
+      end)
+    b.rstms;
+  List.map (eval_atom st) b.rres
 
 (* ---------------------------------------------------------------- *)
 (* Program entry                                                     *)
 (* ---------------------------------------------------------------- *)
 
-(* Wrap an input Value into (env additions): arrays get their own block
+(* Bind an input Value into the frame: arrays get their own block
    filled with the data (Full) or left virtual (Cost_only). *)
-let bind_param st env pe (v : Value.t) : env =
+let bind_param st ((pe : pat_elem), slot, blk_slot) (v : Value.t) =
   match (pe.pt, v) with
-  | TScalar _, Value.VInt i -> SM.add pe.pv (AInt i) env
-  | TScalar _, Value.VFloat f -> SM.add pe.pv (AFloat f) env
-  | TScalar _, Value.VBool b -> SM.add pe.pv (ABool b) env
+  | TScalar _, Value.VInt i -> st.frame.(slot) <- AInt i
+  | TScalar _, Value.VFloat f -> st.frame.(slot) <- AFloat f
+  | TScalar _, Value.VBool b -> st.frame.(slot) <- ABool b
   | TArr (elt, _), Value.VArr a ->
-      let m = mem_info_of pe in
-      incr block_counter;
+      let blk_slot =
+        match blk_slot with
+        | Some s -> s
+        | None -> err "exec: %s has no memory annotation" pe.pv
+      in
+      let bname = st.names.(blk_slot) in
+      st.last_bid <- st.last_bid + 1;
       let n = Value.count a.Value.shape in
       let blk =
         {
-          bid = !block_counter;
-          bname = m.block;
+          bid = st.last_bid;
+          bname;
           bsize = n;
           payload = None;
           devbytes = 0.;
@@ -1337,37 +1593,36 @@ let bind_param st env pe (v : Value.t) : env =
       | Cost_only -> ());
       (match st.tracer with
       | Some tr ->
-          Trace.alloc tr ~bid:blk.bid ~name:m.block ~elems:n ~in_kernel:false
+          Trace.alloc tr ~bid:blk.bid ~name:bname ~elems:n ~in_kernel:false
       | None -> ());
-      let env = SM.add m.block (AMem blk) env in
-      SM.add pe.pv
-        (AArr
-           {
-             elt;
-             shape = a.Value.shape;
-             block = blk;
-             ix =
-               [
-                 {
-                   coff = 0;
-                   cdims =
-                     (let rec strides = function
-                        | [] -> []
-                        | [ _ ] -> [ 1 ]
-                        | _ :: rest ->
-                            let ss = strides rest in
-                            (match (rest, ss) with
-                            | n :: _, s :: _ -> n * s
-                            | _ ->
-                                Core.Fault.internal ~where:"Exec.strides"
-                                  "stride list out of step with shape")
-                            :: ss
-                      in
-                      List.combine a.Value.shape (strides a.Value.shape));
-                 };
-               ];
-           })
-        env
+      st.frame.(blk_slot) <- AMem blk;
+      st.frame.(slot) <-
+        AArr
+          {
+            elt;
+            shape = a.Value.shape;
+            block = blk;
+            ix =
+              [
+                {
+                  coff = 0;
+                  cdims =
+                    (let rec strides = function
+                       | [] -> []
+                       | [ _ ] -> [ 1 ]
+                       | _ :: rest ->
+                           let ss = strides rest in
+                           (match (rest, ss) with
+                           | n :: _, s :: _ -> n * s
+                           | _ ->
+                               Core.Fault.internal ~where:"Exec.strides"
+                                 "stride list out of step with shape")
+                           :: ss
+                     in
+                     List.combine a.Value.shape (strides a.Value.shape));
+                };
+              ];
+          }
   | _ -> err "exec: bad argument for %s" pe.pv
 
 (* Read an array value back out of device memory. *)
@@ -1415,10 +1670,17 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
         (Trace.create ~program:p.name ~variant ~exact:(mode = Full) ())
     else None
   in
+  if List.length args <> List.length p.params then
+    err "exec: %s expects %d arguments" p.name (List.length p.params);
+  let params, body, r = resolve p in
   let st =
     {
       mode;
       counters = Device.fresh_counters ();
+      frame = Array.make r.nslots (AInt 0);
+      names = Array.of_list (List.rev r.slots);
+      unbound = Array.of_list (List.rev r.free);
+      last_bid = 0;
       tracer;
       mutation;
       pool =
@@ -1436,12 +1698,7 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
       kernel_reads_tally = Hashtbl.create 64;
     }
   in
-  if List.length args <> List.length p.params then
-    err "exec: %s expects %d arguments" p.name (List.length p.params);
-  let env =
-    List.fold_left2 (fun env pe v -> bind_param st env pe v) SM.empty p.params
-      args
-  in
+  List.iter2 (bind_param st) params args;
   (* Teardown: without a pool, every device allocation is eventually
      matched by a synchronizing [cudaFree] - blocks that died mid-run
      were already counted by [pool_free]; top up with the frees of the
@@ -1471,9 +1728,7 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
               st.counters.frees <- st.counters.allocs
     end
   in
-  let res =
-    Fun.protect ~finally:teardown (fun () -> exec_block st env p.body)
-  in
+  let res = Fun.protect ~finally:teardown (fun () -> exec_block st body) in
   (* reading back results is not part of the measured cost (or trace) *)
   let saved = st.counters.kernel_reads in
   Option.iter Trace.mute st.tracer;

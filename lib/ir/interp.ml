@@ -162,9 +162,10 @@ let check_disjoint_offsets name offsets =
 (* Expressions                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let mem_counter = ref 0
-
-let rec eval_exp env (e : exp) : Value.t list =
+(* [mems] counts the memory blocks this run has allocated: block ids are
+   numbered per run, so a run depends on its program and arguments
+   alone. *)
+let rec eval_exp mems env (e : exp) : Value.t list =
   match e with
   | EAtom a -> [ eval_atom env a ]
   | EBin (op, a, b) -> [ eval_bin op (eval_atom env a) (eval_atom env b) ]
@@ -286,7 +287,7 @@ let rec eval_exp env (e : exp) : Value.t list =
                 (fun acc (v, _) i -> SM.add v (Value.VInt i) acc)
                 env nest point
             in
-            eval_block env' body)
+            eval_block mems env' body)
           points
       in
       (* Assemble one output array per body result. *)
@@ -355,21 +356,21 @@ let rec eval_exp env (e : exp) : Value.t list =
               env params vals
           in
           let env' = SM.add var (Value.VInt i) env' in
-          go (i + 1) (eval_block env' body)
+          go (i + 1) (eval_block mems env' body)
       in
       go 0 init
   | EIf { cond; tb; fb } ->
-      if Value.to_bool (eval_atom env cond) then eval_block env tb
-      else eval_block env fb
+      if Value.to_bool (eval_atom env cond) then eval_block mems env tb
+      else eval_block mems env fb
   | EAlloc _ ->
-      incr mem_counter;
-      [ Value.VMem !mem_counter ]
+      incr mems;
+      [ Value.VMem !mems ]
 
-and eval_block env (b : block) : Value.t list =
+and eval_block mems env (b : block) : Value.t list =
   let env =
     List.fold_left
       (fun env s ->
-        let vals = eval_exp env s.exp in
+        let vals = eval_exp mems env s.exp in
         if List.length vals <> List.length s.pat then
           err "interp: arity mismatch in %s" (Pretty.exp_to_string s.exp);
         List.fold_left2 (fun env pe v -> SM.add pe.pv v env) env s.pat vals)
@@ -386,4 +387,4 @@ let run (p : prog) (args : Value.t list) : Value.t list =
       (fun env pe v -> SM.add pe.pv v env)
       SM.empty p.params args
   in
-  eval_block env p.body
+  eval_block (ref 0) env p.body

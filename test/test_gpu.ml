@@ -205,6 +205,253 @@ let test_simpson_loop_sampling () =
   close "kernel writes" cc.Device.kernel_writes fc.Device.kernel_writes;
   close "flops" cc.Device.flops fc.Device.flops
 
+(* ---------------------------------------------------------------- *)
+(* Frame resolution: scoping and purity                              *)
+(* ---------------------------------------------------------------- *)
+
+(* The programs below bind exact names, so they can shadow on purpose
+   and their traces name the same variables whatever ran before. *)
+let bx b v e = ignore (B.bind_exact b v e)
+
+let map_ b v nest f =
+  let binds = List.map (fun (i, _) -> (i, i64)) nest in
+  bx b v (EMap { nest; body = B.subblock b ~binds f })
+
+let loop_ b v (p, t, init) ~var ~bound f =
+  bx b v
+    (ELoop
+       {
+         params = [ (pat_elem p t, init) ];
+         var;
+         bound;
+         body = B.subblock b ~binds:[ (p, t); (var, i64) ] f;
+       })
+
+let arr_params names =
+  pat_elem "n" i64 :: List.map (fun v -> pat_elem v (arr F64 [ n ])) names
+
+let nested_loops =
+  B.prog "nested_loops" ~ctx:ctx_n ~params:(arr_params [ "a" ])
+    ~ret:[ arr F64 [ n ] ]
+    (fun b ->
+      loop_ b "res" ("acc", arr F64 [ n ], Var "a") ~var:"i" ~bound:(c 4)
+        (fun bo ->
+          loop_ bo "s" ("t", f64, Float 0.) ~var:"i" ~bound:(c 3) (fun bi ->
+              bx bi "fi" (EUn (ToF64, Var "i"));
+              bx bi "t2" (EBin (Add, Var "t", Var "fi"));
+              [ Var "t2" ]);
+          bx bo "fo" (EUn (ToF64, Var "i"));
+          bx bo "fo10" (EBin (Mul, Var "fo", Float 10.));
+          bx bo "u" (EBin (Add, Var "s", Var "fo10"));
+          map_ bo "acc2" [ ("j", n) ] (fun bm ->
+              bx bm "x" (EIndex ("acc", [ P.var "j" ]));
+              bx bm "y" (EBin (Add, Var "x", Var "u"));
+              [ Var "y" ]);
+          [ Var "acc2" ]);
+      [ Var "res" ])
+
+let shadowed_scalar =
+  B.prog "shadowed_scalar" ~ctx:ctx_n ~params:(arr_params [ "a" ])
+    ~ret:[ arr F64 [ n ] ]
+    (fun b ->
+      bx b "x" (EAtom (Float 2.));
+      map_ b "r" [ ("i", n) ] (fun bm ->
+          bx bm "v" (EIndex ("a", [ P.var "i" ]));
+          bx bm "y" (EBin (Mul, Var "v", Var "x"));
+          bx bm "x" (EBin (Add, Var "y", Float 1.));
+          bx bm "z" (EBin (Mul, Var "x", Var "x"));
+          [ Var "z" ]);
+      map_ b "w" [ ("k", n) ] (fun bm ->
+          bx bm "rv" (EIndex ("r", [ P.var "k" ]));
+          bx bm "q" (EBin (Add, Var "rv", Var "x"));
+          [ Var "q" ]);
+      [ Var "w" ])
+
+let shadowed_array =
+  B.prog "shadowed_array" ~ctx:ctx_n ~params:(arr_params [ "a"; "b" ])
+    ~ret:[ arr F64 [ n ] ]
+    (fun b ->
+      map_ b "r" [ ("i", n) ] (fun bm ->
+          bx bm "p" (EIndex ("a", [ P.var "i" ]));
+          bx bm "a" (EBin (Add, Var "p", Float 1.));
+          bx bm "q" (EIndex ("b", [ P.var "i" ]));
+          bx bm "s" (EBin (Mul, Var "a", Var "q"));
+          [ Var "s" ]);
+      [ Var "r" ])
+
+let reads_by_name =
+  B.prog "reads_by_name" ~ctx:ctx_n ~params:(arr_params [ "a" ])
+    ~ret:[ arr F64 [ n ] ]
+    (fun b ->
+      map_ b "zz" [ ("i", n) ] (fun bm ->
+          bx bm "x" (EIndex ("a", [ P.var "i" ]));
+          bx bm "y" (EBin (Mul, Var "x", Float 2.));
+          [ Var "y" ]);
+      map_ b "aa" [ ("i", n) ] (fun bm ->
+          bx bm "x" (EIndex ("a", [ P.var "i" ]));
+          bx bm "y" (EBin (Add, Var "x", Float 1.));
+          [ Var "y" ]);
+      map_ b "r" [ ("i", n) ] (fun bm ->
+          bx bm "x" (EIndex ("zz", [ P.var "i" ]));
+          bx bm "y" (EIndex ("aa", [ P.var "i" ]));
+          bx bm "s" (EBin (Sub, Var "x", Var "y"));
+          [ Var "s" ]);
+      [ Var "r" ])
+
+(* A trace's kernel footprints and last-use markers, one line each. *)
+let footprint_summary (t : Core.Trace.t) =
+  let fps l =
+    String.concat ", " (List.map (Fmt.str "%a" Core.Trace.pp_footprint) l)
+  in
+  List.filter_map
+    (function
+      | Core.Trace.Kernel k ->
+          Some
+            (Fmt.str "%s: writes %s; reads %s" k.klabel (fps k.declared_writes)
+               (fps k.declared_reads))
+      | Core.Trace.Last_use { var; bid } ->
+          Some (Fmt.str "last-use %s@blk%d" var bid)
+      | _ -> None)
+    (Core.Trace.events t)
+
+(* Each variant of each program computes the interpreter's results, and
+   its declared footprints and last-use markers are the ones the
+   name-keyed environment produced: shadowed binders resolve to the
+   innermost binding, a kernel's declared reads look names up where it
+   launches (even a name its body rebinds) and stay sorted by name. *)
+let test_scoping () =
+  let args1 = [ Value.VInt 3; farr [| 1.; 2.; 3. |] ] in
+  let args2 = args1 @ [ farr [| 4.; 5.; 6. |] ] in
+  List.iter
+    (fun (name, prog, args, expected) ->
+      let cpl = Core.Pipeline.compile prog in
+      let want = Interp.run prog args in
+      List.iter
+        (fun (variant, p) ->
+          let r = Exec.run ~trace:true ~variant p args in
+          let what = name ^ " " ^ variant in
+          Alcotest.(check bool)
+            (what ^ ": results = interpreter") true
+            (List.for_all2 Value.approx_equal want r.Exec.results);
+          Alcotest.(check (list string))
+            (what ^ ": footprints and last uses")
+            (snd (List.find (fun (vs, _) -> List.mem variant vs) expected))
+            (footprint_summary (Option.get r.Exec.trace)))
+        Core.Pipeline.
+          [
+            ("unopt", cpl.unopt);
+            ("opt", cpl.opt);
+            ("reuse", cpl.reuse);
+            ("pack", cpl.pack);
+          ])
+    [
+      ( "nested loops sharing i",
+        nested_loops,
+        args1,
+        [
+          ( [ "unopt"; "opt" ],
+            [
+              "acc2: writes acc2@blk2:0 + {3:1}; reads acc@blk1:0 + {3:1}";
+              "last-use acc@blk1";
+              "acc2: writes acc2@blk3:0 + {3:1}; reads acc@blk2:0 + {3:1}";
+              "last-use acc@blk2";
+              "acc2: writes acc2@blk4:0 + {3:1}; reads acc@blk3:0 + {3:1}";
+              "last-use acc@blk3";
+              "acc2: writes acc2@blk5:0 + {3:1}; reads acc@blk4:0 + {3:1}";
+              "last-use acc@blk4";
+            ] );
+          ( [ "reuse"; "pack" ],
+            [
+              "acc2: writes acc2@blk2:0 + {3:1}; reads acc@blk1:0 + {3:1}";
+              "acc2: writes acc2@blk1:0 + {3:1}; reads acc@blk2:0 + {3:1}";
+              "acc2: writes acc2@blk2:0 + {3:1}; reads acc@blk1:0 + {3:1}";
+              "acc2: writes acc2@blk1:0 + {3:1}; reads acc@blk2:0 + {3:1}";
+            ] );
+        ] );
+      ( "inner let shadowing a scalar",
+        shadowed_scalar,
+        args1,
+        [
+          ( [ "unopt"; "opt"; "reuse" ],
+            [
+              "r: writes r@blk2:0 + {3:1}; reads a@blk1:0 + {3:1}";
+              "last-use a@blk1";
+              "w: writes w@blk3:0 + {3:1}; reads r@blk2:0 + {3:1}";
+              "last-use r@blk2";
+            ] );
+          ( [ "pack" ],
+            [
+              "r: writes r@blk2:0 + {3:1}; reads a@blk1:0 + {3:1}";
+              "last-use a@blk1";
+              "w: writes w@blk2:3 + {3:1}; reads r@blk2:0 + {3:1}";
+            ] );
+        ] );
+      ( "kernel rebinding an array it reads",
+        shadowed_array,
+        args2,
+        [
+          ( [ "unopt"; "opt"; "reuse"; "pack" ],
+            [
+              "r: writes r@blk3:0 + {3:1}; reads a@blk1:0 + {3:1}, b@blk2:0 \
+               + {3:1}";
+              "last-use b@blk2";
+            ] );
+        ] );
+      ( "declared reads sorted by name",
+        reads_by_name,
+        args1,
+        [
+          ( [ "unopt"; "opt"; "reuse" ],
+            [
+              "zz: writes zz@blk2:0 + {3:1}; reads a@blk1:0 + {3:1}";
+              "aa: writes aa@blk3:0 + {3:1}; reads a@blk1:0 + {3:1}";
+              "last-use a@blk1";
+              "r: writes r@blk4:0 + {3:1}; reads aa@blk3:0 + {3:1}, zz@blk2:0 \
+               + {3:1}";
+              "last-use aa@blk3";
+              "last-use zz@blk2";
+            ] );
+          ( [ "pack" ],
+            [
+              "zz: writes zz@blk2:0 + {3:1}; reads a@blk1:0 + {3:1}";
+              "aa: writes aa@blk2:3 + {3:1}; reads a@blk1:0 + {3:1}";
+              "last-use a@blk1";
+              "r: writes r@blk2:6 + {3:1}; reads aa@blk2:3 + {3:1}, zz@blk2:0 \
+               + {3:1}";
+            ] );
+        ] );
+    ]
+
+(* Block ids are numbered per run: running one program twice in one
+   process gives byte-identical traces. *)
+let test_runs_pure () =
+  List.iter
+    (fun (name, prog, args) ->
+      let pack = (Core.Pipeline.compile prog).Core.Pipeline.pack in
+      let trace () =
+        let r = Exec.run ~trace:true ~variant:"pack" pack args in
+        Core.Json.to_string (Core.Trace.to_json (Option.get r.Exec.trace))
+      in
+      let first = trace () in
+      Alcotest.(check string) (name ^ ": second run's trace") first (trace ()))
+    [
+      ("nw", Benchsuite.Nw.prog, Benchsuite.Nw.small_args ~q:3 ~b:4);
+      ("lud", Benchsuite.Lud.prog, Benchsuite.Lud.small_args ~q:3 ~b:4);
+      ( "hotspot",
+        Benchsuite.Hotspot.prog,
+        Benchsuite.Hotspot.small_args ~n:16 ~steps:3 );
+      ("lbm", Benchsuite.Lbm.prog, Benchsuite.Lbm.small_args ~n:8 ~steps:3);
+      ( "optionpricing",
+        Benchsuite.Option_pricing.prog,
+        Benchsuite.Option_pricing.small_args ~npaths:64 ~nsteps:16 );
+      ( "locvolcalib",
+        Benchsuite.Locvolcalib.prog,
+        Benchsuite.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4 );
+      ( "nn",
+        Benchsuite.Nn.prog,
+        Benchsuite.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8 );
+    ]
+
 let tests =
   [
     Alcotest.test_case "multi-LMAD execution" `Quick test_multi_lmad_execution;
@@ -218,4 +465,8 @@ let tests =
     Alcotest.test_case "time model monotone" `Quick test_time_model_monotone;
     Alcotest.test_case "elision requires same location" `Quick
       test_elision_requires_same_location;
+    Alcotest.test_case "resolver scoping matches the named environment"
+      `Quick test_scoping;
+    Alcotest.test_case "executor runs are pure functions of (program, args)"
+      `Quick test_runs_pure;
   ]
