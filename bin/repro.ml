@@ -395,65 +395,72 @@ let print_summaries outcomes =
     \ non-overlap proofs - NW took 17s with the external SMT solver,\n\
     \ which our built-in algebraic prover replaces)\n\n"
 
+(* The text report of one table run: the table, pass statistics,
+   footprints, contained faults and the reduced-size traffic check. *)
+let print_outcome options (o : Benchsuite.Runner.outcome) =
+  print_string (Benchsuite.Table.to_string o.Benchsuite.Runner.table);
+  let st = o.Benchsuite.Runner.compiled.Core.Pipeline.stats in
+  let rst = o.Benchsuite.Runner.compiled.Core.Pipeline.reuse_stats in
+  let pst = o.Benchsuite.Runner.compiled.Core.Pipeline.pack_stats in
+  if options.Core.Shortcircuit.verbose then begin
+    Fmt.pr "%a@.@." Core.Shortcircuit.pp_stats st;
+    Fmt.pr "%a@.@." Core.Reuse.pp_stats rst;
+    Fmt.pr "%a@.@." Core.Pack.pp_stats pst;
+    Fmt.pr "%a@.@." Symalg.Prover.pp_stats (Symalg.Prover.stats ())
+  end
+  else begin
+    Printf.printf "  short-circuiting: %d/%d candidates, %d vars rebased\n"
+      st.Core.Shortcircuit.succeeded st.Core.Shortcircuit.candidates
+      st.Core.Shortcircuit.rebased_vars;
+    Printf.printf
+      "  memory reuse: %d chain links, %d rotated, %d hoisted, %d/%d \
+       coalesced (%d more allocs dropped)\n"
+      rst.Core.Reuse.chain_links rst.Core.Reuse.rotated
+      rst.Core.Reuse.hoisted rst.Core.Reuse.coalesced
+      rst.Core.Reuse.candidates
+      o.Benchsuite.Runner.compiled.Core.Pipeline.reuse_dead_allocs;
+    Printf.printf
+      "  packing: %d arenas, %d placed (%d promoted), %d unpacked, %d \
+       holes, %d offset proofs (%d member allocs absorbed)\n"
+      pst.Core.Pack.arenas pst.Core.Pack.packed pst.Core.Pack.promoted
+      pst.Core.Pack.unpacked pst.Core.Pack.holes
+      pst.Core.Pack.offset_proofs
+      o.Benchsuite.Runner.compiled.Core.Pipeline.pack_dead_allocs
+  end;
+  pp_footprints ~verbose:options.Core.Shortcircuit.verbose o;
+  List.iter
+    (fun (r : Core.Pipeline.recovery) ->
+      Printf.printf "  RECOVERED fault in %s: %s -> fell back to %s\n"
+        r.Core.Pipeline.r_pass
+        (Core.Fault.to_string r.Core.Pipeline.r_fault)
+        r.Core.Pipeline.r_fallback)
+    o.Benchsuite.Runner.compiled.Core.Pipeline.recovery;
+  (match o.Benchsuite.Runner.traffic with
+  | None -> ()
+  | Some t ->
+      let mb x = x /. 1e6 in
+      let dev m m' = if m' = 0. then 0. else 100. *. (m -. m') /. m' in
+      Printf.printf
+        "  traffic @ reduced size: kernels %.3f MB measured vs %.3f MB \
+         modeled (%+.1f%%), copies %.3f vs %.3f MB | memtrace %s\n"
+        (mb t.Benchsuite.Runner.measured_rw)
+        (mb t.Benchsuite.Runner.modeled_rw)
+        (dev t.Benchsuite.Runner.modeled_rw t.Benchsuite.Runner.measured_rw)
+        (mb t.Benchsuite.Runner.measured_copy)
+        (mb t.Benchsuite.Runner.modeled_copy)
+        (if Core.Memtrace.ok t.Benchsuite.Runner.check then "clean"
+         else "VIOLATIONS"));
+  print_newline ()
+
 let run_table which options reuse pack pool pool_cap fail_safe budget
-    bench_json out =
+    bench_json markdown out =
   Symalg.Prover.set_budget budget;
   Symalg.Prover.reset_stats ();
   let run b =
     let o = b.table ~options ~reuse ~pack ~pool ?pool_cap ~fail_safe () in
-    print_string (Benchsuite.Table.to_string o.Benchsuite.Runner.table);
-    let st = o.Benchsuite.Runner.compiled.Core.Pipeline.stats in
-    let rst = o.Benchsuite.Runner.compiled.Core.Pipeline.reuse_stats in
-    let pst = o.Benchsuite.Runner.compiled.Core.Pipeline.pack_stats in
-    if options.Core.Shortcircuit.verbose then begin
-      Fmt.pr "%a@.@." Core.Shortcircuit.pp_stats st;
-      Fmt.pr "%a@.@." Core.Reuse.pp_stats rst;
-      Fmt.pr "%a@.@." Core.Pack.pp_stats pst;
-      Fmt.pr "%a@.@." Symalg.Prover.pp_stats (Symalg.Prover.stats ())
-    end
-    else begin
-      Printf.printf "  short-circuiting: %d/%d candidates, %d vars rebased\n"
-        st.Core.Shortcircuit.succeeded st.Core.Shortcircuit.candidates
-        st.Core.Shortcircuit.rebased_vars;
-      Printf.printf
-        "  memory reuse: %d chain links, %d rotated, %d hoisted, %d/%d \
-         coalesced (%d more allocs dropped)\n"
-        rst.Core.Reuse.chain_links rst.Core.Reuse.rotated
-        rst.Core.Reuse.hoisted rst.Core.Reuse.coalesced
-        rst.Core.Reuse.candidates
-        o.Benchsuite.Runner.compiled.Core.Pipeline.reuse_dead_allocs;
-      Printf.printf
-        "  packing: %d arenas, %d placed (%d promoted), %d unpacked, %d \
-         holes, %d offset proofs (%d member allocs absorbed)\n"
-        pst.Core.Pack.arenas pst.Core.Pack.packed pst.Core.Pack.promoted
-        pst.Core.Pack.unpacked pst.Core.Pack.holes
-        pst.Core.Pack.offset_proofs
-        o.Benchsuite.Runner.compiled.Core.Pipeline.pack_dead_allocs
-    end;
-    pp_footprints ~verbose:options.Core.Shortcircuit.verbose o;
-    List.iter
-      (fun (r : Core.Pipeline.recovery) ->
-        Printf.printf "  RECOVERED fault in %s: %s -> fell back to %s\n"
-          r.Core.Pipeline.r_pass
-          (Core.Fault.to_string r.Core.Pipeline.r_fault)
-          r.Core.Pipeline.r_fallback)
-      o.Benchsuite.Runner.compiled.Core.Pipeline.recovery;
-    (match o.Benchsuite.Runner.traffic with
-    | None -> ()
-    | Some t ->
-        let mb x = x /. 1e6 in
-        let dev m m' = if m' = 0. then 0. else 100. *. (m -. m') /. m' in
-        Printf.printf
-          "  traffic @ reduced size: kernels %.3f MB measured vs %.3f MB \
-           modeled (%+.1f%%), copies %.3f vs %.3f MB | memtrace %s\n"
-          (mb t.Benchsuite.Runner.measured_rw)
-          (mb t.Benchsuite.Runner.modeled_rw)
-          (dev t.Benchsuite.Runner.modeled_rw t.Benchsuite.Runner.measured_rw)
-          (mb t.Benchsuite.Runner.measured_copy)
-          (mb t.Benchsuite.Runner.modeled_copy)
-          (if Core.Memtrace.ok t.Benchsuite.Runner.check then "clean"
-           else "VIOLATIONS"));
-    print_newline ();
+    if markdown then
+      Fmt.pr "%a" Benchsuite.Table.pp_markdown o.Benchsuite.Runner.table
+    else print_outcome options o;
     o
   in
   let finish outcomes =
@@ -493,7 +500,7 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
           (function b, Ok o -> Some (b, o) | _, Error _ -> None)
           results
       in
-      print_summaries outcomes;
+      if not markdown then print_summaries outcomes;
       finish outcomes;
       let faulted =
         List.filter_map
@@ -1176,6 +1183,15 @@ let table_cmd =
              impacts, footprints, pool behaviour, compile times, reuse \
              statistics, prover cache rates) after the tables.")
   in
+  let markdown =
+    Arg.(
+      value & flag
+      & info [ "markdown" ]
+          ~doc:
+            "Print only the tables, in EXPERIMENTS.md's markdown row \
+             format (the paper's Unopt/Opt/Impact columns next to the \
+             published ones).")
+  in
   let out =
     Arg.(
       value
@@ -1187,11 +1203,11 @@ let table_cmd =
   in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate a paper table (1-7 or name or all)")
     Term.(
-      const (fun w o r pk p pc fs pb bj out ->
-          to_exit (run_table w o r pk p pc fs pb bj out))
+      const (fun w o r pk p pc fs pb bj md out ->
+          to_exit (run_table w o r pk p pc fs pb bj md out))
       $ bench_arg $ options_term $ reuse_term $ pack_term $ pool_term
       $ pool_cap_term $ fail_safe_term $ prover_budget_term $ bench_json
-      $ out)
+      $ markdown $ out)
 
 let validate_cmd =
   Cmd.v

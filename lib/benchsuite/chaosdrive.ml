@@ -35,10 +35,8 @@ let inj_ok i =
 type bench_campaign = { c_bench : string; c_injections : injection list }
 type campaign = { seed : int; rounds : int; benches : bench_campaign list }
 
-(* Value.t carries no functional or cyclic data, so structural
-   equality is exactly bit-equality of the computed results. *)
 let bit_equal got expect =
-  try List.for_all2 (fun a b -> a = b) got expect
+  try List.for_all2 Ir.Value.bit_equal got expect
   with Invalid_argument _ -> false
 
 (* The passes that carry chaos probes and certificates. *)

@@ -76,6 +76,33 @@ let pp ppf (t : t) =
 
 let to_string t = Fmt.str "%a" pp t
 
+(* The table as EXPERIMENTS.md prints it: the paper's three relative
+   columns (unoptimized, short-circuited, impact) next to the published
+   ones.  CI diffs the committed tables against this rendering. *)
+let pp_markdown ppf (t : t) =
+  let time ms =
+    if ms >= 1000. then Printf.sprintf "%.3g s" (ms /. 1000.)
+    else Printf.sprintf "%.3g ms" ms
+  in
+  Fmt.pf ppf "## %s (%d runs)@.@." t.title t.runs;
+  Fmt.pf ppf
+    "| Device | Dataset | Ref. (ours) | Unopt/Opt/Impact (ours) | Ref. \
+     (paper) | Unopt/Opt/Impact (paper) |@.";
+  Fmt.pf ppf "|---|---|---|---|---|---|@.";
+  List.iter
+    (fun r ->
+      let paper =
+        match r.paper with
+        | Some (rm, u, o, i) ->
+            Printf.sprintf "%s | %.2fx / %.2fx / %.2fx" (time rm) u o i
+        | None -> "- | -"
+      in
+      Fmt.pf ppf "| %s | %s | %s | %.2fx / %.2fx / **%.2fx** | %s |@."
+        r.device r.dataset (time r.ref_ms) r.unopt_rel r.opt_rel r.impact
+        paper)
+    t.rows;
+  Fmt.pf ppf "@."
+
 (* Shape checks used by the test-suite: the qualitative claims of the
    paper's evaluation that must survive the simulation substitution. *)
 let impacts t = List.map (fun r -> r.impact) t.rows

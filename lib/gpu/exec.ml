@@ -37,7 +37,20 @@
    unbound reference, which raises [Exec_error] only if the run
    evaluates it.  Block ids are numbered per run, from 1, so a run is a
    pure function of (program, arguments): running a program twice in
-   one process gives equal counters and byte-identical traces. *)
+   one process gives equal counters and byte-identical traces.
+
+   The per-element path - what a kernel thread does for each element it
+   reads or writes - does no polymorphic hashing and builds no list.
+   An element read, or an update of one element, under a single-LMAD
+   index function computes its flat offset [coff + Σ iₖ·sₖ] from its
+   index polynomials directly (chains unrank through [capply]), and a
+   statement with one result stores it straight into its slot.  The
+   cells a thread has written, which make its re-reads free, live in an
+   open-addressing set of (block id, offset) pairs that clears in O(1)
+   for every thread ([Cells]).  The per-kernel read tallies live in an
+   int-keyed table whose iteration order decides the capped float sums,
+   so its hash and its sequence of updates are part of the cost model
+   ([Tally]). *)
 
 open Ir.Ast
 module P = Symalg.Poly
@@ -134,6 +147,7 @@ type rexp =
   | RUn of unop * ratom
   | RIdx of cpoly
   | RIndex of slot * cpoly list
+  | RWrite of slot * cpoly list * ratom (* an update of one element *)
   | RView of slot (* slice, transpose, reshape, reverse *)
   | RIota of cpoly
   | RReplicate of ratom
@@ -183,6 +197,95 @@ and rstm = {
 
 and rblock = { rstms : rstm list; rres : ratom list }
 
+(* ---------------------------------------------------------------- *)
+(* Per-kernel bookkeeping                                            *)
+(* ---------------------------------------------------------------- *)
+
+(* The cells one kernel thread has written, a set of (block id, offset)
+   pairs that is only ever queried for membership.  Open addressing
+   stores both components of each pair, so the key stays exact for the
+   out-of-range offsets of cost-only runs (which do not bounds-check),
+   and a generation stamp per entry makes [clear] - once per thread -
+   O(1). *)
+module Cells : sig
+  type t
+
+  val create : unit -> t
+  val clear : t -> unit
+  val mem : t -> int -> int -> bool
+  val add : t -> int -> int -> unit
+end = struct
+  type t = {
+    mutable cells : int array;
+        (* (stamp, bid, off) triples; an entry is live iff its stamp is
+           [gen] *)
+    mutable shift : int; (* 63 - log2 of the capacity *)
+    mutable gen : int;
+    mutable size : int; (* live entries *)
+  }
+
+  let create () =
+    { cells = Array.make (3 * 64) 0; shift = 63 - 6; gen = 1; size = 0 }
+
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.size <- 0
+
+  (* The index of the triple holding (bid, off), else of the empty one
+     where it belongs: Fibonacci hashing, linear probing. *)
+  let find t bid off =
+    let cells = t.cells and mask = (Array.length t.cells / 3) - 1 in
+    let i = ref ((((bid lsl 32) + off) * 0x1E3779B97F4A7C15) lsr t.shift) in
+    while
+      cells.(3 * !i) = t.gen
+      && not (cells.((3 * !i) + 1) = bid && cells.((3 * !i) + 2) = off)
+    do
+      i := (!i + 1) land mask
+    done;
+    3 * !i
+
+  let mem t bid off = t.cells.(find t bid off) = t.gen
+
+  (* At most half full, so every probe ends at an empty triple. *)
+  let rec add t bid off =
+    let j = find t bid off in
+    if t.cells.(j) <> t.gen then
+      if 2 * (t.size + 1) > Array.length t.cells / 3 then begin
+        let old = t.cells in
+        t.cells <- Array.make (2 * Array.length old) 0;
+        t.shift <- t.shift - 1;
+        t.size <- 0;
+        for i = 0 to (Array.length old / 3) - 1 do
+          if old.(3 * i) = t.gen then add t old.((3 * i) + 1) old.((3 * i) + 2)
+        done;
+        add t bid off
+      end
+      else begin
+        t.cells.(j) <- t.gen;
+        t.cells.(j + 1) <- bid;
+        t.cells.(j + 2) <- off;
+        t.size <- t.size + 1
+      end
+end
+
+(* One block's DRAM reads in the kernel in flight, and its footprint in
+   bytes, the perfect-L2 cap on them. *)
+type tally = { mutable bytes : float; cap : float }
+
+(* The per-kernel tallies are summed, capped, in [iter] order when the
+   kernel retires, and with non-integer byte counts (Simpson weights)
+   that order decides the last bits of the modeled traffic.  The order
+   is fixed by the hash and by the exact sequence of [add]/[replace]/
+   [reset] calls, so the hash stays [Hashtbl.hash] and the sampling
+   code below keeps its fold-and-reinsert rebuilds;
+   [test/exec_counters.expected] pins the result. *)
+module Tally = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type state = {
   mode : mode;
   counters : Device.counters;
@@ -218,17 +321,17 @@ type state = {
       (* bytes of per-thread scratch allocated by the kernel currently
          in flight (CUDA local-memory model): raises the peak while the
          kernel runs, released when it retires *)
-  thread_writes : (int * int, unit) Hashtbl.t;
+  thread_writes : Cells.t;
       (* (block id, offset) pairs written by the current kernel thread:
          re-reads of a thread's own writes hit registers/shared memory
          and cost no global traffic (temporal locality within a thread,
          e.g. the in-block cells of NW/LUD) *)
-  kernel_reads_tally : (int, float * int) Hashtbl.t;
-      (* per-kernel DRAM read estimate per block: bid -> (bytes, block
-         size in elements).  At kernel end each block's reads are capped
-         at its footprint - a perfect-L2 model: within one kernel launch
-         a location is fetched from DRAM at most once (spatial/temporal
-         sharing between threads, e.g. stencil neighbours) *)
+  kernel_reads_tally : tally Tally.t;
+      (* per-kernel DRAM read estimate per block id.  At kernel end each
+         block's reads are capped at its footprint - a perfect-L2 model:
+         within one kernel launch a location is fetched from DRAM at
+         most once (spatial/temporal sharing between threads, e.g.
+         stencil neighbours) *)
 }
 
 let elem_bytes = 8.0
@@ -422,6 +525,12 @@ let rec resolve_exp r scope (s : stm) : rexp =
   | EScratch _ -> RScratch
   | ECopy v -> RCopy (operand v)
   | EConcat vs -> RConcat (List.map operand vs)
+  | EUpdate { dst; slc = STriplet sds; src = SrcScalar a }
+    when List.for_all (function SFix _ -> true | SRange _ -> false) sds ->
+      RWrite
+        ( operand dst,
+          List.filter_map (function SFix i -> Some (poly i) | _ -> None) sds,
+          atom a )
   | EUpdate { dst; slc; src } ->
       let src =
         match src with
@@ -620,6 +729,20 @@ let capply (ix : cixfn) (idxs : int list) : int =
         rest;
       !o
 
+(* The flat offset of one element, read or updated.  Under a single
+   LMAD it is [coff + Σ iₖ·sₖ], computed from the index polynomials
+   directly; a chain goes through [capply]. *)
+let rec dot st acc (idxs : cpoly list) dims =
+  match (idxs, dims) with
+  | [], [] -> acc
+  | i :: idxs, (_, s) :: dims -> dot st (acc + (eval st i * s)) idxs dims
+  | _ -> err "exec: index rank mismatch"
+
+let index_offset st (ix : cixfn) (idxs : cpoly list) : int =
+  match ix with
+  | [ l ] -> dot st l.coff idxs l.cdims
+  | _ -> capply ix (List.map (eval st) idxs)
+
 (* ---------------------------------------------------------------- *)
 (* Declared footprints (tracing)                                     *)
 (* ---------------------------------------------------------------- *)
@@ -704,17 +827,16 @@ let ensure_payload (b : blockv) (elt : sct) : payload =
       p
 
 let tally_reads st (a : blockv) bytes =
-  let prev =
-    match Hashtbl.find_opt st.kernel_reads_tally a.bid with
-    | Some (b, _) -> b
-    | None -> 0.
-  in
-  Hashtbl.replace st.kernel_reads_tally a.bid (prev +. bytes, a.bsize)
+  match Tally.find st.kernel_reads_tally a.bid with
+  | t -> t.bytes <- t.bytes +. bytes
+  | exception Not_found ->
+      Tally.add st.kernel_reads_tally a.bid
+        { bytes; cap = float_of_int a.bsize *. elem_bytes }
 
 let read_cell st (a : blockv) elt (off : int) : aval =
   (if st.kernel_depth = 0 then
      st.counters.kernel_reads <- st.counters.kernel_reads +. elem_bytes
-   else if not (Hashtbl.mem st.thread_writes (a.bid, off)) then
+   else if not (Cells.mem st.thread_writes a.bid off) then
      tally_reads st a elem_bytes);
   (match st.tracer with
   | Some tr when st.kernel_depth > 0 && st.mode = Full ->
@@ -739,8 +861,7 @@ let write_cell st (a : blockv) elt (off : int) (v : aval) : unit =
     | _ -> off
   in
   st.counters.kernel_writes <- st.counters.kernel_writes +. elem_bytes;
-  if st.kernel_depth > 0 then
-    Hashtbl.replace st.thread_writes (a.bid, off) ();
+  if st.kernel_depth > 0 then Cells.add st.thread_writes a.bid off;
   (match st.tracer with
   | Some tr when st.kernel_depth > 0 && st.mode = Full ->
       Trace.kernel_write tr ~bid:a.bid ~off
@@ -931,9 +1052,11 @@ let un st op a =
   | Neg, AFloat x -> AFloat (-.x)
   | Abs, AInt x -> AInt (abs x)
   | Abs, AFloat x -> AFloat (Float.abs x)
-  | Sqrt, AFloat x -> AFloat (sqrt (Float.abs x))
+  | Sqrt, AFloat x ->
+      AFloat (sqrt (if st.mode = Cost_only then Float.abs x else x))
   | Exp, AFloat x -> AFloat (exp x)
-  | Log, AFloat x -> AFloat (if x <= 0. then 0. else log x)
+  | Log, AFloat x ->
+      AFloat (if x <= 0. && st.mode = Cost_only then 0. else log x)
   | Not, ABool x -> ABool (not x)
   | ToF64, AInt x -> AFloat (float_of_int x)
   | ToI64, AFloat x -> AInt (int_of_float x)
@@ -974,42 +1097,58 @@ let result_bid st (v, blk) =
       | _ -> None)
 
 (* ---------------------------------------------------------------- *)
-(* Expression execution                                              *)
+(* Statement execution                                               *)
 (* ---------------------------------------------------------------- *)
 
-let rec exec_exp st (s : rstm) : aval list =
+(* A statement with one result stores it straight into its pattern's
+   slot; results that come back as a list (kernel launches, loops, ifs)
+   go through [store_list], which checks the pattern's arity. *)
+let store st (s : rstm) v =
+  match s.rpats with
+  | [ p ] -> st.frame.(p.rslot) <- v
+  | _ -> err "exec: arity mismatch"
+
+let store_list st (s : rstm) vs =
+  if List.compare_lengths vs s.rpats <> 0 then err "exec: arity mismatch";
+  List.iter2 (fun p v -> st.frame.(p.rslot) <- v) s.rpats vs
+
+let rec exec_stm st (s : rstm) : unit =
   match s.rexp with
-  | RAtom a -> [ eval_atom st a ]
-  | RBin (op, a, b) -> [ bin st op (eval_atom st a) (eval_atom st b) ]
-  | RCmp (op, a, b) -> [ cmp st op (eval_atom st a) (eval_atom st b) ]
-  | RUn (op, a) -> [ un st op (eval_atom st a) ]
-  | RIdx p -> [ AInt (eval st p) ]
+  | RAtom a -> store st s (eval_atom st a)
+  | RBin (op, a, b) -> store st s (bin st op (eval_atom st a) (eval_atom st b))
+  | RCmp (op, a, b) -> store st s (cmp st op (eval_atom st a) (eval_atom st b))
+  | RUn (op, a) -> store st s (un st op (eval_atom st a))
+  | RIdx p -> store st s (AInt (eval st p))
   | RIndex (v, idxs) ->
       let a = arr_var st v in
-      let is = List.map (eval st) idxs in
-      [ read_cell st a.block a.elt (capply a.ix is) ]
+      store st s (read_cell st a.block a.elt (index_offset st a.ix idxs))
+  | RWrite (dst, idxs, a) ->
+      let d = arr_var st dst in
+      let off = index_offset st d.ix idxs in
+      write_cell st d.block d.elt off (eval_atom st a);
+      store st s (AArr d)
   | RView v ->
       (* O(1): the result's annotation holds the transformed ixfn *)
       let a = arr_var st v in
       let p = List.hd s.rpats in
       let _, ix = dest_of st p in
-      [
-        AArr
-          {
-            elt = a.elt;
-            shape =
-              (match p.rarr with
-              | Some (_, shape) -> List.map (eval st) shape
-              | None -> err "exec: view with non-array pattern");
-            block = a.block;
-            ix;
-          };
-      ]
+      store st s
+        (AArr
+           {
+             elt = a.elt;
+             shape =
+               (match p.rarr with
+               | Some (_, shape) -> List.map (eval st) shape
+               | None -> err "exec: view with non-array pattern");
+             block = a.block;
+             ix;
+           })
   | RIota n ->
       let p = List.hd s.rpats in
       let out = arr_of_pat st p in
       let n = eval st n in
-      launch_kernel st ~label:p.rv
+      store_list st s
+      @@ launch_kernel st ~label:p.rv
         ~declared:(fun () -> (pat_footprints st s, [], n))
         (fun () ->
           match out with
@@ -1028,7 +1167,8 @@ let rec exec_exp st (s : rstm) : aval list =
       let p = List.hd s.rpats in
       let out = arr_of_pat st p in
       let v = eval_atom st a in
-      launch_kernel st ~label:p.rv
+      store_list st s
+      @@ launch_kernel st ~label:p.rv
         ~declared:(fun () ->
           ( pat_footprints st s,
             [],
@@ -1050,12 +1190,12 @@ let rec exec_exp st (s : rstm) : aval list =
               Core.Fault.internal ~where:"Exec.replicate" "scalar destination")
   | RScratch ->
       (* no writes: just bind the destination *)
-      [ arr_of_pat st (List.hd s.rpats) ]
+      store st s (arr_of_pat st (List.hd s.rpats))
   | RCopy v ->
       let a = arr_var st v in
       let db, dix = dest_of st (List.hd s.rpats) in
       copy_logical st a.elt a.shape a.block a.ix db dix;
-      [ AArr { a with block = db; ix = dix } ]
+      store st s (AArr { a with block = db; ix = dix })
   | RConcat vs ->
       let out = arr_of_pat st (List.hd s.rpats) in
       (match out with
@@ -1076,24 +1216,24 @@ let rec exec_exp st (s : rstm) : aval list =
             vs
       | _ ->
           Core.Fault.internal ~where:"Exec.concat" "scalar destination");
-      [ out ]
-  | RUpdate (dst, slc, src) -> (
+      store st s out
+  | RUpdate (dst, slc, src) ->
       let d = arr_var st dst in
       let tix = cslice st slc d.ix in
-      match src with
+      (match src with
       | RSrcScalar a ->
           let v = eval_atom st a in
-          write_cell st d.block d.elt (capply tix []) v;
-          [ AArr d ]
+          write_cell st d.block d.elt (capply tix []) v
       | RSrcArr sv ->
           let sa = arr_var st sv in
-          copy_logical st sa.elt sa.shape sa.block sa.ix d.block tix;
-          [ AArr d ])
-  | RMap m -> exec_map st s m
+          copy_logical st sa.elt sa.shape sa.block sa.ix d.block tix);
+      store st s (AArr d)
+  | RMap m -> store_list st s (exec_map st s m)
   | RReduce (op, ne, arr) ->
       let a = arr_var st arr in
       let n = count a.shape in
-      launch_kernel st
+      store_list st s
+      @@ launch_kernel st
         ~label:(match s.rpats with p :: _ -> p.rv | [] -> "reduce")
         ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
         (fun () ->
@@ -1111,7 +1251,8 @@ let rec exec_exp st (s : rstm) : aval list =
   | RArgmin arr ->
       let a = arr_var st arr in
       let n = count a.shape in
-      launch_kernel st
+      store_list st s
+      @@ launch_kernel st
         ~label:(match s.rpats with p :: _ -> p.rv | [] -> "argmin")
         ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
         (fun () ->
@@ -1138,6 +1279,8 @@ let rec exec_exp st (s : rstm) : aval list =
         st.frame.(l.lcounter) <- AInt i;
         exec_block st l.lbody
       in
+      store_list st s
+      @@
       if st.mode = Cost_only && n >= 24 && not l.scalar_carry then begin
         (* Simpson-sampled loop: run iterations 0, n/2 and n-1 from the
            initial state and charge n * (d0 + 4*dmid + dlast)/6 - exact
@@ -1153,23 +1296,27 @@ let rec exec_exp st (s : rstm) : aval list =
            see only the three sampled iterations' reads.  At top level
            every launch drains its own tally and the deltas are empty. *)
         let tally_list () =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.kernel_reads_tally []
+          Tally.fold
+            (fun k t acc -> (k, t.bytes, t.cap) :: acc)
+            st.kernel_reads_tally []
         in
         let tally_restore snap =
-          Hashtbl.reset st.kernel_reads_tally;
+          Tally.reset st.kernel_reads_tally;
           List.iter
-            (fun (k, v) -> Hashtbl.replace st.kernel_reads_tally k v)
+            (fun (k, bytes, cap) ->
+              Tally.replace st.kernel_reads_tally k { bytes; cap })
             snap
         in
         let tally_delta before =
-          Hashtbl.fold
-            (fun bid (bytes, bsize) acc ->
+          Tally.fold
+            (fun bid t acc ->
               let prev =
-                match List.assoc_opt bid before with
-                | Some (b, _) -> b
+                match List.find_opt (fun (b, _, _) -> b = bid) before with
+                | Some (_, b, _) -> b
                 | None -> 0.
               in
-              if bytes > prev then (bid, bytes -. prev, bsize) :: acc else acc)
+              if t.bytes > prev then (bid, t.bytes -. prev, t.cap) :: acc
+              else acc)
             st.kernel_reads_tally []
         in
         let tbase = tally_list () in
@@ -1229,22 +1376,20 @@ let rec exec_exp st (s : rstm) : aval list =
           | Some (_, d, _) -> d
           | None -> 0.
         in
-        let bsize_of bid =
+        let cap_of bid =
           List.find_map
-            (fun (b, _, sz) -> if b = bid then Some sz else None)
+            (fun (b, _, cap) -> if b = bid then Some cap else None)
             (t0 @ tm @ tl)
         in
         List.iter
           (fun bid ->
             let d = wf (find bid t0) (find bid tm) (find bid tl) in
-            match bsize_of bid with
-            | Some bsize when d > 0. ->
-                let prev =
-                  match Hashtbl.find_opt st.kernel_reads_tally bid with
-                  | Some (b, _) -> b
-                  | None -> 0.
-                in
-                Hashtbl.replace st.kernel_reads_tally bid (prev +. d, bsize)
+            match cap_of bid with
+            | Some cap when d > 0. -> (
+                match Tally.find_opt st.kernel_reads_tally bid with
+                | Some t -> t.bytes <- t.bytes +. d
+                | None ->
+                    Tally.add st.kernel_reads_tally bid { bytes = d; cap })
             | _ -> ())
           (List.sort_uniq compare
              (List.map (fun (b, _, _) -> b) (t0 @ tm @ tl)));
@@ -1284,11 +1429,12 @@ let rec exec_exp st (s : rstm) : aval list =
         done;
         !vals
       end
-  | RIf (cond, tb, fb) -> (
-      match eval_atom st cond with
-      | ABool true -> exec_block st tb
-      | ABool false -> exec_block st fb
-      | _ -> err "exec: non-boolean condition")
+  | RIf (cond, tb, fb) ->
+      store_list st s
+        (match eval_atom st cond with
+        | ABool true -> exec_block st tb
+        | ABool false -> exec_block st fb
+        | _ -> err "exec: non-boolean condition")
   | RAlloc (size, arena) ->
       st.last_bid <- st.last_bid + 1;
       let n = eval st size in
@@ -1368,7 +1514,7 @@ let rec exec_exp st (s : rstm) : aval list =
           Trace.alloc tr ~bid:b.bid ~name:b.bname ~elems:n
             ~in_kernel:(st.kernel_depth > 0)
       | None -> ());
-      [ AMem b ]
+      store st s (AMem b)
 
 and launch_kernel st ~label ~declared f =
   (* nested parallelism is flattened on a GPU: only top-level mapnests
@@ -1378,11 +1524,11 @@ and launch_kernel st ~label ~declared f =
   if top then begin
     st.counters.kernels <- st.counters.kernels + 1;
     st.kernel_scratch <- 0.;
-    Hashtbl.reset st.kernel_reads_tally;
+    Tally.reset st.kernel_reads_tally;
     (* the read-after-own-write suppression is per thread; without
        this reset a reduce/argmin launch inherits the previous
        kernel's final thread and under-counts its first-touch reads *)
-    Hashtbl.reset st.thread_writes;
+    Cells.clear st.thread_writes;
     match st.tracer with
     | Some tr ->
         let declared_writes, declared_reads, threads = declared () in
@@ -1401,11 +1547,10 @@ and launch_kernel st ~label ~declared f =
   in
   if top then begin
     (* perfect-L2: a kernel reads each block location from DRAM once *)
-    Hashtbl.iter
-      (fun _ (bytes, bsize) ->
+    Tally.iter
+      (fun _ t ->
         st.counters.kernel_reads <-
-          st.counters.kernel_reads
-          +. Float.min bytes (float_of_int bsize *. elem_bytes))
+          st.counters.kernel_reads +. Float.min t.bytes t.cap)
       st.kernel_reads_tally;
     if st.counters.live_bytes +. st.kernel_scratch > st.counters.peak_bytes
     then
@@ -1427,7 +1572,7 @@ and exec_map st (s : rstm) (m : rmap) : aval list =
   let points = count dims in
   let outs = List.map (arr_of_pat st) s.rpats in
   let run_thread idx =
-    Hashtbl.reset st.thread_writes;
+    Cells.clear st.thread_writes;
     List.iter2 (fun slot i -> st.frame.(slot) <- AInt i) m.mindices idx;
     let results = exec_block st m.mbody in
     (* implicit write of each per-thread result into its slot *)
@@ -1476,14 +1621,15 @@ and exec_map st (s : rstm) (m : rmap) : aval list =
             (* scale the per-block read tallies by the thread count
                (capping happens when the kernel retires) *)
             let scaled =
-              Hashtbl.fold
-                (fun bid (bytes, bsize) acc ->
-                  (bid, (bytes *. float_of_int points, bsize)) :: acc)
+              Tally.fold
+                (fun bid t acc ->
+                  (bid, { t with bytes = t.bytes *. float_of_int points })
+                  :: acc)
                 st.kernel_reads_tally []
             in
-            Hashtbl.reset st.kernel_reads_tally;
+            Tally.reset st.kernel_reads_tally;
             List.iter
-              (fun (bid, v) -> Hashtbl.replace st.kernel_reads_tally bid v)
+              (fun (bid, t) -> Tally.replace st.kernel_reads_tally bid t)
               scaled
           end);
       outs)
@@ -1521,10 +1667,7 @@ and scale_delta (c : Device.counters) snap factor =
 and exec_block st (b : rblock) : aval list =
   List.iter
     (fun s ->
-      let vals = exec_exp st s in
-      if List.length vals <> List.length s.rpats then
-        err "exec: arity mismatch";
-      List.iter2 (fun p v -> st.frame.(p.rslot) <- v) s.rpats vals;
+      exec_stm st s;
       (* Liveness markers are only meaningful at top level: inside a
          kernel the same body runs once per thread, and per-thread
          "deaths" say nothing about the cross-kernel liveness the
@@ -1694,8 +1837,8 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
       unfreed = 0;
       kernel_depth = 0;
       kernel_scratch = 0.;
-      thread_writes = Hashtbl.create 256;
-      kernel_reads_tally = Hashtbl.create 64;
+      thread_writes = Cells.create ();
+      kernel_reads_tally = Tally.create 64;
     }
   in
   List.iter2 (bind_param st) params args;

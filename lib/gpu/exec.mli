@@ -8,7 +8,10 @@
     Full mode computes real values (validated against the reference
     interpreter); cost-only mode runs control flow and sizes exactly but
     samples mapnest bodies at the index-space midpoint and long loops at
-    Simpson points, enabling paper-scale datasets.
+    Simpson points, enabling paper-scale datasets.  Full mode's scalar
+    operations are the interpreter's, bit for bit; only cost-only mode,
+    whose element reads return placeholders, tolerates division by zero,
+    negative square roots and non-positive logarithms.
 
     The traffic model charges every in-kernel read/write 8 bytes, with
     two locality refinements: a thread's re-reads of locations it wrote

@@ -115,6 +115,19 @@ let rec approx_equal ?(eps = 1e-9) v1 v2 =
   | VMem _, VMem _ -> true
   | _ -> false
 
+(* Exact equality: floats compare by their bits, so -0.0 differs from
+   0.0 and a NaN equals itself, where structural [=] says the
+   opposite of both. *)
+let bit_equal v1 v2 =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  match (v1, v2) with
+  | VFloat a, VFloat b -> same a b
+  | VArr ({ data = DF x; _ } as a), VArr ({ data = DF y; _ } as b) ->
+      a.elt = b.elt && a.shape = b.shape
+      && Array.length x = Array.length y
+      && Array.for_all2 same x y
+  | _ -> v1 = v2
+
 let pp ppf = function
   | VInt i -> Fmt.int ppf i
   | VFloat f -> Fmt.float ppf f

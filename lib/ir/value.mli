@@ -48,4 +48,8 @@ val approx_equal : ?eps:float -> t -> t -> bool
 (** Structural equality with a relative tolerance on floats; used to
     compare optimized output against the reference. *)
 
+val bit_equal : t -> t -> bool
+(** Exact equality, floats compared by [Int64.bits_of_float]: [-0.0]
+    differs from [0.0] and a NaN equals itself. *)
+
 val pp : Format.formatter -> t -> unit

@@ -452,6 +452,41 @@ let test_runs_pure () =
         Benchsuite.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8 );
     ]
 
+(* Full-mode sqrt and log give the reference interpreter's results bit
+   for bit: NaN for sqrt (-1) and log (-1), -inf for log 0.  Only
+   cost-only runs, whose reads return placeholders, are tolerant. *)
+let test_full_sqrt_log () =
+  let prog =
+    B.prog "sl" ~ctx:ctx_n
+      ~params:[ pat_elem "n" i64; pat_elem "a" (arr F64 [ n ]) ]
+      ~ret:[ arr F64 [ n ]; arr F64 [ n ] ]
+      (fun b ->
+        let iv = Ir.Names.fresh "i" in
+        List.map
+          (fun v -> Var v)
+          (B.mapnest_multi b [ (iv, n) ] (fun bb ->
+               let x = B.index bb "a" [ P.var iv ] in
+               [ B.unop bb Sqrt x; B.unop bb Log x ])))
+  in
+  let args = [ Value.VInt 3; farr [| -1.; 0.; 4. |] ] in
+  let bits = function
+    | Value.VArr a ->
+        Array.to_list (Array.map Int64.bits_of_float (Value.float_data a))
+    | _ -> Alcotest.fail "array result"
+  in
+  let compiled = Core.Pipeline.compile prog in
+  let expect = List.map bits (Interp.run compiled.Core.Pipeline.source args) in
+  List.iter
+    (fun (v, p) ->
+      let r = Exec.run ~mode:Exec.Full p args in
+      Alcotest.(check (list (list int64)))
+        (v ^ ": sqrt and log bits") expect
+        (List.map bits r.Exec.results))
+    [
+      ("unopt", compiled.Core.Pipeline.unopt);
+      ("pack", compiled.Core.Pipeline.pack);
+    ]
+
 let tests =
   [
     Alcotest.test_case "multi-LMAD execution" `Quick test_multi_lmad_execution;
@@ -469,4 +504,6 @@ let tests =
       `Quick test_scoping;
     Alcotest.test_case "executor runs are pure functions of (program, args)"
       `Quick test_runs_pure;
+    Alcotest.test_case "full-mode sqrt and log match the interpreter" `Quick
+      test_full_sqrt_log;
   ]

@@ -312,6 +312,19 @@ let prop_slice_then_update_roundtrip =
       | [ Value.VArr out ] -> Value.float_data out = data
       | _ -> false)
 
+let test_bit_equal () =
+  let f x = Value.VFloat x in
+  let a xs = Value.VArr (Value.of_floats [ Array.length xs ] xs) in
+  Alcotest.(check bool) "-0.0 vs 0.0" false
+    (Value.bit_equal (f (-0.0)) (f 0.0));
+  Alcotest.(check bool) "NaN vs itself" true
+    (Value.bit_equal (f Float.nan) (f Float.nan));
+  Alcotest.(check bool) "arrays: -0.0 vs 0.0" false
+    (Value.bit_equal (a [| 1.; -0.0 |]) (a [| 1.; 0.0 |]));
+  Alcotest.(check bool) "arrays: NaN vs itself" true
+    (Value.bit_equal (a [| 1.; Float.nan |]) (a [| 1.; Float.nan |]));
+  Alcotest.(check bool) "ints" true (Value.bit_equal (Value.VInt 3) (Value.VInt 3))
+
 let tests =
   [
     Alcotest.test_case "map over iota" `Quick test_map_iota;
@@ -327,6 +340,7 @@ let tests =
       test_use_after_consume;
     Alcotest.test_case "checker: alias consumed" `Quick test_alias_consume;
     Alcotest.test_case "checker: shape mismatch" `Quick test_shape_mismatch;
+    Alcotest.test_case "bit_equal compares float bits" `Quick test_bit_equal;
     QCheck_alcotest.to_alcotest prop_transpose_interp;
     QCheck_alcotest.to_alcotest prop_reverse_involution;
     QCheck_alcotest.to_alcotest prop_slice_then_update_roundtrip;
