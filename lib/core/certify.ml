@@ -1,18 +1,23 @@
 (* Memcert: per-rewrite proof certificates and the independent
    translation-validation checker (see certify.mli for the design).
 
-   The checker deliberately shares no decision code with the emitting
-   passes: every structural fact (last uses, live ranges, scalar
-   definitions, allocation sites) is re-derived here by fresh scans of
-   the pre-/post-pass programs, and every symbolic fact is re-proved
-   through the public prover entry points ({!Pr.prove_ge},
-   {!Refset.disjoint}, {!Lmad.bounds} + {!Pr.check_in_range}).  When
-   the symbolic re-proof fails, the claim is *concretized*: small
-   shape assignments consistent with the recorded prover context are
-   enumerated, and the claim is evaluated exactly.  A violation under
-   an admissible assignment refutes the obligation (the certificate is
-   wrong, not merely unproven); otherwise the claim is reported as
-   dynamically validated at those sizes. *)
+   The checker shares no decision code with the emitting passes.  It
+   shares with them only the last-use analysis ({!Lastuse.annotate},
+   run on a clone of the pre-pass program) and the public entry points
+   of the prover and the LMAD library ({!Pr.prove_ge},
+   {!Refset.disjoint}, {!Lmad.bounds} + {!Pr.check_in_range}), through
+   which every symbolic fact is re-proved.  Every other structural fact
+   (live ranges, scalar definitions, memory-side LMADs, annotations,
+   allocation sites) is re-derived here by private scans of the
+   pre-/post-pass programs instead of being read from the Facts module
+   the passes and memlint share, so a bug there cannot acquit a
+   certificate (DESIGN.md section 10).  When the symbolic re-proof
+   fails, the claim is *concretized*: small shape assignments
+   consistent with the recorded prover context are enumerated, and the
+   claim is evaluated exactly.  A violation under an admissible
+   assignment refutes the obligation (the certificate is wrong, not
+   merely unproven); otherwise the claim is reported as dynamically
+   validated at those sizes. *)
 
 open Ir.Ast
 module P = Symalg.Poly
@@ -276,9 +281,9 @@ let pp_report ppf r =
 (* Independent program scans                                         *)
 (* ---------------------------------------------------------------- *)
 
-(* i64 scalar definitions, rebuilt here from scratch (same shape as the
-   passes' tables, but re-derived so a table bug there cannot leak into
-   the check). *)
+(* i64 scalar definitions, rebuilt here from scratch (the same shape as
+   the passes' table in Facts, but re-derived so a table bug there
+   cannot leak into the check). *)
 let atom_poly = function
   | Int c -> Some (P.const c)
   | Var v -> Some (P.var v)
@@ -335,26 +340,6 @@ let find_stm (p : prog) binding =
     (fun s -> List.exists (fun pe -> pe.pv = binding) s.pat)
     (all_stms_block p.body)
 
-(* The enclosing block and statement index of the binding. *)
-let rec find_in_block (b : block) binding : (block * int) option =
-  let rec go i = function
-    | [] -> None
-    | s :: rest -> (
-        if List.exists (fun pe -> pe.pv = binding) s.pat then Some (b, i)
-        else
-          let sub =
-            match s.exp with
-            | EMap { body; _ } | ELoop { body; _ } -> find_in_block body binding
-            | EIf { tb; fb; _ } -> (
-                match find_in_block tb binding with
-                | Some r -> Some r
-                | None -> find_in_block fb binding)
-            | _ -> None
-          in
-          match sub with Some r -> Some r | None -> go (i + 1) rest)
-  in
-  go 0 b.stms
-
 (* The chain of (enclosing block, statement index) pairs from the
    program body down to the statement binding [binding]. *)
 let rec find_path (b : block) binding : (block * int) list option =
@@ -377,6 +362,10 @@ let rec find_path (b : block) binding : (block * int) list option =
           | None -> go (i + 1) rest)
   in
   go 0 b.stms
+
+(* The enclosing block and statement index of the binding. *)
+let find_in_block (b : block) binding : (block * int) option =
+  Option.map (fun path -> List.hd (List.rev path)) (find_path b binding)
 
 let alloc_size (p : prog) block : P.t option =
   List.find_map

@@ -12,7 +12,8 @@
     independent checker then re-derives each claim from the pre-pass
     and post-pass programs using only {!Symalg.Prover},
     {!Lmads.Nonoverlap}, {!Lastuse} and {!Lmads.Lmad.bounds} - none of
-    the emitting pass's decision code - completing the verification
+    the emitting pass's decision code, and none of the program facts
+    the passes share through {!Facts} - completing the verification
     stack: memlint (whole-IR invariants), memtrace (dynamic replay),
     memcert (per-rewrite justification).
 

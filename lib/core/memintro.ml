@@ -24,7 +24,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Ixfn = Lmads.Ixfn
-module Lmad = Lmads.Lmad
 module SM = Map.Make (String)
 
 exception Mem_error of string
@@ -61,21 +60,11 @@ let alloc_for pe =
       (alloc, { block = mname; ixfn = Ixfn.row_major shape })
   | _ -> err "memintro: alloc for non-array %s" pe.pv
 
-let slice_to_lmad_dims (sds : slice_dim list) =
-  List.map
-    (function
-      | SFix i -> Lmad.Fix i
-      | SRange { start; len; step } -> Lmad.Range { start; len; step })
-    sds
-
 (* The index function of a slice of an array with index function [ixfn]. *)
 let sliced_ixfn ctx (slc : slice) (ixfn : Ixfn.t) : Ixfn.t =
-  match slc with
-  | STriplet sds -> Ixfn.slice (slice_to_lmad_dims sds) ixfn
-  | SLmad l -> (
-      match Ixfn.lmad_slice ctx ~slc:l ixfn with
-      | Some ix -> ix
-      | None -> err "memintro: LMAD slice of non-flattenable layout")
+  match Facts.sliced_ixfn ctx slc ixfn with
+  | Some ix -> ix
+  | None -> err "memintro: LMAD slice of non-flattenable layout"
 
 (* Materialize a polynomial as an atom, creating an [EIdx] statement if
    needed.  Returns (statements, atom). *)

@@ -146,62 +146,16 @@ let report acc severity rule binding fmt =
       acc.viols <- { severity; rule; binding; detail } :: acc.viols)
     fmt
 
-(* Resolve scalar definitions down to program parameters / loop
+(* Scalar definitions resolve down to program parameters and loop
    variables, so the prover and structural equality see through
    materialized witnesses ([let w = EIdx p]). *)
-let resolve env p =
-  try P.subst_fixpoint env.scalars p with Failure _ -> p
+let resolve env p = Facts.resolve env.scalars p
+let resolve_ixfn env ix = Facts.resolve_ixfn env.scalars ix
 
-let resolve_ixfn env ix =
-  try Ixfn.subst_fixpoint env.scalars ix with Failure _ -> ix
-
-let resolve_lmad env l =
-  try Lmad.subst_fixpoint env.scalars l with Failure _ -> l
-
-let atom_poly = function
-  | Int c -> Some (P.const c)
-  | Var v -> Some (P.var v)
-  | _ -> None
-
-(* i64 scalar definitions usable for resolution (mirrors the table the
-   short-circuiting pass builds). *)
-let scalar_def (s : stm) : (string * P.t) option =
-  match (s.pat, s.exp) with
-  | [ pe ], EIdx p when pe.pt = TScalar I64 -> Some (pe.pv, p)
-  | [ pe ], EAtom (Int c) when pe.pt = TScalar I64 -> Some (pe.pv, P.const c)
-  | [ pe ], EAtom (Var v) when pe.pt = TScalar I64 -> Some (pe.pv, P.var v)
-  | [ pe ], EBin (op, a, b) when pe.pt = TScalar I64 -> (
-      match (atom_poly a, atom_poly b) with
-      | Some pa, Some pb -> (
-          match op with
-          | Add -> Some (pe.pv, P.add pa pb)
-          | Sub -> Some (pe.pv, P.sub pa pb)
-          | Mul -> Some (pe.pv, P.mul pa pb)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
-let slice_to_lmad_dims sds =
-  List.map
-    (function
-      | SFix i -> Lmad.Fix i
-      | SRange { start; len; step } -> Lmad.Range { start; len; step })
-    sds
-
-let sliced_ixfn ctx (slc : slice) (ixfn : Ixfn.t) : Ixfn.t option =
-  match slc with
-  | STriplet sds -> (
-      try Some (Ixfn.slice (slice_to_lmad_dims sds) ixfn)
-      with Invalid_argument _ -> None)
-  | SLmad l -> Ixfn.lmad_slice ctx ~slc:l ixfn
-
-(* The LMAD adjacent to memory: for a chain, the footprint is a subset
-   of the last link's point set, so bounding it is sound. *)
-let memory_lmad ixfn =
-  match List.rev (Ixfn.chain ixfn) with
-  | l :: _ -> l
-  | [] ->
-      Fault.internal ~where:"Memlint.memory_lmad" "empty index-function chain"
+(* A triplet slice whose rank disagrees with the index function is a
+   finding for the layout checks, not a crash. *)
+let sliced_ixfn ctx slc ixfn =
+  try Facts.sliced_ixfn ctx slc ixfn with Invalid_argument _ -> None
 
 (* ---------------------------------------------------------------- *)
 (* Per-annotation checks                                             *)
@@ -211,7 +165,7 @@ let check_footprint acc env ctx ~who (m : mem_info) =
   match SM.find_opt m.block env.sizes with
   | None | Some None -> ()
   | Some (Some size) -> (
-      let l = resolve_lmad env (memory_lmad m.ixfn) in
+      let l = Facts.resolve_lmad env.scalars (Facts.memory_lmad m.ixfn) in
       match Lmad.bounds ctx l with
       | None -> () (* possibly-empty or sign-undecided: nothing provable *)
       | Some (lo, hi) -> (
@@ -406,7 +360,7 @@ let check_group_results acc env_inner ~who ~what (g : egroup)
             let subst =
               List.fold_left2
                 (fun m w wp ->
-                  match Option.bind (nth_opt wp) atom_poly with
+                  match Option.bind (nth_opt wp) Facts.atom_poly with
                   | Some p -> P.SM.add w p m
                   | None -> m)
                 P.SM.empty g.wit_names g.wit_pos
@@ -450,11 +404,7 @@ let thread_writes env_outer env_body ctx ~nest ~(body : block)
     in
     Hashtbl.replace tbl block (Refset.union prev set)
   in
-  let set_of ix =
-    match Ixfn.accessed_set (resolve_ixfn env_body ix) with
-    | Some l -> Refset.of_lmad l
-    | None -> Refset.top
-  in
+  let set_of ix = Facts.refset_of_ixfn (resolve_ixfn env_body ix) in
   (* updates targeting enclosing blocks, anywhere in the body; inner
      iteration variables are aggregated away by dimension promotion *)
   let rec updates inner_loops (b : block) =
@@ -466,13 +416,7 @@ let thread_writes env_outer env_body ctx ~nest ~(body : block)
             | Some mdst when SM.mem mdst.block env_outer.sizes -> (
                 match sliced_ixfn ctx slc mdst.ixfn with
                 | Some ix ->
-                    let set =
-                      List.fold_left
-                        (fun acc (v, cnt) ->
-                          Refset.expand_loop ctx v ~count:cnt acc)
-                        (set_of ix) inner_loops
-                    in
-                    add mdst.block set
+                    add mdst.block (Facts.expand ctx inner_loops (set_of ix))
                 | None -> add mdst.block Refset.top)
             | _ -> ())
         | _ -> ());
@@ -508,57 +452,10 @@ let thread_writes env_outer env_body ctx ~nest ~(body : block)
           | Some set -> add m.block set
           | None ->
               (* thread-local result copied into the slot *)
-              let shape = Ixfn.shape m.ixfn in
-              let rec drop n l =
-                if n = 0 then l
-                else match l with _ :: r -> drop (n - 1) r | [] -> []
-              in
-              let slc =
-                List.map (fun (v, _) -> Lmad.Fix (P.var v)) nest
-                @ List.map
-                    (fun d ->
-                      Lmad.Range { start = P.zero; len = d; step = P.one })
-                    (drop (List.length nest) shape)
-              in
-              add m.block (set_of (Ixfn.slice slc m.ixfn)))
+              add m.block (set_of (Facts.thread_slice nest m.ixfn)))
       | _ -> ())
     pat;
   Hashtbl.fold (fun b s l -> (b, s) :: l) tbl []
-
-(* Case-split on the first differing nest dimension, exactly like the
-   short-circuiting pass: dimensions before it coincide, it is strictly
-   smaller / strictly larger, dimensions after it range freely. *)
-let pairwise_threads_disjoint ctx (nest : (string * P.t) list) w : bool =
-  let ctx =
-    List.fold_left
-      (fun ctx (v, cnt) ->
-        Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-      ctx nest
-  in
-  let expand_rest rs rest =
-    List.fold_left
-      (fun acc (v, c) -> Refset.expand_loop ctx v ~count:c acc)
-      rs rest
-  in
-  let rec cases = function
-    | [] -> true
-    | (v, cnt) :: rest ->
-        let jv = Binder.name ~where:"memlint" "lint_othr" v ctx [ w ] in
-        let w_self = expand_rest w rest in
-        let w_other = expand_rest (Refset.subst v (P.var jv) w) rest in
-        let ctx_lt =
-          Pr.add_range ctx jv ~lo:P.zero ~hi:(P.sub (P.var v) P.one) ()
-        in
-        let ctx_gt =
-          Pr.add_range ctx jv
-            ~lo:(P.add (P.var v) P.one)
-            ~hi:(P.sub cnt P.one) ()
-        in
-        Refset.disjoint ctx_lt w_self w_other
-        && Refset.disjoint ctx_gt w_self w_other
-        && cases rest
-  in
-  cases nest
 
 (* A write set provably shared by distinct threads: independent of every
    nest variable, provably nonempty, with at least two threads. *)
@@ -582,16 +479,18 @@ let provable_race ctx nest w =
        (fun (_, cnt) -> Pr.prove_ge ctx cnt (P.const 2))
        nest
 
+(* Distinct threads' writes must be disjoint: the case split the
+   short-circuiting pass runs, with each thread's writes as the other
+   threads' uses. *)
 let check_map_races acc env env_body ctx ~who ~nest ~body pat =
-  let ctx_i =
-    List.fold_left
-      (fun ctx (v, cnt) ->
-        Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-      ctx nest
-  in
+  let ctx_i = Facts.with_nest ctx nest in
   List.iter
     (fun (block, w) ->
-      if pairwise_threads_disjoint ctx nest w then
+      if
+        Facts.other_threads ~where:"memlint" ~tag:"lint_othr"
+          ~disjoint:Refset.disjoint
+          ctx nest ~w ~u:w
+      then
         acc.n_races_proved <- acc.n_races_proved + 1
       else if provable_race ctx_i nest w then
         report acc Error "write-race" who
@@ -655,20 +554,11 @@ let check_update acc env ctx (s : stm) ~dst ~slc ~src =
                      && (not (SS.mem b (Alias.closure acc.aliases dst)))
                      && not (List.mem b s.last_uses) ->
                   let wset =
-                    match
-                      Option.bind
-                        (Option.map (resolve_ixfn env)
-                           (sliced_ixfn ctx slc mdst.ixfn))
-                        Ixfn.accessed_set
-                    with
-                    | Some l -> Refset.of_lmad l
+                    match sliced_ixfn ctx slc mdst.ixfn with
+                    | Some wix -> Facts.refset_of_ixfn (resolve_ixfn env wix)
                     | None -> Refset.top
                   in
-                  let bset =
-                    match Ixfn.accessed_set (resolve_ixfn env mb.ixfn) with
-                    | Some l -> Refset.of_lmad l
-                    | None -> Refset.top
-                  in
+                  let bset = Facts.refset_of_ixfn (resolve_ixfn env mb.ixfn) in
                   if not (Refset.disjoint ctx wset bset) then
                     report acc Error "last-use" pe.pv
                       "source %s shares block %s with the destination but \
@@ -799,8 +689,13 @@ and check_reuse acc env ctx (b : block) =
                     || justified blk va vb
                   then ()
                   else
-                    let la = resolve_lmad env (memory_lmad ma.ixfn)
-                    and lb = resolve_lmad env (memory_lmad mb.ixfn) in
+                    let la =
+                      Facts.resolve_lmad env.scalars
+                        (Facts.memory_lmad ma.ixfn)
+                    and lb =
+                      Facts.resolve_lmad env.scalars
+                        (Facts.memory_lmad mb.ixfn)
+                    in
                     if
                       Refset.disjoint ctx (Refset.of_lmad la)
                         (Refset.of_lmad lb)
@@ -850,13 +745,7 @@ and check_stm acc env ctx (s : stm) : env =
             { e with types = SM.add v (TScalar I64) e.types })
           env nest
       in
-      let ctx_i =
-        List.fold_left
-          (fun ctx (v, cnt) ->
-            Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-          ctx nest
-      in
-      let env_body = check_block acc env_nest ctx_i body in
+      let env_body = check_block acc env_nest (Facts.with_nest ctx nest) body in
       check_map_races acc env env_body ctx ~who ~nest ~body s.pat
   | ELoop { params; var; bound; body } ->
       check_loop acc env ctx s ~params ~var ~bound ~body
@@ -872,9 +761,7 @@ and check_stm acc env ctx (s : stm) : env =
         env)
       env s.pat
   in
-  match scalar_def s with
-  | Some (v, p) -> { env with scalars = P.SM.add v p env.scalars }
-  | None -> env
+  { env with scalars = Facts.add_scalars env.scalars [ s ] }
 
 and check_if acc env ctx (s : stm) ~tb ~fb =
   let who = match s.pat with pe :: _ -> pe.pv | [] -> "<if>" in
@@ -935,8 +822,9 @@ and check_loop acc env ctx (s : stm) ~params ~var ~bound ~body =
   List.iter
     (fun (pe, _) -> if is_array_typ pe.pt then check_annot acc env_body0 ctx pe)
     params;
-  let ctx' = Pr.add_range ctx var ~lo:P.zero ~hi:(P.sub bound P.one) () in
-  let env_after = check_block acc env_body0 ctx' body in
+  let env_after =
+    check_block acc env_body0 (Facts.with_range ctx var bound) body
+  in
   if List.length body.res <> List.length params then
     report acc Error "existential" who
       "loop body results do not match the parameter arity"

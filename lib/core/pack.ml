@@ -46,7 +46,6 @@ module P = Symalg.Poly
 module Pr = Symalg.Prover
 module Lmad = Lmads.Lmad
 module Ixfn = Lmads.Ixfn
-module SM = Map.Make (String)
 module SS = Ir.Ast.SS
 
 (* ---------------------------------------------------------------- *)
@@ -142,11 +141,7 @@ let claim_size p =
 let claim_ctx ctx p =
   match p.p_m.m_promo with
   | None -> ctx
-  | Some pr ->
-      List.fold_left
-        (fun c (v, cnt) ->
-          Pr.add_range c v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-        ctx pr.pr_nests
+  | Some pr -> Facts.with_nest ctx pr.pr_nests
 
 (* A mem name may occur in expression position as the initializer of a
    sequential loop's carried memory: the loop threads the block
@@ -210,9 +205,7 @@ let threaded_aliases (m : string) (b : block) : SS.t option =
         check_block ~res_ok:false tb;
         check_block ~res_ok:false fb
     | e ->
-        let occ =
-          Reuse.exp_vars_block { stms = [ stm [] e ]; res = [] } SS.empty
-        in
+        let occ = Facts.exp_vars e SS.empty in
         if SS.exists (fun v -> SS.mem v !aliases) occ then ok := false
   and check_block ~res_ok (blk : block) =
     List.iter check_stm blk.stms;
@@ -398,11 +391,11 @@ let plan st opts ctx (members : member list) =
    [allow_escape], a member escaping through the block result is kept
    with an open-ended interval ([m_last = length stms]) - only sound
    at the program's top level, where the arena outlives the body. *)
-let block_members ?(allow_escape = false) scalars mems (b : block) =
+let block_members ?(allow_escape = false) (sc : Facts.scope) (b : block) =
   let stms = Array.of_list b.stms in
-  let refs = Array.map (Reuse.block_refs mems) stms in
-  let escape = Reuse.res_refs mems b in
-  let hard = Reuse.exp_vars_block b SS.empty in
+  let refs = Array.map (Facts.block_refs sc.mems) stms in
+  let escape = Facts.res_refs sc.mems b in
+  let hard = Facts.exp_vars_block b SS.empty in
   let n = Array.length stms in
   let first_ref names =
     let first = ref max_int in
@@ -437,7 +430,7 @@ let block_members ?(allow_escape = false) scalars mems (b : block) =
                   m_idx = i;
                   m_name = pe.pv;
                   m_size = sz;
-                  m_rsize = Reuse.resolve scalars sz;
+                  m_rsize = Facts.resolve sc.scalars sz;
                   m_first = first;
                   m_last = (if escapes && allow_escape then n else last_ref aliases);
                   m_aliases = aliases;
@@ -490,29 +483,6 @@ type pcand = {
   pc_top : int;  (* the top-level statement the member lives under *)
 }
 
-let note_mems mems (pes : pat_elem list) =
-  List.fold_left
-    (fun mems (pe : pat_elem) ->
-      match pe.pmem with
-      | Some mi -> SM.add pe.pv mi.block mems
-      | None -> mems)
-    mems pes
-
-let accum_scalars scalars (b : block) =
-  List.fold_left
-    (fun sc s ->
-      match Reuse.scalar_def s with Some (v, p) -> P.SM.add v p sc | None -> sc)
-    scalars b.stms
-
-let accum_mems mems (b : block) =
-  List.fold_left
-    (fun mems s ->
-      let mems = note_mems mems s.pat in
-      match s.exp with
-      | ELoop { params; _ } -> note_mems mems (List.map fst params)
-      | _ -> mems)
-    mems b.stms
-
 (* Promotable members of [b]'s subtree, lifted to [b]'s level.  A
    member survives a crossing only when nothing in its alias closure
    (nor any array annotated into it - [res_refs] resolves arrays to
@@ -521,10 +491,9 @@ let accum_mems mems (b : block) =
    statement, so a sequential-loop crossing is a lifetime hole (each
    iteration's instance was fresh) and a kernel crossing multiplies
    the slot into a per-thread region. *)
-let rec promotable scalars mems (b : block) : pcand list =
-  let scalars = accum_scalars scalars b in
-  let mems = accum_mems mems b in
-  let local, _ = block_members scalars mems b in
+let rec promotable sc (b : block) : pcand list =
+  let sc = Facts.add_block sc b in
+  let local, _ = block_members sc b in
   let local, _ = dedup_aliases local in
   let locals =
     List.map
@@ -541,47 +510,10 @@ let rec promotable scalars mems (b : block) : pcand list =
         })
       local
   in
-  let subs =
-    List.concat_map
-      (fun (s : stm) ->
-        match s.exp with
-        | ELoop { body; _ } -> (
-            match s.pat with
-            | [] -> []
-            | pe :: _ ->
-                List.map
-                  (fun pc -> { pc with pc_loops = pc.pc_loops @ [ pe.pv ] })
-                  (promotable scalars mems body))
-        | EMap { nest; body } ->
-            let counts =
-              List.map
-                (fun (v, bound) -> (v, Reuse.resolve scalars bound))
-                nest
-            in
-            let total = P.prod (List.map snd counts) in
-            let lin =
-              List.fold_left
-                (fun acc (v, c) -> P.add (P.mul acc c) (P.var v))
-                P.zero counts
-            in
-            List.map
-              (fun pc ->
-                {
-                  pc with
-                  pc_delta = P.add pc.pc_delta (P.mul pc.pc_region lin);
-                  pc_region = P.mul pc.pc_region total;
-                  pc_nests = counts @ pc.pc_nests;
-                })
-              (promotable scalars mems body)
-        | EIf { tb; fb; _ } ->
-            promotable scalars mems tb @ promotable scalars mems fb
-        | _ -> [])
-      b.stms
-  in
-  let all = locals @ subs in
+  let all = locals @ List.concat_map (promotable_under sc) b.stms in
   (* nothing aliasing a candidate may escape through this block's
      result *)
-  let esc = Reuse.res_refs mems b in
+  let esc = Facts.res_refs sc.mems b in
   let resv =
     List.fold_left
       (fun acc -> function Var v -> SS.add v acc | _ -> acc)
@@ -593,51 +525,39 @@ let rec promotable scalars mems (b : block) : pcand list =
         (SS.exists (fun a -> SS.mem a esc || SS.mem a resv) pc.pc_aliases))
     all
 
-(* Promotion candidates of the whole program, anchored at top-level
-   statement indices. *)
-let gather_promotable scalars mems (top : block) : pcand list =
-  let scalars = accum_scalars scalars top in
-  let mems = accum_mems mems top in
-  List.concat
-    (List.mapi
-       (fun i (s : stm) ->
-         let subs =
-           match s.exp with
-           | ELoop { body; _ } -> (
-               match s.pat with
-               | [] -> []
-               | pe :: _ ->
-                   List.map
-                     (fun pc ->
-                       { pc with pc_loops = pc.pc_loops @ [ pe.pv ] })
-                     (promotable scalars mems body))
-           | EMap { nest; body } ->
-               let counts =
-                 List.map
-                   (fun (v, bound) -> (v, Reuse.resolve scalars bound))
-                   nest
-               in
-               let total = P.prod (List.map snd counts) in
-               let lin =
-                 List.fold_left
-                   (fun acc (v, c) -> P.add (P.mul acc c) (P.var v))
-                   P.zero counts
-               in
-               List.map
-                 (fun pc ->
-                   {
-                     pc with
-                     pc_delta = P.add pc.pc_delta (P.mul pc.pc_region lin);
-                     pc_region = P.mul pc.pc_region total;
-                     pc_nests = counts @ pc.pc_nests;
-                   })
-                 (promotable scalars mems body)
-           | EIf { tb; fb; _ } ->
-               promotable scalars mems tb @ promotable scalars mems fb
-           | _ -> []
-         in
-         List.map (fun pc -> { pc with pc_top = i }) subs)
-       top.stms)
+(* The promotable members of [s]'s sub-blocks, lifted across [s]: a
+   loop adds itself to the crossed loops, a mapnest multiplies the
+   region by its thread count. *)
+and promotable_under sc (s : stm) : pcand list =
+  match s.exp with
+  | ELoop { body; _ } -> (
+      match s.pat with
+      | [] -> []
+      | pe :: _ ->
+          List.map
+            (fun pc -> { pc with pc_loops = pc.pc_loops @ [ pe.pv ] })
+            (promotable sc body))
+  | EMap { nest; body } ->
+      let counts =
+        List.map (fun (v, bound) -> (v, Facts.resolve sc.scalars bound)) nest
+      in
+      let total = P.prod (List.map snd counts) in
+      let lin =
+        List.fold_left
+          (fun acc (v, c) -> P.add (P.mul acc c) (P.var v))
+          P.zero counts
+      in
+      List.map
+        (fun pc ->
+          {
+            pc with
+            pc_delta = P.add pc.pc_delta (P.mul pc.pc_region lin);
+            pc_region = P.mul pc.pc_region total;
+            pc_nests = counts @ pc.pc_nests;
+          })
+        (promotable sc body)
+  | EIf { tb; fb; _ } -> promotable sc tb @ promotable sc fb
+  | _ -> []
 
 (* ---------------------------------------------------------------- *)
 (* Certificates and commitment                                       *)
@@ -804,24 +724,24 @@ let commit st opts cert ctx (b : block) ~at ~extent ~rextent
 (* Per-block packing (nested blocks)                                 *)
 (* ---------------------------------------------------------------- *)
 
-let pack_block st opts cert ctx scalars mems (b : block) : block =
-  let candidates, blocked = block_members scalars mems b in
+(* The arena allocation goes right after the last member EAlloc and
+   must dominate every member's first reference; hoisting has moved
+   the allocations to the block top, so this holds - when it does not,
+   drop trailing allocations until it does. *)
+let rec prune ms =
+  match ms with
+  | [] | [ _ ] -> ms
+  | _ ->
+      let min_first = List.fold_left (fun a m -> min a m.m_first) max_int ms
+      and max_idx = List.fold_left (fun a m -> max a m.m_idx) (-1) ms in
+      if max_idx < min_first then ms
+      else prune (List.filter (fun m -> m.m_idx <> max_idx) ms)
+
+let pack_block st opts cert (sc : Facts.scope) (b : block) : block =
+  let ctx = sc.ctx in
+  let candidates, blocked = block_members sc b in
   let candidates, aliased_out = dedup_aliases candidates in
   let blocked = blocked @ aliased_out in
-  (* the arena allocation goes right after the last member EAlloc and
-     must dominate every member's first reference; hoisting has moved
-     the allocations to the block top, so this holds - when it does
-     not, drop trailing allocations until it does *)
-  let rec prune ms =
-    match ms with
-    | [] | [ _ ] -> ms
-    | _ ->
-        let min_first =
-          List.fold_left (fun a m -> min a m.m_first) max_int ms
-        and max_idx = List.fold_left (fun a m -> max a m.m_idx) (-1) ms in
-        if max_idx < min_first then ms
-        else prune (List.filter (fun m -> m.m_idx <> max_idx) ms)
-  in
   let pruned = prune candidates in
   let placements, ext = plan st opts ctx pruned in
   match (placements, ext) with
@@ -847,14 +767,19 @@ let pack_block st opts cert ctx scalars mems (b : block) : block =
    members gathered from nested scopes.  A promoted member's interval
    collapses to its enclosing top-level statement - everything about
    it happens inside that one statement's subtree. *)
-let pack_top st opts cert ctx scalars mems (p : prog) : block =
+let pack_top st opts cert (p : prog) : block =
   let b = p.body in
-  let scalars = accum_scalars scalars b in
-  let mems = accum_mems mems b in
-  let candidates, blocked =
-    block_members ~allow_escape:true scalars mems b
+  let sc = Facts.add_block (Facts.top p) b in
+  let ctx = sc.ctx in
+  let candidates, blocked = block_members ~allow_escape:true sc b in
+  (* promotion candidates, anchored at top-level statement indices *)
+  let pcands =
+    List.concat
+      (List.mapi
+         (fun i s ->
+           List.map (fun pc -> { pc with pc_top = i }) (promotable_under sc s))
+         b.stms)
   in
-  let pcands = gather_promotable scalars mems b in
   (* a region the prover cannot evaluate at the top level (or whose
      placement would mention non-top names beyond the nest binders)
      stays local *)
@@ -907,16 +832,6 @@ let pack_top st opts cert ctx scalars mems (p : prog) : block =
     dedup_aliases (candidates @ promoted_members)
   in
   let blocked = blocked @ aliased_out in
-  let rec prune ms =
-    match ms with
-    | [] | [ _ ] -> ms
-    | _ ->
-        let min_first =
-          List.fold_left (fun a m -> min a m.m_first) max_int ms
-        and max_idx = List.fold_left (fun a m -> max a m.m_idx) (-1) ms in
-        if max_idx < min_first then ms
-        else prune (List.filter (fun m -> m.m_idx <> max_idx) ms)
-  in
   let pruned = prune candidates in
   (* promoted members that fail to place here fall back to the
      per-block phase, which does its own accounting - only top-local
@@ -976,45 +891,14 @@ let pack_top st opts cert ctx scalars mems (p : prog) : block =
    annotations left, so per-block packing skips them naturally;
    in-kernel members it could not lift still pack into per-thread
    arenas here. *)
-let rec walk ?(pack_here = true) st opts cert ctx scalars mems (b : block) :
-    block =
-  let scalars = accum_scalars scalars b in
-  let mems = accum_mems mems b in
-  let b =
-    if pack_here then pack_block st opts cert ctx scalars mems b else b
-  in
+let rec walk ?(pack_here = true) st opts cert sc (b : block) : block =
+  let sc = Facts.add_block sc b in
+  let b = if pack_here then pack_block st opts cert sc b else b in
   let stms =
     List.map
       (fun s ->
         Chaos.probe "pack";
-        let exp =
-          match s.exp with
-          | ELoop ({ var; bound; body; params } as lp) ->
-              let ctx' =
-                Pr.add_range ctx var ~lo:P.zero
-                  ~hi:(P.sub (Reuse.resolve scalars bound) P.one) ()
-              in
-              let mems' = note_mems mems (List.map fst params) in
-              ELoop { lp with body = walk st opts cert ctx' scalars mems' body }
-          | EIf ({ tb; fb; _ } as i) ->
-              EIf
-                {
-                  i with
-                  tb = walk st opts cert ctx scalars mems tb;
-                  fb = walk st opts cert ctx scalars mems fb;
-                }
-          | EMap { nest; body } ->
-              let ctx' =
-                List.fold_left
-                  (fun c (v, bound) ->
-                    Pr.add_range c v ~lo:P.zero
-                      ~hi:(P.sub (Reuse.resolve scalars bound) P.one) ())
-                  ctx nest
-              in
-              EMap { nest; body = walk st opts cert ctx' scalars mems body }
-          | e -> e
-        in
-        { s with exp })
+        Facts.map_sub_blocks (walk st opts cert) sc s)
       b.stms
   in
   { b with stms }
@@ -1024,17 +908,6 @@ let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   if not options.pack then (p, st)
   else
     Ir.Names.within p @@ fun () ->
-    let mems0 =
-      List.fold_left
-        (fun m (pe : pat_elem) ->
-          match pe.pmem with
-          | Some mi -> SM.add pe.pv mi.block m
-          | None -> m)
-        SM.empty p.params
-    in
-    let body = pack_top st options cert p.ctx P.SM.empty mems0 p in
-    let p = { p with body } in
-    let body =
-      walk ~pack_here:false st options cert p.ctx P.SM.empty mems0 p.body
-    in
+    let p = { p with body = pack_top st options cert p } in
+    let body = walk ~pack_here:false st options cert (Facts.top p) p.body in
     ({ p with body }, st)

@@ -118,45 +118,6 @@ let pp_stats ppf (s : stats) =
 let trace opts fmt =
   if opts.verbose then Fmt.epr (fmt ^^ "@.") else Fmt.kstr (fun _ -> ()) fmt
 
-(* ---------------------------------------------------------------- *)
-(* Shared helpers                                                    *)
-(* ---------------------------------------------------------------- *)
-
-let resolve scalars p = try P.subst_fixpoint scalars p with Failure _ -> p
-
-let resolve_lmad scalars l =
-  try Lmad.subst_fixpoint scalars l with Failure _ -> l
-
-(* The LMAD adjacent to memory: a chain's footprint is a subset of the
-   last link's point set (same convention as Memlint). *)
-let memory_lmad ixfn =
-  match List.rev (Ixfn.chain ixfn) with
-  | l :: _ -> l
-  | [] -> Fault.internal ~where:"Reuse.memory_lmad" "empty index-function chain"
-
-let atom_poly = function
-  | Int c -> Some (P.const c)
-  | Var v -> Some (P.var v)
-  | _ -> None
-
-(* i64 scalar definitions usable for size resolution (the same table
-   Shortcircuit and Memlint build). *)
-let scalar_def (s : stm) : (string * P.t) option =
-  match (s.pat, s.exp) with
-  | [ pe ], EIdx p when pe.pt = TScalar I64 -> Some (pe.pv, p)
-  | [ pe ], EAtom (Int c) when pe.pt = TScalar I64 -> Some (pe.pv, P.const c)
-  | [ pe ], EAtom (Var v) when pe.pt = TScalar I64 -> Some (pe.pv, P.var v)
-  | [ pe ], EBin (op, a, b) when pe.pt = TScalar I64 -> (
-      match (atom_poly a, atom_poly b) with
-      | Some pa, Some pb -> (
-          match op with
-          | Add -> Some (pe.pv, P.add pa pb)
-          | Sub -> Some (pe.pv, P.sub pa pb)
-          | Mul -> Some (pe.pv, P.mul pa pb)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
 (* Rename block [oldm] to [newm] in every annotation of a statement
    subtree (annotations are the only legitimate occurrences the
    coalescer allows, so exps need no rewriting). *)
@@ -219,43 +180,6 @@ and rename_var_block oldm newm (b : block) : block =
     res = List.map (function Var v when v = oldm -> Var newm | a -> a) b.res;
   }
 
-(* Variables occurring in *expression* position anywhere in a subtree:
-   atoms, array operands, concat/update names, loop initializers and
-   body results - everything except memory annotations and index
-   polynomials (whose variables are scalars).  A block name with such
-   an occurrence is structurally load-bearing and never coalesced. *)
-let rec exp_vars (e : exp) (acc : SS.t) : SS.t =
-  let atom acc = function Var v -> SS.add v acc | _ -> acc in
-  match e with
-  | EAtom a | EUn (_, a) | EReplicate (_, a) -> atom acc a
-  | EBin (_, a, b) | ECmp (_, a, b) -> atom (atom acc a) b
-  | EIdx _ | EIota _ | EScratch _ | EAlloc _ -> acc
-  | EIndex (v, _)
-  | ESlice (v, _)
-  | ETranspose (v, _)
-  | EReshape (v, _)
-  | EReverse (v, _)
-  | ECopy v
-  | EArgmin v ->
-      SS.add v acc
-  | EConcat vs -> List.fold_left (fun acc v -> SS.add v acc) acc vs
-  | EReduce { ne; arr; _ } -> atom (SS.add arr acc) ne
-  | EUpdate { dst; src; _ } -> (
-      let acc = SS.add dst acc in
-      match src with SrcArr v -> SS.add v acc | SrcScalar a -> atom acc a)
-  | EMap { body; _ } -> exp_vars_block body acc
-  | ELoop { params; body; _ } ->
-      let acc = List.fold_left (fun acc (_, a) -> atom acc a) acc params in
-      exp_vars_block body acc
-  | EIf { cond; tb; fb } ->
-      exp_vars_block fb (exp_vars_block tb (atom acc cond))
-
-and exp_vars_block (b : block) (acc : SS.t) : SS.t =
-  let acc = List.fold_left (fun acc s -> exp_vars s.exp acc) acc b.stms in
-  List.fold_left
-    (fun acc a -> match a with Var v -> SS.add v acc | _ -> acc)
-    acc b.res
-
 (* Does mem block [name], allocated inside an [if] arm, escape the arm
    in expression position?  One relaxation over a bare
    [exp_vars_block] membership test: memintro threads an arm-local
@@ -289,14 +213,14 @@ let arm_block_escapes (arm : block) name : bool =
     | EIf { cond; tb; fb } ->
         (match cond with Var v -> v = name | _ -> false)
         || block_occ tb || block_occ fb
-    | e -> SS.mem name (exp_vars e SS.empty)
+    | e -> SS.mem name (Facts.exp_vars e SS.empty)
   and block_occ (b : block) : bool =
     List.exists stm_occ b.stms
     || List.exists (function Var v -> v = name | _ -> false) b.res
   in
   block_occ arm
   ||
-  let all = exp_vars_block arm SS.empty in
+  let all = Facts.exp_vars_block arm SS.empty in
   List.exists (fun r -> SS.mem r all) !chain
 
 (* Every annotation into block [blk] anywhere in a subtree (pattern
@@ -305,40 +229,30 @@ let arm_block_escapes (arm : block) name : bool =
    prover context extended by the iteration-space ranges of the
    enclosing map/loop nests inside the subtree, so bounds of
    index-dependent footprints ([9*i*n + 9*j + {(9 : 1)}] under a
-   mapnest) can be discharged. *)
-let annots_into ctx scalars blk (b : block) :
-    (string * mem_info * Pr.t) list =
+   mapnest) can be discharged.  Nest counts resolve through [sc]'s
+   scalar table alone, not through definitions inside the subtree. *)
+let annots_into sc blk (b : block) : (string * mem_info * Pr.t) list =
   let acc = ref [] in
-  let note ctx pe =
-    match pe.pmem with
-    | Some mi when mi.block = blk -> acc := (pe.pv, mi, ctx) :: !acc
-    | _ -> ()
+  let rec go sc (b : block) =
+    List.iter
+      (fun (s : stm) ->
+        List.iter
+          (fun pe ->
+            match pe.pmem with
+            | Some mi when mi.block = blk ->
+                acc := (pe.pv, mi, sc.Facts.ctx) :: !acc
+            | _ -> ())
+          (Facts.binders s);
+        let inner = Facts.enter sc s in
+        match s.exp with
+        | EMap { body; _ } | ELoop { body; _ } -> go inner body
+        | EIf { tb; fb; _ } ->
+            go inner tb;
+            go inner fb
+        | _ -> ())
+      b.stms
   in
-  let rec go_stm ctx (s : stm) =
-    List.iter (note ctx) s.pat;
-    match s.exp with
-    | EMap { nest; body } ->
-        let ctx' =
-          List.fold_left
-            (fun c (v, n) ->
-              Pr.add_range c v ~lo:P.zero
-                ~hi:(P.sub (resolve scalars n) P.one) ())
-            ctx nest
-        in
-        go_block ctx' body
-    | ELoop { params; var; bound; body } ->
-        List.iter (fun (pe, _) -> note ctx pe) params;
-        let ctx' =
-          Pr.add_range ctx var ~lo:P.zero
-            ~hi:(P.sub (resolve scalars bound) P.one) ()
-        in
-        go_block ctx' body
-    | EIf { tb; fb; _ } ->
-        go_block ctx tb;
-        go_block ctx fb
-    | _ -> ()
-  and go_block ctx (b : block) = List.iter (go_stm ctx) b.stms in
-  go_block ctx b;
+  go sc b;
   !acc
 
 (* ---------------------------------------------------------------- *)
@@ -457,7 +371,10 @@ let chain_analysis (p : prog) =
         match s.pat with
         | [ pe ] when pe.pt = TMem -> mem_binders := SS.add pe.pv !mem_binders
         | _ -> ())
-    | e -> SS.iter (fun v -> hard := SS.add v !hard) (exp_vars e SS.empty));
+    | e ->
+        SS.iter
+          (fun v -> hard := SS.add v !hard)
+          (Facts.exp_vars e SS.empty));
     ()
   in
   List.iter note_pe p.params;
@@ -630,8 +547,8 @@ let remove_dead_chains (st : stats) opts cert (p : prog) : prog =
      short-circuited concat-piece layout: top/mid/bot at offsets
      within the full array). *)
 
-let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
-    (s : stm) : stm list option =
+let try_rotate (st : stats) opts cert ({ Facts.ctx; scalars; _ } as sc)
+    ~alloc_sizes ~tail_refs (s : stm) : stm list option =
   match (s.exp, s.pat) with
   | ( ELoop { params = [ (pm, Var im); (pa, Var ia) ]; var; bound; body },
       [ qm; qa ] )
@@ -668,8 +585,9 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
              body (e.g. feeding an inner existential loop): annotations
              are all the rewrite renames *)
           let body_exp_vars =
-            List.fold_left (fun acc bs -> exp_vars bs.exp acc) SS.empty
-              body.stms
+            List.fold_left
+              (fun acc bs -> Facts.exp_vars bs.exp acc)
+              SS.empty body.stms
           in
           let size_proof = ref None in
           (match alloc_size with
@@ -681,9 +599,9 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
                  && (not (SS.mem im body_fv))
                  && (not (SS.mem ia tail_refs))
                  && (not (SS.mem im tail_refs))
-                 && Pr.prove_ge ctx (resolve scalars bound) P.one
+                 && Pr.prove_ge ctx (Facts.resolve scalars bound) P.one
                  && (* size obligation for the redirected writes *)
-                 (let rm_annots = annots_into ctx scalars rm body in
+                 (let rm_annots = annots_into sc rm body in
                   let sole_carried_occupant =
                     rm_annots <> []
                     && List.for_all
@@ -695,8 +613,8 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
                     match SM.find_opt im alloc_sizes with
                     | Some size_im
                       when Pr.prove_ge ctx
-                             (resolve scalars size_im)
-                             (resolve scalars sz) ->
+                             (Facts.resolve scalars size_im)
+                             (Facts.resolve scalars sz) ->
                         st.size_proofs <- st.size_proofs + 1;
                         size_proof := Some (`Init size_im);
                         true
@@ -705,14 +623,16 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
                   let fits_carried_footprint () =
                     match
                       Lmad.bounds ctx
-                        (resolve_lmad scalars (memory_lmad pmi.ixfn))
+                        (Facts.resolve_lmad scalars
+                           (Facts.memory_lmad pmi.ixfn))
                     with
                     | None -> false
                     | Some (_, hi_c) ->
                         let fits (_, (mi : mem_info), actx) =
                           match
                             Lmad.bounds actx
-                              (resolve_lmad scalars (memory_lmad mi.ixfn))
+                              (Facts.resolve_lmad scalars
+                                 (Facts.memory_lmad mi.ixfn))
                           with
                           | None -> false
                           | Some (lo, hi) ->
@@ -822,7 +742,10 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
                   in
                   Certify.emit r rw ~ctx
                     (Certify.Size_ge
-                       { larger = resolve scalars bound; smaller = P.one });
+                       {
+                         larger = Facts.resolve scalars bound;
+                         smaller = P.one;
+                       });
                   Certify.emit r rw
                     (Certify.Dead_after { names = [ im; ia ]; binding = qa.pv });
                   (match !size_proof with
@@ -834,8 +757,8 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
                       Certify.emit r rw ~ctx
                         (Certify.Size_ge
                            {
-                             larger = resolve scalars size_im;
-                             smaller = resolve scalars sz;
+                             larger = Facts.resolve scalars size_im;
+                             smaller = Facts.resolve scalars sz;
                            })
                   | Some (`Fits (hi_c, rm_annots)) ->
                       List.iter
@@ -844,7 +767,8 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
                             (Certify.Bounds_in
                                {
                                  lmad =
-                                   resolve_lmad scalars (memory_lmad mi.ixfn);
+                                   Facts.resolve_lmad scalars
+                                     (Facts.memory_lmad mi.ixfn);
                                  lo = P.zero;
                                  hi = hi_c;
                                }))
@@ -865,52 +789,28 @@ let try_rotate (st : stats) opts cert ctx scalars ~alloc_sizes ~tail_refs
    its (annotation) block, so a free variable occurrence extends its
    block's range even when the block name itself does not appear. *)
 
-let block_refs mems (s : stm) : SS.t =
-  let fv = fv_stm s in
-  SS.fold
-    (fun v acc ->
-      match SM.find_opt v mems with Some m -> SS.add m acc | None -> acc)
-    fv fv
-
-let res_refs mems (b : block) : SS.t =
-  List.fold_left
-    (fun acc a ->
-      match a with
-      | Var v -> (
-          let acc = SS.add v acc in
-          match SM.find_opt v mems with
-          | Some m -> SS.add m acc
-          | None -> acc)
-      | _ -> acc)
-    SS.empty b.res
-
-let coalesce_block (st : stats) opts cert ctx scalars mems (b : block) : unit =
+let coalesce_block (st : stats) opts cert { Facts.ctx; scalars; mems }
+    (b : block) : unit =
   let stms = Array.of_list b.stms in
   let n = Array.length stms in
-  let refs = Array.map (block_refs mems) stms in
-  let escape = res_refs mems b in
+  let refs = Array.map (Facts.block_refs mems) stms in
+  let escape = Facts.res_refs mems b in
   (* names with expression-position occurrences anywhere in this block
      are structurally load-bearing (loop-carried mems etc.) *)
-  let hard = exp_vars_block b SS.empty in
-  (* annotations per block, for the footprint-fit fallback *)
-  let annots_of blk =
-    let acc = ref [] in
-    let note pe =
-      match pe.pmem with
-      | Some mi when mi.block = blk -> acc := mi :: !acc
-      | _ -> ()
-    in
-    Array.iter
-      (fun s ->
-        List.iter
-          (fun sub ->
-            List.iter note sub.pat;
-            match sub.exp with
-            | ELoop { params; _ } -> List.iter (fun (pe, _) -> note pe) params
-            | _ -> ())
-          (all_stms_block { stms = [ s ]; res = [] }))
-      stms;
-    !acc
+  let hard = Facts.exp_vars_block b SS.empty in
+  (* annotations into [blk] from statement [from] on, nested ones
+     included, last first: the footprint-fit fallback checks them and
+     the coalesce obligation records their arrays *)
+  let annots_from from blk =
+    List.fold_left
+      (fun acc (pe : pat_elem) ->
+        match pe.pmem with
+        | Some mi when mi.block = blk -> (pe.pv, mi) :: acc
+        | _ -> acc)
+      []
+      (List.concat_map Facts.binders
+         (all_stms_block
+            { stms = List.filteri (fun i _ -> i >= from) b.stms; res = [] }))
   in
   let last_ref blk =
     let last = ref (-1) in
@@ -928,7 +828,8 @@ let coalesce_block (st : stats) opts cert ctx scalars mems (b : block) : unit =
     !first
   in
   let size_dominates sizee sizel blk_l =
-    let se = resolve scalars sizee and sl = resolve scalars sizel in
+    let se = Facts.resolve scalars sizee
+    and sl = Facts.resolve scalars sizel in
     if Pr.prove_ge ctx se sl then begin
       st.size_proofs <- st.size_proofs + 1;
       Some (`Ge (se, sl))
@@ -936,38 +837,21 @@ let coalesce_block (st : stats) opts cert ctx scalars mems (b : block) : unit =
     else
       (* fallback: every annotation moving into E stays in [0, size E) *)
       let fits mi =
-        match Lmad.bounds ctx (resolve_lmad scalars (memory_lmad mi.ixfn)) with
+        match
+          Lmad.bounds ctx
+            (Facts.resolve_lmad scalars (Facts.memory_lmad mi.ixfn))
+        with
         | None -> false
         | Some (lo, hi) ->
             Pr.prove_in_range ctx lo ~lo:P.zero ~hi:(P.sub se P.one)
             && Pr.prove_in_range ctx hi ~lo:P.zero ~hi:(P.sub se P.one)
       in
-      let annots = annots_of blk_l in
+      let annots = List.map snd (annots_from 0 blk_l) in
       if annots <> [] && List.for_all fits annots then begin
         st.size_proofs <- st.size_proofs + 1;
         Some (`Fits (se, annots))
       end
       else None
-  in
-  (* arrays whose annotation the rename below moves into the target
-     (recorded in the coalesce obligation) *)
-  let movers_of di l =
-    let acc = ref [] in
-    for i = di to n - 1 do
-      List.iter
-        (fun sub ->
-          let note pe =
-            match pe.pmem with
-            | Some mi when mi.block = l -> acc := pe.pv :: !acc
-            | _ -> ()
-          in
-          List.iter note sub.pat;
-          match sub.exp with
-          | ELoop { params; _ } -> List.iter (fun (pe, _) -> note pe) params
-          | _ -> ())
-        (all_stms_block { stms = [ stms.(i) ]; res = [] })
-    done;
-    List.rev !acc
   in
   (* allocations in statement order *)
   let allocs = ref [] in
@@ -1007,7 +891,9 @@ let coalesce_block (st : stats) opts cert ctx scalars mems (b : block) : unit =
               match proof with
               | Some proof ->
                   let movers =
-                    match cert with Some _ -> movers_of di l | None -> []
+                    match cert with
+                    | Some _ -> List.rev_map fst (annots_from di l)
+                    | None -> []
                   in
                   (* rebind L's annotations into E from L's definition on *)
                   for i = di to n - 1 do
@@ -1033,8 +919,8 @@ let coalesce_block (st : stats) opts cert ctx scalars mems (b : block) : unit =
                                 (Certify.Bounds_in
                                    {
                                      lmad =
-                                       resolve_lmad scalars
-                                         (memory_lmad mi.ixfn);
+                                       Facts.resolve_lmad scalars
+                                         (Facts.memory_lmad mi.ixfn);
                                      lo = P.zero;
                                      hi = P.sub se P.one;
                                    }))
@@ -1094,44 +980,15 @@ let coalesce_block (st : stats) opts cert ctx scalars mems (b : block) : unit =
    dominating size. *)
 
 let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
-  let note_mems m (pes : pat_elem list) =
-    List.fold_left
-      (fun m pe ->
-        match pe.pmem with
-        | Some mi -> SM.add pe.pv mi.block m
-        | None -> m)
-      m pes
-  in
-  let rec go_stm ~in_loop ctx scalars (s : stm) : stm list =
+  let rec go_stm ~in_loop ({ Facts.ctx; scalars; _ } as sc) (s : stm) :
+      stm list =
     match s.exp with
-    | EMap { nest; body } ->
-        let ctx' =
-          List.fold_left
-            (fun c (v, n) ->
-              Pr.add_range c v ~lo:P.zero
-                ~hi:(P.sub (resolve scalars n) P.one) ())
-            ctx nest
-        in
-        [
-          {
-            s with
-            exp = EMap { nest; body = go_block ~in_loop:false ctx' scalars body };
-          };
-        ]
-    | ELoop ({ var; bound; body; params } as lp) ->
-        let ctx' =
-          Pr.add_range ctx var ~lo:P.zero
-            ~hi:(P.sub (resolve scalars bound) P.one) ()
-        in
-        let body = go_block ~in_loop:true ctx' scalars body in
-        let bscalars =
-          List.fold_left
-            (fun sc bs ->
-              match scalar_def bs with
-              | Some (v, pl) -> P.SM.add v pl sc
-              | None -> sc)
-            scalars body.stms
-        in
+    | EMap _ -> [ Facts.map_sub_blocks (go_block ~in_loop:false) sc s ]
+    | ELoop ({ var; body; params; _ } as lp) ->
+        let sc_body = Facts.enter sc s in
+        let ctx' = sc_body.ctx in
+        let body = go_block ~in_loop:true sc_body body in
+        let bscalars = Facts.add_scalars scalars body.stms in
         let bound_names =
           List.fold_left
             (fun acc (bs : stm) ->
@@ -1141,23 +998,18 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
                (SS.singleton var) params)
             body.stms
         in
-        let hard = exp_vars_block body SS.empty in
+        let hard = Facts.exp_vars_block body SS.empty in
         let mems_body =
-          List.fold_left
-            (fun m (bs : stm) ->
-              let m = note_mems m bs.pat in
-              match bs.exp with
-              | ELoop { params = ps; _ } -> note_mems m (List.map fst ps)
-              | _ -> m)
-            (note_mems SM.empty (List.map fst params))
-            (all_stms_block body)
+          Facts.add_mems SM.empty
+            (List.map fst params
+            @ List.concat_map Facts.binders (all_stms_block body))
         in
-        let escape = res_refs mems_body body in
+        let escape = Facts.res_refs mems_body body in
         (* hoisted size, when the block is eligible *)
         let hoist_size pe sz =
           if SS.mem pe.pv hard || SS.mem pe.pv escape then None
           else
-            let szr = resolve bscalars sz in
+            let szr = Facts.resolve bscalars sz in
             let inner = SS.inter (SS.of_list (P.vars szr)) bound_names in
             if SS.is_empty inner then Some (szr, None)
             else if SS.equal inner (SS.singleton var) then begin
@@ -1208,8 +1060,8 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
         List.rev !lifted
         @ [ { s with exp = ELoop { lp with body = { body with stms = stms' } } } ]
     | EIf ({ tb; fb; _ } as i) ->
-        let tb = go_block ~in_loop ctx scalars tb in
-        let fb = go_block ~in_loop ctx scalars fb in
+        let tb = go_block ~in_loop sc tb in
+        let fb = go_block ~in_loop sc fb in
         let if_binding = match s.pat with q :: _ -> q.pv | [] -> "?" in
         (* Arm-local hoist candidates: allocations whose block does
            not escape the arm in expression position (loop-carried mem
@@ -1219,14 +1071,7 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
            definitions) mentions no arm-bound variable, so the request
            is computable above the conditional. *)
         let arm_candidates (arm : block) : (pat_elem * P.t) list =
-          let ascalars =
-            List.fold_left
-              (fun sc bs ->
-                match scalar_def bs with
-                | Some (v, pl) -> P.SM.add v pl sc
-                | None -> sc)
-              scalars arm.stms
-          in
+          let ascalars = Facts.add_scalars scalars arm.stms in
           let bound_names =
             List.fold_left
               (fun acc (bs : stm) ->
@@ -1234,15 +1079,10 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
               SS.empty arm.stms
           in
           let mems_arm =
-            List.fold_left
-              (fun m (bs : stm) ->
-                let m = note_mems m bs.pat in
-                match bs.exp with
-                | ELoop { params = ps; _ } -> note_mems m (List.map fst ps)
-                | _ -> m)
-              SM.empty (all_stms_block arm)
+            Facts.add_mems SM.empty
+              (List.concat_map Facts.binders (all_stms_block arm))
           in
-          let escape = res_refs mems_arm arm in
+          let escape = Facts.res_refs mems_arm arm in
           List.filter_map
             (fun (bs : stm) ->
               match (bs.pat, bs.exp) with
@@ -1250,7 +1090,7 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
                   if SS.mem pe.pv escape || arm_block_escapes arm pe.pv then
                     None
                   else
-                    let szr = resolve ascalars sz in
+                    let szr = Facts.resolve ascalars sz in
                     if
                       SS.is_empty
                         (SS.inter (SS.of_list (P.vars szr)) bound_names)
@@ -1340,18 +1180,11 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
         List.rev !lifted
         @ [ { s with exp = EIf { i with tb = finish true tb; fb = finish false fb } } ]
     | _ -> [ s ]
-  and go_block ~in_loop ctx scalars (b : block) : block =
-    let scalars =
-      List.fold_left
-        (fun sc s ->
-          match scalar_def s with
-          | Some (v, pl) -> P.SM.add v pl sc
-          | None -> sc)
-        scalars b.stms
-    in
-    { b with stms = List.concat_map (go_stm ~in_loop ctx scalars) b.stms }
+  and go_block ~in_loop sc (b : block) : block =
+    let sc = Facts.add_block sc b in
+    { b with stms = List.concat_map (go_stm ~in_loop sc) b.stms }
   in
-  { p0 with body = go_block ~in_loop:false p0.ctx P.SM.empty p0.body }
+  { p0 with body = go_block ~in_loop:false (Facts.top p0) p0.body }
 
 (* ---------------------------------------------------------------- *)
 (* Driver                                                            *)
@@ -1359,17 +1192,9 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
 
 (* One walk applies rotation (rewriting statement lists), then
    coalescing on the rewritten list, then recurses into sub-blocks
-   with the extended prover context and scope maps. *)
-let rec walk st opts cert ctx scalars allocs mems (b : block) : block =
-  (* scope maps visible to this block and below *)
-  let scalars =
-    List.fold_left
-      (fun sc s ->
-        match scalar_def s with
-        | Some (v, p) -> P.SM.add v p sc
-        | None -> sc)
-      scalars b.stms
-  in
+   with the extended scope. *)
+let rec walk st opts cert allocs sc (b : block) : block =
+  let sc = Facts.add_block sc b in
   let allocs =
     List.fold_left
       (fun al (s : stm) ->
@@ -1378,42 +1203,25 @@ let rec walk st opts cert ctx scalars allocs mems (b : block) : block =
         | _ -> al)
       allocs b.stms
   in
-  let note_mems mems (pes : pat_elem list) =
-    List.fold_left
-      (fun mems pe ->
-        match pe.pmem with
-        | Some mi -> SM.add pe.pv mi.block mems
-        | None -> mems)
-      mems pes
-  in
-  let mems =
-    List.fold_left
-      (fun mems s ->
-        let mems = note_mems mems s.pat in
-        match s.exp with
-        | ELoop { params; _ } -> note_mems mems (List.map fst params)
-        | _ -> mems)
-      mems b.stms
-  in
   (* rotation: rewrite the statement list back to front so [tail_refs]
      is exact for the statements following each candidate *)
   let b =
     if not opts.rotation then b
     else begin
-      let tail = ref (res_refs mems b) in
+      let tail = ref (Facts.res_refs sc.mems b) in
       let stms' =
         List.fold_right
           (fun s acc ->
             let out =
               match
-                try_rotate st opts cert ctx scalars ~alloc_sizes:allocs
+                try_rotate st opts cert sc ~alloc_sizes:allocs
                   ~tail_refs:!tail s
               with
               | Some ss -> ss
               | None -> [ s ]
             in
             List.iter
-              (fun s' -> tail := SS.union !tail (block_refs mems s'))
+              (fun s' -> tail := SS.union !tail (Facts.block_refs sc.mems s'))
               out;
             out @ acc)
           b.stms []
@@ -1421,45 +1229,12 @@ let rec walk st opts cert ctx scalars allocs mems (b : block) : block =
       { b with stms = stms' }
     end
   in
-  if opts.coalesce then coalesce_block st opts cert ctx scalars mems b;
-  (* recurse, extending the context with iteration-space ranges *)
+  if opts.coalesce then coalesce_block st opts cert sc b;
   let stms =
     List.map
       (fun s ->
         Chaos.probe "reuse";
-        let exp =
-          match s.exp with
-          | EMap { nest; body } ->
-              let ctx' =
-                List.fold_left
-                  (fun c (v, n) ->
-                    Pr.add_range c v ~lo:P.zero
-                      ~hi:(P.sub (resolve scalars n) P.one) ())
-                  ctx nest
-              in
-              EMap
-                { nest; body = walk st opts cert ctx' scalars allocs mems body }
-          | ELoop ({ var; bound; body; params } as lp) ->
-              let ctx' =
-                Pr.add_range ctx var ~lo:P.zero
-                  ~hi:(P.sub (resolve scalars bound) P.one) ()
-              in
-              let mems' = note_mems mems (List.map fst params) in
-              ELoop
-                {
-                  lp with
-                  body = walk st opts cert ctx' scalars allocs mems' body;
-                }
-          | EIf ({ tb; fb; _ } as i) ->
-              EIf
-                {
-                  i with
-                  tb = walk st opts cert ctx scalars allocs mems tb;
-                  fb = walk st opts cert ctx scalars allocs mems fb;
-                }
-          | e -> e
-        in
-        { s with exp })
+        Facts.map_sub_blocks (walk st opts cert allocs) sc s)
       b.stms
   in
   { b with stms }
@@ -1469,13 +1244,5 @@ let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let st = fresh_stats () in
   let p = if options.chains then remove_dead_chains st options cert p else p in
   let p = if options.cross_scope then hoist_allocs st options cert p else p in
-  let mems0 =
-    List.fold_left
-      (fun m pe ->
-        match pe.pmem with
-        | Some mi -> SM.add pe.pv mi.block m
-        | None -> m)
-      SM.empty p.params
-  in
-  let body = walk st options cert p.ctx P.SM.empty SM.empty mems0 p.body in
+  let body = walk st options cert SM.empty (Facts.top p) p.body in
   ({ p with body }, st)

@@ -38,7 +38,8 @@
       {!constructor:Certify.claim.Size_ge} obligations.
 
     Liveness comes from the same reference/alias machinery as the
-    last-use analysis: a block is live from its allocation to the last
+    last-use analysis ({!Facts.block_refs}, which {!module:Pack}'s
+    interference graph shares): a block is live from its allocation to the last
     statement whose free variables include it or any array annotated
     into it.  {!module:Memlint}'s [reuse] rule independently rejects
     coalescings whose live ranges overlap; {!module:Memtrace} replays
@@ -74,38 +75,6 @@ type stats = {
 
 val fresh_stats : unit -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-(** {1 Liveness and scope helpers}
-
-    The reference/scope machinery the coalescer's live intervals are
-    built from, exported for {!module:Pack}: the packing pass derives
-    its interference graph from the very same first-reference
-    intervals, so the two passes cannot disagree about liveness. *)
-
-val resolve : Symalg.Poly.t Symalg.Poly.SM.t -> Symalg.Poly.t -> Symalg.Poly.t
-(** Resolve i64 scalar definitions down to parameters / loop variables
-    (fixpoint substitution; identity when the table cycles). *)
-
-val memory_lmad : Lmads.Ixfn.t -> Lmads.Lmad.t
-(** The LMAD adjacent to memory: the last link of the chain (same
-    convention as {!module:Memlint}). *)
-
-val scalar_def : Ir.Ast.stm -> (string * Symalg.Poly.t) option
-(** The i64 scalar definition a statement contributes to the
-    resolution table, if any. *)
-
-val exp_vars_block : Ir.Ast.block -> Ir.Ast.SS.t -> Ir.Ast.SS.t
-(** Variables occurring in {e expression} position anywhere in a
-    subtree - everything except memory annotations and index
-    polynomials.  A block name with such an occurrence is structurally
-    load-bearing and never coalesced or packed. *)
-
-val block_refs : string Map.Make(String).t -> Ir.Ast.stm -> Ir.Ast.SS.t
-(** Free variables of a statement plus the annotation blocks of the
-    arrays among them (the map takes array variables to their block). *)
-
-val res_refs : string Map.Make(String).t -> Ir.Ast.block -> Ir.Ast.SS.t
-(** Names a block's result atoms reference, plus their blocks. *)
 
 val optimize :
   ?options:options ->

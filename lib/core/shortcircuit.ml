@@ -40,7 +40,6 @@ module Pr = Symalg.Prover
 module Lmad = Lmads.Lmad
 module Ixfn = Lmads.Ixfn
 module Refset = Lmads.Refset
-module SM = Map.Make (String)
 module SS = Ir.Ast.SS
 
 type stats = {
@@ -86,7 +85,7 @@ type st = {
   opts : options;
   mems : (string, mem_info) Hashtbl.t; (* current annotations *)
   types : (string, typ) Hashtbl.t;
-  scalars : (string, P.t) Hashtbl.t; (* scalar defs for translation *)
+  scalars : P.t P.SM.t; (* scalar defs for translation *)
   aliases : Alias.t;
   stats : stats;
   failed : (string * string, int) Hashtbl.t;
@@ -104,34 +103,14 @@ type st = {
 (* Global tables                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let scalar_def (s : stm) : (string * P.t) option =
-  match (s.pat, s.exp) with
-  | [ pe ], EIdx p when pe.pt = TScalar I64 -> Some (pe.pv, p)
-  | [ pe ], EAtom (Int c) when pe.pt = TScalar I64 -> Some (pe.pv, P.const c)
-  | [ pe ], EAtom (Var v) when pe.pt = TScalar I64 -> Some (pe.pv, P.var v)
-  | [ pe ], EBin (op, a, b) when pe.pt = TScalar I64 -> (
-      let atom_poly = function
-        | Int c -> Some (P.const c)
-        | Var v -> Some (P.var v)
-        | _ -> None
-      in
-      match (atom_poly a, atom_poly b) with
-      | Some pa, Some pb -> (
-          match op with
-          | Add -> Some (pe.pv, P.add pa pb)
-          | Sub -> Some (pe.pv, P.sub pa pb)
-          | Mul -> Some (pe.pv, P.mul pa pb)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
 let build_tables opts cert (p : prog) : st =
+  let stms = all_stms_block p.body in
   let st =
     {
       opts;
       mems = Hashtbl.create 256;
       types = Hashtbl.create 256;
-      scalars = Hashtbl.create 256;
+      scalars = Facts.add_scalars P.SM.empty stms;
       aliases = Alias.of_prog p;
       stats = fresh_stats ();
       failed = Hashtbl.create 32;
@@ -149,9 +128,6 @@ let build_tables opts cert (p : prog) : st =
   List.iter
     (fun s ->
       List.iter record_pe s.pat;
-      (match scalar_def s with
-      | Some (v, p) -> Hashtbl.replace st.scalars v p
-      | None -> ());
       match s.exp with
       | EMap { nest; _ } ->
           List.iter
@@ -161,7 +137,7 @@ let build_tables opts cert (p : prog) : st =
           Hashtbl.replace st.types var (TScalar I64);
           List.iter (fun (pe, _) -> record_pe pe) params
       | _ -> ())
-    (all_stms_block p.body);
+    stms;
   st
 
 let already_failed st candidate ymem =
@@ -182,28 +158,10 @@ let is_array st v =
 (* Reference-set collection                                          *)
 (* ---------------------------------------------------------------- *)
 
-let set_of_ixfn (ixfn : Ixfn.t) : Refset.t =
-  match Ixfn.accessed_set ixfn with
-  | Some l -> Refset.of_lmad l
-  | None -> Refset.top (* footnote 26: multi-LMAD overestimated *)
-
-let slice_dims_of = function
-  | STriplet sds ->
-      `Triplet
-        (List.map
-           (function
-             | SFix i -> Lmad.Fix i
-             | SRange { start; len; step } -> Lmad.Range { start; len; step })
-           sds)
-  | SLmad l -> `Lmad l
-
 let sliced_set ctx (slc : slice) (ixfn : Ixfn.t) : Refset.t =
-  match slice_dims_of slc with
-  | `Triplet sds -> set_of_ixfn (Ixfn.slice sds ixfn)
-  | `Lmad l -> (
-      match Ixfn.lmad_slice ctx ~slc:l ixfn with
-      | Some ix -> set_of_ixfn ix
-      | None -> Refset.top)
+  match Facts.sliced_ixfn ctx slc ixfn with
+  | Some ix -> Facts.refset_of_ixfn ix
+  | None -> Refset.top
 
 (* Accesses of memory block [ymem] performed by [s], excluding accesses
    through variables in [exclude] (the candidate's chain/alias class).
@@ -217,7 +175,7 @@ let rec uses_in_stm st ctx ~ymem ~exclude (s : stm) : Refset.t =
   in
   let full v =
     match mem_of st v with
-    | Some m -> set_of_ixfn m.ixfn
+    | Some m -> Facts.refset_of_ixfn m.ixfn
     | None -> Refset.top
   in
   match s.exp with
@@ -240,22 +198,16 @@ let rec uses_in_stm st ctx ~ymem ~exclude (s : stm) : Refset.t =
       in
       Refset.union w r
   | EMap { nest; body } ->
-      let ctx' =
-        List.fold_left
-          (fun ctx (v, n) ->
-            Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub n P.one) ())
-          ctx nest
+      let inner =
+        uses_in_block st (Facts.with_nest ctx nest) ~ymem ~exclude body
       in
-      let inner = uses_in_block st ctx' ~ymem ~exclude body in
-      let expanded =
-        List.fold_left
-          (fun acc (v, n) -> Refset.expand_loop ctx v ~count:n acc)
-          inner (List.rev nest)
-      in
-      guard_locals expanded body (List.map fst nest)
+      guard_locals
+        (Facts.expand ctx (List.rev nest) inner)
+        body (List.map fst nest)
   | ELoop { params; var; bound; body } ->
-      let ctx' = Pr.add_range ctx var ~lo:P.zero ~hi:(P.sub bound P.one) () in
-      let inner = uses_in_block st ctx' ~ymem ~exclude body in
+      let inner =
+        uses_in_block st (Facts.with_range ctx var bound) ~ymem ~exclude body
+      in
       let expanded = Refset.expand_loop ctx var ~count:bound inner in
       let from_inits =
         List.fold_left
@@ -293,7 +245,8 @@ and uses_in_block st ctx ~ymem ~exclude (b : block) : Refset.t =
     (fun acc a ->
       match a with
       | Var v when in_ymem v ->
-          Refset.union acc (set_of_ixfn (Option.get (mem_of st v)).ixfn)
+          Refset.union acc
+            (Facts.refset_of_ixfn (Option.get (mem_of st v)).ixfn)
       | _ -> acc)
     from_stms b.res
 
@@ -340,18 +293,11 @@ and bound_inside (b : block) : SS.t =
 (* Rewrite [ixfn] so that it only mentions variables in [scope],
    substituting recorded scalar definitions to a fixpoint. *)
 let translate st ~scope (ixfn : Ixfn.t) : Ixfn.t option =
-  let table =
-    Hashtbl.fold (fun v p acc -> P.SM.add v p acc) st.scalars P.SM.empty
-  in
-  let out_of_scope ix =
-    List.filter (fun v -> not (SS.mem v scope)) (Ixfn.vars ix)
-  in
-  if out_of_scope ixfn = [] then Some ixfn
+  let in_scope ix = List.for_all (fun v -> SS.mem v scope) (Ixfn.vars ix) in
+  if in_scope ixfn then Some ixfn
   else
-    match Ixfn.subst_fixpoint table ixfn with
-    | ix when out_of_scope ix = [] -> Some ix
-    | _ -> None
-    | exception Failure _ -> None
+    let ix = Facts.resolve_ixfn st.scalars ixfn in
+    if in_scope ix then Some ix else None
 
 (* ---------------------------------------------------------------- *)
 (* The bottom-up walk                                                 *)
@@ -425,11 +371,7 @@ let block_info ~outer_defined ~outer_allocd (b : block) : binfo =
 
 let check_disjoint st ctx (w : Refset.t) (u : Refset.t) : bool =
   st.stats.overlap_checks <- st.stats.overlap_checks + 1;
-  let t0 = Sys.time () in
   let r = Refset.disjoint ~depth:st.opts.split_depth ctx w u in
-  let dt = Sys.time () -. t0 in
-  if dt > 0.2 then
-    trace st.opts "  [slow check %.2fs -> %b] W=%a U=%a" dt r Refset.pp w Refset.pp u;
   (* record the exact fact (and context) the rewrite is about to rely
      on; it becomes an obligation only if the attempt commits *)
   if r && st.cert <> None then st.claims <- (w, u, ctx) :: st.claims;
@@ -549,7 +491,7 @@ and chain_step st ctx info ~ymem ~j ~active ~ixfn ~u_xss ~w_total
     | None -> None
   in
   let dest_allocated () = SS.mem ymem info.allocd.(j) in
-  let full_set ix = set_of_ixfn ix in
+  let full_set = Facts.refset_of_ixfn in
   match s.exp with
   (* --- views: transform forward is impossible (we know the result's
      rebased ixfn, need the operand's), so apply the inverse --- *)
@@ -616,7 +558,7 @@ and chain_step st ctx info ~ymem ~j ~active ~ixfn ~u_xss ~w_total
   | ECopy src ->
       let src_reads =
         match mem_of st src with
-        | Some m when m.block = ymem -> set_of_ixfn m.ixfn
+        | Some m when m.block = ymem -> Facts.refset_of_ixfn m.ixfn
         | _ -> Refset.empty
       in
       if not (dest_allocated ()) then `Fail
@@ -667,7 +609,8 @@ and chain_step st ctx info ~ymem ~j ~active ~ixfn ~u_xss ~w_total
           || (st.opts.enable_refinement
              && check_disjoint st ctx (full_set ixfn) !u_xss
              && cross_thread_ok st ctx ~ymem ~exclude ~nest ~body
-                  ~w_thread:(thread_write_set st ixfn nest body))
+                  ~w_thread:
+                    (Facts.refset_of_ixfn (Facts.thread_slice nest ixfn)))
         in
         if not safe then (
           trace st.opts "  chain %s: mapnest creation unsafe (reads overlap)" active;
@@ -693,80 +636,23 @@ and chain_step st ctx info ~ymem ~j ~active ~ixfn ~u_xss ~w_total
   | EArgmin _ | EAlloc _ ->
       `Fail
 
-(* The locations one thread of a mapnest writes: its slot of the
-   (rebased) result, as a function of the nest variables. *)
-and thread_write_set _st ixfn nest _body : Refset.t =
-  let shape = Ixfn.shape ixfn in
-  let rec drop n l =
-    if n = 0 then l else match l with _ :: r -> drop (n - 1) r | [] -> []
-  in
-  let inner = drop (List.length nest) shape in
-  let slc =
-    List.map (fun (v, _) -> Lmad.Fix (P.var v)) nest
-    @ List.map
-        (fun d -> Lmad.Range { start = P.zero; len = d; step = P.one })
-        inner
-  in
-  set_of_ixfn (Ixfn.slice slc ixfn)
-
 (* Section V-B, mapnest rule: writes of one thread must avoid the uses
    of every *other* thread (iterations execute out of order), while
-   same-thread read-before-write is permitted.  "Other thread" is case-
-   split on the first differing nest dimension d: dimensions before d
-   coincide, dimension d is strictly smaller or strictly larger, and
-   dimensions after d range freely. *)
-and pairwise_thread_ok st ctx (nest : (string * P.t) list) ~w ~u : bool =
-  let ctx =
-    List.fold_left
-      (fun ctx (v, cnt) ->
-        Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-      ctx nest
-  in
-  (* Dimensions after the split point range freely on both sides; they
-     are aggregated into LMAD dimensions (section II-B) rather than left
-     as free variables, which keeps the offset distribution of the
-     non-overlap test decidable (e.g. LUD's 2-D interior nest). *)
-  let expand_rest ctx rs rest =
-    List.fold_left
-      (fun acc (w, c) -> Refset.expand_loop ctx w ~count:c acc)
-      rs rest
-  in
-  let rec cases = function
-    | [] -> true
-    | (v, cnt) :: rest ->
-        let jv = Binder.name ~where:"shortcircuit" "othr" v ctx [ w; u ] in
-        let w' = expand_rest ctx w rest in
-        let u' = expand_rest ctx (Refset.subst v (P.var jv) u) rest in
-        let ctx_lt =
-          Pr.add_range ctx jv ~lo:P.zero ~hi:(P.sub (P.var v) P.one) ()
-        in
-        let ctx_gt =
-          Pr.add_range ctx jv
-            ~lo:(P.add (P.var v) P.one)
-            ~hi:(P.sub cnt P.one) ()
-        in
-        check_disjoint st ctx_lt w' u'
-        && check_disjoint st ctx_gt w' u'
-        && cases rest
-  in
-  cases nest
+   same-thread read-before-write is permitted. *)
+and other_threads_ok st ctx nest ~w ~u =
+  Facts.other_threads ~where:"shortcircuit" ~tag:"othr"
+    ~disjoint:(check_disjoint st) ctx nest ~w ~u
 
 and cross_thread_ok st ctx ~ymem ~exclude ~nest ~body ~w_thread : bool =
   match nest with
   | [] -> true
   | _ ->
-      let ctx_i =
-        List.fold_left
-          (fun ctx (v, cnt) ->
-            Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub cnt P.one) ())
-          ctx nest
-      in
       let u_thread =
         guard_locals
-          (uses_in_block st ctx_i ~ymem ~exclude body)
+          (uses_in_block st (Facts.with_nest ctx nest) ~ymem ~exclude body)
           body (List.map fst nest)
       in
-      pairwise_thread_ok st ctx nest ~w:w_thread ~u:u_thread
+      other_threads_ok st ctx nest ~w:w_thread ~u:u_thread
 
 (* Fig. 5b: the candidate is produced by a loop.  The loop parameter,
    the initializer, and the body result are all rebased; body-internal
@@ -787,9 +673,7 @@ and circuit_loop st ctx info ~ymem ~j ~active ~ixfn ~u_xss ~w_total
         match translate st ~scope ixfn with
         | None -> `Fail
         | Some loop_inv_ixfn -> (
-            let ctx' =
-              Pr.add_range ctx var ~lo:P.zero ~hi:(P.sub bound P.one) ()
-            in
+            let ctx' = Facts.with_range ctx var bound in
             let binfo_body =
               block_info
                 ~outer_defined:
@@ -927,12 +811,7 @@ and rebase_mapnest_body st ctx info ~ymem ~j ~nest ~body ~res_ixfn =
               | _ -> [])
         in
         let slot_ixfn = Ixfn.slice slot_slice res_ixfn in
-        let ctx' =
-          List.fold_left
-            (fun ctx (v, n) ->
-              Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub n P.one) ())
-            ctx nest
-        in
+        let ctx' = Facts.with_nest ctx nest in
         let outer_defined =
           List.fold_left
             (fun acc (v, _) -> SS.add v acc)
@@ -952,16 +831,12 @@ and rebase_mapnest_body st ctx info ~ymem ~j ~nest ~body ~res_ixfn =
             trace st.opts "  mapnest body %s: rebase failed" rv;
             record_failure st rv ymem
         | Ok { u_final; w_total; pendings } ->
-            let expand rs =
-              List.fold_left
-                (fun acc (v, n) -> Refset.expand_loop ctx v ~count:n acc)
-                rs (List.rev nest)
-            in
+            let expand rs = Facts.expand ctx (List.rev nest) rs in
             let u_all = expand u_final and w_all = expand w_total in
             let ok =
               check_disjoint st ctx w_all u_all
               || (st.opts.enable_refinement
-                 && pairwise_thread_ok st ctx nest ~w:w_total ~u:u_final)
+                 && other_threads_ok st ctx nest ~w:w_total ~u:u_final)
             in
             if not ok then begin
               (* cross-thread conflict: undo the body rebase *)
@@ -1051,7 +926,7 @@ let rec optimize_block st ctx ~outer_defined ~outer_allocd (b : block) : unit
        NW's update inside the wavefront loop) are found there *)
     (match s.exp with
     | ELoop { params; var; bound; body } ->
-        let ctx' = Pr.add_range ctx var ~lo:P.zero ~hi:(P.sub bound P.one) () in
+        let ctx' = Facts.with_range ctx var bound in
         let inner_defined =
           List.fold_left
             (fun acc (pe, _) -> SS.add pe.pv acc)
@@ -1067,16 +942,11 @@ let rec optimize_block st ctx ~outer_defined ~outer_allocd (b : block) : unit
         optimize_block st ctx' ~outer_defined:inner_defined
           ~outer_allocd:inner_allocd body
     | EMap { nest; body } ->
-        let ctx' =
-          List.fold_left
-            (fun ctx (v, n) ->
-              Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub n P.one) ())
-            ctx nest
-        in
         let inner_defined =
           List.fold_left (fun acc (v, _) -> SS.add v acc) info.defined.(k) nest
         in
-        optimize_block st ctx' ~outer_defined:inner_defined
+        optimize_block st (Facts.with_nest ctx nest)
+          ~outer_defined:inner_defined
           ~outer_allocd:info.allocd.(k) body
     | EIf { tb; fb; _ } ->
         optimize_block st ctx ~outer_defined:info.defined.(k)
@@ -1091,12 +961,7 @@ let rec optimize_block st ctx ~outer_defined ~outer_allocd (b : block) : unit
         match mem_of st dst with
         | None -> ()
         | Some dm -> (
-            let target_ixfn =
-              match slice_dims_of slc with
-              | `Triplet sds -> Some (Ixfn.slice sds dm.ixfn)
-              | `Lmad l -> Ixfn.lmad_slice ctx ~slc:l dm.ixfn
-            in
-            match target_ixfn with
+            match Facts.sliced_ixfn ctx slc dm.ixfn with
             | None -> ()
             | Some tixfn -> (
                 let already =
@@ -1143,14 +1008,8 @@ let rec optimize_block st ctx ~outer_defined ~outer_allocd (b : block) : unit
            result's memory (Fig. 6b) *)
         (match (s.pat, mem_of st (List.hd s.pat).pv) with
         | [ _ ], Some rm ->
-            let ctx' =
-              List.fold_left
-                (fun ctx (v, n) ->
-                  Pr.add_range ctx v ~lo:P.zero ~hi:(P.sub n P.one) ())
-                ctx nest
-            in
-            rebase_mapnest_body st ctx' info ~ymem:rm.block ~j:k ~nest ~body
-              ~res_ixfn:rm.ixfn
+            rebase_mapnest_body st (Facts.with_nest ctx nest) info
+              ~ymem:rm.block ~j:k ~nest ~body ~res_ixfn:rm.ixfn
         | _ -> ())
     | _ -> ()
   done

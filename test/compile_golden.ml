@@ -1,0 +1,139 @@
+(* Golden record of the compiler's output: one linted, certified,
+   fail-safe compile of [Nw_source] and of every paper program.  Each
+   compile prints the MD5 of every printed variant, every field of the
+   three pass statistics records and the dead-allocation counts, every
+   lint stage's counters and violations, every certificate pass's
+   obligation counts with the MD5 of its JSON, and the recovery list.
+   Dune diffs the output against [compile_golden.expected]; a
+   refactoring of the passes that is meant to keep their output must
+   leave that file byte-identical. *)
+
+module B = Benchsuite
+module Pl = Core.Pipeline
+
+let programs =
+  [
+    ("nw-src", B.Nw_source.prog ());
+    ("nw", B.Nw.prog);
+    ("lud", B.Lud.prog);
+    ("hotspot", B.Hotspot.prog);
+    ("lbm", B.Lbm.prog);
+    ("optionpricing", B.Option_pricing.prog);
+    ("locvolcalib", B.Locvolcalib.prog);
+    ("nn", B.Nn.prog);
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Full record patterns (no [_] for a field of interest) make a new
+   field a compile error here until it is printed too. *)
+let print_sc
+    { Core.Shortcircuit.candidates; succeeded; overlap_checks; rebased_vars }
+    =
+  Printf.printf
+    "  shortcircuit candidates %d succeeded %d overlap_checks %d \
+     rebased_vars %d\n"
+    candidates succeeded overlap_checks rebased_vars
+
+let print_reuse
+    {
+      Core.Reuse.candidates;
+      coalesced;
+      size_proofs;
+      chain_links;
+      rotated;
+      hoisted;
+    } =
+  Printf.printf
+    "  reuse candidates %d coalesced %d size_proofs %d chain_links %d \
+     rotated %d hoisted %d\n"
+    candidates coalesced size_proofs chain_links rotated hoisted
+
+let print_pack
+    { Core.Pack.arenas; packed; unpacked; offset_proofs; holes; promoted } =
+  Printf.printf
+    "  pack arenas %d packed %d unpacked %d offset_proofs %d holes %d \
+     promoted %d\n"
+    arenas packed unpacked offset_proofs holes promoted
+
+let print_lint
+    ( name,
+      {
+        Core.Memlint.program = _;
+        stage;
+        stms;
+        annotations;
+        bounds_proved;
+        bounds_undecided;
+        races_proved;
+        races_undecided;
+        reuse_proved;
+        reuse_undecided;
+        reuse_holes;
+        violations;
+      } ) =
+  Printf.printf
+    "  lint %s (%s) stms %d annotations %d bounds %d/%d races %d/%d reuse \
+     %d/%d holes %d violations %d\n"
+    name stage stms annotations bounds_proved bounds_undecided races_proved
+    races_undecided reuse_proved reuse_undecided reuse_holes
+    (List.length violations);
+  List.iter
+    (fun v -> print_endline ("    " ^ Fmt.str "%a" Core.Memlint.pp_violation v))
+    violations
+
+let print_cert
+    ( name,
+      ({ Core.Certify.pass; emitted; proved; concretized; failed; checked = _ }
+       as r) ) =
+  Printf.printf
+    "  cert %s (%s) emitted %d proved %d concretized %d failed %d %s\n" name
+    pass emitted proved concretized failed
+    (md5 (Core.Json.to_string (Core.Certify.json_of_report r)))
+
+let print_recovery { Pl.r_fault; r_pass; r_fallback } =
+  Printf.printf "  recovery %s -> %s: %s\n" r_pass r_fallback
+    (Core.Fault.to_string r_fault)
+
+let () =
+  List.iter
+    (fun (name, prog) ->
+      let {
+        Pl.source = _;
+        unopt;
+        opt;
+        reuse;
+        pack;
+        stats;
+        reuse_stats;
+        pack_stats;
+        dead_allocs;
+        reuse_dead_allocs;
+        pack_dead_allocs;
+        time_base = _;
+        time_sc = _;
+        time_reuse = _;
+        time_pack = _;
+        lint;
+        certs;
+        recovery;
+        prover_exhausted;
+      } =
+        Pl.compile ~lint:true ~certify:true ~fail_safe:true prog
+      in
+      print_endline name;
+      List.iter
+        (fun (v, p) ->
+          Printf.printf "  %s %s\n" v (md5 (Ir.Pretty.prog_to_string p)))
+        [ ("unopt", unopt); ("opt", opt); ("reuse", reuse); ("pack", pack) ];
+      print_sc stats;
+      print_reuse reuse_stats;
+      print_pack pack_stats;
+      Printf.printf
+        "  dead_allocs %d reuse_dead_allocs %d pack_dead_allocs %d\n"
+        dead_allocs reuse_dead_allocs pack_dead_allocs;
+      List.iter print_lint lint;
+      List.iter print_cert certs;
+      List.iter print_recovery recovery;
+      Printf.printf "  prover_exhausted %d\n" prover_exhausted)
+    programs

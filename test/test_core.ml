@@ -579,6 +579,68 @@ let prop_nw_random_sizes =
       v.Benchsuite.Runner.ok_unopt && v.Benchsuite.Runner.ok_opt
       && v.Benchsuite.Runner.copies_opt = 0)
 
+(* ---------------------------------------------------------------- *)
+(* The shared scalar table                                           *)
+(* ---------------------------------------------------------------- *)
+
+(* [let z : i64 = a op b] for every i64 operator, with atoms drawn from
+   constants, [x] and [y]: [Facts.scalar_def] defines [z] exactly for
+   addition, subtraction and multiplication, as the polynomial the
+   interpreter's result equals, and refuses the rest. *)
+let prop_scalar_def_sound =
+  let atom =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun c -> Int c) (int_range (-20) 20);
+          return (Var "x");
+          return (Var "y");
+        ])
+  in
+  QCheck.Test.make ~name:"Facts.scalar_def agrees with the interpreter"
+    ~count:(Qcount.count 200)
+    (QCheck.make
+       ~print:(fun (op, a, b, (x, y)) ->
+         Printf.sprintf "z = %s at x=%d y=%d"
+           (Pretty.exp_to_string (EBin (op, a, b)))
+           x y)
+       QCheck.Gen.(
+         quad
+           (oneofl [ Add; Sub; Mul; Div; Rem; Min; Max ])
+           atom atom
+           (pair (int_range (-50) 50) (int_range (-50) 50))))
+    (fun (op, a, b, (x, y)) ->
+      let s = stm [ pat_elem "z" i64 ] (EBin (op, a, b)) in
+      match (Core.Facts.scalar_def s, op) with
+      | Some (z, p), (Add | Sub | Mul) -> (
+          let prog =
+            {
+              name = "scalar";
+              params = [ pat_elem "x" i64; pat_elem "y" i64 ];
+              body = block [ s ] [ Var "z" ];
+              ret = [ i64 ];
+              ctx = Pr.empty;
+            }
+          in
+          let env = function "x" -> x | "y" -> y | v -> failwith v in
+          z = "z"
+          &&
+          match Interp.run prog [ Value.VInt x; Value.VInt y ] with
+          | [ Value.VInt r ] -> r = P.eval env p
+          | _ -> false)
+      | None, (Div | Rem | Min | Max) -> true
+      | _ -> false)
+
+(* A cyclic table has no fixpoint: resolution leaves its input alone. *)
+let test_resolve_cyclic () =
+  let table =
+    P.SM.(empty |> add "a" (P.add (P.var "b") P.one) |> add "b" (P.var "a"))
+  in
+  let input = P.add (P.var "a") (c 2) in
+  Alcotest.(check bool)
+    "input returned" true
+    (P.equal input (Core.Facts.resolve table input))
+
 let tests =
   [
     Alcotest.test_case "Fig. 1 left" `Quick test_fig1_left;
@@ -604,5 +666,8 @@ let tests =
     Alcotest.test_case "pass names depend on the input alone" `Quick
       test_pass_names_pure;
     Alcotest.test_case "proof-local binders" `Quick test_binder_names;
+    Alcotest.test_case "resolve: a cyclic table is the identity" `Quick
+      test_resolve_cyclic;
     QCheck_alcotest.to_alcotest prop_nw_random_sizes;
+    QCheck_alcotest.to_alcotest prop_scalar_def_sound;
   ]
