@@ -3,16 +3,17 @@
 
    The checker shares no decision code with the emitting passes.  It
    shares with them only the last-use analysis ({!Lastuse.annotate},
-   run on a clone of the pre-pass program) and the public entry points
-   of the prover and the LMAD library ({!Pr.prove_ge},
-   {!Refset.disjoint}, {!Lmad.bounds} + {!Pr.check_in_range}), through
-   which every symbolic fact is re-proved.  Every other structural fact
-   (live ranges, scalar definitions, memory-side LMADs, annotations,
-   allocation sites) is re-derived here by private scans of the
-   pre-/post-pass programs instead of being read from the Facts module
-   the passes and memlint share, so a bug there cannot acquit a
-   certificate (DESIGN.md section 10).  When the symbolic re-proof
-   fails, the claim is *concretized*: small shape assignments
+   run on a clone of the pre-pass program when the certificate holds a
+   last-use claim) and the public entry points of the prover and the
+   LMAD library ({!Pr.prove_ge}, {!Refset.disjoint}, {!Lmad.bounds} +
+   {!Pr.check_in_range}), through which every symbolic fact is
+   re-proved.  Every other structural fact (live ranges, scalar
+   definitions, memory-side LMADs, annotations, allocation sites) is
+   re-derived here by private scans of the pre-/post-pass programs,
+   each run at most once per check, instead of being read from the
+   Facts module the passes and memlint share, so a bug there cannot
+   acquit a certificate (DESIGN.md section 10).  When the symbolic
+   re-proof fails, the claim is *concretized*: small shape assignments
    consistent with the recorded prover context are enumerated, and the
    claim is evaluated exactly.  A violation under an admissible
    assignment refutes the obligation (the certificate is wrong, not
@@ -302,12 +303,11 @@ let scalar_def (s : stm) : (string * P.t) option =
       | _ -> None)
   | _ -> None
 
-let scalar_table (p : prog) : P.t P.SM.t =
+let scalar_table (stms : stm list) : P.t P.SM.t =
   List.fold_left
     (fun acc s ->
       match scalar_def s with Some (v, d) -> P.SM.add v d acc | None -> acc)
-    P.SM.empty
-    (all_stms_block p.body)
+    P.SM.empty stms
 
 let resolve scal p = try P.subst_fixpoint scal p with Failure _ -> p
 let resolve_lmad scal l = try Lmad.subst_fixpoint scal l with Failure _ -> l
@@ -320,7 +320,7 @@ let memory_lmad ixfn =
 
 (* Every pattern element of the program, including loop-carried
    parameters (which the short-circuiting pass rebases too). *)
-let all_pat_elems (p : prog) : pat_elem list =
+let all_pat_elems (p : prog) (stms : stm list) : pat_elem list =
   let acc = ref (List.rev p.params) in
   List.iter
     (fun s ->
@@ -329,16 +329,42 @@ let all_pat_elems (p : prog) : pat_elem list =
       | ELoop { params; _ } ->
           List.iter (fun (pe, _) -> acc := pe :: !acc) params
       | _ -> ())
-    (all_stms_block p.body);
+    stms;
   List.rev !acc
 
-let find_pat_elem (p : prog) v =
-  List.find_opt (fun pe -> pe.pv = v) (all_pat_elems p)
+(* One program's scans, each run at most once per {!check} and only
+   if some obligation reads it. *)
+type scan = {
+  prog : prog;
+  all_stms : stm list Lazy.t; (* every statement, pre-order *)
+  pes : pat_elem list Lazy.t; (* [all_pat_elems] *)
+  fv : SS.t Lazy.t; (* free variables of the body *)
+  scal : P.t P.SM.t Lazy.t; (* i64 scalar definitions *)
+}
 
-let find_stm (p : prog) binding =
-  List.find_opt
-    (fun s -> List.exists (fun pe -> pe.pv = binding) s.pat)
-    (all_stms_block p.body)
+let scan (prog : prog) : scan =
+  let all_stms = lazy (all_stms_block prog.body) in
+  {
+    prog;
+    all_stms;
+    pes = lazy (all_pat_elems prog (Lazy.force all_stms));
+    fv = lazy (fv_block prog.body);
+    scal = lazy (scalar_table (Lazy.force all_stms));
+  }
+
+let find_pat_elem (x : scan) v =
+  List.find_opt (fun pe -> pe.pv = v) (Lazy.force x.pes)
+
+let binds binding (s : stm) = List.exists (fun pe -> pe.pv = binding) s.pat
+
+let find_stm (x : scan) binding =
+  List.find_opt (binds binding) (Lazy.force x.all_stms)
+
+(* Is [name] bound anywhere in the program (loop parameters included)
+   or free in its body? *)
+let survives (x : scan) name =
+  List.exists (fun pe -> pe.pv = name) (Lazy.force x.pes)
+  || SS.mem name (Lazy.force x.fv)
 
 (* The chain of (enclosing block, statement index) pairs from the
    program body down to the statement binding [binding]. *)
@@ -346,7 +372,7 @@ let rec find_path (b : block) binding : (block * int) list option =
   let rec go i = function
     | [] -> None
     | s :: rest -> (
-        if List.exists (fun pe -> pe.pv = binding) s.pat then Some [ (b, i) ]
+        if binds binding s then Some [ (b, i) ]
         else
           let sub =
             match s.exp with
@@ -367,31 +393,31 @@ let rec find_path (b : block) binding : (block * int) list option =
 let find_in_block (b : block) binding : (block * int) option =
   Option.map (fun path -> List.hd (List.rev path)) (find_path b binding)
 
-let alloc_size (p : prog) block : P.t option =
+let alloc_size (x : scan) block : P.t option =
   List.find_map
     (fun s ->
       match (s.pat, s.exp) with
       | [ pe ], EAlloc sz when pe.pv = block -> Some sz
       | _ -> None)
-    (all_stms_block p.body)
+    (Lazy.force x.all_stms)
 
-let annots_into (p : prog) block : (string * mem_info) list =
+let annots_into (x : scan) block : (string * mem_info) list =
   List.filter_map
     (fun pe ->
       match pe.pmem with
       | Some m when m.block = block -> Some (pe.pv, m)
       | _ -> None)
-    (all_pat_elems p)
+    (Lazy.force x.pes)
 
 (* Does any annotation mention [name] (as its block or inside its index
    function)? *)
-let annot_mentions (p : prog) name =
+let annot_mentions (x : scan) name =
   List.exists
     (fun pe ->
       match pe.pmem with
       | Some m -> m.block = name || List.mem name (Ixfn.vars m.ixfn)
       | None -> false)
-    (all_pat_elems p)
+    (Lazy.force x.pes)
 
 (* Occurrences of [name] in expression position that are not
    loop-carried plumbing: allowed are a TMem parameter's init atom,
@@ -399,7 +425,7 @@ let annot_mentions (p : prog) name =
    arm-result atom feeding a TMem binder of an [if] (the conditional
    forwards the block's identity exactly like a loop's mem
    position). *)
-let nonstructural_occurrence (p : prog) name : bool =
+let nonstructural_occurrence (x : scan) name : bool =
   let rec go_block ?(tmem_res = []) (b : block) =
     List.exists go_stm b.stms
     || List.exists
@@ -436,11 +462,12 @@ let nonstructural_occurrence (p : prog) name : bool =
         || go_block ~tmem_res fb
     | e -> SS.mem name (fv_exp e)
   in
-  go_block p.body
+  go_block x.prog.body
 
 (* Expression-position occurrences of a memory block inside a block
-   (annotations do not count: arrays living in the block are fine). *)
-let exp_occurrence_in (b : block) name : bool =
+   whose statements, nested ones included, are [stms] (annotations do
+   not count: arrays living in the block are fine). *)
+let exp_occurrence_in (stms : stm list) (b : block) name : bool =
   List.exists
     (fun s ->
       match s.exp with
@@ -453,7 +480,7 @@ let exp_occurrence_in (b : block) name : bool =
           List.exists (fun (_, n) -> SS.mem name (fv_idx n)) nest
       | EIf { cond; _ } -> SS.mem name (fv_atom cond)
       | e -> SS.mem name (fv_exp e))
-    (all_stms_block b)
+    stms
   ||
   let rec res_occ (b : block) =
     List.exists (function Var v -> v = name | _ -> false) b.res
@@ -590,7 +617,7 @@ let check_bounds_in ctx lmad lo hi =
    allocations (never taken from the claim), so the only trusted
    quantity is the placement offset itself - and a forged offset is
    refuted numerically, symbolically or by concretization witness. *)
-let check_fits_in_arena post post_scal ctx ~arena ~member ~off =
+let check_fits_in_arena (post : scan) ctx ~arena ~member ~off =
   match (alloc_size post arena, alloc_size post member) with
   | None, _ ->
       ( Failed (Fmt.str "arena %s is not allocated in the post program" arena),
@@ -600,7 +627,8 @@ let check_fits_in_arena post post_scal ctx ~arena ~member ~off =
           (Fmt.str "member %s is not allocated in the post program" member),
         "structural" )
   | Some ext, Some msz ->
-      let ext = resolve post_scal ext and msz = resolve post_scal msz in
+      let scal = Lazy.force post.scal in
+      let ext = resolve scal ext and msz = resolve scal msz in
       let endp = P.add off msz in
       if Pr.prove_ge ctx off P.zero && Pr.prove_ge ctx ext endp then
         ( Proved,
@@ -618,7 +646,7 @@ let check_fits_in_arena post post_scal ctx ~arena ~member ~off =
                    (Fmt.str "placement end %d exceeds arena extent %d" e x)
                else `Holds))
 
-let check_packed_disjoint post post_scal ctx ~a ~a_off ~b ~b_off =
+let check_packed_disjoint (post : scan) ctx ~a ~a_off ~b ~b_off =
   match (alloc_size post a, alloc_size post b) with
   | None, _ ->
       (Failed (Fmt.str "member %s is not allocated in the post program" a),
@@ -627,8 +655,8 @@ let check_packed_disjoint post post_scal ctx ~a ~a_off ~b ~b_off =
       (Failed (Fmt.str "member %s is not allocated in the post program" b),
        "structural")
   | Some a_size, Some b_size ->
-      let a_size = resolve post_scal a_size
-      and b_size = resolve post_scal b_size in
+      let scal = Lazy.force post.scal in
+      let a_size = resolve scal a_size and b_size = resolve scal b_size in
       let a_end = P.add a_off a_size and b_end = P.add b_off b_size in
       if Pr.prove_ge ctx b_off a_end || Pr.prove_ge ctx a_off b_end then
         (Proved, "placements re-proved address-disjoint")
@@ -643,8 +671,10 @@ let check_packed_disjoint post post_scal ctx ~a ~a_off ~b ~b_off =
                    (Fmt.str "offset %d lies in both placements" (max ao bo))
                else `Holds))
 
-let check_last_use pre var at_binding =
-  match find_stm pre at_binding with
+(* [annotated]: the statements of a clone of the pre-pass program, with
+   the last uses {!Lastuse.annotate} re-derives there. *)
+let check_last_use annotated var at_binding =
+  match List.find_opt (binds at_binding) annotated with
   | None ->
       ( Failed (Fmt.str "no statement binds %s in the pre-pass program"
             at_binding),
@@ -660,10 +690,11 @@ let check_last_use pre var at_binding =
                s.last_uses),
           "structural" )
 
-let check_rebased post post_scal ctx ~final var (mem : mem_info) =
+let check_rebased (post : scan) ctx ~final var (mem : mem_info) =
   if not final then
     (Proved, "superseded by a later rebase of the same binding")
   else
+    let scal = Lazy.force post.scal in
     match find_pat_elem post var with
     | None ->
         (Failed (Fmt.str "%s is not bound in the post-pass program" var),
@@ -682,8 +713,8 @@ let check_rebased post post_scal ctx ~final var (mem : mem_info) =
           when not
                  (Ixfn.equal m.ixfn mem.ixfn
                  || Ixfn.equal
-                      (Ixfn.subst_fixpoint post_scal m.ixfn)
-                      (Ixfn.subst_fixpoint post_scal mem.ixfn)) ->
+                      (Ixfn.subst_fixpoint scal m.ixfn)
+                      (Ixfn.subst_fixpoint scal mem.ixfn)) ->
             ( Failed
                 (Fmt.str "index function of %s differs from the certificate"
                    var),
@@ -695,8 +726,8 @@ let check_rebased post post_scal ctx ~final var (mem : mem_info) =
             match alloc_size post mem.block with
             | None -> (Proved, "structural match (no static allocation size)")
             | Some size -> (
-                let l = resolve_lmad post_scal (memory_lmad mem.ixfn) in
-                let size = resolve post_scal size in
+                let l = resolve_lmad scal (memory_lmad mem.ixfn) in
+                let size = resolve scal size in
                 let last = P.sub size P.one in
                 let validate () =
                   (* Conservative: a concrete out-of-bounds here is not a
@@ -753,10 +784,8 @@ let check_dead_mem pre post names =
           Some (Fmt.str "%s is still referenced by an annotation" name)
         else if nonstructural_occurrence pre name then
           Some (Fmt.str "%s has a non-structural use in the pre program" name)
-        else if
-          List.exists (fun pe -> pe.pv = name) (all_pat_elems post)
-          || SS.mem name (fv_block post.body)
-        then Some (Fmt.str "%s survives in the post-pass program" name)
+        else if survives post name then
+          Some (Fmt.str "%s survives in the post-pass program" name)
         else None)
       names
   in
@@ -764,8 +793,8 @@ let check_dead_mem pre post names =
   | Some w -> (Failed w, "structural")
   | None -> (Proved, "dead chain re-derived on both programs")
 
-let check_dead_after pre names binding =
-  match find_in_block pre.body binding with
+let check_dead_after (pre : scan) names binding =
+  match find_in_block pre.prog.body binding with
   | None ->
       (Failed (Fmt.str "no statement binds %s" binding), "structural")
   | Some (blk, i) -> (
@@ -875,7 +904,7 @@ let check_live_disjoint ~pre movers_acc earlier later movers =
     | Some r -> Some r
     | None -> if hits names_e b && hits names_l b then Some b else None
   in
-  match find_common pre.body with
+  match find_common pre.prog.body with
   | None ->
       finish Proved
         "ranges never co-referenced in the pre program (or the block was \
@@ -923,7 +952,10 @@ let check_dies_each_iter pre post block loop_binding =
                 (Fmt.str "%s is not allocated within the body of %s" block
                    loop_binding),
               "structural" )
-          else if exp_occurrence_in body block && annot_mentions pre block then
+          else if
+            exp_occurrence_in (all_stms_block body) body block
+            && annot_mentions pre block
+          then
             (* A structural occurrence alone is fine when nothing is
                annotated into the block anywhere: chain removal orphans
                such plumbing earlier in the same pass, and hoisting an
@@ -944,7 +976,7 @@ let check_dies_each_iter pre post block loop_binding =
                       (Fmt.str "%s is still allocated inside the loop body"
                          block),
                     "structural" )
-                else if find_in_block post.body block = None then
+                else if find_in_block post.prog.body block = None then
                   ( Failed
                       (Fmt.str "%s has no allocation in the post program"
                          block),
@@ -1015,14 +1047,14 @@ let carried_closure (b : block) (seed : SS.t) : SS.t =
 
 (* The member's name set for liveness purposes: the block, its carried
    aliases, and every array annotated into any of them. *)
-let hole_names (p : prog) (blk : block) member =
+let hole_names (x : scan) (blk : block) member =
   let cl = carried_closure blk (SS.singleton member) in
   let cl =
     SS.fold
       (fun n acc ->
         List.fold_left
           (fun acc (arr, _) -> SS.add arr acc)
-          acc (annots_into p n))
+          acc (annots_into x n))
       cl cl
   in
   carried_closure blk cl
@@ -1108,7 +1140,7 @@ let check_hole_iter pre post ~arena ~member ~loop_binding =
    enclosing statement (lexical scoping: nothing outside the subtree
    can name it), so its interval collapses to that statement's
    index. *)
-let check_hole_pair pre post post_scal ctx ~a ~a_off ~b ~b_off =
+let check_hole_pair (pre : scan) (post : scan) ctx ~a ~a_off ~b ~b_off =
   match (alloc_size post a, alloc_size post b) with
   | None, _ ->
       (Failed (Fmt.str "member %s is not allocated in the post program" a),
@@ -1117,13 +1149,13 @@ let check_hole_pair pre post post_scal ctx ~a ~a_off ~b ~b_off =
       (Failed (Fmt.str "member %s is not allocated in the post program" b),
        "structural")
   | Some a_size, Some b_size -> (
-      let a_size = resolve post_scal a_size
-      and b_size = resolve post_scal b_size in
+      let scal = Lazy.force post.scal in
+      let a_size = resolve scal a_size and b_size = resolve scal b_size in
       let a_end = P.add a_off a_size and b_end = P.add b_off b_size in
       if Pr.prove_ge ctx b_off a_end || Pr.prove_ge ctx a_off b_end then
         (Proved, "offset ranges re-proved address-disjoint (no hole)")
       else
-        match (find_path pre.body a, find_path pre.body b) with
+        match (find_path pre.prog.body a, find_path pre.prog.body b) with
         | None, _ ->
             ( Failed
                 (Fmt.str "member %s is not allocated in the pre program" a),
@@ -1188,21 +1220,21 @@ let check_hole_pair pre post post_scal ctx ~a ~a_off ~b ~b_off =
                                 (max ao bo) a fa la b fb lb)
                          else `Holds)))))
 
-let check_hole_disjoint pre post post_scal ctx ~arena ~a ~a_off ~b ~b_off
-    ~iter =
+let check_hole_disjoint pre post ctx ~arena ~a ~a_off ~b ~b_off ~iter =
   match iter with
   | Some loop_binding -> check_hole_iter pre post ~arena ~member:a ~loop_binding
-  | None -> check_hole_pair pre post post_scal ctx ~a ~a_off ~b ~b_off
+  | None -> check_hole_pair pre post ctx ~a ~a_off ~b ~b_off
 
-let check_sole_occupant post post_scal block ixfn =
+let check_sole_occupant (post : scan) block ixfn =
+  let scal = Lazy.force post.scal in
   let offender =
     List.find_opt
       (fun (_, m) ->
         not
           (Ixfn.equal m.ixfn ixfn
           || Ixfn.equal
-               (Ixfn.subst_fixpoint post_scal m.ixfn)
-               (Ixfn.subst_fixpoint post_scal ixfn)))
+               (Ixfn.subst_fixpoint scal m.ixfn)
+               (Ixfn.subst_fixpoint scal ixfn)))
       (annots_into post block)
   in
   match offender with
@@ -1291,7 +1323,7 @@ let check_grouped post mem wits arr =
 (* An introduced allocation is consistent with the index function it
    backs: everything is re-derived from the post program (the recorded
    block/array names only select where to look). *)
-let check_footprint_fits post post_scal ctx block arr =
+let check_footprint_fits (post : scan) ctx block arr =
   match find_pat_elem post arr with
   | None ->
       ( Failed (Fmt.str "%s is not bound in the post-pass program" arr),
@@ -1312,15 +1344,16 @@ let check_footprint_fits post post_scal ctx block arr =
                   (Fmt.str "%s has no allocation in the post program" block),
                 "structural" )
           | Some size ->
-              let l = resolve_lmad post_scal (memory_lmad m.ixfn) in
-              let size = resolve post_scal size in
+              let scal = Lazy.force post.scal in
+              let l = resolve_lmad scal (memory_lmad m.ixfn) in
+              let size = resolve scal size in
               let last = P.sub size P.one in
               check_bounds_in ctx l P.zero last))
 
 (* Dominance after hoisting: at the moved statement's post-pass
    position every free variable is already in scope, and nothing that
    executes before it references the moved binding. *)
-let check_dominance post binding =
+let check_dominance (post : scan) binding =
   let verdict = ref None in
   let found = ref false in
   let set v = if !verdict = None then verdict := Some v in
@@ -1377,9 +1410,9 @@ let check_dominance post binding =
       scope b.stms
   in
   let scope0 =
-    List.fold_left (fun sc pe -> SS.add pe.pv sc) SS.empty post.params
+    List.fold_left (fun sc pe -> SS.add pe.pv sc) SS.empty post.prog.params
   in
-  ignore (go_block scope0 post.body);
+  ignore (go_block scope0 post.prog.body);
   match !verdict with
   | Some w -> (Failed w, "structural")
   | None ->
@@ -1397,14 +1430,11 @@ let check_unreferenced pre post name =
   if annot_mentions pre name then
     ( Failed (Fmt.str "%s is still referenced by an annotation" name),
       "structural" )
-  else if exp_occurrence_in pre.body name then
+  else if exp_occurrence_in (Lazy.force pre.all_stms) pre.prog.body name then
     ( Failed
         (Fmt.str "%s occurs in expression position in the pre program" name),
       "structural" )
-  else if
-    List.exists (fun pe -> pe.pv = name) (all_pat_elems post)
-    || SS.mem name (fv_block post.body)
-  then
+  else if survives post name then
     (Failed (Fmt.str "%s survives in the post-pass program" name), "structural")
   else (Proved, "zero references re-derived; allocation removed")
 
@@ -1430,7 +1460,7 @@ let check_unreferenced pre post name =
 
    Every other occurrence (operand, non-mem initializer, live arm
    result) is an escape. *)
-let arm_escape_occurrence (pre : prog) (ifstm : stm) (armblk : block) name :
+let arm_escape_occurrence (pre : scan) (ifstm : stm) (armblk : block) name :
     bool =
   (* binders the identity of [target] is structurally forwarded into,
      program-wide: loop mem params it initializes (and their result
@@ -1476,7 +1506,7 @@ let arm_escape_occurrence (pre : prog) (ifstm : stm) (armblk : block) name :
                   b.res)
               [ tb; fb ]
         | _ -> ())
-      (all_stms_block pre.body);
+      (Lazy.force pre.all_stms);
     !acc
   in
   let rec identity_dead seen target =
@@ -1580,7 +1610,7 @@ let check_dies_in_arm pre post block if_binding arm =
                          arm_name),
                     "structural" )
                 else if
-                  find_in_block post.body block = None
+                  find_in_block post.prog.body block = None
                   && annot_mentions post block
                 then
                   ( Failed
@@ -1606,10 +1636,16 @@ let check_dies_in_arm pre post block if_binding arm =
 (* ---------------------------------------------------------------- *)
 
 let check ~pass ~pre ~post obls =
-  let pre = Ir.Clone.clone_prog pre in
-  let post = Ir.Clone.clone_prog post in
-  ignore (Lastuse.annotate pre);
-  let post_scal = scalar_table post in
+  (* The checks only read the two programs; re-deriving last uses
+     writes them into a clone of [pre], made for the first last-use
+     obligation (only short-circuiting emits them). *)
+  let annotated =
+    lazy
+      (let pre = Ir.Clone.clone_prog pre in
+       ignore (Lastuse.annotate pre);
+       all_stms_block pre.body)
+  in
+  let pre = scan pre and post = scan post in
   (* A binding rebased more than once (later rounds of the pass) is
      structurally checked only against its final recorded state. *)
   let final_rebase = Hashtbl.create 16 in
@@ -1629,10 +1665,11 @@ let check ~pass ~pre ~post obls =
           | Size_ge { larger; smaller } ->
               check_size_ge o.o_ctx larger smaller
           | Bounds_in { lmad; lo; hi } -> check_bounds_in o.o_ctx lmad lo hi
-          | Last_use { var; at_binding } -> check_last_use pre var at_binding
+          | Last_use { var; at_binding } ->
+              check_last_use (Lazy.force annotated) var at_binding
           | Rebased { var; mem } ->
               let final = Hashtbl.find_opt final_rebase var = Some o.o_id in
-              check_rebased post post_scal o.o_ctx ~final var mem
+              check_rebased post o.o_ctx ~final var mem
           | Dead_mem { names } -> check_dead_mem pre post names
           | Dead_after { names; binding } -> check_dead_after pre names binding
           | Live_disjoint { earlier; later; movers } ->
@@ -1640,23 +1677,23 @@ let check ~pass ~pre ~post obls =
           | Dies_each_iter { block; loop_binding } ->
               check_dies_each_iter pre post block loop_binding
           | Sole_occupant { block; ixfn } ->
-              check_sole_occupant post post_scal block ixfn
+              check_sole_occupant post block ixfn
           | Grouped { mem; wits; arr } -> check_grouped post mem wits arr
           | Footprint_fits { block; arr } ->
-              check_footprint_fits post post_scal o.o_ctx block arr
+              check_footprint_fits post o.o_ctx block arr
           | Dominance { binding } -> check_dominance post binding
           | Unreferenced { name } -> check_unreferenced pre post name
           | Dies_in_arm { block; if_binding; arm } ->
               check_dies_in_arm pre post block if_binding arm
           | Packed_disjoint { arena = _; a; a_off; a_size = _; b; b_off;
                               b_size = _ } ->
-              check_packed_disjoint post post_scal o.o_ctx ~a ~a_off ~b ~b_off
+              check_packed_disjoint post o.o_ctx ~a ~a_off ~b ~b_off
           | Fits_in_arena { arena; member; off; size = _; extent = _ } ->
-              check_fits_in_arena post post_scal o.o_ctx ~arena ~member ~off
+              check_fits_in_arena post o.o_ctx ~arena ~member ~off
           | Hole_disjoint { arena; a; a_off; a_size = _; b; b_off;
                             b_size = _; iter } ->
-              check_hole_disjoint pre post post_scal o.o_ctx ~arena ~a ~a_off
-                ~b ~b_off ~iter
+              check_hole_disjoint pre post o.o_ctx ~arena ~a ~a_off ~b ~b_off
+                ~iter
         in
         { obl = o; verdict; detail })
       obls

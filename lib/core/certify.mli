@@ -231,8 +231,10 @@ val check :
   post:Ir.Ast.prog ->
   obligation list ->
   report
-(** Re-derive every obligation from the pre-/post-pass programs.  The
-    inputs are cloned before any annotation, so neither is mutated. *)
+(** Re-derive every obligation from the pre-/post-pass programs, which
+    are only read: last uses are re-derived on a clone of [pre], made
+    for the first [Last_use] obligation whichever pass emitted it.
+    Each scan of either program runs at most once per call. *)
 
 val ok : report -> bool
 (** No failed obligations. *)

@@ -103,7 +103,8 @@ type st = {
 (* Global tables                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let build_tables opts cert (p : prog) : st =
+(* [aliases]: the classes the last-use analysis of [p] returned. *)
+let build_tables opts cert aliases (p : prog) : st =
   let stms = all_stms_block p.body in
   let st =
     {
@@ -111,7 +112,7 @@ let build_tables opts cert (p : prog) : st =
       mems = Hashtbl.create 256;
       types = Hashtbl.create 256;
       scalars = Facts.add_scalars P.SM.empty stms;
-      aliases = Alias.of_prog p;
+      aliases;
       stats = fresh_stats ();
       failed = Hashtbl.create 32;
       cert;
@@ -1020,8 +1021,7 @@ let rec optimize_block st ctx ~outer_defined ~outer_allocd (b : block) : unit
 
 let optimize ?(options = default_options) ?(rounds = 2) ?cert (p : prog) :
     prog * stats =
-  let st = build_tables options cert p in
-  ignore (Lastuse.annotate p);
+  let st = build_tables options cert (Lastuse.annotate p) p in
   let outer_defined =
     List.fold_left (fun acc pe -> SS.add pe.pv acc) SS.empty p.params
   in

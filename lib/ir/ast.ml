@@ -186,7 +186,12 @@ let fv_slice = function
         SS.empty sds
   | SLmad l -> SS.of_list (Lmads.Lmad.vars l)
 
-let rec fv_exp (e : exp) : SS.t =
+(* The free variables of an expression, statement or block.  The
+   [_with] forms take those of each nested block ([fv_body]) or each
+   statement ([fv_s]) from their caller, asking once for each, in
+   program order (an [if]'s true arm first): the last-use analysis
+   answers with values it computes once per block. *)
+let fv_exp_with (fv_body : block -> SS.t) (e : exp) : SS.t =
   match e with
   | EAtom a -> fv_atom a
   | EBin (_, a, b) | ECmp (_, a, b) -> SS.union (fv_atom a) (fv_atom b)
@@ -221,7 +226,7 @@ let rec fv_exp (e : exp) : SS.t =
       let counts =
         List.fold_left (fun acc (_, n) -> SS.union acc (fv_idx n)) SS.empty nest
       in
-      SS.union counts (SS.diff (fv_block body) bound)
+      SS.union counts (SS.diff (fv_body body) bound)
   | EReduce { ne; arr; _ } -> SS.add arr (fv_atom ne)
   | ELoop { params; var; bound; body } ->
       let inits =
@@ -230,26 +235,15 @@ let rec fv_exp (e : exp) : SS.t =
       let bound_vars =
         SS.add var (SS.of_list (List.map (fun (pe, _) -> pe.pv) params))
       in
-      SS.union inits (SS.union (fv_idx bound) (SS.diff (fv_block body) bound_vars))
+      SS.union inits
+        (SS.union (fv_idx bound) (SS.diff (fv_body body) bound_vars))
   | EIf { cond; tb; fb } ->
-      SS.union (fv_atom cond) (SS.union (fv_block tb) (fv_block fb))
+      let t = fv_body tb in
+      let f = fv_body fb in
+      SS.union (fv_atom cond) (SS.union t f)
   | EAlloc i -> fv_idx i
 
-and fv_block (b : block) : SS.t =
-  let bound, free =
-    List.fold_left
-      (fun (bound, free) s ->
-        let f = SS.diff (fv_stm s) bound in
-        (SS.union bound (SS.of_list (List.map (fun pe -> pe.pv) s.pat)),
-         SS.union free f))
-      (SS.empty, SS.empty) b.stms
-  in
-  let res =
-    List.fold_left (fun acc a -> SS.union acc (fv_atom a)) SS.empty b.res
-  in
-  SS.union free (SS.diff res bound)
-
-and fv_stm (s : stm) : SS.t =
+let fv_stm_with fv_body (s : stm) : SS.t =
   let mem_fv =
     List.fold_left
       (fun acc pe ->
@@ -259,7 +253,26 @@ and fv_stm (s : stm) : SS.t =
             SS.add block (SS.union acc (SS.of_list (Ixfn.vars ixfn))))
       SS.empty s.pat
   in
-  SS.union (fv_exp s.exp) mem_fv
+  SS.union (fv_exp_with fv_body s.exp) mem_fv
+
+let fv_block_with (fv_s : stm -> SS.t) (b : block) : SS.t =
+  let bound, free =
+    List.fold_left
+      (fun (bound, free) s ->
+        let f = SS.diff (fv_s s) bound in
+        (SS.union bound (SS.of_list (List.map (fun pe -> pe.pv) s.pat)),
+         SS.union free f))
+      (SS.empty, SS.empty) b.stms
+  in
+  let res =
+    List.fold_left (fun acc a -> SS.union acc (fv_atom a)) SS.empty b.res
+  in
+  SS.union free (SS.diff res bound)
+
+let rec fv_block (b : block) : SS.t = fv_block_with fv_stm b
+and fv_stm (s : stm) : SS.t = fv_stm_with fv_block s
+
+let fv_exp (e : exp) : SS.t = fv_exp_with fv_block e
 
 (* Variables *read* by an expression, excluding the update destination
    (which is consumed, not read, for liveness purposes)... the

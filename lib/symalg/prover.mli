@@ -82,14 +82,18 @@ val prove_nonneg : t -> Poly.t -> bool
 (** Entry point of the elimination search.  Every goal the search has
     not decided before (a memo miss) is first evaluated at a few
     {!valuation}s of its own context; a negative value answers
-    [false] at once, since no search could prove it.  Before searching, the
-    context is {e saturated} with triangular-bound consequences: a
-    recorded pair [lo <= v <= hi] implies [hi - lo >= 0], and when
-    another variable occurs with a unit coefficient in that gap the
-    implication is itself a bound on it (from [0 <= j <= i - 1] and
-    [i <= m - 1] follow [i >= 1] and [m >= 2]).  This is what lets
-    obligations over triangular iteration spaces - LUD's interior
-    write-race disjointness - go through. *)
+    [false] at once, since no search could prove it.  The assignments
+    are built once per context and kept for the last few contexts
+    seen, which {!with_cold_memo} empties too; they depend on the
+    context alone, so no verdict depends on earlier queries.  Before
+    searching, the context is {e saturated} with triangular-bound
+    consequences: a recorded pair [lo <= v <= hi] implies
+    [hi - lo >= 0], and when another variable occurs with a unit
+    coefficient in that gap the implication is itself a bound on it
+    (from [0 <= j <= i - 1] and [i <= m - 1] follow [i >= 1] and
+    [m >= 2]).  This is what lets obligations over triangular
+    iteration spaces - LUD's interior write-race disjointness - go
+    through. *)
 
 val prove_pos : t -> Poly.t -> bool
 val prove_le : t -> Poly.t -> Poly.t -> bool
@@ -135,10 +139,11 @@ val pp : Format.formatter -> t -> unit
     streams the pipeline produces). *)
 
 val with_cold_memo : (unit -> 'a) -> 'a
-(** [with_cold_memo f] runs [f] against empty memo tables and then
-    puts the previous tables back: [f]'s prover work, as {!stats}
-    counts it, is what [f] needs on its own, not what earlier proofs
-    left for it to look up.  Statistics and budgets are untouched. *)
+(** [with_cold_memo f] runs [f] against empty memo tables and an empty
+    set of kept witness assignments, and then puts the previous ones
+    back: [f]'s prover work, as {!stats} counts it, is what [f] needs
+    on its own, not what earlier proofs left for it to look up.
+    Statistics and budgets are untouched. *)
 
 type limits = { sat_cap : int; nonneg_cap : int }
 

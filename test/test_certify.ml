@@ -441,6 +441,51 @@ let test_mutation_forged_if_hoist () =
     (C.failures report)
 
 (* ---------------------------------------------------------------- *)
+(* Last uses are re-derived, whatever pass claims them                *)
+(* ---------------------------------------------------------------- *)
+
+(* The checker annotates its own clone of the pre program whenever a
+   certificate holds a last-use claim: the claim is judged against
+   last uses re-derived from scratch, not against the ones the pre
+   program carries (cleared here), whichever pass emitted it.  And
+   [check] leaves both programs as it found them. *)
+let test_last_use_rederived () =
+  let reads = ref [] in
+  let prog =
+    B.prog "lu_cert" ~ctx:ctx_n2 ~params:[ pat_elem "n" i64 ] ~ret:[ f64 ]
+      (fun b ->
+        let xs = fill b "xs" n 1.0 in
+        let x = B.index b xs [ P.zero ] in
+        let y = B.index b xs [ P.one ] in
+        reads := [ xs ] @ List.filter_map atom_var [ x; y ];
+        [ B.fadd b x y ])
+  in
+  let xs, first, last =
+    match !reads with
+    | [ xs; x; y ] -> (xs, x, y)
+    | _ -> Alcotest.fail "expected an array and two reads"
+  in
+  let post = Core.Pipeline.to_memory_ir prog in
+  let pre = Ir.Clone.clone_prog post in
+  List.iter (fun s -> s.last_uses <- []) (all_stms_block pre.body);
+  let printed () = (Pretty.prog_to_string pre, Pretty.prog_to_string post) in
+  let before = printed () in
+  let r = C.recorder ~pass:"cleanup" in
+  let claim at_binding =
+    C.emit r
+      (C.Copy_elide { candidate = xs; dst_block = "mem"; at_binding })
+      (C.Last_use { var = xs; at_binding })
+  in
+  claim last;
+  claim first;
+  let report = C.check ~pass:"cleanup" ~pre ~post (C.obligations r) in
+  (match report.C.checked with
+  | [ { verdict = C.Proved; _ }; { verdict = C.Failed _; _ } ] -> ()
+  | _ -> Alcotest.fail "expected the true claim proved, the false refuted");
+  Alcotest.(check (pair string string))
+    "pre and post printed unchanged, last uses included" before (printed ())
+
+(* ---------------------------------------------------------------- *)
 (* The certificate gate: a proved -> concretized flip is a regression *)
 (* ---------------------------------------------------------------- *)
 
@@ -639,6 +684,8 @@ let tests =
       test_mutation_forged_grouping;
     Alcotest.test_case "mutation: forged if-arm hoist refuted" `Quick
       test_mutation_forged_if_hoist;
+    Alcotest.test_case "last uses re-derived whatever the pass" `Quick
+      test_last_use_rederived;
     Alcotest.test_case "cert gate: proved -> concretized flip fails" `Quick
       test_cert_gate_flip;
     QCheck_alcotest.to_alcotest prop_generated_programs_certify;

@@ -458,6 +458,161 @@ let test_lastuse_annotations () =
   Alcotest.(check (list string)) "first read is not a last use" []
     first_read.last_uses
 
+(* Last uses in nested blocks, one rule of lastuse.ml's header each.
+   [annotated] builds a program whose builder also reports binder
+   names, and annotates it; [lu p v] is the last-use list of the
+   statement binding [v]. *)
+let annotated name ?(params = [ pat_elem "n" i64 ]) ~ret f =
+  let names = ref [] in
+  let prog =
+    B.prog name ~ctx:ctx_n ~params ~ret (fun b ->
+        let res, ns = f b in
+        names := ns;
+        res)
+  in
+  ignore (Core.Lastuse.annotate prog);
+  (prog, !names)
+
+let binding_stm (p : prog) v =
+  match
+    List.find_opt
+      (fun s -> List.exists (fun pe -> pe.pv = v) s.pat)
+      (all_stms_block p.body)
+  with
+  | Some s -> s
+  | None -> Alcotest.failf "no statement binds %s" v
+
+let lu p v = (binding_stm p v).last_uses
+let var_of = function Var v -> v | _ -> Alcotest.fail "expected a variable"
+
+(* No statement nested in the one binding [stm] lastly uses [v]. *)
+let never_last_inside p ~stm v =
+  List.iter
+    (fun s ->
+      if List.mem v s.last_uses then
+        Alcotest.failf "%s is lastly used inside %s" v stm)
+    (List.tl (all_stms_block (block [ binding_stm p stm ] [])))
+
+(* An array free in a loop or mapnest body is read by every iteration
+   or thread: it is lastly used at the compound statement, never
+   inside it. *)
+let test_lastuse_free_in_body () =
+  let p, names =
+    annotated "lu_free" ~ret:[ f64 ] (fun b ->
+        let xs = fill b "xs" n 1.0 in
+        let ys = fill b "ys" n 2.0 in
+        let sum =
+          B.loop1 b "sum" f64 (Float 0.0) ~bound:n (fun bb ~param ~i ->
+              B.fadd bb (Var param) (B.index bb xs [ i ]))
+        in
+        let zs =
+          B.mapnest b "zs" [ (Names.fresh "i", n) ] (fun bb ->
+              [ B.fadd bb (B.index bb ys [ P.zero ]) (Float 1.0) ])
+        in
+        ([ B.fadd b (Var sum) (B.index b zs [ P.zero ]) ], [ xs; ys; sum; zs ]))
+  in
+  match names with
+  | [ xs; ys; sum; zs ] ->
+      never_last_inside p ~stm:sum xs;
+      never_last_inside p ~stm:zs ys;
+      Alcotest.(check (list string)) "the loop is xs's last use" [ xs ]
+        (lu p sum);
+      Alcotest.(check (list string)) "the mapnest is ys's last use" [ ys ]
+        (lu p zs)
+  | _ -> assert false
+
+(* A body-local array is lastly used at its final read in the body
+   (Fig. 5b), not at an earlier one. *)
+let test_lastuse_body_local () =
+  let p, names =
+    annotated "lu_local" ~ret:[ f64 ] (fun b ->
+        let reads = ref [] in
+        let sum =
+          B.loop1 b "sum" f64 (Float 0.0) ~bound:n (fun bb ~param ~i:_ ->
+              let ts = fill bb "ts" n 1.0 in
+              let x = B.index bb ts [ P.zero ] in
+              let y = B.index bb ts [ P.one ] in
+              reads := [ ts; var_of x; var_of y ];
+              B.fadd bb (Var param) (B.fadd bb x y))
+        in
+        ([ Var sum ], !reads))
+  in
+  match names with
+  | [ ts; first; last ] ->
+      Alcotest.(check (list string)) "not at the first read" [] (lu p first);
+      Alcotest.(check (list string)) "at the final read" [ ts ] (lu p last)
+  | _ -> assert false
+
+(* A loop-carried parameter belongs to the next iteration: nothing in
+   the body lastly uses it, even where the body reads only the fresh
+   array it returns, which aliases the parameter. *)
+let test_lastuse_carried () =
+  let p, names =
+    annotated "lu_carried" ~ret:[ arr F64 [ n ] ] (fun b ->
+        let xs = fill b "xs" n 1.0 in
+        let acc = ref "" in
+        let r =
+          B.loop1 b "step" (arr F64 [ n ]) (Var xs) ~bound:n
+            (fun bb ~param ~i:_ ->
+              acc := param;
+              let next = fill bb "next" n 2.0 in
+              ignore (B.index bb next [ P.zero ]);
+              Var next)
+        in
+        ([ Var r ], [ !acc; r ]))
+  in
+  match names with
+  | [ acc; r ] -> never_last_inside p ~stm:r acc
+  | _ -> assert false
+
+(* An array read only in one arm of an [if] is lastly used in that arm
+   and, for the enclosing block, at the [if] itself. *)
+let test_lastuse_if_arm () =
+  let p, names =
+    annotated "lu_if"
+      ~params:[ pat_elem "n" i64; pat_elem "c" boolt ]
+      ~ret:[ f64 ]
+      (fun b ->
+        let xs = fill b "xs" n 1.0 in
+        let read = ref "" in
+        let r =
+          B.if_ b "r" (Var "c")
+            (fun tb ->
+              let x = B.index tb xs [ P.zero ] in
+              read := var_of x;
+              [ x ])
+            (fun _ -> [ Float 0.0 ])
+        in
+        ([ Var (List.hd r) ], [ xs; !read; List.hd r ]))
+  in
+  match names with
+  | [ xs; read; r ] ->
+      Alcotest.(check (list string)) "in the arm" [ xs ] (lu p read);
+      Alcotest.(check (list string)) "at the if" [ xs ] (lu p r)
+  | _ -> assert false
+
+(* A slice aliases its source: the source's last direct read is not
+   its last use while the slice is still read, and the slice's last
+   read is the last use of both. *)
+let test_lastuse_slice () =
+  let p, names =
+    annotated "lu_slice" ~ret:[ f64 ] (fun b ->
+        let xs = fill b "xs" n 1.0 in
+        let s = B.bind b "s" (ESlice (xs, STriplet [ B.range P.zero n ])) in
+        let x = B.index b xs [ P.zero ] in
+        let y = B.index b s [ P.zero ] in
+        ([ B.fadd b x y ], [ xs; s; var_of x; var_of y ]))
+  in
+  match names with
+  | [ xs; s; x; y ] ->
+      Alcotest.(check (list string)) "not at the slice" [] (lu p s);
+      Alcotest.(check (list string)) "not at the source's last read" []
+        (lu p x);
+      Alcotest.(check (list string)) "at the slice's last read"
+        (List.sort compare [ xs; s ])
+        (lu p y)
+  | _ -> assert false
+
 (* ---------------------------------------------------------------- *)
 (* Memory introduction: anti-unified if                               *)
 (* ---------------------------------------------------------------- *)
@@ -661,6 +816,15 @@ let tests =
     Alcotest.test_case "Fig. 6b mapnest result" `Quick test_fig6b_mapnest;
     Alcotest.test_case "allocation hoisting" `Quick test_hoist_allocs_first;
     Alcotest.test_case "last-use annotations" `Quick test_lastuse_annotations;
+    Alcotest.test_case "last use: free in a body" `Quick
+      test_lastuse_free_in_body;
+    Alcotest.test_case "last use: body-local array" `Quick
+      test_lastuse_body_local;
+    Alcotest.test_case "last use: loop-carried parameter" `Quick
+      test_lastuse_carried;
+    Alcotest.test_case "last use: one if arm" `Quick test_lastuse_if_arm;
+    Alcotest.test_case "last use: a slice keeps its source" `Quick
+      test_lastuse_slice;
     Alcotest.test_case "memintro if existentials" `Quick
       test_memintro_if_existential;
     Alcotest.test_case "pass names depend on the input alone" `Quick

@@ -342,6 +342,60 @@ let prop_prover_sound_triangular =
             box)
         box)
 
+(* Query history.  [hist_t1] and [hist_t2] differ in one bound (n >= 1
+   against n >= 2).  The goal i*n - 2i >= 0 is refuted by a witness
+   under the first and proved only by the elimination search under the
+   second: interval evaluation leaves it unbounded below. *)
+let hist_t1 = { cn = 1; a = 0; b = 0; cj = 0; s = None }
+let hist_t2 = { hist_t1 with cn = 2 }
+let hist_goal = P.sub (P.mul (v "i") (v "n")) (P.scale 2 (v "i"))
+
+let test_prover_one_bound_apart () =
+  Pr.with_cold_memo (fun () ->
+      let refuted () = (Pr.stats ()).Pr.refuted in
+      let r0 = refuted () in
+      Alcotest.(check bool) "refused under n >= 1" false
+        (Pr.prove_nonneg (tri_ctx hist_t1) hist_goal);
+      Alcotest.(check int) "by a witness" (r0 + 1) (refuted ());
+      Alcotest.(check bool) "intervals leave it open under n >= 2" true
+        (fst (Pr.interval (tri_ctx hist_t2) hist_goal) = Pr.Ext.NegInf);
+      Alcotest.(check bool) "the search proves it under n >= 2" true
+        (Pr.prove_nonneg (tri_ctx hist_t2) hist_goal))
+
+(* A triangular context, a neighbour one bound apart, and goals asked
+   under both, shuffled together with the two queries above. *)
+let gen_history =
+  QCheck.Gen.(
+    let* t = gen_tri in
+    let* t' =
+      oneofl
+        [
+          { t with cn = t.cn + 1 };
+          { t with a = t.a + 1 };
+          { t with b = t.b + 1 };
+          { t with cj = t.cj + 1 };
+        ]
+    in
+    let* goals = list_size (int_range 1 5) (gen_tri_poly t) in
+    let both = List.concat_map (fun p -> [ (t, p); (t', p) ]) goals in
+    let* again = list_size (int_range 0 6) (oneofl both) in
+    shuffle_l ([ (hist_t1, hist_goal); (hist_t2, hist_goal) ] @ both @ again))
+
+(* Each query's verdict, asked after all the queries before it, equals
+   its verdict asked alone, under [with_cold_memo]: neither the memo
+   tables nor the witnesses kept for recent contexts carry one
+   context's facts into another's. *)
+let prop_prover_history_free =
+  QCheck.Test.make ~name:"prover verdicts do not depend on query history"
+    ~count:(Qcount.count 100)
+    (QCheck.make
+       ~print:(fun qs -> String.concat "\n" (List.map print_tri qs))
+       gen_history)
+    (fun qs ->
+      let ask (t, p) = Pr.prove_nonneg (tri_ctx t) p in
+      let warm = List.map ask qs in
+      warm = List.map (fun q -> Pr.with_cold_memo (fun () -> ask q)) qs)
+
 (* qcheck: algebraic laws of the polynomial ring *)
 let gen_poly =
   QCheck.Gen.(
@@ -401,6 +455,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_linear_in_reconstructs;
     QCheck_alcotest.to_alcotest prop_valuation_admissible;
     QCheck_alcotest.to_alcotest prop_prover_sound_triangular;
+    QCheck_alcotest.to_alcotest prop_prover_history_free;
     Alcotest.test_case "normal form" `Quick test_normal_form;
     Alcotest.test_case "eval" `Quick test_eval;
     Alcotest.test_case "subst" `Quick test_subst;
@@ -418,6 +473,8 @@ let tests =
       test_prover_memo_sharing;
     Alcotest.test_case "prover refutes false goals by a witness" `Quick
       test_prover_refutation;
+    Alcotest.test_case "prover: one goal, two contexts one bound apart"
+      `Quick test_prover_one_bound_apart;
     Alcotest.test_case "interval" `Quick test_interval;
     Alcotest.test_case "prover random soundness" `Quick
       test_prover_random_soundness;
