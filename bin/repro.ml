@@ -188,9 +188,9 @@ let round4 x = float_of_string (Printf.sprintf "%.4f" x)
 (* The prover's memoization effectiveness, its refutations by a
    concrete witness and its budget pressure, shared by BENCH.json and
    the combined certificate document.  A nonzero [budget_exhausted]
-   means some nonnegativity queries were truncated by the step/memo
-   budget or deadline - sound (the affected rewrites were skipped) but
-   a signal the budget is too tight for the suite. *)
+   means some nonnegativity queries were truncated by the step budget
+   - sound (the affected rewrites were skipped) but a signal the
+   budget is too tight for the suite. *)
 let prover_json (p : Symalg.Prover.stats) =
   let open Core.Json in
   let rate h m =
@@ -502,6 +502,16 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
       in
       if not markdown then print_summaries outcomes;
       finish outcomes;
+      (* after BENCH.json, whose prover object must not count these
+         compiles *)
+      if markdown then
+        Fmt.pr "%a" Benchsuite.Table.pp_ablation
+          [
+            ("NW", Benchsuite.Nw.prog);
+            ("LUD", Benchsuite.Lud.prog);
+            ("Hotspot", Benchsuite.Hotspot.prog);
+            ("LBM", Benchsuite.Lbm.prog);
+          ];
       let faulted =
         List.filter_map
           (fun (b, r) ->
@@ -1154,24 +1164,8 @@ let prover_budget_term =
              Exhaustion soundly skips the rewrite and is counted in the \
              prover stats.")
   in
-  let deadline =
-    Arg.(
-      value
-      & opt float 0.
-      & info [ "prover-deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "CPU-time deadline per prover query, in seconds (0 = none, \
-             the default); expiring counts as budget exhaustion.  Opt-in \
-             only: with a deadline, host load can change verdicts.")
-  in
-  Term.(
-    const (fun s d ->
-        {
-          Symalg.Prover.unlimited with
-          Symalg.Prover.b_steps = s;
-          Symalg.Prover.b_deadline = d;
-        })
-    $ steps $ deadline)
+  let budget s = { Symalg.Prover.unlimited with Symalg.Prover.b_steps = s } in
+  Term.(const budget $ steps)
 
 let table_cmd =
   let bench_json =
@@ -1190,7 +1184,8 @@ let table_cmd =
           ~doc:
             "Print only the tables, in EXPERIMENTS.md's markdown row \
              format (the paper's Unopt/Opt/Impact columns next to the \
-             published ones).")
+             published ones); with $(b,all), the ablation of the \
+             short-circuiting analysis follows Table VII.")
   in
   let out =
     Arg.(

@@ -78,7 +78,7 @@ let prog : prog =
           [ ("temp", grid, Var "temp0") ]
           ~var:"t" ~bound:(P.var "steps")
           (fun lb ->
-            let z1 = Ir.Names.fresh "z" and j1 = Ir.Names.fresh "j" in
+            let z1 = B.fresh lb "z" and j1 = B.fresh lb "j" in
             let top =
               B.mapnest lb "top"
                 [ (z1, P.one); (j1, n) ]
@@ -89,7 +89,7 @@ let prog : prog =
                       ~up_row:P.zero ~down_row:P.one;
                   ])
             in
-            let i2 = Ir.Names.fresh "i" and j2 = Ir.Names.fresh "j" in
+            let i2 = B.fresh lb "i" and j2 = B.fresh lb "j" in
             let mid =
               B.mapnest lb "mid"
                 [ (i2, P.sub n (P.const 2)); (j2, n) ]
@@ -100,7 +100,7 @@ let prog : prog =
                       ~up_row:(P.sub row P.one) ~down_row:(P.add row P.one);
                   ])
             in
-            let z3 = Ir.Names.fresh "z" and j3 = Ir.Names.fresh "j" in
+            let z3 = B.fresh lb "z" and j3 = B.fresh lb "j" in
             let bot =
               B.mapnest lb "bot"
                 [ (z3, P.one); (j3, n) ]

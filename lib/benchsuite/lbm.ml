@@ -54,7 +54,7 @@ let prog : prog =
           [ ("f", gridt, Var "f0") ]
           ~var:"t" ~bound:(P.var "steps")
           (fun lb ->
-            let iv = Ir.Names.fresh "i" and jv = Ir.Names.fresh "j" in
+            let iv = B.fresh lb "i" and jv = B.fresh lb "j" in
             let fnext =
               B.mapnest lb "fnext"
                 [ (iv, n); (jv, n) ]

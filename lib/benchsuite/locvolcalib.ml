@@ -46,8 +46,8 @@ let thomas_step sb ~u ~w =
     set1 sb ~dst:dp0 ~i:P.zero
       (B.fdiv sb (B.index sb u [ P.zero ]) (Float dg))
   in
-  let cpn = Ir.Names.fresh "cp" and dpn = Ir.Names.fresh "dp" in
-  let fw = Ir.Names.fresh "fx" in
+  let cpn = B.fresh sb "cp" and dpn = B.fresh sb "dp" in
+  let fw = B.fresh sb "fx" in
   let sweep =
     B.loop sb "fwd"
       [ (cpn, vec, Var cp1); (dpn, vec, Var dp1) ]
@@ -99,7 +99,7 @@ let prog : prog =
     ~params:[ pat_elem "numo" i64; pat_elem "numx" i64; pat_elem "numt" i64 ]
     ~ret:[ arr F64 [ numo; numx ] ]
     (fun bb ->
-      let ov = Ir.Names.fresh "o" in
+      let ov = B.fresh bb "o" in
       let result =
         B.mapnest bb "result"
           [ (ov, numo) ]

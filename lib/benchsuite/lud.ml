@@ -80,7 +80,7 @@ let prog : prog =
             let diag_base = P.add (P.mul kb n) kb in
             let nb = P.mul n bP in
             (* ---- green: factor the diagonal block ---------------- *)
-            let z = Ir.Names.fresh "z" in
+            let z = B.fresh lb "z" in
             let xd =
               B.mapnest lb "xd"
                 [ (z, P.one) ]
@@ -148,7 +148,7 @@ let prog : prog =
                 (fun _tb -> [ Var a1 ])
                 (fun lb ->
             (* ---- yellow: perimeter row U_kj = L_kk^-1 A_kj -------- *)
-            let jv = Ir.Names.fresh "j" in
+            let jv = B.fresh lb "j" in
             let top_base j =
               P.sum [ P.mul kb n; P.mul (P.add k P.one) bP; P.mul j bP ]
             in
@@ -206,7 +206,7 @@ let prog : prog =
                    })
             in
             (* ---- blue: perimeter column L_ik = A_ik U_kk^-1 ------- *)
-            let iv = Ir.Names.fresh "i" in
+            let iv = B.fresh lb "i" in
             let left_base i =
               P.sum [ P.mul (P.add k P.one) (P.mul bP n); P.mul i nb; kb ]
             in
@@ -269,7 +269,7 @@ let prog : prog =
                    })
             in
             (* ---- red: interior rank-b update ---------------------- *)
-            let bi = Ir.Names.fresh "bi" and bj = Ir.Names.fresh "bj" in
+            let bi = B.fresh lb "bi" and bj = B.fresh lb "bj" in
             let int_base bi bj =
               P.sum
                 [

@@ -45,7 +45,7 @@ let prog : prog =
           ~var:"bi" ~bound:nbatch
           (fun lb ->
             let bi = P.var "bi" in
-            let tv = Ir.Names.fresh "t" in
+            let tv = B.fresh lb "t" in
             let x =
               B.mapnest lb "batch"
                 [ (tv, bsz) ]

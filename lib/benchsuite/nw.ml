@@ -46,9 +46,9 @@ let diag_step bb ~a ~m ~woff =
   let n = P.var "n" and bP = P.var "b" in
   (* freshen all binder names: this function is instantiated once per
      matrix half, and binders must be unique program-wide *)
-  let kv = Ir.Names.fresh "k" in
-  let rv_ = Ir.Names.fresh "r" and cv_ = Ir.Names.fresh "c" in
-  let blkr = Ir.Names.fresh "blkr" and blkc = Ir.Names.fresh "blkc" in
+  let kv = B.fresh bb "k" in
+  let rv_ = B.fresh bb "r" and cv_ = B.fresh bb "c" in
+  let blkr = B.fresh bb "blkr" and blkc = B.fresh bb "blkc" in
   let nb_b = P.sub (P.mul n bP) bP in
   let rv =
     B.bind bb "rvert"

@@ -72,7 +72,7 @@ let prog : prog =
     ~params:[ pat_elem "npaths" i64; pat_elem "nsteps" i64 ]
     ~ret:[ f64 ]
     (fun bb ->
-      let pv = Ir.Names.fresh "p" in
+      let pv = B.fresh bb "p" in
       (* kernel 1: generate all paths *)
       let paths =
         B.mapnest bb "paths"
@@ -98,7 +98,7 @@ let prog : prog =
             [ Var final ])
       in
       (* kernel 2: fold each path into a discounted payoff *)
-      let pv2 = Ir.Names.fresh "p" in
+      let pv2 = B.fresh bb "p" in
       let payoffs =
         B.mapnest bb "payoffs"
           [ (pv2, npaths) ]

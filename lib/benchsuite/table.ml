@@ -103,6 +103,39 @@ let pp_markdown ppf (t : t) =
     t.rows;
   Fmt.pf ppf "@."
 
+(* The ablation of the short-circuiting analysis, as EXPERIMENTS.md
+   prints it: the circuit points of each of [progs] that still rebase
+   with the Fig. 8 dimension splitting (the plain Hoeflinger condition
+   without it) and the per-iteration and per-thread refinements of
+   section V-B disabled, one and then both at a time, each out of the
+   points the full analysis examines. *)
+let pp_ablation ppf progs =
+  let full = Core.Shortcircuit.default_options in
+  let configs =
+    [
+      full;
+      { full with split_depth = 0 };
+      { full with enable_refinement = false };
+      { full with split_depth = 0; enable_refinement = false };
+    ]
+  in
+  let circuits prog options =
+    let st = (Core.Pipeline.compile ~options prog).stats in
+    (st.succeeded, st.candidates)
+  in
+  Fmt.pf ppf "## Ablation (design choices of sections V-B/V-C)@.@.";
+  Fmt.pf ppf
+    "| Benchmark | full | no dim splitting | no refinement | neither |@.";
+  Fmt.pf ppf "|---|---|---|---|---|@.";
+  List.iter
+    (fun (name, prog) ->
+      let counts = List.map (circuits prog) configs in
+      let cell (k, _) = Printf.sprintf "%d/%d" k (snd (List.hd counts)) in
+      Fmt.pf ppf "| %-7s | %s |@." name
+        (String.concat " | " (List.map cell counts)))
+    progs;
+  Fmt.pf ppf "@."
+
 (* Shape checks used by the test-suite: the qualitative claims of the
    paper's evaluation that must survive the simulation substitution. *)
 let impacts t = List.map (fun r -> r.impact) t.rows

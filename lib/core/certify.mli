@@ -243,9 +243,6 @@ val failures : report -> checked list
 
 (** {1 Rendering} *)
 
-val pp_rewrite : Format.formatter -> rewrite -> unit
-val pp_claim : Format.formatter -> claim -> unit
-val pp_verdict : Format.formatter -> verdict -> unit
 val pp_checked : Format.formatter -> checked -> unit
 val pp_report : Format.formatter -> report -> unit
 

@@ -14,7 +14,7 @@
 
 type t =
   | Prover_budget of { exhausted : int }
-      (** The symbolic prover hit its step/deadline budget [exhausted]
+      (** The symbolic prover hit its step budget [exhausted]
           times during a compile: the affected obligations came back
           undecided and their rewrites were skipped - a performance
           fault, never a correctness one. *)

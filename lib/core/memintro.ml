@@ -33,6 +33,7 @@ let err fmt = Fmt.kstr (fun s -> raise (Mem_error s)) fmt
 type env = {
   mems : mem_info SM.t; (* array var -> memory *)
   types : typ SM.t;
+  names : Ir.Names.supply; (* the pass's own, seeded by its input *)
 }
 
 let lookup_mem env v =
@@ -43,6 +44,7 @@ let lookup_mem env v =
 let bind_mem env pe mem =
   pe.pmem <- Some mem;
   {
+    env with
     mems = SM.add pe.pv mem env.mems;
     types = SM.add pe.pv pe.pt env.types;
   }
@@ -51,10 +53,10 @@ let bind_plain env pe = { env with types = SM.add pe.pv pe.pt env.types }
 
 (* Fresh allocation for a pattern element of array type; returns the
    alloc statement and the memory info. *)
-let alloc_for pe =
+let alloc_for env pe =
   match pe.pt with
   | TArr (_, shape) ->
-      let mname = Ir.Names.fresh (pe.pv ^ "_mem") in
+      let mname = Ir.Names.fresh env.names (pe.pv ^ "_mem") in
       let size = P.prod shape in
       let alloc = stm [ pat_elem mname TMem ] (EAlloc size) in
       (alloc, { block = mname; ixfn = Ixfn.row_major shape })
@@ -68,18 +70,18 @@ let sliced_ixfn ctx (slc : slice) (ixfn : Ixfn.t) : Ixfn.t =
 
 (* Materialize a polynomial as an atom, creating an [EIdx] statement if
    needed.  Returns (statements, atom). *)
-let poly_atom (p : P.t) : stm list * atom =
+let poly_atom fresh (p : P.t) : stm list * atom =
   match P.to_const_opt p with
   | Some c -> ([], Int c)
   | None -> (
       match P.monos p with
       | [ { coeff = 1; pows = [ (v, 1) ] } ] -> ([], Var v)
       | _ ->
-          let v = Ir.Names.fresh "w" in
+          let v = fresh "w" in
           ([ stm [ pat_elem v (TScalar I64) ] (EIdx p) ], Var v))
 
-let poly_atoms ps =
-  let stms, atoms = List.split (List.map poly_atom ps) in
+let poly_atoms fresh ps =
+  let stms, atoms = List.split (List.map (poly_atom fresh) ps) in
   (List.concat stms, atoms)
 
 let cert_emit cert rw ?ctx claim =
@@ -105,7 +107,7 @@ and transform_stm cert ctx env (s : stm) : stm list * env =
       List.fold_left
         (fun (allocs, env) pe ->
           if is_array_typ pe.pt then (
-            let alloc, mem = alloc_for pe in
+            let alloc, mem = alloc_for env pe in
             cert_emit cert
               (Certify.Mem_intro { block = mem.block; binding = pe.pv })
               ~ctx
@@ -163,6 +165,7 @@ and transform_stm cert ctx env (s : stm) : stm list * env =
      the witness parameter names.
    The statement's binding pattern mirrors the grouping. *)
 and transform_loop cert ctx env s params var bound body =
+  let fresh = Ir.Names.fresh env.names in
   (* Provisional body environment: array params annotated with their
      initializer's index function in a fresh block name.  One transform
      round suffices: the supported programs rebuild their loop results,
@@ -175,7 +178,7 @@ and transform_loop cert ctx env s params var bound body =
           match init with
           | Var iv ->
               let im = lookup_mem env iv in
-              let mname = Ir.Names.fresh (pe.pv ^ "_mem") in
+              let mname = fresh (pe.pv ^ "_mem") in
               `Arr (pe, init, im, mname)
           | _ -> err "memintro: loop array init must be a variable"
         else `Scalar (pe, init))
@@ -206,8 +209,7 @@ and transform_loop cert ctx env s params var bound body =
                 let rm = lookup_mem env_after rv in
                 let au =
                   match
-                    Lmads.Antiunify.ixfns ~fresh:Ir.Names.fresh im.ixfn
-                      rm.ixfn
+                    Lmads.Antiunify.ixfns ~fresh im.ixfn rm.ixfn
                   with
                   | Some r -> r
                   | None ->
@@ -243,10 +245,12 @@ and transform_loop cert ctx env s params var bound body =
           body_res := !body_res @ [ Var rm.block ];
           (* witness params *)
           let init_stms, init_atoms =
-            poly_atoms (List.map (fun b -> b.Lmads.Antiunify.left) bindings)
+            poly_atoms fresh
+              (List.map (fun b -> b.Lmads.Antiunify.left) bindings)
           in
           let res_stms, res_atoms =
-            poly_atoms (List.map (fun b -> b.Lmads.Antiunify.right) bindings)
+            poly_atoms fresh
+              (List.map (fun b -> b.Lmads.Antiunify.right) bindings)
           in
           pre_stms := !pre_stms @ init_stms;
           body_extra := !body_extra @ res_stms;
@@ -262,10 +266,10 @@ and transform_loop cert ctx env s params var bound body =
           loop_params := !loop_params @ [ (pe, init) ];
           body_res := !body_res @ [ res ];
           (* binding pattern: fresh mem + witness names + original pe *)
-          let mem_r = pat_elem (Ir.Names.fresh (mname ^ "_r")) TMem in
+          let mem_r = pat_elem (fresh (mname ^ "_r")) TMem in
           let wit_rs =
             List.map
-              (fun b -> pat_elem (Ir.Names.fresh b.Lmads.Antiunify.exist) (TScalar I64))
+              (fun b -> pat_elem (fresh b.Lmads.Antiunify.exist) (TScalar I64))
               bindings
           in
           let subst =
@@ -330,6 +334,7 @@ and transform_loop cert ctx env s params var bound body =
 
 (* Ifs (Fig. 5a): same grouping per array result. *)
 and transform_if cert ctx env s cond tb fb =
+  let fresh = Ir.Names.fresh env.names in
   let tb, env_t = transform_block cert ctx env tb in
   let fb, env_f = transform_block cert ctx env fb in
   if
@@ -354,23 +359,25 @@ and transform_if cert ctx env s cond tb fb =
             let mt = lookup_mem env_t vt and mf = lookup_mem env_f vf in
             let au =
               match
-                Lmads.Antiunify.ixfns ~fresh:Ir.Names.fresh mt.ixfn mf.ixfn
+                Lmads.Antiunify.ixfns ~fresh mt.ixfn mf.ixfn
               with
               | Some r -> r
               | None -> err "memintro: if %s: anti-unification failed" pe.pv
             in
             let bindings = au.Lmads.Antiunify.bindings in
-            let mem_pat = pat_elem (Ir.Names.fresh (pe.pv ^ "_mem")) TMem in
+            let mem_pat = pat_elem (fresh (pe.pv ^ "_mem")) TMem in
             let wit_pats =
               List.map
                 (fun b -> pat_elem b.Lmads.Antiunify.exist (TScalar I64))
                 bindings
             in
             let t_stms, t_atoms =
-              poly_atoms (List.map (fun b -> b.Lmads.Antiunify.left) bindings)
+              poly_atoms fresh
+                (List.map (fun b -> b.Lmads.Antiunify.left) bindings)
             in
             let f_stms, f_atoms =
-              poly_atoms (List.map (fun b -> b.Lmads.Antiunify.right) bindings)
+              poly_atoms fresh
+                (List.map (fun b -> b.Lmads.Antiunify.right) bindings)
             in
             extra_t := !extra_t @ t_stms;
             extra_f := !extra_f @ f_stms;
@@ -402,7 +409,7 @@ and transform_if cert ctx env s cond tb fb =
 (* ---------------------------------------------------------------- *)
 
 let introduce ?cert (p : prog) : prog =
-  Ir.Names.within p @@ fun () ->
+  let names = Ir.Names.of_prog p in
   let env =
     List.fold_left
       (fun env pe ->
@@ -413,11 +420,12 @@ let introduce ?cert (p : prog) : prog =
             let mem = { block = mname; ixfn = Ixfn.row_major shape } in
             pe.pmem <- Some mem;
             {
+              env with
               mems = SM.add pe.pv mem env.mems;
               types = SM.add mname TMem (SM.add pe.pv pe.pt env.types);
             }
         | _ -> bind_plain env pe)
-      { mems = SM.empty; types = SM.empty }
+      { mems = SM.empty; types = SM.empty; names }
       p.params
   in
   let body, _ = transform_block cert p.ctx env p.body in

@@ -678,13 +678,13 @@ let emit_certs st cert ctx arena rextent (placements : placement list) =
 
 (* Insert the arena allocation at [at] and rebase every placement over
    the remainder of the block. *)
-let commit st opts cert ctx (b : block) ~at ~extent ~rextent
+let commit st opts cert names ctx (b : block) ~at ~extent ~rextent
     (placements : placement list) : block =
   let stms = Array.of_list b.stms in
   let n = Array.length stms in
   st.arenas <- st.arenas + 1;
   st.packed <- st.packed + List.length placements;
-  let arena = Ir.Names.fresh arena_base in
+  let arena = Ir.Names.fresh names arena_base in
   emit_certs st cert ctx arena rextent placements;
   List.iter
     (fun p ->
@@ -737,7 +737,7 @@ let rec prune ms =
       if max_idx < min_first then ms
       else prune (List.filter (fun m -> m.m_idx <> max_idx) ms)
 
-let pack_block st opts cert (sc : Facts.scope) (b : block) : block =
+let pack_block st opts cert names (sc : Facts.scope) (b : block) : block =
   let ctx = sc.ctx in
   let candidates, blocked = block_members sc b in
   let candidates, aliased_out = dedup_aliases candidates in
@@ -752,7 +752,7 @@ let pack_block st opts cert (sc : Facts.scope) (b : block) : block =
       let at =
         1 + List.fold_left (fun a p -> max a p.p_m.m_idx) (-1) placements
       in
-      commit st opts cert ctx b ~at ~extent ~rextent placements
+      commit st opts cert names ctx b ~at ~extent ~rextent placements
   | _ ->
       st.unpacked <-
         st.unpacked + List.length blocked + List.length candidates;
@@ -767,7 +767,7 @@ let pack_block st opts cert (sc : Facts.scope) (b : block) : block =
    members gathered from nested scopes.  A promoted member's interval
    collapses to its enclosing top-level statement - everything about
    it happens inside that one statement's subtree. *)
-let pack_top st opts cert (p : prog) : block =
+let pack_top st opts cert names (p : prog) : block =
   let b = p.body in
   let sc = Facts.add_block (Facts.top p) b in
   let ctx = sc.ctx in
@@ -876,7 +876,7 @@ let pack_top st opts cert (p : prog) : block =
           st.unpacked + List.length blocked
           + (List.length (locals candidates)
             - List.length (locals (List.map (fun p -> p.p_m) placements)));
-        commit st opts cert ctx b ~at ~extent ~rextent placements
+        commit st opts cert names ctx b ~at ~extent ~rextent placements
       end
   | _ -> give_up ()
 
@@ -891,14 +891,14 @@ let pack_top st opts cert (p : prog) : block =
    annotations left, so per-block packing skips them naturally;
    in-kernel members it could not lift still pack into per-thread
    arenas here. *)
-let rec walk ?(pack_here = true) st opts cert sc (b : block) : block =
+let rec walk ?(pack_here = true) st opts cert names sc (b : block) : block =
   let sc = Facts.add_block sc b in
-  let b = if pack_here then pack_block st opts cert sc b else b in
+  let b = if pack_here then pack_block st opts cert names sc b else b in
   let stms =
     List.map
       (fun s ->
         Chaos.probe "pack";
-        Facts.map_sub_blocks (walk st opts cert) sc s)
+        Facts.map_sub_blocks (walk st opts cert names) sc s)
       b.stms
   in
   { b with stms }
@@ -907,7 +907,9 @@ let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let st = fresh_stats () in
   if not options.pack then (p, st)
   else
-    Ir.Names.within p @@ fun () ->
-    let p = { p with body = pack_top st options cert p } in
-    let body = walk ~pack_here:false st options cert (Facts.top p) p.body in
+    let names = Ir.Names.of_prog p in
+    let p = { p with body = pack_top st options cert names p } in
+    let body =
+      walk ~pack_here:false st options cert names (Facts.top p) p.body
+    in
     ({ p with body }, st)

@@ -3,11 +3,8 @@
     ({!Memlint.pp_report}), so everything the CLI surfaces reads in one
     style. *)
 
-val kv : Format.formatter -> string * string -> unit
-(** One aligned [key value] line. *)
-
 val fields : Format.formatter -> (string * string) list -> unit
-(** A vertical box of {!kv} lines. *)
+(** A vertical box of aligned [key value] lines. *)
 
 val section :
   title:string -> Format.formatter -> (string * string) list -> unit

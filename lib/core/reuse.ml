@@ -547,7 +547,7 @@ let remove_dead_chains (st : stats) opts cert (p : prog) : prog =
      short-circuited concat-piece layout: top/mid/bot at offsets
      within the full array). *)
 
-let try_rotate (st : stats) opts cert ({ Facts.ctx; scalars; _ } as sc)
+let try_rotate (st : stats) opts cert names ({ Facts.ctx; scalars; _ } as sc)
     ~alloc_sizes ~tail_refs (s : stm) : stm list option =
   match (s.exp, s.pat) with
   | ( ELoop { params = [ (pm, Var im); (pa, Var ia) ]; var; bound; body },
@@ -662,8 +662,8 @@ let try_rotate (st : stats) opts cert ({ Facts.ctx; scalars; _ } as sc)
                    false)) ->
               st.size_proofs <- st.size_proofs + 1;
               (* hoisted spare buffer *)
-              let smem = Ir.Names.fresh (pm.pv ^ "_spare") in
-              let sarr = Ir.Names.fresh (pa.pv ^ "_spare") in
+              let smem = Ir.Names.fresh names (pm.pv ^ "_spare") in
+              let sarr = Ir.Names.fresh names (pa.pv ^ "_spare") in
               let elt, shape =
                 match pa.pt with
                 | TArr (elt, shape) -> (elt, shape)
@@ -678,11 +678,11 @@ let try_rotate (st : stats) opts cert ({ Facts.ctx; scalars; _ } as sc)
                   (EScratch (elt, shape))
               in
               (* second carried group *)
-              let psm = pat_elem (Ir.Names.fresh (pm.pv ^ "_rot")) TMem in
+              let psm = pat_elem (Ir.Names.fresh names (pm.pv ^ "_rot")) TMem in
               let psa =
                 pat_elem
                   ~mem:{ block = psm.pv; ixfn = pmi.ixfn }
-                  (Ir.Names.fresh (pa.pv ^ "_rot"))
+                  (Ir.Names.fresh names (pa.pv ^ "_rot"))
                   pa.pt
               in
               (* generation i+1 now writes into the spare *)
@@ -693,7 +693,7 @@ let try_rotate (st : stats) opts cert ({ Facts.ctx; scalars; _ } as sc)
                   res = [ Var psm.pv; Var ra; Var pm.pv; Var pa.pv ];
                 }
               in
-              let q2m = pat_elem (Ir.Names.fresh (qm.pv ^ "_rot")) TMem in
+              let q2m = pat_elem (Ir.Names.fresh names (qm.pv ^ "_rot")) TMem in
               let q2a =
                 pat_elem
                   ~mem:
@@ -704,7 +704,7 @@ let try_rotate (st : stats) opts cert ({ Facts.ctx; scalars; _ } as sc)
                         | Some mi -> mi.ixfn
                         | None -> pmi.ixfn);
                     }
-                  (Ir.Names.fresh (qa.pv ^ "_rot"))
+                  (Ir.Names.fresh names (qa.pv ^ "_rot"))
                   pa.pt
               in
               let loop' =
@@ -1193,7 +1193,7 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
 (* One walk applies rotation (rewriting statement lists), then
    coalescing on the rewritten list, then recurses into sub-blocks
    with the extended scope. *)
-let rec walk st opts cert allocs sc (b : block) : block =
+let rec walk st opts cert names allocs sc (b : block) : block =
   let sc = Facts.add_block sc b in
   let allocs =
     List.fold_left
@@ -1214,7 +1214,7 @@ let rec walk st opts cert allocs sc (b : block) : block =
           (fun s acc ->
             let out =
               match
-                try_rotate st opts cert sc ~alloc_sizes:allocs
+                try_rotate st opts cert names sc ~alloc_sizes:allocs
                   ~tail_refs:!tail s
               with
               | Some ss -> ss
@@ -1234,15 +1234,15 @@ let rec walk st opts cert allocs sc (b : block) : block =
     List.map
       (fun s ->
         Chaos.probe "reuse";
-        Facts.map_sub_blocks (walk st opts cert allocs) sc s)
+        Facts.map_sub_blocks (walk st opts cert names allocs) sc s)
       b.stms
   in
   { b with stms }
 
 let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
-  Ir.Names.within p @@ fun () ->
+  let names = Ir.Names.of_prog p in
   let st = fresh_stats () in
   let p = if options.chains then remove_dead_chains st options cert p else p in
   let p = if options.cross_scope then hoist_allocs st options cert p else p in
-  let body = walk st options cert SM.empty (Facts.top p) p.body in
+  let body = walk st options cert names SM.empty (Facts.top p) p.body in
   ({ p with body }, st)

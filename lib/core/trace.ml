@@ -216,14 +216,6 @@ let image (ix : clmad list) (shape : int list) : int list =
 (* Derived summaries                                                 *)
 (* ---------------------------------------------------------------- *)
 
-let block_names t =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | Alloc { bid; name; _ } -> (bid, name) :: acc
-      | _ -> acc)
-    [] (events t)
-
 let kernels t =
   List.filter_map (function Kernel k -> Some k | _ -> None) (events t)
 

@@ -120,18 +120,14 @@ val mute : t -> unit
 
 (** {2 Replay helpers} *)
 
-val apply : clmad list -> int list -> int
-(** Apply a concrete index-function chain to a logical index - the
-    executor's addressing, replicated so checkers can re-enumerate
-    footprints without executing anything. *)
-
 val image : clmad list -> int list -> int list
-(** The distinct flat offsets [apply] produces over every logical
-    index of the given shape, sorted. *)
+(** The distinct flat offsets a concrete index-function chain maps
+    every logical index of the given shape to, sorted - the executor's
+    addressing, replicated so checkers can re-enumerate footprints
+    without executing anything. *)
 
 (** {2:derived Derived summaries} *)
 
-val block_names : t -> (int * string) list
 val kernels : t -> kernel list
 val copies : t -> copy list
 
@@ -154,7 +150,6 @@ val traffic : t -> traffic
 (** {2 Rendering} *)
 
 val pp_footprint : Format.formatter -> footprint -> unit
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t

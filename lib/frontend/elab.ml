@@ -114,7 +114,7 @@ let rec elab b env (e : sexpr) : atom =
   | SMap (nest, body) ->
       let nest' =
         List.map
-          (fun (v, bound) -> (Ir.Names.fresh v, elab_idx b env bound))
+          (fun (v, bound) -> (B.fresh b v, elab_idx b env bound))
           nest
       in
       let env' =
@@ -127,7 +127,7 @@ let rec elab b env (e : sexpr) : atom =
         (B.mapnest b "map" nest' (fun bb -> [ elab bb env' body ]))
   | SLoop { acc; init; var; bound; body } ->
       let init' = elab b env init in
-      let acc' = Ir.Names.fresh acc and var' = Ir.Names.fresh var in
+      let acc' = B.fresh b acc and var' = B.fresh b var in
       let bound' = elab_idx b env bound in
       let acc_t =
         match init' with

@@ -8,10 +8,7 @@
 
 exception Elab_error of string
 
-val elab_prog : ?ctx:Symalg.Prover.t -> Parser.sprog -> Ir.Ast.prog
-(** Elaborate a parsed program into a checked IR program; [ctx] carries
-    size assumptions for the short-circuiting analysis.
-    @raise Elab_error on scope/shape violations. *)
-
 val compile_string : ?ctx:Symalg.Prover.t -> string -> Ir.Ast.prog
-(** Parse ({!Parser.parse}) then elaborate. *)
+(** Parse ({!Parser.parse}) then elaborate into a checked IR program;
+    [ctx] carries size assumptions for the short-circuiting analysis.
+    @raise Elab_error on scope/shape violations. *)

@@ -364,17 +364,6 @@ let time (d : t) (c : counters) : float =
   let frees = float_of_int c.frees *. d.free_sync_cost in
   kernel +. copies +. launches +. allocs +. frees
 
-let pp_counters ppf c =
-  Fmt.pf ppf
-    "@[<v>kernels: %d (%.3g B read, %.3g B written, %.3g flops)@,\
-     copies: %d (%.3g B); elided: %d (%.3g B)@,\
-     allocs: %d (%.3g B, %d arenas) + %d scratch (%.3g B); \
-     pool %d hit / %d miss; %d device frees; peak %.3g B@]"
-    c.kernels c.kernel_reads c.kernel_writes c.flops c.copies c.copy_bytes
-    c.copies_elided c.elided_bytes c.allocs c.alloc_bytes c.arena_allocs
-    c.scratch_allocs c.scratch_bytes c.pool_hits c.pool_misses c.frees
-    c.peak_bytes
-
 (* Counter snapshots for sampled cost estimation. *)
 let clone (c : counters) : counters =
   {

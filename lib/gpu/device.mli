@@ -169,4 +169,3 @@ val add_simpson :
     built from three (before, after) per-iteration snapshots; integer
     fields are rounded once on the combined value. *)
 
-val pp_counters : Format.formatter -> counters -> unit

@@ -20,14 +20,17 @@ type t = {
   mutable stms : stm list; (* reversed *)
   mutable types : typ SM.t;
   parent : t option;
+  names : Names.supply;
 }
 
+let root names = { stms = []; types = SM.empty; parent = None; names }
+
 let make ?parent () =
-  {
-    stms = [];
-    types = (match parent with Some p -> p.types | None -> SM.empty);
-    parent;
-  }
+  match parent with
+  | Some p -> { stms = []; types = p.types; parent; names = p.names }
+  | None -> root (Names.above [])
+
+let fresh b base = Names.fresh b.names base
 
 let declare b v t = b.types <- SM.add v t b.types
 
@@ -47,9 +50,7 @@ let bind_multi ?names b (e : exp) : string list =
     | Some ns when List.length ns = List.length typs -> ns
     | _ -> List.map (fun _ -> "t") typs
   in
-  let pes =
-    List.map2 (fun base t -> pat_elem (Names.fresh base) t) bases typs
-  in
+  let pes = List.map2 (fun base t -> pat_elem (fresh b base) t) bases typs in
   List.iter (fun pe -> declare b pe.pv pe.pt) pes;
   b.stms <- stm pes e :: b.stms;
   List.map (fun pe -> pe.pv) pes
@@ -112,8 +113,8 @@ let loop b name (params : (string * typ * atom) list) ~(var : string)
    the same template unique program-wide. *)
 let loop1 b name (init_t : typ) (init : atom) ~(bound : idx)
     (f : t -> param:string -> i:P.t -> atom) : string =
-  let pv = Names.fresh (name ^ "_acc") in
-  let iv = Names.fresh (name ^ "_i") in
+  let pv = fresh b (name ^ "_acc") in
+  let iv = fresh b (name ^ "_i") in
   match
     loop b name
       [ (pv, init_t, init) ]
@@ -155,7 +156,7 @@ let fmin b a1 a2 = binop b Min a1 a2
 
 let prog ?(ctx = Symalg.Prover.empty) name ~params ~ret (f : t -> atom list)
     : prog =
-  let b = make () in
+  let b = root (Names.above (List.map (fun pe -> pe.pv) params)) in
   List.iter (fun pe -> declare b pe.pv pe.pt) params;
   let res = f b in
   let body = block (List.rev b.stms) res in
@@ -165,5 +166,4 @@ let prog ?(ctx = Symalg.Prover.empty) name ~params ~ret (f : t -> atom list)
 
 (* Convenient triplet-slice constructors. *)
 let range ?(step = P.one) start len = SRange { start; len; step }
-let fix i = SFix i
 let all n = SRange { start = P.zero; len = n; step = P.one }

@@ -13,17 +13,21 @@ type t = {
   mutable stms : stm list;  (** accumulated statements, reversed *)
   mutable types : typ SM.t;
   parent : t option;
+  names : Names.supply;  (** shared by a builder and all its children *)
 }
 
 val make : ?parent:t -> unit -> t
+(** A child of [parent] shares its supply; a root builder starts its
+    own. *)
+
+val fresh : t -> string -> string
+(** [fresh b base] draws a name from [b]'s program's supply. *)
 
 val declare : t -> string -> typ -> unit
 (** Register an externally-bound variable (e.g. a parameter). *)
 
 val typ_of : t -> string -> typ
 (** @raise Invalid_argument when unbound. *)
-
-val infer : t -> exp -> typ list
 
 val bind_multi : ?names:string list -> t -> exp -> string list
 (** Append a statement binding fresh names for each result. *)
@@ -86,11 +90,12 @@ val prog :
   ?ctx:Symalg.Prover.t -> string -> params:pat_elem list -> ret:typ list ->
   (t -> atom list) -> prog
 (** Build and type/uniqueness-check a program; [ctx] records the size
-    assumptions available to the short-circuiting analysis. *)
+    assumptions available to the short-circuiting analysis.  Its names
+    come from a supply that starts above the parameters' numeric
+    suffixes, so the program is a function of these arguments alone. *)
 
 val range : ?step:idx -> idx -> idx -> slice_dim
 (** [range start len] = the triplet component [start :+ len : step]. *)
 
-val fix : idx -> slice_dim
 val all : idx -> slice_dim
 (** The full dimension [0 :+ n : 1]. *)

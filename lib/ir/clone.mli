@@ -2,8 +2,4 @@
     annotations, so in-place passes would otherwise leak changes into
     the caller's copy; the pipeline clones before annotating. *)
 
-val clone_pat_elem : Ast.pat_elem -> Ast.pat_elem
-val clone_exp : Ast.exp -> Ast.exp
-val clone_stm : Ast.stm -> Ast.stm
-val clone_block : Ast.block -> Ast.block
 val clone_prog : Ast.prog -> Ast.prog

@@ -1,16 +1,16 @@
 (* Fresh name generation for IR variables.
 
-   All compiler passes assume distinct binder names program-wide;
-   [fresh] guarantees this by suffixing a counter.  Program
-   construction (builders, the frontend) draws from one process-wide
-   counter; a pass draws from a supply seeded by its own input program
-   ([within]), so what it prints depends on that input alone. *)
+   All compiler passes assume distinct binder names program-wide; a
+   supply guarantees this by suffixing a counter.  There is no
+   process-wide supply: a program under construction owns one (its
+   builder's), and a pass seeds its own from its input program, so
+   every name depends on that program alone. *)
 
-let counter = ref 0
+type supply = { mutable last : int }
 
-let fresh base =
-  incr counter;
-  Printf.sprintf "%s_%d" base !counter
+let fresh s base =
+  s.last <- s.last + 1;
+  Printf.sprintf "%s_%d" base s.last
 
 (* [name] split at its trailing "_<digits>", if it has one. *)
 let split name =
@@ -26,12 +26,18 @@ let split name =
 (* The base of a generated name (text before the trailing counter). *)
 let base name = match split name with Some (b, _) -> b | None -> name
 
-(* The largest numeric suffix of any name [p] binds, annotates or takes
-   as a parameter (0 if none has one).  Every name a well-formed
-   program mentions is one of these. *)
-let largest_suffix (p : Ast.prog) =
-  let m = ref 0 in
-  let see v = match split v with Some (_, n) -> m := max !m n | None -> () in
+(* Raise [s] to [v]'s numeric suffix, if [v] has one. *)
+let see s v =
+  match split v with Some (_, n) -> s.last <- max s.last n | None -> ()
+
+let above names =
+  let s = { last = 0 } in
+  List.iter (see s) names;
+  s
+
+let of_prog (p : Ast.prog) =
+  let s = above [] in
+  let see = see s in
   let see_pe (pe : Ast.pat_elem) =
     see pe.pv;
     Option.iter
@@ -51,9 +57,4 @@ let largest_suffix (p : Ast.prog) =
           List.iter (fun (pe, _) -> see_pe pe) params
       | _ -> ())
     (Ast.all_stms_block p.body);
-  !m
-
-let within p f =
-  let saved = !counter in
-  counter := largest_suffix p;
-  Fun.protect ~finally:(fun () -> counter := saved) f
+  s

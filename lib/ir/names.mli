@@ -1,17 +1,23 @@
 (** Fresh name generation.  All compiler passes assume binder names are
-    unique program-wide; [fresh] guarantees it with a counter. *)
+    unique program-wide; a {!supply} guarantees it with a counter.  No
+    supply is shared by two programs: a builder owns one
+    ([Build.fresh]), and a pass seeds its own with {!of_prog}. *)
 
-val fresh : string -> string
-(** [fresh base] is [base ^ "_" ^ counter]: the process-wide counter
-    during program construction, the pass's own supply inside
-    {!within}. *)
+type supply
+(** A source of fresh names: [base_1], [base_2], ... for any bases. *)
 
-val within : Ast.prog -> (unit -> 'a) -> 'a
-(** [within p f] runs a pass over [p]: every {!fresh} name [f] draws
-    comes from a supply that starts at one plus the largest numeric
-    suffix of any name in [p], so the names the pass adds depend on
-    [p] alone, never on what the process drew before.  The
-    process-wide counter is left as it was. *)
+val fresh : supply -> string -> string
+(** [fresh s base] is [base ^ "_" ^ n] for the next number [n] of [s]. *)
+
+val above : string list -> supply
+(** A supply whose numbers start above the largest numeric suffix of
+    any of [names] (at 1 if none has one), so it never draws one of
+    them. *)
+
+val of_prog : Ast.prog -> supply
+(** {!above} every name [p] binds, annotates or takes as a parameter:
+    a pass over [p] draws from it, so the names the pass adds depend
+    on [p] alone, never on what the process drew before. *)
 
 val base : string -> string
 (** Strip a generated name back to its base. *)

@@ -31,8 +31,6 @@ let head t =
 
 let is_single t = match t.chain with [ _ ] -> true | _ -> false
 
-let as_single t = match t.chain with [ l ] -> Some l | _ -> None
-
 let row_major ?off shp = of_lmad (Lmad.row_major ?off shp)
 let col_major ?off shp = of_lmad (Lmad.col_major ?off shp)
 
@@ -135,20 +133,6 @@ let equal t1 t2 =
 
 let is_direct ctx t =
   match t.chain with [ l ] -> Lmad.is_direct ctx l | _ -> false
-
-(* Contiguity: the index function touches a dense interval of memory
-   starting at its offset.  Sufficient check: single row-major LMAD. *)
-let is_contiguous ctx t =
-  match t.chain with
-  | [ l ] -> (
-      match Lmad.flatten_all ctx l with
-      | Some flat -> (
-          match Lmad.dims flat with
-          | [ d ] -> Pr.prove_eq ctx d.Lmad.s P.one
-          | [] -> true
-          | _ -> false)
-      | None -> false)
-  | _ -> false
 
 let map_polys f t = { chain = List.map (Lmad.map_polys f) t.chain }
 let subst v by t = map_polys (P.subst v by) t

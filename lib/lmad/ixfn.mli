@@ -22,7 +22,6 @@ val of_chain : Lmad.t list -> t
 val chain : t -> Lmad.t list
 val head : t -> Lmad.t
 val is_single : t -> bool
-val as_single : t -> Lmad.t option
 
 val row_major : ?off:P.t -> P.t list -> t
 val col_major : ?off:P.t -> P.t list -> t
@@ -60,7 +59,6 @@ val unrank : int -> int list -> int list
 
 val equal : t -> t -> bool
 val is_direct : Pr.t -> t -> bool
-val is_contiguous : Pr.t -> t -> bool
 val map_polys : (P.t -> P.t) -> t -> t
 val subst : string -> P.t -> t -> t
 val subst_map : P.t P.SM.t -> t -> t

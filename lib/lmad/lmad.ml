@@ -149,18 +149,6 @@ let merge_dims ctx (d1 : dim) (d2 : dim) : dim option =
     Some { n = P.mul d1.n d2.n; s = d2.s }
   else None
 
-let flatten_dims ctx k l =
-  (* Merge dims k and k+1. *)
-  let rec go i = function
-    | d1 :: d2 :: rest when i = k -> (
-        match merge_dims ctx d1 d2 with
-        | Some d -> Some (d :: rest)
-        | None -> None)
-    | d :: rest -> Option.map (fun ds -> d :: ds) (go (i - 1) rest)
-    | [] -> None
-  in
-  Option.map (fun dims -> { l with dims }) (go k l.dims)
-
 let flatten_all ctx l =
   let rec go = function
     | [] -> Some []

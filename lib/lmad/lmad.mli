@@ -76,13 +76,6 @@ val lmad_slice : slc:t -> t -> t
     dimension structure.  @raise Invalid_argument if the base is not
     rank 1 (flatten it first, cf. {!Ixfn.lmad_slice}). *)
 
-val merge_dims : Pr.t -> dim -> dim -> dim option
-(** Merge two adjacent dims when outer stride = inner cardinal * inner
-    stride (the row-major flattening condition). *)
-
-val flatten_dims : Pr.t -> int -> t -> t option
-(** Merge dims [k] and [k+1] if possible. *)
-
 val flatten_all : Pr.t -> t -> t option
 (** Flatten to rank 1, if every adjacent pair merges. *)
 
@@ -166,6 +159,5 @@ val eval_points : (string -> int) -> t -> int list
 
 (** {1 Printing} *)
 
-val pp_dim : Format.formatter -> dim -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

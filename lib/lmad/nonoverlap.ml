@@ -38,11 +38,6 @@ type interval = {
 
 type sum_of_intervals = interval list (* sorted by descending stride *)
 
-let pp_interval ppf iv =
-  Fmt.pf ppf "[%a..%a]*%a" P.pp iv.lo P.pp iv.hi P.pp iv.stride
-
-let pp_sum ppf s = Fmt.(list ~sep:(any " + ") pp_interval) ppf s
-
 (* ---------------------------------------------------------------- *)
 (* Stride bases                                                      *)
 (* ---------------------------------------------------------------- *)
@@ -61,9 +56,6 @@ let sort_strides ctx (ss : P.t list) : P.t list option =
            else raise Incomparable)
          ss)
   with Incomparable -> None
-
-let find_stride ctx s basis =
-  List.find_opt (fun s' -> Pr.prove_eq ctx s s') basis
 
 (* The union of the strides of both LMADs, deduplicated by provable
    equality, sorted descending.  All strides are rewritten with the

@@ -33,25 +33,17 @@ val disjoint : ?depth:int -> Pr.t -> Lmad.t -> Lmad.t -> bool
 
 (* Exposed for white-box tests. *)
 val sort_strides : Pr.t -> P.t list -> P.t list option
-val find_stride : Pr.t -> P.t -> P.t list -> P.t option
 val merge_bases : Pr.t -> P.t list -> P.t list -> P.t list option
-val to_intervals : Pr.t -> Lmad.t -> P.t list -> sum_of_intervals option
 
 type distribution =
   | Distributed of sum_of_intervals * sum_of_intervals
   | Residue_disjoint
   | Dist_fail
 
-val strides_gcd : sum_of_intervals -> int
 val distribute :
   Pr.t -> P.t -> sum_of_intervals -> sum_of_intervals -> distribution
 
 val first_overlapping_dim : Pr.t -> sum_of_intervals -> int option
 val dims_nonoverlapping : Pr.t -> sum_of_intervals -> bool
-val exists_disjoint_dim : Pr.t -> sum_of_intervals -> sum_of_intervals -> bool
 val is_empty : Pr.t -> sum_of_intervals -> bool
 val split_overlapping : Pr.t -> sum_of_intervals -> sum_of_intervals list option
-val disjoint_sums : Pr.t -> int -> sum_of_intervals -> sum_of_intervals -> bool
-val ascending : sum_of_intervals -> sum_of_intervals
-val pp_interval : Format.formatter -> interval -> unit
-val pp_sum : Format.formatter -> sum_of_intervals -> unit

@@ -32,8 +32,6 @@ let union a b =
   | Top, _ | _, Top -> Top
   | Union xs, Union ys -> Union (xs @ ys)
 
-let add_lmad l = function Top -> Top | Union xs -> Union (l :: xs)
-
 let unions = List.fold_left union empty
 
 (* Pairwise sufficient disjointness: every LMAD of [a] provably avoids
@@ -48,9 +46,6 @@ let disjoint ?depth ctx a b =
         (fun x ->
           List.for_all (fun y -> Nonoverlap.disjoint ?depth ctx x y) ys)
         xs
-
-(* [lmad] disjoint from the whole summary. *)
-let disjoint_lmad ?depth ctx l t = disjoint ?depth ctx (of_lmad l) t
 
 (* Aggregate the summary across [for v = 0 .. count-1]: each LMAD is
    expanded by dimension promotion; failure of any expansion

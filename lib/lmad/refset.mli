@@ -21,14 +21,11 @@ val is_empty : Pr.t -> t -> bool
 (** Provably denotes no locations ([Top] never does). *)
 
 val union : t -> t -> t
-val add_lmad : Lmad.t -> t -> t
 val unions : t list -> t
 
 val disjoint : ?depth:int -> Pr.t -> t -> t -> bool
 (** Pairwise sufficient disjointness via {!Nonoverlap.disjoint};
     [depth] is forwarded to the splitting recursion. *)
-
-val disjoint_lmad : ?depth:int -> Pr.t -> Lmad.t -> t -> bool
 
 val expand_loop : Pr.t -> string -> count:P.t -> t -> t
 (** Aggregate over a loop index by dimension promotion; any LMAD whose

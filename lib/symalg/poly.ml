@@ -56,9 +56,6 @@ let one = const 1
 
 let var v : t = [ { coeff = 1; pows = [ (v, 1) ] } ]
 
-let var_pow v e : t =
-  if e = 0 then one else [ { coeff = 1; pows = [ (v, e) ] } ]
-
 (* Merge a list of monomials that may contain duplicates or zeros into
    normal form. *)
 let normalize (ms : mono list) : t =
@@ -76,7 +73,6 @@ let normalize (ms : mono list) : t =
   in
   merge sorted
 
-let of_monos = normalize
 let monos (p : t) = p
 
 (* ---------------------------------------------------------------- *)
@@ -183,8 +179,6 @@ let to_const_opt = function
 let is_const p = to_const_opt p <> None
 
 let degree = function [] -> 0 | m :: _ -> degree_pows m.pows
-
-let leading = function [] -> None | m :: _ -> Some m
 
 let vars (p : t) : string list =
   List.sort_uniq String.compare

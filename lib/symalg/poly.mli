@@ -27,13 +27,6 @@ val const : int -> t
 val var : string -> t
 (** [var v] is the polynomial [v]. *)
 
-val var_pow : string -> int -> t
-(** [var_pow v e] is [v^e]; [var_pow v 0] is {!one}. *)
-
-val of_monos : mono list -> t
-(** Normalize an arbitrary monomial list (merging duplicates, dropping
-    zero coefficients) into a polynomial. *)
-
 val monos : t -> mono list
 (** The monomials of the normal form, largest first. *)
 
@@ -46,9 +39,6 @@ val mul : t -> t -> t
 
 val scale : int -> t -> t
 (** [scale c p] is [c * p]. *)
-
-val pow : t -> int -> t
-(** [pow p n] for [n >= 0].  @raise Invalid_argument on negative [n]. *)
 
 val sum : t list -> t
 val prod : t list -> t
@@ -80,9 +70,6 @@ val is_const : t -> bool
 
 val degree : t -> int
 (** Total degree; 0 for constants (including zero). *)
-
-val leading : t -> mono option
-(** Largest monomial under the graded-lexicographic order. *)
 
 val vars : t -> string list
 (** Variables occurring, sorted, without duplicates. *)
@@ -124,9 +111,6 @@ val linear_in : string -> t -> (t * t) option
 val coeffs_in : string -> t -> t array
 (** [coeffs_in v p] is the array [c] with [p = sum_k c.(k) * v^k]. *)
 
-val div_mono : mono -> mono -> mono option
-(** Exact monomial division, if coefficient and power product divide. *)
-
 val div_rem : t -> t -> t * t
 (** [div_rem p d] is [(q, r)] with [p = q*d + r] and no monomial of [r]
     divisible by the leading monomial of [d].  Used to distribute offset
@@ -135,6 +119,5 @@ val div_rem : t -> t -> t * t
 
 (** {1 Printing} *)
 
-val pp_mono : Format.formatter -> mono -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

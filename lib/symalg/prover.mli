@@ -42,7 +42,6 @@ val add_range : t -> string -> ?lo:Poly.t -> ?hi:Poly.t -> unit -> t
 (** Record inclusive bounds for a variable; bounds may be symbolic
     (e.g. a loop index [i] with [hi = q - 1]). *)
 
-val add_lo : t -> string -> Poly.t -> t
 val add_hi : t -> string -> Poly.t -> t
 
 val equalities : t -> (string * Poly.t) list
@@ -71,12 +70,6 @@ val rewrite : t -> Poly.t -> Poly.t
 
 val interval : t -> Poly.t -> Ext.t * Ext.t
 (** Best-effort inclusive interval for the polynomial's value. *)
-
-val with_deadline : float -> (unit -> 'a) -> 'a
-(** [with_deadline budget f] runs [f] with a proof budget of [budget]
-    CPU seconds: any [prove_*] search still running past the deadline
-    gives up (soundly, answering "not proved").  Nested budgets keep
-    the outermost deadline. *)
 
 val prove_nonneg : t -> Poly.t -> bool
 (** Entry point of the elimination search.  Every goal the search has
@@ -134,9 +127,10 @@ val pp : Format.formatter -> t -> unit
 
     The prover keeps two memo tables: saturated contexts and decided
     nonnegativity obligations, both keyed by {!hash} and {!equal}.
-    Each is flushed wholesale when it outgrows its cap (bounded
-    residency beats an eviction policy for the bursty obligation
-    streams the pipeline produces). *)
+    Each is flushed wholesale when it outgrows its cap, 50,000
+    contexts and 500,000 obligations (bounded residency beats an
+    eviction policy for the bursty obligation streams the pipeline
+    produces). *)
 
 val with_cold_memo : (unit -> 'a) -> 'a
 (** [with_cold_memo f] runs [f] against empty memo tables and an empty
@@ -145,15 +139,6 @@ val with_cold_memo : (unit -> 'a) -> 'a
     on its own, not what earlier proofs left for it to look up.
     Statistics and budgets are untouched. *)
 
-type limits = { sat_cap : int; nonneg_cap : int }
-
-val default_limits : limits
-(** [{ sat_cap = 50_000; nonneg_cap = 500_000 }] - the former
-    hard-coded reset thresholds. *)
-
-val set_limits : limits -> unit
-val get_limits : unit -> limits
-
 (** {1 Resource budgets}
 
     A process-wide, per-query prover budget (CLI [--prover-budget]):
@@ -161,12 +146,12 @@ val get_limits : unit -> limits
     [prove_*] query may spend ([-1] = unlimited; [0] refuses every
     query outright, so {e every} obligation comes back unproved); a
     miss refuted by a concrete witness costs one step like any other;
-    [b_memo] overrides the nonneg memo cap when nonnegative; a
-    positive [b_deadline] installs a per-query CPU deadline via
-    {!with_deadline}.  Exhaustion is sound - the query answers "not
-    proved", the caller skips the rewrite - and is counted once per
-    affected query in [stats ()].[budget_exhausted]. *)
-type budget = { b_steps : int; b_memo : int; b_deadline : float }
+    [b_memo] lowers the nonneg memo cap when nonnegative.  No clock
+    bounds a query, so host load never decides a verdict.  Exhaustion
+    is sound - the query answers "not proved", the caller skips the
+    rewrite - and is counted once per affected query in
+    [stats ()].[budget_exhausted]. *)
+type budget = { b_steps : int; b_memo : int }
 
 val unlimited : budget
 val set_budget : budget -> unit
@@ -187,7 +172,7 @@ type stats = {
       (** Nonneg memo misses closed by a concrete counterexample
           instead of an elimination search. *)
   mutable budget_exhausted : int;
-      (** Queries truncated by the step or deadline budget. *)
+      (** Queries truncated by the step budget. *)
 }
 
 val stats : unit -> stats

@@ -33,7 +33,7 @@ let n = P.var "n"
 let ctx_n2 = Pr.add_range Pr.empty "n" ~lo:(c 2) ()
 
 let fill b name cnt seed =
-  B.mapnest b name [ (Names.fresh "i", cnt) ] (fun bb ->
+  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
       [ B.fadd bb (Float seed) (Float 0.0) ])
 
 (* ---------------------------------------------------------------- *)
@@ -144,6 +144,46 @@ let test_compile_pure () =
       done)
     (("nw-src", Benchsuite.Nw_source.prog ()) :: bench_progs)
 
+(* Every binder of a program: parameters, pattern elements, loop
+   parameters and indices, and nest indices. *)
+let binders (p : prog) =
+  let pvs = List.map (fun pe -> pe.pv) in
+  pvs p.params
+  @ List.concat_map
+      (fun (s : stm) ->
+        pvs s.pat
+        @
+        match s.exp with
+        | EMap { nest; _ } -> List.map fst nest
+        | ELoop { params; var; _ } -> var :: pvs (List.map fst params)
+        | _ -> [])
+      (all_stms_block p.body)
+
+(* Names are unique program-wide (section II-C): the builders, the
+   frontend and every pass draw each name they add once. *)
+let test_names_bound_once () =
+  List.iter
+    (fun (name, prog) ->
+      let c = Core.Pipeline.compile prog in
+      List.iter
+        (fun (variant, p) ->
+          let seen = Hashtbl.create 256 in
+          List.iter
+            (fun v ->
+              if Hashtbl.mem seen v then
+                Alcotest.failf "%s %s: %s is bound twice" name variant v;
+              Hashtbl.add seen v ())
+            (binders p))
+        Core.Pipeline.
+          [
+            ("source", prog);
+            ("unopt", c.unopt);
+            ("opt", c.opt);
+            ("reuse", c.reuse);
+            ("pack", c.pack);
+          ])
+    (("nw-src", Benchsuite.Nw_source.prog ()) :: bench_progs)
+
 (* Without ~certify:true no certificates are collected - the recording
    must be strictly opt-in (zero cost on the normal path). *)
 let test_certify_opt_in () =
@@ -167,7 +207,7 @@ let overlap2_prog () =
     (fun b ->
       let a = fill b "as" n 1.0 in
       let bs = fill b "bs" m 2.0 in
-      let iv = Names.fresh "i" in
+      let iv = B.fresh b "i" in
       let cs =
         B.mapnest b "cs" [ (iv, m) ] (fun bb ->
             [
@@ -546,7 +586,7 @@ let gen_chain k =
       let rec go prev i =
         if i > k then prev
         else
-          let iv = Names.fresh "i" in
+          let iv = B.fresh b "i" in
           let nx =
             B.mapnest b (Printf.sprintf "x%d" i) [ (iv, n) ] (fun bb ->
                 [
@@ -570,7 +610,7 @@ let gen_siblings s bound =
         B.loop1 b0 "acc" (arr F64 [ n ]) (Var init) ~bound:(c bound)
           (fun bb ~param ~i:_ ->
             let tmp = fill bb "tmp" n seed in
-            let iv = Names.fresh "i" in
+            let iv = B.fresh bb "i" in
             let acc' =
               B.mapnest bb "acc'" [ (iv, n) ] (fun b3 ->
                   [
@@ -599,7 +639,7 @@ let gen_cond mode bound =
       let init = fill b "a0" n 0.0 in
       let arm_with_tmp seed bb param =
         let tmp = fill bb (Printf.sprintf "tmp%.0f" seed) n seed in
-        let iv = Names.fresh "i" in
+        let iv = B.fresh bb "i" in
         [
           Var
             (B.mapnest bb "r" [ (iv, n) ] (fun b3 ->
@@ -611,7 +651,7 @@ let gen_cond mode bound =
         ]
       in
       let arm_plain seed bb param =
-        let iv = Names.fresh "i" in
+        let iv = B.fresh bb "i" in
         [
           Var
             (B.mapnest bb "r" [ (iv, n) ] (fun b3 ->
@@ -672,6 +712,8 @@ let tests =
     Alcotest.test_case "certification is opt-in" `Quick test_certify_opt_in;
     Alcotest.test_case "compiles are pure functions of the program" `Quick
       test_compile_pure;
+    Alcotest.test_case "every name is bound once" `Quick
+      test_names_bound_once;
     Alcotest.test_case "mutation: overlapping-live coalesce refuted" `Quick
       test_mutation_overlapping_coalesce;
     Alcotest.test_case "honest size claim proved" `Quick

@@ -41,7 +41,7 @@ let n = P.var "n"
 let ctx_n2 = Pr.add_range Pr.empty "n" ~lo:(c 2) ()
 
 let fill b name cnt seed =
-  B.mapnest b name [ (Ir.Names.fresh "i", cnt) ] (fun bb ->
+  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
       [ B.fadd bb (Float seed) (Float 0.0) ])
 
 (* A chain of [k] map stages over one fill: every adjacent pair is a
@@ -55,7 +55,7 @@ let gen_chain k =
       let rec go prev i =
         if i > k then prev
         else
-          let iv = Ir.Names.fresh "i" in
+          let iv = B.fresh b "i" in
           let nx =
             B.mapnest b (Printf.sprintf "x%d" i) [ (iv, n) ] (fun bb ->
                 [

@@ -121,7 +121,7 @@ let test_fig1_right () =
 (* ---------------------------------------------------------------- *)
 
 let fill b name cnt seed =
-  B.mapnest b name [ (Ir.Names.fresh "i", cnt) ] (fun bb ->
+  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
       [ B.fadd bb (Float seed) (Float 0.0) ])
 
 let test_fig4a_concat () =
@@ -228,7 +228,7 @@ let test_invertible_transpose_chain () =
       ~params:[ pat_elem "n" i64; pat_elem "xss" (arr F64 [ n; n ]) ]
       ~ret:[ arr F64 [ n; n ] ]
       (fun b ->
-        let iv = Ir.Names.fresh "i" and jv = Ir.Names.fresh "j" in
+        let iv = B.fresh b "i" and jv = B.fresh b "j" in
         let as_ =
           B.mapnest b "as" [ (iv, n); (jv, n) ] (fun bb ->
               [
@@ -370,7 +370,7 @@ let test_fig6b_mapnest () =
     B.prog "f6b" ~ctx:ctx_n ~params:[ pat_elem "n" i64 ]
       ~ret:[ arr F64 [ n; n ] ]
       (fun b ->
-        let iv = Ir.Names.fresh "i" in
+        let iv = B.fresh b "i" in
         let xss =
           B.mapnest b "xss" [ (iv, n) ] (fun tb ->
               let rs0 = B.bind tb "rs" (EScratch (F64, [ n ])) in
@@ -506,7 +506,7 @@ let test_lastuse_free_in_body () =
               B.fadd bb (Var param) (B.index bb xs [ i ]))
         in
         let zs =
-          B.mapnest b "zs" [ (Names.fresh "i", n) ] (fun bb ->
+          B.mapnest b "zs" [ (B.fresh b "i", n) ] (fun bb ->
               [ B.fadd bb (B.index bb ys [ P.zero ]) (Float 1.0) ])
         in
         ([ B.fadd b (Var sum) (B.index b zs [ P.zero ]) ], [ xs; ys; sum; zs ]))
@@ -622,7 +622,7 @@ let mi_if_prog () =
     ~params:[ pat_elem "n" i64; pat_elem "c" boolt ]
     ~ret:[ arr F64 [ n; n ] ]
     (fun b ->
-      let iv = Ir.Names.fresh "i" and jv = Ir.Names.fresh "j" in
+      let iv = B.fresh b "i" and jv = B.fresh b "j" in
       let xs =
         B.mapnest b "xs" [ (iv, n); (jv, n) ] (fun _bb -> [ Float 1.0 ])
       in
@@ -683,14 +683,17 @@ let test_memintro_if_existential () =
 
 (* A pass draws names from a supply seeded by its input, so the names
    it adds (here memory blocks and anti-unification existentials) do
-   not depend on what the process drew before. *)
+   not depend on what else the process built. *)
 let test_pass_names_pure () =
   let prog = mi_if_prog () in
   let intro () =
     Pretty.prog_to_string (Core.Memintro.introduce (Clone.clone_prog prog))
   in
   let first = intro () in
-  ignore (Names.fresh "unrelated");
+  ignore
+    (B.prog "unrelated" ~ctx:ctx_n ~params:[ pat_elem "n" i64 ]
+       ~ret:[ arr F64 [ n ] ]
+       (fun b -> [ Var (fill b "xs" n 1.0) ]));
   Alcotest.(check string) "memintro prints the same program" first (intro ())
 
 (* A proof-local binder is named after the variable it stands for and

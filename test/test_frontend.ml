@@ -184,5 +184,49 @@ let test_nw_from_source () =
   let r = Gpu.Exec.run ~mode:Gpu.Exec.Full compiled.Core.Pipeline.opt args in
   Alcotest.(check int) "opt copy-free" 0 r.Gpu.Exec.counters.Gpu.Device.copies
 
+(* Elaboration is a pure function of the source: two elaborations of NW
+   print the same IR, and their certified compiles print the same
+   variants and certificates. *)
+let test_elab_repeatable () =
+  let show = Ir.Pretty.prog_to_string in
+  let p1 = Benchsuite.Nw_source.prog () in
+  let p2 = Benchsuite.Nw_source.prog () in
+  Alcotest.(check string) "same IR" (show p1) (show p2);
+  let compiled p =
+    let c = Core.Pipeline.compile ~certify:true p in
+    ( List.map show Core.Pipeline.[ c.unopt; c.opt; c.reuse; c.pack ],
+      List.map
+        (fun (_, r) -> Core.Json.to_string (Core.Certify.json_of_report r))
+        c.Core.Pipeline.certs )
+  in
+  let v1, c1 = compiled p1 in
+  let v2, c2 = compiled p2 in
+  Alcotest.(check (list string)) "same variants" v1 v2;
+  Alcotest.(check (list string)) "same certificates" c1 c2
+
+(* Parameters keep their surface names, and a program's supply starts
+   above their numeric suffixes: the index [t] of a map over a
+   parameter [t_1] is a binder of its own. *)
+let test_param_suffix () =
+  let p =
+    parse_ok {| def f (t_1: i64): [t_1]i64 = map (t < t_1) { t * t_1 } |}
+  in
+  (match run p [ V.VInt 4 ] with
+  | [ V.VArr a ] ->
+      Alcotest.(check (list int)) "t * t_1" [ 0; 4; 8; 12 ]
+        (Array.to_list (V.int_data a))
+  | _ -> Alcotest.fail "bad result");
+  match p.Ir.Ast.body.stms with
+  | [ { exp = EMap { nest = [ (t, _) ]; _ }; _ } ] ->
+      Alcotest.(check string) "drawn above the parameter" "t_2" t
+  | _ -> Alcotest.fail "expected one mapnest"
+
 let tests =
-  tests @ [ Alcotest.test_case "NW from source text" `Quick test_nw_from_source ]
+  tests
+  @ [
+      Alcotest.test_case "NW from source text" `Quick test_nw_from_source;
+      Alcotest.test_case "elaboration is repeatable" `Quick
+        test_elab_repeatable;
+      Alcotest.test_case "a parameter's suffix is never drawn" `Quick
+        test_param_suffix;
+    ]

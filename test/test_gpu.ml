@@ -66,7 +66,7 @@ let test_cost_only_matches_full_bytes () =
     B.prog "cm" ~ctx:ctx_n ~params:[ pat_elem "n" i64; pat_elem "a" (arr F64 [ n ]) ]
       ~ret:[ arr F64 [ n ] ]
       (fun b ->
-        let iv = Ir.Names.fresh "i" in
+        let iv = B.fresh b "i" in
         let ys =
           B.mapnest b "ys" [ (iv, n) ] (fun bb ->
               let x = B.index bb "a" [ P.var iv ] in
@@ -101,7 +101,7 @@ let test_l2_cap () =
       ~params:[ pat_elem "n" i64; pat_elem "small" (arr F64 [ c 4 ]) ]
       ~ret:[ arr F64 [ n ] ]
       (fun b ->
-        let iv = Ir.Names.fresh "i" in
+        let iv = B.fresh b "i" in
         let ys =
           B.mapnest b "ys" [ (iv, n) ] (fun bb ->
               let a = B.index bb "small" [ P.zero ] in
@@ -461,7 +461,7 @@ let test_full_sqrt_log () =
       ~params:[ pat_elem "n" i64; pat_elem "a" (arr F64 [ n ]) ]
       ~ret:[ arr F64 [ n ]; arr F64 [ n ] ]
       (fun b ->
-        let iv = Ir.Names.fresh "i" in
+        let iv = B.fresh b "i" in
         List.map
           (fun v -> Var v)
           (B.mapnest_multi b [ (iv, n) ] (fun bb ->

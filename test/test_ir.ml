@@ -325,6 +325,26 @@ let test_bit_equal () =
     (Value.bit_equal (a [| 1.; Float.nan |]) (a [| 1.; Float.nan |]));
   Alcotest.(check bool) "ints" true (Value.bit_equal (Value.VInt 3) (Value.VInt 3))
 
+(* A program owns its name supply: building another program in between
+   does not move a single name the first one draws. *)
+let test_build_pure () =
+  let n = P.var "n" in
+  let build name =
+    B.prog name ~params:[ pat_elem "n" i64 ] ~ret:[ arr I64 [ n ] ]
+      (fun b ->
+        let xs = B.bind b "xs" (EIota n) in
+        let i = B.fresh b "i" in
+        [
+          Var
+            (B.mapnest b "ys" [ (i, n) ] (fun bb ->
+                 [ B.index bb xs [ P.var i ] ]));
+        ])
+  in
+  let first = Pretty.prog_to_string (build "first") in
+  ignore (build "unrelated");
+  Alcotest.(check string) "same IR" first
+    (Pretty.prog_to_string (build "first"))
+
 let tests =
   [
     Alcotest.test_case "map over iota" `Quick test_map_iota;
@@ -341,6 +361,8 @@ let tests =
     Alcotest.test_case "checker: alias consumed" `Quick test_alias_consume;
     Alcotest.test_case "checker: shape mismatch" `Quick test_shape_mismatch;
     Alcotest.test_case "bit_equal compares float bits" `Quick test_bit_equal;
+    Alcotest.test_case "Build.prog is a pure function of its arguments"
+      `Quick test_build_pure;
     QCheck_alcotest.to_alcotest prop_transpose_interp;
     QCheck_alcotest.to_alcotest prop_reverse_involution;
     QCheck_alcotest.to_alcotest prop_slice_then_update_roundtrip;

@@ -133,11 +133,14 @@ let test_fig3 () =
 (* Anti-unification (section IV-C)                                   *)
 (* ---------------------------------------------------------------- *)
 
+(* Each anti-unification draws its existentials from its own supply. *)
+let fresh () = Ir.Names.fresh (Ir.Names.above [])
+
 let test_antiunify () =
   (* lgg of R(n,m) and C(n,m) = 0 + {(n : a), (m : b)} *)
   let r = Ixfn.row_major [ v "n"; v "m" ] in
   let cmaj = Ixfn.col_major [ v "n"; v "m" ] in
-  match Antiunify.ixfns ~fresh:Ir.Names.fresh r cmaj with
+  match Antiunify.ixfns ~fresh:(fresh ()) r cmaj with
   | None -> Alcotest.fail "anti-unification failed"
   | Some { ixfn; bindings } ->
       Alcotest.(check int) "two existentials" 2 (List.length bindings);
@@ -161,7 +164,7 @@ let test_antiunify () =
 
 let test_antiunify_equal () =
   let r = Ixfn.row_major [ v "n" ] in
-  match Antiunify.ixfns ~fresh:Ir.Names.fresh r r with
+  match Antiunify.ixfns ~fresh:(fresh ()) r r with
   | Some { bindings; ixfn } ->
       Alcotest.(check int) "no existentials" 0 (List.length bindings);
       Alcotest.(check bool) "identity" true (Ixfn.equal ixfn r)
@@ -171,7 +174,7 @@ let test_antiunify_rank_mismatch () =
   let r1 = Ixfn.row_major [ v "n" ] in
   let r2 = Ixfn.row_major [ v "n"; v "m" ] in
   Alcotest.(check bool) "rank mismatch fails" true
-    (Antiunify.ixfns ~fresh:Ir.Names.fresh r1 r2 = None)
+    (Antiunify.ixfns ~fresh:(fresh ()) r1 r2 = None)
 
 (* ---------------------------------------------------------------- *)
 (* Non-overlap: Fig. 9                                               *)

@@ -25,7 +25,7 @@ let n = P.var "n"
 let ctx_n2 = Pr.add_range Pr.empty "n" ~lo:(c 2) ()
 
 let fill b name cnt seed =
-  B.mapnest b name [ (Names.fresh "i", cnt) ] (fun bb ->
+  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
       [ B.fadd bb (Float seed) (Float 0.0) ])
 
 (* xs = fill n, returned; the smallest allocating program. *)
@@ -40,7 +40,7 @@ let base_transpose () =
     ~params:[ pat_elem "n" i64; pat_elem "ys" (arr F64 [ n; n ]) ]
     ~ret:[ arr F64 [ n; n ] ]
     (fun b ->
-      let iv = Names.fresh "i" and jv = Names.fresh "j" in
+      let iv = B.fresh b "i" and jv = B.fresh b "j" in
       let as_ =
         B.mapnest b "as" [ (iv, n); (jv, n) ] (fun bb ->
             [ B.fadd bb (Float 1.0) (Float 0.0) ])

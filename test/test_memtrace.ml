@@ -29,7 +29,7 @@ let n = P.var "n"
 let ctx_n2 = Pr.add_range Pr.empty "n" ~lo:(c 2) ()
 
 let fill b name cnt seed =
-  B.mapnest b name [ (Names.fresh "i", cnt) ] (fun bb ->
+  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
       [ B.fadd bb (Float seed) (Float 0.0) ])
 
 (* bs = fill n; xss[0:n] = bs.  Short-circuiting rebases the fill into

@@ -46,7 +46,7 @@ let n = P.var "n"
 let ctx_n2 = Pr.add_range Pr.empty "n" ~lo:(c 2) ()
 
 let fill b name cnt seed =
-  B.mapnest b name [ (Names.fresh "i", cnt) ] (fun bb ->
+  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
       [ B.fadd bb (Float seed) (Float 0.0) ])
 
 (* [k] fills, all live until a final elementwise combine: pairwise
@@ -63,7 +63,7 @@ let gen_pack ?(grow = true) k =
             let sz = if grow then P.add n (c i) else n in
             fill b (Printf.sprintf "x%d" i) sz (float_of_int (i + 1)))
       in
-      let iv = Names.fresh "i" in
+      let iv = B.fresh b "i" in
       let s =
         B.mapnest b "sum" [ (iv, n) ] (fun bb ->
             [
@@ -320,7 +320,7 @@ let gen_escaping_loop () =
       let acc =
         B.loop1 b "acc" (arr F64 [ n ]) (Var init) ~bound:(c 4)
           (fun bb ~param ~i:_ ->
-            let j = Names.fresh "j" in
+            let j = B.fresh bb "j" in
             let fresh =
               B.mapnest bb "fresh" [ (j, n) ] (fun bbb ->
                   [ B.fadd bbb (B.index bbb param [ P.var j ]) (Float 1.0) ])
@@ -495,7 +495,7 @@ let gen_phased phases k =
                     sz
                     (float_of_int (i + 1)))
             in
-            let iv = Names.fresh "i" in
+            let iv = B.fresh b "i" in
             B.mapnest b (Printf.sprintf "s%d" ph) [ (iv, n) ] (fun bb ->
                 [
                   List.fold_left
@@ -503,7 +503,7 @@ let gen_phased phases k =
                     (Float 0.0) fills;
                 ]))
       in
-      let iv = Names.fresh "i" in
+      let iv = B.fresh b "i" in
       let tot =
         B.mapnest b "tot" [ (iv, n) ] (fun bb ->
             [

@@ -26,7 +26,7 @@ let n = P.var "n"
 let ctx_n2 = Pr.add_range Pr.empty "n" ~lo:(c 2) ()
 
 let fill b name cnt seed =
-  B.mapnest b name [ (Names.fresh "i", cnt) ] (fun bb ->
+  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
       [ B.fadd bb (Float seed) (Float 0.0) ])
 
 (* a = fill n; b = a + 1; c = b + 2.  [a]'s block is dead once [b] is
@@ -37,17 +37,17 @@ let chain_prog () =
     ~ret:[ arr F64 [ n ] ]
     (fun b ->
       let a = fill b "as" n 1.0 in
-      let iv = Names.fresh "i" in
+      let iv = B.fresh b "i" in
       let bs =
         B.mapnest b "bs" [ (iv, n) ] (fun bb ->
             [ B.fadd bb (B.index bb a [ P.var iv ]) (Float 1.0) ])
       in
-      let jv = Names.fresh "j" in
+      let jv = B.fresh b "j" in
       let cs =
         B.mapnest b "cs" [ (jv, n) ] (fun bb ->
             [ B.fadd bb (B.index bb bs [ P.var jv ]) (Float 2.0) ])
       in
-      let kv = Names.fresh "k" in
+      let kv = B.fresh b "k" in
       let ds =
         B.mapnest b "ds" [ (kv, n) ] (fun bb ->
             [ B.fadd bb (B.index bb cs [ P.var kv ]) (Float 3.0) ])
@@ -64,7 +64,7 @@ let overlap_prog () =
     (fun b ->
       let a = fill b "as" n 1.0 in
       let bs = fill b "bs" n 2.0 in
-      let iv = Names.fresh "i" in
+      let iv = B.fresh b "i" in
       let cs =
         B.mapnest b "cs" [ (iv, n) ] (fun bb ->
             [
@@ -87,7 +87,7 @@ let hoist_prog () =
         B.loop1 b "acc" (arr F64 [ n ]) (Var init) ~bound:(c 4)
           (fun bb ~param ~i:_ ->
             let tmp = fill bb "tmp" n 1.0 in
-            let iv = Names.fresh "i" in
+            let iv = B.fresh bb "i" in
             let acc' =
               B.mapnest bb "acc'" [ (iv, n) ] (fun b3 ->
                   [
@@ -117,7 +117,7 @@ let escape_prog () =
           ~var:"q" ~bound:(c 4)
           (fun bb ->
             let tmp = fill bb "tmp" n 1.0 in
-            let iv = Names.fresh "i" in
+            let iv = B.fresh bb "i" in
             let acc' =
               B.mapnest bb "acc'" [ (iv, n) ] (fun b3 ->
                   [
@@ -143,7 +143,7 @@ let sibling_prog () =
         B.loop1 b0 "acc" (arr F64 [ n ]) (Var init) ~bound:(c 3)
           (fun bb ~param ~i:_ ->
             let tmp = fill bb "tmp" n seed in
-            let iv = Names.fresh "i" in
+            let iv = B.fresh bb "i" in
             let acc' =
               B.mapnest bb "acc'" [ (iv, n) ] (fun b3 ->
                   [
