@@ -18,7 +18,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module B = Ir.Build
 module Value = Ir.Value
 
 let ctx0 =
@@ -32,89 +31,55 @@ let c_ns = 0.1
 let c_ew = 0.1
 let c_power = 0.1
 
-(* One stencil cell at (absolute row expression, column variable), with
-   clamped neighbours.  [row_kind] fixes how the vertical neighbours
-   are formed for the three part kernels. *)
-let cell cb ~temp ~power ~row ~col ~up_row ~down_row =
-  let n = P.var "n" in
-  let t = B.index cb temp [ row; col ] in
-  let up = B.index cb temp [ up_row; col ] in
-  let down = B.index cb temp [ down_row; col ] in
-  let cz = B.cmp cb CEq (B.idx cb col) (Int 0) in
-  let left =
-    B.if_ cb "left" cz
-      (fun ib -> [ B.index ib temp [ row; col ] ])
-      (fun ib -> [ B.index ib temp [ row; P.sub col P.one ] ])
-  in
-  let cl = B.cmp cb CEq (B.idx cb col) (B.idx cb (P.sub n P.one)) in
-  let right =
-    B.if_ cb "right" cl
-      (fun ib -> [ B.index ib temp [ row; col ] ])
-      (fun ib -> [ B.index ib temp [ row; P.add col P.one ] ])
-  in
-  let p = B.index cb power [ row; col ] in
-  let vsum = B.fadd cb up down in
-  let hsum = B.fadd cb (Var (List.hd left)) (Var (List.hd right)) in
-  let acc = B.fmul cb t (Float c_center) in
-  let acc = B.fadd cb acc (B.fmul cb vsum (Float c_ns)) in
-  let acc = B.fadd cb acc (B.fmul cb hsum (Float c_ew)) in
-  B.fadd cb acc (B.fmul cb p (Float c_power))
+(* Each part computes a stencil cell at row [row], column [j] with
+   clamped neighbours: the center weighted [c_center], the vertical and
+   horizontal neighbour sums [c_ns] and [c_ew], the power [c_power]. *)
+let source =
+  {|
+def hotspot (n: i64, steps: i64, temp0: [n][n]f64, power: [n][n]f64): [n][n]f64 =
+  let time = loop (temp = temp0) for t < steps do {
+    -- top boundary row: its own row above
+    let top = map (z < 1, j < n) {
+      let tc = temp[0, j] in
+      let up = temp[0, j] in
+      let down = temp[1, j] in
+      let left = if j == 0 then temp[0, j] else temp[0, j - 1] in
+      let right = if j == idx(n - 1) then temp[0, j] else temp[0, j + 1] in
+      let p = power[0, j] in
+      let vsum = up + down in
+      let hsum = left + right in
+      tc * 0.6 + vsum * 0.1 + hsum * 0.1 + p * 0.1
+    } in
+    let mid = map (i < n - 2, j < n) {
+      let tc = temp[i + 1, j] in
+      let up = temp[i, j] in
+      let down = temp[i + 2, j] in
+      let left = if j == 0 then temp[i + 1, j] else temp[i + 1, j - 1] in
+      let right = if j == idx(n - 1) then temp[i + 1, j] else temp[i + 1, j + 1] in
+      let p = power[i + 1, j] in
+      let vsum = up + down in
+      let hsum = left + right in
+      tc * 0.6 + vsum * 0.1 + hsum * 0.1 + p * 0.1
+    } in
+    -- bottom boundary row: its own row below
+    let bot = map (z < 1, j < n) {
+      let tc = temp[n - 1, j] in
+      let up = temp[n - 2, j] in
+      let down = temp[n - 1, j] in
+      let left = if j == 0 then temp[n - 1, j] else temp[n - 1, j - 1] in
+      let right = if j == idx(n - 1) then temp[n - 1, j] else temp[n - 1, j + 1] in
+      let p = power[n - 1, j] in
+      let vsum = up + down in
+      let hsum = left + right in
+      tc * 0.6 + vsum * 0.1 + hsum * 0.1 + p * 0.1
+    } in
+    let next = concat(top, mid, bot) in
+    next
+  } in
+  time
+|}
 
-let prog : prog =
-  let n = P.var "n" in
-  let grid = arr F64 [ n; n ] in
-  B.prog "hotspot" ~ctx:ctx0
-    ~params:
-      [
-        pat_elem "n" i64;
-        pat_elem "steps" i64;
-        pat_elem "temp0" grid;
-        pat_elem "power" grid;
-      ]
-    ~ret:[ grid ]
-    (fun bb ->
-      let res =
-        B.loop bb "time"
-          [ ("temp", grid, Var "temp0") ]
-          ~var:"t" ~bound:(P.var "steps")
-          (fun lb ->
-            let z1 = B.fresh lb "z" and j1 = B.fresh lb "j" in
-            let top =
-              B.mapnest lb "top"
-                [ (z1, P.one); (j1, n) ]
-                (fun cb ->
-                  let col = P.var j1 in
-                  [
-                    cell cb ~temp:"temp" ~power:"power" ~row:P.zero ~col
-                      ~up_row:P.zero ~down_row:P.one;
-                  ])
-            in
-            let i2 = B.fresh lb "i" and j2 = B.fresh lb "j" in
-            let mid =
-              B.mapnest lb "mid"
-                [ (i2, P.sub n (P.const 2)); (j2, n) ]
-                (fun cb ->
-                  let row = P.add (P.var i2) P.one and col = P.var j2 in
-                  [
-                    cell cb ~temp:"temp" ~power:"power" ~row ~col
-                      ~up_row:(P.sub row P.one) ~down_row:(P.add row P.one);
-                  ])
-            in
-            let z3 = B.fresh lb "z" and j3 = B.fresh lb "j" in
-            let bot =
-              B.mapnest lb "bot"
-                [ (z3, P.one); (j3, n) ]
-                (fun cb ->
-                  let row = P.sub n P.one and col = P.var j3 in
-                  [
-                    cell cb ~temp:"temp" ~power:"power" ~row ~col
-                      ~up_row:(P.sub row P.one) ~down_row:row;
-                  ])
-            in
-            let next = B.bind lb "next" (EConcat [ top; mid; bot ]) in
-            [ Var next ])
-      in
-      [ Var (List.hd res) ])
+let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
 (* ---------------------------------------------------------------- *)
 (* Inputs, oracle, reference                                         *)

@@ -13,7 +13,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module B = Ir.Build
 module Value = Ir.Value
 
 let qdirs = 9
@@ -32,106 +31,42 @@ let ctx0 =
     (Pr.add_range Pr.empty "n" ~lo:(P.const 2) ())
     "steps" ~lo:P.one ()
 
-let prog : prog =
-  let n = P.var "n" in
-  let gridt = arr F64 [ n; n; P.const qdirs ] in
-  let dirt = arr I64 [ P.const qdirs ] in
-  let wt = arr F64 [ P.const qdirs ] in
-  B.prog "lbm" ~ctx:ctx0
-    ~params:
-      [
-        pat_elem "n" i64;
-        pat_elem "steps" i64;
-        pat_elem "f0" gridt;
-        pat_elem "dx" dirt;
-        pat_elem "dy" dirt;
-        pat_elem "w" wt;
-      ]
-    ~ret:[ gridt ]
-    (fun bb ->
-      let res =
-        B.loop bb "time"
-          [ ("f", gridt, Var "f0") ]
-          ~var:"t" ~bound:(P.var "steps")
-          (fun lb ->
-            let iv = B.fresh lb "i" and jv = B.fresh lb "j" in
-            let fnext =
-              B.mapnest lb "fnext"
-                [ (iv, n); (jv, n) ]
-                (fun tb ->
-                  let i = P.var iv and j = P.var jv in
-                  let q = P.const qdirs in
-                  (* gather the streamed-in distributions *)
-                  let rs0 = B.bind tb "rs" (EScratch (F64, [ q ])) in
-                  let gathered =
-                    B.loop1 tb "gather" (arr F64 [ q ]) (Var rs0) ~bound:q
-                      (fun gb ~param ~i:d ->
-                        let ddx = B.index gb "dx" [ d ] in
-                        let ddy = B.index gb "dy" [ d ] in
-                        (* periodic source coordinates *)
-                        let si =
-                          B.binop gb Rem
-                            (B.binop gb Add (B.binop gb Sub (B.idx gb i) ddy)
-                               (B.idx gb n))
-                            (B.idx gb n)
-                        in
-                        let sj =
-                          B.binop gb Rem
-                            (B.binop gb Add (B.binop gb Sub (B.idx gb j) ddx)
-                               (B.idx gb n))
-                            (B.idx gb n)
-                        in
-                        let siv =
-                          match si with Var v -> v | _ -> assert false
-                        in
-                        let sjv =
-                          match sj with Var v -> v | _ -> assert false
-                        in
-                        let v =
-                          B.index gb "f" [ P.var siv; P.var sjv; d ]
-                        in
-                        Var
-                          (B.bind gb "rs'"
-                             (EUpdate
-                                {
-                                  dst = param;
-                                  slc = STriplet [ SFix d ];
-                                  src = SrcScalar v;
-                                })))
-                  in
-                  (* density *)
-                  let rho =
-                    B.loop1 tb "rho" (TScalar F64) (Float 0.0) ~bound:q
-                      (fun sb ~param:acc ~i:d ->
-                        B.fadd sb (Var acc) (B.index sb gathered [ d ]))
-                  in
-                  (* BGK relaxation towards w[d] * rho *)
-                  let out0 = B.bind tb "out" (EScratch (F64, [ q ])) in
-                  let final =
-                    B.loop1 tb "collide" (arr F64 [ q ]) (Var out0) ~bound:q
-                      (fun cb ~param ~i:d ->
-                        let fd = B.index cb gathered [ d ] in
-                        let wd = B.index cb "w" [ d ] in
-                        let feq = B.fmul cb wd (Var rho) in
-                        let relaxed =
-                          B.fadd cb
-                            (B.fmul cb fd (Float (1.0 -. omega)))
-                            (B.fmul cb feq (Float omega))
-                        in
-                        Var
-                          (B.bind cb "out'"
-                             (EUpdate
-                                {
-                                  dst = param;
-                                  slc = STriplet [ SFix d ];
-                                  src = SrcScalar relaxed;
-                                })))
-                  in
-                  [ Var final ])
-            in
-            [ Var fnext ])
-      in
-      [ Var (List.hd res) ])
+(* Each thread gathers along the direction tables, sums the density and
+   relaxes with [omega] = 0.8 (the literal 0.19999999999999996 is
+   1 - omega). *)
+let source =
+  {|
+def lbm (n: i64, steps: i64, f0: [n][n][9]f64, dx: [9]i64, dy: [9]i64,
+         w: [9]f64): [n][n][9]f64 =
+  let time = loop (f = f0) for t < steps do {
+    let fnext = map (i < n, j < n) {
+      -- gather the streamed-in distributions, periodic boundaries
+      let rs = scratch(9) in
+      let gather = loop (g = rs) for gather_i < 9 do {
+        let ddx = dx[gather_i] in
+        let ddy = dy[gather_i] in
+        let si = (i - ddy + n) % n in
+        let sj = (j - ddx + n) % n in
+        g with [gather_i] = f[si, sj, gather_i]
+      } in
+      let rho = loop (acc = 0.0) for rho_i < 9 do { acc + gather[rho_i] } in
+      -- BGK relaxation towards w[d] * rho
+      let out = scratch(9) in
+      let collide = loop (o = out) for collide_i < 9 do {
+        let fd = gather[collide_i] in
+        let wd = w[collide_i] in
+        let feq = wd * rho in
+        let relaxed = feq * 0.8 in
+        o with [collide_i] = fd * 0.19999999999999996 + relaxed
+      } in
+      collide
+    } in
+    fnext
+  } in
+  time
+|}
+
+let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
 (* ---------------------------------------------------------------- *)
 (* Inputs, oracle, reference                                         *)

@@ -13,7 +13,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module B = Ir.Build
 module Value = Ir.Value
 
 let ctx0 =
@@ -23,127 +22,82 @@ let ctx0 =
 
 let alpha = 0.45 (* off-diagonal weight; diagonally dominant system *)
 
-let set1 b ~dst ~i v =
-  B.bind b (dst ^ "'")
-    (EUpdate { dst; slc = STriplet [ SFix i ]; src = SrcScalar v })
+(* One implicit timestep is a Thomas solve of the tridiagonal system
+   with off-diagonal weight w (lower/upper coefficients -w, diagonal
+   1 + 2w) over the price vector [u].  Rannacher startup: the first
+   step is damped (w = [alpha] / 2 = 0.225), later steps use the full
+   Crank-Nicolson weight (w = [alpha] = 0.45); the literals are -w,
+   1 + 2w and -w / (1 + 2w).  Both arms are complete solves with
+   arm-local coefficient vectors, so the reuse pass's
+   hoist-through-if-arms strategy pairs the two arms' scratch
+   allocations and lifts them above the conditional. *)
+let source =
+  {|
+def locvolcalib (numo: i64, numx: i64, numt: i64): [numo][numx]f64 =
+  let result = map (o < numo) {
+    -- initial condition parameterized by the option index
+    let u0 = scratch(numx) in
+    let init = loop (u = u0) for init_i < numx do {
+      u with [init_i] = 1.0 + f64((init_i + o) % numx) * 0.001
+    } in
+    let time = loop (u = init) for time_i < numt do {
+      let ustep = if time_i == 0 then (
+        let cp0 = scratch(numx) in
+        let dp0 = scratch(numx) in
+        let cp1 = cp0 with [0] = -0.15517241379310345 in
+        let dp1 = dp0 with [0] = u[0] / 1.45 in
+        -- forward sweep
+        let (cpf, dpf) = loop (cp = cp1, dp = dp1) for fx < numx - 1 do {
+          let cprev = cp[fx] in
+          let dprev = dp[fx] in
+          let m = 1.0 / (1.45 - -0.225 * cprev) in
+          let cp2 = cp with [fx + 1] = -0.225 * m in
+          let ux = u[fx + 1] in
+          let dp2 = dp with [fx + 1] = (ux - -0.225 * dprev) * m in
+          (cp2, dp2)
+        } in
+        -- backward substitution into a fresh vector
+        let un0 = scratch(numx) in
+        let un1 = un0 with [numx - 1] = dpf[numx - 1] in
+        loop (un = un1) for bwd_i < numx - 1 do {
+          let x = numx - 2 - bwd_i in
+          let up1 = un[x + 1] in
+          let cu = cpf[x] * up1 in
+          un with [x] = dpf[x] - cu
+        }
+      ) else (
+        let cp0 = scratch(numx) in
+        let dp0 = scratch(numx) in
+        let cp1 = cp0 with [0] = -0.2368421052631579 in
+        let dp1 = dp0 with [0] = u[0] / 1.9 in
+        -- forward sweep
+        let (cpf, dpf) = loop (cp = cp1, dp = dp1) for fx < numx - 1 do {
+          let cprev = cp[fx] in
+          let dprev = dp[fx] in
+          let m = 1.0 / (1.9 - -0.45 * cprev) in
+          let cp2 = cp with [fx + 1] = -0.45 * m in
+          let ux = u[fx + 1] in
+          let dp2 = dp with [fx + 1] = (ux - -0.45 * dprev) * m in
+          (cp2, dp2)
+        } in
+        -- backward substitution into a fresh vector
+        let un0 = scratch(numx) in
+        let un1 = un0 with [numx - 1] = dpf[numx - 1] in
+        loop (un = un1) for bwd_i < numx - 1 do {
+          let x = numx - 2 - bwd_i in
+          let up1 = un[x + 1] in
+          let cu = cpf[x] * up1 in
+          un with [x] = dpf[x] - cu
+        }
+      ) in
+      ustep
+    } in
+    time
+  } in
+  result
+|}
 
-(* One implicit timestep: a Thomas solve of the tridiagonal system with
-   off-diagonal weight [w] (lower/upper coefficients [-w], diagonal
-   [1 + 2w]) over the price vector [u], producing a fresh vector.  [w]
-   is a compile-time constant, so the damped startup step and the
-   regular Crank-Nicolson step are two instantiations of this
-   template. *)
-let thomas_step sb ~u ~w =
-  let numx = P.var "numx" in
-  let vec = arr F64 [ numx ] in
-  let a = -.w and cc = -.w in
-  let dg = 1.0 +. (2.0 *. w) in
-  (* forward sweep *)
-  let cp0 = B.bind sb "cp0" (EScratch (F64, [ numx ])) in
-  let dp0 = B.bind sb "dp0" (EScratch (F64, [ numx ])) in
-  let cp1 = set1 sb ~dst:cp0 ~i:P.zero (Float (cc /. dg)) in
-  let dp1 =
-    set1 sb ~dst:dp0 ~i:P.zero
-      (B.fdiv sb (B.index sb u [ P.zero ]) (Float dg))
-  in
-  let cpn = B.fresh sb "cp" and dpn = B.fresh sb "dp" in
-  let fw = B.fresh sb "fx" in
-  let sweep =
-    B.loop sb "fwd"
-      [ (cpn, vec, Var cp1); (dpn, vec, Var dp1) ]
-      ~var:fw
-      ~bound:(P.sub numx P.one)
-      (fun fb ->
-        let x = P.add (P.var fw) P.one in
-        let cprev = B.index fb cpn [ P.sub x P.one ] in
-        let dprev = B.index fb dpn [ P.sub x P.one ] in
-        let m =
-          B.fdiv fb (Float 1.0)
-            (B.fsub fb (Float dg) (B.fmul fb (Float a) cprev))
-        in
-        let cp' = set1 fb ~dst:cpn ~i:x (B.fmul fb (Float cc) m) in
-        let ux = B.index fb u [ x ] in
-        let dp' =
-          set1 fb ~dst:dpn ~i:x
-            (B.fmul fb (B.fsub fb ux (B.fmul fb (Float a) dprev)) m)
-        in
-        [ Var cp'; Var dp' ])
-  in
-  let cpf, dpf =
-    match sweep with [ c; d ] -> (c, d) | _ -> assert false
-  in
-  (* backward substitution into a fresh vector *)
-  let un0 = B.bind sb "un0" (EScratch (F64, [ numx ])) in
-  let un1 =
-    set1 sb ~dst:un0 ~i:(P.sub numx P.one)
-      (B.index sb dpf [ P.sub numx P.one ])
-  in
-  B.loop1 sb "bwd" vec (Var un1)
-    ~bound:(P.sub numx P.one)
-    (fun wb ~param ~i:t ->
-      let x = P.sub (P.sub numx (P.const 2)) t in
-      let up1 = B.index wb param [ P.add x P.one ] in
-      let v =
-        B.fsub wb
-          (B.index wb dpf [ x ])
-          (B.fmul wb (B.index wb cpf [ x ]) up1)
-      in
-      Var (set1 wb ~dst:param ~i:x v))
-
-let prog : prog =
-  let numo = P.var "numo"
-  and numx = P.var "numx"
-  and numt = P.var "numt" in
-  let vec = arr F64 [ numx ] in
-  B.prog "locvolcalib" ~ctx:ctx0
-    ~params:[ pat_elem "numo" i64; pat_elem "numx" i64; pat_elem "numt" i64 ]
-    ~ret:[ arr F64 [ numo; numx ] ]
-    (fun bb ->
-      let ov = B.fresh bb "o" in
-      let result =
-        B.mapnest bb "result"
-          [ (ov, numo) ]
-          (fun tb ->
-            let o = P.var ov in
-            (* initial condition parameterized by the option index *)
-            let u0 = B.bind tb "u0" (EScratch (F64, [ numx ])) in
-            let u_init =
-              B.loop1 tb "init" vec (Var u0) ~bound:numx
-                (fun ib ~param ~i:x ->
-                  let xo =
-                    B.binop ib Rem
-                      (B.binop ib Add (B.idx ib x) (B.idx ib o))
-                      (B.idx ib numx)
-                  in
-                  let v =
-                    B.fadd ib (Float 1.0)
-                      (B.fmul ib (B.unop ib ToF64 xo) (Float 0.001))
-                  in
-                  Var (set1 ib ~dst:param ~i:x v))
-            in
-            (* numT implicit steps, each one Thomas solve.  Rannacher
-               startup: the first step is damped (half weight), later
-               steps use the full Crank-Nicolson weight.  Both arms are
-               complete solves with arm-local coefficient vectors, so
-               the reuse pass's hoist-through-if-arms strategy pairs
-               the two arms' scratch allocations and lifts them above
-               the conditional. *)
-            let final =
-              B.loop1 tb "time" vec (Var u_init) ~bound:numt
-                (fun sb ~param:u ~i:t ->
-                  let first =
-                    B.cmp sb CEq (B.idx sb t) (B.idx sb P.zero)
-                  in
-                  let stepped =
-                    B.if_ sb "ustep" first
-                      (fun ab -> [ Var (thomas_step ab ~u ~w:(0.5 *. alpha)) ])
-                      (fun ab -> [ Var (thomas_step ab ~u ~w:alpha) ])
-                  in
-                  Var (List.hd stepped))
-            in
-            [ Var final ])
-      in
-      [ Var result ])
+let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
 (* ---------------------------------------------------------------- *)
 (* Oracle, reference                                                 *)

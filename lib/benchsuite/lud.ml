@@ -25,8 +25,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module Lmad = Lmads.Lmad
-module B = Ir.Build
 module Value = Ir.Value
 
 let block_size = 16
@@ -38,312 +36,116 @@ let ctx0 =
   let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
   Pr.add_eq ctx "n" (P.mul (P.var "q") (P.var "b"))
 
-let blk_t = arr F64 [ P.var "b"; P.var "b" ]
+(* Step [k] works on the [m] = q - 1 - k block rows and columns below
+   and right of the diagonal block at flat offset [dbase]; every block
+   is first loaded into a [b][b] scratch accumulator.  Index variables
+   carry their phase's prefix (ld: load, dool: Doolittle, fs/bs:
+   forward/backward substitution, upd: interior update), since the
+   prover tries a goal's variables in name order.
 
-(* Scalar update of a [b][b] block accumulator. *)
-let set_cell cb ~blk ~r ~c v =
-  B.bind cb "blk'"
-    (EUpdate { dst = blk; slc = STriplet [ SFix r; SFix c ]; src = SrcScalar v })
+   At the last step (k = q - 1) the perimeter and interior are empty:
+   branching them away keeps the semantics and leaves the blue
+   temporary's allocation local to the else arm, where the reuse pass's
+   hoist-through-if-arms strategy lifts it in front of the conditional
+   and then out of the loop. *)
+let source =
+  {|
+def lud (q: i64, b: i64, n: i64, a: [n*n]f64): [n*n]f64 =
+  loop (am = a) for k < q do {
+    let m = q - 1 - k in
+    let dbase = k*b*n + k*b in
+    -- green: in-place Doolittle on the diagonal block
+    let xd = map (z < 1) {
+      let blk0 = scratch(b, b) in
+      let ld = loop (ld = blk0) for ld_i < b do {
+        loop (ldc = ld) for ldc_i < b do {
+          ldc with [ld_i, ldc_i] = am[dbase + ld_i*n + ldc_i]
+        }
+      } in
+      loop (d = ld) for dool_i < b do {
+        loop (dj = d) for doolj_i < b - dool_i - 1 do {
+          let j = dool_i + 1 + doolj_i in
+          let piv = dj[dool_i, dool_i] in
+          let aji = dj[j, dool_i] in
+          let l = aji / piv in
+          let d1 = dj with [j, dool_i] = l in
+          loop (dt = d1) for doolt_i < b - dool_i - 1 do {
+            let t = dool_i + 1 + doolt_i in
+            let ajt = dt[j, t] in
+            let ait = dt[dool_i, t] in
+            dt with [j, t] = ajt - l * ait
+          }
+        }
+      }
+    } in
+    let a1 = am with [dbase; (1 : n*b), (b : n), (b : 1)] = xd in
+    let anext = if k == idx(q - 1) then a1 else (
+      -- yellow: perimeter row U_kj = L_kk^-1 A_kj
+      let xt = map (j < m) {
+        let blk0 = scratch(b, b) in
+        let ld = loop (ld = blk0) for ld_i < b do {
+          loop (ldc = ld) for ldc_i < b do {
+            ldc with [ld_i, ldc_i] = a1[k*b*n + (k + 1)*b + j*b + ld_i*n + ldc_i]
+          }
+        } in
+        loop (fs = ld) for fs_i < b do {
+          loop (fsc = fs) for fsc_i < b do {
+            let tv = fsc[fs_i, fsc_i] in
+            let fst = loop (acc = tv) for fst_i < fs_i do {
+              acc - a1[dbase + fs_i*n + fst_i] * fsc[fst_i, fsc_i]
+            } in
+            fsc with [fs_i, fsc_i] = fst
+          }
+        }
+      } in
+      let a2 = a1 with [k*b*n + (k + 1)*b; (m : b), (b : n), (b : 1)] = xt in
+      -- blue: perimeter column L_ik = A_ik U_kk^-1
+      let xl = map (i < m) {
+        let blk0 = scratch(b, b) in
+        let ld = loop (ld = blk0) for ld_i < b do {
+          loop (ldc = ld) for ldc_i < b do {
+            ldc with [ld_i, ldc_i] = a2[(k + 1)*b*n + i*n*b + k*b + ld_i*n + ldc_i]
+          }
+        } in
+        loop (bs = ld) for bs_i < b do {
+          loop (bsr = bs) for bsr_i < b do {
+            let tv = bsr[bsr_i, bs_i] in
+            let bst = loop (acc = tv) for bst_i < bs_i do {
+              acc - bsr[bsr_i, bst_i] * a2[dbase + bst_i*n + bs_i]
+            } in
+            bsr with [bsr_i, bs_i] = bst / a2[dbase + bs_i*n + bs_i]
+          }
+        }
+      } in
+      let a3 = a2 with [(k + 1)*b*n + k*b; (m : n*b), (b : n), (b : 1)] = xl in
+      -- red: interior rank-b update, L from the blue temporary
+      let xi = map (bi < m, bj < m) {
+        let blk0 = scratch(b, b) in
+        let ld = loop (ld = blk0) for ld_i < b do {
+          loop (ldc = ld) for ldc_i < b do {
+            ldc with [ld_i, ldc_i] =
+              a3[(k + 1)*b*n + (k + 1)*b + bi*n*b + bj*b + ld_i*n + ldc_i]
+          }
+        } in
+        loop (u = ld) for upd_i < b do {
+          loop (uc = u) for updc_i < b do {
+            let tv = uc[upd_i, updc_i] in
+            let updt = loop (acc = tv) for updt_i < b do {
+              acc - xl[bi, upd_i, updt_i]
+                    * a3[k*b*n + (k + 1)*b + bj*b + updt_i*n + updc_i]
+            } in
+            uc with [upd_i, updc_i] = updt
+          }
+        }
+      } in
+      let a4 =
+        a3 with [(k + 1)*b*n + (k + 1)*b; (m : n*b), (m : b), (b : n), (b : 1)] = xi in
+      a4) in
+    anext
+  }
+|}
 
-(* Load the b x b block whose top-left cell sits at flat offset
-   [base] of matrix [mat] into a fresh scratch accumulator. *)
-let load_block tb ~mat ~base =
-  let bP = P.var "b" and n = P.var "n" in
-  let d0 = B.bind tb "blk0" (EScratch (F64, [ bP; bP ])) in
-  B.loop1 tb "ld" blk_t (Var d0) ~bound:bP (fun rb ~param ~i:r ->
-      Var
-        (B.loop1 rb "ldc" blk_t (Var param) ~bound:bP (fun cb ~param ~i:c ->
-             let v = B.index cb mat [ P.sum [ base; P.mul r n; c ] ] in
-             Var (set_cell cb ~blk:param ~r ~c v))))
-
-let prog : prog =
-  let n = P.var "n" and q = P.var "q" and bP = P.var "b" in
-  let nn = P.mul n n in
-  B.prog "lud" ~ctx:ctx0
-    ~params:
-      [
-        pat_elem "q" i64;
-        pat_elem "b" i64;
-        pat_elem "n" i64;
-        pat_elem "a" (arr F64 [ nn ]);
-      ]
-    ~ret:[ arr F64 [ nn ] ]
-    (fun bb ->
-      let res =
-        B.loop bb "steps"
-          [ ("am", arr F64 [ nn ], Var "a") ]
-          ~var:"k" ~bound:q
-          (fun lb ->
-            let k = P.var "k" in
-            let kb = P.mul k bP in
-            let m = P.sub (P.sub q P.one) k in
-            let diag_base = P.add (P.mul kb n) kb in
-            let nb = P.mul n bP in
-            (* ---- green: factor the diagonal block ---------------- *)
-            let z = B.fresh lb "z" in
-            let xd =
-              B.mapnest lb "xd"
-                [ (z, P.one) ]
-                (fun tb ->
-                  let d = load_block tb ~mat:"am" ~base:diag_base in
-                  (* in-place Doolittle: for i: for j>i: l = d[j][i]/d[i][i];
-                     d[j][i] = l; for t>i: d[j][t] -= l*d[i][t] *)
-                  let final =
-                    B.loop1 tb "dool" blk_t (Var d) ~bound:bP
-                      (fun ib ~param ~i ->
-                        Var
-                          (B.loop1 ib "doolj" blk_t (Var param)
-                             ~bound:(P.sub (P.sub bP P.one) i)
-                             (fun jb ~param ~i:j2 ->
-                               let j = P.sum [ i; P.one; j2 ] in
-                               let piv = B.index jb param [ i; i ] in
-                               let a_ji = B.index jb param [ j; i ] in
-                               let l = B.fdiv jb a_ji piv in
-                               let d1 = set_cell jb ~blk:param ~r:j ~c:i l in
-                               Var
-                                 (B.loop1 jb "doolt" blk_t (Var d1)
-                                    ~bound:(P.sub (P.sub bP P.one) i)
-                                    (fun tb2 ~param ~i:t2 ->
-                                      let t = P.sum [ i; P.one; t2 ] in
-                                      let a_jt =
-                                        B.index tb2 param [ j; t ]
-                                      in
-                                      let a_it =
-                                        B.index tb2 param [ i; t ]
-                                      in
-                                      let v =
-                                        B.fsub tb2 a_jt (B.fmul tb2 l a_it)
-                                      in
-                                      Var
-                                        (set_cell tb2 ~blk:param ~r:j ~c:t v))))))
-                  in
-                  [ Var final ])
-            in
-            let a1 =
-              B.bind lb "a1"
-                (EUpdate
-                   {
-                     dst = "am";
-                     slc =
-                       SLmad
-                         (Lmad.make diag_base
-                            [
-                              Lmad.dim P.one nb;
-                              Lmad.dim bP n;
-                              Lmad.dim bP P.one;
-                            ]);
-                     src = SrcArr xd;
-                   })
-            in
-            (* At the last step (k = q-1) the perimeter and interior are
-               empty (m = 0): the yellow/blue/red phases reduce to
-               zero-trip mapnests and empty-slice write-backs.
-               Branching them away keeps the semantics and leaves the
-               blue temporary's allocation local to the else arm, where
-               the reuse pass's hoist-through-if-arms strategy lifts it
-               in front of the conditional and then out of the loop. *)
-            let kq = B.cmp lb CEq (B.idx lb k) (B.idx lb (P.sub q P.one)) in
-            let anext =
-              B.if_ lb "anext" kq
-                (fun _tb -> [ Var a1 ])
-                (fun lb ->
-            (* ---- yellow: perimeter row U_kj = L_kk^-1 A_kj -------- *)
-            let jv = B.fresh lb "j" in
-            let top_base j =
-              P.sum [ P.mul kb n; P.mul (P.add k P.one) bP; P.mul j bP ]
-            in
-            let xt =
-              B.mapnest lb "xt"
-                [ (jv, m) ]
-                (fun tb ->
-                  let t0 = load_block tb ~mat:a1 ~base:(top_base (P.var jv)) in
-                  let final =
-                    B.loop1 tb "fs" blk_t (Var t0) ~bound:bP
-                      (fun rb ~param ~i:r ->
-                        Var
-                          (B.loop1 rb "fsc" blk_t (Var param) ~bound:bP
-                             (fun cb ~param ~i:c ->
-                               let acc =
-                                 B.loop1 cb "fst" (TScalar F64)
-                                   (Var
-                                      (B.bind cb "tv"
-                                         (EIndex (param, [ r; c ]))))
-                                   ~bound:r
-                                   (fun sb ~param:acc ~i:t ->
-                                     let l_rt =
-                                       B.index sb a1
-                                         [
-                                           P.sum
-                                             [
-                                               diag_base; P.mul r n; t;
-                                             ];
-                                         ]
-                                     in
-                                     let u_tc =
-                                       B.index sb param [ t; c ]
-                                     in
-                                     B.fsub sb (Var acc)
-                                       (B.fmul sb l_rt u_tc))
-                               in
-                               Var (set_cell cb ~blk:param ~r ~c (Var acc)))))
-                  in
-                  [ Var final ])
-            in
-            let a2 =
-              B.bind lb "a2"
-                (EUpdate
-                   {
-                     dst = a1;
-                     slc =
-                       SLmad
-                         (Lmad.make (top_base P.zero)
-                            [
-                              Lmad.dim m bP;
-                              Lmad.dim bP n;
-                              Lmad.dim bP P.one;
-                            ]);
-                     src = SrcArr xt;
-                   })
-            in
-            (* ---- blue: perimeter column L_ik = A_ik U_kk^-1 ------- *)
-            let iv = B.fresh lb "i" in
-            let left_base i =
-              P.sum [ P.mul (P.add k P.one) (P.mul bP n); P.mul i nb; kb ]
-            in
-            let xl =
-              B.mapnest lb "xl"
-                [ (iv, m) ]
-                (fun tb ->
-                  let t0 =
-                    load_block tb ~mat:a2 ~base:(left_base (P.var iv))
-                  in
-                  let final =
-                    B.loop1 tb "bs" blk_t (Var t0) ~bound:bP
-                      (fun cb0 ~param ~i:c ->
-                        Var
-                          (B.loop1 cb0 "bsr" blk_t (Var param) ~bound:bP
-                             (fun rb ~param ~i:r ->
-                               let acc =
-                                 B.loop1 rb "bst" (TScalar F64)
-                                   (Var
-                                      (B.bind rb "tv"
-                                         (EIndex (param, [ r; c ]))))
-                                   ~bound:c
-                                   (fun sb ~param:acc ~i:t ->
-                                     let l_rt =
-                                       B.index sb param [ r; t ]
-                                     in
-                                     let u_tc =
-                                       B.index sb a2
-                                         [
-                                           P.sum
-                                             [ diag_base; P.mul t n; c ];
-                                         ]
-                                     in
-                                     B.fsub sb (Var acc)
-                                       (B.fmul sb l_rt u_tc))
-                               in
-                               let piv =
-                                 B.index rb a2
-                                   [ P.sum [ diag_base; P.mul c n; c ] ]
-                               in
-                               let v = B.fdiv rb (Var acc) piv in
-                               Var (set_cell rb ~blk:param ~r ~c v))))
-                  in
-                  [ Var final ])
-            in
-            let a3 =
-              B.bind lb "a3"
-                (EUpdate
-                   {
-                     dst = a2;
-                     slc =
-                       SLmad
-                         (Lmad.make (left_base P.zero)
-                            [
-                              Lmad.dim m nb;
-                              Lmad.dim bP n;
-                              Lmad.dim bP P.one;
-                            ]);
-                     src = SrcArr xl;
-                   })
-            in
-            (* ---- red: interior rank-b update ---------------------- *)
-            let bi = B.fresh lb "bi" and bj = B.fresh lb "bj" in
-            let int_base bi bj =
-              P.sum
-                [
-                  P.mul (P.add k P.one) (P.mul bP n);
-                  P.mul (P.add k P.one) bP;
-                  P.mul bi nb;
-                  P.mul bj bP;
-                ]
-            in
-            let xi =
-              B.mapnest lb "xi"
-                [ (bi, m); (bj, m) ]
-                (fun tb ->
-                  let biP = P.var bi and bjP = P.var bj in
-                  let t0 =
-                    load_block tb ~mat:a3 ~base:(int_base biP bjP)
-                  in
-                  let final =
-                    B.loop1 tb "upd" blk_t (Var t0) ~bound:bP
-                      (fun rb ~param ~i:r ->
-                        Var
-                          (B.loop1 rb "updc" blk_t (Var param) ~bound:bP
-                             (fun cb ~param ~i:c ->
-                               let acc =
-                                 B.loop1 cb "updt" (TScalar F64)
-                                   (Var
-                                      (B.bind cb "tv"
-                                         (EIndex (param, [ r; c ]))))
-                                   ~bound:bP
-                                   (fun sb ~param:acc ~i:t ->
-                                     (* L from the blue temporary, U from
-                                        the in-place top strip *)
-                                     let l_rt =
-                                       B.index sb xl [ biP; r; t ]
-                                     in
-                                     let u_tc =
-                                       B.index sb a3
-                                         [
-                                           P.sum
-                                             [
-                                               top_base bjP; P.mul t n; c;
-                                             ];
-                                         ]
-                                     in
-                                     B.fsub sb (Var acc)
-                                       (B.fmul sb l_rt u_tc))
-                               in
-                               Var (set_cell cb ~blk:param ~r ~c (Var acc)))))
-                  in
-                  [ Var final ])
-            in
-            let a4 =
-              B.bind lb "a4"
-                (EUpdate
-                   {
-                     dst = a3;
-                     slc =
-                       SLmad
-                         (Lmad.make
-                            (int_base P.zero P.zero)
-                            [
-                              Lmad.dim m nb;
-                              Lmad.dim m bP;
-                              Lmad.dim bP n;
-                              Lmad.dim bP P.one;
-                            ]);
-                     src = SrcArr xi;
-                   })
-            in
-            [ Var a4 ])
-            in
-            [ Var (List.hd anext) ])
-      in
-      [ Var (List.hd res) ])
+let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
 (* ---------------------------------------------------------------- *)
 (* Inputs, oracle, reference                                         *)

@@ -16,7 +16,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module B = Ir.Build
 module Value = Ir.Value
 
 let ctx0 =
@@ -24,63 +23,32 @@ let ctx0 =
   let ctx = Pr.add_range ctx "nbatch" ~lo:(P.const 1) () in
   Pr.add_range ctx "bsz" ~lo:(P.const 1) ()
 
-let prog : prog =
-  let nrec = P.var "nrec" and nbatch = P.var "nbatch" and bsz = P.var "bsz" in
-  let nq = P.mul nbatch bsz in
-  B.prog "nn" ~ctx:ctx0
-    ~params:
-      [
-        pat_elem "nrec" i64;
-        pat_elem "nbatch" i64;
-        pat_elem "bsz" i64;
-        pat_elem "recs" (arr F64 [ nrec; P.const 2 ]);
-        pat_elem "queries" (arr F64 [ nq; P.const 2 ]);
-      ]
-    ~ret:[ arr F64 [ nq ] ]
-    (fun bb ->
-      let res0 = B.bind bb "res0" (EScratch (F64, [ nq ])) in
-      let out =
-        B.loop bb "batches"
-          [ ("res", arr F64 [ nq ], Var res0) ]
-          ~var:"bi" ~bound:nbatch
-          (fun lb ->
-            let bi = P.var "bi" in
-            let tv = B.fresh lb "t" in
-            let x =
-              B.mapnest lb "batch"
-                [ (tv, bsz) ]
-                (fun tb ->
-                  let qid = P.add (P.mul bi bsz) (P.var tv) in
-                  let qx = B.index tb "queries" [ qid; P.zero ] in
-                  let qy = B.index tb "queries" [ qid; P.one ] in
-                  let best =
-                    B.loop1 tb "scan" (TScalar F64) (Float infinity)
-                      ~bound:nrec
-                      (fun sb ~param:acc ~i:r ->
-                        let rx = B.index sb "recs" [ r; P.zero ] in
-                        let ry = B.index sb "recs" [ r; P.one ] in
-                        let dx = B.fsub sb qx rx and dy = B.fsub sb qy ry in
-                        let d =
-                          B.fadd sb (B.fmul sb dx dx) (B.fmul sb dy dy)
-                        in
-                        B.fmin sb (Var acc) d)
-                  in
-                  [ Var best ])
-            in
-            let res' =
-              B.bind lb "res'"
-                (EUpdate
-                   {
-                     dst = "res";
-                     slc =
-                       STriplet
-                         [ B.range (P.mul bi bsz) bsz ];
-                     src = SrcArr x;
-                   })
-            in
-            [ Var res' ])
-      in
-      [ Var (List.hd out) ])
+let source =
+  {|
+def nn (nrec: i64, nbatch: i64, bsz: i64, recs: [nrec][2]f64,
+        queries: [nbatch*bsz][2]f64): [nbatch*bsz]f64 =
+  let res0 = scratch(nbatch*bsz) in
+  let batches = loop (res = res0) for bi < nbatch do {
+    let batch = map (t < bsz) {
+      let qx = queries[bi*bsz + t, 0] in
+      let qy = queries[bi*bsz + t, 1] in
+      let scan = loop (acc = inf) for scan_i < nrec do {
+        let rx = recs[scan_i, 0] in
+        let ry = recs[scan_i, 1] in
+        let dx = qx - rx in
+        let dy = qy - ry in
+        let dy2 = dy * dy in
+        min(acc, dx * dx + dy2)
+      } in
+      scan
+    } in
+    let res2 = res with [bi*bsz : bsz] = batch in
+    res2
+  } in
+  batches
+|}
+
+let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
 (* ---------------------------------------------------------------- *)
 (* Inputs, oracle, reference                                         *)

@@ -21,8 +21,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module Lmad = Lmads.Lmad
-module B = Ir.Build
 module Value = Ir.Value
 
 let score_mod = 19
@@ -38,172 +36,78 @@ let ctx0 =
   let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
   Pr.add_eq ctx "n" (P.add (P.mul (P.var "q") (P.var "b")) P.one)
 
-(* One wavefront step: given the current matrix variable [a], the block
-   count [m] and the flat offset [woff] of the first block of the
-   anti-diagonal, slice the bars, compute the blocks in parallel, and
-   write them back with the LMAD update. *)
-let diag_step bb ~a ~m ~woff =
-  let n = P.var "n" and bP = P.var "b" in
-  (* freshen all binder names: this function is instantiated once per
-     matrix half, and binders must be unique program-wide *)
-  let kv = B.fresh bb "k" in
-  let rv_ = B.fresh bb "r" and cv_ = B.fresh bb "c" in
-  let blkr = B.fresh bb "blkr" and blkc = B.fresh bb "blkc" in
-  let nb_b = P.sub (P.mul n bP) bP in
-  let rv =
-    B.bind bb "rvert"
-      (ESlice
-         ( a,
-           SLmad
-             (Lmad.make
-                (P.sub woff (P.add n P.one))
-                [ Lmad.dim m nb_b; Lmad.dim (P.add bP P.one) n ]) ))
-  in
-  let rh =
-    B.bind bb "rhoriz"
-      (ESlice
-         ( a,
-           SLmad
-             (Lmad.make (P.sub woff n) [ Lmad.dim m nb_b; Lmad.dim bP P.one ])
-         ))
-  in
-  let x =
-    B.mapnest bb "x"
-      [ (kv, m) ]
-      (fun tb ->
-        let blk0 = B.bind tb "blk" (EScratch (F64, [ bP; bP ])) in
-        let blk_names =
-          B.loop tb "rows"
-            [ (blkr, arr F64 [ bP; bP ], Var blk0) ]
-            ~var:rv_ ~bound:bP
-            (fun rb ->
-              let cols =
-                B.loop rb "cols"
-                  [ (blkc, arr F64 [ bP; bP ], Var blkr) ]
-                  ~var:cv_ ~bound:bP
-                  (fun cb ->
-                    let r = P.var rv_ and c = P.var cv_ and k = P.var kv in
-                    let rz = B.cmp cb CEq (B.idx cb r) (Int 0) in
-                    let cz = B.cmp cb CEq (B.idx cb c) (Int 0) in
-                    let up =
-                      B.if_ cb "up" rz
-                        (fun ib -> [ B.index ib rh [ k; c ] ])
-                        (fun ib ->
-                          [ B.index ib blkc [ P.sub r P.one; c ] ])
-                    in
-                    let left =
-                      B.if_ cb "left" cz
-                        (fun ib -> [ B.index ib rv [ k; P.add r P.one ] ])
-                        (fun ib ->
-                          [ B.index ib blkc [ r; P.sub c P.one ] ])
-                    in
-                    let diag =
-                      B.if_ cb "diag" rz
-                        (fun ib ->
-                          let v =
-                            B.if_ ib "dc" cz
-                              (fun jb -> [ B.index jb rv [ k; P.zero ] ])
-                              (fun jb ->
-                                [ B.index jb rh [ k; P.sub c P.one ] ])
-                          in
-                          List.map (fun v -> Var v) v)
-                        (fun ib ->
-                          let v =
-                            B.if_ ib "dc" cz
-                              (fun jb -> [ B.index jb rv [ k; r ] ])
-                              (fun jb ->
-                                [
-                                  B.index jb blkc
-                                    [ P.sub r P.one; P.sub c P.one ];
-                                ])
-                          in
-                          List.map (fun v -> Var v) v)
-                    in
-                    let up = Var (List.hd up) and left = Var (List.hd left) in
-                    let diag = Var (List.hd diag) in
-                    (* substitution score from the flat cell position *)
-                    let flat =
-                      P.sum [ woff; P.mul k nb_b; P.mul r n; c ]
-                    in
-                    let fl = B.idx cb flat in
-                    let h = B.binop cb Mul fl (Int 31) in
-                    let h = B.binop cb Add h (Int 7) in
-                    let h = B.binop cb Rem h (Int score_mod) in
-                    let s = B.unop cb ToF64 h in
-                    let s = B.binop cb Sub s (Float score_bias) in
-                    let cand1 = B.fadd cb diag s in
-                    let cand2 = B.fsub cb up (Var "penalty") in
-                    let cand3 = B.fsub cb left (Var "penalty") in
-                    let cell = B.fmax cb cand1 (B.fmax cb cand2 cand3) in
-                    let blk' =
-                      B.bind cb "blkc2"
-                        (EUpdate
-                           {
-                             dst = blkc;
-                             slc = STriplet [ SFix r; SFix c ];
-                             src = SrcScalar cell;
-                           })
-                    in
-                    [ Var blk' ])
-              in
-              [ Var (List.hd cols) ])
-        in
-        [ Var (List.hd blk_names) ])
-  in
-  let w =
-    Lmad.make woff
-      [ Lmad.dim m nb_b; Lmad.dim bP n; Lmad.dim bP P.one ]
-  in
-  B.bind bb "a_next" (EUpdate { dst = a; slc = SLmad w; src = SrcArr x })
+(* Each half of the matrix is a loop of wavefront steps: slice the bars
+   of the anti-diagonal's [m] blocks, whose first block starts at flat
+   offset [woff], compute the blocks in parallel, and write them back
+   with the LMAD update.  The substitution score hashes the cell's flat
+   position; [score_mod] and [score_bias] are its constants. *)
+let source =
+  {|
+def nw (q: i64, b: i64, n: i64, penalty: f64, a: [n*n]f64): [n*n]f64 =
+  let h1 = loop (a1 = a) for i < q do {
+    -- first half: anti-diagonal i has i + 1 blocks
+    let m = i + 1 in
+    let woff = i*b + n + 1 in
+    let rvert = a1[woff - n - 1; (m : n*b - b), (b + 1 : n)] in
+    let rhoriz = a1[woff - n; (m : n*b - b), (b : 1)] in
+    let x = map (k < m) {
+      let blk = scratch(b, b) in
+      let rows = loop (blkr = blk) for r < b do {
+        let cols = loop (blkc = blkr) for c < b do {
+          let rz = r == 0 in
+          let cz = c == 0 in
+          let up = if rz then rhoriz[k, c] else blkc[r - 1, c] in
+          let left = if cz then rvert[k, r + 1] else blkc[r, c - 1] in
+          let diag =
+            if rz then (if cz then rvert[k, 0] else rhoriz[k, c - 1])
+            else (if cz then rvert[k, r] else blkc[r - 1, c - 1]) in
+          let flat = idx(woff + k*(n*b - b) + r*n + c) in
+          let score = f64((flat * 31 + 7) % 19) - 9.0 in
+          let blkc2 = blkc with [r, c] =
+            max(diag + score, max(up - penalty, left - penalty)) in
+          blkc2
+        } in
+        cols
+      } in
+      rows
+    } in
+    let a_next = a1 with [woff; (m : n*b - b), (b : n), (b : 1)] = x in
+    a_next
+  } in
+  let h2 = loop (a2 = h1) for s < q - 1 do {
+    -- second half: anti-diagonal q + s has q - 1 - s blocks
+    let m = q - 1 - s in
+    let woff = (s + 1)*b*n + (q - 1)*b + n + 1 in
+    let rvert = a2[woff - n - 1; (m : n*b - b), (b + 1 : n)] in
+    let rhoriz = a2[woff - n; (m : n*b - b), (b : 1)] in
+    let x = map (k < m) {
+      let blk = scratch(b, b) in
+      let rows = loop (blkr = blk) for r < b do {
+        let cols = loop (blkc = blkr) for c < b do {
+          let rz = r == 0 in
+          let cz = c == 0 in
+          let up = if rz then rhoriz[k, c] else blkc[r - 1, c] in
+          let left = if cz then rvert[k, r + 1] else blkc[r, c - 1] in
+          let diag =
+            if rz then (if cz then rvert[k, 0] else rhoriz[k, c - 1])
+            else (if cz then rvert[k, r] else blkc[r - 1, c - 1]) in
+          let flat = idx(woff + k*(n*b - b) + r*n + c) in
+          let score = f64((flat * 31 + 7) % 19) - 9.0 in
+          let blkc2 = blkc with [r, c] =
+            max(diag + score, max(up - penalty, left - penalty)) in
+          blkc2
+        } in
+        cols
+      } in
+      rows
+    } in
+    let a_next = a2 with [woff; (m : n*b - b), (b : n), (b : 1)] = x in
+    a_next
+  } in
+  h2
+|}
 
-let prog : prog =
-  let n = P.var "n" and q = P.var "q" and bP = P.var "b" in
-  let nn = P.mul n n in
-  B.prog "nw" ~ctx:ctx0
-    ~params:
-      [
-        pat_elem "q" i64;
-        pat_elem "b" i64;
-        pat_elem "n" i64;
-        pat_elem "penalty" f64;
-        pat_elem "a" (arr F64 [ nn ]);
-      ]
-    ~ret:[ arr F64 [ nn ] ]
-    (fun bb ->
-      (* first half: anti-diagonals 0 .. q-1, m = i+1 blocks *)
-      let half1 =
-        B.loop bb "h1"
-          [ ("a1", arr F64 [ nn ], Var "a") ]
-          ~var:"i" ~bound:q
-          (fun lb ->
-            let i = P.var "i" in
-            let woff = P.sum [ P.mul i bP; n; P.one ] in
-            let a' = diag_step lb ~a:"a1" ~m:(P.add i P.one) ~woff in
-            [ Var a' ])
-      in
-      (* second half: anti-diagonals q .. 2q-2, m = q-1-s blocks *)
-      let half2 =
-        B.loop bb "h2"
-          [ ("a2", arr F64 [ nn ], Var (List.hd half1)) ]
-          ~var:"s"
-          ~bound:(P.sub q P.one)
-          (fun lb ->
-            let s = P.var "s" in
-            let woff =
-              P.sum
-                [
-                  P.mul (P.add s P.one) (P.mul bP n);
-                  P.mul (P.sub q P.one) bP;
-                  n;
-                  P.one;
-                ]
-            in
-            let a' =
-              diag_step lb ~a:"a2" ~m:(P.sub (P.sub q P.one) s) ~woff
-            in
-            [ Var a' ])
-      in
-      [ Var (List.hd half2) ])
+let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
 (* ---------------------------------------------------------------- *)
 (* Inputs and the direct OCaml oracle                                *)

@@ -1,69 +1,5 @@
-(* The NW benchmark written in the *surface language* - the complete
-   paper pipeline from text: LMAD slices for the anti-diagonal bars and
-   blocks (section III-B), per-block computation with sequential loops,
-   and the in-place wavefront update that short-circuiting recovers.
+(* NW elaborated afresh from its source text ([Nw.source]) on every
+   call: the complete paper pipeline from text, for the tests and the
+   end-to-end benchmark's [nw-src] entry. *)
 
-   The program is semantically identical to [Nw.prog] (same score hash,
-   same blocking); the test suite checks it against the same golden
-   sequential implementation and that the same circuit points fire. *)
-
-let source =
-  {|
--- Needleman-Wunsch, blocked wavefront (paper, section III).
--- n = q*b + 1; the flat matrix has its first row/column pre-initialized.
-def nw (q: i64, b: i64, n: i64, penalty: f64, a0: [n*n]f64): [n*n]f64 =
-  let h1 = loop (am = a0) for i < q do {
-    -- first half: anti-diagonal i has i+1 blocks
-    let woff = i*b + n + 1 in
-    let rv = am[woff - n - 1; (i + 1 : n*b - b), (b + 1 : n)] in
-    let rh = am[woff - n; (i + 1 : n*b - b), (b : 1)] in
-    let x = map (k < i + 1) {
-      let blk0 = scratch(b, b) in
-      loop (blkr = blk0) for r < b do {
-        loop (blkc = blkr) for c < b do {
-          let up      = if r == 0 then rh[k, c] else blkc[r - 1, c] in
-          let left    = if c == 0 then rv[k, r + 1] else blkc[r, c - 1] in
-          let upleft  = if r == 0
-                        then (if c == 0 then rv[k, 0] else rh[k, c - 1])
-                        else (if c == 0 then rv[k, r]
-                              else blkc[r - 1, c - 1]) in
-          let flat  = woff + k*(n*b - b) + r*n + c in
-          let score = f64((flat * 31 + 7) % 19) - 9.0 in
-          let cell  = max(upleft + score,
-                          max(up - penalty, left - penalty)) in
-          blkc with [r, c] = cell
-        }
-      }
-    } in
-    am with [woff; (i + 1 : n*b - b), (b : n), (b : 1)] = x
-  } in
-  loop (am = h1) for s < q - 1 do {
-    -- second half: anti-diagonal q+s has q-1-s blocks
-    let m = q - 1 - s in
-    let woff = (s + 1)*b*n + (q - 1)*b + n + 1 in
-    let rv = am[woff - n - 1; (m : n*b - b), (b + 1 : n)] in
-    let rh = am[woff - n; (m : n*b - b), (b : 1)] in
-    let x = map (k < m) {
-      let blk0 = scratch(b, b) in
-      loop (blkr = blk0) for r < b do {
-        loop (blkc = blkr) for c < b do {
-          let up      = if r == 0 then rh[k, c] else blkc[r - 1, c] in
-          let left    = if c == 0 then rv[k, r + 1] else blkc[r, c - 1] in
-          let upleft  = if r == 0
-                        then (if c == 0 then rv[k, 0] else rh[k, c - 1])
-                        else (if c == 0 then rv[k, r]
-                              else blkc[r - 1, c - 1]) in
-          let flat  = woff + k*(n*b - b) + r*n + c in
-          let score = f64((flat * 31 + 7) % 19) - 9.0 in
-          let cell  = max(upleft + score,
-                          max(up - penalty, left - penalty)) in
-          blkc with [r, c] = cell
-        }
-      }
-    } in
-    am with [woff; (m : n*b - b), (b : n), (b : 1)] = x
-  }
-|}
-
-(* Same size assumptions as the builder version. *)
-let prog () : Ir.Ast.prog = Frontend.Elab.compile_string ~ctx:Nw.ctx0 source
+let prog () : Ir.Ast.prog = Frontend.Elab.compile_string ~ctx:Nw.ctx0 Nw.source

@@ -12,7 +12,6 @@
 open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module B = Ir.Build
 module Value = Ir.Value
 
 let ctx0 =
@@ -36,92 +35,67 @@ let variate_direct p s =
   let x = (2.0 *. u) -. 1.0 in
   x *. (1.0 +. (0.5 *. x *. x))
 
-let variate_build gb ~p ~s =
-  let mask = 0xFFFFFF in
-  let h0 =
-    B.binop gb Rem
-      (B.binop gb Add
-         (B.binop gb Add
-            (B.binop gb Mul (B.idx gb p) (Int 2654435761))
-            (B.binop gb Mul (B.idx gb s) (Int 40503)))
-         (Int 12345))
-      (Int (mask + 1))
-  in
-  let h = ref h0 in
-  for _ = 1 to rounds do
-    h :=
-      B.binop gb Rem
-        (B.binop gb Add (B.binop gb Mul !h (Int 1103515245)) (Int 12345))
-        (Int (mask + 1))
-  done;
-  let u =
-    B.fdiv gb (B.unop gb ToF64 !h) (Float (float_of_int (mask + 1)))
-  in
-  let x = B.fsub gb (B.fmul gb u (Float 2.0)) (Float 1.0) in
-  let x2 = B.fmul gb x x in
-  B.fmul gb x (B.fadd gb (Float 1.0) (B.fmul gb x2 (Float 0.5)))
-
 let s0 = 100.0
 let drift = 0.0002
 let vol = 0.01
 let strike = 100.0
 
-let prog : prog =
-  let npaths = P.var "npaths" and nsteps = P.var "nsteps" in
-  B.prog "option_pricing" ~ctx:ctx0
-    ~params:[ pat_elem "npaths" i64; pat_elem "nsteps" i64 ]
-    ~ret:[ f64 ]
-    (fun bb ->
-      let pv = B.fresh bb "p" in
-      (* kernel 1: generate all paths *)
-      let paths =
-        B.mapnest bb "paths"
-          [ (pv, npaths) ]
-          (fun tb ->
-            let p = P.var pv in
-            let rs0 = B.bind tb "path" (EScratch (F64, [ nsteps ])) in
-            let final =
-              B.loop1 tb "gen"
-                (arr F64 [ nsteps ])
-                (Var rs0) ~bound:nsteps
-                (fun gb ~param ~i:s ->
-                  let z = variate_build gb ~p ~s in
-                  Var
-                    (B.bind gb "path'"
-                       (EUpdate
-                          {
-                            dst = param;
-                            slc = STriplet [ SFix s ];
-                            src = SrcScalar z;
-                          })))
-            in
-            [ Var final ])
-      in
-      (* kernel 2: fold each path into a discounted payoff *)
-      let pv2 = B.fresh bb "p" in
-      let payoffs =
-        B.mapnest bb "payoffs"
-          [ (pv2, npaths) ]
-          (fun tb ->
-            let p = P.var pv2 in
-            let price =
-              B.loop1 tb "walk" (TScalar F64) (Float s0) ~bound:nsteps
-                (fun wb ~param:acc ~i:s ->
-                  let z = B.index wb paths [ p; s ] in
-                  let growth =
-                    B.fadd wb
-                      (Float (1.0 +. drift))
-                      (B.fmul wb z (Float vol))
-                  in
-                  B.fmul wb (Var acc) growth)
-            in
-            [ B.fmax tb (Float 0.0) (B.fsub tb (Var price) (Float strike)) ])
-      in
-      (* kernel 3: average *)
-      let total =
-        B.bind bb "total" (EReduce { op = Add; ne = Float 0.0; arr = payoffs })
-      in
-      [ B.fdiv bb (Var total) (B.unop bb ToF64 (B.idx bb npaths)) ])
+(* [variate_direct] inlined, its [rounds] unrolled; then each path's
+   payoff with [s0] = strike = 100, 1 + [drift] = 1.0002 and [vol] =
+   0.01. *)
+let source =
+  {|
+def option_pricing (npaths: i64, nsteps: i64): f64 =
+  -- kernel 1: generate all paths
+  let paths = map (p < npaths) {
+    let path = scratch(nsteps) in
+    let gen = loop (path = path) for gen_i < nsteps do {
+      let hs = gen_i * 40503 in
+      let h = (p * 2654435761 + hs + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let h = (h * 1103515245 + 12345) % 16777216 in
+      let u = f64(h) / 16777216.0 in
+      let x = u * 2.0 - 1.0 in
+      let x2 = x * x in
+      path with [gen_i] = x * (1.0 + x2 * 0.5)
+    } in
+    gen
+  } in
+  -- kernel 2: fold each path into a discounted payoff
+  let payoffs = map (p < npaths) {
+    let walk = loop (acc = 100.0) for walk_i < nsteps do {
+      acc * (1.0002 + paths[p, walk_i] * 0.01)
+    } in
+    max(0.0, walk - 100.0)
+  } in
+  -- kernel 3: average
+  let total = reduce_add(payoffs) in
+  total / f64(npaths)
+|}
+
+let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
 (* ---------------------------------------------------------------- *)
 (* Oracle, reference                                                 *)

@@ -21,9 +21,10 @@ let err fmt = Fmt.kstr (fun s -> raise (Elab_error s)) fmt
 
 (* Surface names are made unique per binding; [env] maps them to the
    generated IR names, and separately to inlined index polynomials:
-   a [let] whose right-hand side is an index expression is not bound as
-   an opaque scalar but carried symbolically, so downstream slices stay
-   fully analyzable (e.g. NW's [woff]). *)
+   a [let] whose right-hand side is an index expression that the body
+   uses in an index position is not bound as a scalar but carried
+   symbolically, so downstream slices stay fully analyzable (e.g. NW's
+   [woff]). *)
 module SM = Map.Make (String)
 
 type env = { names : string SM.t; polys : P.t SM.t }
@@ -34,6 +35,13 @@ let lookup env v =
   match SM.find_opt v env.names with
   | Some x -> x
   | None -> err "unbound %s" v
+
+(* Bind [x] to an IR name, or to a polynomial; either shadows the
+   other. *)
+let bind_name env x v =
+  { names = SM.add x v env.names; polys = SM.remove x env.polys }
+
+let bind_poly env x p = { env with polys = SM.add x p env.polys }
 
 let is_i64 b name =
   match B.typ_of b name with TScalar I64 -> true | _ -> false
@@ -62,6 +70,47 @@ let rec to_poly b env (e : sexpr) : P.t option =
 and map2 f a b =
   match (a, b) with Some x, Some y -> Some (f x y) | _ -> None
 
+let slice_exprs = function
+  | Striplet dims ->
+      List.concat_map
+        (function
+          | DFix e -> [ e ]
+          | DRange (s, n, st) -> s :: n :: Option.to_list st)
+        dims
+  | Slmad (off, dims) -> off :: List.concat_map (fun (n, s) -> [ n; s ]) dims
+
+(* Does [x] occur free in [e]: anywhere, or with [~index:true] only in
+   an index position - an index or slice, a map or loop bound, an array
+   size, the argument of [idx], or the right-hand side of a [let] whose
+   variable is itself so used? *)
+let rec occurs ~index x (e : sexpr) =
+  let oc = occurs ~index x in
+  (* in an index position any occurrence counts *)
+  let pos = if index then occurs ~index:false x else oc in
+  match e with
+  | SVar v -> (not index) && v = x
+  | SInt _ | SFloat _ | SBool _ -> false
+  | SBin (_, a, c) -> oc a || oc c
+  | SUn (_, a) -> oc a
+  | SCall (("idx" | "iota" | "scratch"), es) -> List.exists pos es
+  | SCall ("replicate", [ d; v ]) -> pos d || oc v
+  | SCall (_, es) | STuple es -> List.exists oc es
+  | SIndex (a, slc) -> oc a || List.exists pos (slice_exprs slc)
+  | SWith (l, slc, r) -> oc l || List.exists pos (slice_exprs slc) || oc r
+  | SLet (y, rhs, body) ->
+      oc rhs
+      || y <> x
+         && (oc body || (index && pos rhs && occurs ~index y body))
+  | SLetTuple (ys, rhs, body) -> oc rhs || ((not (List.mem x ys)) && oc body)
+  | SMap (nest, body) ->
+      List.exists (fun (_, n) -> pos n) nest
+      || ((not (List.mem_assoc x nest)) && oc body)
+  | SLoop { accs; var; bound; body } ->
+      List.exists (fun (_, i) -> oc i) accs
+      || pos bound
+      || (x <> var && (not (List.mem_assoc x accs)) && oc body)
+  | SIf (c, t, f) -> oc c || oc t || oc f
+
 (* ---------------------------------------------------------------- *)
 (* Expressions                                                       *)
 (* ---------------------------------------------------------------- *)
@@ -76,83 +125,71 @@ let binop_of = function
   | "||" -> Or
   | op -> err "unknown binary operator %s" op
 
-(* Elaborate to an atom, emitting statements into the builder. *)
-let rec elab b env (e : sexpr) : atom =
+let atom_typ b = function
+  | Var v -> B.typ_of b v
+  | Int _ -> i64
+  | Float _ -> f64
+  | Bool _ -> boolt
+
+(* Elaborate to an atom, emitting statements into the builder.  Every
+   construct elaborates its operands left to right.  [name], the
+   variable of an enclosing [let], names the statement of a map, loop,
+   if, slice, update or array builtin; scalar operations keep the
+   names the builder gives them ([v], [c], [ix], [<array>_elem]). *)
+let rec elab ?name b env (e : sexpr) : atom =
+  let named base = Option.value name ~default:base in
   match e with
   | SInt i -> Int i
   | SFloat f -> Float f
   | SBool v -> Bool v
+  | SUn ("-", SInt i) -> Int (-i)
+  | SUn ("-", SFloat f) -> Float (-.f)
   | SVar v -> (
       match SM.find_opt v env.polys with
       | Some p -> B.idx b p (* materialize an inlined index let *)
       | None -> Var (lookup env v))
   | SBin (("==" | "<" | "<=") as op, a, c) ->
       let cmp = match op with "==" -> CEq | "<" -> CLt | _ -> CLe in
-      B.cmp b cmp (elab b env a) (elab b env c)
-  | SBin (op, a, c) -> B.binop b (binop_of op) (elab b env a) (elab b env c)
+      let a = elab b env a in
+      B.cmp b cmp a (elab b env c)
+  | SBin (op, a, c) ->
+      let a = elab b env a in
+      B.binop b (binop_of op) a (elab b env c)
   | SUn ("-", a) -> B.unop b Neg (elab b env a)
   | SUn ("!", a) -> B.unop b Not (elab b env a)
   | SUn ("f64", a) -> B.unop b ToF64 (elab b env a)
   | SUn ("i64", a) -> B.unop b ToI64 (elab b env a)
   | SUn (op, _) -> err "unknown unary operator %s" op
-  | SCall (f, args) -> elab_call b env f args
-  | SIndex (arr, dims) -> elab_index b env arr dims
-  | SLet (name, rhs, body) -> (
-      (* index-expression lets are inlined symbolically *)
-      match to_poly b env rhs with
-      | Some p -> elab b { env with polys = SM.add name p env.polys } body
-      | None ->
-          let a = elab b env rhs in
-          let env' =
-            match a with
-            | Var v -> { env with names = SM.add name v env.names }
-            | a ->
-                let v = B.bind b name (EAtom a) in
-                { env with names = SM.add name v env.names }
-          in
-          elab b env' body)
+  | SCall (f, args) -> elab_call ?name b env f args
+  | SIndex (arr, dims) -> elab_index ?name b env arr dims
+  | SLet (x, rhs, body) -> elab ?name b (elab_let b env x rhs body) body
+  | SLetTuple (xs, rhs, body) ->
+      elab ?name b (elab_let_tuple b env xs rhs) body
   | SMap (nest, body) ->
       let nest' =
         List.map
-          (fun (v, bound) -> (B.fresh b v, elab_idx b env bound))
+          (fun (v, bound) ->
+            let v' = B.fresh b v in
+            (v', elab_idx b env bound))
           nest
       in
       let env' =
         List.fold_left2
-          (fun env (v, _) (v', _) ->
-            { env with names = SM.add v v' env.names })
+          (fun env (v, _) (v', _) -> bind_name env v v')
           env nest nest'
       in
-      Var
-        (B.mapnest b "map" nest' (fun bb -> [ elab bb env' body ]))
-  | SLoop { acc; init; var; bound; body } ->
-      let init' = elab b env init in
-      let acc' = B.fresh b acc and var' = B.fresh b var in
-      let bound' = elab_idx b env bound in
-      let acc_t =
-        match init' with
-        | Var v -> B.typ_of b v
-        | Int _ -> TScalar I64
-        | Float _ -> TScalar F64
-        | Bool _ -> TScalar Bool
-      in
-      let env' =
-        {
-          env with
-          names = SM.add acc acc' (SM.add var var' env.names);
-        }
-      in
-      let rs =
-        B.loop b "loop"
-          [ (acc', acc_t, init') ]
-          ~var:var' ~bound:bound'
-          (fun bb -> [ elab bb env' body ])
-      in
-      Var (List.hd rs)
+      Var (B.mapnest b (named "map") nest' (fun bb -> [ elab bb env' body ]))
+  | SLoop { accs; var; bound; body } -> (
+      let names = Option.to_list name in
+      match elab_loop b env ~names accs var bound body with
+      | [ r ] -> Var r
+      | rs ->
+          err "a loop over %d accumulators needs a tuple let"
+            (List.length rs))
   | SIf (c, t, e) ->
       let c' = elab b env c in
       let rs =
-        B.if_ b "if" c'
+        B.if_ b (named "if") c'
           (fun bb -> [ elab bb env t ])
           (fun bb -> [ elab bb env e ])
       in
@@ -169,7 +206,71 @@ let rec elab b env (e : sexpr) : atom =
         | Var v when is_array_typ (B.typ_of b v) -> SrcArr v
         | a -> SrcScalar a
       in
-      Var (B.bind b "upd" (EUpdate { dst; slc = slc'; src }))
+      Var (B.bind b (named "upd") (EUpdate { dst; slc = slc'; src }))
+  | STuple _ -> err "a tuple may only be a loop body's result"
+
+(* [let x = rhs in body]: an index expression the body uses as an index
+   is carried symbolically; anything else is elaborated here, its
+   statement named [x]. *)
+and elab_let b env x rhs body =
+  match to_poly b env rhs with
+  | Some p when occurs ~index:true x body -> bind_poly env x p
+  | _ -> (
+      match elab ~name:x b env rhs with
+      | Var v -> bind_name env x v
+      | a -> bind_name env x (B.bind b x (EAtom a)))
+
+and elab_let_tuple b env xs rhs =
+  match rhs with
+  | SLoop { accs; var; bound; body } ->
+      if List.length xs <> List.length accs then
+        err "a tuple of %d names binds a loop over %d accumulators"
+          (List.length xs) (List.length accs);
+      List.fold_left2 bind_name env xs
+        (elab_loop b env ~names:xs accs var bound body)
+  | _ -> err "a tuple let binds a loop"
+
+(* A loop's results, one per accumulator, named [names] (or
+   [loop_<acc>]). *)
+and elab_loop b env ~names accs var bound body : string list =
+  let params =
+    List.map
+      (fun (acc, init) ->
+        let init = elab b env init in
+        (pat_elem (B.fresh b acc) (atom_typ b init), init))
+      accs
+  in
+  let var' = B.fresh b var in
+  let bound' = elab_idx b env bound in
+  let env' =
+    List.fold_left2
+      (fun env (acc, _) (pe, _) -> bind_name env acc pe.pv)
+      (bind_name env var var') accs params
+  in
+  let body =
+    B.subblock b
+      ~binds:((var', i64) :: List.map (fun (pe, _) -> (pe.pv, pe.pt)) params)
+      (fun bb ->
+        let rs = elab_results bb env' body in
+        if List.length rs <> List.length params then
+          err "a loop over %d accumulators returns %d results"
+            (List.length params) (List.length rs);
+        rs)
+  in
+  let names =
+    if List.length names = List.length params then names
+    else List.map (fun (pe, _) -> "loop_" ^ pe.pv) params
+  in
+  B.bind_multi ~names b (ELoop { params; var = var'; bound = bound'; body })
+
+(* The results of a loop body: a tuple's components, or one atom. *)
+and elab_results b env e : atom list =
+  match e with
+  | STuple es -> List.map (elab b env) es
+  | SLet (x, rhs, body) -> elab_results b (elab_let b env x rhs body) body
+  | SLetTuple (xs, rhs, body) ->
+      elab_results b (elab_let_tuple b env xs rhs) body
+  | e -> [ elab b env e ]
 
 (* An index expression: a polynomial when possible, otherwise the value
    is bound as a scalar and its (opaque) name used. *)
@@ -185,26 +286,27 @@ and elab_idx b env (e : sexpr) : idx =
 and elab_dim b env = function
   | DFix e -> SFix (elab_idx b env e)
   | DRange (start, count, stride) ->
-      SRange
-        {
-          start = elab_idx b env start;
-          len = elab_idx b env count;
-          step =
-            (match stride with
-            | Some s -> elab_idx b env s
-            | None -> P.one);
-        }
+      let start = elab_idx b env start in
+      let len = elab_idx b env count in
+      let step =
+        match stride with Some s -> elab_idx b env s | None -> P.one
+      in
+      SRange { start; len; step }
 
 and elab_slice b env = function
   | Striplet dims -> STriplet (List.map (elab_dim b env) dims)
   | Slmad (off, dims) ->
-      SLmad
-        (Lmad.make (elab_idx b env off)
-           (List.map
-              (fun (n, s) -> Lmad.dim (elab_idx b env n) (elab_idx b env s))
-              dims))
+      let off = elab_idx b env off in
+      let dims =
+        List.map
+          (fun (n, s) ->
+            let n = elab_idx b env n in
+            Lmad.dim n (elab_idx b env s))
+          dims
+      in
+      SLmad (Lmad.make off dims)
 
-and elab_index b env arr (slc : sslice) : atom =
+and elab_index ?name b env arr (slc : sslice) : atom =
   let v =
     match elab b env arr with
     | Var v -> v
@@ -217,9 +319,12 @@ and elab_index b env arr (slc : sslice) : atom =
         (List.map
            (function DFix e -> elab_idx b env e | DRange _ -> assert false)
            dims)
-  | slc -> Var (B.bind b (v ^ "_slc") (ESlice (v, elab_slice b env slc)))
+  | slc ->
+      let slc = elab_slice b env slc in
+      Var (B.bind b (Option.value name ~default:(v ^ "_slc")) (ESlice (v, slc)))
 
-and elab_call b env f args : atom =
+and elab_call ?name b env f args : atom =
+  let bind base e = Var (B.bind b (Option.value name ~default:base) e) in
   let scalar1 op =
     match args with
     | [ a ] -> B.unop b op (elab b env a)
@@ -235,30 +340,29 @@ and elab_call b env f args : atom =
   | "exp", _ -> scalar1 Exp
   | "log", _ -> scalar1 Log
   | "abs", _ -> scalar1 Abs
-  | "min", [ a; c ] -> B.binop b Min (elab b env a) (elab b env c)
-  | "max", [ a; c ] -> B.binop b Max (elab b env a) (elab b env c)
-  | "iota", [ e ] -> Var (B.bind b "iota" (EIota (elab_idx b env e)))
-  | "copy", [ e ] -> Var (B.bind b "copy" (ECopy (arr_arg e)))
-  | "transpose", [ e ] ->
-      Var (B.bind b "transp" (ETranspose (arr_arg e, [ 1; 0 ])))
-  | "reverse", [ e ] -> Var (B.bind b "rev" (EReverse (arr_arg e, 0)))
+  | "min", [ a; c ] ->
+      let a = elab b env a in
+      B.binop b Min a (elab b env c)
+  | "max", [ a; c ] ->
+      let a = elab b env a in
+      B.binop b Max a (elab b env c)
+  | "idx", [ e ] -> B.idx b (elab_idx b env e)
+  | "iota", [ e ] -> bind "iota" (EIota (elab_idx b env e))
+  | "copy", [ e ] -> bind "copy" (ECopy (arr_arg e))
+  | "transpose", [ e ] -> bind "transp" (ETranspose (arr_arg e, [ 1; 0 ]))
+  | "reverse", [ e ] -> bind "rev" (EReverse (arr_arg e, 0))
   | "concat", (_ :: _ :: _ as es) ->
-      Var (B.bind b "concat" (EConcat (List.map arr_arg es)))
+      bind "concat" (EConcat (List.map arr_arg es))
   | "scratch", dims when dims <> [] ->
-      Var
-        (B.bind b "scratch"
-           (EScratch (F64, List.map (elab_idx b env) dims)))
+      bind "scratch" (EScratch (F64, List.map (elab_idx b env) dims))
   | "replicate", [ d; v ] ->
-      Var
-        (B.bind b "repl"
-           (EReplicate ([ elab_idx b env d ], elab b env v)))
+      let d = elab_idx b env d in
+      bind "repl" (EReplicate ([ d ], elab b env v))
   | "reduce_add", [ e ] ->
-      Var
-        (B.bind b "red" (EReduce { op = Add; ne = Float 0.0; arr = arr_arg e }))
+      bind "red" (EReduce { op = Add; ne = Float 0.0; arr = arr_arg e })
   | "reduce_max", [ e ] ->
-      Var
-        (B.bind b "red"
-           (EReduce { op = Max; ne = Float neg_infinity; arr = arr_arg e }))
+      bind "red"
+        (EReduce { op = Max; ne = Float neg_infinity; arr = arr_arg e })
   | _ -> err "unknown function %s/%d" f (List.length args)
 
 (* ---------------------------------------------------------------- *)

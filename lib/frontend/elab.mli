@@ -4,7 +4,12 @@
     [+ - *] become index polynomials - the form the LMAD machinery can
     analyze; anything else (divisions, data-loaded values) is bound as
     an ordinary scalar whose opaque name then blocks the analysis,
-    which is exactly the conservative behaviour of Fig. 1 (right). *)
+    which is exactly the conservative behaviour of Fig. 1 (right).
+
+    Statements come out in source order, each construct's operands left
+    to right, and a [let] names the map, loop, if, slice, update or
+    array builtin it binds: a program's text decides its IR, names
+    included. *)
 
 exception Elab_error of string
 

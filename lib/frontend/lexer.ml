@@ -67,6 +67,7 @@ let keyword = function
   | "i64" -> I64
   | "f64" -> F64
   | "bool" -> BOOL
+  | "inf" -> FLOAT infinity
   | s -> IDENT s
 
 let is_digit c = c >= '0' && c <= '9'

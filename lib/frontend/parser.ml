@@ -7,6 +7,9 @@
        let a2 = a with [0; (n : n + 1)] = x in    -- LMAD slice update
        a2
 
+   A loop may carry several accumulators, [loop (x = e1, y = e2) for i < n
+   do { ... (x', y') }], whose results a tuple [let (x, y) = ...] binds.
+
    Slices come in the two forms of section III-B:
    - triplet, one component per dimension: [start : count : stride, ...]
      (a bare expression fixes the dimension);
@@ -27,16 +30,17 @@ type sexpr =
       (* a[...]: a fully-fixed triplet is an element read, anything else
          (ranges, LMAD form) is an O(1) slice *)
   | SLet of string * sexpr * sexpr
+  | SLetTuple of string list * sexpr * sexpr (* let (x, y) = loop ... *)
   | SMap of (string * sexpr) list * sexpr
   | SLoop of {
-      acc : string;
-      init : sexpr;
+      accs : (string * sexpr) list; (* accumulators and their initial values *)
       var : string;
       bound : sexpr;
       body : sexpr;
     }
   | SIf of sexpr * sexpr * sexpr
   | SWith of sexpr * sslice * sexpr (* a with [slice] = e *)
+  | STuple of sexpr list (* (e1, e2, ...): a loop body's results *)
 
 and sdim =
   | DFix of sexpr
@@ -90,6 +94,18 @@ let ident st =
         (Parse_error
            (Printf.sprintf "expected an identifier, found %s" (token_name t), pos st))
 
+(* One or more [item]s separated by commas. *)
+let comma_list st item =
+  let rec go acc =
+    let x = item st in
+    if peek st = COMMA then begin
+      advance st;
+      go (x :: acc)
+    end
+    else List.rev (x :: acc)
+  in
+  go []
+
 (* ---------------------------------------------------------------- *)
 (* Types                                                             *)
 (* ---------------------------------------------------------------- *)
@@ -135,12 +151,17 @@ and parse_expr st : sexpr =
   match peek st with
   | LET ->
       advance st;
-      let name = ident st in
+      let tuple = peek st = LPAREN in
+      if tuple then advance st;
+      let names = if tuple then comma_list st ident else [ ident st ] in
+      if tuple then expect st RPAREN;
       expect st EQ;
       let rhs = parse_expr st in
       expect st IN;
       let body = parse_expr st in
-      SLet (name, rhs, body)
+      (match names with
+      | [ name ] when not tuple -> SLet (name, rhs, body)
+      | names -> SLetTuple (names, rhs, body))
   | IF ->
       advance st;
       let c = parse_expr st in
@@ -171,9 +192,12 @@ and parse_expr st : sexpr =
   | LOOP ->
       advance st;
       expect st LPAREN;
-      let acc = ident st in
-      expect st EQ;
-      let init = parse_expr st in
+      let accs =
+        comma_list st (fun st ->
+            let acc = ident st in
+            expect st EQ;
+            (acc, parse_expr st))
+      in
       expect st RPAREN;
       expect st FOR;
       let var = ident st in
@@ -183,7 +207,7 @@ and parse_expr st : sexpr =
       expect st LBRACE;
       let body = parse_expr st in
       expect st RBRACE;
-      SLoop { acc; init; var; bound; body }
+      SLoop { accs; var; bound; body }
   | _ -> parse_with st
 
 (* a with [slice] = e *)
@@ -395,11 +419,15 @@ and parse_atom st =
         SCall (name, a)
       end
       else SVar name
-  | LPAREN ->
+  | LPAREN -> (
       advance st;
-      let e = parse_expr st in
-      expect st RPAREN;
-      e
+      match comma_list st parse_expr with
+      | [ e ] ->
+          expect st RPAREN;
+          e
+      | es ->
+          expect st RPAREN;
+          STuple es)
   | t ->
       raise
         (Parse_error

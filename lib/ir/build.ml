@@ -1,9 +1,9 @@
 (* Builder combinators for constructing IR programs.
 
-   The benchmarks and tests author programs through this module rather
-   than raw AST constructors: a builder carries a typing environment so
-   statement result types are inferred, and fresh names are generated
-   automatically.  Usage:
+   The elaborator and the tests author programs through this module
+   rather than raw AST constructors: a builder carries a typing
+   environment so statement result types are inferred, and fresh names
+   are generated automatically.  Usage:
 
      let prog =
        Build.prog "nw" ~params:[...] ~ret:[...] (fun b ->
@@ -144,11 +144,7 @@ let cmp b op a1 a2 : atom = Var (bind b "c" (ECmp (op, a1, a2)))
 let index b arr idxs : atom = Var (bind b (arr ^ "_elem") (EIndex (arr, idxs)))
 
 let fadd b a1 a2 = binop b Add a1 a2
-let fsub b a1 a2 = binop b Sub a1 a2
 let fmul b a1 a2 = binop b Mul a1 a2
-let fdiv b a1 a2 = binop b Div a1 a2
-let fmax b a1 a2 = binop b Max a1 a2
-let fmin b a1 a2 = binop b Min a1 a2
 
 (* ---------------------------------------------------------------- *)
 (* Programs                                                          *)

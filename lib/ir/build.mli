@@ -2,8 +2,8 @@
 
     A builder carries a typing environment (result types of statements
     are inferred with {!Check.infer_pure}) and generates fresh binder
-    names; the benchmark programs and tests author IR through this
-    module rather than raw constructors. *)
+    names; the elaborator and the tests author IR through this module
+    rather than raw constructors. *)
 
 open Ast
 module P = Symalg.Poly
@@ -78,11 +78,7 @@ val unop : t -> unop -> atom -> atom
 val cmp : t -> cmpop -> atom -> atom -> atom
 val index : t -> string -> idx list -> atom
 val fadd : t -> atom -> atom -> atom
-val fsub : t -> atom -> atom -> atom
 val fmul : t -> atom -> atom -> atom
-val fdiv : t -> atom -> atom -> atom
-val fmax : t -> atom -> atom -> atom
-val fmin : t -> atom -> atom -> atom
 
 (** {1 Programs and slices} *)
 

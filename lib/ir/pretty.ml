@@ -22,10 +22,20 @@ let pp_typ ppf = function
       pp_sct ppf s
   | TMem -> Fmt.string ppf "mem"
 
+(* The shortest of 15, 16 or 17 significant digits that reads back as
+   the same double, so programs differing in a constant print
+   differently. *)
+let float_repr f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let pp_atom ppf = function
   | Var v -> Fmt.string ppf v
   | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%gf" f
+  | Float f -> Fmt.pf ppf "%sf" (float_repr f)
   | Bool b -> Fmt.bool ppf b
 
 let binop_str = function

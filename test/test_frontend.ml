@@ -221,9 +221,99 @@ let test_param_suffix () =
       Alcotest.(check string) "drawn above the parameter" "t_2" t
   | _ -> Alcotest.fail "expected one mapnest"
 
+(* Operands elaborate left to right: [x * 2.0] is emitted before
+   [y * 3.0]. *)
+let test_left_to_right () =
+  let p =
+    parse_ok {| def f (x: f64, y: f64): f64 = x * 2.0 + y * 3.0 |}
+  in
+  (match p.Ir.Ast.body.stms with
+  | { exp = EBin (Mul, Var "x", Float 2.0); _ } :: _ -> ()
+  | s :: _ ->
+      Alcotest.failf "first statement: %s"
+        (Ir.Pretty.exp_to_string s.Ir.Ast.exp)
+  | [] -> Alcotest.fail "no statements");
+  Alcotest.(check bool) "2*2 + 1*3" true
+    (run p [ V.VFloat 2.0; V.VFloat 1.0 ] = [ V.VFloat 7.0 ])
+
+(* A loop over two accumulators, bound by a tuple let: the first n
+   Fibonacci numbers' last pair, summed. *)
+let test_tuple_loop () =
+  let p =
+    parse_ok
+      {| def fib (n: i64): i64 =
+           let (a, b) = loop (x = 0, y = 1) for i < n do { (y, x + y) } in
+           a + b |}
+  in
+  let fib n =
+    let rec go a b i = if i = n then a + b else go b (a + b) (i + 1) in
+    go 0 1 0
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "n = %d" n) true
+        (run p [ V.VInt n ] = [ V.VInt (fib n) ]))
+    [ 0; 1; 5; 10 ]
+
+(* A negated numeric literal and [inf] are literal atoms: no [neg]
+   statement is emitted. *)
+let test_literal_atoms () =
+  let p = parse_ok {| def f (x: f64): f64 = min(x * -0.5, inf) |} in
+  let exps = List.map (fun s -> s.Ir.Ast.exp) p.Ir.Ast.body.stms in
+  Alcotest.(check bool) "no neg" false
+    (List.exists (function Ir.Ast.EUn (Neg, _) -> true | _ -> false) exps);
+  (match exps with
+  | [ EBin (Mul, Var "x", Float h); EBin (Min, _, Float i) ] ->
+      Alcotest.(check (float 0.)) "-0.5" (-0.5) h;
+      Alcotest.(check (float 0.)) "inf" infinity i
+  | _ -> Alcotest.fail "expected a multiplication and a min");
+  Alcotest.(check bool) "value" true
+    (run p [ V.VFloat 4.0 ] = [ V.VFloat (-2.0) ])
+
+(* A let names the map it binds. *)
+let test_let_names_map () =
+  let p =
+    parse_ok
+      {| def f (n: i64): [n]i64 =
+           let squares = map (i < n) { i * i } in
+           squares |}
+  in
+  match p.Ir.Ast.body.stms with
+  | [ { pat = [ { pv; _ } ]; exp = EMap _; _ } ] ->
+      Alcotest.(check string) "named after its let" "squares"
+        (Ir.Names.base pv)
+  | _ -> Alcotest.fail "expected one mapnest"
+
+(* A tuple's arity must match the loop's accumulators, both where the
+   tuple let binds the loop and where the body returns. *)
+let test_tuple_arity () =
+  let rejects src =
+    match Frontend.Elab.compile_string src with
+    | exception Frontend.Elab.Elab_error _ -> ()
+    | _ -> Alcotest.failf "accepted: %s" src
+  in
+  rejects
+    {| def f (n: i64): i64 =
+         let (a, b, c) = loop (x = 0, y = 1) for i < n do { (y, x) } in a |};
+  rejects
+    {| def f (n: i64): i64 =
+         let (a, b) = loop (x = 0, y = 1) for i < n do { (y, x, y) } in a |};
+  rejects
+    {| def f (n: i64): i64 = loop (x = 0, y = 1) for i < n do { (y, x) } |}
+
 let tests =
   tests
   @ [
+      Alcotest.test_case "operands elaborate left to right" `Quick
+        test_left_to_right;
+      Alcotest.test_case "two-accumulator loop, tuple let" `Quick
+        test_tuple_loop;
+      Alcotest.test_case "negated literals and inf are atoms" `Quick
+        test_literal_atoms;
+      Alcotest.test_case "a let names the map it binds" `Quick
+        test_let_names_map;
+      Alcotest.test_case "tuple arity must match the loop" `Quick
+        test_tuple_arity;
       Alcotest.test_case "NW from source text" `Quick test_nw_from_source;
       Alcotest.test_case "elaboration is repeatable" `Quick
         test_elab_repeatable;

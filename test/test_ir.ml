@@ -325,6 +325,16 @@ let test_bit_equal () =
     (Value.bit_equal (a [| 1.; Float.nan |]) (a [| 1.; Float.nan |]));
   Alcotest.(check bool) "ints" true (Value.bit_equal (Value.VInt 3) (Value.VInt 3))
 
+(* Float literals print exactly: two programs that differ only in a
+   constant print differently, and infinity keeps its spelling. *)
+let test_pretty_floats () =
+  let show f = Pretty.exp_to_string (EAtom (Float f)) in
+  Alcotest.(check bool) "0.1 +. 0.2 is not 0.3" false
+    (show (0.1 +. 0.2) = show 0.3);
+  Alcotest.(check string) "shortest digits" "0.3f" (show 0.3);
+  Alcotest.(check string) "1 - 0.8" "0.19999999999999996f" (show (1.0 -. 0.8));
+  Alcotest.(check string) "infinity" "inff" (show infinity)
+
 (* A program owns its name supply: building another program in between
    does not move a single name the first one draws. *)
 let test_build_pure () =
@@ -361,6 +371,7 @@ let tests =
     Alcotest.test_case "checker: alias consumed" `Quick test_alias_consume;
     Alcotest.test_case "checker: shape mismatch" `Quick test_shape_mismatch;
     Alcotest.test_case "bit_equal compares float bits" `Quick test_bit_equal;
+    Alcotest.test_case "float literals print exactly" `Quick test_pretty_floats;
     Alcotest.test_case "Build.prog is a pure function of its arguments"
       `Quick test_build_pure;
     QCheck_alcotest.to_alcotest prop_transpose_interp;
