@@ -13,7 +13,9 @@
    blocks ([EAlloc]), and every array-typed pattern element may carry a
    memory annotation (block name + index function).  Deleting all
    [pmem] annotations and [EAlloc] statements leaves a valid purely
-   functional program; the interpreter ignores them entirely. *)
+   functional program; the interpreter ignores the annotations and
+   evaluates blocks to inert tokens (a parameter's annotated block
+   included), so a memory-annotated program runs as its source. *)
 
 module P = Symalg.Poly
 module Ixfn = Lmads.Ixfn

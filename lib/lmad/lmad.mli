@@ -154,8 +154,7 @@ val concrete_extrema : concrete -> (int * int) option
 val pp_concrete : Format.formatter -> concrete -> unit
 
 val eval_points : (string -> int) -> t -> int list
-(** [concrete_points (concretize env l)] (used by tests and the
-    interpreter's slice semantics). *)
+(** [concrete_points (concretize env l)]. *)
 
 (** {1 Printing} *)
 

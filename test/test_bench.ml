@@ -14,6 +14,19 @@ let check_validation name (v : R.validation) =
   Alcotest.(check bool) (name ^ ": reuse = interp") true v.R.ok_reuse;
   Alcotest.(check bool) (name ^ ": pack = interp") true v.R.ok_pack
 
+(* The memory passes leave the functional program unchanged: the
+   interpreter, which ignores memory, runs every variant bit-equal to
+   the source. *)
+let check_variants name (c : Core.Pipeline.compiled) args =
+  let expect = Ir.Interp.run c.source args in
+  List.iter
+    (fun (v, p) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: interp %s = interp source" name v)
+        true
+        (List.for_all2 V.bit_equal expect (Ir.Interp.run p args)))
+    [ ("unopt", c.unopt); ("opt", c.opt); ("reuse", c.reuse); ("pack", c.pack) ]
+
 let check_oracle name out expect =
   match out with
   | [ V.VArr a ] ->
@@ -35,6 +48,7 @@ let test_nw () =
   let c = Core.Pipeline.compile Benchsuite.Nw.prog in
   let v = R.validate ~compiled:c Benchsuite.Nw.prog args in
   check_validation "nw" v;
+  check_variants "nw" c args;
   (* both halves circuit and all copies disappear *)
   Alcotest.(check bool) "nw: circuits fired" true (v.R.sc_succeeded >= 2);
   Alcotest.(check int) "nw: opt copy-free" 0 v.R.copies_opt;
@@ -48,6 +62,7 @@ let test_lud () =
   let c = Core.Pipeline.compile Benchsuite.Lud.prog in
   let v = R.validate ~compiled:c Benchsuite.Lud.prog args in
   check_validation "lud" v;
+  check_variants "lud" c args;
   (* yellow + red circuit as in the paper.  The blue temporary is read
      by the interior kernel after its write-back, so its copy must
      remain.  The paper keeps the green (diagonal) copy too, but with
@@ -69,6 +84,7 @@ let test_hotspot () =
   let c = Core.Pipeline.compile Benchsuite.Hotspot.prog in
   let v = R.validate ~compiled:c Benchsuite.Hotspot.prog args in
   check_validation "hotspot" v;
+  check_variants "hotspot" c args;
   Alcotest.(check int) "hotspot: concat free" 0 v.R.copies_opt;
   Alcotest.(check int) "hotspot: 3 parts x steps elided" (3 * steps) v.R.elided;
   check_oracle "hotspot"
@@ -81,6 +97,7 @@ let test_lbm () =
   let c = Core.Pipeline.compile Benchsuite.Lbm.prog in
   let v = R.validate ~compiled:c Benchsuite.Lbm.prog args in
   check_validation "lbm" v;
+  check_variants "lbm" c args;
   (* per-thread 9-vectors are built in place: one elision per cell/step *)
   Alcotest.(check int) "lbm: per-cell elisions" (n * n * steps) v.R.elided;
   check_oracle "lbm"
@@ -93,6 +110,7 @@ let test_option_pricing () =
   let c = Core.Pipeline.compile Benchsuite.Option_pricing.prog in
   let v = R.validate ~compiled:c Benchsuite.Option_pricing.prog args in
   check_validation "optionpricing" v;
+  check_variants "optionpricing" c args;
   Alcotest.(check int) "optionpricing: path elisions" npaths v.R.elided;
   match Ir.Interp.run c.Core.Pipeline.source args with
   | [ V.VFloat price ] ->
@@ -106,6 +124,7 @@ let test_locvolcalib () =
   let c = Core.Pipeline.compile Benchsuite.Locvolcalib.prog in
   let v = R.validate ~compiled:c Benchsuite.Locvolcalib.prog args in
   check_validation "locvolcalib" v;
+  check_variants "locvolcalib" c args;
   Alcotest.(check int) "locvolcalib: per-option elisions" numo v.R.elided;
   check_oracle "locvolcalib"
     (Ir.Interp.run c.Core.Pipeline.source args)
@@ -117,6 +136,7 @@ let test_nn () =
   let c = Core.Pipeline.compile Benchsuite.Nn.prog in
   let v = R.validate ~compiled:c Benchsuite.Nn.prog args in
   check_validation "nn" v;
+  check_variants "nn" c args;
   Alcotest.(check int) "nn: batch copies elided" nbatch v.R.elided;
   Alcotest.(check int) "nn: opt copy-free" 0 v.R.copies_opt;
   check_oracle "nn"

@@ -487,9 +487,63 @@ let test_full_sqrt_log () =
       ("pack", compiled.Core.Pipeline.pack);
     ]
 
+(* A mapnest over an empty index space still has its statement's type:
+   a scalar body gives i64[0], a [3]f64 body f64[0,3] and its transpose
+   f64[3,0].  The interpreter and every Full-mode variant agree bit for
+   bit, on the empty space and on a non-empty one. *)
+let test_empty_mapnest () =
+  let prog =
+    B.prog "empty"
+      ~params:[ pat_elem "n" i64 ]
+      ~ret:[ arr I64 [ n ]; arr F64 [ n; c 3 ]; arr F64 [ c 3; n ] ]
+      (fun b ->
+        let i = B.fresh b "i" in
+        let ys =
+          B.mapnest b "ys" [ (i, n) ] (fun bb ->
+              [ B.binop bb Mul (B.idx bb (P.var i)) (Int 2) ])
+        in
+        let j = B.fresh b "j" in
+        let zs =
+          B.mapnest b "zs" [ (j, n) ] (fun bb ->
+              let x = B.unop bb ToF64 (B.idx bb (P.var j)) in
+              [ Var (B.bind bb "row" (EReplicate ([ c 3 ], x))) ])
+        in
+        [ Var ys; Var zs; Var (B.bind b "t" (ETranspose (zs, [ 1; 0 ]))) ])
+  in
+  let compiled = Core.Pipeline.compile prog in
+  List.iter
+    (fun size ->
+      let args = [ Value.VInt size ] in
+      let expect = Interp.run prog args in
+      if size = 0 then
+        Alcotest.(check (list string))
+          "types" [ "i64[0]"; "f64[0,3]"; "f64[3,0]" ]
+          (List.map
+             (function
+               | Value.VArr { elt; shape; _ } ->
+                   Fmt.str "%a[%s]" Pretty.pp_sct elt
+                     (String.concat "," (List.map string_of_int shape))
+               | _ -> "scalar")
+             expect);
+      List.iter
+        (fun (v, p) ->
+          let r = Exec.run ~mode:Exec.Full p args in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at n = %d: bit-equal" v size)
+            true
+            (List.for_all2 Value.bit_equal expect r.Exec.results))
+        Core.Pipeline.
+          [
+            ("unopt", compiled.unopt); ("opt", compiled.opt);
+            ("reuse", compiled.reuse); ("pack", compiled.pack);
+          ])
+    [ 0; 2 ]
+
 let tests =
   [
     Alcotest.test_case "multi-LMAD execution" `Quick test_multi_lmad_execution;
+    Alcotest.test_case "empty mapnest: interpreter = executor" `Quick
+      test_empty_mapnest;
     Alcotest.test_case "Simpson loop sampling = full" `Quick
       test_simpson_loop_sampling;
     Alcotest.test_case "copies counted and performed" `Quick test_copy_counted;

@@ -166,6 +166,127 @@ let test_lmad_update_duplicate_rejected () =
            ]))
 
 (* ---------------------------------------------------------------- *)
+(* Scoping: what resolving names to slots must keep                  *)
+(* ---------------------------------------------------------------- *)
+
+(* Built by hand, without the checker: these programs rebind names and
+   mention names nothing binds. *)
+let raw name params body =
+  { name; params; body; ret = []; ctx = Symalg.Prover.empty }
+
+let let_ v t e = stm [ pat_elem v t ] e
+
+(* [x] rebound inside an if arm, a loop body (as loop parameter, then as
+   a statement), and a map body (as nest index, then as a statement):
+   each scope sees its own binding, and [x] is the parameter again once
+   the scope ends. *)
+let test_rebinding_is_scoped () =
+  let p =
+    raw "shadow"
+      [ pat_elem "x" i64; pat_elem "c" boolt ]
+      (block
+         [
+           let_ "r1" i64
+             (EIf
+                {
+                  cond = Var "c";
+                  tb = block [ let_ "x" i64 (EAtom (Int 100)) ] [ Var "x" ];
+                  fb = block [] [ Var "x" ];
+                });
+           let_ "a" i64 (EAtom (Var "x"));
+           let_ "r2" i64
+             (ELoop
+                {
+                  params = [ (pat_elem "x" i64, Var "x") ];
+                  var = "i";
+                  bound = c 3;
+                  body =
+                    block [ let_ "x" i64 (EBin (Add, Var "x", Int 1)) ] [ Var "x" ];
+                });
+           let_ "b" i64 (EAtom (Var "x"));
+           let_ "ys" (arr I64 [ c 2 ])
+             (EMap
+                {
+                  nest = [ ("x", c 2) ];
+                  body =
+                    block [ let_ "x" i64 (EBin (Mul, Var "x", Int 7)) ] [ Var "x" ];
+                });
+           let_ "d" i64 (EAtom (Var "x"));
+         ]
+         [ Var "r1"; Var "a"; Var "r2"; Var "b"; Var "ys"; Var "d" ])
+  in
+  match Interp.run p [ vint 5; Value.VBool true ] with
+  | [ r1; a; r2; b; Value.VArr ys; d ] ->
+      let check msg want got = Alcotest.(check bool) msg true (got = vint want) in
+      check "if arm sees its x" 100 r1;
+      check "x after the if" 5 a;
+      check "loop carries its x" 8 r2;
+      check "x after the loop" 5 b;
+      Alcotest.(check (list int)) "map sees its x" [ 0; 7 ]
+        (Array.to_list (Value.int_data ys));
+      check "x after the map" 5 d
+  | _ -> Alcotest.fail "bad result"
+
+(* A name nothing binds raises only when it is evaluated, with the
+   message it always had. *)
+let test_unbound_only_when_evaluated () =
+  let p =
+    raw "ghost" [ pat_elem "c" boolt ]
+      (block
+         [
+           let_ "r" i64
+             (EIf
+                {
+                  cond = Var "c";
+                  tb =
+                    block
+                      [ let_ "g" i64 (EBin (Add, Var "ghost", Int 1)) ]
+                      [ Var "g" ];
+                  fb = block [] [ Int 2 ];
+                });
+         ]
+         [ Var "r" ])
+  in
+  Alcotest.(check bool) "untaken arm" true
+    (Interp.run p [ Value.VBool false ] = [ vint 2 ]);
+  Alcotest.check_raises "taken arm"
+    (Interp.Runtime_error "interp: unbound variable ghost") (fun () ->
+      ignore (Interp.run p [ Value.VBool true ]))
+
+(* A run depends on its program and arguments alone: nothing, memory
+   tokens included, carries over from an earlier run of it or of
+   another program. *)
+let test_runs_are_independent () =
+  let floats name k =
+    raw name [ pat_elem "n" i64 ]
+      (block
+         [
+           let_ "m" TMem (EAlloc (P.var "n"));
+           let_ "ys" (arr F64 [ P.var "n" ])
+             (EMap
+                {
+                  nest = [ ("i", P.var "n") ];
+                  body =
+                    block
+                      [
+                        let_ "f" f64 (EUn (ToF64, Var "i"));
+                        let_ "y" f64 (EBin (Div, Var "f", Float k));
+                      ]
+                      [ Var "y" ];
+                });
+         ]
+         [ Var "m"; Var "ys" ])
+  in
+  let p = floats "p" 3. and q = floats "q" 7. in
+  let first = Interp.run p [ vint 5 ] in
+  ignore (Interp.run q [ vint 9 ]);
+  let again = Interp.run p [ vint 5 ] in
+  Alcotest.(check bool) "bit-equal" true
+    (List.for_all2 Value.bit_equal first again);
+  Alcotest.(check bool) "token numbered per run" true
+    (List.hd again = Value.VMem 1)
+
+(* ---------------------------------------------------------------- *)
 (* Checker: negative cases                                            *)
 (* ---------------------------------------------------------------- *)
 
@@ -366,6 +487,11 @@ let tests =
     Alcotest.test_case "if branches" `Quick test_if_branches;
     Alcotest.test_case "LMAD update dynamic check" `Quick
       test_lmad_update_duplicate_rejected;
+    Alcotest.test_case "rebinding is scoped" `Quick test_rebinding_is_scoped;
+    Alcotest.test_case "unbound names raise only when evaluated" `Quick
+      test_unbound_only_when_evaluated;
+    Alcotest.test_case "interpreter runs are independent" `Quick
+      test_runs_are_independent;
     Alcotest.test_case "checker: use after consume" `Quick
       test_use_after_consume;
     Alcotest.test_case "checker: alias consumed" `Quick test_alias_consume;
