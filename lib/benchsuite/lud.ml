@@ -40,8 +40,12 @@ let ctx0 =
    and right of the diagonal block at flat offset [dbase]; every block
    is first loaded into a [b][b] scratch accumulator.  Index variables
    carry their phase's prefix (ld: load, dool: Doolittle, fs/bs:
-   forward/backward substitution, upd: interior update), since the
-   prover tries a goal's variables in name order.
+   forward/backward substitution, upd: interior update), as the builder
+   program this source replaced named them.  The prover does not need
+   them (it orders a goal's variables by their bounds, and plain
+   r/c/t names cost the same searches within 1%); they stay only so
+   the certificates, which print these names, keep matching
+   bench/certs-baseline.json.
 
    At the last step (k = q - 1) the perimeter and interior are empty:
    branching them away keeps the semantics and leaves the blue

@@ -12,15 +12,19 @@
    1. rewrite with the recorded equalities (e.g. n := q*b + 1 for NW);
    2. interval-evaluate the polynomial using variable ranges;
    3. refute: evaluate the polynomial at a few small assignments that
-      satisfy the context ([valuation]); a negative value is a concrete
-      counterexample, so the goal is false and no search is spent on it.
+      satisfy the context ([valuation], or where its clamping leaves the
+      context, the least solution of the lower bounds); a negative value
+      is a concrete counterexample, so the goal is false and no search
+      is spent on it.
       The assignments are built once per context and kept for the last
       few contexts, so the goals that follow in the same context
       evaluate them instead of rebuilding them;
    4. otherwise eliminate a variable by substituting its lower (resp.
       upper) bound when the polynomial is provably monotone increasing
       (resp. decreasing) in that variable - a Fourier-style step - and
-      recurse on the smaller polynomial. *)
+      recurse on the smaller polynomial.  Variables are tried innermost
+      first, as Fourier-Motzkin projection eliminates them: a variable
+      whose bounds mention another is tried before it. *)
 
 module SM = Poly.SM
 
@@ -206,6 +210,16 @@ let interval ctx p = poly_interval ctx 4 [] (rewrite ctx p)
 (* Concrete assignments                                              *)
 (* ---------------------------------------------------------------- *)
 
+(* Does [env] satisfy every recorded bound and equality? *)
+let admits ctx env =
+  let within v b =
+    let x = env v in
+    Option.fold ~none:true ~some:(fun l -> Poly.eval env l <= x) b.lo
+    && Option.fold ~none:true ~some:(fun h -> x <= Poly.eval env h) b.hi
+  in
+  SM.for_all within ctx.bounds
+  && SM.for_all (fun v p -> env v = Poly.eval env p) ctx.eqs
+
 (* A variable with a recorded equality takes its right-hand side's
    value, a ranged variable the seed clamped into its evaluated bounds,
    any other variable the seed itself.  A cycle of symbolic bounds is
@@ -236,24 +250,46 @@ let assignment ctx seed : int SM.t option =
         Hashtbl.replace memo v x;
         x
   in
-  let within v b =
-    let x = env v in
-    Option.fold ~none:true ~some:(fun l -> Poly.eval env l <= x) b.lo
-    && Option.fold ~none:true ~some:(fun h -> x <= Poly.eval env h) b.hi
-  in
-  (* On success the checks have evaluated every variable the context
+  (* On success the check has evaluated every variable the context
      mentions, so [memo] holds the whole assignment. *)
-  if
-    SM.for_all within ctx.bounds
-    && SM.for_all (fun v p -> env v = Poly.eval env p) ctx.eqs
-  then Some (Hashtbl.fold SM.add memo SM.empty)
-  else None
+  if admits ctx env then Some (Hashtbl.fold SM.add memo SM.empty) else None
 
 (* An assignment as an environment: a variable the context does not
    mention takes the seed. *)
 let env_of seed m v = Option.value (SM.find_opt v m) ~default:seed
 
 let valuation ctx seed = Option.map (env_of seed) (assignment ctx seed)
+
+(* The least solution of the lower bounds above the seed, for the
+   contexts whose bounds [assignment] cannot close: saturation makes
+   NW memlint's race context cyclic (q >= k + s + 3 with s <= q - k - 3),
+   where every seed clamps s below its lower bound.  Each ranged
+   variable starts at the seed and is raised to its lower bound,
+   evaluated at the others, until a fixpoint; the bounds mention no
+   variable with an equality, which takes its right-hand side's value
+   last.  The point is checked like [assignment]'s. *)
+let least ctx seed : int SM.t option =
+  let ranged = SM.filter (fun v _ -> not (SM.mem v ctx.eqs)) ctx.bounds in
+  let raise_round m =
+    SM.fold
+      (fun v b m ->
+        match b.lo with
+        | Some l -> SM.add v (max (SM.find v m) (Poly.eval (env_of seed m) l)) m
+        | None -> m)
+      ranged m
+  in
+  let rec fix rounds m =
+    let m' = raise_round m in
+    if SM.equal Int.equal m m' then Some m
+    else if rounds = 0 then None
+    else fix (rounds - 1) m'
+  in
+  Option.bind
+    (fix (SM.cardinal ranged) (SM.map (fun _ -> seed) ranged))
+    (fun m ->
+      let eq v p = SM.add v (Poly.eval (env_of seed m) p) in
+      let m = SM.fold eq ctx.eqs m in
+      if admits ctx (env_of seed m) then Some m else None)
 
 (* Seeds of the assignments that try to refute a goal before it is
    searched: small, so that [Poly.eval] stays far from overflow.  On the
@@ -262,35 +298,77 @@ let valuation ctx seed = Option.map (env_of seed) (assignment ctx seed)
    of the goals memlint refutes (saving 2% of its misses). *)
 let witness_seeds = [ 0; 1; 2; 3; 5 ]
 
-(* The witness assignments of the last [window] contexts [refutable]
-   saw, most recently used first, each built on first use.  The goals
-   over one context arrive across queries, not only as subgoals of one
-   goal, so a short window of contexts serves them; comparing a
-   context with [equal] is cheap next to building its assignments. *)
+(* The ranks of the elimination order: a variable's height in the graph
+   where each variable points to the variables its bounds mention, so a
+   loop index ranks above the variables of its range, and those above
+   the variables of theirs.  Saturation can close a cycle of bounds (NW
+   memlint's race context, above); the walk cuts it where it meets a
+   variable it is still visiting. *)
+let ranks ctx =
+  let rec visit stack ranks v =
+    if SM.mem v ranks || List.mem v stack then ranks
+    else
+      let b = lookup_bound ctx v in
+      let above =
+        List.concat_map Poly.vars (Option.to_list b.lo @ Option.to_list b.hi)
+      in
+      let ranks = List.fold_left (visit (v :: stack)) ranks above in
+      let height u h =
+        match SM.find_opt u ranks with Some r -> max h (r + 1) | None -> h
+      in
+      SM.add v (List.fold_right height above 0) ranks
+  in
+  SM.fold (fun v _ ranks -> visit [] ranks v) ctx.bounds SM.empty
+
+(* What the search derives from a context alone, each part built on
+   first use: the witness assignments, which fall back to [least] for a
+   seed [assignment] fails, and the ranks of the elimination order. *)
+type derived = {
+  witnesses : (int * int SM.t option Lazy.t) list;
+  ranks : int SM.t Lazy.t;
+}
+
+(* The derived state of the last [window] contexts the search missed
+   on, most recently used first.  The goals over one context arrive
+   across queries, not only as subgoals of one goal, so a short window
+   of contexts serves them; comparing a context with [equal] is cheap
+   next to building its assignments. *)
 let window = 8
 
-let recent : (t * (int * int SM.t option Lazy.t) list) list ref = ref []
+let recent : (t * derived) list ref = ref []
 
-let witnesses ctx =
+let derived ctx =
   match List.partition (fun (c, _) -> equal c ctx) !recent with
-  | (_, ws) :: _, rest ->
-      recent := (ctx, ws) :: rest;
-      ws
+  | (_, d) :: _, rest ->
+      recent := (ctx, d) :: rest;
+      d
   | [], rest ->
-      let ws =
-        List.map (fun seed -> (seed, lazy (assignment ctx seed))) witness_seeds
+      let witness seed =
+        match assignment ctx seed with None -> least ctx seed | m -> m
       in
-      recent := (ctx, ws) :: List.filteri (fun i _ -> i < window - 1) rest;
-      ws
+      let d =
+        {
+          witnesses = List.map (fun s -> (s, lazy (witness s))) witness_seeds;
+          ranks = lazy (ranks ctx);
+        }
+      in
+      recent := (ctx, d) :: List.filteri (fun i _ -> i < window - 1) rest;
+      d
 
 (* Does some admissible assignment make [p] negative? *)
-let refutable ctx p =
+let refutable d p =
   List.exists
     (fun (seed, m) ->
       match Lazy.force m with
       | Some m -> Poly.eval (env_of seed m) p < 0
       | None -> false)
-    (witnesses ctx)
+    d.witnesses
+
+(* The variables of [p], innermost first; equal ranks in name order. *)
+let elimination_order d p =
+  let ranks = Lazy.force d.ranks in
+  let rank v = Option.value (SM.find_opt v ranks) ~default:0 in
+  List.stable_sort (fun u v -> compare (rank v) (rank u)) (Poly.vars p)
 
 (* ---------------------------------------------------------------- *)
 (* Triangular-bound saturation                                       *)
@@ -585,19 +663,20 @@ and nonneg ctx depth shifted (p : Poly.t) : bool =
               Goal_tbl.reset !memo
             end;
             charge_step ();
-            if refutable ctx p then begin
+            let d = derived ctx in
+            if refutable d p then begin
               the_stats.refuted <- the_stats.refuted + 1;
               Goal_tbl.replace !memo key false;
               false
             end
             else
-              let r = eliminate ctx depth shifted p in
+              let r = eliminate ctx depth shifted p (elimination_order d p) in
               if r || !steps_left <> 0 then
                 Goal_tbl.replace !memo key r;
               r)
 
-(* Try to remove or rebase one variable of [p]. *)
-and eliminate ctx depth shifted p =
+(* Try to remove or rebase one of the variables [vs] of [p], in order. *)
+and eliminate ctx depth shifted p vs =
   let monotone_subst v =
     (* If p is monotone in v (all coefficients of positive powers have
        one provable sign), substitute the corresponding bound, fully
@@ -680,9 +759,7 @@ and eliminate ctx depth shifted p =
           nonneg ctx' (depth - 1) (SS.add v shifted) p'
       | _ -> false
   in
-  List.exists
-    (fun v -> monotone_subst v || shift_lo v || shift_hi v)
-    (Poly.vars p)
+  List.exists (fun v -> monotone_subst v || shift_lo v || shift_hi v) vs
 
 (* ---------------------------------------------------------------- *)
 (* Public interface                                                  *)

@@ -60,10 +60,12 @@ val valuation : t -> int -> (string -> int) option
     the whole context before it is returned, so [None] means this seed
     gave a point outside the context (an empty range, or a cycle of
     symbolic bounds the clamping could not close).  A goal negative at
-    [Some env] is false under [ctx]:
-    the nonnegativity search refutes goals this way before searching
-    them, and the certificate checker concretizes undecided claims
-    with it. *)
+    [Some env] is false under [ctx]: the certificate checker
+    concretizes undecided claims with it.  The nonnegativity search
+    refutes goals at these assignments too, and where a seed gives
+    [None] it tries a private fallback instead (see {!prove_nonneg});
+    [valuation] itself keeps to clamping, so the points the checker
+    concretizes at, and with them the certificates, do not move. *)
 
 val rewrite : t -> Poly.t -> Poly.t
 (** Normalize a polynomial with the context's equality rules. *)
@@ -75,10 +77,33 @@ val prove_nonneg : t -> Poly.t -> bool
 (** Entry point of the elimination search.  Every goal the search has
     not decided before (a memo miss) is first evaluated at a few
     {!valuation}s of its own context; a negative value answers
-    [false] at once, since no search could prove it.  The assignments
-    are built once per context and kept for the last few contexts
-    seen, which {!with_cold_memo} empties too; they depend on the
-    context alone, so no verdict depends on earlier queries.  Before
+    [false] at once, since no search could prove it.  Where a seed's
+    clamped assignment leaves the context, the witness for that seed
+    is the least solution of the lower bounds instead: each ranged
+    variable starts at the seed and is raised to its lower bound,
+    evaluated at the others, until a fixpoint (at most one round more
+    than there are ranged variables), each variable with an equality
+    takes its right-hand side's value, and the point counts only if it
+    satisfies every bound and equality.  That closes the cyclic
+    contexts saturation makes (NW memlint's race context, where
+    [q >= k + s + 3] and [s <= q - k - 3]), in which no seed clamps
+    to a point and a single false goal used to cost an exhaustive
+    tree of about a thousand searches.  The search then eliminates
+    the goal's variables innermost first, as Fourier-Motzkin
+    projection does: a variable whose bounds mention another is tried
+    before it (ranked by its height in the context's bound-dependency
+    graph, cycles cut; equal ranks in name order).  So the first proof
+    found closes on the inner loop index rather than backtracking
+    through outer bounds, and renaming a program's variables leaves
+    its search cost about where it was.  Neither choice moves a
+    verdict: the search is an exhaustive, memoized disjunction over
+    the variables whose order only decides which proof is found first,
+    and a witness only answers goals that are false.  Only a query cut
+    short by a step budget ({!set_budget}) can end otherwise, as the
+    order decides how far its steps reach.  The assignments
+    and ranks are built once per context and kept for the last few
+    contexts seen, which {!with_cold_memo} empties too; they depend on
+    the context alone, so no verdict depends on earlier queries.  Before
     searching, the context is {e saturated} with triangular-bound
     consequences: a recorded pair [lo <= v <= hi] implies
     [hi - lo >= 0], and when another variable occurs with a unit

@@ -3,13 +3,19 @@
    compile prints the MD5 of every printed variant, every field of the
    three pass statistics records and the dead-allocation counts, every
    lint stage's counters and violations, every certificate pass's
-   obligation counts with the MD5 of its JSON, and the recovery list.
-   Dune diffs the output against [compile_golden.expected]; a
-   refactoring of the passes that is meant to keep their output must
-   leave that file byte-identical. *)
+   obligation counts with the MD5 of its JSON, the recovery list, and
+   the prover work the compile needs on its own (under
+   [Prover.with_cold_memo]): goals decided afresh, of them refuted by a
+   witness, and contexts saturated.  The counts repeat exactly, as no
+   clock bounds a proof.  Dune diffs the output against
+   [compile_golden.expected]; a refactoring of the passes that is meant
+   to keep their output must leave that file byte-identical, and a
+   prover change that moves the search must leave every other line as
+   it was. *)
 
 module B = Benchsuite
 module Pl = Core.Pipeline
+module Pr = Symalg.Prover
 
 let programs =
   [
@@ -98,6 +104,7 @@ let print_recovery { Pl.r_fault; r_pass; r_fallback } =
 let () =
   List.iter
     (fun (name, prog) ->
+      let before = Pr.stats () in
       let {
         Pl.source = _;
         unopt;
@@ -119,8 +126,10 @@ let () =
         recovery;
         prover_exhausted;
       } =
-        Pl.compile ~lint:true ~certify:true ~fail_safe:true prog
+        Pr.with_cold_memo (fun () ->
+            Pl.compile ~lint:true ~certify:true ~fail_safe:true prog)
       in
+      let after = Pr.stats () in
       print_endline name;
       List.iter
         (fun (v, p) ->
@@ -135,5 +144,9 @@ let () =
       List.iter print_lint lint;
       List.iter print_cert certs;
       List.iter print_recovery recovery;
-      Printf.printf "  prover_exhausted %d\n" prover_exhausted)
+      Printf.printf "  prover_exhausted %d\n" prover_exhausted;
+      Printf.printf "  prover nonneg_misses %d refuted %d sat_misses %d\n"
+        (after.nonneg_misses - before.nonneg_misses)
+        (after.refuted - before.refuted)
+        (after.sat_misses - before.sat_misses))
     programs

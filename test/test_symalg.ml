@@ -151,9 +151,10 @@ let test_prover_memo_sharing () =
 
 (* A false goal is refuted by a concrete witness at its one memo miss,
    and the refusal is memoized; a true goal is still searched and
-   proved.  That search first substitutes i's lower bound, and the
-   false subgoal it gives, -j >= 0, is refuted before and after i is
-   rebased to zero: a witness only ever closes false goals. *)
+   proved.  That search tries j first, whose bounds mention i, and
+   substituting j's upper bound i - 1 closes i - j - 1 >= 0 at once: no
+   false subgoal is visited, and a witness only ever closes false
+   goals. *)
 let test_prover_refutation () =
   let i = v "rf_i" and j = v "rf_j" and n = v "rf_n" in
   let ctx = Pr.add_range Pr.empty "rf_j" ~lo:(c 0) ~hi:(P.sub i P.one) () in
@@ -172,8 +173,47 @@ let test_prover_refutation () =
   Alcotest.(check (pair int int)) "no new miss" (m0 + 1, r0 + 1) (counts ());
   Alcotest.(check bool) "i - j - 1 >= 0 proved" true
     (Pr.prove_nonneg ctx (P.sub (P.sub i j) P.one));
-  Alcotest.(check int) "only the false subgoals refuted" (r0 + 3)
+  Alcotest.(check int) "only the false subgoals refuted" (r0 + 1)
     (snd (counts ()))
+
+(* NW memlint's write-race context: another thread's k, o, runs above
+   k in a range that shrinks with the outer s.  Saturation derives
+   q >= k + s + 3 and s <= q - k - 3 from it, a cycle no seed's clamped
+   assignment closes; the least solution of the lower bounds is a
+   witness against the false goal b*k - b*o - 1 >= 0, which the
+   elimination search would refuse only after an exhaustive tree (1,057
+   searches).  [valuation], which the certificate checker concretizes
+   with, still finds no point. *)
+let nw_race_ctx () =
+  let ctx = Pr.add_range Pr.empty "q" ~lo:(c 2) () in
+  let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
+  let ctx = Pr.add_range ctx "s" ~lo:P.zero ~hi:(P.sub (v "q") (c 2)) () in
+  let top = P.sub (P.sub (v "q") (v "s")) (c 2) in
+  let ctx = Pr.add_range ctx "k" ~lo:P.zero ~hi:top () in
+  let ctx = Pr.add_range ctx "o" ~lo:(P.add (v "k") P.one) ~hi:top () in
+  Pr.add_eq ctx "n" (P.add (P.mul (v "q") (v "b")) P.one)
+
+let test_prover_cyclic_witness () =
+  Pr.with_cold_memo (fun () ->
+      let ctx = nw_race_ctx () in
+      let counts () =
+        let s = Pr.stats () in
+        (s.Pr.nonneg_misses, s.Pr.refuted)
+      in
+      let m0, r0 = counts () in
+      let goal =
+        P.sub (P.sub (P.mul (v "b") (v "k")) (P.mul (v "b") (v "o"))) P.one
+      in
+      Alcotest.(check bool) "b*k - b*o - 1 >= 0 refused" false
+        (Pr.prove_nonneg ctx goal);
+      Alcotest.(check (pair int int)) "one miss, refuted" (m0 + 1, r0 + 1)
+        (counts ());
+      Alcotest.(check bool) "b*o - b*k - 1 >= 0 proved" true
+        (Pr.prove_nonneg ctx (P.neg (P.add goal (c 2))));
+      Alcotest.(check bool) "no seed gives a valuation" true
+        (List.for_all
+           (fun seed -> Pr.valuation ctx seed = None)
+           (List.init 14 (fun k -> k - 3))))
 
 let test_interval () =
   let ctx = Pr.add_range Pr.empty "x" ~lo:(c 2) ~hi:(c 5) () in
@@ -342,6 +382,44 @@ let prop_prover_sound_triangular =
             box)
         box)
 
+(* The context and goal with their variables renamed by [f]: bounds
+   first, then the equalities, which no bound mentions. *)
+let renamed f (t, p) =
+  let ctx = tri_ctx t and r = P.rename f in
+  let ctx' =
+    List.fold_left
+      (fun acc (x, lo, hi) ->
+        Pr.add_range acc (f x) ?lo:(Option.map r lo) ?hi:(Option.map r hi) ())
+      Pr.empty (Pr.var_bounds ctx)
+  in
+  ( List.fold_left
+      (fun acc (x, e) -> Pr.add_eq acc (f x) (r e))
+      ctx' (Pr.equalities ctx),
+    r p )
+
+(* Names are neutral to verdicts: they decide only the order in which
+   equal-ranked variables are tried and which point a seed gives, and
+   neither moves a verdict, so a permutation of the names i, j, n and s
+   leaves every verdict as it was. *)
+let prop_prover_names_neutral =
+  QCheck.Test.make ~name:"permuting variable names keeps every verdict"
+    ~count:(Qcount.count 300)
+    (QCheck.make
+       ~print:(fun (g, names) ->
+         print_tri g ^ "\nnames i, j, n, s -> " ^ String.concat ", " names)
+       QCheck.Gen.(
+         pair
+           (gen_tri >>= fun t -> map (fun p -> (t, p)) (gen_tri_poly t))
+           (shuffle_l [ "i"; "j"; "n"; "s" ])))
+    (fun ((t, p), names) ->
+      let f x =
+        match List.assoc_opt x (List.combine [ "i"; "j"; "n"; "s" ] names) with
+        | Some y -> y
+        | None -> x
+      in
+      let ctx', p' = renamed f (t, p) in
+      Pr.prove_nonneg (tri_ctx t) p = Pr.prove_nonneg ctx' p')
+
 (* Query history.  [hist_t1] and [hist_t2] differ in one bound (n >= 1
    against n >= 2).  The goal i*n - 2i >= 0 is refuted by a witness
    under the first and proved only by the elimination search under the
@@ -456,6 +534,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_valuation_admissible;
     QCheck_alcotest.to_alcotest prop_prover_sound_triangular;
     QCheck_alcotest.to_alcotest prop_prover_history_free;
+    QCheck_alcotest.to_alcotest prop_prover_names_neutral;
     Alcotest.test_case "normal form" `Quick test_normal_form;
     Alcotest.test_case "eval" `Quick test_eval;
     Alcotest.test_case "subst" `Quick test_subst;
@@ -475,6 +554,8 @@ let tests =
       test_prover_refutation;
     Alcotest.test_case "prover: one goal, two contexts one bound apart"
       `Quick test_prover_one_bound_apart;
+    Alcotest.test_case "prover refutes a cyclic context's goal by a witness"
+      `Quick test_prover_cyclic_witness;
     Alcotest.test_case "interval" `Quick test_interval;
     Alcotest.test_case "prover random soundness" `Quick
       test_prover_random_soundness;
