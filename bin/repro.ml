@@ -708,22 +708,21 @@ let run_dump which opt reuse pack =
 
 (* ---- bench ------------------------------------------------------- *)
 
-(* One gate run: parse the record at [path] (the [tag] side: a baseline,
-   or the first-fit run) and the current record, compare them with
-   [gate], print the report - followed by [hint] when it carries notes -
-   and write it to [report] if given; fail on any regression. *)
-let run_gate ~label ~base:(tag, path) ?(file_tag = tag) ?(hint = "") ~report
-    gate cur_s =
+(* One gate run: parse the baseline record at [path] and the current
+   record, compare them with [gate], print the report - followed by
+   [hint] when it carries notes - and write it to [report] if given;
+   fail on any regression. *)
+let run_gate ~label ~baseline:path ?(hint = "") ~report gate cur_s =
   let ( let* ) = Result.bind in
   let parse what s =
     Result.map_error (fun e -> what ^ " parse error: " ^ e) (Core.Json.parse s)
   in
   let* base_s =
     Result.map_error
-      (fun e -> Printf.sprintf "%s %s: %s" file_tag path e)
+      (fun e -> Printf.sprintf "baseline %s: %s" path e)
       (read_file path)
   in
-  let* base = parse tag base_s in
+  let* base = parse "baseline" base_s in
   let* cur = parse "current" cur_s in
   let g = gate base cur in
   let rep = Benchsuite.Benchjson.report ~label g in
@@ -749,7 +748,7 @@ let run_gate ~label ~base:(tag, path) ?(file_tag = tag) ?(hint = "") ~report
    `repro bench -o bench/baseline.json`. *)
 
 let run_bench options reuse pack pool pool_cap fail_safe budget check
-    baseline tolerance out current report order_check =
+    baseline tolerance out current report =
   Symalg.Prover.set_budget budget;
   let obtain_current () =
     match current with
@@ -776,22 +775,12 @@ let run_bench options reuse pack pool pool_cap fail_safe budget check
         Ok json
   in
   Result.bind (obtain_current ()) (fun cur_s ->
-      match order_check with
-      (* the pack-order A/B: the record at hand is the colour run; the
-         [--order-check] file is the first-fit run of the same tree *)
-      | Some ff_path ->
-          run_gate ~label:"pack-order gate" ~base:("firstfit", ff_path)
-            ~file_tag:"firstfit record" ~report
-            (fun ff cur ->
-              Benchsuite.Benchjson.pack_order_gate ~firstfit:ff ~colour:cur ())
-            cur_s
-      | None when check ->
-          run_gate ~label:"bench gate" ~base:("baseline", baseline) ~report
-            (fun base cur ->
-              Benchsuite.Benchjson.gate ~tolerance ~baseline:base ~current:cur
-                ())
-            cur_s
-      | None -> Ok ())
+      if check then
+        run_gate ~label:"bench gate" ~baseline ~report
+          (fun base cur ->
+            Benchsuite.Benchjson.gate ~tolerance ~baseline:base ~current:cur ())
+          cur_s
+      else Ok ())
 
 (* ---- certify ----------------------------------------------------- *)
 
@@ -894,7 +883,7 @@ let run_certify which options reuse pack verbose_reports json out check
                 (certify_docs ~strict:false ())
         in
         Result.bind (obtain_current ())
-          (run_gate ~label:"cert gate" ~base:("baseline", baseline)
+          (run_gate ~label:"cert gate" ~baseline
              ~hint:
                "refresh with: dune exec bin/repro.exe -- certify all --json \
                 > bench/certs-baseline.json\n"
@@ -1071,30 +1060,15 @@ let pack_term =
             "Disable the offset-based arena packing pass (the fourth \
              pipeline variant becomes a copy of the memory-reused one).")
   in
-  let pack_order =
-    let order =
-      Arg.enum
-        [ ("colour", Core.Pack.Colour); ("firstfit", Core.Pack.Firstfit) ]
-    in
-    Arg.(
-      value
-      & opt order Core.Pack.Colour
-      & info [ "pack-order" ] ~docv:"ORDER"
-          ~doc:
-            "Arena placement order: $(b,colour) (interval-graph colouring \
-             with size-sorted tie-breaking; falls back to first-fit unless \
-             provably no larger) or $(b,firstfit) (emission order).")
-  in
   Term.(
-    const (fun no_pack order (options : Core.Shortcircuit.options) ->
+    const (fun no_pack (options : Core.Shortcircuit.options) ->
         if no_pack then Core.Pack.disabled
         else
           {
             Core.Pack.default_options with
             Core.Pack.verbose = options.Core.Shortcircuit.verbose;
-            Core.Pack.order;
           })
-    $ no_pack $ pack_order $ options_term)
+    $ no_pack $ options_term)
 
 (* [--no-pool] reverts the allocator model to all-miss: every top-level
    allocation is charged [alloc_miss_cost], as before the pool existed
@@ -1332,29 +1306,17 @@ let bench_cmd =
       & info [ "report" ] ~docv:"FILE"
           ~doc:"Also write the gate's diff report to $(docv).")
   in
-  let order_check =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "order-check" ] ~docv:"FILE"
-          ~doc:
-            "Pack-order A/B gate: treat the record at hand (fresh or \
-             $(b,--current)) as the $(b,colour) run and compare it against \
-             the $(b,firstfit) record in $(docv) - colour's executed arena \
-             extent may never exceed first-fit's, and its planner coverage \
-             may not shrink.  Exits nonzero on any breach.")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
          "Emit the machine-readable performance record and optionally gate \
           it against a committed baseline")
     Term.(
-      const (fun o r pk p pc fs pb c b t out cur rep oc ->
-          to_exit (run_bench o r pk p pc fs pb c b t out cur rep oc))
+      const (fun o r pk p pc fs pb c b t out cur rep ->
+          to_exit (run_bench o r pk p pc fs pb c b t out cur rep))
       $ options_term $ reuse_term $ pack_term $ pool_term $ pool_cap_term
       $ fail_safe_term $ prover_budget_term $ check $ baseline $ tolerance
-      $ out $ current $ report $ order_check)
+      $ out $ current $ report)
 
 let certify_cmd =
   let reports =

@@ -234,85 +234,6 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
   }
 
 (* ---------------------------------------------------------------- *)
-(* The pack-order gate                                                *)
-(* ---------------------------------------------------------------- *)
-
-(* Compares the colour-placement bench record against a first-fit run
-   of the same tree (the --pack-order A/B).  The planner falls back to
-   first-fit whenever colouring's extent is not provably smaller, so
-   colour must never lose ground on any executor-derived surface: the
-   executed arena extent ([pack.arena_bytes], per dataset) may not
-   exceed first-fit's, and the planner's coverage (arenas, packed
-   placements, certified holes) may not shrink.  Any breach is a hard
-   failure - there is no tolerance, both records come from the same
-   commit. *)
-let pack_order_gate ~(firstfit : t) ~(colour : t) () : gate =
-  let regressions = ref [] in
-  let notes = ref [] in
-  let checked = ref 0 in
-  let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
-  let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
-  let ff_b = benchmarks_of firstfit and c_b = benchmarks_of colour in
-  let find name l = List.find_opt (fun b -> name_of b = name) l in
-  List.iter
-    (fun fb ->
-      let bname = name_of fb in
-      match find bname c_b with
-      | None -> reg "%s: benchmark missing from the colour run" bname
-      | Some cb ->
-          let fps v =
-            Option.value ~default:[] (Option.bind (member "footprints" v) arr)
-          in
-          let ds_of f =
-            Option.value ~default:"?" (Option.bind (member "dataset" f) str)
-          in
-          List.iter
-            (fun ff ->
-              let ds = ds_of ff in
-              match List.find_opt (fun cf -> ds_of cf = ds) (fps cb) with
-              | None ->
-                  reg "%s [%s]: footprint missing from the colour run" bname ds
-              | Some cf -> (
-                  match
-                    ( num_at [ "pack"; "arena_bytes" ] ff,
-                      num_at [ "pack"; "arena_bytes" ] cf )
-                  with
-                  | Some f, Some c ->
-                      incr checked;
-                      if c > f then
-                        reg
-                          "%s [%s]: colour arena extent %s B exceeds \
-                           first-fit's %s B"
-                          bname ds (number c) (number f)
-                      else if c < f then
-                        note "%s [%s]: colour arena extent %s B < first-fit \
-                              %s B" bname ds (number c) (number f)
-                  | _ -> ()))
-            (fps fb);
-          List.iter
-            (fun field ->
-              match
-                ( num_at [ "pack_stats"; field ] fb,
-                  num_at [ "pack_stats"; field ] cb )
-              with
-              | Some f, Some c ->
-                  incr checked;
-                  if c < f then
-                    reg "%s: colour pack_stats.%s %g below first-fit's %g"
-                      bname field c f
-                  else if c > f then
-                    note "%s: colour pack_stats.%s %g above first-fit's %g"
-                      bname field c f
-              | _ -> ())
-            pack_grow)
-    ff_b;
-  {
-    regressions = List.rev !regressions;
-    notes = List.rev !notes;
-    checked = !checked;
-  }
-
-(* ---------------------------------------------------------------- *)
 (* The certificate gate                                               *)
 (* ---------------------------------------------------------------- *)
 

@@ -1,7 +1,6 @@
 (** The CI gates over the suite's JSON records: the bench-trajectory
-    gate over [BENCH.json], the pack-order gate over a colour/first-fit
-    pair of them, and the certificate gate over the combined [repro
-    certify all --json] document.
+    gate over [BENCH.json] and the certificate gate over the combined
+    [repro certify all --json] document.
 
     The gates read their documents with the one JSON reader,
     {!Core.Json}, re-exported here in full. *)
@@ -63,22 +62,6 @@ val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
 
     Improvements beyond tolerance, any fall in the prover's misses and
     new benchmarks are notes. *)
-
-(** {1 The pack-order gate} *)
-
-val pack_order_gate : firstfit:t -> colour:t -> unit -> gate
-(** Compare the colour-placement bench record against a first-fit run
-    of the same tree (the [--pack-order] A/B).  The planner commits a
-    colour plan only when its extent is provably no larger than
-    first-fit's, so this re-checks the guarantee on the executed
-    numbers, with no tolerance:
-
-    - per (benchmark, dataset), the pack variant's executed arena
-      extent ([pack.arena_bytes]) may not exceed first-fit's;
-    - per benchmark, colour's [pack_stats] coverage ([arenas],
-      [packed], [holes]) may not be below first-fit's.
-
-    Datasets where colour's extent is strictly smaller are notes. *)
 
 (** {1 The certificate gate} *)
 

@@ -54,7 +54,7 @@ type traffic_cmp = {
 type footprint = {
   f_allocs : int; (* top-level allocations *)
   f_arena_allocs : int; (* packed arenas among [f_allocs] *)
-  f_arena_bytes : float; (* executed arena extents, for the order gate *)
+  f_arena_bytes : float; (* executed arena extents *)
   f_scratch : int; (* in-kernel (thread-private) allocations *)
   f_alloc_bytes : float;
   f_peak_bytes : float;

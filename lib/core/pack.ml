@@ -23,11 +23,7 @@
      [hole-disjoint] obligation and re-derived by the independent
      checker from per-iteration freshness.
 
-   Placement orders ([--pack-order]): [Firstfit] assigns offsets in
-   emission order; [Colour] is interval-graph colouring - members
-   sorted by interval start with size-sorted tie-breaking - and falls
-   back to first-fit unless its extent is provably no larger, so the
-   colour-vs-firstfit A/B gate holds by construction.  Interfering
+   Placement is first-fit in emission order.  Interfering
    placements are provably address-disjoint; non-interfering
    placements may overlap (a lifetime hole across address space,
    certified with live-range disjointness).  One EAlloc of the
@@ -52,12 +48,10 @@ module SS = Ir.Ast.SS
 (* Options and statistics                                            *)
 (* ---------------------------------------------------------------- *)
 
-type order = Firstfit | Colour
+type options = { verbose : bool; pack : bool }
 
-type options = { verbose : bool; pack : bool; order : order }
-
-let default_options = { verbose = false; pack = true; order = Colour }
-let disabled = { verbose = false; pack = false; order = Colour }
+let default_options = { verbose = false; pack = true }
+let disabled = { verbose = false; pack = false }
 
 type stats = {
   mutable arenas : int;
@@ -290,9 +284,9 @@ and rebase_block aliases oldm arena delta (b : block) : block =
    with, tried in placement order; a candidate is admissible when the
    member is provably disjoint from every placed interfering member.
    Non-interfering members need no proof - overlapping them is the
-   point.  Members with no admissible candidate are returned loose. *)
-let place st ctx (members : member list) : placement list * member list =
-  let placed = ref [] and loose = ref [] in
+   point.  Members with no admissible candidate stay unpacked. *)
+let place st ctx (members : member list) : placement list =
+  let placed = ref [] in
   List.iter
     (fun m ->
       let interf = List.filter (fun p -> interferes p.p_m m) !placed in
@@ -314,9 +308,9 @@ let place st ctx (members : member list) : placement list * member list =
       | Some (off, roff) ->
           st.offset_proofs <- st.offset_proofs + List.length interf;
           placed := !placed @ [ { p_m = m; p_off = off; p_roff = roff } ]
-      | None -> loose := m :: !loose)
+      | None -> ())
     members;
-  (!placed, List.rev !loose)
+  !placed
 
 (* The arena extent: a member end the prover can show dominates every
    other.  Built greedily; a placement whose end is incomparable to
@@ -340,46 +334,9 @@ let extent_of st ctx (placements : placement list) =
   in
   (List.rev kept, ext)
 
-(* Interval-graph colouring order: members sorted by interval start,
-   ties broken largest-size-first (a provable size domination), then
-   by emission order for determinism. *)
-let colour_order ctx (members : member list) =
-  List.stable_sort
-    (fun a b ->
-      match compare a.m_first b.m_first with
-      | 0 ->
-          let a_ge = Pr.prove_ge ctx a.m_rsize b.m_rsize
-          and b_ge = Pr.prove_ge ctx b.m_rsize a.m_rsize in
-          if a_ge && not b_ge then -1 else if b_ge && not a_ge then 1 else 0
-      | c -> c)
-    members
-
-(* Place under the requested order.  Colouring must prove its extent
-   no larger than first-fit's - and place no fewer members - or it
-   falls back to the first-fit plan, so the CI A/B gate (colour extent
-   <= first-fit extent, per arena) holds by construction. *)
-let plan st opts ctx (members : member list) =
-  match opts.order with
-  | Firstfit ->
-      let pl, _ = place st ctx members in
-      extent_of st ctx pl
-  | Colour -> (
-      let ff_st = fresh_stats () and c_st = fresh_stats () in
-      let ff_pl, _ = place ff_st ctx members in
-      let ff_pl, ff_ext = extent_of ff_st ctx ff_pl in
-      let c_pl, _ = place c_st ctx (colour_order ctx members) in
-      let c_pl, c_ext = extent_of c_st ctx c_pl in
-      let take from result =
-        st.offset_proofs <- st.offset_proofs + from.offset_proofs;
-        result
-      in
-      match (c_ext, ff_ext) with
-      | _, None -> take c_st (c_pl, c_ext)
-      | Some (_, c_re), Some (_, ff_re)
-        when List.length c_pl >= List.length ff_pl
-             && Pr.prove_ge ctx ff_re c_re ->
-          take c_st (c_pl, c_ext)
-      | _ -> take ff_st (ff_pl, ff_ext))
+(* Place in emission order, then size the arena over what placed. *)
+let plan st ctx (members : member list) =
+  extent_of st ctx (place st ctx members)
 
 (* ---------------------------------------------------------------- *)
 (* Member discovery                                                  *)
@@ -563,118 +520,92 @@ and promotable_under sc (s : stm) : pcand list =
 (* Certificates and commitment                                       *)
 (* ---------------------------------------------------------------- *)
 
+(* Count the arena's lifetime holes and, when certifying, emit its
+   obligations: [fits-in-arena] per placement, [hole-disjoint] per
+   sequential loop a promoted member crosses, and per pair either
+   [packed-disjoint] (interfering) or - when the pair's offset ranges
+   are not provably disjoint - [hole-disjoint] (non-interfering: an
+   overlap in address space is a lifetime hole, certified by
+   live-range disjointness). *)
 let emit_certs st cert ctx arena rextent (placements : placement list) =
-  match cert with
-  | None ->
-      (* still count the holes when running uncertified *)
-      let rec pairs = function
-        | [] -> ()
-        | p :: rest ->
-            List.iter
-              (fun q ->
-                if not (interferes p.p_m q.p_m) then
-                  let p_end = P.add p.p_roff p.p_m.m_rsize
-                  and q_end = P.add q.p_roff q.p_m.m_rsize in
-                  if
-                    not
-                      (Pr.prove_ge ctx q.p_roff p_end
-                      || Pr.prove_ge ctx p.p_roff q_end)
-                  then st.holes <- st.holes + 1)
-              rest;
-            pairs rest
-      in
-      pairs placements;
-      List.iter
-        (fun p ->
-          match p.p_m.m_promo with
-          | Some pr -> st.holes <- st.holes + List.length pr.pr_loops
-          | None -> ())
-        placements
-  | Some r ->
-      let rw =
-        Certify.Packing
-          { arena; members = List.map (fun p -> p.p_m.m_name) placements }
-      in
-      List.iter
-        (fun p ->
-          Certify.emit r rw ~ctx:(claim_ctx ctx p)
-            (Certify.Fits_in_arena
-               {
-                 arena;
-                 member = p.p_m.m_name;
-                 off = claim_off p;
-                 size = claim_size p;
-                 extent = rextent;
-               });
-          (* one hole per crossed sequential loop: the slot is
-             re-occupied by each iteration's fresh instance *)
-          match p.p_m.m_promo with
-          | Some pr ->
-              List.iter
-                (fun loop ->
-                  st.holes <- st.holes + 1;
-                  Certify.emit r rw ~ctx:(claim_ctx ctx p)
-                    (Certify.Hole_disjoint
-                       {
-                         arena;
-                         a = p.p_m.m_name;
-                         a_off = claim_off p;
-                         a_size = claim_size p;
-                         b = p.p_m.m_name;
-                         b_off = claim_off p;
-                         b_size = claim_size p;
-                         iter = Some loop;
-                       }))
-                pr.pr_loops
-          | None -> ())
-        placements;
-      let rec pairs = function
-        | [] -> ()
-        | p :: rest ->
-            List.iter
-              (fun q ->
-                let pair_ctx = claim_ctx (claim_ctx ctx p) q in
-                if interferes p.p_m q.p_m then
-                  Certify.emit r rw ~ctx:pair_ctx
-                    (Certify.Packed_disjoint
-                       {
-                         arena;
-                         a = p.p_m.m_name;
-                         a_off = claim_off p;
-                         a_size = claim_size p;
-                         b = q.p_m.m_name;
-                         b_off = claim_off q;
-                         b_size = claim_size q;
-                       })
-                else
-                  (* non-interfering: an overlap in address space is a
-                     lifetime hole, certified by live-range
-                     disjointness *)
-                  let p_end = P.add p.p_roff p.p_m.m_rsize
-                  and q_end = P.add q.p_roff q.p_m.m_rsize in
-                  if
-                    not
-                      (Pr.prove_ge ctx q.p_roff p_end
-                      || Pr.prove_ge ctx p.p_roff q_end)
-                  then begin
-                    st.holes <- st.holes + 1;
-                    Certify.emit r rw ~ctx:pair_ctx
-                      (Certify.Hole_disjoint
-                         {
-                           arena;
-                           a = p.p_m.m_name;
-                           a_off = claim_off p;
-                           a_size = claim_size p;
-                           b = q.p_m.m_name;
-                           b_off = claim_off q;
-                           b_size = claim_size q;
-                           iter = None;
-                         })
-                  end)
-              rest;
-            pairs rest
-      in
-      pairs placements
+  let rw =
+    Certify.Packing
+      { arena; members = List.map (fun p -> p.p_m.m_name) placements }
+  in
+  (* a claim's context carries the thread nests of the placements
+     [ps] it mentions *)
+  let emit ps claim =
+    Option.iter
+      (fun r -> Certify.emit r rw ~ctx:(List.fold_left claim_ctx ctx ps) claim)
+      cert
+  in
+  let hole p q iter =
+    Certify.Hole_disjoint
+      {
+        arena;
+        a = p.p_m.m_name;
+        a_off = claim_off p;
+        a_size = claim_size p;
+        b = q.p_m.m_name;
+        b_off = claim_off q;
+        b_size = claim_size q;
+        iter;
+      }
+  in
+  List.iter
+    (fun p ->
+      emit [ p ]
+        (Certify.Fits_in_arena
+           {
+             arena;
+             member = p.p_m.m_name;
+             off = claim_off p;
+             size = claim_size p;
+             extent = rextent;
+           });
+      (* one hole per crossed sequential loop: the slot is re-occupied
+         by each iteration's fresh instance *)
+      match p.p_m.m_promo with
+      | Some pr ->
+          List.iter
+            (fun loop ->
+              st.holes <- st.holes + 1;
+              emit [ p ] (hole p p (Some loop)))
+            pr.pr_loops
+      | None -> ())
+    placements;
+  let rec pairs = function
+    | [] -> ()
+    | p :: rest ->
+        List.iter
+          (fun q ->
+            if interferes p.p_m q.p_m then
+              emit [ p; q ]
+                (Certify.Packed_disjoint
+                   {
+                     arena;
+                     a = p.p_m.m_name;
+                     a_off = claim_off p;
+                     a_size = claim_size p;
+                     b = q.p_m.m_name;
+                     b_off = claim_off q;
+                     b_size = claim_size q;
+                   })
+            else
+              let p_end = P.add p.p_roff p.p_m.m_rsize
+              and q_end = P.add q.p_roff q.p_m.m_rsize in
+              if
+                not
+                  (Pr.prove_ge ctx q.p_roff p_end
+                  || Pr.prove_ge ctx p.p_roff q_end)
+              then begin
+                st.holes <- st.holes + 1;
+                emit [ p; q ] (hole p q None)
+              end)
+          rest;
+        pairs rest
+  in
+  pairs placements
 
 (* Insert the arena allocation at [at] and rebase every placement over
    the remainder of the block. *)
@@ -743,7 +674,7 @@ let pack_block st opts cert names (sc : Facts.scope) (b : block) : block =
   let candidates, aliased_out = dedup_aliases candidates in
   let blocked = blocked @ aliased_out in
   let pruned = prune candidates in
-  let placements, ext = plan st opts ctx pruned in
+  let placements, ext = plan st ctx pruned in
   match (placements, ext) with
   | _ :: _ :: _, Some (extent, rextent) ->
       st.unpacked <-
@@ -842,7 +773,7 @@ let pack_top st opts cert names (p : prog) : block =
       st.unpacked + List.length blocked + List.length (locals candidates);
     b
   in
-  let placements, ext = plan st opts ctx pruned in
+  let placements, ext = plan st ctx pruned in
   match (placements, ext) with
   | _ :: _ :: _, Some (extent, rextent) ->
       let at =

@@ -36,21 +36,11 @@
     and skip naturally, and failed promotions fall back to local
     packing unchanged.
 
-    Placement runs under a configurable {!type:order}:
-
-    - [Firstfit] assigns offsets in emission order: candidate offsets
-      are 0 and the end offsets of already-placed interfering members,
-      and a candidate is admissible when the placement is provably
-      address-disjoint ({!val:Symalg.Prover.prove_ge} on the resolved
-      offset polynomials) from {e every} placed interfering member;
-    - [Colour] (the default) is interval-graph colouring: members are
-      sorted by interval start with size-sorted tie-breaking before the
-      same admissibility scan.  The colour plan is committed only when
-      its arena extent is {e provably} no larger than first-fit's (and
-      it places no fewer members); otherwise the pass falls back to the
-      first-fit plan, so colour's extent never exceeds first-fit's by
-      construction.
-
+    Placement is first-fit in emission order: candidate offsets are 0
+    and the end offsets of already-placed interfering members, and a
+    candidate is admissible when the placement is provably
+    address-disjoint ({!val:Symalg.Prover.prove_ge} on the resolved
+    offset polynomials) from {e every} placed interfering member.
     Non-interfering placements may overlap - that is the sub-block
     reuse.  Blocks the prover cannot place (or whose arena-extent
     comparison is undecidable) stay unpacked and are counted.  One
@@ -77,20 +67,13 @@
     The pass mutates its input program (annotations are mutable);
     {!val:Pipeline.compile} hands it a private clone. *)
 
-type order =
-  | Firstfit  (** place in emission order *)
-  | Colour
-      (** interval-graph colouring with size-sorted tie-breaking;
-          falls back to first-fit unless provably no larger *)
-
 type options = {
   verbose : bool;
   pack : bool;  (** plan arenas; [false] is the identity pass *)
-  order : order;  (** placement order ([--pack-order]) *)
 }
 
 val default_options : options
-(** Packing enabled, quiet, colour order. *)
+(** Packing enabled, quiet. *)
 
 val disabled : options
 (** Identity pass ([--no-pack]). *)

@@ -66,8 +66,8 @@ let rungs = [ "shortcircuit"; "reuse"; "pack" ]
 
 let compile ?(options = Shortcircuit.default_options)
     ?(reuse = Reuse.default_options) ?(pack = Pack.default_options)
-    ?(rounds = 2) ?(lint = false) ?(certify = false) ?(fail_safe = false)
-    ?from (p : prog) : compiled =
+    ?(lint = false) ?(certify = false) ?(fail_safe = false) ?from (p : prog) :
+    compiled =
   (* Resuming [~from:(base, pass)]: rung [i] (0 is [unopt], then
      [rungs]) is [base]'s for [i < resume], i.e. every rung below
      [pass]'s.  Only an undegraded base splits by rung: a contained
@@ -224,7 +224,7 @@ let compile ?(options = Shortcircuit.default_options)
       (fun q ->
         let q, st =
           step ~lint:"shortcircuit" "shortcircuit"
-            (fun cert q -> Shortcircuit.optimize ~options ~rounds ?cert q)
+            (fun cert q -> Shortcircuit.optimize ~options ?cert q)
             q
         in
         let q, n = step ~lint:"cleanup" "cleanup" cleanup q in

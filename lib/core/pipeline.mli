@@ -67,7 +67,6 @@ val compile :
   ?options:Shortcircuit.options ->
   ?reuse:Reuse.options ->
   ?pack:Pack.options ->
-  ?rounds:int ->
   ?lint:bool ->
   ?certify:bool ->
   ?fail_safe:bool ->

@@ -62,7 +62,8 @@ val optimize :
   Ir.Ast.prog * stats
 (** Run the pass over a memory-annotated program (in place: only [pmem]
     annotations are mutated), for [rounds] fixpoint rounds (transitive
-    chaining).  Returns the same program and the pass statistics.
+    chaining; default 2, as every {!Pipeline.compile} runs it).
+    Returns the same program and the pass statistics.
 
     With [cert], every successful circuit emits its proof obligations -
     the last-use requirement, each incremental non-overlap check the

@@ -127,9 +127,8 @@ type counters = {
           at the offsets chosen by {!Core.Pack} *)
   mutable arena_bytes : float;
       (** bytes covered by those arena allocations - the executed arena
-          extents, so the pack-order A/B gate can compare placement
-          orders on an executor-derived surface (lifetime holes make
-          this {e smaller} than the members' summed sizes) *)
+          extents, recorded per dataset in [BENCH.json] (lifetime holes
+          make this {e smaller} than the members' summed sizes) *)
   mutable scratch_allocs : int;
       (** per-thread allocations made inside kernels (CUDA local-memory
           model); never pooled and not charged allocation overhead, but

@@ -1,8 +1,8 @@
 (* Golden record of the compiler's output: one linted, certified,
-   fail-safe compile of [Nw_source] and of every paper program.  Each
-   compile prints the MD5 of every printed variant, every field of the
-   three pass statistics records and the dead-allocation counts, every
-   lint stage's counters and violations, every certificate pass's
+   fail-safe compile of every paper program.  Each compile prints the
+   MD5 of every printed variant, every field of the three pass
+   statistics records and the dead-allocation counts, every lint
+   stage's counters and violations, every certificate pass's
    obligation counts with the MD5 of its JSON, the recovery list, and
    the prover work the compile needs on its own (under
    [Prover.with_cold_memo]): goals decided afresh, of them refuted by a
@@ -19,7 +19,6 @@ module Pr = Symalg.Prover
 
 let programs =
   [
-    ("nw-src", B.Nw_source.prog ());
     ("nw", B.Nw.prog);
     ("lud", B.Lud.prog);
     ("hotspot", B.Hotspot.prog);

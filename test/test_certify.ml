@@ -207,7 +207,7 @@ let test_compile_pure () =
                    c.Core.Pipeline.certs))
           settings
       done)
-    (("nw-src", Benchsuite.Nw_source.prog ()) :: bench_progs)
+    bench_progs
 
 (* Every binder of a program: parameters, pattern elements, loop
    parameters and indices, and nest indices. *)
@@ -247,7 +247,7 @@ let test_names_bound_once () =
             ("reuse", c.reuse);
             ("pack", c.pack);
           ])
-    (("nw-src", Benchsuite.Nw_source.prog ()) :: bench_progs)
+    bench_progs
 
 (* Without ~certify:true no certificates are collected - the recording
    must be strictly opt-in (zero cost on the normal path). *)

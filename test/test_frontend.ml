@@ -185,13 +185,15 @@ let test_nw_from_source () =
   Alcotest.(check int) "opt copy-free" 0 r.Gpu.Exec.counters.Gpu.Device.copies
 
 (* Elaboration is a pure function of the source: two elaborations of NW
-   print the same IR, and their certified compiles print the same
-   variants and certificates. *)
+   print the same IR as the benchmark's own [Nw.prog], and their
+   certified compiles print the same variants and certificates. *)
 let test_elab_repeatable () =
   let show = Ir.Pretty.prog_to_string in
   let p1 = Benchsuite.Nw_source.prog () in
   let p2 = Benchsuite.Nw_source.prog () in
   Alcotest.(check string) "same IR" (show p1) (show p2);
+  Alcotest.(check string) "same IR as Nw.prog" (show Benchsuite.Nw.prog)
+    (show p1);
   let compiled p =
     let c = Core.Pipeline.compile ~certify:true p in
     ( List.map show Core.Pipeline.[ c.unopt; c.opt; c.reuse; c.pack ],

@@ -1,6 +1,6 @@
 (* Tests for the arena-packing pass (Core.Pack).
 
-   Five angles:
+   Four angles:
 
    - the pass itself: programs whose blocks survive reuse get packed
      into one arena at provably disjoint offsets - the whole-program
@@ -23,12 +23,12 @@
      interfering equal-sized members to the same offset is a total
      clobber, and Memlint's reuse rule errors on it;
 
-   - qcheck properties: random pack-shaped programs (k fills of
-     distinct sizes, all live until a final combine) lint, certify,
-     replay (memtrace) and skeleton-diff clean end to end with every
-     member packed; and on random phased programs (members dying in
-     waves, so lifetime holes open up), colour placement's executed
-     arena extent never exceeds first-fit's. *)
+   - a qcheck property: random pack-shaped programs (k fills of
+     distinct sizes, all live until a final combine) and random phased
+     programs (members dying in waves, so lifetime holes open up) lint,
+     certify, replay (memtrace) and skeleton-diff clean end to end, each
+     in one arena - with every member packed in the first, and at least
+     one lifetime hole in the second. *)
 
 open Ir
 open Ast
@@ -441,46 +441,10 @@ let render_skeleton t =
     (fun e -> Fmt.str "%a" Core.Trace.pp_skeleton_event e)
     (Core.Trace.skeleton t)
 
-let prop_packed_programs_verify =
-  QCheck.Test.make ~name:"packed programs lint+certify+replay clean" ~count:(Qcount.count 6)
-    (QCheck.make
-       ~print:(fun (k, nv) -> Printf.sprintf "fills=%d n=%d" k nv)
-       QCheck.Gen.(pair (int_range 2 4) (int_range 2 6)))
-    (fun (k, nv) ->
-      let cpl = Core.Pipeline.compile ~lint:true ~certify:true (gen_pack k) in
-      let st = cpl.Core.Pipeline.pack_stats in
-      (* k fills plus the escaping result, all in one program arena *)
-      if st.Core.Pack.arenas <> 1 || st.Core.Pack.packed <> k + 1 then
-        QCheck.Test.fail_reportf "expected %d members in one arena, got %d/%d"
-          (k + 1) st.Core.Pack.arenas st.Core.Pack.packed;
-      (match Core.Pipeline.first_lint_error cpl.Core.Pipeline.lint with
-      | None -> ()
-      | Some (stage, v) ->
-          QCheck.Test.fail_reportf "lint error after %s: %a" stage
-            ML.pp_violation v);
-      (match Core.Pipeline.first_cert_failure cpl.Core.Pipeline.certs with
-      | None -> ()
-      | Some (pass, ch) ->
-          QCheck.Test.fail_reportf "refuted obligation in %s: %a" pass
-            C.pp_checked ch);
-      let traced p =
-        Gpu.Exec.run ~mode:Gpu.Exec.Full ~trace:true ~variant:"qc" p (args nv)
-      in
-      let rr = traced cpl.Core.Pipeline.reuse
-      and rk = traced cpl.Core.Pipeline.pack in
-      let mt = MT.check (Option.get rk.Gpu.Exec.trace) in
-      if mt.MT.violations <> [] then
-        QCheck.Test.fail_reportf "memtrace violation on the packed variant";
-      if rr.Gpu.Exec.results <> rk.Gpu.Exec.results then
-        QCheck.Test.fail_reportf "reuse and pack variants disagree";
-      render_skeleton (Option.get rr.Gpu.Exec.trace)
-      = render_skeleton (Option.get rk.Gpu.Exec.trace))
-
 (* [phases] waves of [k] fills each: a wave's fills die at that wave's
    combine, while the per-wave sums survive to a final combine.  Fills
    of different waves never interfere, so the planner can stack them
-   into lifetime holes - exactly the shape where placement order
-   matters. *)
+   into lifetime holes. *)
 let gen_phased phases k =
   B.prog "phasegen" ~ctx:ctx_n2 ~params:[ pat_elem "n" i64 ]
     ~ret:[ arr F64 [ n ] ]
@@ -514,43 +478,54 @@ let gen_phased phases k =
       in
       [ Var tot ])
 
-(* The planner only commits a colour plan when its extent is provably
-   no larger than first-fit's; this re-checks the guarantee on the
-   executed numbers, the same surface the CI pack-order A/B gate
-   uses. *)
-let prop_colour_no_worse_than_firstfit =
-  QCheck.Test.make ~name:"colour arena extent never exceeds first-fit"
-    ~count:(Qcount.count 6)
+(* Lint, certificates, a memtrace replay of the packed variant, and the
+   reuse/pack results and trace skeletons of one linted, certified
+   compile. *)
+let verify_packed what cpl nv =
+  (match Core.Pipeline.first_lint_error cpl.Core.Pipeline.lint with
+  | None -> ()
+  | Some (stage, v) ->
+      QCheck.Test.fail_reportf "%s: lint error after %s: %a" what stage
+        ML.pp_violation v);
+  (match Core.Pipeline.first_cert_failure cpl.Core.Pipeline.certs with
+  | None -> ()
+  | Some (pass, ch) ->
+      QCheck.Test.fail_reportf "%s: refuted obligation in %s: %a" what pass
+        C.pp_checked ch);
+  let traced p =
+    Gpu.Exec.run ~mode:Gpu.Exec.Full ~trace:true ~variant:"qc" p (args nv)
+  in
+  let rr = traced cpl.Core.Pipeline.reuse
+  and rk = traced cpl.Core.Pipeline.pack in
+  let mt = MT.check (Option.get rk.Gpu.Exec.trace) in
+  if mt.MT.violations <> [] then
+    QCheck.Test.fail_reportf "%s: memtrace violation on the packed variant"
+      what;
+  if rr.Gpu.Exec.results <> rk.Gpu.Exec.results then
+    QCheck.Test.fail_reportf "%s: reuse and pack variants disagree" what;
+  render_skeleton (Option.get rr.Gpu.Exec.trace)
+  = render_skeleton (Option.get rk.Gpu.Exec.trace)
+
+let prop_packed_programs_verify =
+  QCheck.Test.make ~name:"packed programs lint+certify+replay clean" ~count:(Qcount.count 6)
     (QCheck.make
-       ~print:(fun (ph, k, nv) ->
-         Printf.sprintf "phases=%d fills=%d n=%d" ph k nv)
-       QCheck.Gen.(triple (int_range 2 3) (int_range 2 3) (int_range 2 6)))
-    (fun (ph, k, nv) ->
-      let compile order =
-        Core.Pipeline.compile ~certify:true
-          ~pack:{ Core.Pack.default_options with order }
-          (gen_phased ph k)
-      in
-      let ff = compile Core.Pack.Firstfit
-      and cl = compile Core.Pack.Colour in
-      (match Core.Pipeline.first_cert_failure cl.Core.Pipeline.certs with
-      | None -> ()
-      | Some (pass, chk) ->
-          QCheck.Test.fail_reportf "refuted obligation under colour in %s: %a"
-            pass C.pp_checked chk);
-      if cl.Core.Pipeline.pack_stats.Core.Pack.arenas = 0 then
-        QCheck.Test.fail_reportf "phased program did not pack";
-      let bytes cpl =
-        (Gpu.Exec.run ~mode:Gpu.Exec.Cost_only cpl.Core.Pipeline.pack
-           (args nv))
-          .Gpu.Exec.counters
-          .Gpu.Device.arena_bytes
-      in
-      let fb = bytes ff and cb = bytes cl in
-      if cb > fb then
-        QCheck.Test.fail_reportf
-          "colour arena extent %.0f exceeds first-fit's %.0f" cb fb;
-      true)
+       ~print:(fun (k, ph, nv) ->
+         Printf.sprintf "fills=%d phases=%d n=%d" k ph nv)
+       QCheck.Gen.(triple (int_range 2 4) (int_range 2 3) (int_range 2 6)))
+    (fun (k, ph, nv) ->
+      let compile = Core.Pipeline.compile ~lint:true ~certify:true in
+      let fills = compile (gen_pack k) and phased = compile (gen_phased ph k) in
+      let st = fills.Core.Pipeline.pack_stats in
+      (* k fills plus the escaping result, all in one program arena *)
+      if st.Core.Pack.arenas <> 1 || st.Core.Pack.packed <> k + 1 then
+        QCheck.Test.fail_reportf "expected %d members in one arena, got %d/%d"
+          (k + 1) st.Core.Pack.arenas st.Core.Pack.packed;
+      let st = phased.Core.Pipeline.pack_stats in
+      (* the waves stack into lifetime holes of one arena *)
+      if st.Core.Pack.arenas <> 1 || st.Core.Pack.holes < 1 then
+        QCheck.Test.fail_reportf "phased: %d arenas, %d holes (want 1, >= 1)"
+          st.Core.Pack.arenas st.Core.Pack.holes;
+      verify_packed "fills" fills nv && verify_packed "phased" phased nv)
 
 let tests =
   [
@@ -571,5 +546,4 @@ let tests =
     Alcotest.test_case "mutation: memlint rejects overlapping placement"
       `Quick test_memlint_rejects_overlap;
     QCheck_alcotest.to_alcotest prop_packed_programs_verify;
-    QCheck_alcotest.to_alcotest prop_colour_no_worse_than_firstfit;
   ]
