@@ -209,6 +209,8 @@ let prover_json (p : Symalg.Prover.stats) =
         ("nonneg_hit_rate", Num (rate p.nonneg_hits p.nonneg_misses));
         ("nonneg_refuted", int p.refuted);
         ("budget_exhausted", int p.budget_exhausted);
+        ("verdict_hits", int p.verdict_hits);
+        ("verdict_misses", int p.verdict_misses);
       ] )
 
 (* One machine-readable performance record for the whole suite:
@@ -912,8 +914,9 @@ let run_certify which options reuse pack verbose_reports json out check
    every fault class of the taxonomy into each selected benchmark and
    check the three fail-safe invariants - no crash, bit-equal results,
    every degraded run blames its fault and names its fallback.  Any
-   violation exits nonzero; --json writes the campaign record CI
-   archives. *)
+   violation, and any injection that did not fire (past the excused
+   ones, Chaosdrive.unfired), exits nonzero; --json writes the campaign
+   record CI archives. *)
 
 let run_chaos which seed rounds json out =
   let selected =
@@ -938,11 +941,17 @@ let run_chaos which seed rounds json out =
              let path = Filename.concat dir "campaign.json" in
              write_file path doc;
              Printf.printf "wrote %s\n" path);
-      if Benchsuite.Chaosdrive.ok c then Ok ()
-      else
+      if not (Benchsuite.Chaosdrive.ok c) then
         Error
           (Printf.sprintf "chaos campaign: %d invariant violation(s)"
-             (List.length (Benchsuite.Chaosdrive.violations c))))
+             (List.length (Benchsuite.Chaosdrive.violations c)))
+      else
+        match Benchsuite.Chaosdrive.unfired c with
+        | [] -> Ok ()
+        | u ->
+            Error
+              (Printf.sprintf "chaos campaign: %d injection(s) did not fire"
+                 (List.length u)))
 
 (* ---- prove-nw ---------------------------------------------------- *)
 

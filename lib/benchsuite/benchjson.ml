@@ -16,8 +16,9 @@
      regression by definition;
    - a capped pool's high-water mark must not exceed its cap (checked
      on the current record alone - the cap is a costed constraint);
-   - the prover's nonnegativity and saturation memo misses (its
-     searches) may not exceed the baseline by more than the tolerance;
+   - the prover's nonnegativity, saturation and verdict memo misses
+     (its searches) may not exceed the baseline by more than the
+     tolerance;
    - a benchmark present in the baseline must stay present.
 
    Improvements beyond tolerance, fewer prover misses and new
@@ -56,11 +57,12 @@ let fp_monotone = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
 let pack_grow = [ "arenas"; "packed"; "holes" ]
 let pack_shrink = [ "unpacked" ]
 
-(* the prover's work over the whole suite: a miss is a goal decided
-   afresh, and the counts repeat exactly from run to run, so a rise
-   beyond the tolerance means searches the prover used to avoid are
-   back - a regression no timing noise can hide *)
-let prover_work = [ "nonneg_misses"; "sat_misses" ]
+(* the prover's work over the whole suite: a miss is a goal, a
+   context or a non-overlap question decided afresh, and the counts
+   repeat exactly from run to run, so a rise beyond the tolerance means
+   searches the prover used to avoid are back - a regression no timing
+   noise can hide *)
+let prover_work = [ "nonneg_misses"; "sat_misses"; "verdict_misses" ]
 
 let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
     gate =

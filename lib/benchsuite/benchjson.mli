@@ -55,9 +55,10 @@ val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
       ground: [arenas], [packed] and [holes] (certified lifetime
       holes) may only grow, [unpacked] (undecidable placements) may
       only shrink;
-    - the prover's [nonneg_misses] and [sat_misses] (the [prover]
-      object) may not exceed the baseline by more than [tolerance]:
-      they count searches, and repeat exactly from run to run;
+    - the prover's [nonneg_misses], [sat_misses] and [verdict_misses]
+      (the [prover] object) may not exceed the baseline by more than
+      [tolerance]: they count searches, and repeat exactly from run to
+      run;
     - a benchmark present in the baseline must stay present.
 
     Improvements beyond tolerance, any fall in the prover's misses and

@@ -301,6 +301,34 @@ let violations c =
 
 let ok c = violations c = []
 
+(* The one (bench, class) pair the campaign cannot cover: even at a
+   budget of 0, NN's fail-safe compile exhausts no query, since none of
+   its decisions goes through a budgeted prover query. *)
+let not_covered =
+  [
+    ( "nn",
+      "prover-budget",
+      "NN's fail-safe compile asks no question a step budget can cut" );
+  ]
+
+(* An injection that fired exercised its layer; one that did not
+   checked nothing.  A step budget above 0 may exceed what the compile
+   needs, so only a budget of 0 is required to fire. *)
+let unfired c =
+  let excused bench i =
+    (i.i_class = "prover-budget" && i.i_site > 0)
+    || List.exists
+         (fun (b, cls, _) -> b = bench && cls = i.i_class)
+         not_covered
+  in
+  List.concat_map
+    (fun b ->
+      List.filter_map
+        (fun i ->
+          if i.i_fired || excused b.c_bench i then None else Some (b.c_bench, i))
+        b.c_injections)
+    c.benches
+
 let json c =
   let open Core.Json in
   let injection i =
@@ -364,6 +392,18 @@ let report c =
            (if i.i_fired && not i.i_recovered then " unrecovered" else "")
            i.i_detail))
     viols;
+  List.iter
+    (fun (bench, i) ->
+      Buffer.add_string b
+        (Printf.sprintf "  UNFIRED %s %s/%s@%d (detail: %s)\n" bench i.i_class
+           i.i_pass i.i_site i.i_detail))
+    (unfired c);
+  List.iter
+    (fun (bench, cls, why) ->
+      if List.exists (fun bc -> bc.c_bench = bench) c.benches then
+        Buffer.add_string b
+          (Printf.sprintf "  not covered: %s %s (%s)\n" bench cls why))
+    not_covered;
   Printf.sprintf
     "chaos campaign: seed %d, %d round(s), %d bench(es), %d injections, \
      %d violation(s)\n%s"

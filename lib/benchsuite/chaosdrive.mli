@@ -61,6 +61,17 @@ val violations : campaign -> (string * injection) list
 
 val ok : campaign -> bool
 
+val not_covered : (string * string * string) list
+(** The (bench, fault class) pairs the campaign cannot cover, each with
+    its reason: [("nn", "prover-budget", _)], as NN's fail-safe compile
+    asks no question a step budget can cut. *)
+
+val unfired : campaign -> (string * injection) list
+(** Injections that did not fire, paired with their benchmark: each
+    checked nothing.  Excused are prover-budget injections with a step
+    budget above 0 (it may exceed what the compile needs) and the
+    {!not_covered} pairs.  [repro chaos] fails when any remain. *)
+
 val json : campaign -> Core.Json.t
 (** The campaign summary schema consumed by CI (see
     docs/ROBUSTNESS.md): seed, rounds, per-bench injection records,
@@ -68,4 +79,5 @@ val json : campaign -> Core.Json.t
 
 val report : campaign -> string
 (** Human-readable summary, one line per benchmark plus one line per
-    violation. *)
+    violation, one per {!unfired} injection and one per {!not_covered}
+    pair of a benchmark in the campaign. *)

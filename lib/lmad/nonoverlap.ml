@@ -276,9 +276,9 @@ let rec disjoint_sums ctx depth (i1 : sum_of_intervals)
           parts1
     | _ -> false
 
-(* [disjoint ctx l1 l2] - sufficient test that the point sets of the two
-   LMADs do not intersect, under the context's assumptions. *)
-let disjoint ?(depth = 3) ctx (l1 : Lmad.t) (l2 : Lmad.t) : bool =
+(* The test itself: sufficient that the point sets of the two LMADs do
+   not intersect, under the context's assumptions. *)
+let decide depth ctx (l1 : Lmad.t) (l2 : Lmad.t) : bool =
   let l1 = Lmad.map_polys (Pr.rewrite ctx) l1 in
   let l2 = Lmad.map_polys (Pr.rewrite ctx) l2 in
   if Lmad.is_empty_set ctx l1 || Lmad.is_empty_set ctx l2 then true
@@ -302,3 +302,30 @@ let disjoint ?(depth = 3) ctx (l1 : Lmad.t) (l2 : Lmad.t) : bool =
                 | Dist_fail -> false)
             | _ -> false))
     | _ -> false
+
+(* A question is its split depth and its ordered pair of LMADs, equal
+   when every offset, cardinal and stride is.  The order is kept: the
+   test is not promised to be symmetric. *)
+module Question = struct
+  type t = int * Lmad.t * Lmad.t
+
+  let equal (d1, a1, b1) (d2, a2, b2) =
+    d1 = d2 && Lmad.equal a1 a2 && Lmad.equal b1 b2
+
+  let hash (d, a, b) =
+    let mix h x = (h * 65599) + x in
+    let lmad l =
+      List.fold_left
+        (fun h dim -> mix (mix h (P.hash dim.Lmad.n)) (P.hash dim.Lmad.s))
+        (P.hash (Lmad.offset l))
+        (Lmad.dims l)
+    in
+    Hashtbl.hash (mix (mix d (lmad a)) (lmad b))
+end
+
+module Verdicts = Pr.Verdicts (Question)
+
+(* [disjoint ctx l1 l2]: each question is decided once per context; the
+   checkers that re-ask the passes' questions find their verdicts. *)
+let disjoint ?(depth = 3) ctx l1 l2 =
+  Verdicts.decide ctx (depth, l1, l2) (fun () -> decide depth ctx l1 l2)

@@ -27,7 +27,15 @@ val disjoint : ?depth:int -> Pr.t -> Lmad.t -> Lmad.t -> bool
     splitting, leaving the plain per-set condition).  The search is
     bounded by that depth and the prover's own depth, never by a
     clock, so the verdict is a function of the query alone unless the
-    caller installs a {!Symalg.Prover.budget}. *)
+    caller installs a {!Symalg.Prover.budget}.
+
+    Verdicts are memoized ({!Symalg.Prover.Verdicts}) on the context,
+    the depth and the {e ordered} pair [(l1, l2)], compared with
+    {!Lmad.equal}: the test is not promised to be symmetric, so
+    [disjoint ctx l2 l1] is a question of its own.  A repeated question
+    is answered without a prover query.
+    {!Symalg.Prover.with_cold_memo} empties the table, and any budget
+    other than {!Symalg.Prover.unlimited} bypasses it. *)
 
 (**/**)
 

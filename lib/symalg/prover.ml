@@ -446,6 +446,7 @@ let saturate_round ctx0 =
    wholesale, trading re-derivation for bounded residency. *)
 let sat_cap = 50_000
 let nonneg_cap = 500_000
+let verdict_cap = 50_000
 
 (* Prover resource budget: a per-query cap on elimination searches
    (memo misses) and an optional override of the nonneg memo cap.
@@ -465,8 +466,9 @@ let goal_cap () =
 
 (* Cache effectiveness counters, surfaced by [--verbose] reports and
    the bench JSON: a miss is a full saturation / a goal decided afresh
-   (refuted by a witness, counted in [refuted], or searched), a reset
-   throws the accumulated table away. *)
+   (refuted by a witness, counted in [refuted], or searched) / a
+   question a {!Verdicts} client decided afresh, a reset throws the
+   accumulated table away. *)
 type stats = {
   mutable sat_hits : int;
   mutable sat_misses : int;
@@ -476,6 +478,8 @@ type stats = {
   mutable nonneg_resets : int;
   mutable refuted : int;
   mutable budget_exhausted : int;
+  mutable verdict_hits : int;
+  mutable verdict_misses : int;
 }
 
 let the_stats =
@@ -488,6 +492,8 @@ let the_stats =
     nonneg_resets = 0;
     refuted = 0;
     budget_exhausted = 0;
+    verdict_hits = 0;
+    verdict_misses = 0;
   }
 
 let stats () =
@@ -500,6 +506,8 @@ let stats () =
     nonneg_resets = the_stats.nonneg_resets;
     refuted = the_stats.refuted;
     budget_exhausted = the_stats.budget_exhausted;
+    verdict_hits = the_stats.verdict_hits;
+    verdict_misses = the_stats.verdict_misses;
   }
 
 let reset_stats () =
@@ -510,19 +518,24 @@ let reset_stats () =
   the_stats.nonneg_misses <- 0;
   the_stats.nonneg_resets <- 0;
   the_stats.refuted <- 0;
-  the_stats.budget_exhausted <- 0
+  the_stats.budget_exhausted <- 0;
+  the_stats.verdict_hits <- 0;
+  the_stats.verdict_misses <- 0
 
 let pp_stats ppf (s : stats) =
   let rate h m = if h + m = 0 then 0. else 100. *. float_of_int h /. float_of_int (h + m) in
   Fmt.pf ppf
     "@[<v>saturation memo: %d hits / %d misses (%.1f%%), %d resets@,\
      nonneg memo: %d hits / %d misses (%.1f%%), %d resets, %d refuted@,\
+     verdict memo: %d hits / %d misses (%.1f%%)@,\
      budget: %d queries exhausted@]"
     s.sat_hits s.sat_misses
     (rate s.sat_hits s.sat_misses)
     s.sat_resets s.nonneg_hits s.nonneg_misses
     (rate s.nonneg_hits s.nonneg_misses)
-    s.nonneg_resets s.refuted s.budget_exhausted
+    s.nonneg_resets s.refuted s.verdict_hits s.verdict_misses
+    (rate s.verdict_hits s.verdict_misses)
+    s.budget_exhausted
 
 module Ctx_tbl = Hashtbl.Make (struct
   type nonrec t = t
@@ -612,11 +625,16 @@ end)
 
 let memo : bool Goal_tbl.t ref = ref (Goal_tbl.create 4096)
 
-(* Both memo tables and the witness window swapped for empty ones
-   while [f] runs: the proof work [f] itself needs, whatever the
-   process proved before. *)
+(* How to empty each table {!Verdicts} builds: a call swaps an empty
+   table in and returns the function that swaps the old one back. *)
+let verdict_tables : (unit -> unit -> unit) list ref = ref []
+
+(* The memo tables, the verdict tables and the witness window swapped
+   for empty ones while [f] runs: the proof work [f] itself needs,
+   whatever the process proved before. *)
 let with_cold_memo f =
   let sat = !sat_memo and goals = !memo and wits = !recent in
+  let verdicts = List.map (fun cold -> cold ()) !verdict_tables in
   sat_memo := Ctx_tbl.create 256;
   memo := Goal_tbl.create 4096;
   recent := [];
@@ -624,8 +642,49 @@ let with_cold_memo f =
     ~finally:(fun () ->
       sat_memo := sat;
       memo := goals;
-      recent := wits)
+      recent := wits;
+      List.iter (fun restore -> restore ()) verdicts)
     f
+
+(* A memo of a client's own questions under a context, kept like the
+   other two tables: keyed by the context's [equal] and [hash], emptied
+   by [with_cold_memo], flushed wholesale past its cap, counted in
+   [stats].  A budgeted query may answer [false] where an unbudgeted
+   one proves, so the table is read and filled only while the budget is
+   [unlimited]: any budget sends the question to the client's own
+   decision. *)
+module Verdicts (K : Hashtbl.HashedType) = struct
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t * K.t
+
+    let equal (c1, k1) (c2, k2) = K.equal k1 k2 && equal c1 c2
+    let hash (c, k) = Hashtbl.hash (c.hash, K.hash k)
+  end)
+
+  let table = ref (Tbl.create 256)
+
+  let () =
+    let cold () =
+      let saved = !table in
+      table := Tbl.create 256;
+      fun () -> table := saved
+    in
+    verdict_tables := cold :: !verdict_tables
+
+  let decide ctx k f =
+    if !the_budget <> unlimited then f ()
+    else
+      match Tbl.find_opt !table (ctx, k) with
+      | Some r ->
+          the_stats.verdict_hits <- the_stats.verdict_hits + 1;
+          r
+      | None ->
+          the_stats.verdict_misses <- the_stats.verdict_misses + 1;
+          let r = f () in
+          if Tbl.length !table > verdict_cap then Tbl.reset !table;
+          Tbl.add !table (ctx, k) r;
+          r
+end
 
 (* Is variable [v] provably >= 0?  Used to justify monotonicity of
    higher powers of [v]. *)
@@ -642,7 +701,6 @@ and nonneg ctx depth shifted (p : Poly.t) : bool =
   | Some c -> c >= 0
   | None ->
       if depth = 0 || out_of_steps () then false
-      else if Ext.ge0 (fst (poly_interval ctx 4 [] p)) then true
       else
         (* Memoize on the full proof state: identical obligations recur
            heavily across the non-overlap checks of one compilation,
@@ -650,12 +708,16 @@ and nonneg ctx depth shifted (p : Poly.t) : bool =
            different variable orders.  A [false] computed under an
            exhausted step budget is not cached (it may be a budget
            artifact, not a refusal); a [false] backed by a
-           counterexample always is. *)
+           counterexample always is.  The memo is read before the
+           interval bound: a goal is stored only once its bound has
+           failed, and the bound is a function of the context and the
+           goal, so the order moves no verdict and no counter. *)
         let key = (ctx, depth, SS.elements shifted, p) in
         (match Goal_tbl.find_opt !memo key with
         | Some r ->
             the_stats.nonneg_hits <- the_stats.nonneg_hits + 1;
             r
+        | None when Ext.ge0 (fst (poly_interval ctx 4 [] p)) -> true
         | None ->
             the_stats.nonneg_misses <- the_stats.nonneg_misses + 1;
             if Goal_tbl.length !memo > goal_cap () then begin

@@ -150,32 +150,58 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Memoization limits and statistics}
 
-    The prover keeps two memo tables: saturated contexts and decided
-    nonnegativity obligations, both keyed by {!hash} and {!equal}.
-    Each is flushed wholesale when it outgrows its cap, 50,000
-    contexts and 500,000 obligations (bounded residency beats an
+    The prover keeps three kinds of memo table under one policy:
+    saturated contexts, decided nonnegativity obligations, and the
+    verdicts of a client's own questions ({!Verdicts}; the non-overlap
+    test is its one client).  All are keyed by the context's {!hash}
+    and {!equal}, all are emptied by {!with_cold_memo}, and each is
+    flushed wholesale when it outgrows its cap: 50,000 contexts,
+    500,000 obligations and 50,000 verdicts (bounded residency beats an
     eviction policy for the bursty obligation streams the pipeline
-    produces). *)
+    produces).  {!stats} counts each table's hits and misses.  A
+    nonnegativity goal is looked up before its interval bound is
+    evaluated; it is stored only once that bound has failed, so the
+    order moves no verdict and no counter. *)
 
 val with_cold_memo : (unit -> 'a) -> 'a
-(** [with_cold_memo f] runs [f] against empty memo tables and an empty
-    set of kept witness assignments, and then puts the previous ones
-    back: [f]'s prover work, as {!stats} counts it, is what [f] needs
-    on its own, not what earlier proofs left for it to look up.
-    Statistics and budgets are untouched. *)
+(** [with_cold_memo f] runs [f] against empty memo tables (saturation,
+    nonnegativity and every {!Verdicts} table) and an empty set of kept
+    witness assignments, and then puts the previous ones back: [f]'s
+    prover work, as {!stats} counts it, is what [f] needs on its own,
+    not what earlier proofs left for it to look up.  Statistics and
+    budgets are untouched. *)
+
+(** A memo of a client's own yes/no questions, each decided under a
+    context by prover queries: a table from (context, [K.t]) to the
+    verdict, keyed with the context's {!equal} and {!hash} and [K]'s.
+    It is read and filled only while the budget is {!unlimited}: under
+    a step budget a question may be refused that an unbudgeted one
+    proves, and [b_memo] bounds memoization, so any budget sends every
+    question to the client's own decision.  The client's decision must
+    be a function of the context and the key alone, as an unbudgeted
+    prover query is. *)
+module Verdicts (K : Hashtbl.HashedType) : sig
+  val decide : t -> K.t -> (unit -> bool) -> bool
+  (** [decide ctx k f] is [f ()], the verdict on question [k] under
+      [ctx]: looked up when the same question was decided before under
+      an equal context (a [verdict_hits]), else computed and stored (a
+      [verdict_misses]). *)
+end
 
 (** {1 Resource budgets}
 
     A process-wide, per-query prover budget (CLI [--prover-budget]):
     [b_steps] caps the elimination searches (memo misses) any one
     [prove_*] query may spend ([-1] = unlimited; [0] refuses every
-    query outright, so {e every} obligation comes back unproved); a
-    miss refuted by a concrete witness costs one step like any other;
-    [b_memo] lowers the nonneg memo cap when nonnegative.  No clock
-    bounds a query, so host load never decides a verdict.  Exhaustion
-    is sound - the query answers "not proved", the caller skips the
-    rewrite - and is counted once per affected query in
-    [stats ()].[budget_exhausted]. *)
+    query outright, before the nonneg memo is read, so {e every}
+    obligation comes back unproved); a miss refuted by a concrete
+    witness costs one step like any other; [b_memo] lowers the nonneg
+    memo cap when nonnegative.  Any budget other than {!unlimited}
+    bypasses the {!Verdicts} tables, so a budgeted question is always
+    decided by queries under that budget.  No clock bounds a query, so
+    host load never decides a verdict.  Exhaustion is sound - the query
+    answers "not proved", the caller skips the rewrite - and is counted
+    once per affected query in [stats ()].[budget_exhausted]. *)
 type budget = { b_steps : int; b_memo : int }
 
 val unlimited : budget
@@ -185,7 +211,8 @@ val get_budget : unit -> budget
 (** Cache effectiveness counters (process-wide, monotone until
     {!reset_stats}): a miss is a full saturation / a nonnegativity goal
     decided afresh, by a concrete witness ([refuted]) or by an
-    elimination search; a reset discards the accumulated table. *)
+    elimination search / a {!Verdicts} question decided afresh; a
+    reset discards the accumulated table. *)
 type stats = {
   mutable sat_hits : int;
   mutable sat_misses : int;
@@ -198,6 +225,11 @@ type stats = {
           instead of an elimination search. *)
   mutable budget_exhausted : int;
       (** Queries truncated by the step budget. *)
+  mutable verdict_hits : int;
+      (** {!Verdicts} questions answered from their table. *)
+  mutable verdict_misses : int;
+      (** {!Verdicts} questions decided afresh while the budget was
+          {!unlimited}; a budgeted question counts in neither. *)
 }
 
 val stats : unit -> stats

@@ -6,8 +6,9 @@
    obligation counts with the MD5 of its JSON, the recovery list, and
    the prover work the compile needs on its own (under
    [Prover.with_cold_memo]): goals decided afresh, of them refuted by a
-   witness, and contexts saturated.  The counts repeat exactly, as no
-   clock bounds a proof.  Dune diffs the output against
+   witness, contexts saturated, and non-overlap questions decided
+   afresh.  The counts repeat exactly, as no clock bounds a proof.
+   Dune diffs the output against
    [compile_golden.expected]; a refactoring of the passes that is meant
    to keep their output must leave that file byte-identical, and a
    prover change that moves the search must leave every other line as
@@ -144,8 +145,10 @@ let () =
       List.iter print_cert certs;
       List.iter print_recovery recovery;
       Printf.printf "  prover_exhausted %d\n" prover_exhausted;
-      Printf.printf "  prover nonneg_misses %d refuted %d sat_misses %d\n"
+      Printf.printf
+        "  prover nonneg_misses %d refuted %d sat_misses %d verdict_misses %d\n"
         (after.nonneg_misses - before.nonneg_misses)
         (after.refuted - before.refuted)
-        (after.sat_misses - before.sat_misses))
+        (after.sat_misses - before.sat_misses)
+        (after.verdict_misses - before.verdict_misses))
     programs

@@ -340,22 +340,29 @@ let test_gate_missing_benchmark_fails () =
    regression, a rise within the tolerance passes, and a fall is a
    note. *)
 let test_gate_prover_work () =
-  let record ~nonneg ~sat =
+  let record ?(verdict = 68) ~nonneg ~sat () =
     parse_exn
       (Printf.sprintf
-         {|{"date":"x","benchmarks":[],"prover":{"nonneg_misses":%d,"sat_misses":%d}}|}
-         nonneg sat)
+         {|{"date":"x","benchmarks":[],"prover":{"nonneg_misses":%d,"sat_misses":%d,"verdict_misses":%d}}|}
+         nonneg sat verdict)
   in
-  let b = record ~nonneg:3541 ~sat:54 in
+  let b = record ~nonneg:3541 ~sat:54 () in
   let same = BJ.gate ~baseline:b ~current:b () in
-  Alcotest.(check int) "both counts compared" 2 same.BJ.checked;
+  Alcotest.(check int) "all three counts compared" 3 same.BJ.checked;
   Alcotest.(check bool) "identity passes" true (BJ.ok same);
-  let inflated = BJ.gate ~baseline:b ~current:(record ~nonneg:3896 ~sat:54) () in
+  let inflated =
+    BJ.gate ~baseline:b ~current:(record ~nonneg:3896 ~sat:54 ()) ()
+  in
   Alcotest.(check int) "misses +10% is one regression" 1
     (List.length inflated.BJ.regressions);
+  let repeated =
+    BJ.gate ~baseline:b ~current:(record ~verdict:80 ~nonneg:3541 ~sat:54 ()) ()
+  in
+  Alcotest.(check int) "non-overlap questions re-decided: a regression" 1
+    (List.length repeated.BJ.regressions);
   Alcotest.(check bool) "a rise within tolerance passes" true
-    (BJ.ok (BJ.gate ~baseline:b ~current:(record ~nonneg:3600 ~sat:54) ()));
-  let fell = BJ.gate ~baseline:b ~current:(record ~nonneg:3541 ~sat:50) () in
+    (BJ.ok (BJ.gate ~baseline:b ~current:(record ~nonneg:3600 ~sat:54 ()) ()));
+  let fell = BJ.gate ~baseline:b ~current:(record ~nonneg:3541 ~sat:50 ()) () in
   Alcotest.(check bool) "a fall passes" true (BJ.ok fell);
   Alcotest.(check int) "a fall is a note" 1 (List.length fell.BJ.notes)
 

@@ -23,7 +23,10 @@
    - resumed compiles: [Pipeline.compile ~from] agrees with a fresh
      compile under every arming the campaign uses, leaves its base
      untouched, and refuses what it cannot resume; the campaign's
-     resumed injections agree with fresh re-runs. *)
+     resumed injections agree with fresh re-runs;
+
+   - coverage: the seed-42 campaign over the paper programs fires every
+     injection it does not excuse. *)
 
 open Ir.Ast
 module P = Symalg.Poly
@@ -515,6 +518,50 @@ let test_campaign_matches_fresh () =
         Benchsuite.Hotspot.small_args ~n:16 ~steps:3 );
     ]
 
+(* The seed-42 campaign over the seven paper programs at the small
+   arguments [repro chaos] uses: every injection fires, save a budget
+   above 0 (it may exceed what a compile needs) and the pairs the
+   campaign lists as not covered - and those pairs still do not fire, so
+   the list names no pair the campaign does cover. *)
+let test_campaign_fires () =
+  let module B = Benchsuite in
+  let open Benchsuite.Chaosdrive in
+  let camp =
+    run ~seed:42 ~rounds:1
+      [
+        ("nw", B.Nw.prog, B.Nw.small_args ~q:3 ~b:4);
+        ("lud", B.Lud.prog, B.Lud.small_args ~q:3 ~b:4);
+        ("hotspot", B.Hotspot.prog, B.Hotspot.small_args ~n:16 ~steps:3);
+        ("lbm", B.Lbm.prog, B.Lbm.small_args ~n:8 ~steps:3);
+        ( "optionpricing",
+          B.Option_pricing.prog,
+          B.Option_pricing.small_args ~npaths:64 ~nsteps:16 );
+        ( "locvolcalib",
+          B.Locvolcalib.prog,
+          B.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4 );
+        ("nn", B.Nn.prog, B.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8);
+      ]
+  in
+  Alcotest.(check bool) "campaign holds all three invariants" true (ok camp);
+  Alcotest.(check (list string)) "every injection fired" []
+    (List.map
+       (fun (bench, i) ->
+         Printf.sprintf "%s %s/%s@%d" bench i.i_class i.i_pass i.i_site)
+       (unfired camp));
+  List.iter
+    (fun (bench, cls, _) ->
+      Alcotest.(check bool)
+        (bench ^ " " ^ cls ^ " is still not covered")
+        true
+        (List.exists
+           (fun b ->
+             b.c_bench = bench
+             && List.exists
+                  (fun i -> i.i_class = cls && not i.i_fired)
+                  b.c_injections)
+           camp.benches))
+    not_covered
+
 let tests =
   [
     Alcotest.test_case "budget 0: every obligation Undecided" `Quick
@@ -557,4 +604,6 @@ let tests =
       test_resume_rejects;
     Alcotest.test_case "campaign injections equal fresh compiles" `Quick
       test_campaign_matches_fresh;
+    Alcotest.test_case "seed-42 campaign: every injection fires" `Quick
+      test_campaign_fires;
   ]

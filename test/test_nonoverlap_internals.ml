@@ -1,7 +1,7 @@
 (* White-box tests of the non-overlap machinery: the sum-of-intervals
    conversion, offset distribution (footnote 27), the per-set dimension
-   condition, the splitting heuristic (Fig. 8), the residue rule, and
-   the prover's budgets. *)
+   condition, the splitting heuristic (Fig. 8), the residue rule, the
+   prover's budgets, and the memo of non-overlap verdicts. *)
 
 module P = Symalg.Poly
 module Pr = Symalg.Prover
@@ -16,6 +16,22 @@ let nw_ctx () =
   let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
   let ctx = Pr.add_range ctx "i" ~lo:(c 0) ~hi:(P.sub (v "q") P.one) () in
   Pr.add_eq ctx "n" (P.add (P.mul (v "q") (v "b")) P.one)
+
+(* Fig. 9's write W and vertical read Rvert: disjoint, but only once a
+   dimension is split. *)
+let fig9 () =
+  let n = v "n" and b = v "b" and i = v "i" in
+  let nb_b = P.sub (P.mul n b) b in
+  let w =
+    Lmad.make
+      (P.sum [ P.mul i b; n; P.one ])
+      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim b n; Lmad.dim b P.one ]
+  in
+  let rv =
+    Lmad.make (P.mul i b)
+      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim (P.add b P.one) n ]
+  in
+  (w, rv)
 
 (* ---------------------------------------------------------------- *)
 (* Stride bases                                                      *)
@@ -138,18 +154,7 @@ let test_split_overlapping () =
 let test_split_depth_zero () =
   (* Fig. 9 needs splitting: with depth 0 the proof must fail (but stay
      sound), with the default depth it succeeds *)
-  let ctx = nw_ctx () in
-  let n = v "n" and b = v "b" and i = v "i" in
-  let nb_b = P.sub (P.mul n b) b in
-  let w =
-    Lmad.make
-      (P.sum [ P.mul i b; n; P.one ])
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim b n; Lmad.dim b P.one ]
-  in
-  let rv =
-    Lmad.make (P.mul i b)
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim (P.add b P.one) n ]
-  in
+  let ctx = nw_ctx () and w, rv = fig9 () in
   Alcotest.(check bool) "depth 0 fails" false
     (Nonoverlap.disjoint ~depth:0 ctx w rv);
   Alcotest.(check bool) "default depth succeeds" true
@@ -159,33 +164,208 @@ let test_split_depth_zero () =
 (* Prover budgets                                                    *)
 (* ---------------------------------------------------------------- *)
 
+let under budget f =
+  let saved = Pr.get_budget () in
+  Pr.set_budget budget;
+  Fun.protect ~finally:(fun () -> Pr.set_budget saved) f
+
 let test_budget_soundness () =
   (* The Fig. 9 pair needs the prover.  No clock bounds a proof; only
      an explicit step budget does, and a cut budget gives up (false),
      never claiming disjointness it cannot prove. *)
-  let ctx = nw_ctx () in
-  let n = v "n" and b = v "b" and i = v "i" in
-  let nb_b = P.sub (P.mul n b) b in
-  let w =
-    Lmad.make
-      (P.sum [ P.mul i b; n; P.one ])
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim b n; Lmad.dim b P.one ]
-  in
-  let rv =
-    Lmad.make (P.mul i b)
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim (P.add b P.one) n ]
-  in
-  let under budget f =
-    let saved = Pr.get_budget () in
-    Pr.set_budget budget;
-    Fun.protect ~finally:(fun () -> Pr.set_budget saved) f
-  in
+  let ctx = nw_ctx () and w, rv = fig9 () in
   under { Pr.unlimited with b_steps = 0 } (fun () ->
       Alcotest.(check bool) "b_steps = 0: not proved" false
         (Nonoverlap.disjoint ctx w rv));
   under Pr.unlimited (fun () ->
       Alcotest.(check bool) "unlimited: proved" true
         (Nonoverlap.disjoint ctx w rv))
+
+(* The reverse order: the memo holds the pair's [true] before each
+   budget asks, and neither budget may read it.  Under [b_steps = 0]
+   every prover query is refused, so the answer is [false]; under
+   [b_memo = 0] the answer is the search's own, with no verdict hit and
+   nothing stored. *)
+let test_budget_bypasses_verdicts () =
+  let ctx = nw_ctx () and w, rv = fig9 () in
+  let verdicts () =
+    let s = Pr.stats () in
+    (s.Pr.verdict_hits, s.Pr.verdict_misses)
+  in
+  Alcotest.(check bool) "unlimited: proved" true (Nonoverlap.disjoint ctx w rv);
+  let before = verdicts () in
+  under { Pr.unlimited with b_steps = 0 } (fun () ->
+      Alcotest.(check bool) "b_steps = 0: not proved" false
+        (Nonoverlap.disjoint ctx w rv));
+  under { Pr.unlimited with b_memo = 0 } (fun () ->
+      Alcotest.(check bool) "b_memo = 0: proved by the search" true
+        (Nonoverlap.disjoint ctx w rv));
+  Alcotest.(check (pair int int)) "no verdict hit or miss under a budget"
+    before (verdicts ())
+
+(* ---------------------------------------------------------------- *)
+(* The verdict memo                                                  *)
+(* ---------------------------------------------------------------- *)
+
+(* A question and the context it is asked under, printed for qcheck. *)
+type question = { ctx : Pr.t; depth : int; l1 : Lmad.t; l2 : Lmad.t }
+
+let print_question q =
+  Fmt.str "@[<v>%a@,depth %d: %s # %s@]" Pr.pp q.ctx q.depth
+    (Lmad.to_string q.l1) (Lmad.to_string q.l2)
+
+(* NW's anti-diagonal pieces (Fig. 9): an offset, then an outer,
+   middle and inner dimension, each possibly absent.  W and Rvert are
+   among them. *)
+let gen_nw_lmad =
+  QCheck.Gen.(
+    let n = v "n" and b = v "b" and i = v "i" in
+    let nb_b = P.sub (P.mul n b) b in
+    let* off =
+      oneofl
+        [
+          P.mul i b;
+          P.sum [ P.mul i b; n; P.one ];
+          P.add (P.mul i b) P.one;
+          P.add (P.mul i b) n;
+          P.add n P.one;
+        ]
+    in
+    let* outer = oneofl [ []; [ Lmad.dim (P.add i P.one) nb_b ] ] in
+    let* middle =
+      oneofl [ []; [ Lmad.dim b n ]; [ Lmad.dim (P.add b P.one) n ] ]
+    in
+    let* inner =
+      oneofl [ []; [ Lmad.dim b P.one ]; [ Lmad.dim (P.add b P.one) P.one ] ]
+    in
+    return (Lmad.make off (outer @ middle @ inner)))
+
+(* Points, rows, columns and row prefixes of an n x n matrix indexed by
+   the triangular context's i and j. *)
+let gen_tri_lmad =
+  QCheck.Gen.(
+    let i = v "i" and j = v "j" and n = v "n" in
+    let* off =
+      oneofl [ P.zero; i; j; n; P.mul i n; P.add (P.mul i n) j; P.mul j n ]
+    in
+    let* dims =
+      oneofl
+        [
+          [];
+          [ Lmad.dim n P.one ];
+          [ Lmad.dim (P.add j P.one) P.one ];
+          [ Lmad.dim n n ];
+        ]
+    in
+    return (Lmad.make off dims))
+
+(* Two contexts one bound apart, an anchor pair and the LMADs to draw
+   more pairs from.  A triangular context's anchor is the two points
+   the moved bound separates, so its verdict differs between the two
+   contexts whenever that bound is the binding one; NW's is Fig. 9's
+   pair, whose verdict differs between split depth 0 and the others. *)
+let gen_contexts =
+  QCheck.Gen.(
+    let tri =
+      let* t = Test_symalg.gen_tri in
+      let pt x = Lmad.point x in
+      let* t', anchor =
+        oneofl
+          [
+            ({ t with Test_symalg.cn = t.Test_symalg.cn + 1 },
+             (pt P.zero, pt (v "n")));
+            ({ t with a = t.a + 1 }, (pt P.zero, pt (v "i")));
+            ({ t with b = t.b + 1 }, (pt (v "i"), pt (v "n")));
+            ({ t with cj = t.cj + 1 }, (pt (v "j"), pt (v "i")));
+          ]
+      in
+      return
+        ( Test_symalg.tri_ctx t,
+          Test_symalg.tri_ctx t',
+          anchor,
+          gen_tri_lmad )
+    in
+    let nw =
+      let ctx = nw_ctx () in
+      return
+        (ctx, Pr.add_range ctx "b" ~lo:(c 3) (), fig9 (), gen_nw_lmad)
+    in
+    oneof [ tri; nw ])
+
+(* Each pair (the anchor and up to two more) under both contexts, each
+   at two distinct split depths, shuffled. *)
+let gen_questions =
+  QCheck.Gen.(
+    let* ctx, ctx', anchor, gen_lmad = gen_contexts in
+    let* more = list_size (int_range 0 2) (pair gen_lmad gen_lmad) in
+    let* asks =
+      flatten_l
+        (List.concat_map
+           (fun (l1, l2) ->
+             List.map
+               (fun ctx ->
+                 map
+                   (fun (d, k) ->
+                     [
+                       { ctx; depth = d; l1; l2 };
+                       { ctx; depth = (d + k) mod 4; l1; l2 };
+                     ])
+                   (pair (int_range 0 3) (int_range 1 3)))
+               [ ctx; ctx' ])
+           (anchor :: more))
+    in
+    shuffle_l (List.concat asks))
+
+(* A verdict does not depend on what was asked before: each question
+   asked after all the others, asked again, and asked alone under
+   [with_cold_memo] gets one verdict, and the second round decides
+   nothing afresh. *)
+let prop_verdicts_history_free =
+  QCheck.Test.make ~name:"non-overlap verdicts do not depend on query history"
+    ~count:(Qcount.count 60)
+    (QCheck.make
+       ~print:(fun qs -> String.concat "\n" (List.map print_question qs))
+       gen_questions)
+    (fun qs ->
+      let ask q = Nonoverlap.disjoint ~depth:q.depth q.ctx q.l1 q.l2 in
+      let misses () = (Pr.stats ()).Pr.verdict_misses in
+      let warm = List.map ask qs in
+      let m = misses () in
+      let again = List.map ask qs in
+      let repeat_misses = misses () - m in
+      let cold = List.map (fun q -> Pr.with_cold_memo (fun () -> ask q)) qs in
+      ((warm = again && warm = cold)
+      || QCheck.Test.fail_reportf "warm %a@.again %a@.cold %a"
+           Fmt.(Dump.list bool) warm
+           Fmt.(Dump.list bool) again
+           Fmt.(Dump.list bool) cold)
+      && (repeat_misses = 0
+         || QCheck.Test.fail_reportf "the repeat decided %d afresh"
+              repeat_misses))
+
+(* A cold compile's work does not depend on what the process compiled
+   before: the same certified NW compile, cold, reports the same
+   verdict and goal misses before and after a warm one fills the
+   tables. *)
+let test_cold_memo_empties_verdicts () =
+  let compile () =
+    ignore
+      (Core.Pipeline.compile ~certify:true ~fail_safe:true Benchsuite.Nw.prog)
+  in
+  let cold () =
+    Pr.with_cold_memo (fun () ->
+        let s0 = Pr.stats () in
+        compile ();
+        let s1 = Pr.stats () in
+        ( s1.Pr.verdict_misses - s0.Pr.verdict_misses,
+          s1.Pr.nonneg_misses - s0.Pr.nonneg_misses ))
+  in
+  let before = cold () in
+  compile ();
+  Alcotest.(check (pair int int)) "same work after a warm compile" before
+    (cold ());
+  Alcotest.(check bool) "the compile decides non-overlap questions" true
+    (fst before > 0)
 
 let tests =
   [
@@ -200,4 +380,9 @@ let tests =
       test_split_overlapping;
     Alcotest.test_case "Fig. 9 needs splitting" `Quick test_split_depth_zero;
     Alcotest.test_case "proof budget" `Quick test_budget_soundness;
+    Alcotest.test_case "a budget is never answered from the memo" `Quick
+      test_budget_bypasses_verdicts;
+    QCheck_alcotest.to_alcotest prop_verdicts_history_free;
+    Alcotest.test_case "with_cold_memo empties the verdict memo" `Quick
+      test_cold_memo_empties_verdicts;
   ]
