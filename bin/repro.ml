@@ -124,8 +124,10 @@ let pp_footprints ?(verbose = false) (o : Benchsuite.Runner.outcome) =
   let holes =
     o.Benchsuite.Runner.compiled.Core.Pipeline.pack_stats.Core.Pack.holes
   in
+  let across f fps = String.concat " -> " (List.map f fps) in
   List.iter
-    (fun (label, u, p, r, pk_) ->
+    (fun (label, fps) ->
+      let fps = List.map snd fps in
       let a (f : Benchsuite.Runner.footprint) =
         let base =
           if f.Benchsuite.Runner.f_scratch = 0 then
@@ -142,34 +144,30 @@ let pp_footprints ?(verbose = false) (o : Benchsuite.Runner.outcome) =
             f.Benchsuite.Runner.f_arena_allocs holes
       in
       let pk (f : Benchsuite.Runner.footprint) =
-        f.Benchsuite.Runner.f_peak_bytes
+        Printf.sprintf "%.3g" f.Benchsuite.Runner.f_peak_bytes
       in
-      Printf.printf
-        "  footprint %-9s allocs %s -> %s -> %s -> %s | peak %.3g -> %.3g \
-         -> %.3g -> %.3g B (unopt/opt/reuse/pack)\n"
-        label (a u) (a p) (a r) (a pk_) (pk u) (pk p) (pk r) (pk pk_);
+      Printf.printf "  footprint %-9s allocs %s | peak %s B (%s)\n" label
+        (across a fps) (across pk fps)
+        (String.concat "/" Core.Pipeline.variant_names);
       let hm (f : Benchsuite.Runner.footprint) =
         Printf.sprintf "%d/%d" f.Benchsuite.Runner.f_pool_hits
           f.Benchsuite.Runner.f_pool_misses
       in
-      match (u.Benchsuite.Runner.f_pool, p.Benchsuite.Runner.f_pool,
-             r.Benchsuite.Runner.f_pool, pk_.Benchsuite.Runner.f_pool)
-      with
-      | Some pu, Some pp_, Some pr, Some ppk ->
-          Printf.printf "  pool      %-9s hit/miss %s -> %s -> %s -> %s\n"
-            label (hm u) (hm p) (hm r) (hm pk_);
-          if verbose then
-            Printf.printf
-              "  pool      %-9s high-water %.3g -> %.3g -> %.3g -> %.3g B | \
-               fragmentation %.0f%% -> %.0f%% -> %.0f%% -> %.0f%%\n"
-              label pu.Gpu.Device.Pool.p_high_water
-              pp_.Gpu.Device.Pool.p_high_water pr.Gpu.Device.Pool.p_high_water
-              ppk.Gpu.Device.Pool.p_high_water
-              (100. *. pu.Gpu.Device.Pool.p_fragmentation)
-              (100. *. pp_.Gpu.Device.Pool.p_fragmentation)
-              (100. *. pr.Gpu.Device.Pool.p_fragmentation)
-              (100. *. ppk.Gpu.Device.Pool.p_fragmentation)
-      | _ -> ())
+      let pools = List.filter_map (fun f -> f.Benchsuite.Runner.f_pool) fps in
+      if List.compare_lengths pools fps = 0 then begin
+        Printf.printf "  pool      %-9s hit/miss %s\n" label (across hm fps);
+        if verbose then
+          Printf.printf "  pool      %-9s high-water %s B | fragmentation %s\n"
+            label
+            (across
+               (fun p -> Printf.sprintf "%.3g" p.Gpu.Device.Pool.p_high_water)
+               pools)
+            (across
+               (fun p ->
+                 Printf.sprintf "%.0f%%"
+                   (100. *. p.Gpu.Device.Pool.p_fragmentation))
+               pools)
+      end)
     o.Benchsuite.Runner.footprints
 
 let read_file path =
@@ -186,8 +184,8 @@ let json_line v = Core.Json.to_string v ^ "\n"
 let round4 x = float_of_string (Printf.sprintf "%.4f" x)
 
 (* The prover's memoization effectiveness, its refutations by a
-   concrete witness and its budget pressure, shared by BENCH.json and
-   the combined certificate document.  A nonzero [budget_exhausted]
+   concrete witness and its budget pressure: BENCH.json's [prover]
+   object, whose misses the bench gate reads.  A nonzero [budget_exhausted]
    means some nonnegativity queries were truncated by the step budget
    - sound (the affected rewrites were skipped) but a signal the
    budget is too tight for the suite. *)
@@ -220,20 +218,21 @@ let prover_json (p : Symalg.Prover.stats) =
 let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
     (pstats : Symalg.Prover.stats) : Core.Json.t =
   let open Core.Json in
+  (* each variant's time, then the impact of each variant above unopt;
+     opt's, the paper's column, keeps its plain name *)
   let row (r : Benchsuite.Table.row) =
+    let impact (v, _) =
+      ( (if v = "opt" then "impact" else v ^ "_impact"),
+        Num (Benchsuite.Table.impact r v) )
+    in
     Obj
-      [
-        ("device", Str r.Benchsuite.Table.device);
-        ("dataset", Str r.dataset);
-        ("ref_ms", Num r.ref_ms);
-        ("unopt_ms", Num r.unopt_ms);
-        ("opt_ms", Num r.opt_ms);
-        ("reuse_ms", Num r.reuse_ms);
-        ("pack_ms", Num r.pack_ms);
-        ("impact", Num r.impact);
-        ("reuse_impact", Num r.reuse_impact);
-        ("pack_impact", Num r.pack_impact);
-      ]
+      ([
+         ("device", Str r.Benchsuite.Table.device);
+         ("dataset", Str r.dataset);
+         ("ref_ms", Num r.ref_ms);
+       ]
+      @ List.map (fun (v, ms) -> (v ^ "_ms", Num ms)) r.ms
+      @ List.map impact (List.tl r.ms))
   in
   let footprint (f : Benchsuite.Runner.footprint) =
     let pool (ps : Gpu.Device.Pool.stats) =
@@ -275,15 +274,10 @@ let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
         ( "footprints",
           Arr
             (List.map
-               (fun (label, u, p, r, pk) ->
+               (fun (label, fps) ->
                  Obj
-                   [
-                     ("dataset", Str label);
-                     ("unopt", footprint u);
-                     ("opt", footprint p);
-                     ("reuse", footprint r);
-                     ("pack", footprint pk);
-                   ])
+                   (("dataset", Str label)
+                   :: List.map (fun (v, f) -> (v, footprint f)) fps))
                o.footprints) );
         ( "compile_s",
           Obj
@@ -359,22 +353,24 @@ let print_summaries outcomes =
     "%s\nMemory footprint: peak live bytes, unoptimized / short-circuited / \
      reused / packed\n"
     hr;
-  Printf.printf "%-15s %-10s %12s %12s %12s %12s %9s %s\n" "Benchmark"
-    "dataset" "unopt (MB)" "opt (MB)" "reuse (MB)" "pack (MB)" "saved"
-    "dead allocs (sc+reuse+pack)";
+  Printf.printf "%-15s %-10s" "Benchmark" "dataset";
+  List.iter
+    (fun v -> Printf.printf " %12s" (v ^ " (MB)"))
+    Core.Pipeline.variant_names;
+  Printf.printf " %9s %s\n" "saved" "dead allocs (sc+reuse+pack)";
   List.iter
     (fun (b, (o : Benchsuite.Runner.outcome)) ->
       let c = o.Benchsuite.Runner.compiled in
       List.iter
-        (fun (ds, u, p, r, pk) ->
-          let peak (f : Benchsuite.Runner.footprint) =
-            f.Benchsuite.Runner.f_peak_bytes
+        (fun (ds, fps) ->
+          let peaks =
+            List.map (fun (_, f) -> f.Benchsuite.Runner.f_peak_bytes) fps
           in
-          Printf.printf
-            "%-15s %-10s %12.1f %12.1f %12.1f %12.1f %8.0f%% %5d+%d+%d\n"
-            b.name ds (peak u /. 1e6) (peak p /. 1e6) (peak r /. 1e6)
-            (peak pk /. 1e6)
-            (100. *. (peak u -. peak pk) /. Float.max 1.0 (peak u))
+          let unopt = List.hd peaks and top = List.hd (List.rev peaks) in
+          Printf.printf "%-15s %-10s" b.name ds;
+          List.iter (fun p -> Printf.printf " %12.1f" (p /. 1e6)) peaks;
+          Printf.printf " %8.0f%% %5d+%d+%d\n"
+            (100. *. (unopt -. top) /. Float.max 1.0 unopt)
             c.Core.Pipeline.dead_allocs c.reuse_dead_allocs
             c.pack_dead_allocs)
         o.footprints)
@@ -536,14 +532,15 @@ let run_validate which =
   let validate b =
     let v = Benchsuite.Runner.validate b.prog (Lazy.force b.small_args) in
     Printf.printf
-      "%-14s interp-match: unopt=%b opt=%b reuse=%b pack=%b | copies %d -> \
-       %d (%d elided) | circuits %d\n"
-      b.name v.Benchsuite.Runner.ok_unopt v.Benchsuite.Runner.ok_opt
-      v.Benchsuite.Runner.ok_reuse v.Benchsuite.Runner.ok_pack
+      "%-14s interp-match: %s | copies %d -> %d (%d elided) | circuits %d\n"
+      b.name
+      (String.concat " "
+         (List.map
+            (fun (n, ok) -> Printf.sprintf "%s=%b" n ok)
+            v.Benchsuite.Runner.ok))
       v.Benchsuite.Runner.copies_unopt v.Benchsuite.Runner.copies_opt
       v.Benchsuite.Runner.elided v.Benchsuite.Runner.sc_succeeded;
-    v.Benchsuite.Runner.ok_unopt && v.Benchsuite.Runner.ok_opt
-    && v.Benchsuite.Runner.ok_reuse && v.Benchsuite.Runner.ok_pack
+    List.for_all snd v.Benchsuite.Runner.ok
   in
   match which with
   | "all" ->
@@ -589,7 +586,7 @@ let run_lint which options pack verbose_reports =
 
 (* ---- trace ------------------------------------------------------- *)
 
-(* Full-mode traced execution of both pipeline variants at the reduced
+(* Full-mode traced execution of every pipeline variant at the reduced
    size, cross-checked by memtrace.  Human output shows the checker's
    verdict and the per-kernel traffic histogram of the optimized run;
    [--json] emits the raw event logs instead (to stdout, or to
@@ -612,26 +609,20 @@ let print_histogram t =
     (tr.Core.Trace.t_copy_bytes /. 1e6)
     (tr.Core.Trace.t_elided_bytes /. 1e6)
 
-let trace_json clean u o r p =
-  let trace (t : Benchsuite.Runner.traced) =
-    Core.Trace.to_json t.Benchsuite.Runner.trace
-  in
+let trace_json clean traces =
   Core.Json.Obj
-    [
-      ("clean", Core.Json.Bool clean);
-      ("unopt", trace u);
-      ("opt", trace o);
-      ("reuse", trace r);
-      ("pack", trace p);
-    ]
+    (("clean", Core.Json.Bool clean)
+    :: List.map
+         (fun (v, (t : Benchsuite.Runner.traced)) ->
+           (v, Core.Trace.to_json t.Benchsuite.Runner.trace))
+         traces)
 
 (* --diff: the optimizations may move and elide storage but must not
-   change the logical event sequence.  Compare the variants' trace
-   skeletons pairwise; any divergence is a failure. *)
-let diff_traces b (u : Benchsuite.Runner.traced)
-    (o : Benchsuite.Runner.traced) (r : Benchsuite.Runner.traced)
-    (p : Benchsuite.Runner.traced) : bool =
-  let pair ta tb =
+   change the logical event sequence.  Compare each variant's trace
+   skeleton with the one below it; any divergence is a failure. *)
+let diff_traces b (traces : (string * Benchsuite.Runner.traced) list) : bool =
+  let pair (_, (ta : Benchsuite.Runner.traced)) (_, tb) =
+    let ta = ta.Benchsuite.Runner.trace and tb = tb.Benchsuite.Runner.trace in
     match Core.Trace.diff ta tb with
     | [] -> true
     | ds ->
@@ -640,32 +631,36 @@ let diff_traces b (u : Benchsuite.Runner.traced)
         List.iter (fun d -> Printf.printf "  %s\n" d) ds;
         false
   in
-  let ok_uo = pair u.Benchsuite.Runner.trace o.Benchsuite.Runner.trace in
-  let ok_or = pair o.Benchsuite.Runner.trace r.Benchsuite.Runner.trace in
-  let ok_rp = pair r.Benchsuite.Runner.trace p.Benchsuite.Runner.trace in
-  if ok_uo && ok_or && ok_rp then
-    Printf.printf
-      "%-14s skeletons agree across unopt/opt/reuse/pack (%d logical \
-       events)\n"
+  let rec rungs = function
+    | below :: (above :: _ as rest) -> (below, above) :: rungs rest
+    | _ -> []
+  in
+  let ok =
+    List.fold_left (fun ok (ta, tb) -> pair ta tb && ok) true (rungs traces)
+  in
+  if ok then
+    Printf.printf "%-14s skeletons agree across %s (%d logical events)\n"
       b.name
-      (List.length (Core.Trace.skeleton u.Benchsuite.Runner.trace));
-  ok_uo && ok_or && ok_rp
+      (String.concat "/" (List.map fst traces))
+      (List.length
+         (Core.Trace.skeleton (snd (List.hd traces)).Benchsuite.Runner.trace));
+  ok
 
 let run_trace which json diff out =
   let trace b =
-    let u, o, r, p =
-      Benchsuite.Runner.trace_check4 b.prog (Lazy.force b.small_args)
+    let traces =
+      Benchsuite.Runner.trace_check b.prog (Lazy.force b.small_args)
     in
     let clean =
-      Core.Memtrace.ok u.Benchsuite.Runner.check
-      && Core.Memtrace.ok o.Benchsuite.Runner.check
-      && Core.Memtrace.ok r.Benchsuite.Runner.check
-      && Core.Memtrace.ok p.Benchsuite.Runner.check
+      List.for_all
+        (fun (_, (t : Benchsuite.Runner.traced)) ->
+          Core.Memtrace.ok t.Benchsuite.Runner.check)
+        traces
     in
-    if diff then diff_traces b u o r p && clean
+    if diff then diff_traces b traces && clean
     else begin
       if json then (
-        let s = json_line (trace_json clean u o r p) in
+        let s = json_line (trace_json clean traces) in
         match out with
         | None -> print_string s
         | Some dir ->
@@ -676,10 +671,10 @@ let run_trace which json diff out =
               (if clean then "clean" else "VIOLATIONS"))
       else begin
         List.iter
-          (fun (t : Benchsuite.Runner.traced) ->
+          (fun (_, (t : Benchsuite.Runner.traced)) ->
             Fmt.pr "%a@." Core.Memtrace.pp_report t.Benchsuite.Runner.check)
-          [ u; o; r; p ];
-        print_histogram o.Benchsuite.Runner.trace;
+          traces;
+        print_histogram (List.assoc "opt" traces).Benchsuite.Runner.trace;
         print_newline ()
       end;
       clean
@@ -698,14 +693,14 @@ let run_trace which json diff out =
 let run_dump which opt reuse pack =
   Result.map
     (fun b ->
-      let c = Core.Pipeline.compile b.prog in
-      let p =
-        if pack then c.Core.Pipeline.pack
-        else if reuse then c.Core.Pipeline.reuse
-        else if opt then c.Core.Pipeline.opt
-        else c.Core.Pipeline.unopt
+      let variant =
+        if pack then "pack"
+        else if reuse then "reuse"
+        else if opt then "opt"
+        else "unopt"
       in
-      print_endline (Ir.Pretty.prog_to_string p))
+      Core.Pipeline.variants (Core.Pipeline.compile b.prog)
+      |> List.assoc variant |> Ir.Pretty.prog_to_string |> print_endline)
     (find_bench which)
 
 (* ---- bench ------------------------------------------------------- *)
@@ -801,21 +796,13 @@ let cert_json_of name certs =
           (List.map (fun (_, r) -> Core.Certify.json_of_report r) certs) );
     ]
 
-(* The combined certificate document carries the prover's memo-cache
-   effectiveness over the whole certification run, mirroring the
-   "prover" object of BENCH.json: the checker leans on the same
-   memoized satisfiability/nonnegativity queries, so a cache collapse
-   shows up here first. *)
-let cert_doc_of docs =
-  Core.Json.Obj
-    [
-      ("benchmarks", Core.Json.Arr docs);
-      prover_json (Symalg.Prover.stats ());
-    ]
+(* The combined certificate document: the per-benchmark documents,
+   all the cert gate reads.  The prover's work over the same certified
+   compiles is gated in BENCH.json, whose table runs certify too. *)
+let cert_doc_of docs = Core.Json.Obj [ ("benchmarks", Core.Json.Arr docs) ]
 
 let run_certify which options reuse pack verbose_reports json out check
     baseline current report_path =
-  Symalg.Prover.reset_stats ();
   let selected =
     match which with
     | "all" -> Ok benches
@@ -1035,49 +1022,21 @@ let options_term =
         })
     $ verbose $ no_refinement $ split_depth)
 
-(* Memory-reuse options: [--no-reuse] disables the pass (the reuse
-   variant then degenerates to a clone of the short-circuited one);
-   the pass's trace output follows the global verbosity. *)
+(* The reuse and packing passes trace their decisions under -v. *)
 let reuse_term =
-  let no_reuse =
-    Arg.(
-      value & flag
-      & info [ "no-reuse" ]
-          ~doc:
-            "Disable the memory-block reuse pass (the third pipeline \
-             variant becomes a copy of the short-circuited one).")
-  in
   Term.(
-    const (fun no_reuse (options : Core.Shortcircuit.options) ->
-        if no_reuse then Core.Reuse.disabled
-        else
-          {
-            Core.Reuse.default_options with
-            Core.Reuse.verbose = options.Core.Shortcircuit.verbose;
-          })
-    $ no_reuse $ options_term)
+    const (fun (options : Core.Shortcircuit.options) ->
+        {
+          Core.Reuse.default_options with
+          Core.Reuse.verbose = options.Core.Shortcircuit.verbose;
+        })
+    $ options_term)
 
-(* [--no-pack] disables the offset-based arena packing pass (the
-   fourth pipeline variant then degenerates to a clone of the reused
-   one) - the A/B baseline for the packing effect. *)
 let pack_term =
-  let no_pack =
-    Arg.(
-      value & flag
-      & info [ "no-pack" ]
-          ~doc:
-            "Disable the offset-based arena packing pass (the fourth \
-             pipeline variant becomes a copy of the memory-reused one).")
-  in
   Term.(
-    const (fun no_pack (options : Core.Shortcircuit.options) ->
-        if no_pack then Core.Pack.disabled
-        else
-          {
-            Core.Pack.default_options with
-            Core.Pack.verbose = options.Core.Shortcircuit.verbose;
-          })
-    $ no_pack $ options_term)
+    const (fun (options : Core.Shortcircuit.options) ->
+        { Core.Pack.verbose = options.Core.Shortcircuit.verbose })
+    $ options_term)
 
 (* [--no-pool] reverts the allocator model to all-miss: every top-level
    allocation is charged [alloc_miss_cost], as before the pool existed

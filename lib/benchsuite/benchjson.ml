@@ -6,7 +6,7 @@
    against a committed baseline (bench/baseline.json):
 
    - per (benchmark, device, dataset) row, each modeled time
-     (unopt/opt/reuse) may not exceed the baseline by more than the
+     (unopt/opt/reuse/pack) may not exceed the baseline by more than the
      relative tolerance - times are simulated, so drift only comes
      from code changes, and the tolerance only absorbs intentional
      cost-model adjustments;
@@ -19,7 +19,10 @@
    - the prover's nonnegativity, saturation and verdict memo misses
      (its searches) may not exceed the baseline by more than the
      tolerance;
-   - a benchmark present in the baseline must stay present.
+   - a benchmark present in the baseline must stay present, and so
+     must every gated field it holds: a row time, a variant's
+     footprint or one of its counters, a pack_stats counter or a
+     prover count missing from the current record is a regression.
 
    Improvements beyond tolerance, fewer prover misses and new
    benchmarks are reported as notes (a prompt to refresh the
@@ -39,16 +42,17 @@ type gate = {
 
 let default_tolerance = 0.05
 
-let benchmarks_of v =
-  match Option.bind (member "benchmarks" v) arr with
-  | Some l -> l
-  | None -> []
+(* field [k] of object [v] as a list ([] when absent) or a string
+   ("?" when absent) *)
+let list_at k v = Option.value ~default:[] (Option.bind (member k v) arr)
+let str_at k v = Option.value ~default:"?" (Option.bind (member k v) str)
+let benchmarks_of = list_at "benchmarks"
+let name_of = str_at "name"
 
-let name_of b = Option.value ~default:"?" (Option.bind (member "name" b) str)
-
-(* time fields per row, footprint fields per variant *)
-let row_times = [ "unopt_ms"; "opt_ms"; "reuse_ms"; "pack_ms" ]
-let fp_variants = [ "unopt"; "opt"; "reuse"; "pack" ]
+(* footprint fields per variant, time fields per row: every variant
+   of the pipeline's ladder *)
+let fp_variants = Core.Pipeline.variant_names
+let row_times = List.map (fun v -> v ^ "_ms") fp_variants
 let fp_monotone = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
 
 (* packing-pass counters: arenas, packed placements and certified
@@ -71,6 +75,27 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
   let checked = ref 0 in
   let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
   let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
+  (* One gated value [what]: compared by [k] when both records hold
+     it, a regression when the current record lost it, skipped when
+     the baseline never had it. *)
+  let gated what b c k =
+    match (b, c) with
+    | Some b, Some c ->
+        incr checked;
+        k b c
+    | Some _, None ->
+        incr checked;
+        reg "%s missing from current run" what
+    | None, _ -> ()
+  in
+  (* an exact counter that may not move in the direction [worse] *)
+  let counter what ~worse b c =
+    let dir x y = if x > y then "grew" else "shrank" in
+    if worse c b then reg "%s %s %s -> %s" what (dir c b) (number b) (number c)
+    else if c <> b then
+      note "%s %s %s -> %s - consider refreshing the baseline" what (dir c b)
+        (number b) (number c)
+  in
   let base_b = benchmarks_of baseline and cur_b = benchmarks_of current in
   let find name l = List.find_opt (fun b -> name_of b = name) l in
   List.iter
@@ -80,13 +105,8 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
       | None -> reg "%s: benchmark present in baseline but missing from current run" bname
       | Some cb ->
           (* rows: modeled times within tolerance *)
-          let rows v =
-            Option.value ~default:[] (Option.bind (member "rows" v) arr)
-          in
-          let row_key r =
-            ( Option.value ~default:"?" (Option.bind (member "device" r) str),
-              Option.value ~default:"?" (Option.bind (member "dataset" r) str) )
-          in
+          let rows = list_at "rows" in
+          let row_key r = (str_at "device" r, str_at "dataset" r) in
           List.iter
             (fun br ->
               let dev, ds = row_key br in
@@ -98,10 +118,11 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
               | Some cr ->
                   List.iter
                     (fun field ->
-                      match (num_at [ field ] br, num_at [ field ] cr) with
-                      | Some b, Some c when b > 0. ->
-                          incr checked;
-                          let rel = (c -. b) /. b in
+                      gated
+                        (Printf.sprintf "%s [%s/%s]: %s" bname dev ds field)
+                        (num_at [ field ] br) (num_at [ field ] cr)
+                        (fun b c ->
+                          let rel = if b > 0. then (c -. b) /. b else 0. in
                           if rel > tolerance then
                             reg
                               "%s [%s/%s]: %s %.4g -> %.4g ms (%+.1f%%, \
@@ -112,17 +133,12 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
                             note
                               "%s [%s/%s]: %s improved %.4g -> %.4g ms \
                                (%+.1f%%) - consider refreshing the baseline"
-                              bname dev ds field b c (100. *. rel)
-                      | _ -> ())
+                              bname dev ds field b c (100. *. rel)))
                     row_times)
             (rows bb);
-          (* footprints: allocs and peak monotone non-increasing *)
-          let fps v =
-            Option.value ~default:[] (Option.bind (member "footprints" v) arr)
-          in
-          let ds_of f =
-            Option.value ~default:"?" (Option.bind (member "dataset" f) str)
-          in
+          (* footprints: allocs, peak and traffic monotone
+             non-increasing *)
+          let fps = list_at "footprints" and ds_of = str_at "dataset" in
           List.iter
             (fun bf ->
               let ds = ds_of bf in
@@ -132,24 +148,22 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
               | Some cf ->
                   List.iter
                     (fun variant ->
-                      List.iter
-                        (fun field ->
-                          match
-                            ( num_at [ variant; field ] bf,
-                              num_at [ variant; field ] cf )
-                          with
-                          | Some b, Some c ->
-                              incr checked;
-                              if c > b then
-                                reg "%s [%s] %s: %s grew %s -> %s" bname ds
-                                  variant field (number b) (number c)
-                              else if c < b then
-                                note
-                                  "%s [%s] %s: %s shrank %s -> %s - consider \
-                                   refreshing the baseline"
-                                  bname ds variant field (number b) (number c)
-                          | _ -> ())
-                        fp_monotone;
+                      let what =
+                        Printf.sprintf "%s [%s] %s:" bname ds variant
+                      in
+                      (match (member variant bf, member variant cf) with
+                      | Some bv, Some cv ->
+                          List.iter
+                            (fun field ->
+                              let what = what ^ " " ^ field in
+                              gated what (num_at [ field ] bv)
+                                (num_at [ field ] cv)
+                                (counter what ~worse:( > )))
+                            fp_monotone
+                      | Some _, None ->
+                          incr checked;
+                          reg "%s footprint missing from current run" what
+                      | None, _ -> ());
                       (* a capped pool's high-water mark must respect
                          the cap: the cap is a costed constraint, not a
                          hint, so any breach is a hard failure of the
@@ -170,40 +184,15 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
           (* packing coverage: the planner may not lose ground - fewer
              arenas or packed placements, or more undecidable ones,
              means previously provable offsets stopped proving *)
-          List.iter
-            (fun field ->
-              match
-                ( num_at [ "pack_stats"; field ] bb,
-                  num_at [ "pack_stats"; field ] cb )
-              with
-              | Some b, Some c ->
-                  incr checked;
-                  if c < b then
-                    reg "%s: pack_stats.%s dropped %g -> %g" bname field b c
-                  else if c > b then
-                    note
-                      "%s: pack_stats.%s grew %g -> %g - consider refreshing \
-                       the baseline"
-                      bname field b c
-              | _ -> ())
-            pack_grow;
-          List.iter
-            (fun field ->
-              match
-                ( num_at [ "pack_stats"; field ] bb,
-                  num_at [ "pack_stats"; field ] cb )
-              with
-              | Some b, Some c ->
-                  incr checked;
-                  if c > b then
-                    reg "%s: pack_stats.%s grew %g -> %g" bname field b c
-                  else if c < b then
-                    note
-                      "%s: pack_stats.%s shrank %g -> %g - consider \
-                       refreshing the baseline"
-                      bname field b c
-              | _ -> ())
-            pack_shrink)
+          let pack_stat worse field =
+            let what = Printf.sprintf "%s: pack_stats.%s" bname field in
+            gated what
+              (num_at [ "pack_stats"; field ] bb)
+              (num_at [ "pack_stats"; field ] cb)
+              (counter what ~worse)
+          in
+          List.iter (pack_stat ( < )) pack_grow;
+          List.iter (pack_stat ( > )) pack_shrink)
     base_b;
   List.iter
     (fun cb ->
@@ -214,11 +203,10 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
     cur_b;
   List.iter
     (fun field ->
-      match
-        (num_at [ "prover"; field ] baseline, num_at [ "prover"; field ] current)
-      with
-      | Some b, Some c ->
-          incr checked;
+      gated ("prover." ^ field)
+        (num_at [ "prover"; field ] baseline)
+        (num_at [ "prover"; field ] current)
+        (fun b c ->
           if c > b *. (1. +. tolerance) then
             reg "prover.%s %s -> %s (%+.1f%%, tolerance %.1f%%)" field
               (number b) (number c)
@@ -226,8 +214,7 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
               (100. *. tolerance)
           else if c < b then
             note "prover.%s fell %s -> %s - consider refreshing the baseline"
-              field (number b) (number c)
-      | _ -> ())
+              field (number b) (number c)))
     prover_work;
   {
     regressions = List.rev !regressions;
@@ -270,20 +257,10 @@ let cert_gate ~(baseline : t) ~(current : t) () : gate =
   let checked = ref 0 in
   let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
   let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
-  let passes v =
-    Option.value ~default:[] (Option.bind (member "passes" v) arr)
-  in
-  let pass_name p = Option.value ~default:"?" (Option.bind (member "pass" p) str) in
-  let obls p =
-    Option.value ~default:[] (Option.bind (member "obligations" p) arr)
-  in
+  let passes = list_at "passes" and pass_name = str_at "pass" in
+  let obls = list_at "obligations" in
   let obl_id o = Option.bind (member "id" o) num in
-  let obl_verdict o =
-    Option.value ~default:"?" (Option.bind (member "verdict" o) str)
-  in
-  let obl_rewrite o =
-    Option.value ~default:"?" (Option.bind (member "rewrite" o) str)
-  in
+  let obl_verdict = str_at "verdict" and obl_rewrite = str_at "rewrite" in
   let base_b = benchmarks_of baseline and cur_b = benchmarks_of current in
   let find name l = List.find_opt (fun b -> name_of b = name) l in
   (* any current failure is a hard failure, gated or not *)

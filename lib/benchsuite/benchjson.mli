@@ -59,7 +59,10 @@ val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
       (the [prover] object) may not exceed the baseline by more than
       [tolerance]: they count searches, and repeat exactly from run to
       run;
-    - a benchmark present in the baseline must stay present.
+    - a benchmark present in the baseline must stay present, and so
+      must every gated field above that the baseline holds: a field
+      missing from [current] is a regression, one missing from both
+      records is skipped.
 
     Improvements beyond tolerance, any fall in the prover's misses and
     new benchmarks are notes. *)

@@ -241,10 +241,7 @@ let run_bench rng ~rounds name prog args =
           | None -> 0.
         in
         (p, total, r.Exec.counters.Device.allocs, hw))
-      [
-        clean.Pipeline.pack; clean.Pipeline.reuse; clean.Pipeline.opt;
-        clean.Pipeline.unopt;
-      ]
+      (List.rev_map snd (Pipeline.variants clean))
   in
   let pick want fallback =
     match List.find_opt want variants with

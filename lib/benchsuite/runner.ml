@@ -1,7 +1,7 @@
 (* Shared machinery for the benchmark suite: compiling a benchmark
-   program once, executing the unoptimized and short-circuited variants
-   in cost-only mode on every dataset, timing the counted events on
-   each device profile, and assembling a paper-style table. *)
+   program once, executing every pipeline variant in cost-only mode on
+   every dataset, timing the counted events on each device profile,
+   and assembling a paper-style table. *)
 
 module Device = Gpu.Device
 module Exec = Gpu.Exec
@@ -88,10 +88,9 @@ let footprint_of (r : Exec.report) : footprint =
 type outcome = {
   table : Table.t;
   compiled : Core.Pipeline.compiled;
-  footprints :
-    (string * footprint * footprint * footprint * footprint) list;
-      (* dataset label, unoptimized / optimized / reused / packed
-         memory behaviour *)
+  footprints : (string * (string * footprint) list) list;
+      (* dataset label, each variant's memory behaviour in ladder
+         order *)
   traffic : traffic_cmp option;
       (* present when the benchmark supplied reduced-size [trace_args] *)
 }
@@ -134,56 +133,46 @@ let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
   let measured =
     List.map
       (fun ds ->
-        let r_unopt =
-          Exec.run ~mode:Exec.Cost_only ~pool ?pool_cap
-            compiled.Core.Pipeline.unopt ds.args
-        in
-        let r_opt =
-          Exec.run ~mode:Exec.Cost_only ~pool ?pool_cap
-            compiled.Core.Pipeline.opt ds.args
-        in
-        let r_reuse =
-          Exec.run ~mode:Exec.Cost_only ~pool ?pool_cap
-            compiled.Core.Pipeline.reuse ds.args
-        in
-        let r_pack =
-          Exec.run ~mode:Exec.Cost_only ~pool ?pool_cap
-            compiled.Core.Pipeline.pack ds.args
+        let runs =
+          List.map
+            (fun (v, p) ->
+              (v, Exec.run ~mode:Exec.Cost_only ~pool ?pool_cap p ds.args))
+            (Core.Pipeline.variants compiled)
         in
         let ref_c =
           match ds.ref_counters with
           | Static c -> c
-          | From_opt f -> f r_opt.Exec.counters
+          | From_opt f -> f (List.assoc "opt" runs).Exec.counters
         in
-        (ds, ref_c, r_unopt, r_opt, r_reuse, r_pack))
+        (ds, ref_c, runs))
       datasets
   in
   let rows =
     List.concat_map
       (fun device ->
         List.map
-          (fun (ds, ref_c, r_unopt, r_opt, r_reuse, r_pack) ->
+          (fun (ds, ref_c, runs) ->
             Table.make_row ~device:device.Device.name ~dataset:ds.label
               ~ref_time:(Device.time device ref_c)
-              ~unopt_time:(Device.time device r_unopt.Exec.counters)
-              ~opt_time:(Device.time device r_opt.Exec.counters)
-              ~reuse_time:(Device.time device r_reuse.Exec.counters)
-              ~pack_time:(Device.time device r_pack.Exec.counters)
+              ~times:
+                (List.map
+                   (fun (v, (r : Exec.report)) ->
+                     (v, Device.time device r.counters))
+                   runs)
               ~paper:(Hashtbl.find_opt paper (device.Device.name, ds.label)))
           measured)
       devices
   in
   let footprints =
     List.map
-      (fun (ds, _, r_unopt, r_opt, r_reuse, r_pack) ->
-        (ds.label, footprint_of r_unopt, footprint_of r_opt,
-         footprint_of r_reuse, footprint_of r_pack))
+      (fun (ds, _, runs) ->
+        (ds.label, List.map (fun (v, r) -> (v, footprint_of r)) runs))
       measured
   in
   let traffic = Option.map (traffic_comparison compiled) trace_args in
   { table = { Table.title; runs; rows }; compiled; footprints; traffic }
 
-(* Traced execution of both pipeline variants at a reduced size, each
+(* Traced execution of every pipeline variant at a reduced size, each
    cross-checked by Memtrace.  This is the dynamic complement of
    [validate]: validate confirms the optimized program computes the
    right *values*, trace_check confirms it touched the right
@@ -196,46 +185,21 @@ let trace_variant ~variant (p : Ir.Ast.prog) (args : Ir.Value.t list) : traced
   let t = match r.Exec.trace with Some t -> t | None -> assert false in
   { trace = t; check = Core.Memtrace.check t }
 
+let compiled_or (compiled : Core.Pipeline.compiled option) prog =
+  match compiled with Some c -> c | None -> Core.Pipeline.compile prog
+
+(* Every variant traced and cross-checked, in ladder order. *)
 let trace_check ?(compiled : Core.Pipeline.compiled option)
-    (prog : Ir.Ast.prog) (args : Ir.Value.t list) : traced * traced =
-  let compiled =
-    match compiled with Some c -> c | None -> Core.Pipeline.compile prog
-  in
-  ( trace_variant ~variant:"unopt" compiled.Core.Pipeline.unopt args,
-    trace_variant ~variant:"opt" compiled.Core.Pipeline.opt args )
-
-(* All three pipeline variants traced and cross-checked. *)
-let trace_check3 ?(compiled : Core.Pipeline.compiled option)
-    (prog : Ir.Ast.prog) (args : Ir.Value.t list) : traced * traced * traced
-    =
-  let compiled =
-    match compiled with Some c -> c | None -> Core.Pipeline.compile prog
-  in
-  ( trace_variant ~variant:"unopt" compiled.Core.Pipeline.unopt args,
-    trace_variant ~variant:"opt" compiled.Core.Pipeline.opt args,
-    trace_variant ~variant:"reuse" compiled.Core.Pipeline.reuse args )
-
-(* All four pipeline variants (packing included) traced and
-   cross-checked. *)
-let trace_check4 ?(compiled : Core.Pipeline.compiled option)
-    (prog : Ir.Ast.prog) (args : Ir.Value.t list) :
-    traced * traced * traced * traced =
-  let compiled =
-    match compiled with Some c -> c | None -> Core.Pipeline.compile prog
-  in
-  ( trace_variant ~variant:"unopt" compiled.Core.Pipeline.unopt args,
-    trace_variant ~variant:"opt" compiled.Core.Pipeline.opt args,
-    trace_variant ~variant:"reuse" compiled.Core.Pipeline.reuse args,
-    trace_variant ~variant:"pack" compiled.Core.Pipeline.pack args )
+    (prog : Ir.Ast.prog) (args : Ir.Value.t list) : (string * traced) list =
+  List.map
+    (fun (variant, p) -> (variant, trace_variant ~variant p args))
+    (Core.Pipeline.variants (compiled_or compiled prog))
 
 (* Full-mode validation at a reduced size: every variant must agree
    with the reference interpreter bit for bit ([Value.bit_equal], the
    invariant chaos enforces too). *)
 type validation = {
-  ok_unopt : bool;
-  ok_opt : bool;
-  ok_reuse : bool;
-  ok_pack : bool;
+  ok : (string * bool) list; (* per variant, in ladder order *)
   elided : int;
   copies_unopt : int;
   copies_opt : int;
@@ -244,22 +208,22 @@ type validation = {
 
 let validate ?(compiled : Core.Pipeline.compiled option)
     (prog : Ir.Ast.prog) (args : Ir.Value.t list) : validation =
-  let compiled =
-    match compiled with Some c -> c | None -> Core.Pipeline.compile prog
-  in
+  let compiled = compiled_or compiled prog in
   let expect = Ir.Interp.run compiled.Core.Pipeline.source args in
-  let r_unopt = Exec.run ~mode:Exec.Full compiled.Core.Pipeline.unopt args in
-  let r_opt = Exec.run ~mode:Exec.Full compiled.Core.Pipeline.opt args in
-  let r_reuse = Exec.run ~mode:Exec.Full compiled.Core.Pipeline.reuse args in
-  let r_pack = Exec.run ~mode:Exec.Full compiled.Core.Pipeline.pack args in
-  let ok (r : Exec.report) = List.for_all2 Value.bit_equal expect r.results in
+  let runs =
+    List.map
+      (fun (v, p) -> (v, Exec.run ~mode:Exec.Full p args))
+      (Core.Pipeline.variants compiled)
+  in
+  let counters v = (List.assoc v runs).Exec.counters in
   {
-    ok_unopt = ok r_unopt;
-    ok_opt = ok r_opt;
-    ok_reuse = ok r_reuse;
-    ok_pack = ok r_pack;
-    elided = r_opt.Exec.counters.Device.copies_elided;
-    copies_unopt = r_unopt.Exec.counters.Device.copies;
-    copies_opt = r_opt.Exec.counters.Device.copies;
+    ok =
+      List.map
+        (fun (v, (r : Exec.report)) ->
+          (v, List.for_all2 Value.bit_equal expect r.results))
+        runs;
+    elided = (counters "opt").Device.copies_elided;
+    copies_unopt = (counters "unopt").Device.copies;
+    copies_opt = (counters "opt").Device.copies;
     sc_succeeded = compiled.Core.Pipeline.stats.Core.Shortcircuit.succeeded;
   }

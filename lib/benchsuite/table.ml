@@ -2,28 +2,18 @@
 
    Each benchmark reproduces one of the paper's Tables I-VII: rows are
    (device, dataset), columns are the reference implementation's
-   simulated time, the unoptimized, short-circuited and memory-reused
-   Futhark-style versions' performance *relative to the reference*
-   (higher = faster, as in the paper), and the optimization impact
-   (unoptimized time / optimized time).  The paper's published numbers
-   ride along so every rendering shows measured-vs-paper side by
-   side. *)
+   simulated time, each pipeline variant's performance *relative to
+   the reference* (higher = faster, as in the paper), and the
+   optimization impact (unoptimized time / optimized time).  The
+   paper's published numbers ride along so every rendering shows
+   measured-vs-paper side by side. *)
 
 type row = {
   device : string;
   dataset : string;
   ref_ms : float; (* simulated reference time, milliseconds *)
-  unopt_ms : float; (* raw modeled times, for the machine-readable dump *)
-  opt_ms : float;
-  reuse_ms : float;
-  pack_ms : float;
-  unopt_rel : float; (* ref_time / unopt_time *)
-  opt_rel : float; (* ref_time / opt_time *)
-  reuse_rel : float; (* ref_time / reuse_time *)
-  pack_rel : float; (* ref_time / pack_time *)
-  impact : float; (* unopt_time / opt_time (the paper's column) *)
-  reuse_impact : float; (* unopt_time / reuse_time *)
-  pack_impact : float; (* unopt_time / pack_time *)
+  ms : (string * float) list;
+      (* modeled time of each variant, milliseconds, in ladder order *)
   paper : (float * float * float * float) option;
       (* (ref ms, unopt x, opt x, impact) published in the paper *)
 }
@@ -34,25 +24,21 @@ type t = {
   rows : row list;
 }
 
-let make_row ~device ~dataset ~ref_time ~unopt_time ~opt_time ~reuse_time
-    ~pack_time ~paper =
+(* [times] are seconds per variant, in ladder order *)
+let make_row ~device ~dataset ~ref_time ~times ~paper =
   {
     device;
     dataset;
     ref_ms = ref_time *. 1e3;
-    unopt_ms = unopt_time *. 1e3;
-    opt_ms = opt_time *. 1e3;
-    reuse_ms = reuse_time *. 1e3;
-    pack_ms = pack_time *. 1e3;
-    unopt_rel = ref_time /. unopt_time;
-    opt_rel = ref_time /. opt_time;
-    reuse_rel = ref_time /. reuse_time;
-    pack_rel = ref_time /. pack_time;
-    impact = unopt_time /. opt_time;
-    reuse_impact = unopt_time /. reuse_time;
-    pack_impact = unopt_time /. pack_time;
+    ms = List.map (fun (v, t) -> (v, t *. 1e3)) times;
     paper;
   }
+
+(* Variant [v]'s performance relative to the reference (higher =
+   faster, as in the paper), and its impact: the unoptimized time over
+   its own (the paper's column is [impact r "opt"]). *)
+let rel r v = r.ref_ms /. List.assoc v r.ms
+let impact r v = List.assoc "unopt" r.ms /. List.assoc v r.ms
 
 let pp ppf (t : t) =
   Fmt.pf ppf "%s (%d runs)@." t.title t.runs;
@@ -68,10 +54,9 @@ let pp ppf (t : t) =
             Printf.sprintf "%gms / %.2fx / %.2fx / %.2fx" rm u o i
         | None -> "-"
       in
-      Fmt.pf ppf
-        "%-6s %-9s | %8.2fms %7.2fx %7.2fx %7.2fx %7.2fx %7.2fx | %s@."
-        r.device r.dataset r.ref_ms r.unopt_rel r.opt_rel r.reuse_rel
-        r.pack_rel r.impact paper)
+      Fmt.pf ppf "%-6s %-9s | %8.2fms" r.device r.dataset r.ref_ms;
+      List.iter (fun (v, _) -> Fmt.pf ppf " %7.2fx" (rel r v)) r.ms;
+      Fmt.pf ppf " %7.2fx | %s@." (impact r "opt") paper)
     t.rows
 
 let to_string t = Fmt.str "%a" pp t
@@ -98,8 +83,8 @@ let pp_markdown ppf (t : t) =
         | None -> "- | -"
       in
       Fmt.pf ppf "| %s | %s | %s | %.2fx / %.2fx / **%.2fx** | %s |@."
-        r.device r.dataset (time r.ref_ms) r.unopt_rel r.opt_rel r.impact
-        paper)
+        r.device r.dataset (time r.ref_ms) (rel r "unopt") (rel r "opt")
+        (impact r "opt") paper)
     t.rows;
   Fmt.pf ppf "@."
 
@@ -138,9 +123,7 @@ let pp_ablation ppf progs =
 
 (* Shape checks used by the test-suite: the qualitative claims of the
    paper's evaluation that must survive the simulation substitution. *)
-let impacts t = List.map (fun r -> r.impact) t.rows
-let reuse_impacts t = List.map (fun r -> r.reuse_impact) t.rows
-let pack_impacts t = List.map (fun r -> r.pack_impact) t.rows
+let impacts t = List.map (fun r -> impact r "opt") t.rows
 
 let min_impact t = List.fold_left Float.min infinity (impacts t)
 let max_impact t = List.fold_left Float.max neg_infinity (impacts t)

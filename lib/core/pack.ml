@@ -48,10 +48,9 @@ module SS = Ir.Ast.SS
 (* Options and statistics                                            *)
 (* ---------------------------------------------------------------- *)
 
-type options = { verbose : bool; pack : bool }
+type options = { verbose : bool }
 
-let default_options = { verbose = false; pack = true }
-let disabled = { verbose = false; pack = false }
+let default_options = { verbose = false }
 
 type stats = {
   mutable arenas : int;
@@ -836,11 +835,7 @@ let rec walk ?(pack_here = true) st opts cert names sc (b : block) : block =
 
 let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let st = fresh_stats () in
-  if not options.pack then (p, st)
-  else
-    let names = Ir.Names.of_prog p in
-    let p = { p with body = pack_top st options cert names p } in
-    let body =
-      walk ~pack_here:false st options cert names (Facts.top p) p.body
-    in
-    ({ p with body }, st)
+  let names = Ir.Names.of_prog p in
+  let p = { p with body = pack_top st options cert names p } in
+  let body = walk ~pack_here:false st options cert names (Facts.top p) p.body in
+  ({ p with body }, st)

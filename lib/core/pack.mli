@@ -67,16 +67,10 @@
     The pass mutates its input program (annotations are mutable);
     {!val:Pipeline.compile} hands it a private clone. *)
 
-type options = {
-  verbose : bool;
-  pack : bool;  (** plan arenas; [false] is the identity pass *)
-}
+type options = { verbose : bool  (** trace placements to stderr *) }
 
 val default_options : options
-(** Packing enabled, quiet. *)
-
-val disabled : options
-(** Identity pass ([--no-pack]). *)
+(** Quiet. *)
 
 type stats = {
   mutable arenas : int;  (** arenas allocated *)

@@ -52,6 +52,13 @@ type compiled = {
       (* prover queries truncated by the budget during this compile *)
 }
 
+(* The variants in ladder order, under the names BENCH.json, traces
+   and chaos use. *)
+let variant_names = [ "unopt"; "opt"; "reuse"; "pack" ]
+
+let variants c =
+  List.combine variant_names [ c.unopt; c.opt; c.reuse; c.pack ]
+
 (* Memory introduction + hoisting + last-use, unchecked. *)
 let to_memory_ir (p : prog) : prog =
   let p = Memintro.introduce (Ir.Clone.clone_prog p) in

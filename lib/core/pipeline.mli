@@ -57,6 +57,15 @@ type compiled = {
           rewrites were skipped) *)
 }
 
+val variant_names : string list
+(** The variants' names in ladder order:
+    [["unopt"; "opt"; "reuse"; "pack"]]. *)
+
+val variants : compiled -> (string * Ir.Ast.prog) list
+(** The compile's four variants in ladder order, each under its name
+    in {!variant_names} - the names BENCH.json, traces and chaos use.
+    The programs are the record's own, not copies. *)
+
 val to_memory_ir : Ir.Ast.prog -> Ir.Ast.prog
 (** Memory introduction + hoisting + last-use only (the "unoptimized"
     configuration of the paper's tables), unchecked: {!compile} builds
@@ -77,11 +86,11 @@ val compile :
     cloned, never mutated), timing the passes for the section V-D
     comparison.  [options] configures the short-circuiting pass
     ({!Shortcircuit.default_options} if omitted); [reuse] the
-    memory-block reuse pass (pass {!Reuse.disabled} for [--no-reuse],
-    making [reuse] a clone of [opt]); [pack] the arena packing pass
-    (pass {!Pack.disabled} for [--no-pack], making [pack] a clone of
-    [reuse]).  With [~lint:true] the {!Memlint} verifier runs after
-    every pass of the optimized build and the reports are collected in
+    memory-block reuse pass and [pack] the arena packing pass.  Each
+    variant is the one below it plus one pass, so the variant below is
+    already that pass switched off; {!variants} lists them in ladder
+    order.  With [~lint:true] the {!Memlint} verifier runs after every
+    pass of the optimized build and the reports are collected in
     {!compiled.lint}.  With [~certify:true] every pipeline pass -
     memory introduction, hoisting, short-circuiting, the cleanup
     rounds, reuse, and packing - emits per-rewrite proof obligations

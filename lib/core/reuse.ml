@@ -61,29 +61,10 @@ module SS = Ir.Ast.SS
 
 type options = {
   verbose : bool;
-  coalesce : bool; (* same-scope coalescing (strategy 3) *)
-  chains : bool; (* dead existential chain removal (strategy 1) *)
-  rotation : bool; (* double-buffer rotation (strategy 2) *)
   cross_scope : bool; (* alloc hoisting out of loop bodies (strategy 4) *)
 }
 
-let default_options =
-  {
-    verbose = false;
-    coalesce = true;
-    chains = true;
-    rotation = true;
-    cross_scope = true;
-  }
-
-let disabled =
-  {
-    verbose = false;
-    coalesce = false;
-    chains = false;
-    rotation = false;
-    cross_scope = false;
-  }
+let default_options = { verbose = false; cross_scope = true }
 
 type stats = {
   mutable candidates : int; (* (earlier, later) alloc pairs examined *)
@@ -1205,31 +1186,22 @@ let rec walk st opts cert names allocs sc (b : block) : block =
   in
   (* rotation: rewrite the statement list back to front so [tail_refs]
      is exact for the statements following each candidate *)
-  let b =
-    if not opts.rotation then b
-    else begin
-      let tail = ref (Facts.res_refs sc.mems b) in
-      let stms' =
-        List.fold_right
-          (fun s acc ->
-            let out =
-              match
-                try_rotate st opts cert names sc ~alloc_sizes:allocs
-                  ~tail_refs:!tail s
-              with
-              | Some ss -> ss
-              | None -> [ s ]
-            in
-            List.iter
-              (fun s' -> tail := SS.union !tail (Facts.block_refs sc.mems s'))
-              out;
-            out @ acc)
-          b.stms []
-      in
-      { b with stms = stms' }
-    end
+  let tail = ref (Facts.res_refs sc.mems b) in
+  let rotate s acc =
+    let out =
+      match
+        try_rotate st opts cert names sc ~alloc_sizes:allocs ~tail_refs:!tail s
+      with
+      | Some ss -> ss
+      | None -> [ s ]
+    in
+    List.iter
+      (fun s' -> tail := SS.union !tail (Facts.block_refs sc.mems s'))
+      out;
+    out @ acc
   in
-  if opts.coalesce then coalesce_block st opts cert sc b;
+  let b = { b with stms = List.fold_right rotate b.stms [] } in
+  coalesce_block st opts cert sc b;
   let stms =
     List.map
       (fun s ->
@@ -1242,7 +1214,7 @@ let rec walk st opts cert names allocs sc (b : block) : block =
 let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let names = Ir.Names.of_prog p in
   let st = fresh_stats () in
-  let p = if options.chains then remove_dead_chains st options cert p else p in
+  let p = remove_dead_chains st options cert p in
   let p = if options.cross_scope then hoist_allocs st options cert p else p in
   let body = walk st options cert names SM.empty (Facts.top p) p.body in
   ({ p with body }, st)

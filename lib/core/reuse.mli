@@ -50,18 +50,12 @@
 
 type options = {
   verbose : bool;
-  coalesce : bool;  (** same-scope coalescing *)
-  chains : bool;  (** dead existential chain removal *)
-  rotation : bool;  (** double-buffer rotation *)
   cross_scope : bool;
       (** alloc hoisting out of loop bodies and through [if] arms *)
 }
 
 val default_options : options
 (** All strategies enabled, quiet. *)
-
-val disabled : options
-(** Identity pass ([--no-reuse]). *)
 
 type stats = {
   mutable candidates : int;  (** (earlier, later) alloc pairs examined *)

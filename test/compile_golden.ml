@@ -105,27 +105,27 @@ let () =
   List.iter
     (fun (name, prog) ->
       let before = Pr.stats () in
-      let {
-        Pl.source = _;
-        unopt;
-        opt;
-        reuse;
-        pack;
-        stats;
-        reuse_stats;
-        pack_stats;
-        dead_allocs;
-        reuse_dead_allocs;
-        pack_dead_allocs;
-        time_base = _;
-        time_sc = _;
-        time_reuse = _;
-        time_pack = _;
-        lint;
-        certs;
-        recovery;
-        prover_exhausted;
-      } =
+      let ({
+             Pl.source = _;
+             unopt = _;
+             opt = _;
+             reuse = _;
+             pack = _;
+             stats;
+             reuse_stats;
+             pack_stats;
+             dead_allocs;
+             reuse_dead_allocs;
+             pack_dead_allocs;
+             time_base = _;
+             time_sc = _;
+             time_reuse = _;
+             time_pack = _;
+             lint;
+             certs;
+             recovery;
+             prover_exhausted;
+           } as c) =
         Pr.with_cold_memo (fun () ->
             Pl.compile ~lint:true ~certify:true ~fail_safe:true prog)
       in
@@ -134,7 +134,7 @@ let () =
       List.iter
         (fun (v, p) ->
           Printf.printf "  %s %s\n" v (md5 (Ir.Pretty.prog_to_string p)))
-        [ ("unopt", unopt); ("opt", opt); ("reuse", reuse); ("pack", pack) ];
+        (Pl.variants c);
       print_sc stats;
       print_reuse reuse_stats;
       print_pack pack_stats;

@@ -102,9 +102,5 @@ let () =
                 Exec.Cost_only p ds.args)
             datasets;
           run (Printf.sprintf "%s %s full small" name v) Exec.Full p small)
-        Core.Pipeline.
-          [
-            ("unopt", c.unopt); ("opt", c.opt); ("reuse", c.reuse);
-            ("pack", c.pack);
-          ])
+        (Core.Pipeline.variants c))
     programs

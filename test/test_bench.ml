@@ -9,10 +9,11 @@ module R = Benchsuite.Runner
 module V = Ir.Value
 
 let check_validation name (v : R.validation) =
-  Alcotest.(check bool) (name ^ ": unopt = interp") true v.R.ok_unopt;
-  Alcotest.(check bool) (name ^ ": opt = interp") true v.R.ok_opt;
-  Alcotest.(check bool) (name ^ ": reuse = interp") true v.R.ok_reuse;
-  Alcotest.(check bool) (name ^ ": pack = interp") true v.R.ok_pack
+  List.iter
+    (fun (variant, ok) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %s = interp" name variant)
+        true ok)
+    v.R.ok
 
 (* The memory passes leave the functional program unchanged: the
    interpreter, which ignores memory, runs every variant bit-equal to
@@ -25,7 +26,7 @@ let check_variants name (c : Core.Pipeline.compiled) args =
         (Printf.sprintf "%s: interp %s = interp source" name v)
         true
         (List.for_all2 V.bit_equal expect (Ir.Interp.run p args)))
-    [ ("unopt", c.unopt); ("opt", c.opt); ("reuse", c.reuse); ("pack", c.pack) ]
+    (Core.Pipeline.variants c)
 
 let check_oracle name out expect =
   match out with
@@ -154,30 +155,33 @@ let test_table_shape () =
   Alcotest.(check bool) "all hotspot circuits fire" true
     (let st = o.R.compiled.Core.Pipeline.stats in
      st.Core.Shortcircuit.succeeded = st.Core.Shortcircuit.candidates);
+  let every claim =
+    List.for_all (fun (_, fps) -> claim (fun v -> List.assoc v fps))
+      o.R.footprints
+  in
   Alcotest.(check bool) "footprint shrinks" true
-    (List.for_all
-       (fun (_, u, opt, _, _) ->
-         opt.R.f_alloc_bytes < u.R.f_alloc_bytes
-         && opt.R.f_peak_bytes < u.R.f_peak_bytes)
-       o.R.footprints);
+    (every (fun fp ->
+         (fp "opt").R.f_alloc_bytes < (fp "unopt").R.f_alloc_bytes
+         && (fp "opt").R.f_peak_bytes < (fp "unopt").R.f_peak_bytes));
   Alcotest.(check bool) "reuse shrinks further (hotspot rotation)" true
-    (List.for_all
-       (fun (_, _, opt, reuse, _) ->
-         reuse.R.f_allocs < opt.R.f_allocs
-         && reuse.R.f_peak_bytes < opt.R.f_peak_bytes)
-       o.R.footprints);
+    (every (fun fp ->
+         (fp "reuse").R.f_allocs < (fp "opt").R.f_allocs
+         && (fp "reuse").R.f_peak_bytes < (fp "opt").R.f_peak_bytes));
   Alcotest.(check bool) "packing never grows allocs or peak" true
-    (List.for_all
-       (fun (_, _, _, reuse, pack) ->
-         pack.R.f_allocs <= reuse.R.f_allocs
-         && pack.R.f_peak_bytes <= reuse.R.f_peak_bytes)
-       o.R.footprints)
+    (every (fun fp ->
+         (fp "pack").R.f_allocs <= (fp "reuse").R.f_allocs
+         && (fp "pack").R.f_peak_bytes <= (fp "reuse").R.f_peak_bytes))
 
 (* ---------------------------------------------------------------- *)
 (* The bench-trajectory gate (Benchjson)                             *)
 (* ---------------------------------------------------------------- *)
 
 module BJ = Benchsuite.Benchjson
+
+let variant_names = Core.Pipeline.variant_names
+let fp_counters = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
+let pack_counters = [ "arenas"; "packed"; "unpacked"; "holes" ]
+let prover_work = [ "nonneg_misses"; "sat_misses"; "verdict_misses" ]
 
 let sample_record ?(traffic = 512.) ?pool ~reuse_ms ~allocs () =
   let pool_s =
@@ -366,6 +370,45 @@ let test_gate_prover_work () =
   Alcotest.(check bool) "a fall passes" true (BJ.ok fell);
   Alcotest.(check int) "a fall is a note" 1 (List.length fell.BJ.notes)
 
+(* A record holding every gated field once: a row and a footprint over
+   every variant of the ladder, pack_stats and the prover's work. *)
+let complete_record =
+  let fields f l = String.concat "," (List.map f l) in
+  let count k = Printf.sprintf "%S:8" k and vs = variant_names in
+  let fp v = Printf.sprintf "%S:{%s}" v (fields count fp_counters) in
+  parse_exn
+    (Printf.sprintf
+       {|{"benchmarks":[{"name":"bm","rows":[{"device":"A","dataset":"d",%s}],
+          "footprints":[{"dataset":"d",%s}],"pack_stats":{%s}}],
+          "prover":{%s}}|}
+       (fields (fun v -> count (v ^ "_ms")) vs)
+       (fields fp vs) (fields count pack_counters) (fields count prover_work))
+
+let rec without key = function
+  | BJ.Obj l ->
+      BJ.Obj
+        (List.filter_map
+           (fun (k, v) -> if k = key then None else Some (k, without key v))
+           l)
+  | BJ.Arr l -> BJ.Arr (List.map (without key) l)
+  | v -> v
+
+(* A gated field present in the baseline and missing from the current
+   record is a regression wherever it left; missing from both records,
+   it is skipped. *)
+let check_dropped regressions keys () =
+  let full = complete_record in
+  Alcotest.(check int) "a complete record compares every field" 23
+    (BJ.gate ~baseline:full ~current:full ()).BJ.checked;
+  List.iter
+    (fun key ->
+      let cut = without key full in
+      Alcotest.(check int) (key ^ " dropped: regressions") regressions
+        (List.length (BJ.gate ~baseline:full ~current:cut ()).BJ.regressions);
+      Alcotest.(check bool) (key ^ " missing from both: skipped") true
+        (BJ.ok (BJ.gate ~baseline:cut ~current:cut ())))
+    keys
+
 let tests =
   [
     Alcotest.test_case "NW end-to-end" `Quick test_nw;
@@ -394,4 +437,14 @@ let tests =
       test_gate_improvement_is_note;
     Alcotest.test_case "gate: missing benchmark fails" `Quick
       test_gate_missing_benchmark_fails;
+    Alcotest.test_case "gate: a missing row time fails" `Quick
+      (check_dropped 1 (List.map (fun v -> v ^ "_ms") variant_names));
+    Alcotest.test_case "gate: a missing footprint fails" `Quick
+      (check_dropped 1 variant_names);
+    Alcotest.test_case "gate: a missing footprint counter fails" `Quick
+      (check_dropped (List.length variant_names) fp_counters);
+    Alcotest.test_case "gate: a missing pack_stats counter fails" `Quick
+      (check_dropped 1 pack_counters);
+    Alcotest.test_case "gate: missing prover work fails" `Quick
+      (check_dropped 1 prover_work);
   ]

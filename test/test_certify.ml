@@ -239,14 +239,7 @@ let test_names_bound_once () =
                 Alcotest.failf "%s %s: %s is bound twice" name variant v;
               Hashtbl.add seen v ())
             (binders p))
-        Core.Pipeline.
-          [
-            ("source", prog);
-            ("unopt", c.unopt);
-            ("opt", c.opt);
-            ("reuse", c.reuse);
-            ("pack", c.pack);
-          ])
+        (("source", prog) :: Core.Pipeline.variants c))
     bench_progs
 
 (* Without ~certify:true no certificates are collected - the recording

@@ -361,7 +361,7 @@ let check_same what args (fresh : Pipeline.compiled)
         (fun v ->
           let r = Exec.run ~mode:Exec.Full v args in
           (r.Exec.results, r.Exec.counters))
-        [ c.Pipeline.unopt; c.Pipeline.opt; c.Pipeline.reuse; c.Pipeline.pack ])
+        (List.map snd (Pipeline.variants c)))
 
 (* For every injectable pass, resuming the clean compile at that pass
    equals compiling afresh: unarmed (linted and certified, so the
@@ -370,11 +370,9 @@ let check_same what args (fresh : Pipeline.compiled)
 let test_resume_equals_fresh name prog args () =
   let base = Pipeline.compile ~lint:true ~certify:true ~fail_safe:true prog in
   let printed () =
-    List.map Ir.Pretty.prog_to_string
-      [
-        base.Pipeline.unopt; base.Pipeline.opt; base.Pipeline.reuse;
-        base.Pipeline.pack;
-      ]
+    List.map
+      (fun (_, p) -> Ir.Pretty.prog_to_string p)
+      (Pipeline.variants base)
   in
   let before = printed () in
   List.iter

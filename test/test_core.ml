@@ -41,10 +41,10 @@ let scenario ?(args = []) prog =
     let ro = Exec.run ~mode:Exec.Full compiled.Core.Pipeline.opt args in
     Alcotest.(check bool)
       "unopt preserves semantics" true
-      (List.for_all2 (Value.approx_equal ~eps:1e-9) expect ru.Exec.results);
+      (List.for_all2 Value.bit_equal expect ru.Exec.results);
     Alcotest.(check bool)
       "opt preserves semantics" true
-      (List.for_all2 (Value.approx_equal ~eps:1e-9) expect ro.Exec.results);
+      (List.for_all2 Value.bit_equal expect ro.Exec.results);
     (stats, Some (ru.Exec.counters, ro.Exec.counters))
   end
 
@@ -674,7 +674,7 @@ let test_memintro_if_existential () =
       let expect = Interp.run prog [ Value.VInt 3; Value.VBool cond ] in
       let got = Interp.run m [ Value.VInt 3; Value.VBool cond ] in
       Alcotest.(check bool) "annotated program unchanged semantically" true
-        (List.for_all2 Value.approx_equal expect got))
+        (List.for_all2 Value.bit_equal expect got))
     [ true; false ]
 
 (* ---------------------------------------------------------------- *)
@@ -734,7 +734,7 @@ let prop_nw_random_sizes =
     (fun (q, b) ->
       let args = Benchsuite.Nw.small_args ~q ~b in
       let v = Benchsuite.Runner.validate Benchsuite.Nw.prog args in
-      v.Benchsuite.Runner.ok_unopt && v.Benchsuite.Runner.ok_opt
+      List.for_all snd v.Benchsuite.Runner.ok
       && v.Benchsuite.Runner.copies_opt = 0)
 
 (* ---------------------------------------------------------------- *)
@@ -799,6 +799,19 @@ let test_resolve_cyclic () =
     "input returned" true
     (P.equal input (Core.Facts.resolve table input))
 
+(* The variants in ladder order, under their names, and the record's
+   own programs rather than copies. *)
+let test_variants_ladder () =
+  let c = Core.Pipeline.compile Benchsuite.Hotspot.prog in
+  let vs = Core.Pipeline.variants c in
+  Alcotest.(check (list string))
+    "ladder order" [ "unopt"; "opt"; "reuse"; "pack" ] (List.map fst vs);
+  Alcotest.(check (list string))
+    "variant_names" (List.map fst vs) Core.Pipeline.variant_names;
+  Alcotest.(check bool) "the record's own programs" true
+    (List.for_all2 ( == ) (List.map snd vs)
+       Core.Pipeline.[ c.unopt; c.opt; c.reuse; c.pack ])
+
 let tests =
   [
     Alcotest.test_case "Fig. 1 left" `Quick test_fig1_left;
@@ -835,6 +848,8 @@ let tests =
     Alcotest.test_case "proof-local binders" `Quick test_binder_names;
     Alcotest.test_case "resolve: a cyclic table is the identity" `Quick
       test_resolve_cyclic;
+    Alcotest.test_case "pipeline: variants in ladder order" `Quick
+      test_variants_ladder;
     QCheck_alcotest.to_alcotest prop_nw_random_sizes;
     QCheck_alcotest.to_alcotest prop_scalar_def_sound;
   ]

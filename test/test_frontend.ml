@@ -91,7 +91,7 @@ let test_fig1_pipeline () =
   let expect = Ir.Interp.run compiled.Core.Pipeline.source args in
   let r = Gpu.Exec.run ~mode:Gpu.Exec.Full compiled.Core.Pipeline.opt args in
   Alcotest.(check bool) "optimized run agrees" true
-    (List.for_all2 V.approx_equal expect r.Gpu.Exec.results);
+    (List.for_all2 V.bit_equal expect r.Gpu.Exec.results);
   Alcotest.(check int) "copy elided" 0 r.Gpu.Exec.counters.Gpu.Device.copies
 
 (* Data-dependent indexing parses but must stay unanalyzable. *)

@@ -176,7 +176,7 @@ let test_multi_lmad_execution () =
   let expect = Interp.run compiled.Core.Pipeline.source args in
   let r = Exec.run ~mode:Exec.Full compiled.Core.Pipeline.unopt args in
   Alcotest.(check bool) "unranked reads agree with interpreter" true
-    (List.for_all2 Value.approx_equal expect r.Exec.results);
+    (List.for_all2 Value.bit_equal expect r.Exec.results);
   (* the view itself must still be free *)
   Alcotest.(check int) "no copies" 0 r.Exec.counters.Device.copies
 
@@ -332,18 +332,12 @@ let test_scoping () =
           let what = name ^ " " ^ variant in
           Alcotest.(check bool)
             (what ^ ": results = interpreter") true
-            (List.for_all2 Value.approx_equal want r.Exec.results);
+            (List.for_all2 Value.bit_equal want r.Exec.results);
           Alcotest.(check (list string))
             (what ^ ": footprints and last uses")
             (snd (List.find (fun (vs, _) -> List.mem variant vs) expected))
             (footprint_summary (Option.get r.Exec.trace)))
-        Core.Pipeline.
-          [
-            ("unopt", cpl.unopt);
-            ("opt", cpl.opt);
-            ("reuse", cpl.reuse);
-            ("pack", cpl.pack);
-          ])
+        (Core.Pipeline.variants cpl))
     [
       ( "nested loops sharing i",
         nested_loops,
@@ -482,10 +476,7 @@ let test_full_sqrt_log () =
       Alcotest.(check (list (list int64)))
         (v ^ ": sqrt and log bits") expect
         (List.map bits r.Exec.results))
-    [
-      ("unopt", compiled.Core.Pipeline.unopt);
-      ("pack", compiled.Core.Pipeline.pack);
-    ]
+    (Core.Pipeline.variants compiled)
 
 (* A mapnest over an empty index space still has its statement's type:
    a scalar body gives i64[0], a [3]f64 body f64[0,3] and its transpose
@@ -532,11 +523,7 @@ let test_empty_mapnest () =
             (Printf.sprintf "%s at n = %d: bit-equal" v size)
             true
             (List.for_all2 Value.bit_equal expect r.Exec.results))
-        Core.Pipeline.
-          [
-            ("unopt", compiled.unopt); ("opt", compiled.opt);
-            ("reuse", compiled.reuse); ("pack", compiled.pack);
-          ])
+        (Core.Pipeline.variants compiled))
     [ 0; 2 ]
 
 let tests =

@@ -82,9 +82,15 @@ let test_circuit_clean () =
   Alcotest.(check bool)
     "the circuit fires" true
     (compiled.Core.Pipeline.stats.Core.Shortcircuit.succeeded > 0);
-  let u, o = Runner.trace_check ~compiled (circuit_prog ()) (circuit_args 6) in
-  Alcotest.(check (list string)) "unopt trace clean" [] (details u.Runner.check);
-  Alcotest.(check (list string)) "opt trace clean" [] (details o.Runner.check);
+  let traces =
+    Runner.trace_check ~compiled (circuit_prog ()) (circuit_args 6)
+  in
+  List.iter
+    (fun (v, (t : Runner.traced)) ->
+      Alcotest.(check (list string)) (v ^ " trace clean") []
+        (details t.Runner.check))
+    traces;
+  let o = List.assoc "opt" traces in
   Alcotest.(check bool) "opt elided the update copy" true
     (o.Runner.check.MT.elided > 0);
   Alcotest.(check bool) "offsets were actually enumerated" true
@@ -177,17 +183,18 @@ let test_read_after_last_use () =
     (rules (MT.check t2))
 
 (* ---------------------------------------------------------------- *)
-(* The whole benchmark suite trace-checks clean, both variants       *)
+(* The whole benchmark suite trace-checks clean, every variant        *)
 (* ---------------------------------------------------------------- *)
 
 let test_benchmarks_trace_clean () =
   List.iter
     (fun (name, prog, args) ->
-      let u, o = Runner.trace_check prog args in
-      Alcotest.(check (list string))
-        (name ^ " unopt trace clean") [] (details u.Runner.check);
-      Alcotest.(check (list string))
-        (name ^ " opt trace clean") [] (details o.Runner.check))
+      List.iter
+        (fun (v, (t : Runner.traced)) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s trace clean" name v)
+            [] (details t.Runner.check))
+        (Runner.trace_check prog args))
     [
       ("nw", Benchsuite.Nw.prog, Benchsuite.Nw.small_args ~q:3 ~b:4);
       ("lud", Benchsuite.Lud.prog, Benchsuite.Lud.small_args ~q:3 ~b:4);
@@ -211,20 +218,19 @@ let test_benchmarks_trace_clean () =
 (* ---------------------------------------------------------------- *)
 
 (* Every generated instance runs memlint over all pipeline stages and
-   the memtrace cross-check over both executed variants. *)
+   the memtrace cross-check over every executed variant. *)
 let verified_pipeline prog args =
   let compiled = Core.Pipeline.compile ~lint:true prog in
   (match Core.Pipeline.first_lint_error compiled.Core.Pipeline.lint with
   | None -> ()
   | Some (stage, v) ->
       QCheck.Test.fail_reportf "memlint (%s): %a" stage ML.pp_violation v);
-  let u, o = Runner.trace_check ~compiled prog args in
   List.iter
     (fun (which, (t : Runner.traced)) ->
       if not (MT.ok t.Runner.check) then
         QCheck.Test.fail_reportf "memtrace (%s): %a" which MT.pp_report
           t.Runner.check)
-    [ ("unopt", u); ("opt", o) ];
+    (Runner.trace_check ~compiled prog args);
   true
 
 let prop_nw_verified =
@@ -250,7 +256,7 @@ let tests =
     Alcotest.test_case "synthetic: bogus elision" `Quick test_bogus_elision;
     Alcotest.test_case "synthetic: read after last use" `Quick
       test_read_after_last_use;
-    Alcotest.test_case "benchmarks trace clean (both variants)" `Slow
+    Alcotest.test_case "benchmarks trace clean (every variant)" `Slow
       test_benchmarks_trace_clean;
     QCheck_alcotest.to_alcotest prop_nw_verified;
     QCheck_alcotest.to_alcotest prop_circuit_verified;

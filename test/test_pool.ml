@@ -186,11 +186,7 @@ let test_hits_plus_misses () =
         (label ^ ": hits + misses = allocs")
         c.Device.allocs
         (c.Device.pool_hits + c.Device.pool_misses))
-    [
-      ("unopt", cpl.Core.Pipeline.unopt);
-      ("opt", cpl.Core.Pipeline.opt);
-      ("reuse", cpl.Core.Pipeline.reuse);
-    ]
+    (Core.Pipeline.variants cpl)
 
 (* Disabling the pool is invisible to every memory counter - it only
    changes how the events are priced.  This is the A/B guarantee that
@@ -220,9 +216,9 @@ let test_no_pool_identity () =
     b.Device.frees
 
 (* The cost model makes the pool measurable: on every device profile
-   the pooled run is strictly cheaper, in all three columns - the
-   reuse column included, whose single surviving allocation still pays
-   its teardown free when unpooled. *)
+   the pooled run is strictly cheaper, in every variant - the reuse
+   and pack columns included, whose single surviving allocation still
+   pays its teardown free when unpooled. *)
 let test_pool_strictly_cheaper () =
   let cpl = Lazy.force compiled in
   List.iter
@@ -238,11 +234,7 @@ let test_pool_strictly_cheaper () =
                device.Device.name label)
             true
             (t_on < t_off))
-        [
-          ("unopt", cpl.Core.Pipeline.unopt);
-          ("opt", cpl.Core.Pipeline.opt);
-          ("reuse", cpl.Core.Pipeline.reuse);
-        ])
+        (Core.Pipeline.variants cpl))
     [ Device.a100; Device.mi100 ]
 
 (* The high-water mark can never exceed the run's own peak accounting,

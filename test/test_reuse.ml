@@ -163,11 +163,12 @@ let sibling_prog () =
 (* ---------------------------------------------------------------- *)
 
 let cost_counters p args = (Exec.run ~mode:Exec.Cost_only p args).Exec.counters
+let reuse_ok (v : R.validation) = List.assoc "reuse" v.R.ok
 let total_allocs (ct : Device.counters) = ct.Device.allocs + ct.Device.scratch_allocs
 
 (* Compile and return (compiled, opt counters, reuse counters). *)
-let compiled_footprints ?reuse prog args =
-  let cpl = Core.Pipeline.compile ?reuse prog in
+let compiled_footprints prog args =
+  let cpl = Core.Pipeline.compile prog in
   ( cpl,
     cost_counters cpl.Core.Pipeline.opt args,
     cost_counters cpl.Core.Pipeline.reuse args )
@@ -188,7 +189,7 @@ let test_chain_coalesces () =
     (reuse_c.Device.peak_bytes < opt_c.Device.peak_bytes);
   (* the coalesced program still computes a+3 everywhere *)
   let v = R.validate ~compiled:cpl (chain_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "chain: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "chain: reuse = interp" true (reuse_ok v)
 
 (* No legal coalescing on the overlapping program: the pass must
    refuse, and the footprint is simply unchanged. *)
@@ -201,7 +202,7 @@ let test_overlap_untouched () =
   Alcotest.(check int) "allocs unchanged" (total_allocs opt_c)
     (total_allocs reuse_c);
   let v = R.validate ~compiled:cpl (overlap_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "overlap: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "overlap: reuse = interp" true (reuse_ok v)
 
 (* ---------------------------------------------------------------- *)
 (* Mutation: a coalescing with overlapping live ranges is rejected   *)
@@ -286,7 +287,7 @@ let test_hoist_fires () =
   Alcotest.(check bool) "lower peak" true
     (reuse_c.Device.peak_bytes < opt_c.Device.peak_bytes);
   let v = R.validate ~compiled:cpl (hoist_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "hoist: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "hoist: reuse = interp" true (reuse_ok v)
 
 let test_hoist_refuses_escape () =
   let cpl, opt_c, reuse_c =
@@ -298,7 +299,7 @@ let test_hoist_refuses_escape () =
   Alcotest.(check int) "allocs unchanged" (total_allocs opt_c)
     (total_allocs reuse_c);
   let v = R.validate ~compiled:cpl (escape_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "escape: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "escape: reuse = interp" true (reuse_ok v)
 
 let test_sibling_hoists_coalesce () =
   let cpl, opt_c, reuse_c =
@@ -314,7 +315,7 @@ let test_sibling_hoists_coalesce () =
   Alcotest.(check bool) "lower peak" true
     (reuse_c.Device.peak_bytes < opt_c.Device.peak_bytes);
   let v = R.validate ~compiled:cpl (sibling_prog ()) (chain_args 8) in
-  Alcotest.(check bool) "sibling: reuse = interp" true v.R.ok_reuse
+  Alcotest.(check bool) "sibling: reuse = interp" true (reuse_ok v)
 
 (* LUD's interior temporary shrinks with the step index; hoisting
    generalizes its size to the iteration maximum (a prover obligation)
@@ -338,25 +339,6 @@ let test_lud_cross_scope_ab () =
   Alcotest.(check bool) "peak no worse" true
     (c_on.Device.peak_bytes <= c_off.Device.peak_bytes)
 
-(* --no-reuse is the identity: the reuse variant degenerates to a
-   clone of opt with zeroed statistics. *)
-let test_disabled_is_identity () =
-  let args = Benchsuite.Hotspot.small_args ~n:16 ~steps:3 in
-  let cpl, opt_c, reuse_c =
-    compiled_footprints ~reuse:Core.Reuse.disabled Benchsuite.Hotspot.prog
-      args
-  in
-  let st = cpl.Core.Pipeline.reuse_stats in
-  Alcotest.(check int) "no rotations" 0 st.Core.Reuse.rotated;
-  Alcotest.(check int) "no coalescings" 0 st.Core.Reuse.coalesced;
-  Alcotest.(check int) "no chain removals" 0 st.Core.Reuse.chain_links;
-  Alcotest.(check int) "no allocations dropped" 0
-    cpl.Core.Pipeline.reuse_dead_allocs;
-  Alcotest.(check int) "allocs identical" (total_allocs opt_c)
-    (total_allocs reuse_c);
-  Alcotest.(check (float 0.0)) "peak identical" opt_c.Device.peak_bytes
-    reuse_c.Device.peak_bytes
-
 (* ---------------------------------------------------------------- *)
 (* qcheck: the full verification stack over random sizes             *)
 (* ---------------------------------------------------------------- *)
@@ -371,7 +353,8 @@ let reuse_verified prog args =
   | None -> ()
   | Some (stage, v) ->
       QCheck.Test.fail_reportf "memlint (%s): %a" stage ML.pp_violation v);
-  let _, o, r = R.trace_check3 ~compiled prog args in
+  let o = R.trace_variant ~variant:"opt" compiled.Core.Pipeline.opt args
+  and r = R.trace_variant ~variant:"reuse" compiled.Core.Pipeline.reuse args in
   if not (MT.ok r.R.check) then
     QCheck.Test.fail_reportf "memtrace (reuse): %a" MT.pp_report r.R.check;
   (match Core.Trace.diff o.R.trace r.R.trace with
@@ -379,10 +362,8 @@ let reuse_verified prog args =
   | d :: _ -> QCheck.Test.fail_reportf "skeletons diverge: %s" d);
   let expect = Ir.Interp.run compiled.Core.Pipeline.source args in
   let rr = Exec.run ~mode:Exec.Full compiled.Core.Pipeline.reuse args in
-  if
-    not
-      (List.for_all2 (Value.approx_equal ~eps:1e-6) expect rr.Exec.results)
-  then QCheck.Test.fail_reportf "reuse variant changed the results";
+  if not (List.for_all2 Value.bit_equal expect rr.Exec.results) then
+    QCheck.Test.fail_reportf "reuse variant changed the results";
   let opt_c = cost_counters compiled.Core.Pipeline.opt args in
   let reuse_c = cost_counters compiled.Core.Pipeline.reuse args in
   if total_allocs reuse_c > total_allocs opt_c then
@@ -434,8 +415,6 @@ let tests =
     Alcotest.test_case "hoist: sibling loops share one block" `Quick
       test_sibling_hoists_coalesce;
     Alcotest.test_case "lud: cross-scope A/B" `Quick test_lud_cross_scope_ab;
-    Alcotest.test_case "--no-reuse is the identity" `Quick
-      test_disabled_is_identity;
     QCheck_alcotest.to_alcotest prop_nw_reuse_verified;
     QCheck_alcotest.to_alcotest prop_chain_reuse_verified;
     QCheck_alcotest.to_alcotest prop_hoist_reuse_verified;
