@@ -544,7 +544,7 @@ let run_validate which =
   in
   match which with
   | "all" ->
-      let ok = List.for_all validate benches in
+      let ok = List.fold_left (fun ok b -> validate b && ok) true benches in
       if ok then Ok () else Error "validation failed"
   | s ->
       Result.bind (find_bench s) (fun b ->
@@ -1315,8 +1315,8 @@ let certify_cmd =
           ~doc:
             "Compare the certificates against $(b,--baseline) and exit \
              nonzero on any regression (lost obligation, weakened verdict, \
-             dropped emitted/proved count, or any currently failed \
-             obligation).")
+             dropped or missing emitted/proved count, or any currently \
+             failed obligation).")
   in
   let baseline =
     Arg.(

@@ -239,7 +239,8 @@ let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
    - an obligation's verdict may not weaken (proved > concretized >
      failed);
    - a pass's emitted and proved counts may not decrease (the passes
-     must keep justifying at least as many rewrites as before);
+     must keep justifying at least as many rewrites as before), and a
+     count the baseline holds may not go missing;
    - any failed obligation in the current run is a regression
      outright, baseline or not.
 
@@ -297,7 +298,8 @@ let cert_gate ~(baseline : t) ~(current : t) () : gate =
                        current run"
                     bname pname
               | Some cp ->
-                  (* aggregate counts: emitted and proved must not drop *)
+                  (* aggregate counts: emitted and proved must not drop,
+                     nor go missing *)
                   List.iter
                     (fun field ->
                       match (num_at [ field ] bp, num_at [ field ] cp) with
@@ -311,7 +313,11 @@ let cert_gate ~(baseline : t) ~(current : t) () : gate =
                               "%s/%s: %s count grew %g -> %g - consider \
                                refreshing the baseline"
                               bname pname field b c
-                      | _ -> ())
+                      | Some _, None ->
+                          incr checked;
+                          reg "%s/%s: %s count missing from current run" bname
+                            pname field
+                      | None, _ -> ())
                     [ "emitted"; "proved" ];
                   (* per-obligation verdicts, matched by id *)
                   let cur_obls = obls cp in

@@ -21,36 +21,41 @@
    whose cost is linear in the thread index (wavefront/triangular
    workloads), which covers the benchmark suite.
 
-   Variables live in one frame per run.  Before executing, [run] walks
-   the program once with a lexical scope and gives every binder
-   occurrence - parameters and their memory blocks, pattern elements,
-   loop parameters and counters, mapnest indices - its own slot of an
-   [aval array].  It rewrites every use to its slot: atoms, array and
-   block operands, last-use markers, and every variable of every index
-   polynomial, which is compiled to a slot-indexed sum of products.  The
-   same walk records once the facts a run would otherwise re-derive
-   at every execution: a mapnest's declared reads and destinations in
-   its launch scope, the blocks a lexical block's results live in, and
-   which loops carry an integer.  Scoping is lexical ([exec_block]
-   returns values, never bindings), so a slot is always written before
-   it is read.  A name no binder in scope defines resolves to an
-   unbound reference, which raises [Exec_error] only if the run
-   evaluates it.  Block ids are numbered per run, from 1, so a run is a
-   pure function of (program, arguments): running a program twice in
-   one process gives equal counters and byte-identical traces.
+   The executor is staged, as the reference interpreter is.  Before
+   executing, [run] walks the program once with a lexical scope and
+   gives every binder occurrence - parameters and their memory blocks,
+   pattern elements, loop parameters and counters, mapnest indices -
+   its own slot of an [aval array], and compiles every statement to one
+   closure over the run's state.  A closure is specialised on what the
+   walk knows: its operator, whether each operand is a slot or a
+   constant, the number of its indices, and the arity of its pattern,
+   into whose slot it stores its result.  Each index polynomial is
+   compiled to a sum of products over slots, or to a closure of its own
+   when it is a constant, a variable or a variable plus a constant.
+   Loops, ifs and mapnests run arrays of compiled statements.  The
+   same walk records once the facts a run would otherwise re-derive at
+   every execution: a mapnest's declared reads and destinations in its
+   launch scope, the blocks a lexical block's results live in, and
+   which loops carry an integer.  Scoping is lexical (a block returns
+   values, never bindings), so a slot is always written before it is
+   read.  A name no binder in scope defines compiles to a reference that
+   raises [Exec_error] only if the run evaluates it.  Frame and closures
+   live for one run.  Block ids are numbered per run, from 1, so a run
+   is a pure function of (program, arguments): running a program twice
+   in one process gives equal counters and byte-identical traces.
 
    The per-element path - what a kernel thread does for each element it
-   reads or writes - does no polymorphic hashing and builds no list.
-   An element read, or an update of one element, under a single-LMAD
-   index function computes its flat offset [coff + Σ iₖ·sₖ] from its
-   index polynomials directly (chains unrank through [capply]), and a
-   statement with one result stores it straight into its slot.  The
-   cells a thread has written, which make its re-reads free, live in an
-   open-addressing set of (block id, offset) pairs that clears in O(1)
-   for every thread ([Cells]).  The per-kernel read tallies live in an
-   int-keyed table whose iteration order decides the capped float sums,
-   so its hash and its sequence of updates are part of the cost model
-   ([Tally]). *)
+   reads or writes - builds no list and hashes nothing.  An element
+   read, or an update of one element, under a single-LMAD index function
+   computes its flat offset [coff + Σ iₖ·sₖ] from its index polynomials
+   directly (chains unrank through [capply]).  The cells a thread has
+   written, which make its re-reads free, live in an open-addressing set
+   of (block id, offset) pairs that clears in O(1) for every thread
+   ([Cells]).  The per-kernel read tallies live in an int-keyed table
+   whose iteration order decides the capped float sums, so its hash and
+   its sequence of updates are part of the cost model ([Tally]).  The
+   table alone fixes that order; a block only remembers its record in
+   it, so a read reaches the table once per block and kernel. *)
 
 open Ir.Ast
 module P = Symalg.Poly
@@ -78,6 +83,10 @@ type mutation = Off_by_one_write
 
 type payload = PF of float array | PI of int array | PB of bool array
 
+(* One block's DRAM reads in the kernel in flight, and its footprint in
+   bytes, the perfect-L2 cap on them. *)
+type tally = { mutable bytes : float; cap : float }
+
 type blockv = {
   bid : int; (* unique id *)
   bname : string;
@@ -87,6 +96,10 @@ type blockv = {
       (* device bytes the pool served for this block; 0 when the block
          is not pool-owned (inputs, scratch, pool disabled) *)
   mutable freed : bool; (* currently sitting on a pool free list *)
+  mutable tally : tally;
+      (* the block's record in the read tally table, valid while
+         [tally_gen] is the table's generation *)
+  mutable tally_gen : int;
 }
 
 (* Concrete index function: integer offsets/cardinals/strides.  The
@@ -107,95 +120,6 @@ type aval =
   | ABool of bool
   | AMem of blockv
   | AArr of arrv
-
-(* ---------------------------------------------------------------- *)
-(* Resolved programs                                                 *)
-(* ---------------------------------------------------------------- *)
-
-(* A variable reference resolved to its binder's frame slot.  A
-   negative reference stands for a name no binder in scope defines
-   (entry [-1 - r] of the run's unbound names). *)
-type slot = int
-
-(* An index polynomial over frame slots: a sum of monomials, each a
-   coefficient times one factor per unit of exponent. *)
-type cmono = { coeff : int; factors : slot array }
-type cpoly = cmono array
-type rlmad = { roff : cpoly; rdims : (cpoly * cpoly) list }
-type ratom = Slot of slot | Const of aval
-
-(* One dimension of a triplet slice: over polynomials when resolved,
-   over integers when concrete. *)
-type 'i sdim = DFix of 'i | DRange of 'i * 'i * 'i (* start, len, step *)
-
-type rslice = RTriplet of cpoly sdim list | RLmad of rlmad
-
-(* A pattern element: where the statement binds it, and its array type
-   and annotation, resolved where the statement starts (before it
-   binds). *)
-type rpat = {
-  rv : string; (* source name: labels, trace events, messages *)
-  rslot : slot;
-  rarr : (sct * cpoly list) option; (* element type and shape *)
-  rmem : (slot * rlmad list) option; (* block and index function *)
-}
-
-type rexp =
-  | RAtom of ratom
-  | RBin of binop * ratom * ratom
-  | RCmp of cmpop * ratom * ratom
-  | RUn of unop * ratom
-  | RIdx of cpoly
-  | RIndex of slot * cpoly list
-  | RWrite of slot * cpoly list * ratom (* an update of one element *)
-  | RView of slot (* slice, transpose, reshape, reverse *)
-  | RIota of cpoly
-  | RReplicate of ratom
-  | RScratch
-  | RCopy of slot
-  | RConcat of slot list
-  | RUpdate of slot * rslice * rsrc
-  | RMap of rmap
-  | RReduce of binop * ratom * slot
-  | RArgmin of slot
-  | RLoop of rloop
-  | RIf of ratom * rblock * rblock
-  | RAlloc of cpoly * bool (* size; binds a packing arena *)
-
-and rsrc = RSrcArr of slot | RSrcScalar of ratom
-
-and rmap = {
-  mdims : cpoly list;
-  mindices : slot list;
-  mbody : rblock;
-  mdests : (string * slot) list;
-      (* annotated destinations anywhere in the body whose block name
-         the launch scope binds, with that launch-scope slot *)
-  mreads : slot list;
-      (* launch-scope slots of the operands the body mentions, sorted
-         by source name *)
-}
-
-and rloop = {
-  lparams : slot list;
-  linits : ratom list;
-  lcounter : slot;
-  lbound : cpoly;
-  lbody : rblock;
-  scalar_carry : bool; (* some loop parameter is an i64 *)
-}
-
-and rstm = {
-  rpats : rpat list;
-  rexp : rexp;
-  dying : slot list; (* the statement's [last_uses] bound after it *)
-  kept : (slot option * slot option) list;
-      (* per result variable of the enclosing block, as seen right after
-         the statement: its own slot, and the slot of the block its
-         annotation names (empty when [dying] is) *)
-}
-
-and rblock = { rstms : rstm list; rres : ratom list }
 
 (* ---------------------------------------------------------------- *)
 (* Per-kernel bookkeeping                                            *)
@@ -268,23 +192,25 @@ end = struct
       end
 end
 
-(* One block's DRAM reads in the kernel in flight, and its footprint in
-   bytes, the perfect-L2 cap on them. *)
-type tally = { mutable bytes : float; cap : float }
-
 (* The per-kernel tallies are summed, capped, in [iter] order when the
    kernel retires, and with non-integer byte counts (Simpson weights)
    that order decides the last bits of the modeled traffic.  The order
    is fixed by the hash and by the exact sequence of [add]/[replace]/
    [reset] calls, so the hash stays [Hashtbl.hash] and the sampling
    code below keeps its fold-and-reinsert rebuilds;
-   [test/exec_counters.expected] pins the result. *)
+   [test/exec_counters.expected] pins the result.  Only the table fixes
+   the order: a block's [tally] field merely finds its record, and every
+   reset or rebuild ([reset_tally]) starts a new generation of the table,
+   which invalidates them all. *)
 module Tally = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
   let hash = Hashtbl.hash
 end)
+
+(* The record of a block that has none in the current generation. *)
+let no_tally = { bytes = 0.; cap = 0. }
 
 type state = {
   mode : mode;
@@ -332,9 +258,60 @@ type state = {
          within one kernel launch a location is fetched from DRAM at
          most once (spatial/temporal sharing between threads, e.g.
          stencil neighbours) *)
+  mutable tally_gen : int;
+      (* the table's generation, from 1: a block's [tally] is its
+         record only while its [tally_gen] equals this *)
 }
 
 let elem_bytes = 8.0
+
+(* ---------------------------------------------------------------- *)
+(* Staged programs                                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* A variable reference resolved to its binder's frame slot.  A
+   negative reference stands for a name no binder in scope defines
+   (entry [-1 - r] of the run's unbound names). *)
+type slot = int
+
+(* A statement compiled for one run. *)
+type code = state -> unit
+
+(* An index polynomial compiled to a sum of products over slots. *)
+type ipoly = state -> int
+
+type rlmad = { roff : ipoly; rdims : (ipoly * ipoly) list }
+type ratom = Slot of slot | Const of aval
+
+(* One dimension of a triplet slice: over polynomials when staged, over
+   integers when concrete. *)
+type 'i sdim = DFix of 'i | DRange of 'i * 'i * 'i (* start, len, step *)
+
+type rslice = RTriplet of ipoly sdim list | RLmad of rlmad
+
+(* A pattern element: where the statement binds it, and its array type
+   and annotation, resolved where the statement starts (before it
+   binds). *)
+type rpat = {
+  rv : string; (* source name: labels, trace events, messages *)
+  rslot : slot;
+  rarr : (sct * ipoly list) option; (* element type and shape *)
+  rmem : (slot * rlmad list) option; (* block and index function *)
+}
+
+type rblock = { rstms : code array; rres : ratom list }
+
+type rmap = {
+  mdims : ipoly list;
+  mindices : slot list;
+  mbody : rblock;
+  mdests : (string * slot) list;
+      (* annotated destinations anywhere in the body whose block name
+         the launch scope binds, with that launch-scope slot *)
+  mreads : slot list;
+      (* launch-scope slots of the operands the body mentions, sorted
+         by source name *)
+}
 
 (* ---------------------------------------------------------------- *)
 (* Pool plumbing                                                     *)
@@ -387,320 +364,44 @@ let device_fault st (f : Core.Fault.t) =
   end
 
 (* ---------------------------------------------------------------- *)
-(* Resolution: binder occurrences to frame slots                     *)
-(* ---------------------------------------------------------------- *)
-
-type resolver = {
-  mutable nslots : int;
-  mutable slots : string list; (* source name of each slot, newest first *)
-  mutable nfree : int;
-  mutable free : string list; (* unbound names, newest first *)
-  mutable mentioned : string list option;
-      (* operand names met in the innermost enclosing mapnest body;
-         None outside every kernel *)
-}
-
-let bind r scope v =
-  let s = r.nslots in
-  r.nslots <- s + 1;
-  r.slots <- v :: r.slots;
-  (s, Scope.add v s scope)
-
-let bind_all r scope vs =
-  let slots, scope =
-    List.fold_left
-      (fun (acc, scope) v ->
-        let s, scope = bind r scope v in
-        (s :: acc, scope))
-      ([], scope) vs
-  in
-  (List.rev slots, scope)
-
-let use r scope v : slot =
-  match Scope.find_opt v scope with
-  | Some s -> s
-  | None ->
-      r.nfree <- r.nfree + 1;
-      r.free <- v :: r.free;
-      -r.nfree
-
-(* A value operand: also what a kernel's declared reads are made of. *)
-let operand r scope v =
-  Option.iter (fun l -> r.mentioned <- Some (v :: l)) r.mentioned;
-  use r scope v
-
-let atom r scope = function
-  | Var v -> Slot (operand r scope v)
-  | Int i -> Const (AInt i)
-  | Float f -> Const (AFloat f)
-  | Bool b -> Const (ABool b)
-
-let poly r scope (p : P.t) : cpoly =
-  Array.of_list
-    (List.map
-       (fun (m : P.mono) ->
-         {
-           coeff = m.coeff;
-           factors =
-             Array.of_list
-               (List.concat_map
-                  (fun (x, e) ->
-                    let s = use r scope x in
-                    List.init e (fun _ -> s))
-                  m.pows);
-         })
-       (P.monos p))
-
-let lmad r scope (l : Lmad.t) : rlmad =
-  {
-    roff = poly r scope (Lmad.offset l);
-    rdims =
-      List.map
-        (fun (d : Lmad.dim) -> (poly r scope d.n, poly r scope d.s))
-        (Lmad.dims l);
-  }
-
-let slice r scope = function
-  | STriplet sds ->
-      RTriplet
-        (List.map
-           (function
-             | SFix i -> DFix (poly r scope i)
-             | SRange { start; len; step } ->
-                 DRange
-                   (poly r scope start, poly r scope len, poly r scope step))
-           sds)
-  | SLmad l -> RLmad (lmad r scope l)
-
-(* A pattern element's array type and annotation, resolved in the
-   scope where its statement starts. *)
-let dest r scope (pe : pat_elem) =
-  ( (match pe.pt with
-    | TArr (elt, shape) -> Some (elt, List.map (poly r scope) shape)
-    | _ -> None),
-    Option.map
-      (fun (m : mem_info) ->
-        (use r scope m.block, List.map (lmad r scope) (Ixfn.chain m.ixfn)))
-      pe.pmem )
-
-(* Memory destinations annotated anywhere inside a kernel body whose
-   block name the launch scope binds (hoisted scratch): the kernel is
-   declared to write - and therefore also read - them.  The name is
-   looked up in the launch scope even where a body-local binder
-   shadows it. *)
-let rec body_dests scope (blk : block) acc =
-  List.fold_left
-    (fun acc (s : stm) ->
-      let acc =
-        List.fold_left
-          (fun acc (pe : pat_elem) ->
-            match pe.pmem with
-            | Some m -> (
-                match Scope.find_opt m.block scope with
-                | Some slot -> (pe.pv, slot) :: acc
-                | None -> acc)
-            | None -> acc)
-          acc s.pat
-      in
-      match s.exp with
-      | EMap { body; _ } | ELoop { body; _ } -> body_dests scope body acc
-      | EIf { tb; fb; _ } -> body_dests scope tb (body_dests scope fb acc)
-      | _ -> acc)
-    acc blk.stms
-
-let rec resolve_exp r scope (s : stm) : rexp =
-  let atom = atom r scope and operand = operand r scope in
-  let poly = poly r scope in
-  match s.exp with
-  | EAtom a -> RAtom (atom a)
-  | EBin (op, a, b) -> RBin (op, atom a, atom b)
-  | ECmp (op, a, b) -> RCmp (op, atom a, atom b)
-  | EUn (op, a) -> RUn (op, atom a)
-  | EIdx p -> RIdx (poly p)
-  | EIndex (v, idxs) -> RIndex (operand v, List.map poly idxs)
-  | ESlice (v, _) | ETranspose (v, _) | EReshape (v, _) | EReverse (v, _) ->
-      RView (operand v)
-  | EIota n -> RIota (poly n)
-  | EReplicate (_, a) -> RReplicate (atom a)
-  | EScratch _ -> RScratch
-  | ECopy v -> RCopy (operand v)
-  | EConcat vs -> RConcat (List.map operand vs)
-  | EUpdate { dst; slc = STriplet sds; src = SrcScalar a }
-    when List.for_all (function SFix _ -> true | SRange _ -> false) sds ->
-      RWrite
-        ( operand dst,
-          List.filter_map (function SFix i -> Some (poly i) | _ -> None) sds,
-          atom a )
-  | EUpdate { dst; slc; src } ->
-      let src =
-        match src with
-        | SrcArr v -> RSrcArr (operand v)
-        | SrcScalar a -> RSrcScalar (atom a)
-      in
-      RUpdate (operand dst, slice r scope slc, src)
-  | EMap { nest; body } ->
-      let mdims = List.map (fun (_, n) -> poly n) nest in
-      let mindices, inner = bind_all r scope (List.map fst nest) in
-      let outer = r.mentioned in
-      r.mentioned <- Some [];
-      let mbody = resolve_block r inner body in
-      let mentioned = Option.value r.mentioned ~default:[] in
-      r.mentioned <- Option.map (List.rev_append mentioned) outer;
-      RMap
-        {
-          mdims;
-          mindices;
-          mbody;
-          mdests = body_dests scope body [];
-          mreads =
-            List.filter_map
-              (fun v -> Scope.find_opt v scope)
-              (List.sort_uniq compare mentioned);
-        }
-  | EReduce { op; ne; arr } -> RReduce (op, atom ne, operand arr)
-  | EArgmin v -> RArgmin (operand v)
-  | ELoop { params; var; bound; body } ->
-      let linits = List.map (fun (_, init) -> atom init) params in
-      let lbound = poly bound in
-      let lparams, inner =
-        bind_all r scope (List.map (fun ((pe : pat_elem), _) -> pe.pv) params)
-      in
-      let lcounter, inner = bind r inner var in
-      RLoop
-        {
-          lparams;
-          linits;
-          lcounter;
-          lbound;
-          lbody = resolve_block r inner body;
-          scalar_carry =
-            List.exists
-              (fun ((pe : pat_elem), _) -> pe.pt = TScalar I64)
-              params;
-        }
-  | EIf { cond; tb; fb } ->
-      RIf (atom cond, resolve_block r scope tb, resolve_block r scope fb)
-  | EAlloc size ->
-      RAlloc
-        ( poly size,
-          match s.pat with [ pe ] -> Core.Pack.is_arena pe.pv | _ -> false )
-
-and resolve_block r scope (b : block) : rblock =
-  let res_vars = List.filter_map atom_var b.res in
-  (* Annotated block names of result variables this block binds.  A
-     result bound by a LATER statement has no value yet while earlier
-     statements execute, so its block is found through the annotation
-     name instead (the [EAlloc] precedes any use of the block) -
-     otherwise a last-use marker for a co-resident variable would date
-     the block's death before a later in-block write (the rotated-loop
-     pattern). *)
-  let res_blocks =
-    lazy
-      (List.fold_left
-         (fun m (s : stm) ->
-           List.fold_left
-             (fun m (pe : pat_elem) ->
-               match pe.pmem with
-               | Some mi when List.mem pe.pv res_vars ->
-                   Scope.add pe.pv mi.block m
-               | _ -> m)
-             m s.pat)
-         Scope.empty b.stms)
-  in
-  let scope, stms =
-    List.fold_left
-      (fun (scope, acc) (s : stm) ->
-        let rexp = resolve_exp r scope s in
-        let rpats, post =
-          List.fold_left
-            (fun (acc, post) (pe : pat_elem) ->
-              let rarr, rmem = dest r scope pe in
-              let rslot, post = bind r post pe.pv in
-              ({ rv = pe.pv; rslot; rarr; rmem } :: acc, post))
-            ([], scope) s.pat
-        in
-        let rpats = List.rev rpats and scope = post in
-        let dying =
-          List.filter_map (fun v -> Scope.find_opt v scope) s.last_uses
-        in
-        let kept =
-          if dying = [] then []
-          else
-            List.map
-              (fun v ->
-                ( Scope.find_opt v scope,
-                  Option.bind
-                    (Scope.find_opt v (Lazy.force res_blocks))
-                    (fun bname -> Scope.find_opt bname scope) ))
-              res_vars
-        in
-        (scope, { rpats; rexp; dying; kept } :: acc))
-      (scope, []) b.stms
-  in
-  { rstms = List.rev stms; rres = List.map (atom r scope) b.res }
-
-(* Resolve a whole program: its parameters (each array parameter's
-   memory block first, then the parameter), then its body. *)
-let resolve (p : prog) =
-  let r = { nslots = 0; slots = []; nfree = 0; free = []; mentioned = None } in
-  let scope, params =
-    List.fold_left
-      (fun (scope, acc) (pe : pat_elem) ->
-        let blk, scope =
-          match (pe.pt, pe.pmem) with
-          | TArr _, Some m ->
-              let s, scope = bind r scope m.block in
-              (Some s, scope)
-          | _ -> (None, scope)
-        in
-        let s, scope = bind r scope pe.pv in
-        (scope, (pe, s, blk) :: acc))
-      (Scope.empty, []) p.params
-  in
-  let body = resolve_block r scope p.body in
-  (List.rev params, body, r)
-
-(* ---------------------------------------------------------------- *)
 (* Frame access and polynomial evaluation                            *)
 (* ---------------------------------------------------------------- *)
 
-let var st (s : slot) =
-  if s >= 0 then st.frame.(s) else err "exec: unbound %s" st.unbound.(-1 - s)
+let unbound st s = err "exec: unbound %s" st.unbound.(-1 - s)
+let not_an st s what = err "exec: %s is not %s" st.names.(s) what
 
-let arr_var st s =
-  match var st s with
-  | AArr a -> a
-  | _ -> err "exec: %s is not an array" st.names.(s)
+let[@inline] var st (s : slot) = if s >= 0 then st.frame.(s) else unbound st s
+
+let[@inline] arr_var st s =
+  match var st s with AArr a -> a | _ -> not_an st s "an array"
 
 let block_var st s =
-  match var st s with
-  | AMem b -> b
-  | _ -> err "exec: %s is not a memory block" st.names.(s)
+  match var st s with AMem b -> b | _ -> not_an st s "a memory block"
 
-let int_var st s =
+let[@inline] int_var st s =
   match var st s with
   | AInt i -> i
-  | _ -> err "exec: %s is not an integer (in index expression)" st.names.(s)
-
-let eval st (p : cpoly) : int =
-  let acc = ref 0 in
-  for m = 0 to Array.length p - 1 do
-    let { coeff; factors } = p.(m) in
-    let v = ref coeff in
-    for f = 0 to Array.length factors - 1 do
-      v := !v * int_var st factors.(f)
-    done;
-    acc := !acc + !v
-  done;
-  !acc
+  | _ -> not_an st s "an integer (in index expression)"
 
 let eval_atom st = function Slot s -> var st s | Const v -> v
 
+(* A sum of monomials, each a coefficient times one factor per unit of
+   exponent, flattened into one array: each monomial's coefficient, its
+   number of factors, then their slots. *)
+let sum_of_products (ms : int array) st =
+  let acc = ref 0 and m = ref 0 in
+  while !m < Array.length ms do
+    let v = ref ms.(!m) and last = !m + 1 + ms.(!m + 1) in
+    for f = !m + 2 to last do
+      v := !v * int_var st ms.(f)
+    done;
+    acc := !acc + !v;
+    m := last + 1
+  done;
+  !acc
+
 let eval_lmad st (l : rlmad) : clmad =
-  {
-    coff = eval st l.roff;
-    cdims = List.map (fun (n, s) -> (eval st n, eval st s)) l.rdims;
-  }
+  { coff = l.roff st; cdims = List.map (fun (n, s) -> (n st, s st)) l.rdims }
 
 let concretize st (ix : rlmad list) : cixfn = List.map (eval_lmad st) ix
 
@@ -732,16 +433,16 @@ let capply (ix : cixfn) (idxs : int list) : int =
 (* The flat offset of one element, read or updated.  Under a single
    LMAD it is [coff + Σ iₖ·sₖ], computed from the index polynomials
    directly; a chain goes through [capply]. *)
-let rec dot st acc (idxs : cpoly list) dims =
+let rec dot st acc (idxs : ipoly list) dims =
   match (idxs, dims) with
   | [], [] -> acc
-  | i :: idxs, (_, s) :: dims -> dot st (acc + (eval st i * s)) idxs dims
+  | i :: idxs, (_, s) :: dims -> dot st (acc + (i st * s)) idxs dims
   | _ -> err "exec: index rank mismatch"
 
-let index_offset st (ix : cixfn) (idxs : cpoly list) : int =
+let index_offset st (ix : cixfn) (idxs : ipoly list) : int =
   match ix with
   | [ l ] -> dot st l.coff idxs l.cdims
-  | _ -> capply ix (List.map (eval st) idxs)
+  | _ -> capply ix (List.map (fun i -> i st) idxs)
 
 (* ---------------------------------------------------------------- *)
 (* Declared footprints (tracing)                                     *)
@@ -766,7 +467,7 @@ let arr_footprint v (a : arrv) : Trace.footprint =
 
 (* Declared write footprints of a kernel statement: the memory
    annotations of its array-typed bindings. *)
-let pat_footprints st (s : rstm) : Trace.footprint list =
+let pat_footprints st (rpats : rpat list) : Trace.footprint list =
   List.filter_map
     (fun p ->
       match (p.rarr, p.rmem) with
@@ -777,7 +478,7 @@ let pat_footprints st (s : rstm) : Trace.footprint list =
                 { Trace.fvar = p.rv; fbid = b.bid; fregion = try_region st ix }
           | _ -> None)
       | _ -> None)
-    s.rpats
+    rpats
 
 (* Hoisted destinations inside a mapnest body, as declared writes. *)
 let dest_footprints st (m : rmap) : Trace.footprint list =
@@ -826,12 +527,30 @@ let ensure_payload (b : blockv) (elt : sct) : payload =
       b.payload <- Some p;
       p
 
+(* Empty the tally table, starting its next generation. *)
+let reset_tally st =
+  Tally.reset st.kernel_reads_tally;
+  st.tally_gen <- st.tally_gen + 1
+
+(* A block's record is added to the table on the block's first read in
+   a kernel, and found again through the block until the table is next
+   reset or rebuilt. *)
 let tally_reads st (a : blockv) bytes =
-  match Tally.find st.kernel_reads_tally a.bid with
-  | t -> t.bytes <- t.bytes +. bytes
-  | exception Not_found ->
-      Tally.add st.kernel_reads_tally a.bid
-        { bytes; cap = float_of_int a.bsize *. elem_bytes }
+  if a.tally_gen = st.tally_gen then a.tally.bytes <- a.tally.bytes +. bytes
+  else begin
+    let t =
+      match Tally.find_opt st.kernel_reads_tally a.bid with
+      | Some t ->
+          t.bytes <- t.bytes +. bytes;
+          t
+      | None ->
+          let t = { bytes; cap = float_of_int a.bsize *. elem_bytes } in
+          Tally.add st.kernel_reads_tally a.bid t;
+          t
+    in
+    a.tally <- t;
+    a.tally_gen <- st.tally_gen
+  end
 
 let read_cell st (a : blockv) elt (off : int) : aval =
   (if st.kernel_depth = 0 then
@@ -999,9 +718,8 @@ let cslice st (slc : rslice) (ix : cixfn) : cixfn =
       cslice_triplet
         (List.map
            (function
-             | DFix i -> DFix (eval st i)
-             | DRange (start, len, step) ->
-                 DRange (eval st start, eval st len, eval st step))
+             | DFix i -> DFix (i st)
+             | DRange (start, len, step) -> DRange (start st, len st, step st))
            sds)
         ix
   | RLmad l -> cslice_lmad (eval_lmad st l) ix
@@ -1010,57 +728,106 @@ let cslice st (slc : rslice) (ix : cixfn) : cixfn =
 (* Scalar operations (tolerant in cost-only mode)                    *)
 (* ---------------------------------------------------------------- *)
 
-let bin st op a b =
-  if st.kernel_depth > 0 then st.counters.flops <- st.counters.flops +. 1.;
-  let safe_div x y = if y = 0 && st.mode = Cost_only then 0 else x / y in
-  let safe_rem x y = if y = 0 && st.mode = Cost_only then 0 else x mod y in
-  match (op, a, b) with
-  | Add, AInt x, AInt y -> AInt (x + y)
-  | Sub, AInt x, AInt y -> AInt (x - y)
-  | Mul, AInt x, AInt y -> AInt (x * y)
-  | Div, AInt x, AInt y -> AInt (safe_div x y)
-  | Rem, AInt x, AInt y -> AInt (safe_rem x y)
-  | Min, AInt x, AInt y -> AInt (min x y)
-  | Max, AInt x, AInt y -> AInt (max x y)
-  | Add, AFloat x, AFloat y -> AFloat (x +. y)
-  | Sub, AFloat x, AFloat y -> AFloat (x -. y)
-  | Mul, AFloat x, AFloat y -> AFloat (x *. y)
-  | Div, AFloat x, AFloat y -> AFloat (x /. y)
-  | Rem, AFloat x, AFloat y -> AFloat (Float.rem x y)
-  | Min, AFloat x, AFloat y -> AFloat (Float.min x y)
-  | Max, AFloat x, AFloat y -> AFloat (Float.max x y)
-  | And, ABool x, ABool y -> ABool (x && y)
-  | Or, ABool x, ABool y -> ABool (x || y)
-  | _ -> err "exec: ill-typed binop"
+(* Every scalar operation a kernel thread performs is one flop. *)
+let flop st =
+  if st.kernel_depth > 0 then st.counters.flops <- st.counters.flops +. 1.
 
-let cmp st op a b =
-  if st.kernel_depth > 0 then st.counters.flops <- st.counters.flops +. 1.;
-  match (op, a, b) with
-  | CEq, AInt x, AInt y -> ABool (x = y)
-  | CLt, AInt x, AInt y -> ABool (x < y)
-  | CLe, AInt x, AInt y -> ABool (x <= y)
-  | CEq, AFloat x, AFloat y -> ABool (x = y)
-  | CLt, AFloat x, AFloat y -> ABool (x < y)
-  | CLe, AFloat x, AFloat y -> ABool (x <= y)
-  | CEq, ABool x, ABool y -> ABool (x = y)
-  | _ -> err "exec: ill-typed cmp"
+(* Each operator as its own function of its operands' values. *)
+let binop mode op : aval -> aval -> aval =
+  let ill () = err "exec: ill-typed binop" and cost = mode = Cost_only in
+  match op with
+  | Add -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> AInt (x + y)
+        | AFloat x, AFloat y -> AFloat (x +. y)
+        | _ -> ill ())
+  | Sub -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> AInt (x - y)
+        | AFloat x, AFloat y -> AFloat (x -. y)
+        | _ -> ill ())
+  | Mul -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> AInt (x * y)
+        | AFloat x, AFloat y -> AFloat (x *. y)
+        | _ -> ill ())
+  | Div -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> AInt (if y = 0 && cost then 0 else x / y)
+        | AFloat x, AFloat y -> AFloat (x /. y)
+        | _ -> ill ())
+  | Rem -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> AInt (if y = 0 && cost then 0 else x mod y)
+        | AFloat x, AFloat y -> AFloat (Float.rem x y)
+        | _ -> ill ())
+  | Min -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> AInt (Int.min x y)
+        | AFloat x, AFloat y -> AFloat (Float.min x y)
+        | _ -> ill ())
+  | Max -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> AInt (Int.max x y)
+        | AFloat x, AFloat y -> AFloat (Float.max x y)
+        | _ -> ill ())
+  | And -> (
+      fun a b ->
+        match (a, b) with ABool x, ABool y -> ABool (x && y) | _ -> ill ())
+  | Or -> (
+      fun a b ->
+        match (a, b) with ABool x, ABool y -> ABool (x || y) | _ -> ill ())
 
-let un st op a =
-  if st.kernel_depth > 0 then st.counters.flops <- st.counters.flops +. 1.;
-  match (op, a) with
-  | Neg, AInt x -> AInt (-x)
-  | Neg, AFloat x -> AFloat (-.x)
-  | Abs, AInt x -> AInt (abs x)
-  | Abs, AFloat x -> AFloat (Float.abs x)
-  | Sqrt, AFloat x ->
-      AFloat (sqrt (if st.mode = Cost_only then Float.abs x else x))
-  | Exp, AFloat x -> AFloat (exp x)
-  | Log, AFloat x ->
-      AFloat (if x <= 0. && st.mode = Cost_only then 0. else log x)
-  | Not, ABool x -> ABool (not x)
-  | ToF64, AInt x -> AFloat (float_of_int x)
-  | ToI64, AFloat x -> AInt (int_of_float x)
-  | _ -> err "exec: ill-typed unop"
+let cmpop op : aval -> aval -> aval =
+  let ill () = err "exec: ill-typed cmp" in
+  match op with
+  | CEq -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> ABool (x = y)
+        | AFloat x, AFloat y -> ABool (x = y)
+        | ABool x, ABool y -> ABool (x = y)
+        | _ -> ill ())
+  | CLt -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> ABool (x < y)
+        | AFloat x, AFloat y -> ABool (x < y)
+        | _ -> ill ())
+  | CLe -> (
+      fun a b ->
+        match (a, b) with
+        | AInt x, AInt y -> ABool (x <= y)
+        | AFloat x, AFloat y -> ABool (x <= y)
+        | _ -> ill ())
+
+let unop mode op : aval -> aval =
+  let ill () = err "exec: ill-typed unop" and cost = mode = Cost_only in
+  match op with
+  | Neg -> (
+      function AInt x -> AInt (-x) | AFloat x -> AFloat (-.x) | _ -> ill ())
+  | Abs -> (
+      function
+      | AInt x -> AInt (abs x) | AFloat x -> AFloat (Float.abs x) | _ -> ill ())
+  | Sqrt -> (
+      function
+      | AFloat x -> AFloat (sqrt (if cost then Float.abs x else x))
+      | _ -> ill ())
+  | Exp -> ( function AFloat x -> AFloat (exp x) | _ -> ill ())
+  | Log -> (
+      function
+      | AFloat x -> AFloat (if x <= 0. && cost then 0. else log x)
+      | _ -> ill ())
+  | Not -> ( function ABool x -> ABool (not x) | _ -> ill ())
+  | ToF64 -> ( function AInt x -> AFloat (float_of_int x) | _ -> ill ())
+  | ToI64 -> ( function AFloat x -> AInt (int_of_float x) | _ -> ill ())
 
 (* ---------------------------------------------------------------- *)
 (* Memory info of a pattern element                                   *)
@@ -1077,11 +844,11 @@ let dest_of st (p : rpat) =
       if b.freed then pool_revive st b;
       (b, concretize st ix)
 
-let arr_of_pat st (p : rpat) =
+let arr_of_pat st (p : rpat) : arrv =
   match p.rarr with
   | Some (elt, shape) ->
       let block, ix = dest_of st p in
-      AArr { elt; shape = List.map (eval st) shape; block; ix }
+      { elt; shape = List.map (fun d -> d st) shape; block; ix }
   | None -> err "exec: %s is not an array pattern" p.rv
 
 (* The block a result of the enclosing lexical block lives in, as seen
@@ -1097,426 +864,42 @@ let result_bid st (v, blk) =
       | _ -> None)
 
 (* ---------------------------------------------------------------- *)
-(* Statement execution                                               *)
+(* Blocks, kernels and loops                                         *)
 (* ---------------------------------------------------------------- *)
 
-(* A statement with one result stores it straight into its pattern's
-   slot; results that come back as a list (kernel launches, loops, ifs)
-   go through [store_list], which checks the pattern's arity. *)
-let store st (s : rstm) v =
-  match s.rpats with
-  | [ p ] -> st.frame.(p.rslot) <- v
-  | _ -> err "exec: arity mismatch"
+let run_stms st (b : rblock) =
+  let stms = b.rstms in
+  for i = 0 to Array.length stms - 1 do
+    stms.(i) st
+  done
 
-let store_list st (s : rstm) vs =
-  if List.compare_lengths vs s.rpats <> 0 then err "exec: arity mismatch";
-  List.iter2 (fun p v -> st.frame.(p.rslot) <- v) s.rpats vs
+let block_values st (b : rblock) : aval list =
+  run_stms st b;
+  List.map (eval_atom st) b.rres
 
-let rec exec_stm st (s : rstm) : unit =
-  match s.rexp with
-  | RAtom a -> store st s (eval_atom st a)
-  | RBin (op, a, b) -> store st s (bin st op (eval_atom st a) (eval_atom st b))
-  | RCmp (op, a, b) -> store st s (cmp st op (eval_atom st a) (eval_atom st b))
-  | RUn (op, a) -> store st s (un st op (eval_atom st a))
-  | RIdx p -> store st s (AInt (eval st p))
-  | RIndex (v, idxs) ->
-      let a = arr_var st v in
-      store st s (read_cell st a.block a.elt (index_offset st a.ix idxs))
-  | RWrite (dst, idxs, a) ->
-      let d = arr_var st dst in
-      let off = index_offset st d.ix idxs in
-      write_cell st d.block d.elt off (eval_atom st a);
-      store st s (AArr d)
-  | RView v ->
-      (* O(1): the result's annotation holds the transformed ixfn *)
-      let a = arr_var st v in
-      let p = List.hd s.rpats in
-      let _, ix = dest_of st p in
-      store st s
-        (AArr
-           {
-             elt = a.elt;
-             shape =
-               (match p.rarr with
-               | Some (_, shape) -> List.map (eval st) shape
-               | None -> err "exec: view with non-array pattern");
-             block = a.block;
-             ix;
-           })
-  | RIota n ->
-      let p = List.hd s.rpats in
-      let out = arr_of_pat st p in
-      let n = eval st n in
-      store_list st s
-      @@ launch_kernel st ~label:p.rv
-        ~declared:(fun () -> (pat_footprints st s, [], n))
-        (fun () ->
-          match out with
-          | AArr o ->
-              (match st.mode with
-              | Full ->
-                  for i = 0 to n - 1 do
-                    write_cell st o.block o.elt (capply o.ix [ i ]) (AInt i)
-                  done
-              | Cost_only ->
-                  st.counters.kernel_writes <-
-                    st.counters.kernel_writes +. (float_of_int n *. elem_bytes));
-              [ out ]
-          | _ -> Core.Fault.internal ~where:"Exec.iota" "scalar destination")
-  | RReplicate a ->
-      let p = List.hd s.rpats in
-      let out = arr_of_pat st p in
-      let v = eval_atom st a in
-      store_list st s
-      @@ launch_kernel st ~label:p.rv
-        ~declared:(fun () ->
-          ( pat_footprints st s,
-            [],
-            match out with AArr o -> count o.shape | _ -> 0 ))
-        (fun () ->
-          match out with
-          | AArr o ->
-              let n = count o.shape in
-              (match st.mode with
-              | Full ->
-                  List.iter
-                    (fun idx -> write_cell st o.block o.elt (capply o.ix idx) v)
-                    (indices o.shape)
-              | Cost_only ->
-                  st.counters.kernel_writes <-
-                    st.counters.kernel_writes +. (float_of_int n *. elem_bytes));
-              [ out ]
-          | _ ->
-              Core.Fault.internal ~where:"Exec.replicate" "scalar destination")
-  | RScratch ->
-      (* no writes: just bind the destination *)
-      store st s (arr_of_pat st (List.hd s.rpats))
-  | RCopy v ->
-      let a = arr_var st v in
-      let db, dix = dest_of st (List.hd s.rpats) in
-      copy_logical st a.elt a.shape a.block a.ix db dix;
-      store st s (AArr { a with block = db; ix = dix })
-  | RConcat vs ->
-      let out = arr_of_pat st (List.hd s.rpats) in
-      (match out with
-      | AArr o ->
-          let row = ref 0 in
-          List.iter
-            (fun v ->
-              let a = arr_var st v in
-              let d0 = List.hd a.shape in
-              let dix =
-                cslice_triplet
-                  (DRange (!row, d0, 1)
-                  :: List.map (fun d -> DRange (0, d, 1)) (List.tl a.shape))
-                  o.ix
-              in
-              copy_logical st a.elt a.shape a.block a.ix o.block dix;
-              row := !row + d0)
-            vs
-      | _ ->
-          Core.Fault.internal ~where:"Exec.concat" "scalar destination");
-      store st s out
-  | RUpdate (dst, slc, src) ->
-      let d = arr_var st dst in
-      let tix = cslice st slc d.ix in
-      (match src with
-      | RSrcScalar a ->
-          let v = eval_atom st a in
-          write_cell st d.block d.elt (capply tix []) v
-      | RSrcArr sv ->
-          let sa = arr_var st sv in
-          copy_logical st sa.elt sa.shape sa.block sa.ix d.block tix);
-      store st s (AArr d)
-  | RMap m -> store_list st s (exec_map st s m)
-  | RReduce (op, ne, arr) ->
-      let a = arr_var st arr in
-      let n = count a.shape in
-      store_list st s
-      @@ launch_kernel st
-        ~label:(match s.rpats with p :: _ -> p.rv | [] -> "reduce")
-        ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
-        (fun () ->
-          match st.mode with
-          | Full ->
-              let acc = ref (eval_atom st ne) in
-              for i = 0 to n - 1 do
-                acc := bin st op !acc (read_cell st a.block a.elt (capply a.ix [ i ]))
-              done;
-              [ !acc ]
-          | Cost_only ->
-              tally_reads st a.block (float_of_int n *. elem_bytes);
-              st.counters.flops <- st.counters.flops +. float_of_int n;
-              [ eval_atom st ne ])
-  | RArgmin arr ->
-      let a = arr_var st arr in
-      let n = count a.shape in
-      store_list st s
-      @@ launch_kernel st
-        ~label:(match s.rpats with p :: _ -> p.rv | [] -> "argmin")
-        ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
-        (fun () ->
-          match st.mode with
-          | Full ->
-              let best = ref infinity and besti = ref 0 in
-              for i = 0 to n - 1 do
-                match read_cell st a.block a.elt (capply a.ix [ i ]) with
-                | AFloat x ->
-                    if x < !best then (
-                      best := x;
-                      besti := i)
-                | _ -> err "exec: argmin over non-float"
-              done;
-              [ AFloat !best; AInt !besti ]
-          | Cost_only ->
-              tally_reads st a.block (float_of_int n *. elem_bytes);
-              st.counters.flops <- st.counters.flops +. float_of_int n;
-              [ AFloat 0.5; AInt 0 ])
-  | RLoop l ->
-      let n = eval st l.lbound in
-      let run_iter vals i =
-        List.iter2 (fun slot v -> st.frame.(slot) <- v) l.lparams vals;
-        st.frame.(l.lcounter) <- AInt i;
-        exec_block st l.lbody
-      in
-      store_list st s
-      @@
-      if st.mode = Cost_only && n >= 24 && not l.scalar_carry then begin
-        (* Simpson-sampled loop: run iterations 0, n/2 and n-1 from the
-           initial state and charge n * (d0 + 4*dmid + dlast)/6 - exact
-           for per-iteration costs up to quadratic in the index (NW's
-           wavefront, LUD's shrinking interior). *)
-        let init = List.map (eval_atom st) l.linits in
-        let base = Device.clone st.counters in
-        (* The per-kernel read tallies are part of the sampled state:
-           when the loop itself runs inside a kernel (NN's per-thread
-           scan) its reads accumulate in [kernel_reads_tally], not in
-           the counters, so they must be snapshotted and extrapolated
-           with the same Simpson weights or the perfect-L2 cap would
-           see only the three sampled iterations' reads.  At top level
-           every launch drains its own tally and the deltas are empty. *)
-        let tally_list () =
-          Tally.fold
-            (fun k t acc -> (k, t.bytes, t.cap) :: acc)
-            st.kernel_reads_tally []
-        in
-        let tally_restore snap =
-          Tally.reset st.kernel_reads_tally;
-          List.iter
-            (fun (k, bytes, cap) ->
-              Tally.replace st.kernel_reads_tally k { bytes; cap })
-            snap
-        in
-        let tally_delta before =
-          Tally.fold
-            (fun bid t acc ->
-              let prev =
-                match List.find_opt (fun (b, _, _) -> b = bid) before with
-                | Some (_, b, _) -> b
-                | None -> 0.
-              in
-              if t.bytes > prev then (bid, t.bytes -. prev, t.cap) :: acc
-              else acc)
-            st.kernel_reads_tally []
-        in
-        let tbase = tally_list () in
-        let sample i =
-          let before = Device.clone st.counters in
-          let u_before = st.unfreed in
-          let tbefore = tally_list () in
-          let vals = run_iter init i in
-          let after = Device.clone st.counters in
-          let tdelta = tally_delta tbefore in
-          Device.assign st.counters before;
-          st.unfreed <- u_before;
-          tally_restore tbefore;
-          (vals, before, after, tdelta)
-        in
-        let vals0, b0, a0, t0 = sample 0 in
-        (* Pool steady state: iteration 0 ran against the live pool (a
-           cold start, so its allocations miss); its in-body frees plus
-           the emulated death of its carried generation bring the pool
-           to the state an arbitrary later iteration starts from, which
-           the mid/last samples then see (their allocations hit).  The
-           Simpson weights turn that into ~n/6 misses + ~5n/6 hits,
-           against n misses with the pool disabled. *)
-        (if st.kernel_depth = 0 && st.pool <> None then begin
-           let init_bids =
-             List.filter_map
-               (function AArr a -> Some a.block.bid | _ -> None)
-               init
-           in
-           let u = st.unfreed in
-           List.iter
-             (function
-               | AArr a when not (List.mem a.block.bid init_bids) ->
-                   pool_free st a.block
-               | _ -> ())
-             vals0;
-           (* the sampled blocks' lifetimes were already reverted with
-              the counters; only the pool's free-list state is meant
-              to advance here *)
-           st.unfreed <- u
-         end);
-        let psteady = Option.map Device.Pool.snapshot st.pool in
-        let _, bm, am, tm = sample (n / 2) in
-        (match (st.pool, psteady) with
-        | Some p, Some s -> Device.Pool.restore p s
-        | _ -> ());
-        let vals, bl, al, tl = sample (n - 1) in
-        Device.assign st.counters base;
-        Device.add_simpson st.counters (b0, a0) (bm, am) (bl, al)
-          (float_of_int n);
-        tally_restore tbase;
-        let wf d0 dm dl =
-          float_of_int n *. (d0 +. (4. *. dm) +. dl) /. 6.0
-        in
-        let find bid ts =
-          match List.find_opt (fun (b, _, _) -> b = bid) ts with
-          | Some (_, d, _) -> d
-          | None -> 0.
-        in
-        let cap_of bid =
-          List.find_map
-            (fun (b, _, cap) -> if b = bid then Some cap else None)
-            (t0 @ tm @ tl)
-        in
-        List.iter
-          (fun bid ->
-            let d = wf (find bid t0) (find bid tm) (find bid tl) in
-            match cap_of bid with
-            | Some cap when d > 0. -> (
-                match Tally.find_opt st.kernel_reads_tally bid with
-                | Some t -> t.bytes <- t.bytes +. d
-                | None ->
-                    Tally.add st.kernel_reads_tally bid { bytes = d; cap })
-            | _ -> ())
-          (List.sort_uniq compare
-             (List.map (fun (b, _, _) -> b) (t0 @ tm @ tl)));
-        vals
-      end
-      else begin
-        let vals = ref (List.map (eval_atom st) l.linits) in
-        for i = 0 to n - 1 do
-          let prev = !vals in
-          vals := run_iter prev i;
-          (* A carried array whose block leaves the carried set dies
-             here: its last read was inside this iteration's body.
-             The static analysis attributes the carried value's
-             liveness to the loop statement as a whole, so without
-             this marker the trace would date the block's death to
-             the previous iteration's intra-body markers - before its
-             final read. *)
-          if st.kernel_depth = 0 then begin
-            let new_bids =
-              List.filter_map
-                (function AArr a -> Some a.block.bid | _ -> None)
-                !vals
-            in
-            List.iter2
-              (fun slot v ->
-                match v with
-                | AArr a when not (List.mem a.block.bid new_bids) ->
-                    (match st.tracer with
-                    | Some tr ->
-                        Trace.last_use tr ~var:st.names.(slot)
-                          ~bid:a.block.bid
-                    | None -> ());
-                    pool_free st a.block
-                | _ -> ())
-              l.lparams prev
-          end
-        done;
-        !vals
-      end
-  | RIf (cond, tb, fb) ->
-      store_list st s
-        (match eval_atom st cond with
-        | ABool true -> exec_block st tb
-        | ABool false -> exec_block st fb
-        | _ -> err "exec: non-boolean condition")
-  | RAlloc (size, arena) ->
-      st.last_bid <- st.last_bid + 1;
-      let n = eval st size in
-      let b =
-        {
-          bid = st.last_bid;
-          bname = Printf.sprintf "blk%d" st.last_bid;
-          bsize = n;
-          payload = None;
-          devbytes = 0.;
-          freed = false;
-        }
-      in
-      if st.kernel_depth = 0 then begin
-        st.counters.allocs <- st.counters.allocs + 1;
-        st.alloc_seq <- st.alloc_seq + 1;
-        (* arena blocks (introduced by the packing pass) are ordinary
-           device allocations - one pool transaction each - but counted
-           separately so the bench surface can report suballocation *)
-        let bytes = float_of_int n *. elem_bytes in
-        if arena then begin
-          st.counters.arena_allocs <- st.counters.arena_allocs + 1;
-          st.counters.arena_bytes <- st.counters.arena_bytes +. bytes
-        end;
-        st.counters.alloc_bytes <- st.counters.alloc_bytes +. bytes;
-        st.counters.live_bytes <- st.counters.live_bytes +. bytes;
-        if st.counters.live_bytes > st.counters.peak_bytes then
-          st.counters.peak_bytes <- st.counters.live_bytes;
-        (* [devbytes > 0] marks the block as device-owned so its death
-           is accounted (free list push, or a counted synchronizing
-           free when the pool is off); a pool hit overrides it with the
-           possibly larger served capacity. *)
-        b.devbytes <- bytes;
-        st.unfreed <- st.unfreed + 1;
-        if st.oom_at > 0 && st.alloc_seq = st.oom_at then
-          device_fault st
-            (Core.Fault.Device_oom { bytes; at_alloc = st.alloc_seq });
-        (match st.pool with
-        | Some p -> (
-            match Device.Pool.refuses p bytes with
-            | Some cap when st.strict_cap ->
-                device_fault st (Core.Fault.Pool_cap { bytes; cap })
-            | _ -> ())
-        | None -> ());
-        match st.pool with
-        | Some p -> (
-            match Device.Pool.alloc p bytes with
-            | `Hit served ->
-                st.counters.pool_hits <- st.counters.pool_hits + 1;
-                b.devbytes <- served
-            | `Miss ev ->
-                st.counters.pool_misses <- st.counters.pool_misses + 1;
-                (* cap evictions are real device frees: each one pays
-                   the synchronizing free cost in the time model *)
-                st.counters.frees <- st.counters.frees + ev)
-        | None -> ()
-      end
-      else begin
-        (* per-thread scratch: lives only for the kernel's duration,
-           but while the kernel is in flight every thread's copy exists
-           at once, so it counts toward the peak *)
-        st.counters.scratch_allocs <- st.counters.scratch_allocs + 1;
-        st.alloc_seq <- st.alloc_seq + 1;
-        let bytes = float_of_int n *. elem_bytes in
-        st.counters.scratch_bytes <- st.counters.scratch_bytes +. bytes;
-        st.kernel_scratch <- st.kernel_scratch +. bytes;
-        if st.counters.live_bytes +. st.kernel_scratch > st.counters.peak_bytes
-        then
-          st.counters.peak_bytes <-
-            st.counters.live_bytes +. st.kernel_scratch;
-        if st.oom_at > 0 && st.alloc_seq = st.oom_at then
-          device_fault st
-            (Core.Fault.Device_oom { bytes; at_alloc = st.alloc_seq })
-      end;
-      (match st.tracer with
-      | Some tr ->
-          Trace.alloc tr ~bid:b.bid ~name:b.bname ~elems:n
-            ~in_kernel:(st.kernel_depth > 0)
-      | None -> ());
-      store st s (AMem b)
+(* The last-use markers of a top-level statement.  Liveness markers are
+   only meaningful at top level: inside a kernel the same body runs once
+   per thread, and per-thread "deaths" say nothing about the
+   cross-kernel liveness the short-circuiting pass consumed.  A block
+   aliased by a value this lexical block returns provably flows past
+   every statement here (a rotated loop re-reads the carried buffer next
+   iteration; a result block is read by the enclosing code), so a
+   last-use marker for a variable living in it would date the block's
+   death too early. *)
+let release st dying kept =
+  let res_bids = List.filter_map (result_bid st) kept in
+  List.iter
+    (fun v ->
+      match st.frame.(v) with
+      | AArr a when not (List.mem a.block.bid res_bids) ->
+          (match st.tracer with
+          | Some tr -> Trace.last_use tr ~var:st.names.(v) ~bid:a.block.bid
+          | None -> ());
+          pool_free st a.block
+      | _ -> ())
+    dying
 
-and launch_kernel st ~label ~declared f =
+let launch_kernel st ~label ~declared f =
   (* nested parallelism is flattened on a GPU: only top-level mapnests
      pay a launch *)
   let top = st.kernel_depth = 0 in
@@ -1524,7 +907,7 @@ and launch_kernel st ~label ~declared f =
   if top then begin
     st.counters.kernels <- st.counters.kernels + 1;
     st.kernel_scratch <- 0.;
-    Tally.reset st.kernel_reads_tally;
+    reset_tally st;
     (* the read-after-own-write suppression is per thread; without
        this reset a reduce/argmin launch inherits the previous
        kernel's final thread and under-counts its first-touch reads *)
@@ -1565,21 +948,51 @@ and launch_kernel st ~label ~declared f =
   end;
   r
 
+let snapshot (c : Device.counters) =
+  Device.
+    ( c.kernel_writes,
+      c.flops,
+      c.copies,
+      c.copy_bytes,
+      c.copies_elided,
+      c.elided_bytes,
+      c.scratch_allocs,
+      c.scratch_bytes )
+
+(* Scale the per-thread cost deltas by the thread count (the kernel
+   launch itself is not scaled).  Per-thread copies are GPU-side
+   gather/scatter, so their count is folded into traffic rather than
+   per-copy overhead. *)
+let scale_delta (c : Device.counters) snap factor =
+  let w0, f0, cp0, cb0, ce0, eb0, sa0, sb0 = snap in
+  let open Device in
+  c.kernel_writes <- w0 +. ((c.kernel_writes -. w0) *. factor);
+  c.flops <- f0 +. ((c.flops -. f0) *. factor);
+  c.copies <- cp0 + (if c.copies > cp0 then 1 else 0);
+  c.copy_bytes <- cb0 +. ((c.copy_bytes -. cb0) *. factor);
+  c.copies_elided <- ce0 + (if c.copies_elided > ce0 then 1 else 0);
+  c.elided_bytes <- eb0 +. ((c.elided_bytes -. eb0) *. factor);
+  c.scratch_allocs <-
+    sa0
+    + int_of_float
+        (Float.round (float_of_int (c.scratch_allocs - sa0) *. factor));
+  c.scratch_bytes <- sb0 +. ((c.scratch_bytes -. sb0) *. factor)
+
 (* Mapnest execution: one kernel; full mode iterates every thread,
    cost-only samples the midpoint thread and scales. *)
-and exec_map st (s : rstm) (m : rmap) : aval list =
-  let dims = List.map (eval st) m.mdims in
+let exec_map st (rpats : rpat list) (m : rmap) : aval list =
+  let dims = List.map (fun d -> d st) m.mdims in
   let points = count dims in
-  let outs = List.map (arr_of_pat st) s.rpats in
+  let outs = List.map (arr_of_pat st) rpats in
   let run_thread idx =
     Cells.clear st.thread_writes;
     List.iter2 (fun slot i -> st.frame.(slot) <- AInt i) m.mindices idx;
-    let results = exec_block st m.mbody in
+    let results = block_values st m.mbody in
     (* implicit write of each per-thread result into its slot *)
     List.iter2
-      (fun out r ->
-        match (out, r) with
-        | AArr o, AArr ra ->
+      (fun o r ->
+        match r with
+        | AArr ra ->
             let slot =
               cslice_triplet
                 (List.map (fun i -> DFix i) idx
@@ -1587,15 +1000,15 @@ and exec_map st (s : rstm) (m : rmap) : aval list =
                 o.ix
             in
             copy_logical st ra.elt ra.shape ra.block ra.ix o.block slot
-        | AArr o, (AFloat _ | AInt _ | ABool _) ->
+        | AFloat _ | AInt _ | ABool _ ->
             write_cell st o.block o.elt (capply o.ix idx) r
-        | _ -> err "exec: mapnest result mismatch")
+        | AMem _ -> err "exec: mapnest result mismatch")
       outs results
   in
   launch_kernel st
-    ~label:(match s.rpats with p :: _ -> p.rv | [] -> "map")
+    ~label:(match rpats with p :: _ -> p.rv | [] -> "map")
     ~declared:(fun () ->
-      ( pat_footprints st s @ dest_footprints st m,
+      ( pat_footprints st rpats @ dest_footprints st m,
         read_footprints st m,
         points ))
     (fun () ->
@@ -1627,73 +1040,819 @@ and exec_map st (s : rstm) (m : rmap) : aval list =
                   :: acc)
                 st.kernel_reads_tally []
             in
-            Tally.reset st.kernel_reads_tally;
+            reset_tally st;
             List.iter
               (fun (bid, t) -> Tally.replace st.kernel_reads_tally bid t)
               scaled
           end);
-      outs)
+      List.map (fun o -> AArr o) outs)
 
-and snapshot (c : Device.counters) =
-  Device.
-    ( c.kernel_writes,
-      c.flops,
-      c.copies,
-      c.copy_bytes,
-      c.copies_elided,
-      c.elided_bytes,
-      c.scratch_allocs,
-      c.scratch_bytes )
+(* A carried array whose block leaves the carried set dies at the end
+   of a top-level iteration: its last read was inside this iteration's
+   body.  The static analysis attributes the carried value's liveness
+   to the loop statement as a whole, so without this marker the trace
+   would date the block's death to the previous iteration's intra-body
+   markers - before its final read. *)
+let retire_carried st params prev vals =
+  let new_bids =
+    List.filter_map (function AArr a -> Some a.block.bid | _ -> None) vals
+  in
+  List.iter2
+    (fun slot v ->
+      match v with
+      | AArr a when not (List.mem a.block.bid new_bids) ->
+          (match st.tracer with
+          | Some tr -> Trace.last_use tr ~var:st.names.(slot) ~bid:a.block.bid
+          | None -> ());
+          pool_free st a.block
+      | _ -> ())
+    params prev
 
-(* Scale the per-thread cost deltas by the thread count (the kernel
-   launch itself is not scaled).  Per-thread copies are GPU-side
-   gather/scatter, so their count is folded into traffic rather than
-   per-copy overhead. *)
-and scale_delta (c : Device.counters) snap factor =
-  let w0, f0, cp0, cb0, ce0, eb0, sa0, sb0 = snap in
-  let open Device in
-  c.kernel_writes <- w0 +. ((c.kernel_writes -. w0) *. factor);
-  c.flops <- f0 +. ((c.flops -. f0) *. factor);
-  c.copies <- cp0 + (if c.copies > cp0 then 1 else 0);
-  c.copy_bytes <- cb0 +. ((c.copy_bytes -. cb0) *. factor);
-  c.copies_elided <- ce0 + (if c.copies_elided > ce0 then 1 else 0);
-  c.elided_bytes <- eb0 +. ((c.elided_bytes -. eb0) *. factor);
-  c.scratch_allocs <-
-    sa0
-    + int_of_float
-        (Float.round (float_of_int (c.scratch_allocs - sa0) *. factor));
-  c.scratch_bytes <- sb0 +. ((c.scratch_bytes -. sb0) *. factor)
-
-and exec_block st (b : rblock) : aval list =
+(* Simpson-sampled loop: run iterations 0, n/2 and n-1 from the initial
+   state and charge n * (d0 + 4*dmid + dlast)/6 - exact for
+   per-iteration costs up to quadratic in the index (NW's wavefront,
+   LUD's shrinking interior). *)
+let simpson st n init run_iter =
+  let base = Device.clone st.counters in
+  (* The per-kernel read tallies are part of the sampled state: when
+     the loop itself runs inside a kernel (NN's per-thread scan) its
+     reads accumulate in [kernel_reads_tally], not in the counters, so
+     they must be snapshotted and extrapolated with the same Simpson
+     weights or the perfect-L2 cap would see only the three sampled
+     iterations' reads.  At top level every launch drains its own tally
+     and the deltas are empty. *)
+  let tally_list () =
+    Tally.fold
+      (fun k t acc -> (k, t.bytes, t.cap) :: acc)
+      st.kernel_reads_tally []
+  in
+  let tally_restore snap =
+    reset_tally st;
+    List.iter
+      (fun (k, bytes, cap) ->
+        Tally.replace st.kernel_reads_tally k { bytes; cap })
+      snap
+  in
+  let tally_delta before =
+    Tally.fold
+      (fun bid t acc ->
+        let prev =
+          match List.find_opt (fun (b, _, _) -> b = bid) before with
+          | Some (_, b, _) -> b
+          | None -> 0.
+        in
+        if t.bytes > prev then (bid, t.bytes -. prev, t.cap) :: acc else acc)
+      st.kernel_reads_tally []
+  in
+  let tbase = tally_list () in
+  let sample i =
+    let before = Device.clone st.counters in
+    let u_before = st.unfreed in
+    let tbefore = tally_list () in
+    let vals = run_iter init i in
+    let after = Device.clone st.counters in
+    let tdelta = tally_delta tbefore in
+    Device.assign st.counters before;
+    st.unfreed <- u_before;
+    tally_restore tbefore;
+    (vals, before, after, tdelta)
+  in
+  let vals0, b0, a0, t0 = sample 0 in
+  (* Pool steady state: iteration 0 ran against the live pool (a cold
+     start, so its allocations miss); its in-body frees plus the
+     emulated death of its carried generation bring the pool to the
+     state an arbitrary later iteration starts from, which the mid/last
+     samples then see (their allocations hit).  The Simpson weights
+     turn that into ~n/6 misses + ~5n/6 hits, against n misses with the
+     pool disabled. *)
+  (if st.kernel_depth = 0 && st.pool <> None then begin
+     let init_bids =
+       List.filter_map (function AArr a -> Some a.block.bid | _ -> None) init
+     in
+     let u = st.unfreed in
+     List.iter
+       (function
+         | AArr a when not (List.mem a.block.bid init_bids) ->
+             pool_free st a.block
+         | _ -> ())
+       vals0;
+     (* the sampled blocks' lifetimes were already reverted with the
+        counters; only the pool's free-list state is meant to advance
+        here *)
+     st.unfreed <- u
+   end);
+  let psteady = Option.map Device.Pool.snapshot st.pool in
+  let _, bm, am, tm = sample (n / 2) in
+  (match (st.pool, psteady) with
+  | Some p, Some s -> Device.Pool.restore p s
+  | _ -> ());
+  let vals, bl, al, tl = sample (n - 1) in
+  Device.assign st.counters base;
+  Device.add_simpson st.counters (b0, a0) (bm, am) (bl, al) (float_of_int n);
+  tally_restore tbase;
+  let wf d0 dm dl = float_of_int n *. (d0 +. (4. *. dm) +. dl) /. 6.0 in
+  let find bid ts =
+    match List.find_opt (fun (b, _, _) -> b = bid) ts with
+    | Some (_, d, _) -> d
+    | None -> 0.
+  in
+  let cap_of bid =
+    List.find_map
+      (fun (b, _, cap) -> if b = bid then Some cap else None)
+      (t0 @ tm @ tl)
+  in
   List.iter
-    (fun s ->
-      exec_stm st s;
-      (* Liveness markers are only meaningful at top level: inside a
-         kernel the same body runs once per thread, and per-thread
-         "deaths" say nothing about the cross-kernel liveness the
-         short-circuiting pass consumed. *)
-      if st.kernel_depth = 0 && s.dying <> [] then begin
-        (* A block aliased by a value this lexical block returns
-           provably flows past every statement here (a rotated loop
-           re-reads the carried buffer next iteration; a result block
-           is read by the enclosing code), so a last-use marker for a
-           variable living in it would date the block's death too
-           early. *)
-        let res_bids = List.filter_map (result_bid st) s.kept in
-        List.iter
-          (fun v ->
-            match st.frame.(v) with
-            | AArr a when not (List.mem a.block.bid res_bids) ->
-                (match st.tracer with
-                | Some tr ->
-                    Trace.last_use tr ~var:st.names.(v) ~bid:a.block.bid
-                | None -> ());
-                pool_free st a.block
-            | _ -> ())
-          s.dying
-      end)
-    b.rstms;
-  List.map (eval_atom st) b.rres
+    (fun bid ->
+      let d = wf (find bid t0) (find bid tm) (find bid tl) in
+      match cap_of bid with
+      | Some cap when d > 0. -> (
+          match Tally.find_opt st.kernel_reads_tally bid with
+          | Some t -> t.bytes <- t.bytes +. d
+          | None -> Tally.add st.kernel_reads_tally bid { bytes = d; cap })
+      | _ -> ())
+    (List.sort_uniq compare (List.map (fun (b, _, _) -> b) (t0 @ tm @ tl)));
+  vals
+
+(* A block allocation: a pooled (or fresh) device allocation at top
+   level, per-thread scratch inside a kernel. *)
+let alloc st size ~arena =
+  st.last_bid <- st.last_bid + 1;
+  let n = size st in
+  let b =
+    {
+      bid = st.last_bid;
+      bname = Printf.sprintf "blk%d" st.last_bid;
+      bsize = n;
+      payload = None;
+      devbytes = 0.;
+      freed = false;
+      tally = no_tally;
+      tally_gen = 0;
+    }
+  in
+  if st.kernel_depth = 0 then begin
+    st.counters.allocs <- st.counters.allocs + 1;
+    st.alloc_seq <- st.alloc_seq + 1;
+    (* arena blocks (introduced by the packing pass) are ordinary device
+       allocations - one pool transaction each - but counted separately
+       so the bench surface can report suballocation *)
+    let bytes = float_of_int n *. elem_bytes in
+    if arena then begin
+      st.counters.arena_allocs <- st.counters.arena_allocs + 1;
+      st.counters.arena_bytes <- st.counters.arena_bytes +. bytes
+    end;
+    st.counters.alloc_bytes <- st.counters.alloc_bytes +. bytes;
+    st.counters.live_bytes <- st.counters.live_bytes +. bytes;
+    if st.counters.live_bytes > st.counters.peak_bytes then
+      st.counters.peak_bytes <- st.counters.live_bytes;
+    (* [devbytes > 0] marks the block as device-owned so its death is
+       accounted (free list push, or a counted synchronizing free when
+       the pool is off); a pool hit overrides it with the possibly
+       larger served capacity. *)
+    b.devbytes <- bytes;
+    st.unfreed <- st.unfreed + 1;
+    if st.oom_at > 0 && st.alloc_seq = st.oom_at then
+      device_fault st
+        (Core.Fault.Device_oom { bytes; at_alloc = st.alloc_seq });
+    (match st.pool with
+    | Some p -> (
+        match Device.Pool.refuses p bytes with
+        | Some cap when st.strict_cap ->
+            device_fault st (Core.Fault.Pool_cap { bytes; cap })
+        | _ -> ())
+    | None -> ());
+    match st.pool with
+    | Some p -> (
+        match Device.Pool.alloc p bytes with
+        | `Hit served ->
+            st.counters.pool_hits <- st.counters.pool_hits + 1;
+            b.devbytes <- served
+        | `Miss ev ->
+            st.counters.pool_misses <- st.counters.pool_misses + 1;
+            (* cap evictions are real device frees: each one pays the
+               synchronizing free cost in the time model *)
+            st.counters.frees <- st.counters.frees + ev)
+    | None -> ()
+  end
+  else begin
+    (* per-thread scratch: lives only for the kernel's duration, but
+       while the kernel is in flight every thread's copy exists at
+       once, so it counts toward the peak *)
+    st.counters.scratch_allocs <- st.counters.scratch_allocs + 1;
+    st.alloc_seq <- st.alloc_seq + 1;
+    let bytes = float_of_int n *. elem_bytes in
+    st.counters.scratch_bytes <- st.counters.scratch_bytes +. bytes;
+    st.kernel_scratch <- st.kernel_scratch +. bytes;
+    if st.counters.live_bytes +. st.kernel_scratch > st.counters.peak_bytes
+    then st.counters.peak_bytes <- st.counters.live_bytes +. st.kernel_scratch;
+    if st.oom_at > 0 && st.alloc_seq = st.oom_at then
+      device_fault st (Core.Fault.Device_oom { bytes; at_alloc = st.alloc_seq })
+  end;
+  (match st.tracer with
+  | Some tr ->
+      Trace.alloc tr ~bid:b.bid ~name:b.bname ~elems:n
+        ~in_kernel:(st.kernel_depth > 0)
+  | None -> ());
+  b
+
+(* ---------------------------------------------------------------- *)
+(* Staging: binders to frame slots, statements to closures           *)
+(* ---------------------------------------------------------------- *)
+
+type resolver = {
+  rmode : mode;
+  mutable nslots : int;
+  mutable slots : string list; (* source name of each slot, newest first *)
+  mutable nfree : int;
+  mutable free : string list; (* unbound names, newest first *)
+  mutable mentioned : string list option;
+      (* operand names met in the innermost enclosing mapnest body;
+         None outside every kernel *)
+}
+
+let fresh r v =
+  let s = r.nslots in
+  r.nslots <- s + 1;
+  r.slots <- v :: r.slots;
+  s
+
+let bind r scope v =
+  let s = fresh r v in
+  (s, Scope.add v s scope)
+
+let bind_all r scope vs =
+  let slots, scope =
+    List.fold_left
+      (fun (acc, scope) v ->
+        let s, scope = bind r scope v in
+        (s :: acc, scope))
+      ([], scope) vs
+  in
+  (List.rev slots, scope)
+
+let use r scope v : slot =
+  match Scope.find_opt v scope with
+  | Some s -> s
+  | None ->
+      r.nfree <- r.nfree + 1;
+      r.free <- v :: r.free;
+      -r.nfree
+
+(* A value operand: also what a kernel's declared reads are made of. *)
+let operand r scope v =
+  Option.iter (fun l -> r.mentioned <- Some (v :: l)) r.mentioned;
+  use r scope v
+
+let atom r scope = function
+  | Var v -> Slot (operand r scope v)
+  | Int i -> Const (AInt i)
+  | Float f -> Const (AFloat f)
+  | Bool b -> Const (ABool b)
+
+(* An index polynomial compiled to a sum of products over slots, with
+   closures of their own for the shapes most indices take: a constant, a
+   variable, a variable plus a constant. *)
+let poly r scope (p : P.t) : ipoly =
+  let factors (x, e) =
+    let s = use r scope x in
+    List.init e (fun _ -> s)
+  in
+  match
+    List.map
+      (fun (m : P.mono) ->
+        (m.coeff, Array.of_list (List.concat_map factors m.pows)))
+      (P.monos p)
+  with
+  | [] -> fun _ -> 0
+  | [ (c, [||]) ] -> fun _ -> c
+  | [ (1, [| x |]) ] -> fun st -> int_var st x
+  | [ (1, [| x |]); (c, [||]) ] -> fun st -> int_var st x + c
+  | ms ->
+      let ms =
+        Array.concat
+          (List.map
+             (fun (c, xs) -> Array.append [| c; Array.length xs |] xs)
+             ms)
+      in
+      fun st -> sum_of_products ms st
+
+let lmad r scope (l : Lmad.t) : rlmad =
+  {
+    roff = poly r scope (Lmad.offset l);
+    rdims =
+      List.map
+        (fun (d : Lmad.dim) -> (poly r scope d.n, poly r scope d.s))
+        (Lmad.dims l);
+  }
+
+let slice r scope = function
+  | STriplet sds ->
+      RTriplet
+        (List.map
+           (function
+             | SFix i -> DFix (poly r scope i)
+             | SRange { start; len; step } ->
+                 DRange
+                   (poly r scope start, poly r scope len, poly r scope step))
+           sds)
+  | SLmad l -> RLmad (lmad r scope l)
+
+(* A pattern element's array type and annotation, resolved in the
+   scope where its statement starts. *)
+let dest r scope (pe : pat_elem) =
+  ( (match pe.pt with
+    | TArr (elt, shape) -> Some (elt, List.map (poly r scope) shape)
+    | _ -> None),
+    Option.map
+      (fun (m : mem_info) ->
+        (use r scope m.block, List.map (lmad r scope) (Ixfn.chain m.ixfn)))
+      pe.pmem )
+
+(* Memory destinations annotated anywhere inside a kernel body whose
+   block name the launch scope binds (hoisted scratch): the kernel is
+   declared to write - and therefore also read - them.  The name is
+   looked up in the launch scope even where a body-local binder
+   shadows it. *)
+let rec body_dests scope (blk : block) acc =
+  List.fold_left
+    (fun acc (s : stm) ->
+      let acc =
+        List.fold_left
+          (fun acc (pe : pat_elem) ->
+            match pe.pmem with
+            | Some m -> (
+                match Scope.find_opt m.block scope with
+                | Some slot -> (pe.pv, slot) :: acc
+                | None -> acc)
+            | None -> acc)
+          acc s.pat
+      in
+      match s.exp with
+      | EMap { body; _ } | ELoop { body; _ } -> body_dests scope body acc
+      | EIf { tb; fb; _ } -> body_dests scope tb (body_dests scope fb acc)
+      | _ -> acc)
+    acc blk.stms
+
+(* Results that come back as a list (kernel launches, ifs) are stored
+   through a check of the pattern's arity. *)
+let store_all rpats : state -> aval list -> unit =
+  let slots = List.map (fun p -> p.rslot) rpats in
+  fun st vs ->
+    if List.compare_lengths vs slots <> 0 then err "exec: arity mismatch";
+    List.iter2 (fun slot v -> st.frame.(slot) <- v) slots vs
+
+(* The offset of one element of [a] at the indices [idxs], specialised
+   on their number: one or two indices under a single LMAD of that rank
+   take no list. *)
+let element_offset (idxs : ipoly list) : state -> arrv -> int =
+  match idxs with
+  | [ i ] -> (
+      fun st a ->
+        match a.ix with
+        | [ { coff; cdims = [ (_, s) ] } ] -> coff + (i st * s)
+        | ix -> index_offset st ix idxs)
+  | [ i; j ] -> (
+      fun st a ->
+        match a.ix with
+        | [ { coff; cdims = [ (_, s); (_, t) ] } ] ->
+            let x = i st in
+            coff + (x * s) + (j st * t)
+        | ix -> index_offset st ix idxs)
+  | _ -> fun st a -> index_offset st a.ix idxs
+
+(* [s]'s expression compiled to store into its pattern [rpats].  A
+   single-valued expression stores into its pattern's one slot, and
+   under any other arity raises when it runs, as a list-valued one does
+   through [store_all]. *)
+let rec exp r scope (rpats : rpat list) (s : stm) : code =
+  let atom = atom r scope and operand = operand r scope in
+  let poly = poly r scope in
+  let single (k : rpat -> code) : code =
+    match rpats with [ p ] -> k p | _ -> fun _ -> err "exec: arity mismatch"
+  in
+  (* an operation on two slots, or on a slot and a constant, reads the
+     frame directly *)
+  let binary f a b =
+    let a = atom a and b = atom b in
+    single (fun { rslot = out; _ } ->
+        match (a, b) with
+        | Slot x, Slot y when x >= 0 && y >= 0 ->
+            fun st ->
+              let fr = st.frame in
+              flop st;
+              fr.(out) <- f fr.(x) fr.(y)
+        | Slot x, Const c when x >= 0 ->
+            fun st ->
+              flop st;
+              st.frame.(out) <- f st.frame.(x) c
+        | a, b ->
+            fun st ->
+              let a = eval_atom st a in
+              let b = eval_atom st b in
+              flop st;
+              st.frame.(out) <- f a b)
+  in
+  match s.exp with
+  | EAtom a ->
+      let a = atom a in
+      single (fun { rslot = out; _ } st -> st.frame.(out) <- eval_atom st a)
+  | EBin (op, a, b) -> binary (binop r.rmode op) a b
+  | ECmp (op, a, b) -> binary (cmpop op) a b
+  | EUn (op, a) ->
+      let f = unop r.rmode op and a = atom a in
+      single (fun { rslot = out; _ } st ->
+          let a = eval_atom st a in
+          flop st;
+          st.frame.(out) <- f a)
+  | EIdx p ->
+      let p = poly p in
+      single (fun { rslot = out; _ } st -> st.frame.(out) <- AInt (p st))
+  | EIndex (v, idxs) ->
+      let v = operand v and offset = element_offset (List.map poly idxs) in
+      single (fun { rslot = out; _ } st ->
+          let a = arr_var st v in
+          st.frame.(out) <- read_cell st a.block a.elt (offset st a))
+  | EUpdate { dst; slc = STriplet sds; src = SrcScalar a }
+    when List.for_all (function SFix _ -> true | SRange _ -> false) sds ->
+      (* an update of one element: the result is the updated array's
+         own value *)
+      let dst = operand dst
+      and offset =
+        element_offset
+          (List.filter_map (function SFix i -> Some (poly i) | _ -> None) sds)
+      and a = atom a in
+      single (fun { rslot = out; _ } st ->
+          let v = var st dst in
+          let d = match v with AArr d -> d | _ -> not_an st dst "an array" in
+          let off = offset st d in
+          write_cell st d.block d.elt off (eval_atom st a);
+          st.frame.(out) <- v)
+  | ESlice (v, _) | ETranspose (v, _) | EReshape (v, _) | EReverse (v, _) ->
+      (* O(1): the result's annotation holds the transformed ixfn *)
+      let v = operand v in
+      single (fun p st ->
+          let a = arr_var st v in
+          let _, ix = dest_of st p in
+          st.frame.(p.rslot) <-
+            AArr
+              {
+                elt = a.elt;
+                shape =
+                  (match p.rarr with
+                  | Some (_, shape) -> List.map (fun d -> d st) shape
+                  | None -> err "exec: view with non-array pattern");
+                block = a.block;
+                ix;
+              })
+  | EIota n ->
+      let n = poly n in
+      single (fun p st ->
+          let o = arr_of_pat st p in
+          let n = n st in
+          st.frame.(p.rslot) <-
+            launch_kernel st ~label:p.rv
+              ~declared:(fun () -> (pat_footprints st rpats, [], n))
+              (fun () ->
+                (match st.mode with
+                | Full ->
+                    for i = 0 to n - 1 do
+                      write_cell st o.block o.elt (capply o.ix [ i ]) (AInt i)
+                    done
+                | Cost_only ->
+                    st.counters.kernel_writes <-
+                      st.counters.kernel_writes
+                      +. (float_of_int n *. elem_bytes));
+                AArr o))
+  | EReplicate (_, a) ->
+      let a = atom a in
+      single (fun p st ->
+          let o = arr_of_pat st p in
+          let v = eval_atom st a in
+          st.frame.(p.rslot) <-
+            launch_kernel st ~label:p.rv
+              ~declared:(fun () -> (pat_footprints st rpats, [], count o.shape))
+              (fun () ->
+                let n = count o.shape in
+                (match st.mode with
+                | Full ->
+                    List.iter
+                      (fun idx ->
+                        write_cell st o.block o.elt (capply o.ix idx) v)
+                      (indices o.shape)
+                | Cost_only ->
+                    st.counters.kernel_writes <-
+                      st.counters.kernel_writes
+                      +. (float_of_int n *. elem_bytes));
+                AArr o))
+  | EScratch _ ->
+      (* no writes: just bind the destination *)
+      single (fun p st -> st.frame.(p.rslot) <- AArr (arr_of_pat st p))
+  | ECopy v ->
+      let v = operand v in
+      single (fun p st ->
+          let a = arr_var st v in
+          let db, dix = dest_of st p in
+          copy_logical st a.elt a.shape a.block a.ix db dix;
+          st.frame.(p.rslot) <- AArr { a with block = db; ix = dix })
+  | EConcat vs ->
+      let vs = List.map operand vs in
+      single (fun p st ->
+          let o = arr_of_pat st p in
+          let row = ref 0 in
+          List.iter
+            (fun v ->
+              let a = arr_var st v in
+              let d0 = List.hd a.shape in
+              let dix =
+                cslice_triplet
+                  (DRange (!row, d0, 1)
+                  :: List.map (fun d -> DRange (0, d, 1)) (List.tl a.shape))
+                  o.ix
+              in
+              copy_logical st a.elt a.shape a.block a.ix o.block dix;
+              row := !row + d0)
+            vs;
+          st.frame.(p.rslot) <- AArr o)
+  | EUpdate { dst; slc; src } ->
+      let write =
+        match src with
+        | SrcArr v ->
+            let v = operand v in
+            fun st (d : arrv) tix ->
+              let sa = arr_var st v in
+              copy_logical st sa.elt sa.shape sa.block sa.ix d.block tix
+        | SrcScalar a ->
+            let a = atom a in
+            fun st d tix ->
+              let v = eval_atom st a in
+              write_cell st d.block d.elt (capply tix []) v
+      in
+      let dst = operand dst and slc = slice r scope slc in
+      single (fun { rslot = out; _ } st ->
+          let v = var st dst in
+          let d = match v with AArr d -> d | _ -> not_an st dst "an array" in
+          write st d (cslice st slc d.ix);
+          st.frame.(out) <- v)
+  | EMap { nest; body } ->
+      let mdims = List.map (fun (_, n) -> poly n) nest in
+      let mindices, inner = bind_all r scope (List.map fst nest) in
+      let outer = r.mentioned in
+      r.mentioned <- Some [];
+      let mbody = block r inner body in
+      let mentioned = Option.value r.mentioned ~default:[] in
+      r.mentioned <- Option.map (List.rev_append mentioned) outer;
+      let m =
+        {
+          mdims;
+          mindices;
+          mbody;
+          mdests = body_dests scope body [];
+          mreads =
+            List.filter_map
+              (fun v -> Scope.find_opt v scope)
+              (List.sort_uniq compare mentioned);
+        }
+      in
+      let store = store_all rpats in
+      fun st -> store st (exec_map st rpats m)
+  | EReduce { op; ne; arr } ->
+      let f = binop r.rmode op and ne = atom ne and arr = operand arr in
+      let label = match rpats with p :: _ -> p.rv | [] -> "reduce" in
+      let store = store_all rpats in
+      fun st ->
+        let a = arr_var st arr in
+        let n = count a.shape in
+        store st
+        @@ launch_kernel st ~label
+             ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
+             (fun () ->
+               match st.mode with
+               | Full ->
+                   let acc = ref (eval_atom st ne) in
+                   for i = 0 to n - 1 do
+                     let x = read_cell st a.block a.elt (capply a.ix [ i ]) in
+                     flop st;
+                     acc := f !acc x
+                   done;
+                   [ !acc ]
+               | Cost_only ->
+                   tally_reads st a.block (float_of_int n *. elem_bytes);
+                   st.counters.flops <- st.counters.flops +. float_of_int n;
+                   [ eval_atom st ne ])
+  | EArgmin arr ->
+      let arr = operand arr in
+      let label = match rpats with p :: _ -> p.rv | [] -> "argmin" in
+      let store = store_all rpats in
+      fun st ->
+        let a = arr_var st arr in
+        let n = count a.shape in
+        store st
+        @@ launch_kernel st ~label
+             ~declared:(fun () -> ([], [ arr_footprint st.names.(arr) a ], n))
+             (fun () ->
+               match st.mode with
+               | Full ->
+                   let best = ref infinity and besti = ref 0 in
+                   for i = 0 to n - 1 do
+                     match read_cell st a.block a.elt (capply a.ix [ i ]) with
+                     | AFloat x ->
+                         if x < !best then (
+                           best := x;
+                           besti := i)
+                     | _ -> err "exec: argmin over non-float"
+                   done;
+                   [ AFloat !best; AInt !besti ]
+               | Cost_only ->
+                   tally_reads st a.block (float_of_int n *. elem_bytes);
+                   st.counters.flops <- st.counters.flops +. float_of_int n;
+                   [ AFloat 0.5; AInt 0 ])
+  | ELoop { params; var; bound; body } ->
+      let inits = List.map (fun (_, init) -> atom init) params in
+      let lbound = poly bound in
+      let lparams, inner =
+        bind_all r scope (List.map (fun ((pe : pat_elem), _) -> pe.pv) params)
+      in
+      let lcounter, inner = bind r inner var in
+      let lbody = block r inner body in
+      if
+        List.compare_lengths lbody.rres lparams <> 0
+        || List.compare_lengths rpats lparams <> 0
+      then fun _ -> err "exec: arity mismatch"
+      else
+        (* cost-only runs sample a long loop unless it carries an integer *)
+        let sampled =
+          r.rmode = Cost_only
+          && not
+               (List.exists
+                  (fun ((pe : pat_elem), _) -> pe.pt = TScalar I64)
+                  params)
+        in
+        let run_iter st vals i =
+          List.iter2 (fun slot v -> st.frame.(slot) <- v) lparams vals;
+          st.frame.(lcounter) <- AInt i;
+          block_values st lbody
+        in
+        (* unsampled, each iteration reads its parameters from, and leaves
+           its results in, one array of values *)
+        let params = Array.of_list lparams
+        and results = Array.of_list lbody.rres
+        and outs = Array.of_list (List.map (fun p -> p.rslot) rpats) in
+        fun st ->
+          let n = lbound st in
+          if sampled && n >= 24 then
+            List.iteri
+              (fun k v -> st.frame.(outs.(k)) <- v)
+              (simpson st n (List.map (eval_atom st) inits) (run_iter st))
+          else begin
+            let fr = st.frame
+            and vals = Array.of_list (List.map (eval_atom st) inits) in
+            let carry () =
+              for k = 0 to Array.length results - 1 do
+                vals.(k) <- eval_atom st results.(k)
+              done
+            in
+            for i = 0 to n - 1 do
+              for k = 0 to Array.length params - 1 do
+                fr.(params.(k)) <- vals.(k)
+              done;
+              fr.(lcounter) <- AInt i;
+              run_stms st lbody;
+              if st.kernel_depth = 0 then begin
+                let prev = Array.to_list vals in
+                carry ();
+                retire_carried st lparams prev (Array.to_list vals)
+              end
+              else carry ()
+            done;
+            for k = 0 to Array.length outs - 1 do
+              fr.(outs.(k)) <- vals.(k)
+            done
+          end
+  | EIf { cond; tb; fb } -> (
+      let cond = atom cond in
+      let tb = block r scope tb and fb = block r scope fb in
+      let branch st =
+        match eval_atom st cond with
+        | ABool true -> tb
+        | ABool false -> fb
+        | _ -> err "exec: non-boolean condition"
+      in
+      match (rpats, tb.rres, fb.rres) with
+      | [ p ], [ _ ], [ _ ] ->
+          let out = p.rslot in
+          fun st ->
+            let b = branch st in
+            run_stms st b;
+            st.frame.(out) <- eval_atom st (List.hd b.rres)
+      | _ ->
+          let store = store_all rpats in
+          fun st -> store st (block_values st (branch st)))
+  | EAlloc size ->
+      let size = poly size
+      and arena =
+        match s.pat with [ pe ] -> Core.Pack.is_arena pe.pv | _ -> false
+      in
+      single (fun { rslot = out; _ } st ->
+          st.frame.(out) <- AMem (alloc st size ~arena))
+
+(* A statement: its pattern's slots, its expression compiled to store
+   into them, and the last-use markers it carries; the scope it returns
+   binds the pattern's names. *)
+and stm r scope res_vars res_blocks (s : stm) =
+  let rpats =
+    List.map
+      (fun (pe : pat_elem) ->
+        let rarr, rmem = dest r scope pe in
+        { rv = pe.pv; rslot = fresh r pe.pv; rarr; rmem })
+      s.pat
+  in
+  let code = exp r scope rpats s in
+  let scope =
+    List.fold_left (fun scope p -> Scope.add p.rv p.rslot scope) scope rpats
+  in
+  let dying = List.filter_map (fun v -> Scope.find_opt v scope) s.last_uses in
+  if dying = [] then (scope, code)
+  else
+    (* per result variable of the enclosing block, as seen right after
+       the statement: its own slot, and the slot of the block its
+       annotation names *)
+    let kept =
+      List.map
+        (fun v ->
+          ( Scope.find_opt v scope,
+            Option.bind
+              (Scope.find_opt v (Lazy.force res_blocks))
+              (fun bname -> Scope.find_opt bname scope) ))
+        res_vars
+    in
+    ( scope,
+      fun st ->
+        code st;
+        if st.kernel_depth = 0 then release st dying kept )
+
+and block r scope (b : block) : rblock =
+  let res_vars = List.filter_map atom_var b.res in
+  (* Annotated block names of result variables this block binds.  A
+     result bound by a LATER statement has no value yet while earlier
+     statements execute, so its block is found through the annotation
+     name instead (the [EAlloc] precedes any use of the block) -
+     otherwise a last-use marker for a co-resident variable would date
+     the block's death before a later in-block write (the rotated-loop
+     pattern). *)
+  let res_blocks =
+    lazy
+      (List.fold_left
+         (fun m (s : stm) ->
+           List.fold_left
+             (fun m (pe : pat_elem) ->
+               match pe.pmem with
+               | Some mi when List.mem pe.pv res_vars ->
+                   Scope.add pe.pv mi.block m
+               | _ -> m)
+             m s.pat)
+         Scope.empty b.stms)
+  in
+  let scope, stms =
+    List.fold_left
+      (fun (scope, acc) s ->
+        let scope, code = stm r scope res_vars res_blocks s in
+        (scope, code :: acc))
+      (scope, []) b.stms
+  in
+  {
+    rstms = Array.of_list (List.rev stms);
+    rres = List.map (atom r scope) b.res;
+  }
+
+(* Stage a whole program: its parameters (each array parameter's memory
+   block first, then the parameter), then its body. *)
+let resolve mode (p : prog) =
+  let r =
+    {
+      rmode = mode;
+      nslots = 0;
+      slots = [];
+      nfree = 0;
+      free = [];
+      mentioned = None;
+    }
+  in
+  let scope, params =
+    List.fold_left
+      (fun (scope, acc) (pe : pat_elem) ->
+        let blk, scope =
+          match (pe.pt, pe.pmem) with
+          | TArr _, Some m ->
+              let s, scope = bind r scope m.block in
+              (Some s, scope)
+          | _ -> (None, scope)
+        in
+        let s, scope = bind r scope pe.pv in
+        (scope, (pe, s, blk) :: acc))
+      (Scope.empty, []) p.params
+  in
+  let body = block r scope p.body in
+  (List.rev params, body, r)
 
 (* ---------------------------------------------------------------- *)
 (* Program entry                                                     *)
@@ -1723,6 +1882,8 @@ let bind_param st ((pe : pat_elem), slot, blk_slot) (v : Value.t) =
           payload = None;
           devbytes = 0.;
           freed = false;
+          tally = no_tally;
+          tally_gen = 0;
         }
       in
       (match st.mode with
@@ -1815,7 +1976,7 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
   in
   if List.length args <> List.length p.params then
     err "exec: %s expects %d arguments" p.name (List.length p.params);
-  let params, body, r = resolve p in
+  let params, body, r = resolve mode p in
   let st =
     {
       mode;
@@ -1839,6 +2000,7 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
       kernel_scratch = 0.;
       thread_writes = Cells.create ();
       kernel_reads_tally = Tally.create 64;
+      tally_gen = 1;
     }
   in
   List.iter2 (bind_param st) params args;
@@ -1871,7 +2033,7 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
               st.counters.frees <- st.counters.allocs
     end
   in
-  let res = Fun.protect ~finally:teardown (fun () -> exec_block st body) in
+  let res = Fun.protect ~finally:teardown (fun () -> block_values st body) in
   (* reading back results is not part of the measured cost (or trace) *)
   let saved = st.counters.kernel_reads in
   Option.iter Trace.mute st.tracer;

@@ -24,18 +24,20 @@
     declared-vs-actual footprints), copies and their elision decisions,
     and last-use markers, ready for the {!Core.Memtrace} cross-check.
 
-    Variables live in one frame per run.  Before executing, {!run}
-    resolves the program once: every binder occurrence (parameters and
-    their memory blocks, pattern elements, loop parameters and counters,
-    mapnest indices) gets its own slot, and every use - atoms, array and
-    block operands, last-use markers, each variable of each index
-    polynomial - is rewritten to its slot.  The same walk records a
-    mapnest's declared reads and destinations in its launch scope, so no
-    name is looked up while the program runs.  A variable no binder in
-    scope defines raises {!Exec_error} ["exec: unbound ..."] only if the
-    run evaluates it.  Block ids are numbered per run, so a run is a
-    pure function of (program, arguments): the same call gives the same
-    report and a byte-identical trace whatever the process ran before. *)
+    The executor is staged.  Before executing, {!run} walks the program
+    once: every binder occurrence (parameters and their memory blocks,
+    pattern elements, loop parameters and counters, mapnest indices)
+    gets its own slot of one frame, and every statement is compiled to
+    a closure over the run's state, specialised on its operator, its
+    operands (slot or constant), its index polynomials and its
+    pattern's arity.  The same walk records a mapnest's declared reads
+    and destinations in its launch scope, so no name is looked up while
+    the program runs.  A variable no binder in scope defines raises
+    {!Exec_error} ["exec: unbound ..."] only if the run evaluates it.
+    Frame and closures live for one run.  Block ids are numbered per
+    run, so a run is a pure function of (program, arguments): the same
+    call gives the same report and a byte-identical trace whatever the
+    process ran before. *)
 
 exception Exec_error of string
 

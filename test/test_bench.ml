@@ -409,6 +409,36 @@ let check_dropped regressions keys () =
         (BJ.ok (BJ.gate ~baseline:cut ~current:cut ())))
     keys
 
+(* The certificate gate likewise: a pass's emitted or proved count
+   that the baseline holds and the current document lacks is a
+   regression; lacking from both documents, it is skipped. *)
+let test_cert_gate_missing_count () =
+  let doc ~counts =
+    parse_exn
+      (Printf.sprintf
+         {|{"benchmarks":[{"name":"nw","passes":[{"pass":"reuse",%s
+            "obligations":[{"id":0,"rewrite":"r","verdict":"proved"}]}]}]}|}
+         counts)
+  in
+  let full = doc ~counts:{|"emitted":3,"proved":3,|} in
+  let same = BJ.cert_gate ~baseline:full ~current:full () in
+  Alcotest.(check int) "both counts and the obligation compared" 3
+    same.BJ.checked;
+  Alcotest.(check bool) "identity passes" true (BJ.ok same);
+  List.iter
+    (fun (what, counts, regressions) ->
+      let cut = doc ~counts in
+      Alcotest.(check int) (what ^ " dropped: regressions") regressions
+        (List.length
+           (BJ.cert_gate ~baseline:full ~current:cut ()).BJ.regressions);
+      Alcotest.(check bool) (what ^ " missing from both: skipped") true
+        (BJ.ok (BJ.cert_gate ~baseline:cut ~current:cut ())))
+    [
+      ("emitted", {|"proved":3,|}, 1);
+      ("proved", {|"emitted":3,|}, 1);
+      ("both counts", "", 2);
+    ]
+
 let tests =
   [
     Alcotest.test_case "NW end-to-end" `Quick test_nw;
@@ -443,6 +473,8 @@ let tests =
       (check_dropped 1 variant_names);
     Alcotest.test_case "gate: a missing footprint counter fails" `Quick
       (check_dropped (List.length variant_names) fp_counters);
+    Alcotest.test_case "cert gate: a missing pass count fails" `Quick
+      test_cert_gate_missing_count;
     Alcotest.test_case "gate: a missing pack_stats counter fails" `Quick
       (check_dropped 1 pack_counters);
     Alcotest.test_case "gate: missing prover work fails" `Quick

@@ -119,6 +119,39 @@ let test_l2_cap () =
   Alcotest.(check bool) "reads capped at footprint" true
     (r.Exec.counters.Device.kernel_reads <= 32.0)
 
+(* A kernel launched inside a kernel rebuilds the read tally when it
+   scales its cost-only sample, and the outer thread's later reads must
+   land in the rebuilt table.  The outer thread reads big[0] (8 B) and
+   its inner kernel's thread reads big[1] (8 B); the inner kernel scales
+   the tally by its 4 threads (64 B), the outer thread reads big[2]
+   (72 B), and the outer kernel scales that by its 4 threads: 288 B,
+   far under big's 8000 B footprint. *)
+let test_nested_kernel_tally () =
+  let prog =
+    B.prog "nested" ~ctx:ctx_n
+      ~params:[ pat_elem "n" i64; pat_elem "big" (arr F64 [ c 1000 ]) ]
+      ~ret:[ arr F64 [ n ] ]
+      (fun b ->
+        let iv = B.fresh b "i" and jv = B.fresh b "j" in
+        let ys =
+          B.mapnest b "ys" [ (iv, n) ] (fun bb ->
+              let x = B.index bb "big" [ P.zero ] in
+              ignore
+                (B.mapnest bb "zs" [ (jv, n) ] (fun cb ->
+                     [ B.index cb "big" [ P.one ] ]));
+              let w = B.index bb "big" [ c 2 ] in
+              [ B.fadd bb x w ])
+        in
+        [ Var ys ])
+  in
+  let compiled = Core.Pipeline.compile prog in
+  let r =
+    Exec.run ~mode:Exec.Cost_only compiled.Core.Pipeline.unopt
+      [ Value.VInt 4; Value.VArr (Value.shell F64 [ 1000 ]) ]
+  in
+  Alcotest.(check (float 0.)) "outer reads after the inner kernel" 288.
+    r.Exec.counters.Device.kernel_reads
+
 let test_time_model_monotone () =
   let c1 = Device.fresh_counters () in
   c1.Device.kernels <- 1;
@@ -446,6 +479,44 @@ let test_runs_pure () =
         Benchsuite.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8 );
     ]
 
+(* A name no binder defines raises only if the run evaluates it: the
+   executor stages every operand before the run starts, and a lookup
+   made then would reject the untaken arm too.  The program is
+   test_ir's, built by hand since the checker refuses it. *)
+let test_unbound_only_when_evaluated () =
+  let let_ v t e = stm [ pat_elem v t ] e in
+  let p =
+    {
+      name = "ghost";
+      params = [ pat_elem "c" boolt ];
+      body =
+        block
+          [
+            let_ "r" i64
+              (EIf
+                 {
+                   cond = Var "c";
+                   tb =
+                     block
+                       [ let_ "g" i64 (EBin (Add, Var "ghost", Int 1)) ]
+                       [ Var "g" ];
+                   fb = block [] [ Int 2 ];
+                 });
+          ]
+          [ Var "r" ];
+      ret = [];
+      ctx = Symalg.Prover.empty;
+    }
+  in
+  List.iter
+    (fun mode ->
+      Alcotest.(check bool) "untaken arm" true
+        ((Exec.run ~mode p [ Value.VBool false ]).Exec.results
+        = [ Value.VInt 2 ]);
+      Alcotest.check_raises "taken arm" (Exec.Exec_error "exec: unbound ghost")
+        (fun () -> ignore (Exec.run ~mode p [ Value.VBool true ])))
+    [ Exec.Full; Exec.Cost_only ]
+
 (* Full-mode sqrt and log give the reference interpreter's results bit
    for bit: NaN for sqrt (-1) and log (-1), -inf for log 0.  Only
    cost-only runs, whose reads return placeholders, are tolerant. *)
@@ -538,11 +609,15 @@ let tests =
     Alcotest.test_case "cost-only = full (uniform kernel)" `Quick
       test_cost_only_matches_full_bytes;
     Alcotest.test_case "perfect-L2 read cap" `Quick test_l2_cap;
+    Alcotest.test_case "nested kernel: reads land in the rebuilt tally" `Quick
+      test_nested_kernel_tally;
     Alcotest.test_case "time model monotone" `Quick test_time_model_monotone;
     Alcotest.test_case "elision requires same location" `Quick
       test_elision_requires_same_location;
     Alcotest.test_case "resolver scoping matches the named environment"
       `Quick test_scoping;
+    Alcotest.test_case "unbound name raises only when evaluated" `Quick
+      test_unbound_only_when_evaluated;
     Alcotest.test_case "executor runs are pure functions of (program, args)"
       `Quick test_runs_pure;
     Alcotest.test_case "full-mode sqrt and log match the interpreter" `Quick
