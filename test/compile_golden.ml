@@ -7,7 +7,11 @@
    the prover work the compile needs on its own (under
    [Prover.with_cold_memo]): goals decided afresh, of them refuted by a
    witness, contexts saturated, and non-overlap questions decided
-   afresh.  The counts repeat exactly, as no clock bounds a proof.
+   afresh.  Last, the expressions {!Ir.Ast}'s free-variable walk
+   visits in a certified fail-safe compile and in a linted one (what
+   the benchmark's compile and lint workloads run): an analysis that
+   re-walks nested blocks shows here as a count that grows with
+   nesting.  The counts repeat exactly, as no clock bounds a proof.
    Dune diffs the output against
    [compile_golden.expected]; a refactoring of the passes that is meant
    to keep their output must leave that file byte-identical, and a
@@ -150,5 +154,13 @@ let () =
         (after.nonneg_misses - before.nonneg_misses)
         (after.refuted - before.refuted)
         (after.sat_misses - before.sat_misses)
-        (after.verdict_misses - before.verdict_misses))
+        (after.verdict_misses - before.verdict_misses);
+      let visits f =
+        Ir.Ast.reset_fv_visits ();
+        ignore (f ());
+        Ir.Ast.fv_visits ()
+      in
+      Printf.printf "  fv_visits certified %d linted %d\n"
+        (visits (fun () -> Pl.compile ~certify:true ~fail_safe:true prog))
+        (visits (fun () -> Pl.compile ~lint:true prog)))
     programs
