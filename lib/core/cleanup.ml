@@ -10,11 +10,15 @@
    harness.
 
    A block is live when some memory annotation names it, or when its
-   name occurs free in any expression (memory values flow through loop
-   parameters and branch results).  Sub-block results are counted by
-   *name*, not through [fv_exp]: an arm-local allocation returned as an
-   [if]'s existential memory component is bound inside the arm, so it
-   is not free in the conditional - but it is certainly live. *)
+   name occurs in any expression (memory values flow through loop
+   parameters and branch results).  One walk visits every statement
+   once: a compound statement contributes the names of its header
+   (a loop's initializers and count, a mapnest's counts, an [if]'s
+   condition), and the walk's recursion into its bodies contributes
+   the rest.  Sub-block results are counted by *name*, not as free
+   variables: an arm-local allocation returned as an [if]'s
+   existential memory component is bound inside the arm, so it is not
+   free in the conditional - but it is certainly live. *)
 
 open Ir.Ast
 module SS = Ir.Ast.SS
@@ -38,7 +42,7 @@ let rec live_blocks_block (b : block) : SS.t =
       let from_exp =
         match s.exp with
         | EAlloc _ -> from_mem (* binding, not a use *)
-        | e -> SS.union from_mem (fv_exp e)
+        | e -> SS.union from_mem (fv_exp_with (fun _ -> SS.empty) e)
       in
       let from_sub =
         match s.exp with

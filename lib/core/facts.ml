@@ -101,8 +101,7 @@ and exp_vars_block (b : block) (acc : SS.t) : SS.t =
     (fun acc a -> match a with Var v -> SS.add v acc | _ -> acc)
     acc b.res
 
-let block_refs mems (s : stm) : SS.t =
-  let fv = fv_stm s in
+let block_refs mems (fv : SS.t) : SS.t =
   SS.fold
     (fun v acc ->
       match SM.find_opt v mems with Some m -> SS.add m acc | None -> acc)

@@ -63,9 +63,9 @@ val exp_vars_block : Ir.Ast.block -> Ir.Ast.SS.t -> Ir.Ast.SS.t
     with such an occurrence is structurally load-bearing: reuse never
     coalesces it and packing never places it. *)
 
-val block_refs : string Map.Make(String).t -> Ir.Ast.stm -> Ir.Ast.SS.t
-(** Free variables of a statement plus the blocks of the arrays among
-    them (the map takes array variables to their block). *)
+val block_refs : string Map.Make(String).t -> Ir.Ast.SS.t -> Ir.Ast.SS.t
+(** A statement's free variables, as given, plus the blocks of the
+    arrays among them (the map takes array variables to their block). *)
 
 val res_refs : string Map.Make(String).t -> Ir.Ast.block -> Ir.Ast.SS.t
 (** Names a block's result atoms reference, plus their blocks. *)

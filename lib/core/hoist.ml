@@ -86,10 +86,14 @@ let extract_hoistable cert ~outer_scope (b : block) : stm list * block =
   let rec go scope acc kept = function
     | [] -> (List.rev acc, List.rev kept)
     | s :: rest ->
-        let fv = fv_stm s in
-        let movable = is_scalar_pure s && SS.subset fv outer_scope in
-        (* a statement whose deps were kept locally cannot move *)
-        let movable = movable && SS.is_empty (SS.inter fv scope) in
+        let movable =
+          is_scalar_pure s
+          &&
+          let fv = fv_stm s in
+          SS.subset fv outer_scope
+          (* a statement whose deps were kept locally cannot move *)
+          && SS.is_empty (SS.inter fv scope)
+        in
         if movable then go scope (s :: acc) kept rest
         else go (SS.union scope (binders s)) acc (s :: kept) rest
   in

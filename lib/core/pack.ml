@@ -346,10 +346,11 @@ let plan st ctx (members : member list) =
    into packable candidates and blocked members.  With
    [allow_escape], a member escaping through the block result is kept
    with an open-ended interval ([m_last = length stms]) - only sound
-   at the program's top level, where the arena outlives the body. *)
-let block_members ?(allow_escape = false) (sc : Facts.scope) (b : block) =
+   at the program's top level, where the arena outlives the body.
+   [fv] gives a statement's free variables. *)
+let block_members ?(allow_escape = false) ~fv (sc : Facts.scope) (b : block) =
   let stms = Array.of_list b.stms in
-  let refs = Array.map (Facts.block_refs sc.mems) stms in
+  let refs = Array.map (fun s -> Facts.block_refs sc.mems (fv s)) stms in
   let escape = Facts.res_refs sc.mems b in
   let hard = Facts.exp_vars_block b SS.empty in
   let n = Array.length stms in
@@ -447,9 +448,9 @@ type pcand = {
    statement, so a sequential-loop crossing is a lifetime hole (each
    iteration's instance was fresh) and a kernel crossing multiplies
    the slot into a per-thread region. *)
-let rec promotable sc (b : block) : pcand list =
+let rec promotable ~fv sc (b : block) : pcand list =
   let sc = Facts.add_block sc b in
-  let local, _ = block_members sc b in
+  let local, _ = block_members ~fv sc b in
   let local, _ = dedup_aliases local in
   let locals =
     List.map
@@ -466,7 +467,7 @@ let rec promotable sc (b : block) : pcand list =
         })
       local
   in
-  let all = locals @ List.concat_map (promotable_under sc) b.stms in
+  let all = locals @ List.concat_map (promotable_under ~fv sc) b.stms in
   (* nothing aliasing a candidate may escape through this block's
      result *)
   let esc = Facts.res_refs sc.mems b in
@@ -484,7 +485,7 @@ let rec promotable sc (b : block) : pcand list =
 (* The promotable members of [s]'s sub-blocks, lifted across [s]: a
    loop adds itself to the crossed loops, a mapnest multiplies the
    region by its thread count. *)
-and promotable_under sc (s : stm) : pcand list =
+and promotable_under ~fv sc (s : stm) : pcand list =
   match s.exp with
   | ELoop { body; _ } -> (
       match s.pat with
@@ -492,7 +493,7 @@ and promotable_under sc (s : stm) : pcand list =
       | pe :: _ ->
           List.map
             (fun pc -> { pc with pc_loops = pc.pc_loops @ [ pe.pv ] })
-            (promotable sc body))
+            (promotable ~fv sc body))
   | EMap { nest; body } ->
       let counts =
         List.map (fun (v, bound) -> (v, Facts.resolve sc.scalars bound)) nest
@@ -511,8 +512,8 @@ and promotable_under sc (s : stm) : pcand list =
             pc_region = P.mul pc.pc_region total;
             pc_nests = counts @ pc.pc_nests;
           })
-        (promotable sc body)
-  | EIf { tb; fb; _ } -> promotable sc tb @ promotable sc fb
+        (promotable ~fv sc body)
+  | EIf { tb; fb; _ } -> promotable ~fv sc tb @ promotable ~fv sc fb
   | _ -> []
 
 (* ---------------------------------------------------------------- *)
@@ -607,9 +608,11 @@ let emit_certs st cert ctx arena rextent (placements : placement list) =
   pairs placements
 
 (* Insert the arena allocation at [at] and rebase every placement over
-   the remainder of the block. *)
-let commit st opts cert names ctx (b : block) ~at ~extent ~rextent
+   the remainder of the block.  Rebasing rewrites annotations in place,
+   so it replaces the pass's free-variable memo [fv]. *)
+let commit st opts cert names ~fv ctx (b : block) ~at ~extent ~rextent
     (placements : placement list) : block =
+  fv := fv_memo ();
   let stms = Array.of_list b.stms in
   let n = Array.length stms in
   st.arenas <- st.arenas + 1;
@@ -667,9 +670,9 @@ let rec prune ms =
       if max_idx < min_first then ms
       else prune (List.filter (fun m -> m.m_idx <> max_idx) ms)
 
-let pack_block st opts cert names (sc : Facts.scope) (b : block) : block =
+let pack_block st opts cert names ~fv (sc : Facts.scope) (b : block) : block =
   let ctx = sc.ctx in
-  let candidates, blocked = block_members sc b in
+  let candidates, blocked = block_members ~fv:(fv_memo_stm !fv) sc b in
   let candidates, aliased_out = dedup_aliases candidates in
   let blocked = blocked @ aliased_out in
   let pruned = prune candidates in
@@ -682,7 +685,7 @@ let pack_block st opts cert names (sc : Facts.scope) (b : block) : block =
       let at =
         1 + List.fold_left (fun a p -> max a p.p_m.m_idx) (-1) placements
       in
-      commit st opts cert names ctx b ~at ~extent ~rextent placements
+      commit st opts cert names ~fv ctx b ~at ~extent ~rextent placements
   | _ ->
       st.unpacked <-
         st.unpacked + List.length blocked + List.length candidates;
@@ -697,17 +700,20 @@ let pack_block st opts cert names (sc : Facts.scope) (b : block) : block =
    members gathered from nested scopes.  A promoted member's interval
    collapses to its enclosing top-level statement - everything about
    it happens inside that one statement's subtree. *)
-let pack_top st opts cert names (p : prog) : block =
+let pack_top st opts cert names ~fv (p : prog) : block =
   let b = p.body in
   let sc = Facts.add_block (Facts.top p) b in
   let ctx = sc.ctx in
-  let candidates, blocked = block_members ~allow_escape:true sc b in
+  let fv_of = fv_memo_stm !fv in
+  let candidates, blocked = block_members ~allow_escape:true ~fv:fv_of sc b in
   (* promotion candidates, anchored at top-level statement indices *)
   let pcands =
     List.concat
       (List.mapi
          (fun i s ->
-           List.map (fun pc -> { pc with pc_top = i }) (promotable_under sc s))
+           List.map
+             (fun pc -> { pc with pc_top = i })
+             (promotable_under ~fv:fv_of sc s))
          b.stms)
   in
   (* a region the prover cannot evaluate at the top level (or whose
@@ -806,7 +812,7 @@ let pack_top st opts cert names (p : prog) : block =
           st.unpacked + List.length blocked
           + (List.length (locals candidates)
             - List.length (locals (List.map (fun p -> p.p_m) placements)));
-        commit st opts cert names ctx b ~at ~extent ~rextent placements
+        commit st opts cert names ~fv ctx b ~at ~extent ~rextent placements
       end
   | _ -> give_up ()
 
@@ -821,21 +827,27 @@ let pack_top st opts cert names (p : prog) : block =
    annotations left, so per-block packing skips them naturally;
    in-kernel members it could not lift still pack into per-thread
    arenas here. *)
-let rec walk ?(pack_here = true) st opts cert names sc (b : block) : block =
+let rec walk ?(pack_here = true) ~fv st opts cert names sc (b : block) : block
+    =
   let sc = Facts.add_block sc b in
-  let b = if pack_here then pack_block st opts cert names sc b else b in
+  let b = if pack_here then pack_block st opts cert names ~fv sc b else b in
   let stms =
     List.map
       (fun s ->
         Chaos.probe "pack";
-        Facts.map_sub_blocks (walk st opts cert names) sc s)
+        Facts.map_sub_blocks (walk ~fv st opts cert names) sc s)
       b.stms
   in
   { b with stms }
 
+(* One free-variable memo serves the whole pass: the planners read it,
+   and each commit, the pass's only writer, replaces it. *)
 let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let st = fresh_stats () in
   let names = Ir.Names.of_prog p in
-  let p = { p with body = pack_top st options cert names p } in
-  let body = walk ~pack_here:false st options cert names (Facts.top p) p.body in
+  let fv = ref (fv_memo ()) in
+  let p = { p with body = pack_top st options cert names ~fv p } in
+  let body =
+    walk ~pack_here:false ~fv st options cert names (Facts.top p) p.body
+  in
   ({ p with body }, st)

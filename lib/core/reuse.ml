@@ -101,26 +101,38 @@ let trace opts fmt =
 
 (* Rename block [oldm] to [newm] in every annotation of a statement
    subtree (annotations are the only legitimate occurrences the
-   coalescer allows, so exps need no rewriting). *)
+   coalescer allows, so exps need no rewriting).  Whether anything was
+   renamed; the free-variable memo [fv] forgets every statement whose
+   subtree was. *)
 let rename_pe oldm newm pe =
   match pe.pmem with
-  | Some mi when mi.block = oldm -> pe.pmem <- Some { mi with block = newm }
-  | _ -> ()
+  | Some mi when mi.block = oldm ->
+      pe.pmem <- Some { mi with block = newm };
+      true
+  | _ -> false
 
-let rec rename_annots_stm oldm newm (s : stm) : unit =
-  List.iter (rename_pe oldm newm) s.pat;
-  match s.exp with
-  | EMap { body; _ } -> rename_annots_block oldm newm body
-  | ELoop { params; body; _ } ->
-      List.iter (fun (pe, _) -> rename_pe oldm newm pe) params;
-      rename_annots_block oldm newm body
-  | EIf { tb; fb; _ } ->
-      rename_annots_block oldm newm tb;
-      rename_annots_block oldm newm fb
-  | _ -> ()
+let rec rename_annots_stm fv oldm newm (s : stm) : bool =
+  let renamed pes =
+    List.fold_left (fun c pe -> rename_pe oldm newm pe || c) false pes
+  in
+  let here = renamed s.pat in
+  let changed =
+    (match s.exp with
+    | EMap { body; _ } -> rename_annots_block fv oldm newm body
+    | ELoop { params; body; _ } ->
+        let p = renamed (List.map fst params) in
+        rename_annots_block fv oldm newm body || p
+    | EIf { tb; fb; _ } ->
+        let t = rename_annots_block fv oldm newm tb in
+        rename_annots_block fv oldm newm fb || t
+    | _ -> false)
+    || here
+  in
+  if changed then fv_memo_forget fv s;
+  changed
 
-and rename_annots_block oldm newm (b : block) : unit =
-  List.iter (rename_annots_stm oldm newm) b.stms
+and rename_annots_block fv oldm newm (b : block) : bool =
+  List.fold_left (fun c s -> rename_annots_stm fv oldm newm s || c) false b.stms
 
 (* Rename every reference to mem block [oldm] - annotations *and*
    expression-position atoms (loop-carried mem initializers, block
@@ -128,7 +140,7 @@ and rename_annots_block oldm newm (b : block) : unit =
    allocation is absorbed by its partner in the other arm; names are
    globally unique, so the rewrite is total. *)
 let rec rename_var_stm oldm newm (s : stm) : stm =
-  List.iter (rename_pe oldm newm) s.pat;
+  List.iter (fun pe -> ignore (rename_pe oldm newm pe)) s.pat;
   let ratom = function Var v when v = oldm -> Var newm | a -> a in
   let exp =
     match s.exp with
@@ -138,7 +150,7 @@ let rec rename_var_stm oldm newm (s : stm) : stm =
         let params =
           List.map
             (fun (pe, init) ->
-              rename_pe oldm newm pe;
+              ignore (rename_pe oldm newm pe);
               (pe, ratom init))
             params
         in
@@ -529,7 +541,7 @@ let remove_dead_chains (st : stats) opts cert (p : prog) : prog =
      within the full array). *)
 
 let try_rotate (st : stats) opts cert names ({ Facts.ctx; scalars; _ } as sc)
-    ~alloc_sizes ~tail_refs (s : stm) : stm list option =
+    ~fv ~alloc_sizes ~tail_refs (s : stm) : stm list option =
   match (s.exp, s.pat) with
   | ( ELoop { params = [ (pm, Var im); (pa, Var ia) ]; var; bound; body },
       [ qm; qa ] )
@@ -561,7 +573,7 @@ let try_rotate (st : stats) opts cert names ({ Facts.ctx; scalars; _ } as sc)
               (SS.of_list [ var; pm.pv; pa.pv ])
               body.stms
           in
-          let body_fv = fv_block body in
+          let body_fv = fv_block_with (fv_memo_stm fv) body in
           (* the fresh block must have no expression-position use in the
              body (e.g. feeding an inner existential loop): annotations
              are all the rewrite renames *)
@@ -667,7 +679,7 @@ let try_rotate (st : stats) opts cert names ({ Facts.ctx; scalars; _ } as sc)
                   pa.pt
               in
               (* generation i+1 now writes into the spare *)
-              List.iter (rename_annots_stm rm psm.pv) body.stms;
+              ignore (rename_annots_block fv rm psm.pv body);
               let body' =
                 {
                   body with
@@ -770,11 +782,10 @@ let try_rotate (st : stats) opts cert names ({ Facts.ctx; scalars; _ } as sc)
    its (annotation) block, so a free variable occurrence extends its
    block's range even when the block name itself does not appear. *)
 
-let coalesce_block (st : stats) opts cert { Facts.ctx; scalars; mems }
-    (b : block) : unit =
+let coalesce_block (st : stats) opts cert { Facts.ctx; scalars; mems } ~fv
+    ~refs (b : block) : unit =
   let stms = Array.of_list b.stms in
   let n = Array.length stms in
-  let refs = Array.map (Facts.block_refs mems) stms in
   let escape = Facts.res_refs mems b in
   (* names with expression-position occurrences anywhere in this block
      are structurally load-bearing (loop-carried mems etc.) *)
@@ -878,7 +889,7 @@ let coalesce_block (st : stats) opts cert { Facts.ctx; scalars; mems }
                   in
                   (* rebind L's annotations into E from L's definition on *)
                   for i = di to n - 1 do
-                    rename_annots_stm l e stms.(i)
+                    ignore (rename_annots_stm fv l e stms.(i))
                   done;
                   e_last := max !e_last l_last;
                   st.coalesced <- st.coalesced + 1;
@@ -1173,8 +1184,11 @@ let hoist_allocs (st : stats) opts cert (p0 : prog) : prog =
 
 (* One walk applies rotation (rewriting statement lists), then
    coalescing on the rewritten list, then recurses into sub-blocks
-   with the extended scope. *)
-let rec walk st opts cert names allocs sc (b : block) : block =
+   with the extended scope.  [fv] is the walk's free-variable memo, so
+   a nested statement the levels above it walked is not walked again;
+   a rotation or a coalesce rewrites annotations in place, and makes
+   the memo forget every statement it rewrote. *)
+let rec walk ~fv st opts cert names allocs sc (b : block) : block =
   let sc = Facts.add_block sc b in
   let allocs =
     List.fold_left
@@ -1185,28 +1199,33 @@ let rec walk st opts cert names allocs sc (b : block) : block =
       allocs b.stms
   in
   (* rotation: rewrite the statement list back to front so [tail_refs]
-     is exact for the statements following each candidate *)
+     is exact for the statements following each candidate; the
+     rewritten statements' references are coalescing's too, as a
+     rotation rewrites annotations only inside its own loop *)
   let tail = ref (Facts.res_refs sc.mems b) in
-  let rotate s acc =
+  let rotate s (acc, refs) =
     let out =
       match
-        try_rotate st opts cert names sc ~alloc_sizes:allocs ~tail_refs:!tail s
+        try_rotate st opts cert names sc ~fv ~alloc_sizes:allocs
+          ~tail_refs:!tail s
       with
       | Some ss -> ss
       | None -> [ s ]
     in
-    List.iter
-      (fun s' -> tail := SS.union !tail (Facts.block_refs sc.mems s'))
-      out;
-    out @ acc
+    let out_refs =
+      List.map (fun s' -> Facts.block_refs sc.mems (fv_memo_stm fv s')) out
+    in
+    List.iter (fun r -> tail := SS.union !tail r) out_refs;
+    (out @ acc, out_refs @ refs)
   in
-  let b = { b with stms = List.fold_right rotate b.stms [] } in
-  coalesce_block st opts cert sc b;
+  let stms, refs = List.fold_right rotate b.stms ([], []) in
+  let b = { b with stms } in
+  coalesce_block st opts cert sc ~fv ~refs:(Array.of_list refs) b;
   let stms =
     List.map
       (fun s ->
         Chaos.probe "reuse";
-        Facts.map_sub_blocks (walk st opts cert names allocs) sc s)
+        Facts.map_sub_blocks (walk ~fv st opts cert names allocs) sc s)
       b.stms
   in
   { b with stms }
@@ -1216,5 +1235,8 @@ let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let st = fresh_stats () in
   let p = remove_dead_chains st options cert p in
   let p = if options.cross_scope then hoist_allocs st options cert p else p in
-  let body = walk st options cert names SM.empty (Facts.top p) p.body in
+  let body =
+    walk ~fv:(fv_memo ()) st options cert names SM.empty
+      (Facts.top p) p.body
+  in
   ({ p with body }, st)

@@ -18,4 +18,5 @@ let () =
       ("certify", Test_certify.tests);
       ("pack", Test_pack.tests);
       ("chaos", Test_chaos.tests);
+      ("fv", Test_fv.tests);
     ]

@@ -29,7 +29,8 @@
      programs (members dying in waves, so lifetime holes open up) lint,
      certify, replay (memtrace) and skeleton-diff clean end to end, each
      in one arena - with every member packed in the first, and at least
-     one lifetime hole in the second. *)
+     one lifetime hole in the second (two from three waves on, and more
+     holes with every wave). *)
 
 open Ir
 open Ast
@@ -416,7 +417,10 @@ let render_skeleton t =
 (* [phases] waves of [k] fills each: a wave's fills die at that wave's
    combine, while the per-wave sums survive to a final combine.  Fills
    of different waves never interfere, so the planner can stack them
-   into lifetime holes. *)
+   into lifetime holes.  Every fill is larger than every fill of the
+   waves before it, so reuse cannot prove an earlier fill's block
+   holds a later one and leaves the fills of every wave to the
+   planner: each further wave opens more holes. *)
 let gen_phased phases k =
   B.prog "phasegen" ~ctx:ctx_n2 ~params:[ pat_elem "n" i64 ]
     ~ret:[ arr F64 [ n ] ]
@@ -425,7 +429,7 @@ let gen_phased phases k =
         List.init phases (fun ph ->
             let fills =
               List.init k (fun i ->
-                  let sz = P.add n (c ((ph + i) mod (k + 1))) in
+                  let sz = P.add n (c ((ph * k) + i)) in
                   fill b
                     (Printf.sprintf "p%dx%d" ph i)
                     sz
@@ -493,16 +497,37 @@ let prop_packed_programs_verify =
         QCheck.Test.fail_reportf "expected %d members in one arena, got %d/%d"
           (k + 1) st.Core.Pack.arenas st.Core.Pack.packed;
       let st = phased.Core.Pipeline.pack_stats in
-      (* the waves stack into lifetime holes of one arena *)
-      if st.Core.Pack.arenas <> 1 || st.Core.Pack.holes < 1 then
-        QCheck.Test.fail_reportf "phased: %d arenas, %d holes (want 1, >= 1)"
-          st.Core.Pack.arenas st.Core.Pack.holes;
+      (* the waves stack into lifetime holes of one arena; a third wave
+         stacks into more than one *)
+      let want = if ph >= 3 then 2 else 1 in
+      if st.Core.Pack.arenas <> 1 || st.Core.Pack.holes < want then
+        QCheck.Test.fail_reportf "phased: %d arenas, %d holes (want 1, >= %d)"
+          st.Core.Pack.arenas st.Core.Pack.holes want;
       verify_packed "fills" fills nv && verify_packed "phased" phased nv)
+
+(* Holes grow with the waves: a planner that stopped at its first hole,
+   or reuse coalescing the later waves away, shows as a flat count. *)
+let test_phased_holes () =
+  let holes ph =
+    (Core.Pipeline.compile (gen_phased ph 3)).Core.Pipeline.pack_stats
+      .Core.Pack.holes
+  in
+  let counts = List.map holes [ 1; 2; 3; 4 ] in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  if not (increasing counts && List.nth counts 1 >= 2) then
+    Alcotest.failf "holes for 1..4 waves of 3 fills: %s (want increasing, >= 2 \
+                    from 2 waves)"
+      (String.concat ", " (List.map string_of_int counts))
 
 let tests =
   [
     Alcotest.test_case "two interfering fills pack into one arena" `Quick
       test_pack_two_fills;
+    Alcotest.test_case "every wave of fills opens more holes" `Quick
+      test_phased_holes;
     Alcotest.test_case "benchmark improvements are strict" `Quick
       test_benchmark_improvements;
     Alcotest.test_case "mutation: forged offset refuted" `Quick
