@@ -1,6 +1,6 @@
 (* The `repro` command-line driver.
 
-     repro table <1..7|all>     regenerate the paper's tables (four
+     repro table [bench]        regenerate the paper's tables (four
                                 variants: unoptimized, short-circuited,
                                 memory-reused, arena-packed);
                                 --bench-json writes a machine-readable
@@ -11,112 +11,34 @@
                                 (memtrace); --json dumps the event log,
                                 --diff compares the variants' logical
                                 event skeletons
-     repro dump <bench> [-O|-R] print the (memory-annotated) IR
+     repro dump [bench] [-O|-R|-P]
+                                print the (memory-annotated) IR
+     repro certify [bench]      re-check every rewrite's certificate;
+                                --check gates them against the committed
+                                bench/certs-baseline.json
      repro bench [--check]      emit the BENCH.json performance record;
                                 with --check, gate it against the
                                 committed bench/baseline.json and exit
                                 nonzero on regression
-     repro chaos <bench|all>    seeded fault-injection campaign: inject
+     repro chaos [bench]        seeded fault-injection campaign: inject
                                 all five fault classes into each
                                 benchmark and check the fail-safe
                                 invariants (--json writes the campaign
                                 record); exits nonzero on any violation
      repro prove-nw             show the Fig. 9 non-overlap proof
 
+   A [bench] is a benchmark's name in any case, its table number 1-7,
+   or `all`, the default ([Benchsuite.Suite.select]).
+
    Exit-code contract (see README): 0 = clean; 1 = a gate failed, a
    benchmark degraded through the fail-safe ladder, or a chaos
    invariant was violated; 124/125 = cmdliner usage/internal errors.
-   `repro table all` never dies on the first fault: it aggregates
-   per-benchmark faults and names every degraded or failed benchmark
+   `repro table` and `repro bench` never die on the first fault: they
+   run every selected benchmark and name every degraded or failed one
    in a final summary line.
 *)
 
 open Cmdliner
-
-type bench = {
-  name : string;
-  table_no : int;
-  table :
-    ?options:Core.Shortcircuit.options ->
-    ?reuse:Core.Reuse.options ->
-    ?pack:Core.Pack.options ->
-    ?pool:bool ->
-    ?pool_cap:int ->
-    ?fail_safe:bool ->
-    unit ->
-    Benchsuite.Runner.outcome;
-  prog : Ir.Ast.prog;
-  small_args : Ir.Value.t list Lazy.t;
-}
-
-let benches : bench list =
-  [
-    {
-      name = "nw";
-      table_no = 1;
-      table = Benchsuite.Nw.table;
-      prog = Benchsuite.Nw.prog;
-      small_args = lazy (Benchsuite.Nw.small_args ~q:3 ~b:4);
-    };
-    {
-      name = "lud";
-      table_no = 2;
-      table = Benchsuite.Lud.table;
-      prog = Benchsuite.Lud.prog;
-      small_args = lazy (Benchsuite.Lud.small_args ~q:3 ~b:4);
-    };
-    {
-      name = "hotspot";
-      table_no = 3;
-      table = Benchsuite.Hotspot.table;
-      prog = Benchsuite.Hotspot.prog;
-      small_args = lazy (Benchsuite.Hotspot.small_args ~n:16 ~steps:3);
-    };
-    {
-      name = "lbm";
-      table_no = 4;
-      table = Benchsuite.Lbm.table;
-      prog = Benchsuite.Lbm.prog;
-      small_args = lazy (Benchsuite.Lbm.small_args ~n:8 ~steps:3);
-    };
-    {
-      name = "optionpricing";
-      table_no = 5;
-      table = Benchsuite.Option_pricing.table;
-      prog = Benchsuite.Option_pricing.prog;
-      small_args =
-        lazy (Benchsuite.Option_pricing.small_args ~npaths:64 ~nsteps:16);
-    };
-    {
-      name = "locvolcalib";
-      table_no = 6;
-      table = Benchsuite.Locvolcalib.table;
-      prog = Benchsuite.Locvolcalib.prog;
-      small_args =
-        lazy (Benchsuite.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4);
-    };
-    {
-      name = "nn";
-      table_no = 7;
-      table = Benchsuite.Nn.table;
-      prog = Benchsuite.Nn.prog;
-      small_args = lazy (Benchsuite.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8);
-    };
-  ]
-
-let find_bench s =
-  match
-    List.find_opt
-      (fun b ->
-        b.name = String.lowercase_ascii s
-        || string_of_int b.table_no = s)
-      benches
-  with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown benchmark %S (try: %s)" s
-           (String.concat ", " (List.map (fun b -> b.name) benches)))
 
 (* ---- table ----------------------------------------------------- *)
 
@@ -215,7 +137,8 @@ let prover_json (p : Symalg.Prover.stats) =
    per-benchmark modeled times and impacts per (device, dataset),
    memory footprints of the four variants, compile times, reuse- and
    pack-pass statistics, and the prover's memoization effectiveness. *)
-let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
+let bench_json_of
+    (outcomes : (Benchsuite.Runner.bench * Benchsuite.Runner.outcome) list)
     (pstats : Symalg.Prover.stats) : Core.Json.t =
   let open Core.Json in
   (* each variant's time, then the impact of each variant above unopt;
@@ -262,7 +185,7 @@ let bench_json_of (outcomes : (bench * Benchsuite.Runner.outcome) list)
        ]
       @ Option.to_list (Option.map pool f.f_pool))
   in
-  let bench_obj (b, (o : Benchsuite.Runner.outcome)) =
+  let bench_obj ((b : Benchsuite.Runner.bench), o) =
     let c = o.Benchsuite.Runner.compiled in
     let rst = c.Core.Pipeline.reuse_stats in
     let pst = c.pack_stats in
@@ -359,7 +282,7 @@ let print_summaries outcomes =
     Core.Pipeline.variant_names;
   Printf.printf " %9s %s\n" "saved" "dead allocs (sc+reuse+pack)";
   List.iter
-    (fun (b, (o : Benchsuite.Runner.outcome)) ->
+    (fun ((b : Benchsuite.Runner.bench), (o : Benchsuite.Runner.outcome)) ->
       let c = o.Benchsuite.Runner.compiled in
       List.iter
         (fun (ds, fps) ->
@@ -381,7 +304,7 @@ let print_summaries outcomes =
   Printf.printf "%-15s %12s %14s %10s\n" "Benchmark" "base (ms)"
     "+short-circ." "overhead";
   List.iter
-    (fun (b, (o : Benchsuite.Runner.outcome)) ->
+    (fun ((b : Benchsuite.Runner.bench), (o : Benchsuite.Runner.outcome)) ->
       let c = o.Benchsuite.Runner.compiled in
       let base = c.Core.Pipeline.time_base and sc = c.time_sc in
       Printf.printf "%-15s %10.2fms %12.2fms %9.0f%%\n" b.name (base *. 1e3)
@@ -433,76 +356,96 @@ let print_outcome options (o : Benchsuite.Runner.outcome) =
         (Core.Fault.to_string r.Core.Pipeline.r_fault)
         r.Core.Pipeline.r_fallback)
     o.Benchsuite.Runner.compiled.Core.Pipeline.recovery;
-  (match o.Benchsuite.Runner.traffic with
-  | None -> ()
-  | Some t ->
-      let mb x = x /. 1e6 in
-      let dev m m' = if m' = 0. then 0. else 100. *. (m -. m') /. m' in
-      Printf.printf
-        "  traffic @ reduced size: kernels %.3f MB measured vs %.3f MB \
-         modeled (%+.1f%%), copies %.3f vs %.3f MB | memtrace %s\n"
-        (mb t.Benchsuite.Runner.measured_rw)
-        (mb t.Benchsuite.Runner.modeled_rw)
-        (dev t.Benchsuite.Runner.modeled_rw t.Benchsuite.Runner.measured_rw)
-        (mb t.Benchsuite.Runner.measured_copy)
-        (mb t.Benchsuite.Runner.modeled_copy)
-        (if Core.Memtrace.ok t.Benchsuite.Runner.check then "clean"
-         else "VIOLATIONS"));
-  print_newline ()
+  let t = o.Benchsuite.Runner.traffic in
+  let mb x = x /. 1e6 in
+  let dev m m' = if m' = 0. then 0. else 100. *. (m -. m') /. m' in
+  Printf.printf
+    "  traffic @ reduced size: kernels %.3f MB measured vs %.3f MB modeled \
+     (%+.1f%%), copies %.3f vs %.3f MB | memtrace %s\n\n"
+    (mb t.Benchsuite.Runner.measured_rw)
+    (mb t.Benchsuite.Runner.modeled_rw)
+    (dev t.Benchsuite.Runner.modeled_rw t.Benchsuite.Runner.measured_rw)
+    (mb t.Benchsuite.Runner.measured_copy)
+    (mb t.Benchsuite.Runner.modeled_copy)
+    (if Core.Memtrace.ok t.Benchsuite.Runner.check then "clean"
+     else "VIOLATIONS")
+
+(* The table of every selected benchmark, run with one set of options,
+   each outcome handed to [show] as it completes; a benchmark that
+   raises is named and left out, so every one runs.  Returns the
+   outcomes, every benchmark that failed or degraded through the
+   fail-safe ladder, and the BENCH.json record of the outcomes, whose
+   prover object counts these compiles alone. *)
+let run_tables ~show options reuse pack pool pool_cap fail_safe bs =
+  Symalg.Prover.reset_stats ();
+  let results =
+    List.map
+      (fun (b : Benchsuite.Runner.bench) ->
+        match
+          Benchsuite.Runner.run_table ~options ~reuse ~pack ~pool ?pool_cap
+            ~fail_safe b
+        with
+        | o ->
+            show o;
+            (b, Ok o)
+        | exception e ->
+            Printf.printf "bench %-14s FAILED: %s\n\n" b.name
+              (Printexc.to_string e);
+            (b, Error (Printexc.to_string e)))
+      bs
+  in
+  let outcomes =
+    List.filter_map
+      (function b, Ok o -> Some (b, o) | _, Error _ -> None)
+      results
+  in
+  let faults =
+    List.filter_map
+      (fun ((b : Benchsuite.Runner.bench), r) ->
+        match r with
+        | Error e -> Some (Printf.sprintf "%s failed (%s)" b.name e)
+        | Ok (o : Benchsuite.Runner.outcome) -> (
+            match o.compiled.Core.Pipeline.recovery with
+            | [] -> None
+            | r :: _ ->
+                Some
+                  (Printf.sprintf "%s degraded (%s)" b.name
+                     (Core.Fault.layer r.Core.Pipeline.r_fault))))
+      results
+  in
+  (outcomes, faults, json_line (bench_json_of outcomes (Symalg.Prover.stats ())))
+
+let faulted = function
+  | [] -> Ok ()
+  | faults -> Error ("degraded/failed benchmarks: " ^ String.concat "; " faults)
+
+let write_record path json =
+  write_file path json;
+  Printf.printf "wrote %s\n" path
 
 let run_table which options reuse pack pool pool_cap fail_safe budget
     bench_json markdown out =
   Symalg.Prover.set_budget budget;
-  Symalg.Prover.reset_stats ();
-  let run b =
-    let o = b.table ~options ~reuse ~pack ~pool ?pool_cap ~fail_safe () in
-    if markdown then
-      Fmt.pr "%a" Benchsuite.Table.pp_markdown o.Benchsuite.Runner.table
-    else print_outcome options o;
-    o
-  in
-  let finish outcomes =
-    if bench_json then begin
-      let path = Option.value out ~default:(default_bench_json_name ()) in
-      write_file path
-        (json_line (bench_json_of outcomes (Symalg.Prover.stats ())));
-      Printf.printf "wrote %s\n" path
-    end
-  in
-  let degraded b (o : Benchsuite.Runner.outcome) =
-    match o.Benchsuite.Runner.compiled.Core.Pipeline.recovery with
-    | [] -> None
-    | r :: _ ->
-        Some
-          (Printf.sprintf "%s degraded (%s)" b.name
-             (Core.Fault.layer r.Core.Pipeline.r_fault))
-  in
-  match which with
-  | "all" ->
-      (* Aggregate faults across the suite instead of dying on the
-         first one: every benchmark runs, every fault is named, and
-         any degradation or failure makes the exit nonzero. *)
-      let results =
-        List.map
-          (fun b ->
-            match run b with
-            | o -> (b, Ok o)
-            | exception e ->
-                Printf.printf "bench %-14s FAILED: %s\n\n" b.name
-                  (Printexc.to_string e);
-                (b, Error (Printexc.to_string e)))
-          benches
+  Result.bind (Benchsuite.Suite.select which) (fun bs ->
+      let show o =
+        if markdown then
+          Fmt.pr "%a" Benchsuite.Table.pp_markdown o.Benchsuite.Runner.table
+        else print_outcome options o
       in
-      let outcomes =
-        List.filter_map
-          (function b, Ok o -> Some (b, o) | _, Error _ -> None)
-          results
+      let outcomes, faults, json =
+        run_tables ~show options reuse pack pool pool_cap fail_safe bs
       in
-      if not markdown then print_summaries outcomes;
-      finish outcomes;
+      (* the cross-benchmark summaries and the ablation close a run of
+         the whole suite *)
+      let suite = List.compare_length_with bs 1 > 0 in
+      if suite && not markdown then print_summaries outcomes;
+      if bench_json then
+        write_record
+          (Option.value out ~default:(default_bench_json_name ()))
+          json;
       (* after BENCH.json, whose prover object must not count these
          compiles *)
-      if markdown then
+      if suite && markdown then
         Fmt.pr "%a" Benchsuite.Table.pp_ablation
           [
             ("NW", Benchsuite.Nw.prog);
@@ -510,27 +453,20 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
             ("Hotspot", Benchsuite.Hotspot.prog);
             ("LBM", Benchsuite.Lbm.prog);
           ];
-      let faulted =
-        List.filter_map
-          (fun (b, r) ->
-            match r with
-            | Error e -> Some (Printf.sprintf "%s failed (%s)" b.name e)
-            | Ok o -> degraded b o)
-          results
-      in
-      if faulted = [] then Ok ()
-      else Error ("degraded/failed benchmarks: " ^ String.concat "; " faulted)
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          let o = run b in
-          finish [ (b, o) ];
-          match degraded b o with None -> Ok () | Some msg -> Error msg)
+      faulted faults)
+
+(* Run [check] on every selected benchmark, each before the verdict, so
+   one failure does not hide another. *)
+let check_each which ~error check =
+  Result.bind (Benchsuite.Suite.select which) (fun bs ->
+      if List.fold_left (fun ok b -> check b && ok) true bs then Ok ()
+      else Error error)
 
 (* ---- validate --------------------------------------------------- *)
 
 let run_validate which =
-  let validate b =
-    let v = Benchsuite.Runner.validate b.prog (Lazy.force b.small_args) in
+  let validate (b : Benchsuite.Runner.bench) =
+    let v = Benchsuite.Runner.validate b.prog (b.small_args ()) in
     Printf.printf
       "%-14s interp-match: %s | copies %d -> %d (%d elided) | circuits %d\n"
       b.name
@@ -542,18 +478,12 @@ let run_validate which =
       v.Benchsuite.Runner.elided v.Benchsuite.Runner.sc_succeeded;
     List.for_all snd v.Benchsuite.Runner.ok
   in
-  match which with
-  | "all" ->
-      let ok = List.fold_left (fun ok b -> validate b && ok) true benches in
-      if ok then Ok () else Error "validation failed"
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          if validate b then Ok () else Error "validation failed")
+  check_each which ~error:"validation failed" validate
 
 (* ---- lint -------------------------------------------------------- *)
 
 let run_lint which options pack verbose_reports =
-  let lint b =
+  let lint (b : Benchsuite.Runner.bench) =
     let c = Core.Pipeline.compile ~options ~pack ~lint:true b.prog in
     List.iter
       (fun (_, r) ->
@@ -576,13 +506,7 @@ let run_lint which options pack verbose_reports =
           Core.Memlint.pp_violation v;
         false
   in
-  match which with
-  | "all" ->
-      let ok = List.fold_left (fun ok b -> lint b && ok) true benches in
-      if ok then Ok () else Error "lint failed"
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          if lint b then Ok () else Error "lint failed")
+  check_each which ~error:"lint failed" lint
 
 (* ---- trace ------------------------------------------------------- *)
 
@@ -620,7 +544,8 @@ let trace_json clean traces =
 (* --diff: the optimizations may move and elide storage but must not
    change the logical event sequence.  Compare each variant's trace
    skeleton with the one below it; any divergence is a failure. *)
-let diff_traces b (traces : (string * Benchsuite.Runner.traced) list) : bool =
+let diff_traces (b : Benchsuite.Runner.bench)
+    (traces : (string * Benchsuite.Runner.traced) list) : bool =
   let pair (_, (ta : Benchsuite.Runner.traced)) (_, tb) =
     let ta = ta.Benchsuite.Runner.trace and tb = tb.Benchsuite.Runner.trace in
     match Core.Trace.diff ta tb with
@@ -647,10 +572,8 @@ let diff_traces b (traces : (string * Benchsuite.Runner.traced) list) : bool =
   ok
 
 let run_trace which json diff out =
-  let trace b =
-    let traces =
-      Benchsuite.Runner.trace_check b.prog (Lazy.force b.small_args)
-    in
+  let trace (b : Benchsuite.Runner.bench) =
+    let traces = Benchsuite.Runner.trace_check b.prog (b.small_args ()) in
     let clean =
       List.for_all
         (fun (_, (t : Benchsuite.Runner.traced)) ->
@@ -680,28 +603,22 @@ let run_trace which json diff out =
       clean
     end
   in
-  match which with
-  | "all" ->
-      let ok = List.fold_left (fun ok b -> trace b && ok) true benches in
-      if ok then Ok () else Error "memtrace cross-check failed"
-  | s ->
-      Result.bind (find_bench s) (fun b ->
-          if trace b then Ok () else Error "memtrace cross-check failed")
+  check_each which ~error:"memtrace cross-check failed" trace
 
 (* ---- dump -------------------------------------------------------- *)
 
 let run_dump which opt reuse pack =
+  let variant =
+    if pack then "pack"
+    else if reuse then "reuse"
+    else if opt then "opt"
+    else "unopt"
+  in
   Result.map
-    (fun b ->
-      let variant =
-        if pack then "pack"
-        else if reuse then "reuse"
-        else if opt then "opt"
-        else "unopt"
-      in
-      Core.Pipeline.variants (Core.Pipeline.compile b.prog)
-      |> List.assoc variant |> Ir.Pretty.prog_to_string |> print_endline)
-    (find_bench which)
+    (List.iter (fun (b : Benchsuite.Runner.bench) ->
+         Core.Pipeline.variants (Core.Pipeline.compile b.prog)
+         |> List.assoc variant |> Ir.Pretty.prog_to_string |> print_endline))
+    (Benchsuite.Suite.select which)
 
 (* ---- bench ------------------------------------------------------- *)
 
@@ -751,25 +668,15 @@ let run_bench options reuse pack pool pool_cap fail_safe budget check
     match current with
     | Some path -> read_file path
     | None ->
-        Symalg.Prover.reset_stats ();
-        let outcomes =
-          List.map
-            (fun b ->
-              Printf.printf "bench %-14s running...\n%!" b.name;
-              (b, b.table ~options ~reuse ~pack ~pool ?pool_cap ~fail_safe ()))
-            benches
-        in
-        let json =
-          json_line (bench_json_of outcomes (Symalg.Prover.stats ()))
-        in
-        let save path =
-          write_file path json;
-          Printf.printf "wrote %s\n" path
+        let _, faults, json =
+          run_tables ~show:ignore options reuse pack pool pool_cap fail_safe
+            Benchsuite.Suite.all
         in
         (match out with
-        | Some path -> save path
-        | None -> if not check then save (default_bench_json_name ()));
-        Ok json
+        | Some path -> write_record path json
+        | None ->
+            if not check then write_record (default_bench_json_name ()) json);
+        Result.map (fun () -> json) (faulted faults)
   in
   Result.bind (obtain_current ()) (fun cur_s ->
       if check then
@@ -803,12 +710,7 @@ let cert_doc_of docs = Core.Json.Obj [ ("benchmarks", Core.Json.Arr docs) ]
 
 let run_certify which options reuse pack verbose_reports json out check
     baseline current report_path =
-  let selected =
-    match which with
-    | "all" -> Ok benches
-    | s -> Result.map (fun b -> [ b ]) (find_bench s)
-  in
-  Result.bind selected (fun bs ->
+  Result.bind (Benchsuite.Suite.select which) (fun bs ->
       (* With --json to stdout, keep stdout pure JSON (pipeable into
          bench/certs-baseline.json): every human-readable line -
          summaries, -r reports, "wrote" confirmations - goes to
@@ -826,7 +728,7 @@ let run_certify which options reuse pack verbose_reports json out check
         let all_ok = ref true in
         let docs =
           List.map
-            (fun b ->
+            (fun (b : Benchsuite.Runner.bench) ->
               let c =
                 Core.Pipeline.compile ~options ~reuse ~pack ~certify:true
                   b.prog
@@ -886,7 +788,7 @@ let run_certify which options reuse pack verbose_reports json out check
                | Some dir ->
                    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
                    List.iter2
-                     (fun b doc ->
+                     (fun (b : Benchsuite.Runner.bench) doc ->
                        let path =
                          Filename.concat dir (b.name ^ ".cert.json")
                        in
@@ -906,14 +808,12 @@ let run_certify which options reuse pack verbose_reports json out check
    record CI archives. *)
 
 let run_chaos which seed rounds json out =
-  let selected =
-    match which with
-    | "all" -> Ok benches
-    | s -> Result.map (fun b -> [ b ]) (find_bench s)
-  in
-  Result.bind selected (fun bs ->
+  Result.bind (Benchsuite.Suite.select which) (fun bs ->
       let targets =
-        List.map (fun b -> (b.name, b.prog, Lazy.force b.small_args)) bs
+        List.map
+          (fun (b : Benchsuite.Runner.bench) ->
+            (b.name, b.prog, b.small_args ()))
+          bs
       in
       let c = Benchsuite.Chaosdrive.run ~seed ~rounds targets in
       (* keep stdout pure JSON when the record goes there *)

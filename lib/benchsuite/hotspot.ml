@@ -160,12 +160,19 @@ let datasets () =
       })
     [ 8192; 16384; 32768 ]
 
-let table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe () : Runner.outcome =
-  Runner.run_table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe ~trace_args:(args ~n:16 ~steps:3 ~shell:false)
-    ~title:"Table III: Hotspot performance" ~runs:10 ~prog
-    ~datasets:(datasets ()) ~paper ()
-
 let small_args ~n ~steps = args ~n ~steps ~shell:false
 
 let small_direct ~n ~steps =
   direct ~n ~steps (input_temp ~n) (input_power ~n)
+
+let bench =
+  {
+    Runner.name = "hotspot";
+    table_no = 3;
+    title = "Table III: Hotspot performance";
+    runs = 10;
+    prog;
+    small_args = (fun () -> small_args ~n:16 ~steps:3);
+    datasets;
+    paper;
+  }

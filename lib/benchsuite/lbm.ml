@@ -145,10 +145,17 @@ let datasets () =
       })
     [ ("short", 10); ("long", 300) ]
 
-let table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe () : Runner.outcome =
-  Runner.run_table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe ~trace_args:(args ~n:8 ~steps:3 ~shell:false)
-    ~title:"Table IV: LBM performance" ~runs:100 ~prog
-    ~datasets:(datasets ()) ~paper ()
-
 let small_args ~n ~steps = args ~n ~steps ~shell:false
 let small_direct ~n ~steps = direct ~n ~steps (input_f ~n)
+
+let bench =
+  {
+    Runner.name = "lbm";
+    table_no = 4;
+    title = "Table IV: LBM performance";
+    runs = 100;
+    prog;
+    small_args = (fun () -> small_args ~n:8 ~steps:3);
+    datasets;
+    paper;
+  }

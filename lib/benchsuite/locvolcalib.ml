@@ -172,10 +172,17 @@ let datasets () =
       ("large", 65536, 256, 64);
     ]
 
-let table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe () : Runner.outcome =
-  Runner.run_table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe ~trace_args:(args ~numo:6 ~numx:12 ~numt:4)
-    ~title:"Table VI: LocVolCalib performance" ~runs:10 ~prog
-    ~datasets:(datasets ()) ~paper ()
-
 let small_args ~numo ~numx ~numt = args ~numo ~numx ~numt
 let small_direct ~numo ~numx ~numt = direct ~numo ~numx ~numt
+
+let bench =
+  {
+    Runner.name = "locvolcalib";
+    table_no = 6;
+    title = "Table VI: LocVolCalib performance";
+    runs = 10;
+    prog;
+    small_args = (fun () -> small_args ~numo:6 ~numx:12 ~numt:4);
+    datasets;
+    paper;
+  }

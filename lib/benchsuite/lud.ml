@@ -225,10 +225,17 @@ let datasets () =
       })
     [ 8192; 16384; 32768 ]
 
-let table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe () : Runner.outcome =
-  Runner.run_table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe ~trace_args:(args ~q:3 ~b:4 ~shell:false)
-    ~title:"Table II: LUD performance" ~runs:10 ~prog
-    ~datasets:(datasets ()) ~paper ()
-
 let small_args ~q ~b = args ~q ~b ~shell:false
 let small_direct ~q ~b = direct ~n:(q * b) (input ~n:(q * b))
+
+let bench =
+  {
+    Runner.name = "lud";
+    table_no = 2;
+    title = "Table II: LUD performance";
+    runs = 10;
+    prog;
+    small_args = (fun () -> small_args ~q:3 ~b:4);
+    datasets;
+    paper;
+  }

@@ -131,13 +131,19 @@ let datasets () =
       })
     [ 855280; 8552800; 85528000 ]
 
-let table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe () : Runner.outcome =
-  Runner.run_table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe
-    ~trace_args:(args ~nrec:100 ~nbatch:4 ~bsz:8 ~shell:false)
-    ~title:"Table VII: NN performance" ~runs:100 ~prog
-    ~datasets:(datasets ()) ~paper ()
-
 let small_args ~nrec ~nbatch ~bsz = args ~nrec ~nbatch ~bsz ~shell:false
 
 let small_direct ~nrec ~nq =
   direct ~nrec ~nq (input_recs ~nrec) (input_queries ~nq)
+
+let bench =
+  {
+    Runner.name = "nn";
+    table_no = 7;
+    title = "Table VII: NN performance";
+    runs = 100;
+    prog;
+    small_args = (fun () -> small_args ~nrec:100 ~nbatch:4 ~bsz:8);
+    datasets;
+    paper;
+  }

@@ -195,15 +195,21 @@ let datasets () =
       })
     [ 8192; 16384; 32768 ]
 
-let table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe () : Runner.outcome =
-  Runner.run_table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe
-    ~trace_args:(args ~q:3 ~b:4 ~penalty:10.0 ~shell:false)
-    ~title:"Table I: NW performance" ~runs:1000 ~prog
-    ~datasets:(datasets ()) ~paper ()
-
 (* Reduced-size instance for full-mode validation in the test suite. *)
 let small_args ~q ~b = args ~q ~b ~penalty:10.0 ~shell:false
 
 let small_direct ~q ~b =
   let n = (q * b) + 1 in
   direct ~n ~penalty:10.0 (input ~n ~penalty:10.0)
+
+let bench =
+  {
+    Runner.name = "nw";
+    table_no = 1;
+    title = "Table I: NW performance";
+    runs = 1000;
+    prog;
+    small_args = (fun () -> small_args ~q:3 ~b:4);
+    datasets;
+    paper;
+  }

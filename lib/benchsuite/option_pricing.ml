@@ -147,10 +147,17 @@ let datasets () =
       })
     [ ("medium", 65536, 252); ("large", 1048576, 252) ]
 
-let table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe () : Runner.outcome =
-  Runner.run_table ?options ?reuse ?pack ?pool ?pool_cap ?fail_safe ~trace_args:(args ~npaths:64 ~nsteps:16)
-    ~title:"Table V: OptionPricing performance" ~runs:1000
-    ~prog ~datasets:(datasets ()) ~paper ()
-
 let small_args ~npaths ~nsteps = args ~npaths ~nsteps
 let small_direct ~npaths ~nsteps = direct ~npaths ~nsteps
+
+let bench =
+  {
+    Runner.name = "optionpricing";
+    table_no = 5;
+    title = "Table V: OptionPricing performance";
+    runs = 1000;
+    prog;
+    small_args = (fun () -> small_args ~npaths:64 ~nsteps:16);
+    datasets;
+    paper;
+  }

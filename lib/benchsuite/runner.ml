@@ -20,17 +20,22 @@ type dataset = {
   ref_counters : ref_model;
 }
 
+(* One of the paper's benchmarks: its program, the reduced size every
+   Full-mode check runs it at, and its paper-scale table. *)
+type bench = {
+  name : string; (* as the CLI and BENCH.json name it *)
+  table_no : int; (* the paper's Table I-VII *)
+  title : string;
+  runs : int;
+  prog : Ir.Ast.prog;
+  small_args : unit -> Ir.Value.t list;
+      (* fresh arrays on every call, so no two runs share them *)
+  datasets : unit -> dataset list;
+  paper : (string * string * (float * float * float * float)) list;
+      (* (device, dataset label, the published numbers of [Table.row]) *)
+}
+
 let devices = [ Device.a100; Device.mi100 ]
-
-(* Paper numbers are keyed by (device, dataset label). *)
-type paper_numbers = (string * string, float * float * float * float) Hashtbl.t
-
-let paper_tbl rows : paper_numbers =
-  let t = Hashtbl.create 16 in
-  List.iter
-    (fun (dev, ds, nums) -> Hashtbl.replace t (dev, ds) nums)
-    rows;
-  t
 
 (* Measured-vs-modeled traffic: a Full-mode traced run counts every
    DRAM access the optimized program makes, while a cost-only run of
@@ -91,8 +96,7 @@ type outcome = {
   footprints : (string * (string * footprint) list) list;
       (* dataset label, each variant's memory behaviour in ladder
          order *)
-  traffic : traffic_cmp option;
-      (* present when the benchmark supplied reduced-size [trace_args] *)
+  traffic : traffic_cmp; (* at the benchmark's reduced size *)
 }
 
 let traffic_comparison (compiled : Core.Pipeline.compiled)
@@ -116,19 +120,20 @@ let traffic_comparison (compiled : Core.Pipeline.compiled)
   }
 
 let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
-    ?(fail_safe = true) ?trace_args ~title ~runs ~(prog : Ir.Ast.prog)
-    ~(datasets : dataset list)
-    ~(paper : (string * string * (float * float * float * float)) list) () :
-    outcome =
+    ?(fail_safe = true) (b : bench) : outcome =
   (* Every table run certifies: the checked per-pass certificates ride
      along in [compiled.certs] for the bench JSON record.  Table runs
      compile fail-safe by default: a crashing or refuted pass degrades
      the affected variant instead of aborting the table, with the
      contained faults reported in [compiled.recovery]. *)
   let compiled =
-    Core.Pipeline.compile ?options ?reuse ?pack ~certify:true ~fail_safe prog
+    Core.Pipeline.compile ?options ?reuse ?pack ~certify:true ~fail_safe b.prog
   in
-  let paper = paper_tbl paper in
+  let paper dev ds =
+    List.find_map
+      (fun (d, l, nums) -> if d = dev && l = ds then Some nums else None)
+      b.paper
+  in
   (* counters are device-independent: execute once per dataset *)
   let measured =
     List.map
@@ -145,7 +150,7 @@ let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
           | From_opt f -> f (List.assoc "opt" runs).Exec.counters
         in
         (ds, ref_c, runs))
-      datasets
+      (b.datasets ())
   in
   let rows =
     List.concat_map
@@ -159,7 +164,7 @@ let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
                    (fun (v, (r : Exec.report)) ->
                      (v, Device.time device r.counters))
                    runs)
-              ~paper:(Hashtbl.find_opt paper (device.Device.name, ds.label)))
+              ~paper:(paper device.Device.name ds.label))
           measured)
       devices
   in
@@ -169,8 +174,12 @@ let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
         (ds.label, List.map (fun (v, r) -> (v, footprint_of r)) runs))
       measured
   in
-  let traffic = Option.map (traffic_comparison compiled) trace_args in
-  { table = { Table.title; runs; rows }; compiled; footprints; traffic }
+  {
+    table = { Table.title = b.title; runs = b.runs; rows };
+    compiled;
+    footprints;
+    traffic = traffic_comparison compiled (b.small_args ());
+  }
 
 (* Traced execution of every pipeline variant at a reduced size, each
    cross-checked by Memtrace.  This is the dynamic complement of

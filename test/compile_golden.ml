@@ -22,17 +22,6 @@ module B = Benchsuite
 module Pl = Core.Pipeline
 module Pr = Symalg.Prover
 
-let programs =
-  [
-    ("nw", B.Nw.prog);
-    ("lud", B.Lud.prog);
-    ("hotspot", B.Hotspot.prog);
-    ("lbm", B.Lbm.prog);
-    ("optionpricing", B.Option_pricing.prog);
-    ("locvolcalib", B.Locvolcalib.prog);
-    ("nn", B.Nn.prog);
-  ]
-
 let md5 s = Digest.to_hex (Digest.string s)
 
 (* Full record patterns (no [_] for a field of interest) make a new
@@ -107,7 +96,7 @@ let print_recovery { Pl.r_fault; r_pass; r_fallback } =
 
 let () =
   List.iter
-    (fun (name, prog) ->
+    (fun { B.Runner.name; prog; _ } ->
       let before = Pr.stats () in
       let ({
              Pl.source = _;
@@ -163,4 +152,4 @@ let () =
       Printf.printf "  fv_visits certified %d linted %d\n"
         (visits (fun () -> Pl.compile ~certify:true ~fail_safe:true prog))
         (visits (fun () -> Pl.compile ~lint:true prog)))
-    programs
+    B.Suite.all

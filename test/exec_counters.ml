@@ -16,29 +16,6 @@ module B = Benchsuite
 module Device = Gpu.Device
 module Exec = Gpu.Exec
 
-let programs =
-  [
-    ("nw", B.Nw.prog, B.Nw.datasets (), B.Nw.small_args ~q:3 ~b:4);
-    ("lud", B.Lud.prog, B.Lud.datasets (), B.Lud.small_args ~q:3 ~b:4);
-    ( "hotspot",
-      B.Hotspot.prog,
-      B.Hotspot.datasets (),
-      B.Hotspot.small_args ~n:16 ~steps:3 );
-    ("lbm", B.Lbm.prog, B.Lbm.datasets (), B.Lbm.small_args ~n:8 ~steps:3);
-    ( "optionpricing",
-      B.Option_pricing.prog,
-      B.Option_pricing.datasets (),
-      B.Option_pricing.small_args ~npaths:64 ~nsteps:16 );
-    ( "locvolcalib",
-      B.Locvolcalib.prog,
-      B.Locvolcalib.datasets (),
-      B.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4 );
-    ( "nn",
-      B.Nn.prog,
-      B.Nn.datasets (),
-      B.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8 );
-  ]
-
 (* The full record pattern (no [_]) makes a new counter field a compile
    error here until it is printed too. *)
 let print_counters
@@ -122,7 +99,8 @@ let faults label mode prog args =
 
 let () =
   List.iter
-    (fun (name, prog, datasets, small) ->
+    (fun { B.Runner.name; prog; datasets; small_args; _ } ->
+      let datasets = datasets () and small = small_args () in
       let c = Core.Pipeline.compile prog in
       List.iter
         (fun (v, p) ->
@@ -143,4 +121,4 @@ let () =
             Exec.Cost_only pack ds.args)
         datasets;
       faults (Printf.sprintf "%s pack full small" name) Exec.Full pack small)
-    programs
+    B.Suite.all

@@ -9,21 +9,6 @@
 module B = Benchsuite
 module V = Ir.Value
 
-let programs =
-  [
-    ("nw", B.Nw.prog, B.Nw.small_args ~q:3 ~b:4);
-    ("lud", B.Lud.prog, B.Lud.small_args ~q:3 ~b:4);
-    ("hotspot", B.Hotspot.prog, B.Hotspot.small_args ~n:16 ~steps:3);
-    ("lbm", B.Lbm.prog, B.Lbm.small_args ~n:8 ~steps:3);
-    ( "optionpricing",
-      B.Option_pricing.prog,
-      B.Option_pricing.small_args ~npaths:64 ~nsteps:16 );
-    ( "locvolcalib",
-      B.Locvolcalib.prog,
-      B.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4 );
-    ("nn", B.Nn.prog, B.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8);
-  ]
-
 (* Eight bytes per element: a float's IEEE bits, an integer's value, a
    boolean as 0 or 1. *)
 let digest (a : V.arr) =
@@ -49,8 +34,8 @@ let print_value = function
 
 let () =
   List.iter
-    (fun (name, prog, args) ->
-      let results = Ir.Interp.run prog args in
+    (fun { B.Runner.name; prog; small_args; _ } ->
+      let results = Ir.Interp.run prog (small_args ()) in
       Printf.printf "%s %d result(s)\n" name (List.length results);
       List.iter print_value results)
-    programs
+    B.Suite.all

@@ -147,7 +147,7 @@ let test_nn () =
 (* The table harness itself: run one small sanity config through
    Runner.run_table and check the qualitative shape claims. *)
 let test_table_shape () =
-  let o = Benchsuite.Hotspot.table () in
+  let o = R.run_table Benchsuite.Hotspot.bench in
   Alcotest.(check bool) "hotspot impact >= 1.5 everywhere" true
     (Benchsuite.Table.min_impact o.R.table >= 1.5);
   Alcotest.(check bool) "hotspot impact <= 2.2" true
@@ -171,6 +171,39 @@ let test_table_shape () =
     (every (fun fp ->
          (fp "pack").R.f_allocs <= (fp "reuse").R.f_allocs
          && (fp "pack").R.f_peak_bytes <= (fp "reuse").R.f_peak_bytes))
+
+(* The suite registry: the seven programs in table order, selected by
+   name in any case, by table number or all together, and a fresh set
+   of reduced-size arguments per call. *)
+let test_registry () =
+  let module S = Benchsuite.Suite in
+  let names bs = List.map (fun (b : R.bench) -> b.name) bs in
+  let seven =
+    [ "nw"; "lud"; "hotspot"; "lbm"; "optionpricing"; "locvolcalib"; "nn" ]
+  in
+  Alcotest.(check (list string)) "names in table order" seven (names S.all);
+  Alcotest.(check (list int))
+    "table numbers" [ 1; 2; 3; 4; 5; 6; 7 ]
+    (List.map (fun (b : R.bench) -> b.table_no) S.all);
+  let selected = Alcotest.(result (list string) string) in
+  let select s = Result.map names (S.select s) in
+  Alcotest.check selected "LUD" (Ok [ "lud" ]) (select "LUD");
+  Alcotest.check selected "2" (Ok [ "lud" ]) (select "2");
+  Alcotest.check selected "all" (Ok seven) (select "all");
+  Alcotest.check selected "9"
+    (Error
+       "unknown benchmark \"9\" (try: nw, lud, hotspot, lbm, optionpricing, \
+        locvolcalib, nn)")
+    (select "9");
+  let arrays () =
+    List.filter_map
+      (function V.VArr a -> Some (V.float_data a) | _ -> None)
+      (Benchsuite.Hotspot.bench.small_args ())
+  in
+  let first = arrays () and second = arrays () in
+  Alcotest.(check int) "hotspot's two grids" 2 (List.length first);
+  Alcotest.(check bool) "two calls share no array" true
+    (List.for_all2 ( != ) first second)
 
 (* ---------------------------------------------------------------- *)
 (* The bench-trajectory gate (Benchjson)                             *)
@@ -449,6 +482,7 @@ let tests =
     Alcotest.test_case "LocVolCalib end-to-end" `Quick test_locvolcalib;
     Alcotest.test_case "NN end-to-end" `Quick test_nn;
     Alcotest.test_case "Table shape (Hotspot)" `Quick test_table_shape;
+    Alcotest.test_case "suite registry" `Quick test_registry;
     Alcotest.test_case "gate: JSON round-trip" `Quick test_gate_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_round_trip;
     Alcotest.test_case "gate: identity passes" `Quick

@@ -40,20 +40,9 @@ let fill b name cnt seed =
 (* The honest pipeline certifies                                     *)
 (* ---------------------------------------------------------------- *)
 
-let bench_progs =
-  [
-    ("nw", Benchsuite.Nw.prog);
-    ("lud", Benchsuite.Lud.prog);
-    ("hotspot", Benchsuite.Hotspot.prog);
-    ("lbm", Benchsuite.Lbm.prog);
-    ("optionpricing", Benchsuite.Option_pricing.prog);
-    ("locvolcalib", Benchsuite.Locvolcalib.prog);
-    ("nn", Benchsuite.Nn.prog);
-  ]
-
 let test_benchmarks_certify () =
   List.iter
-    (fun (name, prog) ->
+    (fun { Benchsuite.Runner.name; prog; _ } ->
       let cpl = Core.Pipeline.compile ~certify:true prog in
       let certs = cpl.Core.Pipeline.certs in
       Alcotest.(check (list string))
@@ -80,7 +69,7 @@ let test_benchmarks_certify () =
       Alcotest.(check bool)
         (name ^ ": obligations were emitted")
         true (emitted > 0))
-    bench_progs
+    Benchsuite.Suite.all
 
 (* The prover's work on LUD, the costliest compile of the corpus: false
    goals are refuted by a concrete witness instead of exhausting their
@@ -182,7 +171,7 @@ let test_compile_pure () =
     [ (false, false); (true, false); (false, true); (true, true) ]
   in
   List.iter
-    (fun (name, prog) ->
+    (fun { Benchsuite.Runner.name; prog; _ } ->
       let variants = ref None and certs = ref None in
       let same what first now =
         match !first with
@@ -207,7 +196,7 @@ let test_compile_pure () =
                    c.Core.Pipeline.certs))
           settings
       done)
-    bench_progs
+    Benchsuite.Suite.all
 
 (* Every binder of a program: parameters, pattern elements, loop
    parameters and indices, and nest indices. *)
@@ -228,7 +217,7 @@ let binders (p : prog) =
    frontend and every pass draw each name they add once. *)
 let test_names_bound_once () =
   List.iter
-    (fun (name, prog) ->
+    (fun { Benchsuite.Runner.name; prog; _ } ->
       let c = Core.Pipeline.compile prog in
       List.iter
         (fun (variant, p) ->
@@ -240,7 +229,7 @@ let test_names_bound_once () =
               Hashtbl.add seen v ())
             (binders p))
         (("source", prog) :: Core.Pipeline.variants c))
-    bench_progs
+    Benchsuite.Suite.all
 
 (* Without ~certify:true no certificates are collected - the recording
    must be strictly opt-in (zero cost on the normal path). *)

@@ -367,7 +367,8 @@ let check_same what args (fresh : Pipeline.compiled)
    equals compiling afresh: unarmed (linted and certified, so the
    carried reports are checked too), with a crash at the pass's first
    statement, and with a forged certificate. *)
-let test_resume_equals_fresh name prog args () =
+let test_resume_equals_fresh (b : Benchsuite.Runner.bench) () =
+  let name = b.name and prog = b.prog and args = b.small_args () in
   let base = Pipeline.compile ~lint:true ~certify:true ~fail_safe:true prog in
   let printed () =
     List.map
@@ -513,7 +514,7 @@ let test_campaign_matches_fresh () =
       ("chain", gen_chain 2, args_n 5);
       ( "hotspot",
         Benchsuite.Hotspot.prog,
-        Benchsuite.Hotspot.small_args ~n:16 ~steps:3 );
+        Benchsuite.Hotspot.bench.small_args () );
     ]
 
 (* The seed-42 campaign over the seven paper programs at the small
@@ -522,23 +523,13 @@ let test_campaign_matches_fresh () =
    campaign lists as not covered - and those pairs still do not fire, so
    the list names no pair the campaign does cover. *)
 let test_campaign_fires () =
-  let module B = Benchsuite in
   let open Benchsuite.Chaosdrive in
   let camp =
     run ~seed:42 ~rounds:1
-      [
-        ("nw", B.Nw.prog, B.Nw.small_args ~q:3 ~b:4);
-        ("lud", B.Lud.prog, B.Lud.small_args ~q:3 ~b:4);
-        ("hotspot", B.Hotspot.prog, B.Hotspot.small_args ~n:16 ~steps:3);
-        ("lbm", B.Lbm.prog, B.Lbm.small_args ~n:8 ~steps:3);
-        ( "optionpricing",
-          B.Option_pricing.prog,
-          B.Option_pricing.small_args ~npaths:64 ~nsteps:16 );
-        ( "locvolcalib",
-          B.Locvolcalib.prog,
-          B.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4 );
-        ("nn", B.Nn.prog, B.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8);
-      ]
+      (List.map
+         (fun { Benchsuite.Runner.name; prog; small_args; _ } ->
+           (name, prog, small_args ()))
+         Benchsuite.Suite.all)
   in
   Alcotest.(check bool) "campaign holds all three invariants" true (ok camp);
   Alcotest.(check (list string)) "every injection fired" []
@@ -590,14 +581,11 @@ let tests =
     Alcotest.test_case "chaosdrive campaign on a generated program" `Quick
       test_chaosdrive_campaign;
     Alcotest.test_case "resumed compile equals fresh: hotspot" `Quick
-      (test_resume_equals_fresh "hotspot" Benchsuite.Hotspot.prog
-         (Benchsuite.Hotspot.small_args ~n:16 ~steps:3));
+      (test_resume_equals_fresh Benchsuite.Hotspot.bench);
     Alcotest.test_case "resumed compile equals fresh: nw" `Quick
-      (test_resume_equals_fresh "nw" Benchsuite.Nw.prog
-         (Benchsuite.Nw.small_args ~q:3 ~b:4));
+      (test_resume_equals_fresh Benchsuite.Nw.bench);
     Alcotest.test_case "resumed compile equals fresh: lud" `Quick
-      (test_resume_equals_fresh "lud" Benchsuite.Lud.prog
-         (Benchsuite.Lud.small_args ~q:3 ~b:4));
+      (test_resume_equals_fresh Benchsuite.Lud.bench);
     Alcotest.test_case "resume rejects bad bases and passes" `Quick
       test_resume_rejects;
     Alcotest.test_case "campaign injections equal fresh compiles" `Quick

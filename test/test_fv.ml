@@ -262,17 +262,8 @@ let check_stages name src =
 
 let test_paper_programs () =
   List.iter
-    (fun (name, p) -> check_stages name p)
-    Benchsuite.
-      [
-        ("nw", Nw.prog);
-        ("lud", Lud.prog);
-        ("hotspot", Hotspot.prog);
-        ("lbm", Lbm.prog);
-        ("optionpricing", Option_pricing.prog);
-        ("locvolcalib", Locvolcalib.prog);
-        ("nn", Nn.prog);
-      ]
+    (fun { Benchsuite.Runner.name; prog; _ } -> check_stages name prog)
+    Benchsuite.Suite.all
 
 let prop_generated_programs =
   QCheck.Test.make ~name:"free variables agree with the reference"

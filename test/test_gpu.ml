@@ -453,31 +453,16 @@ let test_scoping () =
    process gives byte-identical traces. *)
 let test_runs_pure () =
   List.iter
-    (fun (name, prog, args) ->
+    (fun { Benchsuite.Runner.name; prog; small_args; _ } ->
       let pack = (Core.Pipeline.compile prog).Core.Pipeline.pack in
+      let args = small_args () in
       let trace () =
         let r = Exec.run ~trace:true ~variant:"pack" pack args in
         Core.Json.to_string (Core.Trace.to_json (Option.get r.Exec.trace))
       in
       let first = trace () in
       Alcotest.(check string) (name ^ ": second run's trace") first (trace ()))
-    [
-      ("nw", Benchsuite.Nw.prog, Benchsuite.Nw.small_args ~q:3 ~b:4);
-      ("lud", Benchsuite.Lud.prog, Benchsuite.Lud.small_args ~q:3 ~b:4);
-      ( "hotspot",
-        Benchsuite.Hotspot.prog,
-        Benchsuite.Hotspot.small_args ~n:16 ~steps:3 );
-      ("lbm", Benchsuite.Lbm.prog, Benchsuite.Lbm.small_args ~n:8 ~steps:3);
-      ( "optionpricing",
-        Benchsuite.Option_pricing.prog,
-        Benchsuite.Option_pricing.small_args ~npaths:64 ~nsteps:16 );
-      ( "locvolcalib",
-        Benchsuite.Locvolcalib.prog,
-        Benchsuite.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4 );
-      ( "nn",
-        Benchsuite.Nn.prog,
-        Benchsuite.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8 );
-    ]
+    Benchsuite.Suite.all
 
 (* A name no binder defines raises only if the run evaluates it: the
    executor stages every operand before the run starts, and a lookup

@@ -212,7 +212,7 @@ let check_linted name compiled =
 
 let test_benchmarks_clean () =
   List.iter
-    (fun (name, prog) ->
+    (fun { Benchsuite.Runner.name; prog; _ } ->
       let compiled = Core.Pipeline.compile ~lint:true prog in
       check_linted name compiled;
       match Core.Pipeline.first_lint_error compiled.Core.Pipeline.lint with
@@ -220,14 +220,7 @@ let test_benchmarks_clean () =
       | Some (stage, v) ->
           Alcotest.failf "%s: %s introduced %s" name stage
             (Fmt.str "%a" ML.pp_violation v))
-    [
-      ("nw", Benchsuite.Nw.prog);
-      ("hotspot", Benchsuite.Hotspot.prog);
-      ("lbm", Benchsuite.Lbm.prog);
-      ("optionpricing", Benchsuite.Option_pricing.prog);
-      ("locvolcalib", Benchsuite.Locvolcalib.prog);
-      ("nn", Benchsuite.Nn.prog);
-    ]
+    Benchsuite.Suite.all
 
 (* Regression: LUD's interior write-race obligations need the prover's
    triangular-bound saturation (from 0 <= jv <= bi - 1 and

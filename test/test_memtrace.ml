@@ -188,30 +188,14 @@ let test_read_after_last_use () =
 
 let test_benchmarks_trace_clean () =
   List.iter
-    (fun (name, prog, args) ->
+    (fun { Runner.name; prog; small_args; _ } ->
       List.iter
         (fun (v, (t : Runner.traced)) ->
           Alcotest.(check (list string))
             (Printf.sprintf "%s %s trace clean" name v)
             [] (details t.Runner.check))
-        (Runner.trace_check prog args))
-    [
-      ("nw", Benchsuite.Nw.prog, Benchsuite.Nw.small_args ~q:3 ~b:4);
-      ("lud", Benchsuite.Lud.prog, Benchsuite.Lud.small_args ~q:3 ~b:4);
-      ( "hotspot",
-        Benchsuite.Hotspot.prog,
-        Benchsuite.Hotspot.small_args ~n:16 ~steps:3 );
-      ("lbm", Benchsuite.Lbm.prog, Benchsuite.Lbm.small_args ~n:8 ~steps:3);
-      ( "optionpricing",
-        Benchsuite.Option_pricing.prog,
-        Benchsuite.Option_pricing.small_args ~npaths:64 ~nsteps:16 );
-      ( "locvolcalib",
-        Benchsuite.Locvolcalib.prog,
-        Benchsuite.Locvolcalib.small_args ~numo:6 ~numx:12 ~numt:4 );
-      ( "nn",
-        Benchsuite.Nn.prog,
-        Benchsuite.Nn.small_args ~nrec:100 ~nbatch:4 ~bsz:8 );
-    ]
+        (Runner.trace_check prog (small_args ())))
+    Benchsuite.Suite.all
 
 (* ---------------------------------------------------------------- *)
 (* qcheck: the full verification stack over random sizes             *)
