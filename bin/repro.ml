@@ -2,9 +2,7 @@
 
      repro table [bench]        regenerate the paper's tables (four
                                 variants: unoptimized, short-circuited,
-                                memory-reused, arena-packed);
-                                --bench-json writes a machine-readable
-                                perf record
+                                memory-reused, arena-packed)
      repro validate [bench]     full-mode validation at reduced sizes
      repro lint [bench]         static memory-IR verification (memlint)
      repro trace [bench]        traced execution + dynamic cross-check
@@ -16,23 +14,29 @@
      repro certify [bench]      re-check every rewrite's certificate;
                                 --check gates them against the committed
                                 bench/certs-baseline.json
-     repro bench [--check]      emit the BENCH.json performance record;
-                                with --check, gate it against the
-                                committed bench/baseline.json and exit
-                                nonzero on regression
+     repro bench [--check]      emit the BENCH.json performance record
+                                (-o names the file); with --check, gate
+                                it against the committed
+                                bench/baseline.json and exit nonzero on
+                                regression
      repro chaos [bench]        seeded fault-injection campaign: inject
                                 all five fault classes into each
                                 benchmark and check the fail-safe
                                 invariants (--json writes the campaign
                                 record); exits nonzero on any violation
-     repro prove-nw             show the Fig. 9 non-overlap proof
+     repro prove-nw             show the Fig. 9 non-overlap proof; exits
+                                nonzero unless W # Rvert and W # Rhoriz
+                                are proved and W # W stays unproven
 
    A [bench] is a benchmark's name in any case, its table number 1-7,
    or `all`, the default ([Benchsuite.Suite.select]).
 
    Exit-code contract (see README): 0 = clean; 1 = a gate failed, a
-   benchmark degraded through the fail-safe ladder, or a chaos
-   invariant was violated; 124/125 = cmdliner usage/internal errors.
+   benchmark degraded through the fail-safe ladder, a chaos invariant
+   was violated, or prove-nw's verdicts are not Fig. 9's; 124/125 =
+   cmdliner usage/internal errors.  `dune runtest` runs the gates,
+   the seed-7 chaos campaign, `trace all --diff`, `validate all` and
+   `prove-nw` (test/dune).
    `repro table` and `repro bench` never die on the first fault: they
    run every selected benchmark and name every degraded or failed one
    in a final summary line.
@@ -373,9 +377,9 @@ let print_outcome options (o : Benchsuite.Runner.outcome) =
 (* The table of every selected benchmark, run with one set of options,
    each outcome handed to [show] as it completes; a benchmark that
    raises is named and left out, so every one runs.  Returns the
-   outcomes, every benchmark that failed or degraded through the
-   fail-safe ladder, and the BENCH.json record of the outcomes, whose
-   prover object counts these compiles alone. *)
+   outcomes and every benchmark that failed or degraded through the
+   fail-safe ladder.  The prover's stats count these compiles alone
+   until the next compile. *)
 let run_tables ~show options reuse pack pool pool_cap fail_safe bs =
   Symalg.Prover.reset_stats ();
   let results =
@@ -413,7 +417,7 @@ let run_tables ~show options reuse pack pool pool_cap fail_safe bs =
                      (Core.Fault.layer r.Core.Pipeline.r_fault))))
       results
   in
-  (outcomes, faults, json_line (bench_json_of outcomes (Symalg.Prover.stats ())))
+  (outcomes, faults)
 
 let faulted = function
   | [] -> Ok ()
@@ -423,8 +427,7 @@ let write_record path json =
   write_file path json;
   Printf.printf "wrote %s\n" path
 
-let run_table which options reuse pack pool pool_cap fail_safe budget
-    bench_json markdown out =
+let run_table which options reuse pack pool pool_cap fail_safe budget markdown =
   Symalg.Prover.set_budget budget;
   Result.bind (Benchsuite.Suite.select which) (fun bs ->
       let show o =
@@ -432,19 +435,13 @@ let run_table which options reuse pack pool pool_cap fail_safe budget
           Fmt.pr "%a" Benchsuite.Table.pp_markdown o.Benchsuite.Runner.table
         else print_outcome options o
       in
-      let outcomes, faults, json =
+      let outcomes, faults =
         run_tables ~show options reuse pack pool pool_cap fail_safe bs
       in
       (* the cross-benchmark summaries and the ablation close a run of
          the whole suite *)
       let suite = List.compare_length_with bs 1 > 0 in
       if suite && not markdown then print_summaries outcomes;
-      if bench_json then
-        write_record
-          (Option.value out ~default:(default_bench_json_name ()))
-          json;
-      (* after BENCH.json, whose prover object must not count these
-         compiles *)
       if suite && markdown then
         Fmt.pr "%a" Benchsuite.Table.pp_ablation
           [
@@ -622,11 +619,12 @@ let run_dump which opt reuse pack =
 
 (* ---- bench ------------------------------------------------------- *)
 
-(* One gate run: parse the baseline record at [path] and the current
-   record, compare them with [gate], print the report - followed by
-   [hint] when it carries notes - and write it to [report] if given;
-   fail on any regression. *)
-let run_gate ~label ~baseline:path ?(hint = "") ~report gate cur_s =
+(* One gate run: parse the committed baseline record at [path] and the
+   current record, compare them with [gate] and print the report -
+   followed by [hint] when it carries notes; fail on any regression.
+   [path] is relative to the repository root, or to the build root,
+   where `dune runtest` runs the gates (test/dune). *)
+let run_gate ~label ~baseline:path ?(hint = "") gate cur_s =
   let ( let* ) = Result.bind in
   let parse what s =
     Result.map_error (fun e -> what ^ " parse error: " ^ e) (Core.Json.parse s)
@@ -642,48 +640,34 @@ let run_gate ~label ~baseline:path ?(hint = "") ~report gate cur_s =
   let rep = Benchsuite.Benchjson.report ~label g in
   print_string rep;
   if g.Benchsuite.Benchjson.notes <> [] then print_string hint;
-  Option.iter
-    (fun path ->
-      write_file path rep;
-      Printf.printf "wrote %s\n" path)
-    report;
   if Benchsuite.Benchjson.ok g then Ok ()
   else
     Error
       (Printf.sprintf "%s failed: %d regression(s)" label
          (List.length g.Benchsuite.Benchjson.regressions))
 
-(* The bench-trajectory gate: emit a fresh BENCH.json (or reuse one via
-   [--current]) and, with [--check], compare it against the committed
-   baseline.  Regressions - modeled times above tolerance, growing
-   allocation counts or peak footprints - exit nonzero; the textual
-   diff report goes to stdout and, with [--report], to a file CI can
-   upload as an artifact.  Refresh the baseline with
-   `repro bench -o bench/baseline.json`. *)
+(* The bench-trajectory gate: emit a fresh BENCH.json and, with
+   [--check], compare it against the committed baseline.  Regressions -
+   modeled times above tolerance, growing allocation counts or peak
+   footprints - exit nonzero; the textual diff report goes to stdout.
+   Refresh the baseline with `repro bench -o bench/baseline.json`. *)
 
-let run_bench options reuse pack pool pool_cap fail_safe budget check
-    baseline tolerance out current report =
+let run_bench options reuse pack pool pool_cap fail_safe budget check out =
   Symalg.Prover.set_budget budget;
-  let obtain_current () =
-    match current with
-    | Some path -> read_file path
-    | None ->
-        let _, faults, json =
-          run_tables ~show:ignore options reuse pack pool pool_cap fail_safe
-            Benchsuite.Suite.all
-        in
-        (match out with
-        | Some path -> write_record path json
-        | None ->
-            if not check then write_record (default_bench_json_name ()) json);
-        Result.map (fun () -> json) (faulted faults)
+  let outcomes, faults =
+    run_tables ~show:ignore options reuse pack pool pool_cap fail_safe
+      Benchsuite.Suite.all
   in
-  Result.bind (obtain_current ()) (fun cur_s ->
+  let json = json_line (bench_json_of outcomes (Symalg.Prover.stats ())) in
+  (match out with
+  | Some path -> write_record path json
+  | None -> if not check then write_record (default_bench_json_name ()) json);
+  Result.bind (faulted faults) (fun () ->
       if check then
-        run_gate ~label:"bench gate" ~baseline ~report
+        run_gate ~label:"bench gate" ~baseline:"bench/baseline.json"
           (fun base cur ->
-            Benchsuite.Benchjson.gate ~tolerance ~baseline:base ~current:cur ())
-          cur_s
+            Benchsuite.Benchjson.gate ~baseline:base ~current:cur)
+          json
       else Ok ())
 
 (* ---- certify ----------------------------------------------------- *)
@@ -708,8 +692,7 @@ let cert_json_of name certs =
    compiles is gated in BENCH.json, whose table runs certify too. *)
 let cert_doc_of docs = Core.Json.Obj [ ("benchmarks", Core.Json.Arr docs) ]
 
-let run_certify which options reuse pack verbose_reports json out check
-    baseline current report_path =
+let run_certify which options reuse pack verbose_reports json out check =
   Result.bind (Benchsuite.Suite.select which) (fun bs ->
       (* With --json to stdout, keep stdout pure JSON (pipeable into
          bench/certs-baseline.json): every human-readable line -
@@ -765,21 +748,14 @@ let run_certify which options reuse pack verbose_reports json out check
         else Error "certification failed"
       in
       if check then
-        let obtain_current () =
-          match current with
-          | Some path -> read_file path
-          | None ->
-              Result.map
-                (fun docs -> Core.Json.to_string (cert_doc_of docs))
-                (certify_docs ~strict:false ())
-        in
-        Result.bind (obtain_current ())
-          (run_gate ~label:"cert gate" ~baseline
-             ~hint:
-               "refresh with: dune exec bin/repro.exe -- certify all --json \
-                > bench/certs-baseline.json\n"
-             ~report:report_path (fun base cur ->
-               Benchsuite.Benchjson.cert_gate ~baseline:base ~current:cur ()))
+        Result.bind (certify_docs ~strict:false ()) (fun docs ->
+            run_gate ~label:"cert gate" ~baseline:"bench/certs-baseline.json"
+              ~hint:
+                "refresh with: dune exec bin/repro.exe -- certify all --json \
+                 > bench/certs-baseline.json\n"
+              (fun base cur ->
+                Benchsuite.Benchjson.cert_gate ~baseline:base ~current:cur)
+              (Core.Json.to_string (cert_doc_of docs)))
       else
         Result.bind (certify_docs ~strict:true ()) (fun docs ->
             (if json then
@@ -842,39 +818,22 @@ let run_chaos which seed rounds json out =
 
 (* ---- prove-nw ---------------------------------------------------- *)
 
+(* Fig. 9's proof (Benchsuite.Nw.fig9): both read sets proved
+   disjoint from W, and W # W left unproven, or exit nonzero. *)
 let run_prove_nw () =
-  let module P = Symalg.Poly in
-  let module Pr = Symalg.Prover in
-  let c = P.const in
-  let ctx = Pr.empty in
-  let ctx = Pr.add_range ctx "q" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "i" ~lo:(c 0) ~hi:(P.sub (P.var "q") P.one) () in
-  let ctx = Pr.add_eq ctx "n" (P.add (P.mul (P.var "q") (P.var "b")) P.one) in
-  let n = P.var "n" and b = P.var "b" and i = P.var "i" in
-  let nb_b = P.sub (P.mul n b) b in
-  let dim = Lmads.Lmad.dim in
-  let w =
-    Lmads.Lmad.make
-      (P.sum [ P.mul i b; n; P.one ])
-      [ dim (P.add i P.one) nb_b; dim b n; dim b P.one ]
-  in
-  let rv =
-    Lmads.Lmad.make (P.mul i b) [ dim (P.add i P.one) nb_b; dim (P.add b P.one) n ]
-  in
-  let rh =
-    Lmads.Lmad.make (P.add (P.mul i b) P.one)
-      [ dim (P.add i P.one) nb_b; dim b P.one ]
-  in
+  let { Benchsuite.Nw.ctx; w; rvert; rhoriz } = Benchsuite.Nw.fig9 () in
   Fmt.pr "Assumptions: n = q*b + 1, q >= 2, b >= 2, 0 <= i <= q-1@.";
   Fmt.pr "W      = %a@." Lmads.Lmad.pp w;
-  Fmt.pr "Rvert  = %a@." Lmads.Lmad.pp rv;
-  Fmt.pr "Rhoriz = %a@.@." Lmads.Lmad.pp rh;
-  Fmt.pr "W  # Rvert : %b@." (Lmads.Nonoverlap.disjoint ctx w rv);
-  Fmt.pr "W  # Rhoriz: %b@." (Lmads.Nonoverlap.disjoint ctx w rh);
-  Fmt.pr "W  # W     : %b (must stay unproven)@."
-    (Lmads.Nonoverlap.disjoint ctx w w);
-  Ok ()
+  Fmt.pr "Rvert  = %a@." Lmads.Lmad.pp rvert;
+  Fmt.pr "Rhoriz = %a@.@." Lmads.Lmad.pp rhoriz;
+  let vert = Lmads.Nonoverlap.disjoint ctx w rvert in
+  Fmt.pr "W  # Rvert : %b@." vert;
+  let horiz = Lmads.Nonoverlap.disjoint ctx w rhoriz in
+  Fmt.pr "W  # Rhoriz: %b@." horiz;
+  let self = Lmads.Nonoverlap.disjoint ctx w w in
+  Fmt.pr "W  # W     : %b (must stay unproven)@." self;
+  if vert && horiz && not self then Ok ()
+  else Error "Fig. 9: W # Rvert and W # Rhoriz must be proved, W # W not"
 
 (* ---- cmdliner ---------------------------------------------------- *)
 
@@ -1010,15 +969,6 @@ let prover_budget_term =
   Term.(const budget $ steps)
 
 let table_cmd =
-  let bench_json =
-    Arg.(
-      value & flag
-      & info [ "bench-json" ]
-          ~doc:
-            "Write a machine-readable performance record (modeled times, \
-             impacts, footprints, pool behaviour, compile times, reuse \
-             statistics, prover cache rates) after the tables.")
-  in
   let markdown =
     Arg.(
       value & flag
@@ -1029,22 +979,12 @@ let table_cmd =
              published ones); with $(b,all), the ablation of the \
              short-circuiting analysis follows Table VII.")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:
-            "With $(b,--bench-json): target file (default \
-             BENCH_<date>.json).")
-  in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate a paper table (1-7 or name or all)")
     Term.(
-      const (fun w o r pk p pc fs pb bj md out ->
-          to_exit (run_table w o r pk p pc fs pb bj md out))
+      const (fun w o r pk p pc fs pb md ->
+          to_exit (run_table w o r pk p pc fs pb md))
       $ bench_arg $ options_term $ reuse_term $ pack_term $ pool_term
-      $ pool_cap_term $ fail_safe_term $ prover_budget_term $ bench_json
-      $ markdown $ out)
+      $ pool_cap_term $ fail_safe_term $ prover_budget_term $ markdown)
 
 let validate_cmd =
   Cmd.v
@@ -1128,25 +1068,10 @@ let bench_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Compare the performance record against $(b,--baseline) and \
-             exit nonzero on any regression (time above tolerance, \
-             growing allocation count or peak footprint).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench/baseline.json"
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Committed baseline record to gate against.")
-  in
-  let tolerance =
-    Arg.(
-      value
-      & opt float Benchsuite.Benchjson.default_tolerance
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:
-            "Relative tolerance for modeled times (default 0.05 = 5%). \
-             Footprint counters are exact and get no tolerance.")
+            "Compare the performance record against the committed \
+             bench/baseline.json and exit nonzero on any regression (time \
+             more than 5% above it, growing allocation count or peak \
+             footprint; footprint counters are exact).")
   in
   let out =
     Arg.(
@@ -1158,33 +1083,16 @@ let bench_cmd =
              when run without $(b,--check); refresh the baseline with \
              -o bench/baseline.json).")
   in
-  let current =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:
-            "Gate an existing record instead of re-running the suite \
-             (e.g. the BENCH.json a previous CI step emitted).")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:"Also write the gate's diff report to $(docv).")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
          "Emit the machine-readable performance record and optionally gate \
-          it against a committed baseline")
+          it against the committed baseline")
     Term.(
-      const (fun o r pk p pc fs pb c b t out cur rep ->
-          to_exit (run_bench o r pk p pc fs pb c b t out cur rep))
+      const (fun o r pk p pc fs pb c out ->
+          to_exit (run_bench o r pk p pc fs pb c out))
       $ options_term $ reuse_term $ pack_term $ pool_term $ pool_cap_term
-      $ fail_safe_term $ prover_budget_term $ check $ baseline $ tolerance
-      $ out $ current $ report)
+      $ fail_safe_term $ prover_budget_term $ check $ out)
 
 let certify_cmd =
   let reports =
@@ -1213,33 +1121,10 @@ let certify_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Compare the certificates against $(b,--baseline) and exit \
-             nonzero on any regression (lost obligation, weakened verdict, \
-             dropped or missing emitted/proved count, or any currently \
-             failed obligation).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench/certs-baseline.json"
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Committed certificate baseline to gate against.")
-  in
-  let current =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:
-            "Gate an existing combined certificate document instead of \
-             re-certifying (e.g. the output a previous CI step emitted).")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:"Also write the gate's diff report to $(docv).")
+            "Compare the certificates against the committed \
+             bench/certs-baseline.json and exit nonzero on any regression \
+             (lost obligation, weakened verdict, dropped or missing \
+             emitted/proved count, or any currently failed obligation).")
   in
   Cmd.v
     (Cmd.info "certify"
@@ -1248,10 +1133,10 @@ let certify_cmd =
           independent certificate checker (translation validation); exit \
           nonzero on any refuted obligation")
     Term.(
-      const (fun w o ru pk r j out c b cur rep ->
-          to_exit (run_certify w o ru pk r j out c b cur rep))
+      const (fun w o ru pk r j out c ->
+          to_exit (run_certify w o ru pk r j out c))
       $ bench_arg $ options_term $ reuse_term $ pack_term $ reports $ json
-      $ out $ check $ baseline $ current $ report)
+      $ out $ check)
 
 let chaos_cmd =
   let seed =

@@ -1,4 +1,4 @@
-(* The CI gates over the suite's JSON records, and the JSON reader
+(* The gates over the suite's JSON records, and the JSON reader
    they use, re-exported from Core.Json (the one JSON value the suite
    prints and parses).
 
@@ -40,7 +40,7 @@ type gate = {
   checked : int; (* individual comparisons performed *)
 }
 
-let default_tolerance = 0.05
+let tolerance = 0.05
 
 (* field [k] of object [v] as a list ([] when absent) or a string
    ("?" when absent) *)
@@ -68,8 +68,7 @@ let pack_shrink = [ "unpacked" ]
    noise can hide *)
 let prover_work = [ "nonneg_misses"; "sat_misses"; "verdict_misses" ]
 
-let gate ?(tolerance = default_tolerance) ~(baseline : t) ~(current : t) () :
-    gate =
+let gate ~(baseline : t) ~(current : t) : gate =
   let regressions = ref [] in
   let notes = ref [] in
   let checked = ref 0 in
@@ -252,7 +251,7 @@ let verdict_rank = function
   | "concretized" -> 1
   | _ -> 0 (* failed, or anything unrecognized *)
 
-let cert_gate ~(baseline : t) ~(current : t) () : gate =
+let cert_gate ~(baseline : t) ~(current : t) : gate =
   let regressions = ref [] in
   let notes = ref [] in
   let checked = ref 0 in

@@ -1,4 +1,4 @@
-(** The CI gates over the suite's JSON records: the bench-trajectory
+(** The gates over the suite's JSON records: the bench-trajectory
     gate over [BENCH.json] and the certificate gate over the combined
     [repro certify all --json] document.
 
@@ -33,18 +33,15 @@ val ok : gate -> bool
 
 (** {1 The bench-trajectory gate} *)
 
-val default_tolerance : float
-(** Relative tolerance on modeled times (0.05): times are simulated,
-    so drift only comes from code changes, and the tolerance only
-    absorbs intentional cost-model adjustments. *)
-
-val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
+val gate : baseline:t -> current:t -> gate
 (** Compare a freshly emitted [BENCH.json] ([current]) against the
     committed [bench/baseline.json] ([baseline]):
 
     - per (benchmark, device, dataset) row, each modeled time
       (unopt/opt/reuse/pack) may not exceed the baseline by more than
-      [tolerance];
+      the relative tolerance, 5%: times are simulated, so drift only
+      comes from code changes, and the tolerance only absorbs
+      intentional cost-model adjustments;
     - per (benchmark, dataset, variant) footprint, the allocation
       count, peak live bytes and modeled DRAM traffic must be
       monotone non-increasing - exact counters, so any increase is a
@@ -57,8 +54,8 @@ val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
       only shrink;
     - the prover's [nonneg_misses], [sat_misses] and [verdict_misses]
       (the [prover] object) may not exceed the baseline by more than
-      [tolerance]: they count searches, and repeat exactly from run to
-      run;
+      the same tolerance: they count searches, and repeat exactly from
+      run to run;
     - a benchmark present in the baseline must stay present, and so
       must every gated field above that the baseline holds: a field
       missing from [current] is a regression, one missing from both
@@ -69,7 +66,7 @@ val gate : ?tolerance:float -> baseline:t -> current:t -> unit -> gate
 
 (** {1 The certificate gate} *)
 
-val cert_gate : baseline:t -> current:t -> unit -> gate
+val cert_gate : baseline:t -> current:t -> gate
 (** Compare a freshly emitted combined certificate document ([repro
     certify all --json], the output of {!val:Core.Certify.check}
     serialized per pass) against the committed

@@ -109,6 +109,35 @@ def nw (q: i64, b: i64, n: i64, penalty: f64, a: [n*n]f64): [n*n]f64 =
 
 let prog : prog = Frontend.Elab.compile_string ~ctx:ctx0 source
 
+(* The Fig. 9 obligation at first-half step i (m = i + 1 blocks from
+   woff = i*b + n + 1): the header's W, Rvert and Rhoriz under the
+   assumptions n = q*b + 1, q >= 2, b >= 2 and 0 <= i <= q - 1.  W must
+   be proved disjoint from both read sets, and W # W must stay
+   unproven.  A function, so that loading the module builds nothing. *)
+type fig9 = {
+  ctx : Pr.t;
+  w : Lmads.Lmad.t;
+  rvert : Lmads.Lmad.t;
+  rhoriz : Lmads.Lmad.t;
+}
+
+let fig9 () =
+  let c = P.const in
+  let ctx = Pr.empty in
+  let ctx = Pr.add_range ctx "q" ~lo:(c 2) () in
+  let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
+  let ctx = Pr.add_range ctx "i" ~lo:(c 0) ~hi:(P.sub (P.var "q") P.one) () in
+  let ctx = Pr.add_eq ctx "n" (P.add (P.mul (P.var "q") (P.var "b")) P.one) in
+  let n = P.var "n" and b = P.var "b" and i = P.var "i" in
+  let make = Lmads.Lmad.make and dim = Lmads.Lmad.dim in
+  let blocks = dim (P.add i P.one) (P.sub (P.mul n b) b) in
+  {
+    ctx;
+    w = make (P.sum [ P.mul i b; n; P.one ]) [ blocks; dim b n; dim b P.one ];
+    rvert = make (P.mul i b) [ blocks; dim (P.add b P.one) n ];
+    rhoriz = make (P.add (P.mul i b) P.one) [ blocks; dim b P.one ];
+  }
+
 (* ---------------------------------------------------------------- *)
 (* Inputs and the direct OCaml oracle                                *)
 (* ---------------------------------------------------------------- *)

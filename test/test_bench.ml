@@ -310,24 +310,24 @@ let prop_json_round_trip =
 
 let test_gate_identity_passes () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
-  let g = BJ.gate ~baseline:b ~current:b () in
+  let g = BJ.gate ~baseline:b ~current:b in
   Alcotest.(check bool) "identity passes" true (BJ.ok g);
   Alcotest.(check bool) "comparisons performed" true (g.BJ.checked > 0)
 
 let test_gate_catches_time_regression () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
   let worse = parse_exn (sample_record ~reuse_ms:4.5 ~allocs:1 ()) in
-  let g = BJ.gate ~baseline:b ~current:worse () in
+  let g = BJ.gate ~baseline:b ~current:worse in
   Alcotest.(check bool) "12% slower reuse fails" true (not (BJ.ok g));
   (* within tolerance: passes *)
   let ok = parse_exn (sample_record ~reuse_ms:4.1 ~allocs:1 ()) in
   Alcotest.(check bool) "2.5% drift passes" true
-    (BJ.ok (BJ.gate ~baseline:b ~current:ok ()))
+    (BJ.ok (BJ.gate ~baseline:b ~current:ok))
 
 let test_gate_catches_footprint_regression () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
   let worse = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:2 ()) in
-  let g = BJ.gate ~baseline:b ~current:worse () in
+  let g = BJ.gate ~baseline:b ~current:worse in
   (* exact counters are gated monotonically: +1 alloc is a failure
      regardless of any tolerance *)
   Alcotest.(check bool) "alloc growth fails" true (not (BJ.ok g))
@@ -339,7 +339,7 @@ let test_gate_catches_traffic_regression () =
   in
   (* modeled DRAM traffic is an exact counter too: any growth fails *)
   Alcotest.(check bool) "traffic growth fails" true
-    (not (BJ.ok (BJ.gate ~baseline:b ~current:worse ())))
+    (not (BJ.ok (BJ.gate ~baseline:b ~current:worse)))
 
 let test_gate_catches_cap_breach () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
@@ -348,18 +348,18 @@ let test_gate_catches_cap_breach () =
       (sample_record ~pool:(3000., 2048.) ~reuse_ms:4.0 ~allocs:1 ())
   in
   Alcotest.(check bool) "high-water over cap fails" true
-    (not (BJ.ok (BJ.gate ~baseline:b ~current:breached ())));
+    (not (BJ.ok (BJ.gate ~baseline:b ~current:breached)));
   let within =
     parse_exn
       (sample_record ~pool:(1500., 2048.) ~reuse_ms:4.0 ~allocs:1 ())
   in
   Alcotest.(check bool) "high-water under cap passes" true
-    (BJ.ok (BJ.gate ~baseline:b ~current:within ()))
+    (BJ.ok (BJ.gate ~baseline:b ~current:within))
 
 let test_gate_improvement_is_note () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:2 ()) in
   let better = parse_exn (sample_record ~reuse_ms:3.0 ~allocs:1 ()) in
-  let g = BJ.gate ~baseline:b ~current:better () in
+  let g = BJ.gate ~baseline:b ~current:better in
   Alcotest.(check bool) "improvement passes" true (BJ.ok g);
   Alcotest.(check bool) "improvement noted" true (g.BJ.notes <> [])
 
@@ -367,10 +367,10 @@ let test_gate_missing_benchmark_fails () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
   let empty = parse_exn {|{"date":"x","benchmarks":[]}|} in
   Alcotest.(check bool) "dropped benchmark fails" true
-    (not (BJ.ok (BJ.gate ~baseline:b ~current:empty ())));
+    (not (BJ.ok (BJ.gate ~baseline:b ~current:empty)));
   (* the other direction is only a note: new benchmarks do not fail *)
   Alcotest.(check bool) "new benchmark passes" true
-    (BJ.ok (BJ.gate ~baseline:empty ~current:b ()))
+    (BJ.ok (BJ.gate ~baseline:empty ~current:b))
 
 (* The prover's misses count its searches and repeat exactly, so they
    are gated like a modeled time: a 10% rise in nonneg_misses is one
@@ -384,22 +384,22 @@ let test_gate_prover_work () =
          nonneg sat verdict)
   in
   let b = record ~nonneg:3541 ~sat:54 () in
-  let same = BJ.gate ~baseline:b ~current:b () in
+  let same = BJ.gate ~baseline:b ~current:b in
   Alcotest.(check int) "all three counts compared" 3 same.BJ.checked;
   Alcotest.(check bool) "identity passes" true (BJ.ok same);
   let inflated =
-    BJ.gate ~baseline:b ~current:(record ~nonneg:3896 ~sat:54 ()) ()
+    BJ.gate ~baseline:b ~current:(record ~nonneg:3896 ~sat:54 ())
   in
   Alcotest.(check int) "misses +10% is one regression" 1
     (List.length inflated.BJ.regressions);
   let repeated =
-    BJ.gate ~baseline:b ~current:(record ~verdict:80 ~nonneg:3541 ~sat:54 ()) ()
+    BJ.gate ~baseline:b ~current:(record ~verdict:80 ~nonneg:3541 ~sat:54 ())
   in
   Alcotest.(check int) "non-overlap questions re-decided: a regression" 1
     (List.length repeated.BJ.regressions);
   Alcotest.(check bool) "a rise within tolerance passes" true
-    (BJ.ok (BJ.gate ~baseline:b ~current:(record ~nonneg:3600 ~sat:54 ()) ()));
-  let fell = BJ.gate ~baseline:b ~current:(record ~nonneg:3541 ~sat:50 ()) () in
+    (BJ.ok (BJ.gate ~baseline:b ~current:(record ~nonneg:3600 ~sat:54 ())));
+  let fell = BJ.gate ~baseline:b ~current:(record ~nonneg:3541 ~sat:50 ()) in
   Alcotest.(check bool) "a fall passes" true (BJ.ok fell);
   Alcotest.(check int) "a fall is a note" 1 (List.length fell.BJ.notes)
 
@@ -432,14 +432,14 @@ let rec without key = function
 let check_dropped regressions keys () =
   let full = complete_record in
   Alcotest.(check int) "a complete record compares every field" 23
-    (BJ.gate ~baseline:full ~current:full ()).BJ.checked;
+    (BJ.gate ~baseline:full ~current:full).BJ.checked;
   List.iter
     (fun key ->
       let cut = without key full in
       Alcotest.(check int) (key ^ " dropped: regressions") regressions
-        (List.length (BJ.gate ~baseline:full ~current:cut ()).BJ.regressions);
+        (List.length (BJ.gate ~baseline:full ~current:cut).BJ.regressions);
       Alcotest.(check bool) (key ^ " missing from both: skipped") true
-        (BJ.ok (BJ.gate ~baseline:cut ~current:cut ())))
+        (BJ.ok (BJ.gate ~baseline:cut ~current:cut)))
     keys
 
 (* The certificate gate likewise: a pass's emitted or proved count
@@ -454,7 +454,7 @@ let test_cert_gate_missing_count () =
          counts)
   in
   let full = doc ~counts:{|"emitted":3,"proved":3,|} in
-  let same = BJ.cert_gate ~baseline:full ~current:full () in
+  let same = BJ.cert_gate ~baseline:full ~current:full in
   Alcotest.(check int) "both counts and the obligation compared" 3
     same.BJ.checked;
   Alcotest.(check bool) "identity passes" true (BJ.ok same);
@@ -463,9 +463,9 @@ let test_cert_gate_missing_count () =
       let cut = doc ~counts in
       Alcotest.(check int) (what ^ " dropped: regressions") regressions
         (List.length
-           (BJ.cert_gate ~baseline:full ~current:cut ()).BJ.regressions);
+           (BJ.cert_gate ~baseline:full ~current:cut).BJ.regressions);
       Alcotest.(check bool) (what ^ " missing from both: skipped") true
-        (BJ.ok (BJ.cert_gate ~baseline:cut ~current:cut ())))
+        (BJ.ok (BJ.cert_gate ~baseline:cut ~current:cut)))
     [
       ("emitted", {|"proved":3,|}, 1);
       ("proved", {|"emitted":3,|}, 1);

@@ -604,9 +604,9 @@ let test_cert_gate_flip () =
   let flipped =
     parse_doc (cert_doc ~verdict0:"concretized" ~proved:1 ~concretized:1)
   in
-  let g0 = BJ.cert_gate ~baseline ~current:same () in
+  let g0 = BJ.cert_gate ~baseline ~current:same in
   Alcotest.(check bool) "identity passes" true (BJ.ok g0);
-  let g1 = BJ.cert_gate ~baseline ~current:flipped () in
+  let g1 = BJ.cert_gate ~baseline ~current:flipped in
   Alcotest.(check bool) "flip fails the gate" true (not (BJ.ok g1));
   let contains_sub hay needle =
     let nh = String.length hay and nn = String.length needle in

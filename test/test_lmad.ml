@@ -180,35 +180,8 @@ let test_antiunify_rank_mismatch () =
 (* Non-overlap: Fig. 9                                               *)
 (* ---------------------------------------------------------------- *)
 
-let nw_ctx () =
-  let ctx = Pr.empty in
-  let ctx = Pr.add_range ctx "q" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "i" ~lo:(c 0) ~hi:(P.sub (v "q") P.one) () in
-  Pr.add_eq ctx "n" (P.add (P.mul (v "q") (v "b")) P.one)
-
-let nw_lmads () =
-  let n = v "n" and b = v "b" and i = v "i" in
-  let nb_b = P.sub (P.mul n b) b in
-  let w =
-    Lmad.make
-      (P.sum [ P.mul i b; n; P.one ])
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim b n; Lmad.dim b P.one ]
-  in
-  let rvert =
-    Lmad.make (P.mul i b)
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim (P.add b P.one) n ]
-  in
-  let rhoriz =
-    Lmad.make
-      (P.add (P.mul i b) P.one)
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim b P.one ]
-  in
-  (w, rvert, rhoriz)
-
 let test_nw_nonoverlap () =
-  let ctx = nw_ctx () in
-  let w, rvert, rhoriz = nw_lmads () in
+  let { Benchsuite.Nw.ctx; w; rvert; rhoriz } = Benchsuite.Nw.fig9 () in
   Alcotest.(check bool) "W # Rvert (Fig. 9)" true (Nonoverlap.disjoint ctx w rvert);
   Alcotest.(check bool) "W # Rhoriz" true (Nonoverlap.disjoint ctx w rhoriz);
   Alcotest.(check bool) "W # W must stay unknown" false
@@ -217,7 +190,7 @@ let test_nw_nonoverlap () =
 let test_nw_concrete () =
   (* the symbolic claim checked by brute force on several instances *)
   let module IS = Set.Make (Int) in
-  let w, rvert, rhoriz = nw_lmads () in
+  let { Benchsuite.Nw.w; rvert; rhoriz; _ } = Benchsuite.Nw.fig9 () in
   List.iter
     (fun (q, b) ->
       let n = (q * b) + 1 in

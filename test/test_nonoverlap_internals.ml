@@ -10,28 +10,13 @@ open Lmads
 let v = P.var
 let c = P.const
 
-let nw_ctx () =
-  let ctx = Pr.empty in
-  let ctx = Pr.add_range ctx "q" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "i" ~lo:(c 0) ~hi:(P.sub (v "q") P.one) () in
-  Pr.add_eq ctx "n" (P.add (P.mul (v "q") (v "b")) P.one)
+(* Fig. 9's context, and its write W with the vertical read Rvert:
+   disjoint, but only once a dimension is split. *)
+let nw_ctx () = (Benchsuite.Nw.fig9 ()).ctx
 
-(* Fig. 9's write W and vertical read Rvert: disjoint, but only once a
-   dimension is split. *)
 let fig9 () =
-  let n = v "n" and b = v "b" and i = v "i" in
-  let nb_b = P.sub (P.mul n b) b in
-  let w =
-    Lmad.make
-      (P.sum [ P.mul i b; n; P.one ])
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim b n; Lmad.dim b P.one ]
-  in
-  let rv =
-    Lmad.make (P.mul i b)
-      [ Lmad.dim (P.add i P.one) nb_b; Lmad.dim (P.add b P.one) n ]
-  in
-  (w, rv)
+  let f = Benchsuite.Nw.fig9 () in
+  (f.w, f.rvert)
 
 (* ---------------------------------------------------------------- *)
 (* Stride bases                                                      *)

@@ -74,12 +74,8 @@ let test_div_rem_exact () =
 (* Prover                                                            *)
 (* ---------------------------------------------------------------- *)
 
-let nw_ctx () =
-  let ctx = Pr.empty in
-  let ctx = Pr.add_range ctx "q" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "b" ~lo:(c 2) () in
-  let ctx = Pr.add_range ctx "i" ~lo:(c 0) ~hi:(P.sub (v "q") P.one) () in
-  Pr.add_eq ctx "n" (P.add (P.mul (v "q") (v "b")) P.one)
+(* Fig. 9's assumptions: n = q*b + 1, q >= 2, b >= 2, 0 <= i <= q - 1 *)
+let nw_ctx () = (Benchsuite.Nw.fig9 ()).ctx
 
 let test_prover_basic () =
   let ctx = Pr.add_range Pr.empty "x" ~lo:(c 0) () in
