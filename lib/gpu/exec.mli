@@ -27,16 +27,25 @@
     The executor is staged.  Before executing, {!run} walks the program
     once: every binder occurrence (parameters and their memory blocks,
     pattern elements, loop parameters and counters, mapnest indices)
-    gets its own slot of one frame, and every statement is compiled to
-    a closure over the run's state, specialised on its operator, its
-    operands (slot or constant), its index polynomials and its
+    gets its own slot in the frame of its declared kind - i64s and
+    bools in an [int array], f64s in a flat [float array], arrays and
+    memory blocks in arrays of their own - and every statement is
+    compiled to a closure over the run's state, specialised on its
+    operator, its operands' kinds, its index polynomials and its
     pattern's arity.  The same walk records a mapnest's declared reads
     and destinations in its launch scope, so no name is looked up while
-    the program runs.  A variable no binder in scope defines raises
-    {!Exec_error} ["exec: unbound ..."] only if the run evaluates it.
-    Frame and closures live for one run.  Block ids are numbered per
-    run, so a run is a pure function of (program, arguments): the same
-    call gives the same report and a byte-identical trace whatever the
+    the program runs.  Scalar operations, element reads, single-element
+    updates, loop carries and [if] results move unboxed values between
+    typed slots, and the float counters a kernel thread bumps are kept
+    unboxed while the run is in flight, so executing a statement
+    allocates nothing; views, copies, allocations, kernel launches and
+    Simpson's samples still do.  A variable no binder in scope defines
+    raises {!Exec_error} ["exec: unbound ..."], operands of the wrong
+    kinds ["exec: ill-typed ..."] and a pattern of the wrong arity
+    ["exec: arity mismatch"], each only if the run evaluates it.  Frame
+    and closures live for one run.  Block ids are numbered per run, so
+    a run is a pure function of (program, arguments): the same call
+    gives the same report and a byte-identical trace whatever the
     process ran before. *)
 
 exception Exec_error of string
