@@ -165,17 +165,13 @@ let bench_json_of
     let pool (ps : Gpu.Device.Pool.stats) =
       ( "pool",
         Obj
-          ([
-             ("hits", int f.Benchsuite.Runner.f_pool_hits);
-             ("misses", int f.f_pool_misses);
-             ("device_bytes", Num ps.Gpu.Device.Pool.p_device_bytes);
-             ("high_water_bytes", Num ps.p_high_water);
-             ("fragmentation", Num (round4 ps.p_fragmentation));
-           ]
-          @
-          match ps.p_cap with
-          | Some c -> [ ("cap", Num c); ("evictions", int ps.p_evictions) ]
-          | None -> []) )
+          [
+            ("hits", int f.Benchsuite.Runner.f_pool_hits);
+            ("misses", int f.f_pool_misses);
+            ("device_bytes", Num ps.Gpu.Device.Pool.p_device_bytes);
+            ("high_water_bytes", Num ps.p_high_water);
+            ("fragmentation", Num (round4 ps.p_fragmentation));
+          ] )
     in
     Obj
       ([
@@ -322,7 +318,8 @@ let print_summaries outcomes =
 
 (* The text report of one table run: the table, pass statistics,
    footprints, contained faults and the reduced-size traffic check. *)
-let print_outcome options (o : Benchsuite.Runner.outcome) =
+let print_outcome options (b : Benchsuite.Runner.bench)
+    (o : Benchsuite.Runner.outcome) =
   print_string (Benchsuite.Table.to_string o.Benchsuite.Runner.table);
   let st = o.Benchsuite.Runner.compiled.Core.Pipeline.stats in
   let rst = o.Benchsuite.Runner.compiled.Core.Pipeline.reuse_stats in
@@ -360,7 +357,10 @@ let print_outcome options (o : Benchsuite.Runner.outcome) =
         (Core.Fault.to_string r.Core.Pipeline.r_fault)
         r.Core.Pipeline.r_fallback)
     o.Benchsuite.Runner.compiled.Core.Pipeline.recovery;
-  let t = o.Benchsuite.Runner.traffic in
+  let t =
+    Benchsuite.Runner.traffic_comparison o.Benchsuite.Runner.compiled
+      (b.small_args ())
+  in
   let mb x = x /. 1e6 in
   let dev m m' = if m' = 0. then 0. else 100. *. (m -. m') /. m' in
   Printf.printf
@@ -380,17 +380,16 @@ let print_outcome options (o : Benchsuite.Runner.outcome) =
    outcomes and every benchmark that failed or degraded through the
    fail-safe ladder.  The prover's stats count these compiles alone
    until the next compile. *)
-let run_tables ~show options reuse pack pool pool_cap fail_safe bs =
+let run_tables ~show options reuse pack pool fail_safe bs =
   Symalg.Prover.reset_stats ();
   let results =
     List.map
       (fun (b : Benchsuite.Runner.bench) ->
         match
-          Benchsuite.Runner.run_table ~options ~reuse ~pack ~pool ?pool_cap
-            ~fail_safe b
+          Benchsuite.Runner.run_table ~options ~reuse ~pack ~pool ~fail_safe b
         with
         | o ->
-            show o;
+            show b o;
             (b, Ok o)
         | exception e ->
             Printf.printf "bench %-14s FAILED: %s\n\n" b.name
@@ -427,16 +426,16 @@ let write_record path json =
   write_file path json;
   Printf.printf "wrote %s\n" path
 
-let run_table which options reuse pack pool pool_cap fail_safe budget markdown =
+let run_table which options reuse pack pool fail_safe budget markdown =
   Symalg.Prover.set_budget budget;
   Result.bind (Benchsuite.Suite.select which) (fun bs ->
-      let show o =
+      let show b o =
         if markdown then
           Fmt.pr "%a" Benchsuite.Table.pp_markdown o.Benchsuite.Runner.table
-        else print_outcome options o
+        else print_outcome options b o
       in
       let outcomes, faults =
-        run_tables ~show options reuse pack pool pool_cap fail_safe bs
+        run_tables ~show options reuse pack pool fail_safe bs
       in
       (* the cross-benchmark summaries and the ablation close a run of
          the whole suite *)
@@ -652,11 +651,12 @@ let run_gate ~label ~baseline:path ?(hint = "") gate cur_s =
    footprints - exit nonzero; the textual diff report goes to stdout.
    Refresh the baseline with `repro bench -o bench/baseline.json`. *)
 
-let run_bench options reuse pack pool pool_cap fail_safe budget check out =
+let run_bench options reuse pack pool fail_safe budget check out =
   Symalg.Prover.set_budget budget;
   let outcomes, faults =
-    run_tables ~show:ignore options reuse pack pool pool_cap fail_safe
-      Benchsuite.Suite.all
+    run_tables
+      ~show:(fun _ _ -> ())
+      options reuse pack pool fail_safe Benchsuite.Suite.all
   in
   let json = json_line (bench_json_of outcomes (Symalg.Prover.stats ())) in
   (match out with
@@ -912,20 +912,6 @@ let pool_term =
   in
   Term.(const (fun no_pool -> not no_pool) $ no_pool)
 
-(* [--pool-cap BYTES] bounds the pool's device footprint: a miss that
-   would grow past the cap first evicts cached free blocks, each priced
-   as a synchronizing device free.  The bench gate additionally checks
-   high_water <= cap on every recorded pool. *)
-let pool_cap_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "pool-cap" ] ~docv:"BYTES"
-        ~doc:
-          "Cap the allocation pool's total device memory at $(docv): \
-           cache evictions forced by the cap are priced as \
-           synchronizing device frees.  Live memory is never refused.")
-
 (* The degradation ladder is on by default for table/bench runs: a
    crashing pass, lint error, or refuted certificate degrades the
    affected variant (recorded in the recovery report, nonzero exit)
@@ -981,10 +967,10 @@ let table_cmd =
   in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate a paper table (1-7 or name or all)")
     Term.(
-      const (fun w o r pk p pc fs pb md ->
-          to_exit (run_table w o r pk p pc fs pb md))
+      const (fun w o r pk p fs pb md ->
+          to_exit (run_table w o r pk p fs pb md))
       $ bench_arg $ options_term $ reuse_term $ pack_term $ pool_term
-      $ pool_cap_term $ fail_safe_term $ prover_budget_term $ markdown)
+      $ fail_safe_term $ prover_budget_term $ markdown)
 
 let validate_cmd =
   Cmd.v
@@ -1089,10 +1075,10 @@ let bench_cmd =
          "Emit the machine-readable performance record and optionally gate \
           it against the committed baseline")
     Term.(
-      const (fun o r pk p pc fs pb c out ->
-          to_exit (run_bench o r pk p pc fs pb c out))
-      $ options_term $ reuse_term $ pack_term $ pool_term $ pool_cap_term
-      $ fail_safe_term $ prover_budget_term $ check $ out)
+      const (fun o r pk p fs pb c out ->
+          to_exit (run_bench o r pk p fs pb c out))
+      $ options_term $ reuse_term $ pack_term $ pool_term $ fail_safe_term
+      $ prover_budget_term $ check $ out)
 
 let certify_cmd =
   let reports =

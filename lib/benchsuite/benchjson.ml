@@ -2,390 +2,219 @@
    they use, re-exported from Core.Json (the one JSON value the suite
    prints and parses).
 
-   The bench-trajectory gate compares a freshly emitted BENCH.json
-   against a committed baseline (bench/baseline.json):
+   Both gates run one engine over a committed baseline and a freshly
+   emitted document; each gate is a short description of its document:
+   the lists whose entries it pairs and the values it gates, each under
+   one of four rules.
 
-   - per (benchmark, device, dataset) row, each modeled time
-     (unopt/opt/reuse/pack) may not exceed the baseline by more than the
-     relative tolerance - times are simulated, so drift only comes
-     from code changes, and the tolerance only absorbs intentional
-     cost-model adjustments;
-   - per (benchmark, dataset, variant) footprint, the allocation count,
-     peak live bytes and modeled DRAM traffic must be monotone
-     non-increasing - these are exact counters, so any increase is a
-     regression by definition;
-   - a capped pool's high-water mark must not exceed its cap (checked
-     on the current record alone - the cap is a costed constraint);
-   - the prover's nonnegativity, saturation and verdict memo misses
-     (its searches) may not exceed the baseline by more than the
-     tolerance;
-   - a benchmark present in the baseline must stay present, and so
-     must every gated field it holds: a row time, a variant's
-     footprint or one of its counters, a pack_stats counter or a
-     prover count missing from the current record is a regression.
-
-   Improvements beyond tolerance, fewer prover misses and new
-   benchmarks are reported as notes (a prompt to refresh the
-   baseline), never as failures. *)
+   - Entries pair by key, at every list level.  A baseline entry the
+     current document lacks is a regression; a current entry the
+     baseline lacks is a note.
+   - A gated value is judged by its rule when both documents hold it,
+     is a regression when only the baseline holds it, and is skipped
+     when the baseline lacks it.
+   - The rules: within the relative tolerance (modeled times are
+     simulated, so drift only comes from code changes, and the
+     tolerance only absorbs intentional cost-model adjustments), never
+     up and never down (exact counters), and verdict rank (proved >
+     concretized > failed).  A move the rule forbids is a regression;
+     a move the other way (beyond the tolerance, where the rule has
+     one) is a note, a prompt to refresh the baseline.
+   - Counting: each gated value of a paired entry is one comparison,
+     judged or found missing; an unpaired entry is one regression or
+     one note and counts nothing. *)
 
 include Core.Json
 
-(* ---------------------------------------------------------------- *)
-(* The gate                                                          *)
-(* ---------------------------------------------------------------- *)
-
 type gate = {
   regressions : string list; (* hard failures: exit nonzero *)
-  notes : string list; (* informational: improvements, new benchmarks *)
+  notes : string list; (* informational: improvements and additions *)
   checked : int; (* individual comparisons performed *)
 }
 
+(* ---------------------------------------------------------------- *)
+(* The engine                                                        *)
+(* ---------------------------------------------------------------- *)
+
+(* A gate fills one accumulator, newest message first. *)
+let reg a =
+  Printf.ksprintf (fun m -> a := { !a with regressions = m :: !a.regressions })
+
+let note a = Printf.ksprintf (fun m -> a := { !a with notes = m :: !a.notes })
+
+let run compare =
+  let a = ref { regressions = []; notes = []; checked = 0 } in
+  compare a;
+  { !a with regressions = List.rev !a.regressions; notes = List.rev !a.notes }
+
+(* Pair the entries of a baseline list and a current list by [key]
+   and compare each pair with [k], which gets the name [where] gives
+   the entry in messages. *)
+let pair a ~kind ~key ~where base cur k =
+  let find e l = List.find_opt (fun e' -> key e' = key e) l in
+  List.iter
+    (fun b ->
+      match find b cur with
+      | Some c -> k (where b) b c
+      | None -> reg a "%s: %s missing from current run" (where b) kind)
+    base;
+  List.iter
+    (fun c ->
+      if Option.is_none (find c base) then
+        note a "%s: new %s not in baseline - refresh to start gating it"
+          (where c) kind)
+    cur
+
+(* One gated value, [what] naming it. *)
+let gated a what rule b c =
+  if Option.is_some b then a := { !a with checked = !a.checked + 1 };
+  match (b, c) with
+  | Some b, Some c -> (
+      match rule b c with
+      | `Worse m -> reg a "%s %s" what m
+      | `Better m -> note a "%s %s - consider refreshing the baseline" what m
+      | `Same -> ())
+  | Some _, None -> reg a "%s missing from current run" what
+  | None, _ -> ()
+
+(* The numeric fields [names] of two paired entries, each under [rule]. *)
+let fields a where rule names b c =
+  List.iter
+    (fun f -> gated a (where ^ ": " ^ f) rule (num_at [ f ] b) (num_at [ f ] c))
+    names
+
+(* ---------------------------------------------------------------- *)
+(* The rules                                                          *)
+(* ---------------------------------------------------------------- *)
+
 let tolerance = 0.05
 
-(* field [k] of object [v] as a list ([] when absent) or a string
-   ("?" when absent) *)
+(* A number that moved from [b] to [c]: unchanged within [tol] of [b],
+   else a regression when it moved the [worse] way and a note when it
+   moved the other. *)
+let moved ~tol ~worse b c =
+  let d = c -. b in
+  let m =
+    Printf.sprintf "%s %s -> %s%s"
+      (if d > 0. then "rose" else "fell")
+      (number b) (number c)
+      (if tol = 0. then ""
+       else
+         Printf.sprintf " (%+.1f%%, tolerance %.1f%%)" (100. *. d /. b)
+           (100. *. tol))
+  in
+  if Float.abs d <= tol *. Float.abs b then `Same
+  else if (d > 0.) = (worse = `Up) then `Worse m
+  else `Better m
+
+let within_tolerance = moved ~tol:tolerance ~worse:`Up
+let never_up = moved ~tol:0. ~worse:`Up
+let never_down = moved ~tol:0. ~worse:`Down
+
+let verdict b c =
+  let rank = function "proved" -> 2 | "concretized" -> 1 | _ -> 0 in
+  let m verb = Printf.sprintf "%s %s -> %s" verb b c in
+  if rank c < rank b then `Worse (m "weakened")
+  else if rank c > rank b then `Better (m "strengthened")
+  else `Same
+
+(* ---------------------------------------------------------------- *)
+(* The two documents                                                  *)
+(* ---------------------------------------------------------------- *)
+
+(* field [k] of object [v] as a list ([] when absent), a string ("?"
+   when absent) or an object (Null when absent) *)
 let list_at k v = Option.value ~default:[] (Option.bind (member k v) arr)
-let str_at k v = Option.value ~default:"?" (Option.bind (member k v) str)
-let benchmarks_of = list_at "benchmarks"
-let name_of = str_at "name"
+let text k v = Option.bind (member k v) str
+let str_at k v = Option.value ~default:"?" (text k v)
+let sub k v = Option.value ~default:Null (member k v)
 
-(* footprint fields per variant, time fields per row: every variant
-   of the pipeline's ladder *)
-let fp_variants = Core.Pipeline.variant_names
-let row_times = List.map (fun v -> v ^ "_ms") fp_variants
-let fp_monotone = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
+let benchmarks a ~baseline ~current k =
+  pair a ~kind:"benchmark" ~key:(str_at "name") ~where:(str_at "name")
+    (list_at "benchmarks" baseline)
+    (list_at "benchmarks" current)
+    k
 
-(* packing-pass counters: arenas, packed placements and certified
-   lifetime holes may only grow, unpacked (undecidable) placements may
-   only shrink - the planner must not silently lose coverage *)
-let pack_grow = [ "arenas"; "packed"; "holes" ]
-let pack_shrink = [ "unpacked" ]
-
-(* the prover's work over the whole suite: a miss is a goal, a
-   context or a non-overlap question decided afresh, and the counts
-   repeat exactly from run to run, so a rise beyond the tolerance means
-   searches the prover used to avoid are back - a regression no timing
-   noise can hide *)
-let prover_work = [ "nonneg_misses"; "sat_misses"; "verdict_misses" ]
-
+(* BENCH.json, per benchmark: each (device, dataset) row's modeled time
+   per variant within the tolerance; each dataset's footprint per
+   variant, whose allocation count, peak live bytes and modeled DRAM
+   traffic never rise; the packing pass's coverage, whose arenas,
+   packed placements and certified lifetime holes never fall and whose
+   undecidable placements never rise.  Over the whole suite, the
+   prover's misses (goals, contexts and non-overlap questions decided
+   afresh) within the tolerance: they repeat exactly from run to run,
+   so a rise means searches the prover used to avoid are back. *)
 let gate ~(baseline : t) ~(current : t) : gate =
-  let regressions = ref [] in
-  let notes = ref [] in
-  let checked = ref 0 in
-  let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
-  let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
-  (* One gated value [what]: compared by [k] when both records hold
-     it, a regression when the current record lost it, skipped when
-     the baseline never had it. *)
-  let gated what b c k =
-    match (b, c) with
-    | Some b, Some c ->
-        incr checked;
-        k b c
-    | Some _, None ->
-        incr checked;
-        reg "%s missing from current run" what
-    | None, _ -> ()
-  in
-  (* an exact counter that may not move in the direction [worse] *)
-  let counter what ~worse b c =
-    let dir x y = if x > y then "grew" else "shrank" in
-    if worse c b then reg "%s %s %s -> %s" what (dir c b) (number b) (number c)
-    else if c <> b then
-      note "%s %s %s -> %s - consider refreshing the baseline" what (dir c b)
-        (number b) (number c)
-  in
-  let base_b = benchmarks_of baseline and cur_b = benchmarks_of current in
-  let find name l = List.find_opt (fun b -> name_of b = name) l in
-  List.iter
-    (fun bb ->
-      let bname = name_of bb in
-      match find bname cur_b with
-      | None -> reg "%s: benchmark present in baseline but missing from current run" bname
-      | Some cb ->
-          (* rows: modeled times within tolerance *)
-          let rows = list_at "rows" in
-          let row_key r = (str_at "device" r, str_at "dataset" r) in
-          List.iter
-            (fun br ->
-              let dev, ds = row_key br in
-              match
-                List.find_opt (fun cr -> row_key cr = (dev, ds)) (rows cb)
-              with
-              | None ->
-                  reg "%s [%s/%s]: row missing from current run" bname dev ds
-              | Some cr ->
-                  List.iter
-                    (fun field ->
-                      gated
-                        (Printf.sprintf "%s [%s/%s]: %s" bname dev ds field)
-                        (num_at [ field ] br) (num_at [ field ] cr)
-                        (fun b c ->
-                          let rel = if b > 0. then (c -. b) /. b else 0. in
-                          if rel > tolerance then
-                            reg
-                              "%s [%s/%s]: %s %.4g -> %.4g ms (%+.1f%%, \
-                               tolerance %.1f%%)"
-                              bname dev ds field b c (100. *. rel)
-                              (100. *. tolerance)
-                          else if rel < -.tolerance then
-                            note
-                              "%s [%s/%s]: %s improved %.4g -> %.4g ms \
-                               (%+.1f%%) - consider refreshing the baseline"
-                              bname dev ds field b c (100. *. rel)))
-                    row_times)
-            (rows bb);
-          (* footprints: allocs, peak and traffic monotone
-             non-increasing *)
-          let fps = list_at "footprints" and ds_of = str_at "dataset" in
-          List.iter
-            (fun bf ->
-              let ds = ds_of bf in
-              match List.find_opt (fun cf -> ds_of cf = ds) (fps cb) with
-              | None ->
-                  reg "%s [%s]: footprint missing from current run" bname ds
-              | Some cf ->
-                  List.iter
-                    (fun variant ->
-                      let what =
-                        Printf.sprintf "%s [%s] %s:" bname ds variant
-                      in
-                      (match (member variant bf, member variant cf) with
-                      | Some bv, Some cv ->
-                          List.iter
-                            (fun field ->
-                              let what = what ^ " " ^ field in
-                              gated what (num_at [ field ] bv)
-                                (num_at [ field ] cv)
-                                (counter what ~worse:( > )))
-                            fp_monotone
-                      | Some _, None ->
-                          incr checked;
-                          reg "%s footprint missing from current run" what
-                      | None, _ -> ());
-                      (* a capped pool's high-water mark must respect
-                         the cap: the cap is a costed constraint, not a
-                         hint, so any breach is a hard failure of the
-                         current record regardless of the baseline *)
-                      match
-                        ( num_at [ variant; "pool"; "high_water_bytes" ] cf,
-                          num_at [ variant; "pool"; "cap" ] cf )
-                      with
-                      | Some hw, Some cap ->
-                          incr checked;
-                          if hw > cap then
-                            reg
-                              "%s [%s] %s: pool high-water %s exceeds cap %s"
-                              bname ds variant (number hw) (number cap)
-                      | _ -> ())
-                    fp_variants)
-            (fps bb);
-          (* packing coverage: the planner may not lose ground - fewer
-             arenas or packed placements, or more undecidable ones,
-             means previously provable offsets stopped proving *)
-          let pack_stat worse field =
-            let what = Printf.sprintf "%s: pack_stats.%s" bname field in
-            gated what
-              (num_at [ "pack_stats"; field ] bb)
-              (num_at [ "pack_stats"; field ] cb)
-              (counter what ~worse)
+  let variants = Core.Pipeline.variant_names in
+  run (fun a ->
+      benchmarks a ~baseline ~current (fun bw b c ->
+          let row r = str_at "device" r ^ "/" ^ str_at "dataset" r in
+          pair a ~kind:"row" ~key:row
+            ~where:(fun r -> Printf.sprintf "%s [%s]" bw (row r))
+            (list_at "rows" b) (list_at "rows" c)
+            (fun w ->
+              fields a w within_tolerance
+                (List.map (fun v -> v ^ "_ms") variants));
+          let ds = str_at "dataset" in
+          let footprints f =
+            List.filter_map
+              (fun v -> Option.map (fun o -> (v, o)) (member v f))
+              variants
           in
-          List.iter (pack_stat ( < )) pack_grow;
-          List.iter (pack_stat ( > )) pack_shrink)
-    base_b;
-  List.iter
-    (fun cb ->
-      let cname = name_of cb in
-      if find cname base_b = None then
-        note "%s: new benchmark not in baseline - refresh to start gating it"
-          cname)
-    cur_b;
-  List.iter
-    (fun field ->
-      gated ("prover." ^ field)
-        (num_at [ "prover"; field ] baseline)
-        (num_at [ "prover"; field ] current)
-        (fun b c ->
-          if c > b *. (1. +. tolerance) then
-            reg "prover.%s %s -> %s (%+.1f%%, tolerance %.1f%%)" field
-              (number b) (number c)
-              (100. *. (c -. b) /. b)
-              (100. *. tolerance)
-          else if c < b then
-            note "prover.%s fell %s -> %s - consider refreshing the baseline"
-              field (number b) (number c)))
-    prover_work;
-  {
-    regressions = List.rev !regressions;
-    notes = List.rev !notes;
-    checked = !checked;
-  }
+          pair a ~kind:"footprint" ~key:ds
+            ~where:(fun f -> Printf.sprintf "%s [%s]" bw (ds f))
+            (list_at "footprints" b) (list_at "footprints" c)
+            (fun fw b c ->
+              pair a ~kind:"footprint" ~key:fst
+                ~where:(fun (v, _) -> fw ^ " " ^ v)
+                (footprints b) (footprints c)
+                (fun w (_, b) (_, c) ->
+                  fields a w never_up
+                    [ "allocs"; "peak_bytes"; "traffic_bytes" ]
+                    b c));
+          let w = bw ^ " pack_stats" in
+          let b = sub "pack_stats" b and c = sub "pack_stats" c in
+          fields a w never_down [ "arenas"; "packed"; "holes" ] b c;
+          fields a w never_up [ "unpacked" ] b c);
+      fields a "prover" within_tolerance
+        [ "nonneg_misses"; "sat_misses"; "verdict_misses" ]
+        (sub "prover" baseline) (sub "prover" current))
 
-(* ---------------------------------------------------------------- *)
-(* The certificate gate                                               *)
-(* ---------------------------------------------------------------- *)
-
-(* Compares a freshly emitted combined certificate document ([repro
-   certify all --json]) against a committed baseline
-   (bench/certs-baseline.json).  Certificates are exact - every
-   obligation either re-proves or it does not - so there is no
-   tolerance: any lost ground is a regression.
-
-   Per (benchmark, pass, obligation id):
-
-   - a benchmark, pass, or obligation present in the baseline must
-     stay present;
-   - an obligation's verdict may not weaken (proved > concretized >
-     failed);
-   - a pass's emitted and proved counts may not decrease (the passes
-     must keep justifying at least as many rewrites as before), and a
-     count the baseline holds may not go missing;
-   - any failed obligation in the current run is a regression
-     outright, baseline or not.
-
-   Strengthened verdicts, new obligations, new passes and new
-   benchmarks are notes - a prompt to refresh the baseline. *)
-
-let verdict_rank = function
-  | "proved" -> 2
-  | "concretized" -> 1
-  | _ -> 0 (* failed, or anything unrecognized *)
-
+(* The combined certificate document, per benchmark: each pass's
+   emitted and proved counts never fall (the passes must keep
+   justifying at least as many rewrites), and each obligation's verdict
+   never weakens.  A failed obligation in the current document is a
+   regression whatever the baseline holds. *)
 let cert_gate ~(baseline : t) ~(current : t) : gate =
-  let regressions = ref [] in
-  let notes = ref [] in
-  let checked = ref 0 in
-  let reg fmt = Printf.ksprintf (fun m -> regressions := m :: !regressions) fmt in
-  let note fmt = Printf.ksprintf (fun m -> notes := m :: !notes) fmt in
-  let passes = list_at "passes" and pass_name = str_at "pass" in
-  let obls = list_at "obligations" in
-  let obl_id o = Option.bind (member "id" o) num in
-  let obl_verdict = str_at "verdict" and obl_rewrite = str_at "rewrite" in
-  let base_b = benchmarks_of baseline and cur_b = benchmarks_of current in
-  let find name l = List.find_opt (fun b -> name_of b = name) l in
-  (* any current failure is a hard failure, gated or not *)
-  List.iter
-    (fun cb ->
+  let pass_where bw p = bw ^ "/" ^ str_at "pass" p in
+  let id o = Option.fold ~none:"?" ~some:number (num_at [ "id" ] o) in
+  let obl_where pw o =
+    Printf.sprintf "%s #%s (%s)" pw (id o) (str_at "rewrite" o)
+  in
+  run (fun a ->
+      (* failed obligations first, wherever they are *)
       List.iter
-        (fun cp ->
+        (fun b ->
           List.iter
-            (fun o ->
-              if obl_verdict o = "failed" then
-                reg "%s/%s: obligation #%g (%s) FAILED in the current run"
-                  (name_of cb) (pass_name cp)
-                  (Option.value ~default:(-1.) (obl_id o))
-                  (obl_rewrite o))
-            (obls cp))
-        (passes cb))
-    cur_b;
-  List.iter
-    (fun bb ->
-      let bname = name_of bb in
-      match find bname cur_b with
-      | None ->
-          reg "%s: benchmark present in baseline but missing from current run"
-            bname
-      | Some cb ->
-          List.iter
-            (fun bp ->
-              let pname = pass_name bp in
-              match
-                List.find_opt (fun cp -> pass_name cp = pname) (passes cb)
-              with
-              | None ->
-                  reg "%s: pass %s present in baseline but missing from \
-                       current run"
-                    bname pname
-              | Some cp ->
-                  (* aggregate counts: emitted and proved must not drop,
-                     nor go missing *)
-                  List.iter
-                    (fun field ->
-                      match (num_at [ field ] bp, num_at [ field ] cp) with
-                      | Some b, Some c ->
-                          incr checked;
-                          if c < b then
-                            reg "%s/%s: %s count dropped %g -> %g" bname pname
-                              field b c
-                          else if c > b then
-                            note
-                              "%s/%s: %s count grew %g -> %g - consider \
-                               refreshing the baseline"
-                              bname pname field b c
-                      | Some _, None ->
-                          incr checked;
-                          reg "%s/%s: %s count missing from current run" bname
-                            pname field
-                      | None, _ -> ())
-                    [ "emitted"; "proved" ];
-                  (* per-obligation verdicts, matched by id *)
-                  let cur_obls = obls cp in
-                  List.iter
-                    (fun bo ->
-                      match obl_id bo with
-                      | None -> ()
-                      | Some id -> (
-                          match
-                            List.find_opt (fun co -> obl_id co = Some id)
-                              cur_obls
-                          with
-                          | None ->
-                              reg
-                                "%s/%s: obligation #%g (%s) disappeared from \
-                                 the current run"
-                                bname pname id (obl_rewrite bo)
-                          | Some co ->
-                              incr checked;
-                              let bv = obl_verdict bo and cv = obl_verdict co in
-                              if verdict_rank cv < verdict_rank bv then
-                                reg
-                                  "%s/%s: obligation #%g (%s) weakened %s -> \
-                                   %s"
-                                  bname pname id (obl_rewrite bo) bv cv
-                              else if verdict_rank cv > verdict_rank bv then
-                                note
-                                  "%s/%s: obligation #%g strengthened %s -> \
-                                   %s - consider refreshing the baseline"
-                                  bname pname id bv cv))
-                    (obls bp);
-                  let base_ids =
-                    List.filter_map obl_id (obls bp)
-                  in
-                  List.iter
-                    (fun co ->
-                      match obl_id co with
-                      | Some id when not (List.mem id base_ids) ->
-                          note
-                            "%s/%s: new obligation #%g (%s) not in baseline - \
-                             refresh to start gating it"
-                            bname pname id (obl_rewrite co)
-                      | _ -> ())
-                    cur_obls)
-            (passes bb);
-          List.iter
-            (fun cp ->
-              let pname = pass_name cp in
-              if
-                List.find_opt (fun bp -> pass_name bp = pname) (passes bb)
-                = None
-              then
-                note "%s: new pass %s not in baseline - refresh to start \
-                      gating it"
-                  bname pname)
-            (passes cb))
-    base_b;
-  List.iter
-    (fun cb ->
-      let cname = name_of cb in
-      if find cname base_b = None then
-        note "%s: new benchmark not in baseline - refresh to start gating it"
-          cname)
-    cur_b;
-  {
-    regressions = List.rev !regressions;
-    notes = List.rev !notes;
-    checked = !checked;
-  }
+            (fun p ->
+              List.iter
+                (fun o ->
+                  if str_at "verdict" o = "failed" then
+                    reg a "%s: obligation failed in the current run"
+                      (obl_where (pass_where (str_at "name" b) p) o))
+                (list_at "obligations" p))
+            (list_at "passes" b))
+        (list_at "benchmarks" current);
+      benchmarks a ~baseline ~current (fun bw b c ->
+          pair a ~kind:"pass" ~key:(str_at "pass") ~where:(pass_where bw)
+            (list_at "passes" b) (list_at "passes" c)
+            (fun pw b c ->
+              fields a pw never_down [ "emitted"; "proved" ] b c;
+              pair a ~kind:"obligation" ~key:id ~where:(obl_where pw)
+                (list_at "obligations" b) (list_at "obligations" c)
+                (fun ow b c ->
+                  gated a (ow ^ ": verdict") verdict (text "verdict" b)
+                    (text "verdict" c)))))
 
 let report ?(label = "bench gate") (g : gate) : string =
   let buf = Buffer.create 512 in

@@ -2,6 +2,24 @@
     gate over [BENCH.json] and the certificate gate over the combined
     [repro certify all --json] document.
 
+    Both gates run one comparison engine over a committed baseline and
+    a freshly emitted document, and differ only in the rule list that
+    describes their document:
+
+    - entries pair by key at every list level; a baseline entry the
+      current document lacks is a regression, a current entry the
+      baseline lacks is a note;
+    - a gated value is judged by its rule when both documents hold it,
+      is a regression when only the baseline holds it, and is skipped
+      when the baseline lacks it;
+    - four rules judge a value: within the relative tolerance (5%),
+      never up, never down, and verdict rank (proved > concretized >
+      failed).  A move its rule forbids is a regression; any other move
+      beyond the tolerance is a note, a prompt to refresh the baseline;
+    - counting: each gated value of a paired entry is one comparison,
+      judged or found missing; an unpaired entry is one regression or
+      one note and counts nothing.
+
     The gates read their documents with the one JSON reader,
     {!Core.Json}, re-exported here in full. *)
 
@@ -35,34 +53,20 @@ val ok : gate -> bool
 
 val gate : baseline:t -> current:t -> gate
 (** Compare a freshly emitted [BENCH.json] ([current]) against the
-    committed [bench/baseline.json] ([baseline]):
+    committed [bench/baseline.json] ([baseline]).  Benchmarks pair by
+    [name]; within one, rows pair by [device] and [dataset], footprints
+    by [dataset] and then by variant.  Its rule list:
 
-    - per (benchmark, device, dataset) row, each modeled time
-      (unopt/opt/reuse/pack) may not exceed the baseline by more than
-      the relative tolerance, 5%: times are simulated, so drift only
-      comes from code changes, and the tolerance only absorbs
-      intentional cost-model adjustments;
-    - per (benchmark, dataset, variant) footprint, the allocation
-      count, peak live bytes and modeled DRAM traffic must be
-      monotone non-increasing - exact counters, so any increase is a
-      regression by definition;
-    - a capped pool's high-water mark must not exceed its cap
-      (checked on the current record alone);
-    - per benchmark, the packing pass's [pack_stats] must hold its
-      ground: [arenas], [packed] and [holes] (certified lifetime
-      holes) may only grow, [unpacked] (undecidable placements) may
-      only shrink;
-    - the prover's [nonneg_misses], [sat_misses] and [verdict_misses]
-      (the [prover] object) may not exceed the baseline by more than
-      the same tolerance: they count searches, and repeat exactly from
-      run to run;
-    - a benchmark present in the baseline must stay present, and so
-      must every gated field above that the baseline holds: a field
-      missing from [current] is a regression, one missing from both
-      records is skipped.
-
-    Improvements beyond tolerance, any fall in the prover's misses and
-    new benchmarks are notes. *)
+    - within the tolerance: each row's modeled time per variant
+      ([unopt_ms] ... [pack_ms]), and the [prover] object's
+      [nonneg_misses], [sat_misses] and [verdict_misses] - times are
+      simulated and misses count searches, so both repeat exactly from
+      run to run and the tolerance only absorbs intentional changes;
+    - never up: each variant footprint's [allocs], [peak_bytes] and
+      [traffic_bytes] (exact counters), and the packing pass's
+      [pack_stats.unpacked] (undecidable placements);
+    - never down: [pack_stats.arenas], [packed] and [holes] (certified
+      lifetime holes) - the planner must not lose coverage. *)
 
 (** {1 The certificate gate} *)
 
@@ -70,18 +74,14 @@ val cert_gate : baseline:t -> current:t -> gate
 (** Compare a freshly emitted combined certificate document ([repro
     certify all --json], the output of {!val:Core.Certify.check}
     serialized per pass) against the committed
-    [bench/certs-baseline.json].  Certificates are exact, so there is
-    no tolerance; per (benchmark, pass, obligation id):
+    [bench/certs-baseline.json].  Benchmarks pair by [name], passes by
+    [pass] and obligations by [id].  Certificates are exact, so no rule
+    here has a tolerance:
 
-    - a benchmark, pass, or obligation present in the baseline must
-      stay present;
-    - an obligation's verdict may not weaken (proved > concretized >
-      failed);
-    - a pass's [emitted] and [proved] counts may not decrease;
-    - any failed obligation in the current run is a regression
-      outright, baseline or not.
+    - never down: each pass's [emitted] and [proved] counts;
+    - verdict rank: an obligation's [verdict] may not weaken;
+    - a [failed] obligation in the current document is a regression
+      whatever the baseline holds.
 
-    Strengthened verdicts, new obligations, new passes and new
-    benchmarks are notes - a prompt to refresh the baseline with
-    [dune exec bin/repro.exe -- certify all --json >
-    bench/certs-baseline.json]. *)
+    Refresh the baseline with [dune exec bin/repro.exe -- certify all
+    --json > bench/certs-baseline.json]. *)

@@ -40,10 +40,11 @@ let devices = [ Device.a100; Device.mi100 ]
 (* Measured-vs-modeled traffic: a Full-mode traced run counts every
    DRAM access the optimized program makes, while a cost-only run of
    the same program at the same (reduced) size *models* that traffic by
-   sampling mapnest bodies and long loops.  Close agreement is what
+   sampling mapnest bodies and long loops.  Exact agreement is what
    licenses the paper-scale cost-only numbers in the tables; the
-   memtrace cross-check rides along so every table also confirms the
-   dynamic footprints stayed inside the static annotations. *)
+   memtrace cross-check rides along, so the plain table report also
+   confirms the dynamic footprints stayed inside the static
+   annotations. *)
 type traffic_cmp = {
   measured_rw : float; (* kernel read+write bytes, Full-mode trace *)
   modeled_rw : float; (* same, cost-only sampled run *)
@@ -96,7 +97,6 @@ type outcome = {
   footprints : (string * (string * footprint) list) list;
       (* dataset label, each variant's memory behaviour in ladder
          order *)
-  traffic : traffic_cmp; (* at the benchmark's reduced size *)
 }
 
 let traffic_comparison (compiled : Core.Pipeline.compiled)
@@ -119,8 +119,8 @@ let traffic_comparison (compiled : Core.Pipeline.compiled)
     check = Core.Memtrace.check t;
   }
 
-let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
-    ?(fail_safe = true) (b : bench) : outcome =
+let run_table ?options ?reuse ?pack ?(pool = true) ?(fail_safe = true)
+    (b : bench) : outcome =
   (* Every table run certifies: the checked per-pass certificates ride
      along in [compiled.certs] for the bench JSON record.  Table runs
      compile fail-safe by default: a crashing or refuted pass degrades
@@ -141,7 +141,7 @@ let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
         let runs =
           List.map
             (fun (v, p) ->
-              (v, Exec.run ~mode:Exec.Cost_only ~pool ?pool_cap p ds.args))
+              (v, Exec.run ~mode:Exec.Cost_only ~pool p ds.args))
             (Core.Pipeline.variants compiled)
         in
         let ref_c =
@@ -178,7 +178,6 @@ let run_table ?options ?reuse ?pack ?(pool = true) ?pool_cap
     table = { Table.title = b.title; runs = b.runs; rows };
     compiled;
     footprints;
-    traffic = traffic_comparison compiled (b.small_args ());
   }
 
 (* Traced execution of every pipeline variant at a reduced size, each

@@ -172,6 +172,26 @@ let test_table_shape () =
          (fp "pack").R.f_allocs <= (fp "reuse").R.f_allocs
          && (fp "pack").R.f_peak_bytes <= (fp "reuse").R.f_peak_bytes))
 
+(* EXPERIMENTS' Appendix: at every benchmark's reduced size, the opt
+   variant's measured (traced Full) and modeled (cost-only) kernel and
+   copy bytes agree exactly, and its trace stays inside the static
+   annotations. *)
+let test_traffic_audit () =
+  List.iter
+    (fun (b : R.bench) ->
+      let t =
+        R.traffic_comparison (Core.Pipeline.compile b.prog) (b.small_args ())
+      in
+      Alcotest.(check bool) (b.name ^ ": kernel bytes measured") true
+        (t.R.measured_rw > 0.);
+      Alcotest.(check (float 0.)) (b.name ^ ": kernel R+W") t.R.measured_rw
+        t.R.modeled_rw;
+      Alcotest.(check (float 0.)) (b.name ^ ": copy bytes") t.R.measured_copy
+        t.R.modeled_copy;
+      Alcotest.(check bool) (b.name ^ ": memtrace clean") true
+        (Core.Memtrace.ok t.R.check))
+    Benchsuite.Suite.all
+
 (* The suite registry: the seven programs in table order, selected by
    name in any case, by table number or all together, and a fresh set
    of reduced-size arguments per call. *)
@@ -216,23 +236,15 @@ let fp_counters = [ "allocs"; "peak_bytes"; "traffic_bytes" ]
 let pack_counters = [ "arenas"; "packed"; "unpacked"; "holes" ]
 let prover_work = [ "nonneg_misses"; "sat_misses"; "verdict_misses" ]
 
-let sample_record ?(traffic = 512.) ?pool ~reuse_ms ~allocs () =
-  let pool_s =
-    match pool with
-    | Some (hw, cap) ->
-        Printf.sprintf
-          {|,"pool":{"hits":1,"misses":1,"device_bytes":%g,"high_water_bytes":%g,"fragmentation":0.0,"cap":%g,"evictions":0}|}
-          cap hw cap
-    | None -> ""
-  in
+let sample_record ?(traffic = 512.) ~reuse_ms ~allocs () =
   Printf.sprintf
     {|{"date":"x","benchmarks":[{"name":"bm","rows":[
         {"device":"A100","dataset":"d","unopt_ms":10.0,"opt_ms":5.0,"reuse_ms":%g}],
       "footprints":[{"dataset":"d",
         "unopt":{"allocs":20,"peak_bytes":4096,"traffic_bytes":2048},
         "opt":{"allocs":5,"peak_bytes":2048,"traffic_bytes":1024},
-        "reuse":{"allocs":%d,"peak_bytes":1024,"traffic_bytes":%g%s}}]}]}|}
-    reuse_ms allocs traffic pool_s
+        "reuse":{"allocs":%d,"peak_bytes":1024,"traffic_bytes":%g}}]}]}|}
+    reuse_ms allocs traffic
 
 let parse_exn s =
   match BJ.parse s with
@@ -340,21 +352,6 @@ let test_gate_catches_traffic_regression () =
   (* modeled DRAM traffic is an exact counter too: any growth fails *)
   Alcotest.(check bool) "traffic growth fails" true
     (not (BJ.ok (BJ.gate ~baseline:b ~current:worse)))
-
-let test_gate_catches_cap_breach () =
-  let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:1 ()) in
-  let breached =
-    parse_exn
-      (sample_record ~pool:(3000., 2048.) ~reuse_ms:4.0 ~allocs:1 ())
-  in
-  Alcotest.(check bool) "high-water over cap fails" true
-    (not (BJ.ok (BJ.gate ~baseline:b ~current:breached)));
-  let within =
-    parse_exn
-      (sample_record ~pool:(1500., 2048.) ~reuse_ms:4.0 ~allocs:1 ())
-  in
-  Alcotest.(check bool) "high-water under cap passes" true
-    (BJ.ok (BJ.gate ~baseline:b ~current:within))
 
 let test_gate_improvement_is_note () =
   let b = parse_exn (sample_record ~reuse_ms:4.0 ~allocs:2 ()) in
@@ -472,6 +469,111 @@ let test_cert_gate_missing_count () =
       ("both counts", "", 2);
     ]
 
+(* One gate run against its expected outcome: the regression and note
+   counts, the comparisons made, and every message naming [names] - its
+   benchmark, entry and field. *)
+let check_outcome what (g : BJ.gate) ~regressions ~notes ~checked ~names =
+  Alcotest.(check int) (what ^ ": regressions") regressions
+    (List.length g.BJ.regressions);
+  Alcotest.(check int) (what ^ ": notes") notes (List.length g.BJ.notes);
+  Alcotest.(check int) (what ^ ": comparisons") checked g.BJ.checked;
+  let mentions m s =
+    let m = String.lowercase_ascii m and n = String.length s in
+    let rec at i =
+      i + n <= String.length m && (String.sub m i n = s || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun s ->
+          if not (mentions m s) then
+            Alcotest.failf "%s: %S does not name %S" what m s)
+        names)
+    (g.BJ.regressions @ g.BJ.notes)
+
+let rec replace key x = function
+  | BJ.Obj l ->
+      BJ.Obj
+        (List.map (fun (k, v) -> (k, if k = key then x else replace key x v)) l)
+  | BJ.Arr l -> BJ.Arr (List.map (replace key x) l)
+  | v -> v
+
+(* The bench gate's paths no other test takes: a whole row or
+   footprint dataset gone is one regression and counts no comparison,
+   nor do the values it held; and a packing counter moving the wrong
+   way, in each direction. *)
+let test_gate_lost_ground () =
+  let full = complete_record in
+  List.iter
+    (fun (what, key, x, checked, names) ->
+      check_outcome what
+        (BJ.gate ~baseline:full ~current:(replace key x full))
+        ~regressions:1 ~notes:0 ~checked ~names)
+    [
+      ("row missing", "rows", BJ.Arr [], 19, [ "bm"; "[a/d]"; "row" ]);
+      ( "footprint missing", "footprints", BJ.Arr [], 11,
+        [ "bm"; "[d]"; "footprint" ] );
+      ("arenas fell", "arenas", BJ.Num 7., 23, [ "bm"; "arenas"; "8"; "7" ]);
+      ( "unpacked rose", "unpacked", BJ.Num 9., 23,
+        [ "bm"; "unpacked"; "8"; "9" ] );
+    ]
+
+(* The certificate gate's paths no other test takes, each as a
+   baseline/current pair of one-benchmark documents: what the current
+   document loses is a regression, what it gains a note, and a failed
+   obligation is a regression even where the baseline has none. *)
+let test_cert_gate_paths () =
+  let obl (id, verdict) =
+    Printf.sprintf {|{"id":%d,"rewrite":"r%d","verdict":%S}|} id id verdict
+  in
+  let pass ?(emitted = 2) ?(name = "reuse") obls =
+    Printf.sprintf {|{"pass":%S,"emitted":%d,"proved":1,"obligations":[%s]}|}
+      name emitted
+      (String.concat "," (List.map obl obls))
+  in
+  let doc benchmarks =
+    parse_exn
+      (Printf.sprintf {|{"benchmarks":[%s]}|}
+         (String.concat ","
+            (List.map
+               (fun (name, passes) ->
+                 Printf.sprintf {|{"name":%S,"passes":[%s]}|} name
+                   (String.concat "," passes))
+               benchmarks)))
+  in
+  let obls = [ (0, "proved"); (1, "concretized") ] in
+  let base = doc [ ("nw", [ pass obls ]) ] in
+  List.iter
+    (fun (what, (baseline, current), regressions, notes, checked, names) ->
+      check_outcome what
+        (BJ.cert_gate ~baseline ~current)
+        ~regressions ~notes ~checked ~names)
+    [
+      ("benchmark missing", (base, doc []), 1, 0, 0, [ "nw"; "benchmark" ]);
+      ("new benchmark", (doc [], base), 0, 1, 0, [ "nw"; "benchmark" ]);
+      ( "pass missing", (base, doc [ ("nw", []) ]), 1, 0, 0,
+        [ "nw"; "reuse"; "pass" ] );
+      ( "new pass", (doc [ ("nw", []) ], base), 0, 1, 0,
+        [ "nw"; "reuse"; "pass" ] );
+      ( "obligation gone",
+        (base, doc [ ("nw", [ pass [ (0, "proved") ] ]) ]),
+        1, 0, 3, [ "nw"; "reuse"; "#1"; "obligation" ] );
+      ( "new obligation",
+        (doc [ ("nw", [ pass [ (0, "proved") ] ]) ], base),
+        0, 1, 3, [ "nw"; "reuse"; "#1"; "obligation" ] );
+      ( "a failed obligation the baseline lacks",
+        (base, doc [ ("nw", [ pass (obls @ [ (2, "failed") ]) ]) ]),
+        1, 1, 4, [ "nw"; "reuse"; "#2" ] );
+      ( "emitted fell",
+        (base, doc [ ("nw", [ pass ~emitted:1 obls ]) ]),
+        1, 0, 4, [ "nw"; "reuse"; "emitted"; "2"; "1" ] );
+      ( "verdict strengthened",
+        (base, doc [ ("nw", [ pass [ (0, "proved"); (1, "proved") ] ]) ]),
+        0, 1, 4, [ "nw"; "reuse"; "#1"; "concretized"; "proved" ] );
+    ]
+
 let tests =
   [
     Alcotest.test_case "NW end-to-end" `Quick test_nw;
@@ -483,6 +585,8 @@ let tests =
     Alcotest.test_case "NN end-to-end" `Quick test_nn;
     Alcotest.test_case "Table shape (Hotspot)" `Quick test_table_shape;
     Alcotest.test_case "suite registry" `Quick test_registry;
+    Alcotest.test_case "traffic audit: measured = modeled" `Quick
+      test_traffic_audit;
     Alcotest.test_case "gate: JSON round-trip" `Quick test_gate_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_round_trip;
     Alcotest.test_case "gate: identity passes" `Quick
@@ -493,8 +597,6 @@ let tests =
       test_gate_catches_footprint_regression;
     Alcotest.test_case "gate: traffic regression fails" `Quick
       test_gate_catches_traffic_regression;
-    Alcotest.test_case "gate: pool cap breach fails" `Quick
-      test_gate_catches_cap_breach;
     Alcotest.test_case "gate: prover misses are gated" `Quick
       test_gate_prover_work;
     Alcotest.test_case "gate: improvement is a note" `Quick
@@ -513,4 +615,8 @@ let tests =
       (check_dropped 1 pack_counters);
     Alcotest.test_case "gate: missing prover work fails" `Quick
       (check_dropped 1 prover_work);
+    Alcotest.test_case "gate: a lost row, footprint or pack counter fails"
+      `Quick test_gate_lost_ground;
+    Alcotest.test_case "cert gate: losses fail, gains are notes" `Quick
+      test_cert_gate_paths;
   ]
