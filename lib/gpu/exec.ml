@@ -37,19 +37,25 @@
    typed slot-to-slot moves.  Each index polynomial is compiled to a
    sum of products over int slots, or to a closure of its own when it
    is a constant, a variable or a variable plus a constant.  Loops, ifs
-   and mapnests run arrays of compiled statements.  The same walk
-   records once the facts a run would otherwise re-derive at every
-   execution: a mapnest's declared reads and destinations in its launch
-   scope, the blocks a lexical block's results live in, and which loops
-   carry an integer.  Scoping is lexical (a block returns values, never
-   bindings), so a slot is always written before it is read.  What the
-   walk finds wrong - a name no binder in scope defines, operands of
-   the wrong kinds, a pattern of the wrong arity - compiles to a closure
-   that raises [Exec_error] only if the run evaluates it.  Frame and
-   closures live for one run.  Block ids are numbered per run, from 1,
-   so a run is a pure function of (program, arguments): running a
-   program twice in one process gives equal counters and byte-identical
-   traces.
+   and mapnests run arrays of compiled statements, and every loop has a
+   pre-header that runs once per execution of the loop, after its bound
+   and before its first iteration (so before Simpson's samples): for
+   each polynomial in the loop's body, the monomials over slots bound
+   outside the body, which no iteration can change, are summed there
+   into a slot of their own, and the polynomial reads that slot plus
+   what varies ([h + x], [h + c·x] and [h + c·x·y] have closures of
+   their own).  The same walk records once the facts a run would
+   otherwise re-derive at every execution: a mapnest's declared reads
+   and destinations in its launch scope, the blocks a lexical block's
+   results live in, and which loops carry an integer.  Scoping is
+   lexical (a block returns values, never bindings), so a slot is always
+   written before it is read.  What the walk finds wrong - a name no
+   binder in scope defines, operands of the wrong kinds, a pattern of
+   the wrong arity - compiles to a closure that raises [Exec_error] only
+   if the run evaluates it.  Frame and closures live for one run.  Block
+   ids are numbered per run, from 1, so a run is a pure function of
+   (program, arguments): running a program twice in one process gives
+   equal counters and byte-identical traces.
 
    The per-statement path allocates nothing: scalar operations, index
    polynomials, element reads and single-element updates work in the
@@ -65,14 +71,18 @@
    reads or writes - builds no list and hashes nothing.  An element
    read, or an update of one element, under a single-LMAD index function
    computes its flat offset [coff + Σ iₖ·sₖ] from its index polynomials
-   directly (chains unrank through [capply]).  The cells a thread has
-   written, which make its re-reads free, live in an open-addressing set
-   of (block id, offset) pairs that clears in O(1) for every thread
-   ([Cells]).  The per-kernel read tallies live in an int-keyed table
-   whose iteration order decides the capped float sums, so its hash and
-   its sequence of updates are part of the cost model ([Tally]).  The
-   table alone fixes that order; a block only remembers its record in
-   it, so a read reaches the table once per block and kernel. *)
+   directly (chains unrank through [capply]), the loop-invariant part of
+   each index polynomial read from its pre-header's slot.  The cells a
+   thread has written, which make its re-reads free, live in an
+   open-addressing set of (block id, offset) pairs that clears in O(1)
+   for every thread ([Cells]); a block carries the set's generation of
+   its last in-kernel write, so a read probes the set only in a block
+   the thread in flight has written.  The per-kernel read tallies live
+   in an int-keyed table whose iteration order decides the capped float
+   sums, so its hash and its sequence of updates are part of the cost
+   model ([Tally]).  The table alone fixes that order; a block only
+   remembers its record in it, so a read reaches the table once per
+   block and kernel. *)
 
 open Ir.Ast
 module P = Symalg.Poly
@@ -120,6 +130,10 @@ type blockv = {
       (* the block's record in the read tally table, valid while
          [tally_gen] is the table's generation *)
   mutable tally_gen : int;
+  mutable wgen : int;
+      (* the [Cells] generation of the block's last in-kernel write: the
+         thread in flight has written it only if this is the set's
+         current generation *)
 }
 
 (* Concrete index function: integer offsets/cardinals/strides.  The
@@ -149,6 +163,7 @@ module Cells : sig
 
   val create : unit -> t
   val clear : t -> unit
+  val gen : t -> int
   val mem : t -> int -> int -> bool
   val add : t -> int -> int -> unit
 end = struct
@@ -167,6 +182,8 @@ end = struct
   let clear t =
     t.gen <- t.gen + 1;
     t.size <- 0
+
+  let gen t = t.gen
 
   (* The index of the triple holding (bid, off), else of the empty one
      where it belongs: Fibonacci hashing, linear probing. *)
@@ -319,6 +336,7 @@ let no_block =
     freed = false;
     tally = no_tally;
     tally_gen = 0;
+    wgen = 0;
   }
 
 let no_arr = { elt = F64; shape = []; block = no_block; ix = [] }
@@ -625,11 +643,14 @@ let tally_reads st (a : blockv) bytes =
     a.tally_gen <- st.tally_gen
   end
 
-(* Count and trace one element read; Full mode bounds-checks it. *)
+(* Count and trace one element read; Full mode bounds-checks it.  Only a
+   block the thread in flight has written can hold the cell read. *)
 let note_read st (a : blockv) (off : int) =
   (if st.kernel_depth = 0 then st.hot.kreads <- st.hot.kreads +. elem_bytes
-   else if not (Cells.mem st.thread_writes a.bid off) then
-     tally_reads st a elem_bytes);
+   else if
+     a.wgen <> Cells.gen st.thread_writes
+     || not (Cells.mem st.thread_writes a.bid off)
+   then tally_reads st a elem_bytes);
   (match st.tracer with
   | Some tr when st.kernel_depth > 0 && st.mode = Full ->
       Trace.kernel_read tr ~bid:a.bid ~off
@@ -665,7 +686,10 @@ let note_write st (a : blockv) (off : int) =
     | _ -> off
   in
   st.hot.kwrites <- st.hot.kwrites +. elem_bytes;
-  if st.kernel_depth > 0 then Cells.add st.thread_writes a.bid off;
+  if st.kernel_depth > 0 then begin
+    Cells.add st.thread_writes a.bid off;
+    a.wgen <- Cells.gen st.thread_writes
+  end;
   (match st.tracer with
   | Some tr when st.kernel_depth > 0 && st.mode = Full ->
       Trace.kernel_write tr ~bid:a.bid ~off
@@ -1422,6 +1446,7 @@ let alloc st size ~arena =
       freed = false;
       tally = no_tally;
       tally_gen = 0;
+      wgen = 0;
     }
   in
   if st.kernel_depth = 0 then begin
@@ -1493,6 +1518,13 @@ let alloc st size ~arena =
 (* Staging: binders to frame slots, statements to closures           *)
 (* ---------------------------------------------------------------- *)
 
+(* The loop whose body is being staged.  Its int slots below [mark] are
+   bound outside the body, so no iteration changes them; [pre] lists the
+   sums of products over such slots, flattened, that its pre-header
+   computes once per execution of the loop, each with the slot it
+   stores into. *)
+type preheader = { mark : int; mutable pre : (int array * int) list }
+
 type resolver = {
   rmode : mode;
   mutable nints : int;
@@ -1504,6 +1536,8 @@ type resolver = {
   mutable mentioned : string list option;
       (* operand names met in the innermost enclosing mapnest body;
          None outside every kernel *)
+  mutable loop : preheader option;
+      (* the innermost enclosing loop; None outside every loop *)
 }
 
 let kind_of = function
@@ -1566,12 +1600,72 @@ let atom r scope = function
       r.iconsts <- (s, Bool.to_int b) :: r.iconsts;
       Slot (KBool, s)
 
-(* An index polynomial compiled to a sum of products over int slots,
-   with closures of their own for the shapes most indices take: a
-   constant, a variable, a variable plus a constant.  A factor that is
-   no int slot raises when the polynomial is evaluated, as the first
-   such factor would. *)
-let poly scope (p : P.t) : ipoly =
+(* Monomials, each a coefficient and its factors' int slots, flattened
+   for [sum_of_products]. *)
+let flatten ms =
+  Array.concat
+    (List.map (fun (c, xs) -> Array.append [| c; Array.length xs |] xs) ms)
+
+(* Monomials compiled to a sum of products, with closures of their own
+   for the shapes most indices take: a constant, a variable, a variable
+   plus a constant, and a loop-invariant slot [h] plus a variable, a
+   multiple of one or a multiple of a product of two. *)
+let sum ms : ipoly =
+  match ms with
+  | [] -> fun _ -> 0
+  | [ (c, [||]) ] -> fun _ -> c
+  | [ (1, [| x |]) ] -> fun st -> st.ints.(x)
+  | [ (1, [| x |]); (c, [||]) ] -> fun st -> st.ints.(x) + c
+  | [ (1, [| h |]); (1, [| x |]) ] -> fun st -> st.ints.(h) + st.ints.(x)
+  | [ (1, [| h |]); (c, [| x |]) ] ->
+      fun st -> st.ints.(h) + (c * st.ints.(x))
+  | [ (1, [| h |]); (c, [| x; y |]) ] ->
+      fun st ->
+        let i = st.ints in
+        i.(h) + (c * i.(x) * i.(y))
+  | ms ->
+      let ms = flatten ms in
+      fun st -> sum_of_products ms st
+
+(* Whether the slots [xs.(0..k)] are all below [mark]. *)
+let rec below mark (xs : int array) k =
+  k < 0 || (xs.(k) < mark && below mark xs (k - 1))
+
+(* Split monomials for the innermost loop being staged: those whose
+   factors are all bound outside its body cannot change while it runs.
+   When they are more than one bare slot read, the loop's pre-header
+   sums them into a slot of its own, one per distinct sum, and the
+   polynomial reads that slot instead.  The invariant slot leads, and
+   so does a bare invariant slot before one variant monomial, for
+   [sum]'s shapes. *)
+let hoist r ms =
+  match (r.loop, ms) with
+  | None, _ | _, ([] | [ (_, [||]) ] | [ (1, [| _ |]) ]) -> ms
+  | Some l, _ -> (
+      match
+        List.partition
+          (fun (_, xs) -> below l.mark xs (Array.length xs - 1))
+          ms
+      with
+      | ([] | [ (_, [||]) ]), _ -> ms
+      | [ ((1, [| _ |]) as h) ], [ v ] -> [ h; v ]
+      | [ (1, [| _ |]) ], _ -> ms
+      | inv, var ->
+          let key = flatten inv in
+          let h =
+            match List.assoc_opt key l.pre with
+            | Some h -> h
+            | None ->
+                let h = fresh r KInt in
+                l.pre <- (key, h) :: l.pre;
+                h
+          in
+          (1, [| h |]) :: var)
+
+(* An index polynomial compiled to a sum of products over int slots.  A
+   factor that is no int slot raises when the polynomial is evaluated,
+   as the first such factor would; such a polynomial is not split. *)
+let poly r scope (p : P.t) : ipoly =
   let bad = ref None in
   let factors (x, e) =
     let s =
@@ -1595,50 +1689,42 @@ let poly scope (p : P.t) : ipoly =
         (m.coeff, Array.of_list (List.concat_map factors m.pows)))
       (P.monos p)
   in
-  match (!bad, ms) with
-  | Some msg, _ -> fun _ -> raise (Exec_error msg)
-  | None, [] -> fun _ -> 0
-  | None, [ (c, [||]) ] -> fun _ -> c
-  | None, [ (1, [| x |]) ] -> fun st -> st.ints.(x)
-  | None, [ (1, [| x |]); (c, [||]) ] -> fun st -> st.ints.(x) + c
-  | None, ms ->
-      let ms =
-        Array.concat
-          (List.map
-             (fun (c, xs) -> Array.append [| c; Array.length xs |] xs)
-             ms)
-      in
-      fun st -> sum_of_products ms st
+  match !bad with
+  | Some msg -> fun _ -> raise (Exec_error msg)
+  | None -> sum (hoist r ms)
 
-let lmad scope (l : Lmad.t) : rlmad =
+let lmad r scope (l : Lmad.t) : rlmad =
   {
-    roff = poly scope (Lmad.offset l);
+    roff = poly r scope (Lmad.offset l);
     rdims =
       List.map
-        (fun (d : Lmad.dim) -> (poly scope d.n, poly scope d.s))
+        (fun (d : Lmad.dim) -> (poly r scope d.n, poly r scope d.s))
         (Lmad.dims l);
   }
 
-let slice scope = function
+let slice r scope = function
   | STriplet sds ->
       RTriplet
         (List.map
            (function
-             | SFix i -> DFix (poly scope i)
+             | SFix i -> DFix (poly r scope i)
              | SRange { start; len; step } ->
-                 DRange (poly scope start, poly scope len, poly scope step))
+                 DRange
+                   (poly r scope start, poly r scope len, poly r scope step))
            sds)
-  | SLmad l -> RLmad (lmad scope l)
+  | SLmad l -> RLmad (lmad r scope l)
 
 (* A pattern element's array type and annotation, resolved in the
    scope where its statement starts. *)
-let dest scope (pe : pat_elem) =
+let dest r scope (pe : pat_elem) =
   ( (match pe.pt with
-    | TArr (elt, shape) -> Some (elt, List.map (poly scope) shape)
+    | TArr (elt, shape) -> Some (elt, List.map (poly r scope) shape)
     | _ -> None),
     Option.map
       (fun (m : mem_info) ->
-        (m.block, use scope m.block, List.map (lmad scope) (Ixfn.chain m.ixfn)))
+        ( m.block,
+          use scope m.block,
+          List.map (lmad r scope) (Ixfn.chain m.ixfn) ))
       pe.pmem )
 
 (* Memory destinations annotated anywhere inside a kernel body whose
@@ -1723,7 +1809,7 @@ let thread_writer (res : opnd) : state -> arrv -> int array -> unit =
    under any other arity raises when it runs. *)
 let rec exp r scope (rpats : rpat list) (s : stm) : code =
   let atom = atom r scope and operand = operand r scope in
-  let poly = poly scope in
+  let poly = poly r scope in
   let single (k : rpat -> code) : code =
     match rpats with [ p ] -> k p | _ -> fail "exec: arity mismatch"
   in
@@ -1878,7 +1964,7 @@ let rec exp r scope (rpats : rpat list) (s : stm) : code =
                 fun st d tix -> write_slot st d.block d.elt (capply tix []) k x
             | Free v -> fun _ _ _ -> err "exec: unbound %s" v)
       in
-      let o = operand dst and slc = slice scope slc in
+      let o = operand dst and slc = slice r scope slc in
       single (fun p ->
           with_arr dst o (fun d ->
               typed p KArr (fun out st ->
@@ -1993,12 +2079,22 @@ let rec exp r scope (rpats : rpat list) (s : stm) : code =
   | ELoop { params; var; bound; body } ->
       let inits = List.map (fun (_, init) -> atom init) params in
       let lbound = poly bound in
+      (* every int slot taken so far is bound outside the body *)
+      let outer = r.loop and l = { mark = r.nints; pre = [] } in
+      r.loop <- Some l;
       let lparams, inner =
         bind_all r scope
           (List.map (fun ((pe : pat_elem), _) -> (pe.pv, kind_of pe.pt)) params)
       in
       let lcounter, inner = bind r inner var KInt in
       let lbody = block r inner body in
+      r.loop <- outer;
+      let pre =
+        Array.of_list
+          (List.rev_map
+             (fun (ms, h) st -> st.ints.(h) <- sum_of_products ms st)
+             l.pre)
+      in
       if
         List.compare_lengths lbody.rres lparams <> 0
         || List.compare_lengths rpats lparams <> 0
@@ -2043,6 +2139,10 @@ let rec exp r scope (rpats : rpat list) (s : stm) : code =
         in
         fun st ->
           let n = lbound st in
+          (* the pre-header, once per execution of the loop *)
+          for k = 0 to Array.length pre - 1 do
+            pre.(k) st
+          done;
           init st;
           if sampled && n >= 24 then
             (* each sample starts from the initial values, which no
@@ -2112,7 +2212,7 @@ and stm r scope res_vars res_blocks (s : stm) =
   let rpats =
     List.map
       (fun (pe : pat_elem) ->
-        let rarr, rmem = dest scope pe in
+        let rarr, rmem = dest r scope pe in
         let k = kind_of pe.pt in
         { rv = pe.pv; rk = k; rslot = fresh r k; rarr; rmem })
       s.pat
@@ -2198,6 +2298,7 @@ let resolve mode (p : prog) =
       iconsts = [];
       fconsts = [];
       mentioned = None;
+      loop = None;
     }
   in
   let scope, params =
@@ -2248,6 +2349,7 @@ let bind_param st ((pe : pat_elem), slot, blk) (v : Value.t) =
           freed = false;
           tally = no_tally;
           tally_gen = 0;
+          wgen = 0;
         }
       in
       (match (st.mode, elt, a.Value.data) with

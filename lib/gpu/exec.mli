@@ -32,21 +32,28 @@
     memory blocks in arrays of their own - and every statement is
     compiled to a closure over the run's state, specialised on its
     operator, its operands' kinds, its index polynomials and its
-    pattern's arity.  The same walk records a mapnest's declared reads
-    and destinations in its launch scope, so no name is looked up while
-    the program runs.  Scalar operations, element reads, single-element
-    updates, loop carries and [if] results move unboxed values between
-    typed slots, and the float counters a kernel thread bumps are kept
-    unboxed while the run is in flight, so executing a statement
-    allocates nothing; views, copies, allocations, kernel launches and
-    Simpson's samples still do.  A variable no binder in scope defines
-    raises {!Exec_error} ["exec: unbound ..."], operands of the wrong
-    kinds ["exec: ill-typed ..."] and a pattern of the wrong arity
-    ["exec: arity mismatch"], each only if the run evaluates it.  Frame
-    and closures live for one run.  Block ids are numbered per run, so
-    a run is a pure function of (program, arguments): the same call
-    gives the same report and a byte-identical trace whatever the
-    process ran before. *)
+    pattern's arity.  Each loop gets a pre-header that runs once per
+    execution of the loop, before its first iteration: it sums the part
+    of each index polynomial in the loop's body that is made of
+    variables bound outside the body, which no iteration changes, so an
+    iteration adds only the part that varies.  Each block is stamped
+    with the kernel thread that last wrote into it, so an element read
+    looks among the cells its thread has written (whose re-reads are
+    free) only in a block that thread wrote.  The same walk records a
+    mapnest's declared reads and destinations in its launch scope, so no
+    name is looked up while the program runs.  Scalar operations,
+    element reads, single-element updates, loop carries and [if] results
+    move unboxed values between typed slots, and the float counters a
+    kernel thread bumps are kept unboxed while the run is in flight, so
+    executing a statement allocates nothing; views, copies, allocations,
+    kernel launches and Simpson's samples still do.  A variable no
+    binder in scope defines raises {!Exec_error} ["exec: unbound ..."],
+    operands of the wrong kinds ["exec: ill-typed ..."] and a pattern of
+    the wrong arity ["exec: arity mismatch"], each only if the run
+    evaluates it.  Frame and closures live for one run.  Block ids are
+    numbered per run, so a run is a pure function of (program,
+    arguments): the same call gives the same report and a byte-identical
+    trace whatever the process ran before. *)
 
 exception Exec_error of string
 

@@ -523,7 +523,8 @@ let test_gate_lost_ground () =
 (* The certificate gate's paths no other test takes, each as a
    baseline/current pair of one-benchmark documents: what the current
    document loses is a regression, what it gains a note, and a failed
-   obligation is a regression even where the baseline has none. *)
+   obligation is one regression whether the baseline lacks it, held it
+   at a stronger verdict or held it failed. *)
 let test_cert_gate_paths () =
   let obl (id, verdict) =
     Printf.sprintf {|{"id":%d,"rewrite":"r%d","verdict":%S}|} id id verdict
@@ -566,6 +567,13 @@ let test_cert_gate_paths () =
       ( "a failed obligation the baseline lacks",
         (base, doc [ ("nw", [ pass (obls @ [ (2, "failed") ]) ]) ]),
         1, 1, 4, [ "nw"; "reuse"; "#2" ] );
+      ( "an obligation turning failed",
+        (base, doc [ ("nw", [ pass [ (0, "failed"); (1, "concretized") ] ]) ]),
+        1, 0, 4, [ "nw"; "reuse"; "#0"; "proved"; "failed" ] );
+      ( "an obligation failed in both",
+        ( doc [ ("nw", [ pass [ (0, "failed"); (1, "concretized") ] ]) ],
+          doc [ ("nw", [ pass [ (0, "failed"); (1, "concretized") ] ]) ] ),
+        1, 0, 4, [ "nw"; "reuse"; "#0"; "failed" ] );
       ( "emitted fell",
         (base, doc [ ("nw", [ pass ~emitted:1 obls ]) ]),
         1, 0, 4, [ "nw"; "reuse"; "emitted"; "2"; "1" ] );

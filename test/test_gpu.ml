@@ -1,8 +1,8 @@
 (* Tests for the GPU cost-model executor: copy elision, location
    equality, cost-only vs full-mode counter agreement, the device time
-   model, the perfect-L2 read capping, slot resolution, and the typed
+   model, the perfect-L2 read capping, slot resolution, the typed
    frames (every kind across every boundary, no allocation per loop
-   iteration). *)
+   iteration), loop pre-headers and the write stamp. *)
 
 open Ir
 open Ast
@@ -524,10 +524,14 @@ let ctx_nm = Symalg.Prover.add_range ctx_n "m" ~lo:(c 1) ()
 
 (* One kernel thread runs a loop that carries an i64, so cost-only runs
    never sample it, and a row of four floats: each iteration reads two
-   cells, does f64 arithmetic and updates a third. *)
+   cells, does f64 arithmetic and updates a third.  It also reads [xs]
+   through three index polynomials whose loop-invariant parts the
+   loop's pre-header sums, leaving the invariant slot plus the counter
+   ([t*m + i]), plus a multiple of it ([t*m + 1 + 2*i]) and plus a
+   multiple of a product with it ([t*m + m + 3*t*i]). *)
 let alloc_gate =
   B.prog "alloc_gate" ~ctx:ctx_nm
-    ~params:[ pat_elem "m" i64 ]
+    ~params:[ pat_elem "m" i64; pat_elem "xs" (arr F64 [ P.mul (c 2) m ]) ]
     ~ret:[ arr F64 [ c 1 ] ]
     (fun b ->
       let t = B.fresh b "t" in
@@ -543,7 +547,22 @@ let alloc_gate =
                 (fun bl ->
                   let x = B.index bl r [ c 0 ] in
                   let y = B.index bl r [ c 1 ] in
-                  let z = B.fadd bl (B.fmul bl x (Float 0.5)) y in
+                  let ( + ) = P.add and ( * ) = P.mul in
+                  let t = P.var t and i = P.var i in
+                  let ws =
+                    List.map
+                      (fun ix -> B.index bl "xs" [ ix ])
+                      [
+                        (t * m) + i;
+                        (t * m) + c 1 + (c 2 * i);
+                        (t * m) + m + (c 3 * t * i);
+                      ]
+                  in
+                  let z =
+                    List.fold_left (B.fadd bl)
+                      (B.fadd bl (B.fmul bl x (Float 0.5)) y)
+                      ws
+                  in
                   let r2 =
                     B.bind bl "r2"
                       (EUpdate
@@ -561,9 +580,10 @@ let alloc_gate =
       [ Var ys ])
 
 (* The executor's per-statement path allocates nothing: differencing
-   runs at two loop bounds cancels staging and fixed costs, and what is
-   left is at most one minor word per iteration, in both modes and
-   every variant.  Three flops per iteration show the loop ran whole. *)
+   runs at two loop bounds cancels staging, the pre-header and fixed
+   costs, and what is left is at most one minor word per iteration, in
+   both modes and every variant.  Six flops per iteration show the loop
+   ran whole. *)
 let test_alloc_free_iterations () =
   let compiled = Core.Pipeline.compile alloc_gate in
   List.iter
@@ -571,7 +591,14 @@ let test_alloc_free_iterations () =
       List.iter
         (fun (mode, mname) ->
           let run bound =
-            let args = [ Value.VInt bound ] in
+            let args =
+              [
+                Value.VInt bound;
+                (match mode with
+                | Exec.Full -> farr (Array.make (2 * bound) 1.)
+                | Exec.Cost_only -> Value.VArr (Value.shell F64 [ 2 * bound ]));
+              ]
+            in
             let w0 = Gc.minor_words () in
             let r = Exec.run ~mode p args in
             (Gc.minor_words () -. w0, r.Exec.counters.Device.flops)
@@ -579,12 +606,217 @@ let test_alloc_free_iterations () =
           ignore (run 10);
           let w1, f1 = run 10 and w2, f2 = run 2010 in
           let what = v ^ " " ^ mname in
-          Alcotest.(check (float 0.)) (what ^ ": flops per iteration") 3.
+          Alcotest.(check (float 0.)) (what ^ ": flops per iteration") 6.
             ((f2 -. f1) /. 2000.);
           let per = (w2 -. w1) /. 2000. in
           if per > 1. then
             Alcotest.failf "%s: %.2f minor words per iteration" what per)
         [ (Exec.Full, "full"); (Exec.Cost_only, "cost-only") ])
+    (Core.Pipeline.variants compiled)
+
+(* ---------------------------------------------------------------- *)
+(* Loop pre-headers and the write stamp                              *)
+(* ---------------------------------------------------------------- *)
+
+(* Each thread [t] runs an outer loop over [o] (bound m) and in it an
+   inner loop over [j] (bound n), each carrying one f64, so cost-only
+   runs sample the inner loop from n = 24.  The inner loop reads [xs]
+   through one index polynomial of each shape its pre-header leaves:
+   the invariant slot plus [j] ([t*n + j]), plus a multiple of [j] ([o +
+   2*j], whose invariant part is the bare slot [o]), plus a multiple of
+   a product with [j] ([o*n*n + j*n + t], where [j*n] mixes a variant
+   and an invariant factor), and plus two variant monomials ([o*n + t +
+   j*n + j]).  [xs] holds five times the cells the loops read, so the
+   perfect-L2 cap leaves the reads of a kernel uncapped. *)
+let preheader =
+  B.prog "preheader" ~ctx:ctx_nm
+    ~params:
+      [
+        pat_elem "n" i64;
+        pat_elem "m" i64;
+        pat_elem "xs" (arr F64 [ P.mul (c 5) (P.mul m (P.mul n n)) ]);
+      ]
+    ~ret:[ arr F64 [ n ] ]
+    (fun b ->
+      let results = List.map (fun r -> Var r) in
+      let t = B.fresh b "t" in
+      let ys =
+        B.mapnest b "ys" [ (t, n) ] (fun bt ->
+            let o = B.fresh bt "o" and s = B.fresh bt "s" in
+            results
+              (B.loop bt "lo" [ (s, f64, Float 0.) ] ~var:o ~bound:m (fun bo ->
+                   let j = B.fresh bo "j" and u = B.fresh bo "u" in
+                   results
+                     (B.loop bo "li" [ (u, f64, Var s) ] ~var:j ~bound:n
+                        (fun bi ->
+                          let ( + ) = P.add and ( * ) = P.mul in
+                          let t = P.var t and o = P.var o and j = P.var j in
+                          [
+                            List.fold_left
+                              (fun acc ix ->
+                                B.fadd bi acc (B.index bi "xs" [ ix ]))
+                              (Var u)
+                              [
+                                (t * n) + j;
+                                o + (c 2 * j);
+                                (o * n * n) + (j * n) + t;
+                                (o * n) + t + (j * n) + j;
+                              ];
+                          ])))))
+      in
+      [ Var ys ])
+
+(* A loop whose body evaluates [ghost*n + n*n + j], [ghost] bound
+   nowhere, [k] times. *)
+let ghost_loop =
+  let let_ v t e = stm [ pat_elem v t ] e in
+  {
+    name = "ghost_loop";
+    params = [ pat_elem "n" i64; pat_elem "k" i64 ];
+    body =
+      block
+        [
+          let_ "r" i64
+            (ELoop
+               {
+                 params = [ (pat_elem "acc" i64, Int 0) ];
+                 var = "j";
+                 bound = P.var "k";
+                 body =
+                   block
+                     [
+                       let_ "x" i64
+                         (EIdx
+                            (P.add
+                               (P.add (P.mul (P.var "ghost") n) (P.mul n n))
+                               (P.var "j")));
+                     ]
+                     [ Var "x" ];
+               });
+        ]
+        [ Var "r" ];
+    ret = [];
+    ctx = Symalg.Prover.empty;
+  }
+
+(* A loop's pre-header sums the invariant part of each index polynomial
+   in its body once per execution of the loop, not once per run: every
+   variant computes the interpreter's results when the outer loop and
+   the threads move the invariant parts between entries of the inner
+   loop, at n = 3 and at n = 24, where cost-only runs sample it; the
+   cost-only counters are the ones the executor gave before it hoisted
+   anything (kernel reads, kernel writes and flops).  A polynomial with
+   an unbound factor is not split, so it raises only when the body
+   evaluates it: a zero-trip loop runs, a one-trip loop raises. *)
+let test_preheader () =
+  let compiled = Core.Pipeline.compile preheader in
+  let args ~n ~cost =
+    let size = 5 * 2 * n * n in
+    [
+      Value.VInt n;
+      Value.VInt 2;
+      (if cost then Value.VArr (Value.shell F64 [ size ])
+       else
+         farr
+           (Array.init size (fun i -> float_of_int ((i * 7) mod 11) +. 0.5)));
+    ]
+  in
+  List.iter
+    (fun (n, pinned) ->
+      let want = Interp.run preheader (args ~n ~cost:false) in
+      List.iter
+        (fun (v, p) ->
+          let what = Printf.sprintf "%s at n = %d" v n in
+          let r = Exec.run ~mode:Exec.Full p (args ~n ~cost:false) in
+          Alcotest.(check bool)
+            (what ^ ": results = interpreter")
+            true
+            (List.for_all2 Value.bit_equal want r.Exec.results);
+          let cc =
+            (Exec.run ~mode:Exec.Cost_only p (args ~n ~cost:true)).Exec.counters
+          in
+          Alcotest.(check (list (float 0.)))
+            (what ^ ": cost-only reads, writes and flops")
+            pinned
+            Device.[ cc.kernel_reads; cc.kernel_writes; cc.flops ])
+        (Core.Pipeline.variants compiled))
+    [ (3, [ 576.; 24.; 72. ]); (24, [ 36864.; 192.; 4608. ]) ];
+  List.iter
+    (fun mode ->
+      let run k = Exec.run ~mode ghost_loop [ Value.VInt 3; Value.VInt k ] in
+      Alcotest.(check bool) "zero trips" true
+        ((run 0).Exec.results = [ Value.VInt 0 ]);
+      Alcotest.check_raises "one trip" (Exec.Exec_error "exec: unbound ghost")
+        (fun () -> ignore (run 1)))
+    [ Exec.Full; Exec.Cost_only ]
+
+(* Each thread [i] of the first kernel copies row [i] of [xs] into a row
+   of its own, writes the row's cell 1, reads its cell 0, which the
+   copy filled but no element write touched (charged), re-reads cell 1
+   (its own write: free) and writes cell 0; the second kernel reads
+   every row (charged).  Short-circuiting puts the rows in the first
+   kernel's output, so there the threads write and read cells of one
+   block. *)
+let stamp =
+  B.prog "stamp" ~ctx:ctx_n
+    ~params:[ pat_elem "n" i64; pat_elem "xs" (arr F64 [ n; c 2 ]) ]
+    ~ret:[ arr F64 [ n ] ]
+    (fun b ->
+      let i = B.fresh b "i" in
+      let rows =
+        B.mapnest b "rows" [ (i, n) ] (fun bt ->
+            let xi =
+              B.bind bt "xi"
+                (ESlice ("xs", STriplet [ SFix (P.var i); B.all (c 2) ]))
+            in
+            let row = B.bind bt "row" (ECopy xi) in
+            let set dst k x =
+              B.bind bt "row"
+                (EUpdate
+                   { dst; slc = STriplet [ SFix (c k) ]; src = SrcScalar x })
+            in
+            let row = set row 1 (B.unop bt ToF64 (B.idx bt (P.var i))) in
+            let a = B.index bt row [ c 0 ] and w = B.index bt row [ c 1 ] in
+            [ Var (set row 0 (B.fadd bt a w)) ])
+      in
+      let j = B.fresh b "j" in
+      let sums =
+        B.mapnest b "sums" [ (j, n) ] (fun bt ->
+            [
+              B.fadd bt
+                (B.index bt rows [ P.var j; c 0 ])
+                (B.index bt rows [ P.var j; c 1 ]);
+            ])
+      in
+      [ Var sums ])
+
+(* A read of a block the thread in flight never wrote skips the probe of
+   its written cells, which could only miss: every variant's kernel
+   reads plus writes are the bytes the executor charged before it
+   stamped blocks, in both modes, and Full mode computes the
+   interpreter's results. *)
+let test_write_stamp () =
+  let compiled = Core.Pipeline.compile stamp in
+  let n = 6 in
+  let xs = Value.of_floats [ n; 2 ] (Array.init (2 * n) float_of_int) in
+  let full = [ Value.VInt n; Value.VArr xs ]
+  and cost = [ Value.VInt n; Value.VArr (Value.shell F64 [ n; 2 ]) ] in
+  let want = Interp.run stamp full in
+  List.iter
+    (fun (v, p) ->
+      let r = Exec.run ~mode:Exec.Full p full in
+      Alcotest.(check bool)
+        (v ^ ": results = interpreter")
+        true
+        (List.for_all2 Value.bit_equal want r.Exec.results);
+      let rw (r : Exec.report) =
+        let cs = r.Exec.counters in
+        cs.Device.kernel_reads +. cs.Device.kernel_writes
+      in
+      Alcotest.(check (list (float 0.)))
+        (v ^ ": kernel R+W, full and cost-only")
+        (if v = "unopt" then [ 624.; 544. ] else [ 480.; 480. ])
+        [ rw r; rw (Exec.run ~mode:Exec.Cost_only p cost) ])
     (Core.Pipeline.variants compiled)
 
 (* Every typed boundary: a mapnest writing per-thread i64, f64 and bool
@@ -818,6 +1050,11 @@ let tests =
       `Quick test_alloc_free_iterations;
     Alcotest.test_case "typed frames: every boundary = interpreter" `Quick
       test_typed_boundaries;
+    Alcotest.test_case "loop pre-header: invariant index parts per loop entry"
+      `Quick test_preheader;
+    Alcotest.test_case
+      "write stamp: own-write probes only where the thread wrote" `Quick
+      test_write_stamp;
     Alcotest.test_case "executor runs are pure functions of (program, args)"
       `Quick test_runs_pure;
     Alcotest.test_case "full-mode sqrt and log match the interpreter" `Quick
