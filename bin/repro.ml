@@ -885,10 +885,7 @@ let options_term =
 let reuse_term =
   Term.(
     const (fun (options : Core.Shortcircuit.options) ->
-        {
-          Core.Reuse.default_options with
-          Core.Reuse.verbose = options.Core.Shortcircuit.verbose;
-        })
+        { Core.Reuse.verbose = options.Core.Shortcircuit.verbose })
     $ options_term)
 
 let pack_term =
@@ -940,19 +937,15 @@ let fail_safe_term =
    is skipped - never an abort.  Exhaustion counts land in the stats
    and in BENCH.json's prover object. *)
 let prover_budget_term =
-  let steps =
-    Arg.(
-      value
-      & opt int (-1)
-      & info [ "prover-budget" ] ~docv:"STEPS"
-          ~doc:
-            "Bound the prover's nonnegativity eliminations per query at \
-             $(docv) (-1 = unlimited, 0 = every obligation Undecided).  \
-             Exhaustion soundly skips the rewrite and is counted in the \
-             prover stats.")
-  in
-  let budget s = { Symalg.Prover.unlimited with Symalg.Prover.b_steps = s } in
-  Term.(const budget $ steps)
+  Arg.(
+    value
+    & opt int Symalg.Prover.unlimited
+    & info [ "prover-budget" ] ~docv:"STEPS"
+        ~doc:
+          "Bound the prover's nonnegativity eliminations per query at \
+           $(docv) (-1 = unlimited, 0 = every obligation Undecided).  \
+           Exhaustion soundly skips the rewrite and is counted in the \
+           prover stats.")
 
 let table_cmd =
   let markdown =

@@ -4,11 +4,11 @@
    every benchmark to the five fault classes of the taxonomy
    (Core.Fault): prover-budget exhaustion, a pass exception at
    statement k, a forged certificate, a device OOM at allocation k,
-   and strict pool-cap pressure.  Every injection then executes the
-   surviving pack variant in Full mode and compares the results
-   bit-for-bit against the reference interpreter - the fail-safe
-   ladder may degrade the program, but it must never change what it
-   computes. *)
+   and a pool cap that refuses live memory.  Every injection then
+   executes the surviving pack variant in Full mode and compares the
+   results bit-for-bit against the reference interpreter - the
+   fail-safe ladder may degrade the program, but it must never change
+   what it computes. *)
 
 module Pipeline = Core.Pipeline
 module Chaos = Core.Chaos
@@ -82,7 +82,7 @@ let inject_budget ~steps prog args expect =
       Fun.protect
         ~finally:(fun () -> Prover.set_budget saved)
         (fun () ->
-          Prover.set_budget { Prover.unlimited with Prover.b_steps = steps };
+          Prover.set_budget steps;
           (* from a cold memo, so whether the budget cuts a query does
              not depend on what the campaign proved before *)
           let c, eq =
@@ -196,8 +196,7 @@ let inject_cap rng high_water target args expect =
   let cap = max 8 (int_of_float (high_water *. float_of_int frac /. 100.)) in
   exec_fault_injection ~cls:"pool-cap" ~pass:"pool" ~site:cap
     ~detail:(Printf.sprintf "cap %d bytes (%d%% of high water)" cap frac)
-    (fun () ->
-      Exec.run ~mode:Exec.Full ~pool_cap:cap ~strict_cap:true target args)
+    (fun () -> Exec.run ~mode:Exec.Full ~pool_cap:cap target args)
     expect
 
 let run_bench rng ~rounds name prog args =

@@ -3,8 +3,8 @@
     For every target benchmark the campaign injects each of the five
     fault classes - prover exhaustion (a step budget), a pass
     exception at statement k, a forged certificate, a device OOM at
-    allocation k, and strict pool-cap pressure - and asserts the three
-    fail-safe invariants of docs/ROBUSTNESS.md:
+    allocation k, and a pool cap that refuses live memory - and
+    asserts the three fail-safe invariants of docs/ROBUSTNESS.md:
 
     + no injection crashes the compile or the run;
     + the final results stay bit-equal to the unoptimized reference

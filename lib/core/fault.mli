@@ -30,8 +30,8 @@ type t =
       (** The simulated device refused allocation number [at_alloc]
           of [bytes] bytes. *)
   | Pool_cap of { bytes : float; cap : float }
-      (** A strict-capped pool could not serve [bytes] of live memory
-          under its [cap] even after evicting every cached block. *)
+      (** A capped pool refused [bytes] of live memory: serving them
+          would hand out more than its [cap]. *)
   | Internal of { where : string; detail : string }
       (** A broken invariant inside [where] - the replacement for the
           bare [assert false]/[failwith] sites this taxonomy retired. *)

@@ -38,7 +38,6 @@ type violation = {
 type report = {
   program : string;
   variant : string;
-  exact : bool;
   kernels : int;
   copies : int;
   elided : int;
@@ -58,11 +57,9 @@ let pp_report ppf r =
     else Fmt.styled (`Fg `Red) Fmt.string
   in
   Fmt.pf ppf
-    "@[<v2>memtrace %s (%s, %s): %a@,\
+    "@[<v2>memtrace %s (%s): %a@,\
      kernels %d, copies %d (%d elided), offsets: %d checked, %d assumed"
-    r.program r.variant
-    (if r.exact then "exact" else "sampled")
-    verdict
+    r.program r.variant verdict
     (if ok r then "clean" else "VIOLATIONS")
     r.kernels r.copies r.elided r.offsets_checked r.offsets_assumed;
   List.iter (fun v -> Fmt.pf ppf "@,- %a" pp_violation v) r.violations;
@@ -201,7 +198,7 @@ let check_copy ~violations (c : Trace.copy) =
    them.  A kernel that both reads and writes a block is treated as
    the reviver (its reads may be of its own writes; intra-kernel
    ordering is not traced). *)
-let check_last_uses ~exact ~violations (events : Trace.event list) =
+let check_last_uses ~violations (events : Trace.event list) =
   let death = Hashtbl.create 16 in
   List.iteri
     (fun i e ->
@@ -228,32 +225,24 @@ let check_last_uses ~exact ~violations (events : Trace.event list) =
               (fun (b, offs) -> b = bid && offs <> [])
               k.Trace.writes
           in
-          if exact then
-            List.iter
-              (fun (bid, offs) ->
-                if offs <> [] && dead bid && not (writes bid) then
-                  violations :=
-                    {
-                      rule = "last-use";
-                      at = k.Trace.klabel;
-                      detail =
-                        Printf.sprintf
-                          "kernel reads blk%d after its last static use \
-                           (contents never overwritten)"
-                          bid;
-                    }
-                    :: !violations)
-              k.Trace.reads;
-          if exact then
-            List.iter
-              (fun (bid, offs) -> if offs <> [] then revive bid)
-              k.Trace.writes
-          else
-            (* sampled traces record no offsets; fall back to the
-               declared write footprints as revival evidence *)
-            List.iter
-              (fun f -> revive f.Trace.fbid)
-              k.Trace.declared_writes
+          List.iter
+            (fun (bid, offs) ->
+              if offs <> [] && dead bid && not (writes bid) then
+                violations :=
+                  {
+                    rule = "last-use";
+                    at = k.Trace.klabel;
+                    detail =
+                      Printf.sprintf
+                        "kernel reads blk%d after its last static use \
+                         (contents never overwritten)"
+                        bid;
+                  }
+                  :: !violations)
+            k.Trace.reads;
+          List.iter
+            (fun (bid, offs) -> if offs <> [] then revive bid)
+            k.Trace.writes
       | Trace.Copy c ->
           if (not c.Trace.celided) && dead c.Trace.csrc then
             violations :=
@@ -281,7 +270,6 @@ let check (t : Trace.t) : report =
   let checked = ref 0 and assumed = ref 0 in
   let violations = ref [] in
   let events = Trace.events t in
-  let exact = Trace.exact t in
   List.iter
     (fun e ->
       match e with
@@ -289,12 +277,11 @@ let check (t : Trace.t) : report =
       | Trace.Copy c -> check_copy ~violations c
       | _ -> ())
     events;
-  check_last_uses ~exact ~violations events;
+  check_last_uses ~violations events;
   let copies = Trace.copies t in
   {
     program = Trace.program t;
     variant = Trace.variant t;
-    exact;
     kernels = List.length (Trace.kernels t);
     copies = List.length copies;
     elided = List.length (List.filter (fun c -> c.Trace.celided) copies);

@@ -46,7 +46,6 @@ type violation = {
 type report = {
   program : string;  (** from the trace's provenance *)
   variant : string;  (** which pipeline stage produced the program *)
-  exact : bool;  (** offset-exact trace (Full mode)? *)
   kernels : int;  (** kernel launches replayed *)
   copies : int;  (** copies replayed *)
   elided : int;  (** of which were short-circuited *)
@@ -58,10 +57,8 @@ type report = {
 }
 
 val check : Trace.t -> report
-(** Replay the trace and run all three check families.  On a
-    non-{!val:Trace.exact} trace the footprint and kernel-read last-use
-    checks are vacuous (no offsets were recorded); copy-level checks
-    still run. *)
+(** Replay the trace and run all three check families over the
+    offsets it recorded. *)
 
 val ok : report -> bool
 (** [ok r] iff [r.violations = []]. *)

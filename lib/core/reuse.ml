@@ -59,12 +59,9 @@ module SS = Ir.Ast.SS
 (* Options and statistics                                            *)
 (* ---------------------------------------------------------------- *)
 
-type options = {
-  verbose : bool;
-  cross_scope : bool; (* alloc hoisting out of loop bodies (strategy 4) *)
-}
+type options = { verbose : bool }
 
-let default_options = { verbose = false; cross_scope = true }
+let default_options = { verbose = false }
 
 type stats = {
   mutable candidates : int; (* (earlier, later) alloc pairs examined *)
@@ -1234,7 +1231,7 @@ let optimize ?(options = default_options) ?cert (p : prog) : prog * stats =
   let names = Ir.Names.of_prog p in
   let st = fresh_stats () in
   let p = remove_dead_chains st options cert p in
-  let p = if options.cross_scope then hoist_allocs st options cert p else p in
+  let p = hoist_allocs st options cert p in
   let body =
     walk ~fv:(fv_memo ()) st options cert names SM.empty
       (Facts.top p) p.body

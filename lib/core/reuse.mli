@@ -48,14 +48,10 @@
     The pass mutates its input program (annotations are mutable);
     {!val:Pipeline.compile} hands it a private clone. *)
 
-type options = {
-  verbose : bool;
-  cross_scope : bool;
-      (** alloc hoisting out of loop bodies and through [if] arms *)
-}
+type options = { verbose : bool }
 
 val default_options : options
-(** All strategies enabled, quiet. *)
+(** Quiet. *)
 
 type stats = {
   mutable candidates : int;  (** (earlier, later) alloc pairs examined *)

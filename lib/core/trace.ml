@@ -59,7 +59,6 @@ type event =
 type t = {
   program : string;
   variant : string; (* provenance: which pipeline stage produced the code *)
-  exact : bool; (* Full mode: offsets were recorded exhaustively *)
   mutable events_rev : event list;
   mutable next_kid : int;
   mutable muted : bool; (* result readback is not part of the execution *)
@@ -77,11 +76,10 @@ and building = {
   b_rd : (int, (int, unit) Hashtbl.t) Hashtbl.t;
 }
 
-let create ~program ~variant ~exact () =
+let create ~program ~variant () =
   {
     program;
     variant;
-    exact;
     events_rev = [];
     next_kid = 0;
     muted = false;
@@ -90,7 +88,6 @@ let create ~program ~variant ~exact () =
 
 let program t = t.program
 let variant t = t.variant
-let exact t = t.exact
 let events t = List.rev t.events_rev
 let emit t e = if not t.muted then t.events_rev <- e :: t.events_rev
 let mute t = t.muted <- true
@@ -280,38 +277,6 @@ let pp_region ppf = function
 let pp_footprint ppf f =
   Fmt.pf ppf "%s@@blk%d:%a" f.fvar f.fbid pp_region f.fregion
 
-let total_offsets l =
-  List.fold_left (fun acc (_, offs) -> acc + List.length offs) 0 l
-
-let pp_event ppf = function
-  | Alloc { bid; name; elems; in_kernel } ->
-      Fmt.pf ppf "alloc blk%d (%s) %d elems%s" bid name elems
-        (if in_kernel then " [in-kernel]" else "")
-  | Kernel k ->
-      Fmt.pf ppf
-        "@[<v2>kernel #%d %s: %d threads, %.0fB read, %.0fB written@,\
-         declared writes: %a@,\
-         declared reads:  %a@,\
-         touched: %d writes, %d reads across %d blocks@]" k.kid k.klabel
-        k.kthreads k.read_bytes k.write_bytes
-        Fmt.(list ~sep:comma pp_footprint)
-        k.declared_writes
-        Fmt.(list ~sep:comma pp_footprint)
-        k.declared_reads (total_offsets k.writes) (total_offsets k.reads)
-        (List.length
-           (List.sort_uniq compare (List.map fst k.writes @ List.map fst k.reads)))
-  | Copy c ->
-      Fmt.pf ppf "copy blk%d -> blk%d, %.0fB%s%s" c.csrc c.cdst c.cbytes
-        (if c.celided then " [ELIDED]" else "")
-        (if c.cin_kernel then " [in-kernel]" else "")
-  | Last_use { var; bid } -> Fmt.pf ppf "last-use %s (blk%d)" var bid
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>trace of %s (%s, %s)@,%a@]" t.program t.variant
-    (if t.exact then "exact" else "sampled")
-    Fmt.(list ~sep:cut pp_event)
-    (events t)
-
 (* ---------------------------------------------------------------- *)
 (* JSON                                                              *)
 (* ---------------------------------------------------------------- *)
@@ -399,7 +364,6 @@ let to_json t =
     [
       ("program", Json.Str t.program);
       ("variant", Json.Str t.variant);
-      ("exact", Json.Bool t.exact);
       ( "traffic",
         Json.Obj
           [
@@ -455,10 +419,11 @@ let pp_skeleton_event ppf = function
   | SCopy { sshape } ->
       Fmt.pf ppf "copy [%a]" Fmt.(list ~sep:comma int) sshape
 
-(* First [limit] skeleton divergences between two traces of the same
+(* The first ten skeleton divergences between two traces of the same
    program, rendered; empty means the variants agree on the logical
    event sequence. *)
-let diff ?(limit = 10) ta tb : string list =
+let diff ta tb : string list =
+  let limit = 10 in
   let sa = Array.of_list (skeleton ta)
   and sb = Array.of_list (skeleton tb) in
   let na = Array.length sa and nb = Array.length sb in

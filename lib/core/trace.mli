@@ -6,10 +6,10 @@
     last-use markers of the static liveness annotation.  Each kernel
     event carries both its {e declared} footprint - the static LMAD
     annotations concretized at launch time - and its {e actual}
-    footprint - the distinct offsets the threads touched (recorded
-    exhaustively in [Full] mode).  The {!Memtrace} checker replays a
-    trace and confirms the dynamic behaviour stays inside the static
-    claims; this module only collects and renders.
+    footprint - the distinct offsets the threads touched, recorded
+    exhaustively (a traced run is a [Full] run).  The {!Memtrace}
+    checker replays a trace and confirms the dynamic behaviour stays
+    inside the static claims; this module only collects and renders.
 
     The collection API ([create], [alloc], [kernel_begin] …) is driven
     by the executor; ordinary clients consume finished traces through
@@ -29,8 +29,7 @@ type footprint = { fvar : string; fbid : int; fregion : clmad list option }
     DRAM traffic the launch was charged.  [fresh] lists blocks
     allocated {e inside} the launch (thread-private scratch); accesses
     to those are not part of the static cross-thread story.  [writes]
-    and [reads] map block ids to the sorted distinct offsets touched
-    (empty when the trace is not {!exact}). *)
+    and [reads] map block ids to the sorted distinct offsets touched. *)
 type kernel = {
   kid : int;
   klabel : string;
@@ -73,17 +72,12 @@ type t
 val program : t -> string
 val variant : t -> string
 
-val exact : t -> bool
-(** [true] when the executor ran in [Full] mode and per-kernel offset
-    sets are exhaustive; sampled (cost-only) traces keep the event
-    structure but have empty offset sets. *)
-
 val events : t -> event list
 (** All events, in program order. *)
 
 (** {2 Collection (driven by the executor)} *)
 
-val create : program:string -> variant:string -> exact:bool -> unit -> t
+val create : program:string -> variant:string -> unit -> t
 val alloc : t -> bid:int -> name:string -> elems:int -> in_kernel:bool -> unit
 val last_use : t -> var:string -> bid:int -> unit
 
@@ -150,7 +144,6 @@ val traffic : t -> traffic
 (** {2 Rendering} *)
 
 val pp_footprint : Format.formatter -> footprint -> unit
-val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t
 (** The whole trace as a single JSON object: provenance, traffic
@@ -174,7 +167,7 @@ type skeleton_event =
 val skeleton : t -> skeleton_event list
 val pp_skeleton_event : Format.formatter -> skeleton_event -> unit
 
-val diff : ?limit:int -> t -> t -> string list
+val diff : t -> t -> string list
 (** Rendered skeleton divergences between two traces of the same
-    program (at most [limit], default 10); [[]] means the variants
-    agree on the logical event sequence. *)
+    program (at most ten); [[]] means the variants agree on the
+    logical event sequence. *)

@@ -66,19 +66,18 @@ let mi100 =
    request takes the exact-fit fast path; a differently-sized request
    in the same class reuses any free block large enough to hold it.
    The pool never returns memory to the device, mirroring the caching
-   allocators of real array-language runtimes. *)
+   allocators of real array-language runtimes; a cap bounds the live
+   memory it hands out, not what it keeps cached. *)
 module Pool = struct
   type c = {
     classes : (int, float list ref) Hashtbl.t;
         (* class exponent -> free block sizes (bytes, newest first) *)
     cap : float option;
-        (* device-memory budget: the pool refuses to let
-           [device_bytes] grow past it while cached blocks can be
-           evicted instead *)
+        (* live-memory budget: [refuses] turns away a request that
+           would hand out more than this *)
     mutable device_bytes : float; (* total fresh device memory obtained *)
     mutable in_use : float; (* bytes currently handed out *)
     mutable high_water : float; (* max [in_use] ever observed *)
-    mutable evictions : int; (* cached blocks returned to the device *)
   }
 
   type nonrec t = c
@@ -88,7 +87,6 @@ module Pool = struct
     s_device_bytes : float;
     s_in_use : float;
     s_high_water : float;
-    s_evictions : int;
   }
 
   type stats = {
@@ -97,8 +95,6 @@ module Pool = struct
     p_fragmentation : float;
         (* fraction of pool-owned device memory idle even at the
            high-water mark: (device - high) / device *)
-    p_cap : float option;
-    p_evictions : int;
   }
 
   let create ?cap () =
@@ -108,7 +104,6 @@ module Pool = struct
       device_bytes = 0.;
       in_use = 0.;
       high_water = 0.;
-      evictions = 0;
     }
 
   (* Smallest exponent [c] with 2^c >= bytes. *)
@@ -141,45 +136,10 @@ module Pool = struct
     in
     go [] l
 
-  (* Release cached free blocks (largest first, across all classes)
-     until growing by [need] fits under the cap, or the caches run dry.
-     Returns the number of blocks evicted; each eviction is a device
-     free the caller must price. *)
-  let evict_for t cap need =
-    let evicted = ref 0 in
-    let budget_ok () = t.device_bytes +. need <= cap in
-    let continue = ref true in
-    while (not (budget_ok ())) && !continue do
-      let largest =
-        Hashtbl.fold
-          (fun _ l acc ->
-            List.fold_left
-              (fun acc s ->
-                match acc with
-                | Some (s', _) when s' >= s -> acc
-                | _ -> Some (s, l))
-              acc !l)
-          t.classes None
-      in
-      match largest with
-      | None -> continue := false
-      | Some (s, l) ->
-          (match take (fun x -> x = s) !l with
-          | Some (_, rest) -> l := rest
-          | None ->
-              Core.Fault.internal ~where:"Device.Pool.evict_for"
-                "free-list entry of %g bytes vanished during eviction" s);
-          t.device_bytes <- t.device_bytes -. s;
-          incr evicted
-    done;
-    t.evictions <- t.evictions + !evicted;
-    !evicted
-
-  (* Strict-cap refusal test: would [bytes] of *live* memory push
-     [in_use] past the cap?  The default cap semantics never refuse
-     live memory (the cap only bounds cache growth on top of it); the
-     fail-safe executor asks this before allocating under --strict-cap
-     and degrades to unpooled execution on [Some cap]. *)
+  (* Would [bytes] more of live memory push [in_use] past the cap?
+     Cached free blocks do not count.  The executor asks this before
+     every pooled allocation and degrades to unpooled execution on
+     [Some cap]. *)
   let refuses t bytes =
     match t.cap with
     | Some cap when t.in_use +. bytes > cap -> Some cap
@@ -200,16 +160,12 @@ module Pool = struct
           !l;
         l := [])
       t.classes;
-    t.evictions <- t.evictions + !n;
     !n
 
   (* Serve [bytes]: [`Hit served] pops a free block ([served] is its
-     device size, >= bytes); [`Miss ev] obtains fresh device memory of
-     exactly [bytes], after evicting [ev] cached blocks when the pool
-     would otherwise grow past its cap (each eviction is a device free
-     the executor prices).  The cap never refuses live memory - it only
-     bounds what the pool may keep cached on top of it. *)
-  let alloc t bytes : [ `Hit of float | `Miss of int ] =
+     device size, >= bytes); [`Miss] obtains fresh device memory of
+     exactly [bytes]. *)
+  let alloc t bytes : [ `Hit of float | `Miss ] =
     let l = freelist t (class_of bytes) in
     let found =
       match take (fun s -> s = bytes) !l with
@@ -222,15 +178,9 @@ module Pool = struct
         note_use t served;
         `Hit served
     | None ->
-        let ev =
-          match t.cap with
-          | Some cap when t.device_bytes +. bytes > cap ->
-              evict_for t cap bytes
-          | _ -> 0
-        in
         t.device_bytes <- t.device_bytes +. bytes;
         note_use t bytes;
-        `Miss ev
+        `Miss
 
   (* Return a block of device size [bytes] to its class free list. *)
   let free t bytes =
@@ -255,7 +205,6 @@ module Pool = struct
       s_device_bytes = t.device_bytes;
       s_in_use = t.in_use;
       s_high_water = t.high_water;
-      s_evictions = t.evictions;
     }
 
   let restore t (s : snapshot) =
@@ -263,8 +212,7 @@ module Pool = struct
     List.iter (fun (c, l) -> Hashtbl.replace t.classes c (ref l)) s.s_classes;
     t.device_bytes <- s.s_device_bytes;
     t.in_use <- s.s_in_use;
-    t.high_water <- s.s_high_water;
-    t.evictions <- s.s_evictions
+    t.high_water <- s.s_high_water
 
   let stats t : stats =
     {
@@ -273,16 +221,11 @@ module Pool = struct
       p_fragmentation =
         (if t.device_bytes <= 0. then 0.
          else (t.device_bytes -. t.high_water) /. t.device_bytes);
-      p_cap = t.cap;
-      p_evictions = t.evictions;
     }
 
   let pp_stats ppf (s : stats) =
     Fmt.pf ppf "pool: %.3g B device, %.3g B high-water, %.1f%% fragmentation"
-      s.p_device_bytes s.p_high_water (100. *. s.p_fragmentation);
-    match s.p_cap with
-    | Some cap -> Fmt.pf ppf ", %.3g B cap (%d evictions)" cap s.p_evictions
-    | None -> ()
+      s.p_device_bytes s.p_high_water (100. *. s.p_fragmentation)
 end
 
 (* Event counters accumulated by the executor. *)

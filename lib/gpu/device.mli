@@ -38,11 +38,8 @@ val mi100 : t
     device allocator.  Requests are served from the free list of their
     power-of-two size class when possible (a {e hit}); freed blocks
     keep their exact size, giving same-size requests an exact-fit fast
-    path.  By default the pool never returns memory to the device,
-    mirroring the caching allocators of real array-language runtimes;
-    with a [cap] it instead evicts cached free blocks (each a priced,
-    synchronizing device free) rather than grow its device footprint
-    past the budget. *)
+    path.  The pool never returns memory to the device, mirroring the
+    caching allocators of real array-language runtimes. *)
 module Pool : sig
   type t
 
@@ -58,27 +55,18 @@ module Pool : sig
     p_fragmentation : float;
         (** fraction of pool-owned device memory idle even at the
             high-water mark: [(device - high) / device] *)
-    p_cap : float option;  (** the device-memory budget, if one was set *)
-    p_evictions : int;
-        (** cached blocks returned to the device to stay under the cap *)
   }
 
   val create : ?cap:int -> unit -> t
   (** [create ?cap ()] makes an empty pool.  [cap] (bytes) bounds the
-      total device memory the pool will obtain: a miss that would push
-      past it first evicts cached free blocks (largest first).  Live
-      memory is never refused - the cap only limits cache growth on top
-      of it, so a program whose working set exceeds the cap simply sees
-      every allocation miss and every free evict. *)
+      live memory the pool hands out: {!refuses} turns away a request
+      past it.  Cached free blocks do not count against it. *)
 
-  val alloc : t -> float -> [ `Hit of float | `Miss of int ]
+  val alloc : t -> float -> [ `Hit of float | `Miss ]
   (** [alloc t bytes] serves a request: [`Hit served] pops a free block
-      of device size [served >= bytes]; [`Miss ev] obtains fresh device
-      memory of exactly [bytes] after evicting [ev] cached blocks to
-      respect the cap (0 when uncapped or under budget; each eviction
-      is a synchronizing device free the caller must price).  The
-      caller must remember the served size and pass it back to
-      {!free}. *)
+      of device size [served >= bytes]; [`Miss] obtains fresh device
+      memory of exactly [bytes].  The caller must remember the served
+      size and pass it back to {!free}. *)
 
   val free : t -> float -> unit
   (** Return a block of the given device size to its class free list. *)
@@ -90,11 +78,10 @@ module Pool : sig
       already re-served, fresh device memory stands in. *)
 
   val refuses : t -> float -> float option
-  (** [refuses t bytes] is [Some cap] when serving [bytes] of {e live}
-      memory would push the handed-out total past the cap.  The
-      default cap semantics never refuse live memory - this is the
-      strict reading the fail-safe executor opts into with
-      [--strict-cap], degrading to unpooled execution on refusal. *)
+  (** [refuses t bytes] is [Some cap] when handing out [bytes] more of
+      live memory would take the total handed out past the cap, and
+      [None] without a cap.  The executor asks before every pooled
+      allocation and degrades to unpooled execution on a refusal. *)
 
   val flush : t -> int
   (** Release every cached free block (a pool teardown in place),

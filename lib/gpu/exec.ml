@@ -43,16 +43,16 @@
    each polynomial in the loop's body, the monomials over slots bound
    outside the body, which no iteration can change, are summed there
    into a slot of their own, and the polynomial reads that slot plus
-   what varies ([h + x], [h + c·x] and [h + c·x·y] have closures of
-   their own).  The same walk records once the facts a run would
-   otherwise re-derive at every execution: a mapnest's declared reads
-   and destinations in its launch scope, the blocks a lexical block's
-   results live in, and which loops carry an integer.  Scoping is
-   lexical (a block returns values, never bindings), so a slot is always
-   written before it is read.  What the walk finds wrong - a name no
-   binder in scope defines, operands of the wrong kinds, a pattern of
-   the wrong arity - compiles to a closure that raises [Exec_error] only
-   if the run evaluates it.  Frame and closures live for one run.  Block
+   what varies ([h + x] and [h + c·x·y] have closures of their own).
+   The same walk records once the facts a run would otherwise re-derive
+   at every execution: a mapnest's declared reads and destinations in
+   its launch scope, the blocks a lexical block's results live in, and
+   which loops carry an integer.  Scoping is lexical (a block returns
+   values, never bindings), so a slot is always written before it is
+   read.  What the walk finds wrong - a name no binder in scope
+   defines, operands of the wrong kinds, a pattern of the wrong arity -
+   compiles to a closure that raises [Exec_error] only if the run
+   evaluates it.  Frame and closures live for one run.  Block
    ids are numbered per run, from 1, so a run is a pure function of
    (program, arguments): running a program twice in one process gives
    equal counters and byte-identical traces.
@@ -275,12 +275,6 @@ type state = {
          allocation is a fresh device allocation (the --no-pool model).
          Mutable: a contained device fault degrades the run to
          unpooled execution by flushing and dropping the pool. *)
-  fail_safe : bool;
-      (* contain device faults (OOM, strict-cap refusal) by degrading
-         to unpooled execution instead of raising *)
-  strict_cap : bool;
-      (* refuse live memory past the pool cap (default cap semantics
-         only bound cache growth) *)
   oom_at : int;
       (* fault injection: refuse allocation number [oom_at] (1-based
          over top-level and scratch allocations); 0 = never *)
@@ -433,22 +427,19 @@ let pool_revive st (b : blockv) =
     | None -> ()
   end
 
-(* Contain (fail-safe) or raise a device-layer fault.  Containment is
-   the executor's rung of the degradation ladder: the pool's cached
-   blocks are all released - priced as synchronizing device frees, the
-   penalty of degrading - and the run continues unpooled, every
-   further allocation a fresh device allocation. *)
+(* Contain a device-layer fault, the executor's rung of the
+   degradation ladder: the pool's cached blocks are all released -
+   priced as synchronizing device frees, the penalty of degrading - and
+   the run continues unpooled, every further allocation a fresh device
+   allocation. *)
 let device_fault st (f : Core.Fault.t) =
-  if not st.fail_safe then raise (Core.Fault.Fault f)
-  else begin
-    st.exec_faults <- f :: st.exec_faults;
-    (match st.pool with
-    | Some p ->
-        let released = Device.Pool.flush p in
-        st.counters.frees <- st.counters.frees + released
-    | None -> ());
-    st.pool <- None
-  end
+  st.exec_faults <- f :: st.exec_faults;
+  (match st.pool with
+  | Some p ->
+      let released = Device.Pool.flush p in
+      st.counters.frees <- st.counters.frees + released
+  | None -> ());
+  st.pool <- None
 
 (* ---------------------------------------------------------------- *)
 (* Frame access and polynomial evaluation                            *)
@@ -652,8 +643,7 @@ let note_read st (a : blockv) (off : int) =
      || not (Cells.mem st.thread_writes a.bid off)
    then tally_reads st a elem_bytes);
   (match st.tracer with
-  | Some tr when st.kernel_depth > 0 && st.mode = Full ->
-      Trace.kernel_read tr ~bid:a.bid ~off
+  | Some tr when st.kernel_depth > 0 -> Trace.kernel_read tr ~bid:a.bid ~off
   | _ -> ());
   if st.mode = Full && (off < 0 || off >= a.bsize) then
     err "exec: read out of bounds in %s (%d / %d)" a.bname off a.bsize
@@ -691,8 +681,7 @@ let note_write st (a : blockv) (off : int) =
     a.wgen <- Cells.gen st.thread_writes
   end;
   (match st.tracer with
-  | Some tr when st.kernel_depth > 0 && st.mode = Full ->
-      Trace.kernel_write tr ~bid:a.bid ~off
+  | Some tr when st.kernel_depth > 0 -> Trace.kernel_write tr ~bid:a.bid ~off
   | _ -> ());
   if st.mode = Full && (off < 0 || off >= a.bsize) then
     err "exec: write out of bounds in %s (%d / %d)" a.bname off a.bsize;
@@ -1193,10 +1182,10 @@ let launch_kernel st ~label ~declared f =
     | None -> ()
   end;
   st.kernel_depth <- st.kernel_depth + 1;
-  (* depth must be restored even when the body raises (an injected
-     device fault in non-fail-safe mode, a checker exception): a stuck
-     nonzero depth would misclassify every later top-level allocation
-     as kernel scratch and corrupt the free accounting *)
+  (* depth must be restored even when the body raises (a checker
+     exception, an out-of-bounds access): a stuck nonzero depth would
+     misclassify every later top-level allocation as kernel scratch and
+     corrupt the free accounting *)
   Fun.protect ~finally:(fun () -> st.kernel_depth <- st.kernel_depth - 1) f;
   if top then begin
     (* perfect-L2: a kernel reads each block location from DRAM once *)
@@ -1476,9 +1465,8 @@ let alloc st size ~arena =
     (match st.pool with
     | Some p -> (
         match Device.Pool.refuses p bytes with
-        | Some cap when st.strict_cap ->
-            device_fault st (Core.Fault.Pool_cap { bytes; cap })
-        | _ -> ())
+        | Some cap -> device_fault st (Core.Fault.Pool_cap { bytes; cap })
+        | None -> ())
     | None -> ());
     match st.pool with
     | Some p -> (
@@ -1486,11 +1474,7 @@ let alloc st size ~arena =
         | `Hit served ->
             st.counters.pool_hits <- st.counters.pool_hits + 1;
             b.devbytes <- served
-        | `Miss ev ->
-            st.counters.pool_misses <- st.counters.pool_misses + 1;
-            (* cap evictions are real device frees: each one pays the
-               synchronizing free cost in the time model *)
-            st.counters.frees <- st.counters.frees + ev)
+        | `Miss -> st.counters.pool_misses <- st.counters.pool_misses + 1)
     | None -> ()
   end
   else begin
@@ -1608,8 +1592,8 @@ let flatten ms =
 
 (* Monomials compiled to a sum of products, with closures of their own
    for the shapes most indices take: a constant, a variable, a variable
-   plus a constant, and a loop-invariant slot [h] plus a variable, a
-   multiple of one or a multiple of a product of two. *)
+   plus a constant, and a loop-invariant slot [h] plus a variable or a
+   multiple of a product of two. *)
 let sum ms : ipoly =
   match ms with
   | [] -> fun _ -> 0
@@ -1617,8 +1601,6 @@ let sum ms : ipoly =
   | [ (1, [| x |]) ] -> fun st -> st.ints.(x)
   | [ (1, [| x |]); (c, [||]) ] -> fun st -> st.ints.(x) + c
   | [ (1, [| h |]); (1, [| x |]) ] -> fun st -> st.ints.(h) + st.ints.(x)
-  | [ (1, [| h |]); (c, [| x |]) ] ->
-      fun st -> st.ints.(h) + (c * st.ints.(x))
   | [ (1, [| h |]); (c, [| x; y |]) ] ->
       fun st ->
         let i = st.ints in
@@ -2428,14 +2410,12 @@ type report = {
 }
 
 let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
-    ?(variant = "program") ?mutation ?(fail_safe = true)
-    ?(strict_cap = false) ?(oom_at = 0) (p : prog) (args : Value.t list) :
-    report =
+    ?(variant = "program") ?mutation ?(oom_at = 0) (p : prog)
+    (args : Value.t list) : report =
+  if trace && mode = Cost_only then
+    invalid_arg "Exec.run: a traced run must be a Full run";
   let tracer =
-    if trace then
-      Some
-        (Trace.create ~program:p.name ~variant ~exact:(mode = Full) ())
-    else None
+    if trace then Some (Trace.create ~program:p.name ~variant ()) else None
   in
   if List.length args <> List.length p.params then
     err "exec: %s expects %d arguments" p.name (List.length p.params);
@@ -2455,8 +2435,6 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
       pool =
         (if pool then Some (Device.Pool.create ?cap:pool_cap ())
          else None);
-      fail_safe;
-      strict_cap;
       oom_at;
       alloc_seq = 0;
       exec_faults = [];
@@ -2475,7 +2453,7 @@ let run ?(mode = Full) ?(trace = false) ?(pool = true) ?pool_cap
      were already counted by [pool_free]; top up with the frees of the
      [unfreed] blocks still live when the program hands back its
      results (an outstanding-block count, not [allocs - frees]: after
-     a mid-run pool degradation the flush evictions already sit in
+     a mid-run pool degradation the flushed blocks already sit in
      [frees], and an absolute top-up would double-count them).  A
      pooled run tears the whole arena down in one context destruction
      instead, which is why [frees] stays 0 there.  Guarded so it runs

@@ -87,37 +87,33 @@ val run :
   ?pool_cap:int ->
   ?variant:string ->
   ?mutation:mutation ->
-  ?fail_safe:bool ->
-  ?strict_cap:bool ->
   ?oom_at:int ->
   Ir.Ast.prog ->
   Ir.Value.t list ->
   report
 (** Execute a memory-annotated program on the given arguments.
     [?trace] (default [false]) collects a {!Core.Trace.t} as the run
-    proceeds; [?pool] (default [true]) routes top-level allocations
-    through a {!Device.Pool}, splitting the allocation count into pool
-    hits and misses for the cost model (disable for an A/B against the
-    all-miss allocator); [?pool_cap] (bytes) bounds the pool's device
-    footprint - cache evictions forced by the cap are priced as
-    synchronizing device frees; [?variant] labels the trace's
+    proceeds; a traced run records every offset its kernels touch, so
+    it must be a [Full] run.  [?pool] (default [true]) routes top-level
+    allocations through a {!Device.Pool}, splitting the allocation
+    count into pool hits and misses for the cost model (disable for an
+    A/B against the all-miss allocator); [?pool_cap] (bytes) bounds the
+    live memory the pool hands out; [?variant] labels the trace's
     provenance (which pipeline stage produced the program, e.g.
     ["opt"]).
 
-    [?fail_safe] (default [true]) contains device-layer faults by
-    degrading to unpooled execution: the pool's cached blocks are
-    flushed (priced as synchronizing frees - the degradation penalty)
-    and the run continues, recording the fault in {!report.faults};
-    with [~fail_safe:false] the fault is raised as {!Core.Fault.Fault}
-    instead.  [?strict_cap] (default [false]) makes a [?pool_cap]
-    refuse {e live} memory past the cap (a {!Core.Fault.Pool_cap}
-    fault), not just bound cache growth.  [?oom_at] (default [0] =
+    Device-layer faults are contained by degrading to unpooled
+    execution: the pool's cached blocks are flushed (priced as
+    synchronizing frees - the degradation penalty) and the run
+    continues, recording the fault in {!report.faults}.  A pooled
+    allocation that would take the live memory past [?pool_cap] is
+    such a fault ({!Core.Fault.Pool_cap}).  [?oom_at] (default [0] =
     never) injects a simulated device OOM refusing allocation number
     [oom_at] (1-based, counting top-level and in-kernel scratch
     allocations) - the chaos harness's executor-side fault.
 
-    Offset-exact footprints require [Full] mode; a cost-only trace
-    keeps the event structure with sampled traffic numbers.
+    @raise Invalid_argument when [~trace:true] is asked of a
+    [Cost_only] run.
     @raise Exec_error on missing annotations or out-of-bounds accesses
     (full mode checks bounds on every access). *)
 

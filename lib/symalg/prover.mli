@@ -176,8 +176,8 @@ val with_cold_memo : (unit -> 'a) -> 'a
     verdict, keyed with the context's {!equal} and {!hash} and [K]'s.
     It is read and filled only while the budget is {!unlimited}: under
     a step budget a question may be refused that an unbudgeted one
-    proves, and [b_memo] bounds memoization, so any budget sends every
-    question to the client's own decision.  The client's decision must
+    proves, so any budget sends every question to the client's own
+    decision.  The client's decision must
     be a function of the context and the key alone, as an unbudgeted
     prover query is. *)
 module Verdicts (K : Hashtbl.HashedType) : sig
@@ -191,18 +191,17 @@ end
 (** {1 Resource budgets}
 
     A process-wide, per-query prover budget (CLI [--prover-budget]):
-    [b_steps] caps the elimination searches (memo misses) any one
-    [prove_*] query may spend ([-1] = unlimited; [0] refuses every
-    query outright, before the nonneg memo is read, so {e every}
-    obligation comes back unproved); a miss refuted by a concrete
-    witness costs one step like any other; [b_memo] lowers the nonneg
-    memo cap when nonnegative.  Any budget other than {!unlimited}
+    the number of elimination searches (memo misses) any one [prove_*]
+    query may spend ([-1] = unlimited; [0] refuses every query
+    outright, before the nonneg memo is read, so {e every} obligation
+    comes back unproved); a miss refuted by a concrete witness costs
+    one step like any other.  Any budget other than {!unlimited}
     bypasses the {!Verdicts} tables, so a budgeted question is always
     decided by queries under that budget.  No clock bounds a query, so
     host load never decides a verdict.  Exhaustion is sound - the query
     answers "not proved", the caller skips the rewrite - and is counted
     once per affected query in [stats ()].[budget_exhausted]. *)
-type budget = { b_steps : int; b_memo : int }
+type budget = int
 
 val unlimited : budget
 val set_budget : budget -> unit

@@ -51,21 +51,12 @@ let print_counters
 
 let print_pool = function
   | None -> print_string "  no pool"
-  | Some
-      {
-        Device.Pool.p_device_bytes;
-        p_high_water;
-        p_fragmentation;
-        p_cap;
-        p_evictions;
-      } ->
-      Printf.printf "  device %h high %h frag %h cap %s evictions %d"
-        p_device_bytes p_high_water p_fragmentation
-        (match p_cap with Some c -> Printf.sprintf "%h" c | None -> "-")
-        p_evictions
+  | Some { Device.Pool.p_device_bytes; p_high_water; p_fragmentation } ->
+      Printf.printf "  device %h high %h frag %h" p_device_bytes p_high_water
+        p_fragmentation
 
-let run ?pool ?pool_cap ?strict_cap ?oom_at label mode prog args =
-  let r = Exec.run ?pool ?pool_cap ?strict_cap ?oom_at ~mode prog args in
+let run ?pool ?pool_cap ?oom_at label mode prog args =
+  let r = Exec.run ?pool ?pool_cap ?oom_at ~mode prog args in
   print_endline label;
   print_counters r.Exec.counters;
   print_pool r.Exec.pool;
@@ -85,7 +76,8 @@ let trace label prog args =
            (Digest.string (Core.Json.to_string (Core.Trace.to_json t))))
 
 (* The pack variant without a pool, with its first allocation refused,
-   and under a strict cap at half the pooled run's high water. *)
+   and under a pool cap at half the pooled run's high water, strict in
+   that it refuses live memory. *)
 let faults label mode prog args =
   run (label ^ " unpooled") mode prog args ~pool:false;
   run (label ^ " oom at 1") mode prog args ~oom_at:1;
@@ -94,7 +86,7 @@ let faults label mode prog args =
       let cap = int_of_float (high /. 2.) in
       run
         (Printf.sprintf "%s strict cap %d" label cap)
-        mode prog args ~pool_cap:cap ~strict_cap:true
+        mode prog args ~pool_cap:cap
   | _ -> Printf.printf "%s strict cap: no pooled high water\n" label
 
 let () =

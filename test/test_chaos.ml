@@ -6,14 +6,13 @@
 
    - prover budgets: budget 0 forces every nonnegativity obligation
      Undecided (a skipped rewrite, never an abort), the exhaustion is
-     counted, the pipeline stays lint-clean, and a memo budget of 0
-     disables memoization without affecting verdicts;
+     counted, and the pipeline stays lint-clean;
 
    - the degradation ladder: an injected pass crash or forged
      certificate is contained, blamed on the injected pass, and the
-     compile falls back to the documented rung; executor faults (OOM,
-     strict pool cap) degrade to unpooled execution with consistent
-     counters; with fail-safe off, both layers fail fast;
+     compile falls back to the documented rung (with fail-safe off, it
+     fails fast); executor faults (OOM, a pool cap refusing live
+     memory) degrade to unpooled execution with consistent counters;
 
    - a qcheck property: random programs with a random fault point in a
      random pass never raise under ~fail_safe:true, compute results
@@ -28,10 +27,8 @@
    - coverage: the seed-42 campaign over the paper programs fires every
      injection it does not excuse. *)
 
-open Ir.Ast
 module P = Symalg.Poly
 module Pr = Symalg.Prover
-module B = Ir.Build
 module Value = Ir.Value
 module Exec = Gpu.Exec
 module Device = Gpu.Device
@@ -43,33 +40,10 @@ let c = P.const
 let n = P.var "n"
 let ctx_n2 = Pr.add_range Pr.empty "n" ~lo:(c 2) ()
 
-let fill b name cnt seed =
-  B.mapnest b name [ (B.fresh b "i", cnt) ] (fun bb ->
-      [ B.fadd bb (Float seed) (Float 0.0) ])
-
 (* A chain of [k] map stages over one fill: every adjacent pair is a
    short-circuiting / coalescing candidate, so all three probed passes
    visit statements. *)
-let gen_chain k =
-  B.prog "chaoschain" ~ctx:ctx_n2 ~params:[ pat_elem "n" i64 ]
-    ~ret:[ arr F64 [ n ] ]
-    (fun b ->
-      let first = fill b "x0" n 1.0 in
-      let rec go prev i =
-        if i > k then prev
-        else
-          let iv = B.fresh b "i" in
-          let nx =
-            B.mapnest b (Printf.sprintf "x%d" i) [ (iv, n) ] (fun bb ->
-                [
-                  B.fadd bb
-                    (B.index bb prev [ P.var iv ])
-                    (Float (float_of_int i));
-                ])
-          in
-          go nx (i + 1)
-      in
-      [ Var (go first 1) ])
+let gen_chain = Test_certify.gen_chain
 
 let args_n v = [ Value.VInt v ]
 
@@ -88,7 +62,7 @@ let pack_matches_interp (cpl : Pipeline.compiled) prog args =
 (* ---------------------------------------------------------------- *)
 
 let test_budget_zero_undecided () =
-  with_budget { Pr.unlimited with Pr.b_steps = 0 } (fun () ->
+  with_budget 0 (fun () ->
       Pr.reset_stats ();
       Alcotest.(check bool)
         "n + 1 >= 0 undecided at budget 0" false
@@ -101,7 +75,7 @@ let test_budget_zero_undecided () =
         ((Pr.stats ()).Pr.budget_exhausted = 2))
 
 let test_budget_zero_pipeline_lint_clean () =
-  with_budget { Pr.unlimited with Pr.b_steps = 0 } (fun () ->
+  with_budget 0 (fun () ->
       let prog = gen_chain 3 in
       let cpl = Pipeline.compile ~lint:true ~fail_safe:true prog in
       (* undecided proofs downgrade rewrites, never break the IR *)
@@ -123,22 +97,6 @@ let test_budget_zero_pipeline_lint_clean () =
       Alcotest.(check bool)
         "budget-0 results bit-equal to the interpreter" true
         (pack_matches_interp cpl prog (args_n 6)))
-
-let test_budget_memo_cap () =
-  with_budget { Pr.unlimited with Pr.b_memo = 0 } (fun () ->
-      Pr.reset_stats ();
-      (* an unusual constant offset so no earlier memo entry matches *)
-      let q = P.add n (c 54321) in
-      Alcotest.(check bool)
-        "provable with memoization disabled" true
-        (Pr.prove_nonneg ctx_n2 q);
-      Alcotest.(check bool)
-        "still provable on repeat" true
-        (Pr.prove_nonneg ctx_n2 q);
-      let st = Pr.stats () in
-      Alcotest.(check int) "nothing was served from the memo" 0
-        st.Pr.nonneg_hits;
-      Alcotest.(check int) "no queries exhausted" 0 st.Pr.budget_exhausted)
 
 (* ---------------------------------------------------------------- *)
 (* Degradation ladder: compile-side containment                      *)
@@ -221,14 +179,11 @@ let test_exec_oom_degrades () =
   Alcotest.(check bool) "degraded results bit-equal" true
     (List.for_all2 (fun a b -> a = b) expect r.Exec.results)
 
-let test_exec_strict_cap_degrades () =
+let test_exec_pool_cap_degrades () =
   let prog = gen_chain 2 in
   let cpl = Pipeline.compile prog in
   let args = args_n 6 in
-  let r =
-    Exec.run ~mode:Exec.Full ~pool_cap:8 ~strict_cap:true
-      cpl.Pipeline.unopt args
-  in
+  let r = Exec.run ~mode:Exec.Full ~pool_cap:8 cpl.Pipeline.unopt args in
   Alcotest.(check bool) "pool-cap fault recorded" true
     (List.exists
        (fun f -> Fault.layer f = "pool-cap")
@@ -238,16 +193,6 @@ let test_exec_strict_cap_degrades () =
     (List.for_all2
        (fun a b -> a = b)
        (Ir.Interp.run prog args) r.Exec.results)
-
-let test_exec_fail_fast_raises () =
-  let prog = gen_chain 2 in
-  let cpl = Pipeline.compile prog in
-  match
-    Exec.run ~mode:Exec.Full ~fail_safe:false ~oom_at:1 cpl.Pipeline.unopt
-      (args_n 5)
-  with
-  | _ -> Alcotest.fail "expected a raised device fault"
-  | exception Fault.Fault (Fault.Device_oom _) -> ()
 
 (* Counter consistency under injected faults: each device-obtained
    block is freed at most once - by the degradation flush, an unpooled
@@ -417,7 +362,7 @@ let test_resume_rejects () =
     (List.length crashed.Pipeline.recovery);
   rejects "base with a recovery" (crashed, "pack");
   let exhausted =
-    with_budget { Pr.unlimited with Pr.b_steps = 0 } (fun () ->
+    with_budget 0 (fun () ->
         Pipeline.compile prog)
   in
   Alcotest.(check bool) "the budget was exhausted" true
@@ -557,8 +502,6 @@ let tests =
       test_budget_zero_undecided;
     Alcotest.test_case "budget 0: pipeline stays lint-clean" `Quick
       test_budget_zero_pipeline_lint_clean;
-    Alcotest.test_case "memo budget 0: verdicts unaffected" `Quick
-      test_budget_memo_cap;
     Alcotest.test_case "injected crash contained and blamed" `Quick
       test_crash_contained_and_blamed;
     Alcotest.test_case "forged certificate contained" `Quick
@@ -570,9 +513,7 @@ let tests =
     Alcotest.test_case "executor OOM degrades to unpooled" `Quick
       test_exec_oom_degrades;
     Alcotest.test_case "strict pool cap degrades to unpooled" `Quick
-      test_exec_strict_cap_degrades;
-    Alcotest.test_case "executor fail-fast raises the fault" `Quick
-      test_exec_fail_fast_raises;
+      test_exec_pool_cap_degrades;
     Alcotest.test_case "counters consistent under injected faults" `Quick
       test_exec_counters_consistent_under_faults;
     Alcotest.test_case "unpooled frees balance allocs" `Quick

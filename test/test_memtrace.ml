@@ -94,7 +94,15 @@ let test_circuit_clean () =
   Alcotest.(check bool) "opt elided the update copy" true
     (o.Runner.check.MT.elided > 0);
   Alcotest.(check bool) "offsets were actually enumerated" true
-    (o.Runner.check.MT.offsets_checked > 0)
+    (o.Runner.check.MT.offsets_checked > 0);
+  (* a cost-only run samples its kernels and could not enumerate them,
+     so it refuses to be traced rather than hand memtrace nothing *)
+  Alcotest.check_raises "a cost-only run refuses a trace"
+    (Invalid_argument "Exec.run: a traced run must be a Full run")
+    (fun () ->
+      ignore
+        (Exec.run ~mode:Exec.Cost_only ~trace:true compiled.Core.Pipeline.opt
+           (circuit_args 6)))
 
 (* ---------------------------------------------------------------- *)
 (* Mutation: off-by-one kernel writes - static-clean, dynamic-caught *)
@@ -124,7 +132,7 @@ let test_off_by_one_write () =
 let region coff len : Trace.clmad list = [ { coff; cdims = [ (len, 1) ] } ]
 
 let test_bogus_elision () =
-  let t = Trace.create ~program:"synthetic" ~variant:"opt" ~exact:true () in
+  let t = Trace.create ~program:"synthetic" ~variant:"opt" () in
   Trace.alloc t ~bid:0 ~name:"a" ~elems:8 ~in_kernel:false;
   (* elided, but source and destination images differ by one element *)
   Trace.copy t ~src:0 ~dst:0 ~shape:[ 4 ] ~six:(region 0 4) ~dix:(region 1 4)
@@ -133,7 +141,7 @@ let test_bogus_elision () =
   Alcotest.(check (list string)) "blames circuit" [ "circuit" ] (rules r);
   (* a performed self-copy between those same overlapping regions is
      equally wrong *)
-  let t2 = Trace.create ~program:"synthetic" ~variant:"opt" ~exact:true () in
+  let t2 = Trace.create ~program:"synthetic" ~variant:"opt" () in
   Trace.alloc t2 ~bid:0 ~name:"a" ~elems:8 ~in_kernel:false;
   Trace.copy t2 ~src:0 ~dst:0 ~shape:[ 4 ] ~six:(region 0 4)
     ~dix:(region 1 4) ~bytes:32.0 ~elided:false ~in_kernel:false;
@@ -141,7 +149,7 @@ let test_bogus_elision () =
     "overlapping self-copy blames circuit" [ "circuit" ]
     (rules (MT.check t2));
   (* disjoint halves are fine *)
-  let t3 = Trace.create ~program:"synthetic" ~variant:"opt" ~exact:true () in
+  let t3 = Trace.create ~program:"synthetic" ~variant:"opt" () in
   Trace.alloc t3 ~bid:0 ~name:"a" ~elems:8 ~in_kernel:false;
   Trace.copy t3 ~src:0 ~dst:0 ~shape:[ 4 ] ~six:(region 0 4)
     ~dix:(region 4 4) ~bytes:32.0 ~elided:false ~in_kernel:false;
@@ -159,7 +167,7 @@ let synthetic_kernel t ~label ~reads ~writes ~declared_writes ~declared_reads
   Trace.kernel_end t ~read_bytes:0.0 ~write_bytes:0.0
 
 let test_read_after_last_use () =
-  let t = Trace.create ~program:"synthetic" ~variant:"opt" ~exact:true () in
+  let t = Trace.create ~program:"synthetic" ~variant:"opt" () in
   Trace.alloc t ~bid:0 ~name:"a" ~elems:4 ~in_kernel:false;
   synthetic_kernel t ~label:"produce" ~reads:[] ~writes:[ (0, 0) ]
     ~declared_writes:[ whole_block "a" 0 ] ~declared_reads:[];
@@ -170,7 +178,7 @@ let test_read_after_last_use () =
   Alcotest.(check (list string)) "blames last-use" [ "last-use" ] (rules r);
   (* same trace, but a kernel overwrites the block first: the reuse
      short-circuiting arranges is legal *)
-  let t2 = Trace.create ~program:"synthetic" ~variant:"opt" ~exact:true () in
+  let t2 = Trace.create ~program:"synthetic" ~variant:"opt" () in
   Trace.alloc t2 ~bid:0 ~name:"a" ~elems:4 ~in_kernel:false;
   synthetic_kernel t2 ~label:"produce" ~reads:[] ~writes:[ (0, 0) ]
     ~declared_writes:[ whole_block "a" 0 ] ~declared_reads:[];

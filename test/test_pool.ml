@@ -20,9 +20,9 @@ module Exec = Gpu.Exec
 
 let hit = function
   | `Hit served -> served
-  | `Miss _ -> Alcotest.fail "expected hit"
+  | `Miss -> Alcotest.fail "expected hit"
 
-let miss = function `Miss _ -> () | `Hit _ -> Alcotest.fail "expected miss"
+let miss = function `Miss -> () | `Hit _ -> Alcotest.fail "expected miss"
 
 let test_pool_exact_fit () =
   let p = Pool.create () in
@@ -90,80 +90,25 @@ let test_pool_fragmentation () =
   Alcotest.(check (float 1e-9)) "fragmentation" (100. /. 1100.)
     s.Pool.p_fragmentation
 
-let test_pool_cap_evicts () =
+(* The cap bounds live memory, the bytes handed out: cached free
+   blocks do not count against it, and a request that would hand out
+   more than the cap is refused. *)
+let test_pool_refuses () =
   let p = Pool.create ~cap:2048 () in
   miss (Pool.alloc p 1000.);
   miss (Pool.alloc p 1000.);
   Pool.free p 1000.;
   Pool.free p 1000.;
-  (* 2000 B obtained, all cached.  A 2000 B request lives in the empty
-     2^11 class, so it must miss; growing to 4000 B would breach the
-     cap, so both cached 1000 B blocks are evicted first. *)
-  (match Pool.alloc p 2000. with
-  | `Miss 2 -> ()
-  | `Miss n -> Alcotest.failf "expected 2 evictions, got %d" n
-  | `Hit _ -> Alcotest.fail "expected miss");
-  let s = Pool.stats p in
-  Alcotest.(check (float 0.0)) "device bytes back under cap" 2000.
-    s.Pool.p_device_bytes;
-  Alcotest.(check int) "evictions counted" 2 s.Pool.p_evictions;
-  Alcotest.(check bool) "cap recorded" true (s.Pool.p_cap = Some 2048.)
-
-let test_pool_cap_never_refuses_live () =
-  (* live memory above the cap is still served - the cap only bounds
-     cache growth, so with nothing cached every alloc is a plain miss *)
-  let p = Pool.create ~cap:1024 () in
-  miss (Pool.alloc p 1000.);
-  (match Pool.alloc p 1000. with
-  | `Miss 0 -> ()
-  | `Miss n -> Alcotest.failf "nothing cached, yet %d evictions" n
-  | `Hit _ -> Alcotest.fail "expected miss");
-  let s = Pool.stats p in
-  Alcotest.(check (float 0.0)) "live memory granted past the cap" 2000.
-    s.Pool.p_device_bytes
-
-let test_pool_evicts_largest_first () =
-  let p = Pool.create ~cap:6000 () in
-  (* cache three blocks of distinct sizes, freed smallest-first so
-     eviction order cannot accidentally track free order *)
-  miss (Pool.alloc p 600.);
-  miss (Pool.alloc p 1000.);
-  miss (Pool.alloc p 4000.);
-  Pool.free p 600.;
-  Pool.free p 1000.;
-  Pool.free p 4000.;
-  (* 2048 lives in the empty 2^11 class: a miss.  5600 + 2048 breaches
-     the cap; evicting the 4000-byte block alone brings it back under,
-     so exactly one - the largest - is released. *)
-  (match Pool.alloc p 2048. with
-  | `Miss 1 -> ()
-  | `Miss n -> Alcotest.failf "expected 1 eviction, got %d" n
-  | `Hit _ -> Alcotest.fail "expected miss");
-  let s = Pool.stats p in
-  Alcotest.(check (float 0.0)) "device bytes under cap" 3648.
-    s.Pool.p_device_bytes;
-  (* the smaller blocks are still cached - both refit - while the
-     evicted 4000-byte block is gone and must miss again *)
-  Alcotest.(check (float 0.0)) "1000 kept" 1000. (hit (Pool.alloc p 1000.));
-  Alcotest.(check (float 0.0)) "600 kept" 600. (hit (Pool.alloc p 600.));
-  (match Pool.alloc p 4000. with
-  | `Miss _ -> ()
-  | `Hit _ -> Alcotest.fail "evicted block cannot be re-served")
-
-let test_pool_cap_oversized_block_served () =
-  (* a single live block larger than the whole cap is still granted:
-     the caches are emptied first, then the request goes through *)
-  let p = Pool.create ~cap:1024 () in
-  miss (Pool.alloc p 512.);
-  Pool.free p 512.;
-  (match Pool.alloc p 4096. with
-  | `Miss 1 -> ()
-  | `Miss n -> Alcotest.failf "expected 1 eviction, got %d" n
-  | `Hit _ -> Alcotest.fail "expected miss");
-  let s = Pool.stats p in
-  Alcotest.(check (float 0.0)) "oversized block live past the cap" 4096.
-    s.Pool.p_device_bytes;
-  Alcotest.(check int) "cache emptied on the way" 1 s.Pool.p_evictions
+  (* 2000 B obtained and all of it cached: none of it is live *)
+  Alcotest.(check (option (float 0.0))) "cached blocks do not count" None
+    (Pool.refuses p 2048.);
+  ignore (hit (Pool.alloc p 1000.));
+  Alcotest.(check (option (float 0.0))) "live memory up to the cap" None
+    (Pool.refuses p 1048.);
+  Alcotest.(check (option (float 0.0))) "live memory past the cap"
+    (Some 2048.) (Pool.refuses p 1049.);
+  Alcotest.(check (option (float 0.0))) "no cap refuses nothing" None
+    (Pool.refuses (Pool.create ()) 1e12)
 
 (* ---------------------------------------------------------------- *)
 (* Executor integration                                              *)
@@ -253,40 +198,6 @@ let test_pool_recycles () =
       Alcotest.(check bool) "high water <= device bytes" true
         (s.Pool.p_high_water <= s.Pool.p_device_bytes)
 
-(* A capped pooled run prices each eviction as a synchronizing device
-   free: the memory counters are untouched by the cap, but the modeled
-   time is strictly worse than the uncapped pooled run whenever
-   evictions actually happened. *)
-let test_pool_eviction_priced_synchronizing () =
-  (* NW's unoptimized program interleaves allocation size classes, so
-     a cap of zero forces the pool to release cached blocks *)
-  let cpl = Core.Pipeline.compile Benchsuite.Nw.prog in
-  let p = cpl.Core.Pipeline.unopt in
-  let args = Benchsuite.Nw.small_args ~q:2 ~b:4 in
-  let r_free = Exec.run ~mode:Exec.Cost_only p args in
-  let r_capped = Exec.run ~mode:Exec.Cost_only ~pool_cap:0 p args in
-  let a = r_free.Exec.counters and b = r_capped.Exec.counters in
-  let evictions =
-    match r_capped.Exec.pool with
-    | Some s -> s.Pool.p_evictions
-    | None -> Alcotest.fail "expected pool stats"
-  in
-  Alcotest.(check bool) "cap at 0 forces evictions" true (evictions > 0);
-  Alcotest.(check int) "each eviction is a counted device free" evictions
-    b.Device.frees;
-  Alcotest.(check int) "uncapped run frees nothing" 0 a.Device.frees;
-  (* the cap changes pricing, never memory behaviour *)
-  Alcotest.(check int) "allocs unchanged" a.Device.allocs b.Device.allocs;
-  Alcotest.(check (float 0.0)) "peak unchanged" a.Device.peak_bytes
-    b.Device.peak_bytes;
-  List.iter
-    (fun device ->
-      Alcotest.(check bool)
-        (device.Device.name ^ ": evictions make the capped run dearer")
-        true
-        (Device.time device b > Device.time device a))
-    [ Device.a100; Device.mi100 ]
-
 let tests =
   [
     Alcotest.test_case "pool: exact-fit fast path" `Quick test_pool_exact_fit;
@@ -299,16 +210,8 @@ let tests =
       test_pool_stats;
     Alcotest.test_case "pool: fragmentation accounting" `Quick
       test_pool_fragmentation;
-    Alcotest.test_case "pool: cap evicts cached blocks" `Quick
-      test_pool_cap_evicts;
-    Alcotest.test_case "pool: cap never refuses live memory" `Quick
-      test_pool_cap_never_refuses_live;
-    Alcotest.test_case "pool: cap evicts largest-first" `Quick
-      test_pool_evicts_largest_first;
-    Alcotest.test_case "pool: oversized live block still served" `Quick
-      test_pool_cap_oversized_block_served;
-    Alcotest.test_case "cost: evictions priced as synchronizing frees" `Quick
-      test_pool_eviction_priced_synchronizing;
+    Alcotest.test_case "pool: cap refuses live memory, not cached" `Quick
+      test_pool_refuses;
     Alcotest.test_case "exec: hits + misses = allocs" `Quick
       test_hits_plus_misses;
     Alcotest.test_case "exec: --no-pool changes no counter" `Quick

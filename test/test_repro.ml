@@ -12,15 +12,6 @@ let read path = In_channel.with_open_bin path In_channel.input_all
 let lines text = String.split_on_char '\n' text
 let starts prefix l = String.starts_with ~prefix l
 
-(* [repro args] in a fresh process: its stdout, or a failure when it
-   exits nonzero. *)
-let run args =
-  let ic = Unix.open_process_args_in repro (Array.of_list (repro :: args)) in
-  let out = In_channel.input_all ic in
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> out
-  | _ -> Alcotest.failf "repro %s failed:\n%s" (String.concat " " args) out
-
 (* [f dir] on a fresh temporary directory, removed afterwards *)
 let with_dir f =
   let dir = Filename.temp_dir "repro" "" in
@@ -31,6 +22,33 @@ let with_dir f =
         (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () -> f dir)
+
+(* [repro args] in a fresh process: its exit code, stdout and stderr. *)
+let run_full args =
+  with_dir (fun dir ->
+      let file name = Filename.concat dir name in
+      let create name =
+        Unix.openfile (file name) [ O_WRONLY; O_CREAT; O_TRUNC ] 0o600
+      in
+      let out = create "out" and err = create "err" in
+      let pid =
+        Unix.create_process repro (Array.of_list (repro :: args)) Unix.stdin
+          out err
+      in
+      Unix.close out;
+      Unix.close err;
+      let code =
+        match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1
+      in
+      (code, read (file "out"), read (file "err")))
+
+(* [repro args] in a fresh process: its stdout, or a failure when it
+   exits nonzero. *)
+let run args =
+  match run_full args with
+  | 0, out, _ -> out
+  | _, out, err ->
+      Alcotest.failf "repro %s failed:\n%s%s" (String.concat " " args) out err
 
 (* ---------------------------------------------------------------- *)
 (* Determinism                                                       *)
@@ -158,6 +176,27 @@ let test_surface_source () =
     (List.length files >= List.length suite)
 
 (* ---------------------------------------------------------------- *)
+(* The degrade contract                                              *)
+(* ---------------------------------------------------------------- *)
+
+(* docs/ROBUSTNESS.md's example: under a prover budget of 0 NW's
+   obligations go unproved, the table reports the contained fault and
+   the rung it fell back to, and the run exits 1 naming the degraded
+   benchmark. *)
+let test_prover_budget_degrades () =
+  let code, out, err = run_full [ "table"; "nw"; "--prover-budget"; "0" ] in
+  Alcotest.(check int) "exit code" 1 code;
+  let holds what text line =
+    if not (finds (Str.regexp_string line) text) then
+      Alcotest.failf "%s lacks %S:\n%s" what line text
+  in
+  holds "stdout" out
+    "RECOVERED fault in prover: prover-budget fault in prover: 82 \
+     obligation(s) hit the prover budget -> fell back to skipped rewrites";
+  holds "stderr" err
+    "error: degraded/failed benchmarks: nw degraded (prover-budget)"
+
+(* ---------------------------------------------------------------- *)
 (* dump                                                              *)
 (* ---------------------------------------------------------------- *)
 
@@ -193,6 +232,11 @@ let () =
             test_certify_without_facts;
           Alcotest.test_case "benchmarks are surface source" `Quick
             test_surface_source;
+        ] );
+      ( "robustness",
+        [
+          Alcotest.test_case "table nw --prover-budget 0 degrades" `Quick
+            test_prover_budget_degrades;
         ] );
       ( "dump",
         [ Alcotest.test_case "every benchmark, once" `Quick test_dump ] );
