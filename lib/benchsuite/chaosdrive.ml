@@ -104,7 +104,7 @@ let inject_budget ~steps prog args expect =
             i_bit_equal = eq;
             i_crashed = false;
             i_detail =
-              Printf.sprintf "b_steps=%d exhausted=%d" steps
+              Printf.sprintf "steps=%d exhausted=%d" steps
                 c.Pipeline.prover_exhausted;
           }))
 

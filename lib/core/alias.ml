@@ -9,93 +9,157 @@
      return.  Fresh-array constructors (map, copy, iota, scratch,
      replicate, concat) alias nothing.
 
-   The analysis computes, per block, a map var -> alias class (a set of
-   variables, closed transitively).  Classes are global across nested
-   blocks, which is conservative and sound. *)
+   The analysis gives every variable an alias class (a set of
+   variables holding it).  Binding [v] to targets [ts] joins [v] with
+   the current classes of [ts] and makes the join the class of every
+   member; a member's older class is dropped, so the relation is not
+   closed transitively (alias.mli gives an example).  Classes are
+   global across nested blocks, which is conservative and sound.
+
+   One walk numbers every array binder (the program's parameters, the
+   pattern elements and the loop parameters) and every name an alias
+   can target, records which ids are bound as arrays, and lists the
+   bindings that alias in the order the analysis adds them: a
+   statement's nested blocks first (a loop's parameters after its
+   body), then its pattern.  The bindings are then replayed over
+   bitsets of the final width.  A class is one bitset shared by all of
+   its members; the same set by name is built on first request. *)
 
 open Ir.Ast
-module SM = Map.Make (String)
 module SS = Ir.Ast.SS
 
-type t = SS.t SM.t
+type cls = { bits : Bitset.t; mutable by_name : SS.t option }
 
-let closure (m : t) v =
-  match SM.find_opt v m with Some s -> SS.add v s | None -> SS.singleton v
+(* A numbered name: its id, and whether it is bound as an array (the
+   last binder walked decides, as in a type table). *)
+type entry = { id : int; mutable array : bool }
 
-let add_alias (m : t) v targets =
-  let cls =
-    SS.fold (fun w acc -> SS.union acc (closure m w)) targets (SS.singleton v)
-  in
-  (* register the extended class for every member *)
-  SS.fold
-    (fun w acc -> SM.add w (SS.remove w cls) acc)
-    cls m
+type t = {
+  ids : (string, entry) Hashtbl.t;
+  names : string array;
+  arrays : Bitset.t;
+  classes : cls option array; (* by id; [None]: the id alone *)
+}
 
-(* Variables the results of [e] alias (one set per result). *)
-let result_aliases (e : exp) : SS.t list option =
+let size t = Array.length t.names
+let id t v = match Hashtbl.find_opt t.ids v with Some e -> e.id | None -> -1
+let name t i = t.names.(i)
+let arrays t = t.arrays
+
+let close_into t acc i =
+  match t.classes.(i) with
+  | Some c -> Bitset.union_into acc c.bits
+  | None -> Bitset.add acc i
+
+let closure t v =
+  let i = id t v in
+  match if i < 0 then None else t.classes.(i) with
+  | None -> SS.singleton v
+  | Some { by_name = Some s; _ } -> s
+  | Some c ->
+      let s = ref SS.empty in
+      Bitset.iter (fun j -> s := SS.add t.names.(j) !s) c.bits;
+      c.by_name <- Some !s;
+      !s
+
+(* Variables the results of [e] alias (one list per result). *)
+let result_aliases (e : exp) : string list list option =
+  let vars atoms = List.filter_map atom_var atoms in
   match e with
-  | EAtom (Var v) -> Some [ SS.singleton v ]
+  | EAtom (Var v) -> Some [ [ v ] ]
   | ESlice (v, _) | ETranspose (v, _) | EReshape (v, _) | EReverse (v, _) ->
-      Some [ SS.singleton v ]
-  | EUpdate { dst; _ } -> Some [ SS.singleton dst ]
+      Some [ [ v ] ]
+  | EUpdate { dst; _ } -> Some [ [ dst ] ]
   | EIf { tb; fb; _ } ->
-      Some
-        (List.map2
-           (fun a b ->
-             SS.union
-               (Option.fold ~none:SS.empty ~some:SS.singleton (atom_var a))
-               (Option.fold ~none:SS.empty ~some:SS.singleton (atom_var b)))
-           tb.res fb.res)
+      Some (List.map2 (fun a b -> vars [ a; b ]) tb.res fb.res)
   | ELoop { params; body; _ } ->
       (* The loop result aliases the initial value and whatever the body
          returns (conservatively). *)
-      Some
-        (List.map2
-           (fun (_, init) r ->
-             SS.union
-               (Option.fold ~none:SS.empty ~some:SS.singleton (atom_var init))
-               (Option.fold ~none:SS.empty ~some:SS.singleton (atom_var r)))
-           params body.res)
+      Some (List.map2 (fun (_, init) r -> vars [ init; r ]) params body.res)
   | _ -> None
 
-let rec analyze_block (m : t) (b : block) : t =
-  List.fold_left analyze_stm m b.stms
+(* The numbering walk's state: the names so far, and the aliasing
+   bindings, last first. *)
+type walk = {
+  tbl : (string, entry) Hashtbl.t;
+  mutable rev_names : string list;
+  mutable bindings : (int * int list) list;
+}
 
-and analyze_stm (m : t) (s : stm) : t =
-  (* descend first so inner aliases (loop body results) are known *)
-  let m =
-    match s.exp with
-    | EMap { body; _ } -> analyze_block m body
-    | ELoop { params; body; _ } ->
-        (* loop params alias their inits and the body results *)
-        let m = analyze_block m body in
-        List.fold_left
-          (fun m ((pe, init), r) ->
-            if is_array_typ pe.pt then
-              let tgts =
-                SS.union
-                  (Option.fold ~none:SS.empty ~some:SS.singleton
-                     (atom_var init))
-                  (Option.fold ~none:SS.empty ~some:SS.singleton (atom_var r))
-              in
-              add_alias m pe.pv tgts
-            else m)
-          m
-          (List.combine params body.res)
-    | EIf { tb; fb; _ } -> analyze_block (analyze_block m tb) fb
-    | _ -> m
-  in
+let intern w v =
+  match Hashtbl.find_opt w.tbl v with
+  | Some e -> e
+  | None ->
+      let e = { id = Hashtbl.length w.tbl; array = false } in
+      Hashtbl.add w.tbl v e;
+      w.rev_names <- v :: w.rev_names;
+      e
+
+let bind w v typ =
+  if is_array_typ typ then (intern w v).array <- true
+  else
+    match Hashtbl.find_opt w.tbl v with
+    | Some e -> e.array <- false
+    | None -> ()
+
+let alias w v targets =
+  w.bindings <-
+    ((intern w v).id, List.map (fun t -> (intern w t).id) targets)
+    :: w.bindings
+
+let rec walk_block w (b : block) = List.iter (walk_stm w) b.stms
+
+and walk_stm w (s : stm) =
+  List.iter (fun pe -> bind w pe.pv pe.pt) s.pat;
+  (match s.exp with
+  | EMap { nest; body } ->
+      List.iter (fun (v, _) -> bind w v i64) nest;
+      walk_block w body
+  | ELoop { params; body; var; _ } ->
+      (* loop params alias their inits and the body results *)
+      bind w var i64;
+      List.iter (fun (pe, _) -> bind w pe.pv pe.pt) params;
+      walk_block w body;
+      List.iter
+        (fun ((pe, init), r) ->
+          if is_array_typ pe.pt then
+            alias w pe.pv (List.filter_map atom_var [ init; r ]))
+        (List.combine params body.res)
+  | EIf { tb; fb; _ } ->
+      walk_block w tb;
+      walk_block w fb
+  | _ -> ());
   match result_aliases s.exp with
-  | None -> m
-  | Some sets ->
-      if List.length sets <> List.length s.pat then m
-      else
-        List.fold_left2
-          (fun m pe tgts ->
-            if is_array_typ pe.pt && not (SS.is_empty tgts) then
-              add_alias m pe.pv tgts
-            else m)
-          m s.pat sets
+  | Some sets when List.length sets = List.length s.pat ->
+      List.iter2
+        (fun pe tgts ->
+          if is_array_typ pe.pt && tgts <> [] then alias w pe.pv tgts)
+        s.pat sets
+  | _ -> ()
+
+(* Binding [v] to [targets]: one class of [v] and the targets' classes,
+   the class of every member. *)
+let add_alias n classes (v, targets) =
+  let bits = Bitset.create n in
+  Bitset.add bits v;
+  List.iter
+    (fun t ->
+      match classes.(t) with
+      | Some c -> Bitset.union_into bits c.bits
+      | None -> Bitset.add bits t)
+    targets;
+  let c = Some { bits; by_name = None } in
+  Bitset.iter (fun m -> classes.(m) <- c) bits
 
 (* Alias classes for a whole program. *)
-let of_prog (p : prog) : t = analyze_block SM.empty p.body
+let of_prog (p : prog) : t =
+  let w = { tbl = Hashtbl.create 64; rev_names = []; bindings = [] } in
+  List.iter (fun pe -> bind w pe.pv pe.pt) p.params;
+  walk_block w p.body;
+  let names = Array.of_list (List.rev w.rev_names) in
+  let n = Array.length names in
+  let arrays = Bitset.create n in
+  Hashtbl.iter (fun _ e -> if e.array then Bitset.add arrays e.id) w.tbl;
+  let classes = Array.make n None in
+  List.iter (add_alias n classes) (List.rev w.bindings);
+  { ids = w.tbl; names; arrays; classes }

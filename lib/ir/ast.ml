@@ -301,9 +301,10 @@ let fv_block b = add_block SS.empty b SS.empty
 
 (* The [_with] forms take the free variables of each nested block
    ([fv_body]) or each statement ([fv_s]) from their caller, asking
-   once for each, in program order (an [if]'s true arm first): the
-   last-use analysis answers with values it computes once per block,
-   and {!fv_memo_stm} with the statements it has already walked. *)
+   once for each, in program order (an [if]'s true arm first):
+   {!fv_memo_stm} answers with the statements it has already walked,
+   and a caller that wants a statement's header alone with the empty
+   set. *)
 let given fv bound x acc = SS.union acc (SS.diff (fv x) bound)
 
 let fv_exp_with fv_body e = add_exp_with (given fv_body) SS.empty e SS.empty

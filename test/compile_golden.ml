@@ -9,10 +9,11 @@
    witness, contexts saturated, and non-overlap questions decided
    afresh.  Last, the expressions {!Ir.Ast}'s free-variable walk
    visits in a certified fail-safe compile and in a linted one (what
-   the benchmark's compile and lint workloads run): an analysis that
-   re-walks nested blocks shows here as a count that grows with
-   nesting.  The counts repeat exactly, as no clock bounds a proof.
-   Dune diffs the output against
+   the benchmark's compile and lint workloads run), and the last-use
+   analysis's runs and statement visits in the same two compiles: an
+   analysis that re-walks nested blocks shows here as a count that
+   grows with nesting.  The counts repeat exactly, as no clock bounds
+   a proof.  Dune diffs the output against
    [compile_golden.expected]; a refactoring of the passes that is meant
    to keep their output must leave that file byte-identical, and a
    prover change that moves the search must leave every other line as
@@ -144,12 +145,18 @@ let () =
         (after.refuted - before.refuted)
         (after.sat_misses - before.sat_misses)
         (after.verdict_misses - before.verdict_misses);
-      let visits f =
+      let counts f =
         Ir.Ast.reset_fv_visits ();
+        Core.Lastuse.reset_counts ();
         ignore (f ());
-        Ir.Ast.fv_visits ()
+        (Ir.Ast.fv_visits (), Core.Lastuse.runs (), Core.Lastuse.visits ())
       in
-      Printf.printf "  fv_visits certified %d linted %d\n"
-        (visits (fun () -> Pl.compile ~certify:true ~fail_safe:true prog))
-        (visits (fun () -> Pl.compile ~lint:true prog)))
+      let cfv, cruns, cvisits =
+        counts (fun () -> Pl.compile ~certify:true ~fail_safe:true prog)
+      in
+      let lfv, lruns, lvisits = counts (fun () -> Pl.compile ~lint:true prog) in
+      Printf.printf "  fv_visits certified %d linted %d\n" cfv lfv;
+      Printf.printf
+        "  lastuse runs certified %d linted %d visits certified %d linted %d\n"
+        cruns lruns cvisits lvisits)
     B.Suite.all

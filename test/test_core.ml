@@ -613,6 +613,52 @@ let test_lastuse_slice () =
         (lu p y)
   | _ -> assert false
 
+(* The alias relation is not closed transitively (alias.mli): in a
+   loop [acc = a0] whose body slices [y] out of [acc] and returns a
+   fresh map [t], [y] joins [acc]'s class while the body is analysed;
+   the parameter's own binding, made after the body, then starts a
+   class of [acc], [a0] and [t] without [y], which the loop's result
+   [r] joins.  So [y] is not in [acc]'s class and [a0] is not in
+   [y]'s. *)
+let test_alias_not_transitive () =
+  let names = ref [] in
+  let prog =
+    B.prog "al" ~ctx:ctx_n ~params:[ pat_elem "n" i64 ] ~ret:[ arr F64 [ n ] ]
+      (fun b ->
+        let a0 = fill b "a0" n 0.0 in
+        let r =
+          B.loop1 b "acc" (arr F64 [ n ]) (Var a0) ~bound:n
+            (fun bb ~param ~i:_ ->
+              let y =
+                B.bind bb "y" (ESlice (param, STriplet [ B.range P.zero n ]))
+              in
+              let iv = B.fresh bb "i" in
+              let t =
+                B.mapnest bb "t" [ (iv, n) ] (fun b3 ->
+                    [ B.fadd b3 (B.index b3 y [ P.var iv ]) (Float 1.0) ])
+              in
+              names := [ a0; param; y; t ];
+              Var t)
+        in
+        names := !names @ [ r ];
+        [ Var r ])
+  in
+  let aliases = Core.Alias.of_prog prog in
+  let closure v = SS.elements (Core.Alias.closure aliases v) in
+  let sorted = List.sort String.compare in
+  match !names with
+  | [ a0; acc; y; t; r ] ->
+      Alcotest.(check (list string))
+        "closure y" (sorted [ acc; y ]) (closure y);
+      List.iter
+        (fun v ->
+          Alcotest.(check (list string))
+            ("closure " ^ v)
+            (sorted [ a0; acc; r; t ])
+            (closure v))
+        [ a0; acc; t; r ]
+  | _ -> assert false
+
 (* ---------------------------------------------------------------- *)
 (* Memory introduction: anti-unified if                               *)
 (* ---------------------------------------------------------------- *)
@@ -839,6 +885,8 @@ let tests =
     Alcotest.test_case "last use: loop-carried parameter" `Quick
       test_lastuse_carried;
     Alcotest.test_case "last use: one if arm" `Quick test_lastuse_if_arm;
+    Alcotest.test_case "alias classes are not closed transitively" `Quick
+      test_alias_not_transitive;
     Alcotest.test_case "last use: a slice keeps its source" `Quick
       test_lastuse_slice;
     Alcotest.test_case "memintro if existentials" `Quick

@@ -15,9 +15,11 @@
    - A superlinearity gate.  One program holds the same statements at
      each of d = 1..6 nested loops (or maps); the expressions the walk
      visits per statement, in [Memlint.check], in [Cleanup.run] and in
-     a certified compile, must not grow with d.  An analysis that
-     re-walks every nested block at every level visits a statement once
-     per enclosing level, so its count per statement grows with d. *)
+     a certified compile, and the statements {!Core.Lastuse} visits in
+     that compile (it walks no free variables), must not grow with d.
+     An analysis that re-walks every nested block at every level visits
+     a statement once per enclosing level, so its count per statement
+     grows with d. *)
 
 open Ir
 open Ast
@@ -335,14 +337,23 @@ let visits f =
   let x = f () in
   (x, fv_visits ())
 
+(* Last use walks no free variables: it counts its own statement
+   visits. *)
+let lastuse_visits f =
+  Core.Lastuse.reset_counts ();
+  let x = f () in
+  (x, Core.Lastuse.visits ())
+
 let size (p : prog) = List.length (all_stms_block p.body)
 
 (* Each analysis's visits and the size of the program it walked, at
    depth [d]. *)
 let counts shape d =
   let src = shape d in
-  let cpl, compile =
-    visits (fun () -> Core.Pipeline.compile ~certify:true ~fail_safe:true src)
+  let (cpl, compile), lastuse =
+    lastuse_visits (fun () ->
+        visits (fun () ->
+            Core.Pipeline.compile ~certify:true ~fail_safe:true src))
   in
   (match
      (cpl.Core.Pipeline.recovery, Core.Pipeline.first_cert_failure cpl.certs)
@@ -356,6 +367,8 @@ let counts shape d =
     ("Memlint.check", (lint, size p));
     ("Cleanup.run", (cleanup, size p));
     ("certified Pipeline.compile", (compile, size cpl.Core.Pipeline.unopt));
+    ( "last use in a certified Pipeline.compile",
+      (lastuse, size cpl.Core.Pipeline.unopt) );
   ]
 
 (* Per-statement visits at depths 3 to 6 must stay within 10% of

@@ -19,4 +19,5 @@ let () =
       ("pack", Test_pack.tests);
       ("chaos", Test_chaos.tests);
       ("fv", Test_fv.tests);
+      ("lastuse", Test_lastuse.tests);
     ]
